@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-compare perf-guard experiments fmt vet lint lint-findings e2e
+.PHONY: build test race bench bench-check bench-compare perf-guard experiments fmt vet lint lint-findings e2e
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,15 @@ BENCH_FLAGS ?= -quick
 bench:
 	$(GO) run ./cmd/experiments $(BENCH_FLAGS) -bench-json BENCH_ingest.json
 	@cat BENCH_ingest.json
+
+# bench/ is its own module (the repo's end-to-end benchmark, BENCHMARK.json)
+# compiled against repro, internal/core and internal/service; `go build
+# ./...` and `go test ./...` at the root see none of it. This keeps it
+# building and its own tests (including the ~17 s smoke suite) passing
+# against the tree. CI runs exactly this target.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # benchstat-style old-vs-new comparison: regenerate into a scratch file and
 # diff it against the committed artifact, promoting the new numbers only

@@ -69,7 +69,6 @@ func main() {
 		quarant = flag.Bool("quarantine-corrupt", false, "set corrupt checkpoints aside as .corrupt and keep starting")
 		pool    = flag.Int("pool-workers", 0, "shared ingestion worker pool size (default 4)")
 		maxRes  = flag.Int("max-resident", 0, "max tracker sessions resident in memory; 0 = unlimited (needs -data)")
-		shards  = flag.Int("shards", 0, "deprecated alias for -pool-workers")
 		queue   = flag.Int("queue", 0, "per-lane queue depth in batches (default 16)")
 		timeout = flag.Duration("enqueue-timeout", 0, "backpressure bound before 503 (default 5s)")
 		quiet   = flag.Bool("quiet", false, "suppress operational logging")
@@ -91,7 +90,6 @@ func main() {
 		QuarantineCorrupt:  *quarant,
 		PoolWorkers:        *pool,
 		MaxResident:        *maxRes,
-		Shards:             *shards,
 		QueueDepth:         *queue,
 		EnqueueTimeout:     *timeout,
 		Logf:               logf,

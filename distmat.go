@@ -68,9 +68,6 @@
 //     the caller is the site, and checkpointing via SaveState /
 //     RestoreSession (persist.go) for the deterministic protocols —
 //     cmd/distserve serves all of this over HTTP.
-//
-// The original positional constructors (NewMatrixP2, NewHHP1, ...) remain
-// as deprecated panicking shims over the registry.
 package distmat
 
 import (

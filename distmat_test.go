@@ -7,13 +7,35 @@ import (
 	distmat "repro"
 )
 
+// newMatrix and newHH build a registered protocol for (m, ε[, d]) plus any
+// extra options, failing the test on a configuration error.
+func newMatrix(t testing.TB, proto string, m int, eps float64, d int, opts ...distmat.Option) distmat.MatrixTracker {
+	t.Helper()
+	tr, err := distmat.NewMatrix(proto, append([]distmat.Option{
+		distmat.WithSites(m), distmat.WithEpsilon(eps), distmat.WithDim(d)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func newHH(t testing.TB, proto string, m int, eps float64, opts ...distmat.Option) distmat.HHProtocol {
+	t.Helper()
+	p, err := distmat.NewHH(proto, append([]distmat.Option{
+		distmat.WithSites(m), distmat.WithEpsilon(eps)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestEndToEndMatrix exercises the public API exactly as the README's quick
 // start does: build a tracker, stream rows, compare against the exact Gram.
 func TestEndToEndMatrix(t *testing.T) {
 	const m, eps, d = 6, 0.2, 44
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(2500))
 
-	tr := distmat.NewMatrixP2(m, eps, d)
+	tr := newMatrix(t, "p2", m, eps, d)
 	exact := distmat.RunMatrix(tr, rows, distmat.NewUniformRandom(m, 1))
 
 	errVal, err := distmat.CovarianceError(exact, tr.Gram())
@@ -36,7 +58,7 @@ func TestEndToEndHeavyHitters(t *testing.T) {
 	distmat.RunHH(exact, items, distmat.NewUniformRandom(m, 2))
 	truth := exact.TrueHeavyHitters(phi)
 
-	p := distmat.NewHHP2(m, eps)
+	p := newHH(t, "p2", m, eps)
 	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 2))
 	got := distmat.HeavyHitters(p, phi)
 
@@ -53,13 +75,13 @@ func TestAllMatrixConstructors(t *testing.T) {
 	const m, eps, d = 3, 0.3, 10
 	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 400, D: d, Beta: 100, Seed: 5})
 	trackers := []distmat.MatrixTracker{
-		distmat.NewMatrixP1(m, eps, d),
-		distmat.NewMatrixP2(m, eps, d),
-		distmat.NewMatrixP3(m, eps, d, 3),
-		distmat.NewMatrixP3WR(m, eps, d, 4),
-		distmat.NewMatrixP4(m, eps, d, 5),
-		distmat.NewFDBaseline(m, 5, d),
-		distmat.NewSVDBaseline(m, d),
+		newMatrix(t, "p1", m, eps, d),
+		newMatrix(t, "p2", m, eps, d),
+		newMatrix(t, "p3", m, eps, d, distmat.WithSeed(3)),
+		newMatrix(t, "p3wr", m, eps, d, distmat.WithSeed(4)),
+		newMatrix(t, "p4", m, eps, d, distmat.WithSeed(5)),
+		newMatrix(t, "fd", m, eps, d, distmat.WithRank(5)),
+		newMatrix(t, "svd", m, eps, d),
 	}
 	for _, tr := range trackers {
 		exact := distmat.RunMatrix(tr, rows, distmat.NewRoundRobin(m))
@@ -76,10 +98,10 @@ func TestAllHHConstructors(t *testing.T) {
 	const m, eps = 3, 0.1
 	items := distmat.ZipfStream(distmat.DefaultZipfConfig(2000))
 	protos := []distmat.HHProtocol{
-		distmat.NewHHP1(m, eps),
-		distmat.NewHHP2(m, eps),
-		distmat.NewHHP3(m, eps, 6),
-		distmat.NewHHP4(m, eps, 7),
+		newHH(t, "p1", m, eps),
+		newHH(t, "p2", m, eps),
+		newHH(t, "p3", m, eps, distmat.WithSeed(6)),
+		newHH(t, "p4", m, eps, distmat.WithSeed(7)),
 	}
 	for _, p := range protos {
 		distmat.RunHH(p, items, distmat.NewRoundRobin(m))
@@ -112,7 +134,7 @@ func TestStandaloneSketches(t *testing.T) {
 
 func TestRankKError(t *testing.T) {
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(1500))
-	sv := distmat.NewSVDBaseline(2, 44)
+	sv := newMatrix(t, "svd", 2, 0.1, 44)
 	distmat.RunMatrix(sv, rows, distmat.NewRoundRobin(2))
 	e, err := distmat.RankKError(sv.Gram(), 30)
 	if err != nil {

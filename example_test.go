@@ -68,12 +68,15 @@ func ExampleNewMatrixByName() {
 	// registered: [p1 p2 p2small p3 p3wr p4 fd svd]
 }
 
-// ExampleNewHHP2 tracks weighted heavy hitters over a Zipfian stream.
-func ExampleNewHHP2() {
+// ExampleNewHH tracks weighted heavy hitters over a Zipfian stream.
+func ExampleNewHH() {
 	const m, eps, phi = 4, 0.01, 0.05
 
 	items := distmat.ZipfStream(distmat.DefaultZipfConfig(20000))
-	p := distmat.NewHHP2(m, eps)
+	p, err := distmat.NewHH("p2", distmat.WithSites(m), distmat.WithEpsilon(eps))
+	if err != nil {
+		panic(err)
+	}
 	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 3))
 
 	hot := distmat.HeavyHitters(p, phi)
@@ -101,11 +104,15 @@ func ExampleNewFrequentDirections() {
 	// sketch rows: 4
 }
 
-// ExampleNewQuantileTracker tracks weighted quantiles of a distributed
-// stream, the companion problem to heavy hitters.
-func ExampleNewQuantileTracker() {
+// ExampleNewQuantile tracks weighted quantiles of a distributed stream, the
+// companion problem to heavy hitters.
+func ExampleNewQuantile() {
 	const m, eps = 4, 0.1
-	tr := distmat.NewQuantileTracker(m, eps, 10) // values in [0, 1024)
+	tr, err := distmat.NewQuantile(distmat.WithSites(m), distmat.WithEpsilon(eps),
+		distmat.WithBits(10)) // values in [0, 1024)
+	if err != nil {
+		panic(err)
+	}
 	asg := distmat.NewRoundRobin(m)
 	for i := 0; i < 10000; i++ {
 		tr.Process(asg.Next(), uint64(i%1024), 1)

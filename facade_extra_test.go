@@ -15,7 +15,7 @@ import (
 func TestFacadeP2SmallSpace(t *testing.T) {
 	const m, eps, d = 4, 0.2, 44
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(2000))
-	tr := distmat.NewMatrixP2SmallSpace(m, eps, d)
+	tr := newMatrix(t, "p2small", m, eps, d)
 	exact := distmat.RunMatrix(tr, rows, distmat.NewUniformRandom(m, 1))
 	e, err := distmat.CovarianceError(exact, tr.Gram())
 	if err != nil {
@@ -29,7 +29,7 @@ func TestFacadeP2SmallSpace(t *testing.T) {
 func TestFacadeP4Median(t *testing.T) {
 	const m, eps = 6, 0.1
 	items := distmat.ZipfStream(distmat.DefaultZipfConfig(20000))
-	p := distmat.NewHHP4Median(m, eps, 3, 5)
+	p := newHH(t, "p4median", m, eps, distmat.WithCopies(3), distmat.WithSeed(5))
 	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 6))
 	if p.EstimateTotal() <= 0 {
 		t.Fatal("no total estimate")
@@ -42,7 +42,7 @@ func TestFacadeP4Median(t *testing.T) {
 func TestFacadeWindowedTracker(t *testing.T) {
 	const m, eps, d, window = 3, 0.2, 16, 500
 	w := distmat.NewWindowedTracker(window, func() distmat.MatrixTracker {
-		return distmat.NewMatrixP2(m, eps, d)
+		return newMatrix(t, "p2", m, eps, d)
 	})
 	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 2000, D: d, Beta: 50, Seed: 7})
 	asg := distmat.NewRoundRobin(m)
@@ -89,7 +89,10 @@ func TestFacadeHHCluster(t *testing.T) {
 
 func TestFacadeQuantiles(t *testing.T) {
 	const m, eps, bits = 4, 0.1, 10
-	tr := distmat.NewQuantileTracker(m, eps, bits)
+	tr, err := distmat.NewQuantile(distmat.WithSites(m), distmat.WithEpsilon(eps), distmat.WithBits(bits))
+	if err != nil {
+		t.Fatal(err)
+	}
 	asg := distmat.NewUniformRandom(m, 8)
 	// Uniform values in [0, 1024) with unit weights: the median must land
 	// near 512 within εW rank error.

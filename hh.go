@@ -57,68 +57,5 @@ type SpaceSaving = sketch.SpaceSaving
 // NewSpaceSaving returns a k-counter weighted SpaceSaving summary.
 func NewSpaceSaving(k int) *SpaceSaving { return sketch.NewSpaceSaving(k) }
 
-// ---- deprecated positional constructors ----
-//
-// These predate the registry and panic on invalid parameters; they remain
-// as thin shims over the registry. New code should use NewHH / NewHHByName
-// and handle the error.
-
-// mustHH builds a registered protocol and panics on error, preserving the
-// deprecated constructors' contract.
-func mustHH(name string, cfg Config) HHProtocol {
-	p, err := NewHHByName(name, cfg)
-	if err != nil {
-		//distlint:panic-ok implements the deprecated constructors' documented panic contract
-		panic(err)
-	}
-	return p
-}
-
-// hhConfig fills the non-HH defaults around positional parameters.
-func hhConfig(m int, eps float64, seed int64, copies int) Config {
-	c := DefaultConfig()
-	c.Sites, c.Epsilon, c.Seed, c.Copies = m, eps, seed, copies
-	return c
-}
-
-// NewHHP1 builds the batched Misra–Gries protocol (Section 4.1).
-//
-// Deprecated: use NewHH("p1", ...), which reports errors instead of
-// panicking.
-func NewHHP1(m int, eps float64) HHProtocol { return mustHH("p1", hhConfig(m, eps, 1, 1)) }
-
-// NewHHP2 builds the deterministic Yi–Zhang-style protocol (Section 4.2),
-// with the best deterministic communication bound.
-//
-// Deprecated: use NewHH("p2", ...), which reports errors instead of
-// panicking.
-func NewHHP2(m int, eps float64) HHProtocol { return mustHH("p2", hhConfig(m, eps, 1, 1)) }
-
-// NewHHP3 builds the priority-sampling protocol (Section 4.3).
-//
-// Deprecated: use NewHH("p3", ...), which reports errors instead of
-// panicking.
-func NewHHP3(m int, eps float64, seed int64) HHProtocol {
-	return mustHH("p3", hhConfig(m, eps, seed, 1))
-}
-
-// NewHHP4 builds the randomized Huang-style protocol (Section 4.4).
-//
-// Deprecated: use NewHH("p4", ...), which reports errors instead of
-// panicking.
-func NewHHP4(m int, eps float64, seed int64) HHProtocol {
-	return mustHH("p4", hhConfig(m, eps, seed, 1))
-}
-
-// NewHHP4Median amplifies P4's success probability to 1−δ by running
-// copies = log(2/δ) independent instances and taking per-element medians
-// (Theorem 3's remark).
-//
-// Deprecated: use NewHH("p4median", ..., WithCopies(copies)), which reports
-// errors instead of panicking.
-func NewHHP4Median(m int, eps float64, copies int, seed int64) HHProtocol {
-	return mustHH("p4median", hhConfig(m, eps, seed, copies))
-}
-
 // NewHHExact builds the exact ground-truth tracker (Ω(N) communication).
 func NewHHExact(m int) *hh.Exact { return hh.NewExact(m) }

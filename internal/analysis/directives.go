@@ -24,6 +24,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"repro/internal/analysis/lintkit"
@@ -119,16 +120,17 @@ func funcDecls(pass *lintkit.Pass) []*ast.FuncDecl {
 	return out
 }
 
-// isDeprecated reports whether a doc comment marks its declaration
-// deprecated, the convention the error-contract analyzer exempts.
-func isDeprecated(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
+// declared maps a field or method reached through an instantiated generic
+// type (e.queues on an *eng[B] receiver, l.run on a *leakyEng[int]) back to
+// the object its declaration defines. go/types gives every instantiation
+// its own copy of each member whose type mentions a type parameter, so
+// facts keyed by declaration objects must be looked up through this.
+func declared(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Var:
+		return o.Origin()
+	case *types.Func:
+		return o.Origin()
 	}
-	for _, line := range strings.Split(cg.Text(), "\n") {
-		if strings.HasPrefix(line, "Deprecated:") {
-			return true
-		}
-	}
-	return false
+	return obj
 }

@@ -20,10 +20,9 @@ import (
 //   - errors are never compared with == or != unless the other side is nil
 //     or a sentinel (a package-level Err* variable or io.EOF); anything
 //     else must use errors.Is, or wrapped errors silently stop matching;
-//   - panic is reserved for the deprecated pre-Config shims — everything
-//     else in these packages reports errors. Deliberate exceptions (e.g. a
-//     provably unreachable branch) carry //distlint:panic-ok with a
-//     justification.
+//   - these packages report errors and never panic. Deliberate
+//     exceptions (e.g. a provably unreachable branch) carry
+//     //distlint:panic-ok with a justification.
 var ErrContract = &lintkit.Analyzer{
 	Name: "errcontract",
 	Doc:  "enforce %w wrapping, errors.Is comparisons, and no-panic in facade/service code",
@@ -34,13 +33,12 @@ func runErrContract(pass *lintkit.Pass) error {
 	esc := newEscapeLines(pass, "panic-ok")
 	errType := types.Universe.Lookup("error").Type()
 	for _, fd := range funcDecls(pass) {
-		deprecated := isDeprecated(fd.Doc)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkErrorfWrap(pass, n, errType)
-				if isBuiltinCall(pass, n, "panic") && !deprecated && !esc.covers(pass.Fset, n.Pos()) {
-					pass.Reportf(n.Pos(), "panic outside a deprecated shim; return an error (or annotate //distlint:panic-ok with a justification)")
+				if isBuiltinCall(pass, n, "panic") && !esc.covers(pass.Fset, n.Pos()) {
+					pass.Reportf(n.Pos(), "panic in error-reporting code; return an error (or annotate //distlint:panic-ok with a justification)")
 				}
 			case *ast.BinaryExpr:
 				checkErrComparison(pass, n, errType)

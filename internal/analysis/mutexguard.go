@@ -340,7 +340,7 @@ func (mg *mutexGuard) checkAccess(sel *ast.SelectorExpr, st lockState) {
 	if !ok || selection.Kind() != types.FieldVal {
 		return
 	}
-	g, ok := mg.guards[selection.Obj()]
+	g, ok := mg.guards[declared(selection.Obj())]
 	if !ok {
 		return
 	}

@@ -97,3 +97,36 @@ func pooledStandalone(n int) []float64 {
 	//distlint:alloc-ok pool growth is cold by design
 	return make([]float64, n)
 }
+
+// eng is the shard-engine shape: hot functions with a type-parameterised
+// receiver are checked like any other.
+type eng[B any] struct {
+	free []*[]B
+	next int
+}
+
+//distlint:hotpath
+func (e *eng[B]) deal(blk []B) *[]B {
+	staged := make([]B, len(blk)) // want `make allocates`
+	copy(staged, blk)
+	e.next++
+	return &staged
+}
+
+//distlint:hotpath
+func (e *eng[B]) stage(blk []B) *[]B {
+	if len(e.free) == 0 {
+		buf := make([]B, len(blk)) //distlint:alloc-ok pool miss grows the pool
+		return &buf
+	}
+	buf := e.free[len(e.free)-1]
+	*buf = append((*buf)[:0], blk...) // want `append may grow its backing array`
+	return buf
+}
+
+// stageOf is a generic function rather than a method.
+//
+//distlint:hotpath
+func stageOf[B any](blk []B) any {
+	return any(blk) // want `conversion boxes a concrete value into an interface`
+}

@@ -111,3 +111,32 @@ func (s *stats) readLock() int {
 func (s *stats) badHits() int {
 	return s.hits // want `guarded by s.rw but accessed without it held`
 }
+
+// eng is the shard-engine shape: a generic type whose guarded fields are
+// reached through a type-parameterised receiver. pending's type mentions
+// B, so every instantiation (including the receiver's own eng[B]) gets a
+// distinct field object — the guard must follow it back to the declaration.
+type eng[B any] struct {
+	mu      sync.Mutex
+	failure any //distlint:guarded-by mu
+	pending []B //distlint:guarded-by mu
+}
+
+func (e *eng[B]) deal(blk B) {
+	e.mu.Lock()
+	e.pending = append(e.pending, blk)
+	e.mu.Unlock()
+	e.pending = nil // want `guarded by e.mu but accessed without it held`
+}
+
+func (e *eng[B]) failed() any {
+	return e.failure // want `guarded by e.mu but accessed without it held`
+}
+
+// drain reaches the guarded fields through a concrete instantiation.
+func drain(e *eng[int]) int {
+	n := len(e.pending) // want `guarded by e.mu but accessed without it held`
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return n + len(e.pending)
+}

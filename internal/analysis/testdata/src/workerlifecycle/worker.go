@@ -74,3 +74,52 @@ func (l *leaky) startLit() {
 func (l *leaky) startWaived() {
 	go l.run() //distlint:lifecycle-ok drained and abandoned at process exit in tests
 }
+
+// eng is the shard-engine shape: workers started in a generic constructor
+// through a type-parameterised receiver, ranging queues whose element type
+// mentions B — launch, queue field and close() must all resolve through the
+// instantiation back to the declarations.
+type eng[B any] struct {
+	queues []chan B
+}
+
+func newEng[B any](p int) *eng[B] {
+	e := &eng[B]{queues: make([]chan B, p)}
+	for i := range e.queues {
+		e.queues[i] = make(chan B)
+		go e.worker(i)
+	}
+	return e
+}
+
+func (e *eng[B]) worker(i int) {
+	for range e.queues[i] {
+	}
+}
+
+func (e *eng[B]) Close() {
+	for _, q := range e.queues {
+		close(q)
+	}
+}
+
+// leakyEng is the same shape with no Close: its worker can never exit.
+type leakyEng[B any] struct {
+	in chan B
+}
+
+func newLeakyEng[B any]() *leakyEng[B] {
+	l := &leakyEng[B]{in: make(chan B)}
+	go l.run() // want `no reachable shutdown path`
+	return l
+}
+
+func (l *leakyEng[B]) run() {
+	for range l.in {
+	}
+}
+
+// startConcrete launches through a concrete instantiation.
+func startConcrete(l *leakyEng[int]) {
+	go l.run() // want `no reachable shutdown path`
+}

@@ -136,7 +136,7 @@ func (lc *lifecycle) origin(e ast.Expr, subst map[types.Object]ast.Expr) types.O
 			e = x.X
 		case *ast.SelectorExpr:
 			if sel, ok := lc.pass.TypesInfo.Selections[x]; ok && sel.Kind() == types.FieldVal {
-				return sel.Obj()
+				return declared(sel.Obj())
 			}
 			e = x.X
 		case *ast.Ident:
@@ -202,7 +202,7 @@ func (lc *lifecycle) resolveTarget(call *ast.CallExpr) (*ast.BlockStmt, map[type
 	default:
 		return nil, nil
 	}
-	fd, ok := lc.decls[obj]
+	fd, ok := lc.decls[declared(obj)]
 	if !ok {
 		return nil, nil
 	}

@@ -150,8 +150,8 @@ func DirectionalError(gramA, gramB *matrix.Sym, xs [][]float64) float64 {
 
 // CheckParams reports whether (m, eps, d) are valid tracker parameters.
 // The public facade turns a non-nil result into its typed configuration
-// error; the deprecated panicking constructors funnel through it too, so
-// the two paths agree on what is valid.
+// error; the panicking internal constructors funnel through it too, so the
+// two paths agree on what is valid.
 func CheckParams(m int, eps float64, d int) error {
 	if m < 1 {
 		return fmt.Errorf("core: need m ≥ 1 sites, got %d", m)

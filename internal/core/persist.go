@@ -90,22 +90,17 @@ func (st *ShardedTracker) SnapshotableP2() bool {
 // reports a shard worker's terminal failure as an error rather than a
 // panic, so a background checkpointer survives a poisoned tracker.
 func (st *ShardedTracker) SnapshotShardedP2() (ShardedP2Snapshot, error) {
-	if r := st.flushErr(); r != nil {
-		return ShardedP2Snapshot{}, fmt.Errorf("core: sharded snapshot: shard worker failed: %v", r)
-	}
-	snap := ShardedP2Snapshot{
-		Shards: make([]P2Snapshot, st.p),
-		Next:   st.next,
-		Rows:   st.ShardRows(),
-	}
-	for i, tr := range st.shards {
+	shards, next, rows, err := SnapshotShards(st.ShardEngine, func(tr Tracker) (P2Snapshot, error) {
 		p2, ok := tr.(*P2)
 		if !ok {
-			return ShardedP2Snapshot{}, fmt.Errorf("core: sharded snapshot: shard %d is %T, want *P2", i, tr)
+			return P2Snapshot{}, fmt.Errorf("%T is not a persistable *P2", tr)
 		}
-		snap.Shards[i] = p2.Snapshot()
+		return p2.Snapshot(), nil
+	})
+	if err != nil {
+		return ShardedP2Snapshot{}, fmt.Errorf("core: sharded snapshot: %w", err)
 	}
-	return snap, nil
+	return ShardedP2Snapshot{Shards: shards, Next: next, Rows: rows}, nil
 }
 
 // RestoreShardedP2 rebuilds a sharded matrix P2 tracker from a snapshot and
@@ -113,44 +108,18 @@ func (st *ShardedTracker) SnapshotShardedP2() (ShardedP2Snapshot, error) {
 // to the saved one and resumes dealing at the saved cursor. Shards must
 // agree on (m, ε, d) — always true of registry-built sharded trackers; the
 // checks reject corrupt checkpoints with an error instead of a downstream
-// panic or a silently mixed guarantee.
+// panic (disagreeing dimensions panic the constructor, disagreeing site
+// counts poison the first cross-shard deal) or a silently mixed guarantee.
 func RestoreShardedP2(snap ShardedP2Snapshot) (*ShardedTracker, error) {
-	if err := CheckShards(len(snap.Shards)); err != nil {
-		return nil, err
-	}
-	if snap.Next < 0 || snap.Next >= len(snap.Shards) {
-		return nil, fmt.Errorf("core: sharded snapshot deal cursor %d outside [0,%d)", snap.Next, len(snap.Shards))
-	}
-	if snap.Rows != nil && len(snap.Rows) != len(snap.Shards) {
-		return nil, fmt.Errorf("core: sharded snapshot has %d row tallies for %d shards", len(snap.Rows), len(snap.Shards))
-	}
-	shards := make([]Tracker, len(snap.Shards))
-	for i, s := range snap.Shards {
-		// Disagreeing dimensions are a constructor panic downstream and
-		// disagreeing site counts poison the first cross-shard deal; on a
-		// corrupt checkpoint both must surface as an error instead.
-		if s.D != snap.Shards[0].D {
-			return nil, fmt.Errorf("core: sharded snapshot: shard %d has dim %d, shard 0 has %d",
-				i, s.D, snap.Shards[0].D)
+	st, err := RestoreShards(snap.Shards, snap.Next, snap.Rows, func(s P2Snapshot) (Tracker, error) {
+		if first := snap.Shards[0]; s.D != first.D || s.M != first.M || s.Eps != first.Eps {
+			return nil, fmt.Errorf("has (m=%d, ε=%v, d=%d), shard 0 has (m=%d, ε=%v, d=%d)",
+				s.M, s.Eps, s.D, first.M, first.Eps, first.D)
 		}
-		if s.M != snap.Shards[0].M {
-			return nil, fmt.Errorf("core: sharded snapshot: shard %d has %d sites, shard 0 has %d",
-				i, s.M, snap.Shards[0].M)
-		}
-		if s.Eps != snap.Shards[0].Eps {
-			return nil, fmt.Errorf("core: sharded snapshot: shard %d has ε=%v, shard 0 has %v",
-				i, s.Eps, snap.Shards[0].Eps)
-		}
-		p2, err := RestoreP2(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		shards[i] = p2
-	}
-	st := newShardedFromTrackers(shards)
-	st.next = snap.Next
-	for i, n := range snap.Rows {
-		st.rows[i].Store(n)
+		return RestoreP2(s)
+	}, newShardedFromTrackers)
+	if err != nil {
+		return nil, fmt.Errorf("core: sharded snapshot: %w", err)
 	}
 	return st, nil
 }

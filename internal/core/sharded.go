@@ -2,97 +2,75 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
-	"repro/internal/stream"
 )
 
-// ShardedTracker scales ingestion across cores by sharding the stream over P
-// independent tracker instances and merging their state at query time. It is
-// the concurrency counterpart of the blocked fast ingest mode: the fast path
-// removed the per-row linear algebra, and sharding removes the single-core
-// ceiling by running P block pipelines at once.
+// ShardedTracker scales matrix ingestion across cores by sharding the
+// stream over P independent tracker instances and merging their state at
+// query time: the row instantiation of ShardEngine, which owns the deal,
+// the barrier, the failure capture and Close. It is the concurrency
+// counterpart of the blocked fast ingest mode: the fast path removed the
+// per-row linear algebra, and sharding removes the single-core ceiling by
+// running P block pipelines at once. Each shard is a complete tracker with
+// its own private scratch (pack buffers, eigendecomposition workspaces), so
+// workers never contend on shared state.
 //
-// Ingestion: ProcessRows deals incoming blocks round-robin to P worker
-// goroutines over bounded channels, chunking large blocks so every shard
-// stays busy. Each shard is a complete tracker with its own private scratch
-// (pack buffers, eigendecomposition workspaces), so workers never contend on
-// shared state. ProcessRows returns once the block is enqueued — validation
-// runs synchronously in the caller, the rows are copied into pooled block
-// buffers (the caller may reuse its slices immediately), and the bounded
-// queues provide backpressure when the workers fall behind.
-//
-// Queries: Gram, EstimateFrobenius, and Stats first flush (a barrier waits
-// for every queued block to be applied), then merge shard state in shard
-// order — Gram addition through the allocation-free GramAccumulator fast
-// path where the shard supports it (P1's FD.AccumulateGram, P2's coordinator
-// Gram), Gram()+AddSym otherwise. The merge is sound because the paper's
-// protocols answer with additive Grams and additive error bounds: shard k
-// tracks its sub-stream A_k with ‖A_kᵀA_k − B_kᵀB_k‖₂ ≤ ε‖A_k‖²_F, and
-// summing over shards gives ‖AᵀA − BᵀB‖₂ ≤ ε·Σ‖A_k‖²_F = ε‖A‖²_F — the same
-// covariance guarantee, now holding at every merge point (query). Message
-// tallies sum across shards: each shard runs its own protocol instance, so
-// the communication bound scales by up to P.
-//
-// Determinism: the shard a row lands on depends only on the sequence of
-// ProcessRow(s) calls and P — never on the goroutine schedule — and the
-// merge is an ordered sum, so results are reproducible for a fixed seed and
-// shard count. Results DO depend on P (each P partitions the stream
-// differently); they are comparable across runs, not across shard counts.
-//
-// Like every tracker in this package, a ShardedTracker is driven by one
-// goroutine at a time (the parallelism is internal); wrap it in
-// internal/service for a concurrent ingestion surface. Call Close when done
-// to stop the workers; a closed tracker still answers queries but panics on
-// further ingestion.
+// Queries: Gram, EstimateFrobenius, and Stats first flush, then merge shard
+// state in shard order — Gram addition through the allocation-free
+// GramAccumulator fast path where the shard supports it (P1's
+// FD.AccumulateGram, P2's coordinator Gram), Gram()+AddSym otherwise. The
+// merge is sound because the paper's protocols answer with additive Grams
+// and additive error bounds: shard k tracks its sub-stream A_k with
+// ‖A_kᵀA_k − B_kᵀB_k‖₂ ≤ ε‖A_k‖²_F, and summing over shards gives
+// ‖AᵀA − BᵀB‖₂ ≤ ε·Σ‖A_k‖²_F = ε‖A‖²_F — the same covariance guarantee, now
+// holding at every merge point (query). Message tallies sum across shards:
+// each shard runs its own protocol instance, so the communication bound
+// scales by up to P. The merge is an ordered sum, so with the engine's
+// deterministic deal results are reproducible for a fixed seed and shard
+// count.
 type ShardedTracker struct {
-	p, m, d int
-	eps     float64
-	shards  []Tracker
-	queues  []chan shardBlock
-	workers sync.WaitGroup
-	next    int // round-robin deal cursor
-	rows    []atomic.Int64
-	free    chan *blockBuf
-	closed  bool
-
-	// failure holds the first worker panic; subsequent blocks are drained
-	// unapplied and the panic re-raises on the next flush, so a failed
-	// worker never deadlocks the caller.
-	failMu  sync.Mutex
-	failure any //distlint:guarded-by failMu
+	*ShardEngine[Tracker, []float64]
+	m, d int
+	eps  float64
 }
 
-// shardChunkRows bounds the rows per dealt block: larger incoming blocks are
-// split so a single big ProcessRows call still spreads across all shards.
-// 256 rows amortize the channel hop and copy well below the per-block
-// eigendecomposition cost at the paper's dimensions.
-const shardChunkRows = 256
+// rowKind is the engine instantiation for matrix rows: blocks of d-vectors
+// from one of m sites (m < 0: the shard protocol does not expose its site
+// count, and site validation happens inside the shard).
+type rowKind struct{ m, d int }
 
-// shardQueueDepth is the per-worker bounded-channel capacity, in blocks:
-// deep enough to pipeline past merge barriers, shallow enough that
-// backpressure reaches the caller instead of buffering unboundedly.
-const shardQueueDepth = 8
+// chunk: 256 rows amortize the channel hop and copy well below the
+// per-block eigendecomposition cost at the paper's dimensions.
+func (rowKind) chunk() int { return 256 }
 
-// shardBlock is one unit of work for a shard worker: either a copied row
-// block or a barrier (rows nil), whose channel the worker closes once every
-// earlier block on its queue has been applied.
-type shardBlock struct {
-	site    int
-	rows    [][]float64
-	buf     *blockBuf
-	barrier chan struct{}
+func (k rowKind) validate(site int, rows [][]float64) {
+	if k.m >= 0 {
+		validateSite(site, k.m)
+	}
+	validateRows(rows, k.d)
 }
 
-// blockBuf is a pooled copy target: one flat backing array plus reusable
-// row headers, recycled through ShardedTracker.free so the steady-state
-// deal path allocates nothing.
-type blockBuf struct {
-	flat []float64
-	rows [][]float64
+// stage copies rows into one flat backing array behind reusable row
+// headers.
+//
+//distlint:hotpath
+func (k rowKind) stage(buf *stageBuf[[]float64], rows [][]float64) {
+	need := len(rows) * k.d
+	if cap(buf.flat) < need {
+		buf.flat = make([]float64, need) //distlint:alloc-ok pool growth to the new high-water block size
+	}
+	if cap(buf.elems) < len(rows) {
+		buf.elems = make([][]float64, len(rows)) //distlint:alloc-ok pool growth to the new high-water block size
+	}
+	buf.elems = buf.elems[:len(rows)]
+	for i, row := range rows {
+		buf.elems[i] = buf.flat[i*k.d : (i+1)*k.d]
+		copy(buf.elems[i], row)
+	}
 }
+
+func (rowKind) apply(tr Tracker, site int, rows [][]float64) { ProcessRows(tr, site, rows) }
 
 // GramAccumulator is implemented by trackers that can fold w times their
 // coordinator Gram estimate into dst without allocating — the merge fast
@@ -109,46 +87,19 @@ type SiteCounter interface {
 	Sites() int
 }
 
-// CheckShards reports whether p is a valid shard count.
-func CheckShards(p int) error {
-	if p < 1 {
-		return fmt.Errorf("core: need ≥ 1 shard, got %d", p)
-	}
-	return nil
-}
-
 // NewShardedTracker builds a sharded tracker over p shard instances
 // produced by build (called once per shard with the shard index; derive
 // per-shard seeds from it for randomized protocols). All shards must agree
 // on dimension; the shards' own parameters are otherwise free. The workers
 // start immediately.
 func NewShardedTracker(p int, build func(shard int) Tracker) *ShardedTracker {
-	if err := CheckShards(p); err != nil {
-		panic(err.Error())
-	}
-	shards := make([]Tracker, p)
-	for i := range shards {
-		shards[i] = build(i)
-		if shards[i] == nil {
-			panic(fmt.Sprintf("core: sharded tracker: build(%d) returned nil", i))
-		}
-	}
-	return newShardedFromTrackers(shards)
+	return newShardedFromTrackers(buildShards(p, build))
 }
 
-// newShardedFromTrackers wires the worker machinery around existing shard
-// trackers (the restore path reuses it with deserialized shards).
+// newShardedFromTrackers starts an engine around existing shard trackers
+// (the restore path reuses it with deserialized shards).
 func newShardedFromTrackers(shards []Tracker) *ShardedTracker {
-	st := &ShardedTracker{
-		p:      len(shards),
-		m:      -1,
-		d:      shards[0].Dim(),
-		eps:    shards[0].Eps(),
-		shards: shards,
-		queues: make([]chan shardBlock, len(shards)),
-		rows:   make([]atomic.Int64, len(shards)),
-		free:   make(chan *blockBuf, len(shards)*shardQueueDepth+1),
-	}
+	st := &ShardedTracker{m: -1, d: shards[0].Dim(), eps: shards[0].Eps()}
 	for i, t := range shards {
 		if t.Dim() != st.d {
 			panic(fmt.Sprintf("core: sharded tracker: shard %d has dim %d, shard 0 has %d", i, t.Dim(), st.d))
@@ -157,62 +108,13 @@ func newShardedFromTrackers(shards []Tracker) *ShardedTracker {
 	if sc, ok := shards[0].(SiteCounter); ok {
 		st.m = sc.Sites()
 	}
-	for i := range st.queues {
-		st.queues[i] = make(chan shardBlock, shardQueueDepth)
-		st.workers.Add(1)
-		go st.worker(i)
-	}
+	st.ShardEngine = newShardEngine(shards, rowKind{m: st.m, d: st.d})
 	return st
-}
-
-// worker drains one shard's queue, applying blocks in order. A panic from
-// the shard tracker (possible only on non-finite input reaching the
-// eigensolver) is captured once; later blocks drain unapplied and barriers
-// still release, so the caller observes the panic at its next flush instead
-// of a deadlock.
-func (st *ShardedTracker) worker(i int) {
-	defer st.workers.Done()
-	tr := st.shards[i]
-	for blk := range st.queues[i] {
-		if blk.barrier != nil {
-			close(blk.barrier)
-			continue
-		}
-		if st.failed() == nil {
-			st.apply(tr, blk)
-		}
-		select {
-		case st.free <- blk.buf:
-		default: // pool full: let the extra buffer go to the GC
-		}
-	}
-}
-
-// apply runs one block through the shard tracker, capturing a panic as the
-// tracker's terminal failure.
-func (st *ShardedTracker) apply(tr Tracker, blk shardBlock) {
-	defer func() {
-		if r := recover(); r != nil {
-			st.failMu.Lock()
-			if st.failure == nil {
-				st.failure = r
-			}
-			st.failMu.Unlock()
-		}
-	}()
-	ProcessRows(tr, blk.site, blk.rows)
-}
-
-// failed returns the first worker panic, nil while healthy.
-func (st *ShardedTracker) failed() any {
-	st.failMu.Lock()
-	defer st.failMu.Unlock()
-	return st.failure
 }
 
 // Name implements Tracker.
 func (st *ShardedTracker) Name() string {
-	return fmt.Sprintf("Sharded(%s,%d)", st.shards[0].Name(), st.p)
+	return fmt.Sprintf("Sharded(%s,%d)", st.Shard(0).Name(), st.ShardCount())
 }
 
 // Dim implements Tracker.
@@ -222,160 +124,25 @@ func (st *ShardedTracker) Dim() int { return st.d }
 func (st *ShardedTracker) Eps() float64 { return st.eps }
 
 // Sites implements SiteCounter (−1 when the shard protocol does not expose
-// its site count; site validation then happens inside the shard).
+// its site count).
 func (st *ShardedTracker) Sites() int { return st.m }
-
-// ShardCount returns P, the number of parallel shards.
-func (st *ShardedTracker) ShardCount() int { return st.p }
-
-// ShardRows returns how many rows have been dealt to each shard — the
-// per-shard ingest tally the service layer reports. Safe to call
-// concurrently with queries from the driving goroutine's lock, not with
-// ingestion itself.
-func (st *ShardedTracker) ShardRows() []int64 {
-	out := make([]int64, st.p)
-	for i := range out {
-		out[i] = st.rows[i].Load()
-	}
-	return out
-}
-
-// Shard returns shard i's tracker. The caller must not mutate it while
-// ingestion is in flight; query it after a flushing call (Gram, Stats) or
-// after Close.
-func (st *ShardedTracker) Shard(i int) Tracker { return st.shards[i] }
 
 // ProcessRow implements Tracker: the row becomes a one-row block. Sharding
 // pays off with batch feeds; per-row feeds work but spend a channel hop per
 // row.
 func (st *ShardedTracker) ProcessRow(site int, row []float64) {
-	st.validate(site, row)
-	st.deal(site, [][]float64{row})
+	st.Deal(site, [][]float64{row})
 }
 
-// ProcessRows implements BatchTracker: the batch is validated up front,
-// split into chunks of at most shardChunkRows, and dealt round-robin to the
-// shard workers. The call returns once every chunk is enqueued; a query
-// flushes.
-func (st *ShardedTracker) ProcessRows(site int, rows [][]float64) {
-	if st.m >= 0 {
-		validateSite(site, st.m)
-	}
-	validateRows(rows, st.d)
-	for start := 0; start < len(rows); start += shardChunkRows {
-		end := start + shardChunkRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		st.deal(site, rows[start:end])
-	}
-}
-
-func (st *ShardedTracker) validate(site int, row []float64) {
-	if st.m >= 0 {
-		validateSite(site, st.m)
-	}
-	validateRow(row, st.d)
-}
-
-// deal copies one chunk into a pooled buffer and enqueues it on the next
-// shard's queue (round-robin).
-//
-//distlint:hotpath
-func (st *ShardedTracker) deal(site int, rows [][]float64) {
-	if st.closed {
-		panic("core: sharded tracker is closed")
-	}
-	if len(rows) == 0 {
-		return
-	}
-	buf := st.copyRows(rows)
-	shard := st.next
-	st.next = (st.next + 1) % st.p
-	st.rows[shard].Add(int64(len(rows)))
-	st.queues[shard] <- shardBlock{site: site, rows: buf.rows[:len(rows)], buf: buf}
-}
-
-// copyRows stages rows into a pooled block buffer, so the caller regains
-// ownership of its slices as soon as ProcessRows returns.
-//
-//distlint:hotpath
-func (st *ShardedTracker) copyRows(rows [][]float64) *blockBuf {
-	var buf *blockBuf
-	select {
-	case buf = <-st.free:
-	default:
-		buf = &blockBuf{} //distlint:alloc-ok pool miss: grows the pool
-	}
-	need := len(rows) * st.d
-	if cap(buf.flat) < need {
-		buf.flat = make([]float64, need) //distlint:alloc-ok pool growth to the new high-water block size
-	}
-	if cap(buf.rows) < len(rows) {
-		buf.rows = make([][]float64, len(rows)) //distlint:alloc-ok pool growth to the new high-water block size
-	}
-	flat := buf.flat[:need]
-	hdr := buf.rows[:len(rows)]
-	for i, row := range rows {
-		dst := flat[i*st.d : (i+1)*st.d]
-		copy(dst, row)
-		hdr[i] = dst
-	}
-	return buf
-}
-
-// flush is the merge barrier: it waits until every dealt block has been
-// applied, then re-raises any worker panic in the caller — matching the
-// unsharded trackers, whose ingest panics surface synchronously. A closed
-// tracker has no in-flight work, so flush is a no-op. Paths that must not
-// crash background goroutines (checkpointing) use flushErr instead.
-func (st *ShardedTracker) flush() {
-	if r := st.flushErr(); r != nil {
-		panic(r)
-	}
-}
-
-// flushErr is the non-panicking barrier: it waits for every dealt block to
-// be applied and returns the first worker panic (nil while healthy).
-func (st *ShardedTracker) flushErr() any {
-	if !st.closed {
-		barriers := make([]chan struct{}, st.p)
-		for i := range st.queues {
-			barriers[i] = make(chan struct{})
-			st.queues[i] <- shardBlock{barrier: barriers[i]}
-		}
-		for _, b := range barriers {
-			<-b
-		}
-	}
-	return st.failed()
-}
-
-// Flush waits for every enqueued block to be applied: the explicit barrier
-// for callers that need completion without a query.
-func (st *ShardedTracker) Flush() { st.flush() }
-
-// Close flushes outstanding work and stops the shard workers. The tracker
-// still answers queries from the merged final state; further ingestion
-// panics. Close is idempotent.
-func (st *ShardedTracker) Close() {
-	if st.closed {
-		return
-	}
-	// Flush without re-panicking: Close must release the workers even after
-	// a shard failure; the failure surfaces on the next query instead.
-	st.flushErr()
-	st.closed = true
-	for _, q := range st.queues {
-		close(q)
-	}
-	st.workers.Wait()
-}
+// ProcessRows implements BatchTracker over the engine's Deal: validated up
+// front, chunked, dealt round-robin; it returns once every chunk is
+// enqueued.
+func (st *ShardedTracker) ProcessRows(site int, rows [][]float64) { st.Deal(site, rows) }
 
 // Gram implements Tracker: the ordered sum of the shard estimates, through
 // the allocation-free GramAccumulator merge where the shard supports it.
 func (st *ShardedTracker) Gram() *matrix.Sym {
-	st.flush()
+	st.Flush()
 	g := matrix.NewSym(st.d)
 	for _, tr := range st.shards {
 		if acc, ok := tr.(GramAccumulator); ok {
@@ -389,35 +156,12 @@ func (st *ShardedTracker) Gram() *matrix.Sym {
 
 // EstimateFrobenius implements Tracker: the sum of shard estimates.
 func (st *ShardedTracker) EstimateFrobenius() float64 {
-	st.flush()
+	st.Flush()
 	var f float64
 	for _, tr := range st.shards {
 		f += tr.EstimateFrobenius()
 	}
 	return f
-}
-
-// Stats implements Tracker: shard tallies summed in shard order after a
-// flush barrier, so the tally covers every dealt block. Each shard runs
-// its own protocol instance, so sharded communication grows by up to a
-// factor of P over a single tracker on the same stream.
-func (st *ShardedTracker) Stats() stream.Stats {
-	st.flush()
-	return st.StatsApplied()
-}
-
-// StatsApplied sums the shard tallies WITHOUT the flush barrier: the tally
-// covers blocks the workers have applied so far and may trail enqueued
-// work by up to the queue depth. It is the monitoring read — safe while
-// the workers run for every tracker in this package, whose Stats reads a
-// mutex-guarded accountant (custom shard implementations must match that
-// contract) — and never stalls ingestion behind a pipeline drain.
-func (st *ShardedTracker) StatsApplied() stream.Stats {
-	var s stream.Stats
-	for _, tr := range st.shards {
-		s.Add(tr.Stats())
-	}
-	return s
 }
 
 var (

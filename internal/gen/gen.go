@@ -21,6 +21,12 @@ type WeightedItem struct {
 	Weight float64
 }
 
+// ValidWeight reports whether w is a usable item weight: positive and
+// finite. It is the one predicate every ingestion boundary shares — written
+// so NaN fails it (NaN ≤ 0 is false, which a plain w ≤ 0 test lets
+// through to poison the running total Ŵ).
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
 // ZipfConfig describes a Zipfian weighted stream. The paper's default:
 // skew 2, 10⁷ items, weights uniform in [1, β] with β = 1000.
 type ZipfConfig struct {

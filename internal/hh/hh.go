@@ -71,7 +71,7 @@ func Run(p Protocol, items []gen.WeightedItem, asg stream.Assigner) {
 
 // CheckParams reports whether (m, eps) are valid protocol parameters. The
 // public facade turns a non-nil result into its typed configuration error;
-// the deprecated panicking constructors funnel through it too.
+// the panicking internal constructors funnel through it too.
 func CheckParams(m int, eps float64) error {
 	if m < 1 {
 		return fmt.Errorf("hh: need m ≥ 1 sites, got %d", m)

@@ -134,22 +134,22 @@ type ShardedP2Snapshot struct {
 // crashed checkpointer) and errors unless every shard is a snapshotable
 // P2 instance.
 func SnapshotSharded(s *Sharded) (ShardedP2Snapshot, error) {
-	if r := s.FlushErr(); r != nil {
-		return ShardedP2Snapshot{}, fmt.Errorf("hh: sharded tracker failed during ingest: %v", r)
-	}
-	shards := make([]P2Snapshot, s.ShardCount())
-	for i := range shards {
-		p2, ok := s.Shard(i).(*P2)
+	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (P2Snapshot, error) {
+		p2, ok := p.(*P2)
 		if !ok {
-			return ShardedP2Snapshot{}, fmt.Errorf("hh: shard %d is %s, not a persistable P2", i, s.Shard(i).Name())
+			return P2Snapshot{}, fmt.Errorf("%s is not a persistable P2", p.Name())
 		}
-		snap, err := p2.Snapshot()
-		if err != nil {
-			return ShardedP2Snapshot{}, fmt.Errorf("hh: shard %d: %w", i, err)
-		}
-		shards[i] = snap
+		return p2.Snapshot()
+	})
+	if err != nil {
+		return ShardedP2Snapshot{}, fmt.Errorf("hh: %w", err)
 	}
-	return ShardedP2Snapshot{Shards: shards, Next: s.st.DealCursor(), Items: s.ShardItems()}, nil
+	return ShardedP2Snapshot{Shards: shards, Next: next, Items: items}, nil
+}
+
+// shardedOver wires restored shard protocols back into a deal engine.
+func shardedOver(m int, protos []Protocol) *Sharded {
+	return NewSharded(len(protos), m, func(i int) Protocol { return protos[i] })
 }
 
 // RestoreSharded rebuilds a sharded P2 tracker from a snapshot, rejecting
@@ -157,25 +157,15 @@ func SnapshotSharded(s *Sharded) (ShardedP2Snapshot, error) {
 // merge boundary returns errors rather than letting a corrupted snapshot
 // panic the first query.
 func RestoreSharded(snap ShardedP2Snapshot) (*Sharded, error) {
-	if err := core.CheckShards(len(snap.Shards)); err != nil {
+	s, err := core.RestoreShards(snap.Shards, snap.Next, snap.Items, func(ss P2Snapshot) (Protocol, error) {
+		if first := snap.Shards[0]; ss.M != first.M || ss.Eps != first.Eps {
+			return nil, fmt.Errorf("has (m=%d, eps=%v), shard 0 has (m=%d, eps=%v): %w",
+				ss.M, ss.Eps, first.M, first.Eps, ErrMergeMismatch)
+		}
+		return RestoreP2(ss)
+	}, func(protos []Protocol) *Sharded { return shardedOver(snap.Shards[0].M, protos) })
+	if err != nil {
 		return nil, fmt.Errorf("hh: sharded snapshot: %w", err)
-	}
-	protos := make([]Protocol, len(snap.Shards))
-	for i, ss := range snap.Shards {
-		if ss.M != snap.Shards[0].M || ss.Eps != snap.Shards[0].Eps {
-			return nil, fmt.Errorf("hh: sharded snapshot shard %d has (m=%d, eps=%v), shard 0 has (m=%d, eps=%v): %w",
-				i, ss.M, ss.Eps, snap.Shards[0].M, snap.Shards[0].Eps, ErrMergeMismatch)
-		}
-		p2, err := RestoreP2(ss)
-		if err != nil {
-			return nil, fmt.Errorf("hh: sharded snapshot shard %d: %w", i, err)
-		}
-		protos[i] = p2
-	}
-	s := newShardedFromProtocols(snap.Shards[0].M, protos)
-	if err := s.st.RestoreDeal(snap.Next, snap.Items); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("hh: %w", err)
 	}
 	return s, nil
 }
@@ -191,41 +181,29 @@ type ShardedExactSnapshot struct {
 // SnapshotShardedExact captures a sharded exact tracker, flushing first
 // without re-raising shard panics.
 func SnapshotShardedExact(s *Sharded) (ShardedExactSnapshot, error) {
-	if r := s.FlushErr(); r != nil {
-		return ShardedExactSnapshot{}, fmt.Errorf("hh: sharded tracker failed during ingest: %v", r)
-	}
-	shards := make([]ExactSnapshot, s.ShardCount())
-	for i := range shards {
-		ex, ok := s.Shard(i).(*Exact)
+	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (ExactSnapshot, error) {
+		ex, ok := p.(*Exact)
 		if !ok {
-			return ShardedExactSnapshot{}, fmt.Errorf("hh: shard %d is %s, not an exact tracker", i, s.Shard(i).Name())
+			return ExactSnapshot{}, fmt.Errorf("%s is not an exact tracker", p.Name())
 		}
-		shards[i] = ex.Snapshot()
+		return ex.Snapshot(), nil
+	})
+	if err != nil {
+		return ShardedExactSnapshot{}, fmt.Errorf("hh: %w", err)
 	}
-	return ShardedExactSnapshot{Shards: shards, Next: s.st.DealCursor(), Items: s.ShardItems()}, nil
+	return ShardedExactSnapshot{Shards: shards, Next: next, Items: items}, nil
 }
 
 // RestoreShardedExact rebuilds a sharded exact tracker from a snapshot.
 func RestoreShardedExact(snap ShardedExactSnapshot) (*Sharded, error) {
-	if err := core.CheckShards(len(snap.Shards)); err != nil {
+	s, err := core.RestoreShards(snap.Shards, snap.Next, snap.Items, func(ss ExactSnapshot) (Protocol, error) {
+		if first := snap.Shards[0]; ss.M != first.M {
+			return nil, fmt.Errorf("has m=%d, shard 0 has m=%d: %w", ss.M, first.M, ErrMergeMismatch)
+		}
+		return RestoreExact(ss)
+	}, func(protos []Protocol) *Sharded { return shardedOver(snap.Shards[0].M, protos) })
+	if err != nil {
 		return nil, fmt.Errorf("hh: sharded snapshot: %w", err)
-	}
-	protos := make([]Protocol, len(snap.Shards))
-	for i, ss := range snap.Shards {
-		if ss.M != snap.Shards[0].M {
-			return nil, fmt.Errorf("hh: sharded snapshot shard %d has m=%d, shard 0 has m=%d: %w",
-				i, ss.M, snap.Shards[0].M, ErrMergeMismatch)
-		}
-		ex, err := RestoreExact(ss)
-		if err != nil {
-			return nil, fmt.Errorf("hh: sharded snapshot shard %d: %w", i, err)
-		}
-		protos[i] = ex
-	}
-	s := newShardedFromProtocols(snap.Shards[0].M, protos)
-	if err := s.st.RestoreDeal(snap.Next, snap.Items); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("hh: %w", err)
 	}
 	return s, nil
 }

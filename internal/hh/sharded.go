@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 )
 
 // ErrMergeMismatch is the sentinel for shard summaries whose parameters
@@ -149,11 +148,12 @@ func Accumulate(p Protocol, acc *MergedSummary) error {
 	return nil
 }
 
-// Sharded runs P independent copies of a protocol, dealing the stream
-// across them with core.ShardedItemTracker and answering queries from the
-// merged coordinator view. It implements Protocol, so everything built on
-// the interface (HeavyHitters, the session facade, the service layer)
-// works unchanged; the error contract is the merged bound argued on
+// Sharded runs P independent copies of a protocol: the embedded
+// core.ShardEngine deals the stream across them (Deal, the flush barrier,
+// failure capture, Close, tallies), and queries answer from the merged
+// coordinator view. It implements Protocol, so everything built on the
+// interface (HeavyHitters, the session facade, the service layer) works
+// unchanged; the error contract is the merged bound argued on
 // MergedSummary. Communication tallies sum over shards, so Stats can grow
 // by up to a factor of P versus one tracker on the same stream.
 //
@@ -161,10 +161,7 @@ func Accumulate(p Protocol, acc *MergedSummary) error {
 // goroutine at a time. Queries flush (merge barrier) first; Close stops
 // the shard workers.
 type Sharded struct {
-	m    int
-	eps  float64
-	name string
-	st   *core.ShardedItemTracker
+	*core.ShardEngine[Protocol, gen.WeightedItem]
 }
 
 // NewSharded builds a sharded tracker over p shard protocols for m sites,
@@ -172,44 +169,20 @@ type Sharded struct {
 // should derive per-shard seeds from it). All shards must come from the
 // same constructor with the same parameters.
 func NewSharded(p, m int, build func(shard int) Protocol) *Sharded {
-	protos := make([]Protocol, p)
-	st := core.NewShardedItemTracker(p, m, func(shard int) core.ItemShard {
-		protos[shard] = build(shard)
-		return protos[shard]
-	})
-	return &Sharded{m: m, eps: protos[0].Eps(), name: protos[0].Name(), st: st}
-}
-
-// newShardedFromProtocols wires restored shard protocols back into the
-// deal machinery (the snapshot restore path).
-func newShardedFromProtocols(m int, protos []Protocol) *Sharded {
-	st := core.NewShardedItemTracker(len(protos), m, func(shard int) core.ItemShard {
-		return protos[shard]
-	})
-	return &Sharded{m: m, eps: protos[0].Eps(), name: protos[0].Name(), st: st}
+	return &Sharded{core.NewShardedItemTracker(p, m, build)}
 }
 
 // Name implements Protocol: the shard protocol's name (the sharding is an
 // execution strategy, not a different protocol).
-func (s *Sharded) Name() string { return s.name }
+func (s *Sharded) Name() string { return s.Shard(0).Name() }
 
 // Eps implements Protocol: the merged view keeps the shard ε (summed
 // per-shard bounds telescope to εW, see MergedSummary).
-func (s *Sharded) Eps() float64 { return s.eps }
-
-// Sites returns the site count m.
-func (s *Sharded) Sites() int { return s.m }
+func (s *Sharded) Eps() float64 { return s.Shard(0).Eps() }
 
 // Process implements Protocol, dealing one item to the shard workers.
 func (s *Sharded) Process(site int, elem uint64, w float64) {
-	s.st.Process(site, elem, w)
-}
-
-// ProcessItems deals a validated same-site batch across the shard workers;
-// the batch is validated atomically before anything is enqueued and the
-// caller keeps ownership of the slice.
-func (s *Sharded) ProcessItems(site int, items []gen.WeightedItem) {
-	s.st.ProcessItems(site, items)
+	s.Deal(site, []gen.WeightedItem{{Elem: elem, Weight: w}})
 }
 
 // merged flushes and folds every shard into a fresh MergedSummary. A
@@ -217,10 +190,10 @@ func (s *Sharded) ProcessItems(site int, items []gen.WeightedItem) {
 // rejected during snapshot restore, so a failure here is a program bug and
 // panics with the wrapped error.
 func (s *Sharded) merged() *MergedSummary {
-	s.st.Flush()
+	s.Flush()
 	acc := NewMergedSummary()
-	for i := 0; i < s.st.ShardCount(); i++ {
-		if err := Accumulate(s.st.Shard(i).(Protocol), acc); err != nil {
+	for i := 0; i < s.ShardCount(); i++ {
+		if err := Accumulate(s.Shard(i), acc); err != nil {
 			panic(err)
 		}
 	}
@@ -236,34 +209,5 @@ func (s *Sharded) EstimateTotal() float64 { return s.merged().Total() }
 // Candidates implements Protocol from the merged view, in the canonical
 // weight-desc/elem-asc order.
 func (s *Sharded) Candidates() []sketch.WeightedElement { return s.merged().Candidates() }
-
-// Stats implements Protocol: a flush barrier, then the summed shard
-// tallies.
-func (s *Sharded) Stats() stream.Stats { return s.st.Stats() }
-
-// StatsApplied returns the summed shard tallies without the flush barrier
-// (the monitoring read; may trail enqueued work).
-func (s *Sharded) StatsApplied() stream.Stats { return s.st.StatsApplied() }
-
-// Flush waits until every dealt item has been applied, re-raising any
-// shard panic in the caller.
-func (s *Sharded) Flush() { s.st.Flush() }
-
-// FlushErr is the non-panicking barrier for checkpointers: it returns the
-// first shard panic instead of re-raising it.
-func (s *Sharded) FlushErr() any { return s.st.FlushErr() }
-
-// Close flushes and stops the shard workers; queries keep working,
-// further ingestion panics. Idempotent.
-func (s *Sharded) Close() { s.st.Close() }
-
-// ShardCount returns P.
-func (s *Sharded) ShardCount() int { return s.st.ShardCount() }
-
-// ShardItems returns the per-shard dealt item counts (the /metrics view).
-func (s *Sharded) ShardItems() []int64 { return s.st.ShardItems() }
-
-// Shard returns shard i's protocol, for snapshotting after a flush.
-func (s *Sharded) Shard(i int) Protocol { return s.st.Shard(i).(Protocol) }
 
 var _ Protocol = (*Sharded)(nil)

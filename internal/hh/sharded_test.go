@@ -31,7 +31,7 @@ import (
 //  6. the ≥2× scaling floor at 4 workers that BENCH_ingest.json's
 //     p2-sharded heavy-hitters entry claims.
 
-// feedShardedItems drives items through ProcessItems in site runs of run
+// feedShardedItems drives items through Deal in site runs of run
 // items each, cycling sites; feedBare drives the identical sequence through
 // the per-item Process path.
 func feedShardedItems(s *Sharded, items []gen.WeightedItem, m, run int) {
@@ -40,7 +40,7 @@ func feedShardedItems(s *Sharded, items []gen.WeightedItem, m, run int) {
 		if end > len(items) {
 			end = len(items)
 		}
-		s.ProcessItems((start/run)%m, items[start:end])
+		s.Deal((start/run)%m, items[start:end])
 	}
 }
 

@@ -64,7 +64,7 @@ func FuzzShardedItemMergeEquivalence(f *testing.F) {
 		start := 0
 		for bi, n := range splits {
 			batch := items[start : start+n]
-			sharded.ProcessItems(sites[bi], batch)
+			sharded.Deal(sites[bi], batch)
 			for _, it := range batch {
 				bare.Process(sites[bi], it.Elem, it.Weight)
 			}
@@ -132,8 +132,8 @@ func FuzzShardedItemMergeEquivalence(f *testing.F) {
 
 		// Continued ingestion after restore stays on the same trajectory.
 		if len(items) > 0 {
-			sharded.ProcessItems(0, items)
-			restored.ProcessItems(0, items)
+			sharded.Deal(0, items)
+			restored.Deal(0, items)
 			a, err := SnapshotSharded(sharded)
 			if err != nil {
 				t.Fatal(err)

@@ -148,14 +148,13 @@ type ShardedTrackerSnapshot struct {
 // re-raising shard panics — a poisoned tracker yields an error here, not
 // a crashed checkpointer.
 func SnapshotSharded(s *Sharded) (ShardedTrackerSnapshot, error) {
-	if r := s.FlushErr(); r != nil {
-		return ShardedTrackerSnapshot{}, fmt.Errorf("quantile: sharded tracker failed during ingest: %v", r)
+	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(t *Tracker) (TrackerSnapshot, error) {
+		return t.Snapshot(), nil
+	})
+	if err != nil {
+		return ShardedTrackerSnapshot{}, fmt.Errorf("quantile: %w", err)
 	}
-	shards := make([]TrackerSnapshot, s.ShardCount())
-	for i := range shards {
-		shards[i] = s.Shard(i).Snapshot()
-	}
-	return ShardedTrackerSnapshot{Shards: shards, Next: s.st.DealCursor(), Items: s.ShardItems()}, nil
+	return ShardedTrackerSnapshot{Shards: shards, Next: next, Items: items}, nil
 }
 
 // RestoreSharded rebuilds a sharded tracker from a snapshot, rejecting
@@ -163,25 +162,17 @@ func SnapshotSharded(s *Sharded) (ShardedTrackerSnapshot, error) {
 // merge boundary returns errors rather than letting a corrupted snapshot
 // panic the first query.
 func RestoreSharded(snap ShardedTrackerSnapshot) (*Sharded, error) {
-	if err := core.CheckShards(len(snap.Shards)); err != nil {
+	s, err := core.RestoreShards(snap.Shards, snap.Next, snap.Items, func(ts TrackerSnapshot) (*Tracker, error) {
+		if first := snap.Shards[0]; ts.M != first.M || ts.Eps != first.Eps || ts.Bits != first.Bits {
+			return nil, fmt.Errorf("has (m=%d, eps=%v, bits=%d), shard 0 has (m=%d, eps=%v, bits=%d): %w",
+				ts.M, ts.Eps, ts.Bits, first.M, first.Eps, first.Bits, ErrMergeMismatch)
+		}
+		return RestoreTracker(ts)
+	}, func(trackers []*Tracker) *Sharded {
+		return NewSharded(len(trackers), trackers[0].m, func(i int) *Tracker { return trackers[i] })
+	})
+	if err != nil {
 		return nil, fmt.Errorf("quantile: sharded snapshot: %w", err)
-	}
-	trackers := make([]*Tracker, len(snap.Shards))
-	for i, ts := range snap.Shards {
-		if ts.M != snap.Shards[0].M || ts.Eps != snap.Shards[0].Eps || ts.Bits != snap.Shards[0].Bits {
-			return nil, fmt.Errorf("quantile: sharded snapshot shard %d has (m=%d, eps=%v, bits=%d), shard 0 has (m=%d, eps=%v, bits=%d): %w",
-				i, ts.M, ts.Eps, ts.Bits, snap.Shards[0].M, snap.Shards[0].Eps, snap.Shards[0].Bits, ErrMergeMismatch)
-		}
-		t, err := RestoreTracker(ts)
-		if err != nil {
-			return nil, fmt.Errorf("quantile: sharded snapshot shard %d: %w", i, err)
-		}
-		trackers[i] = t
-	}
-	s := newShardedFromTrackers(snap.Shards[0].M, trackers)
-	if err := s.st.RestoreDeal(snap.Next, snap.Items); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("quantile: %w", err)
 	}
 	return s, nil
 }

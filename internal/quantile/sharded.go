@@ -2,7 +2,6 @@ package quantile
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -27,76 +26,39 @@ type Summary interface {
 	Stats() stream.Stats
 }
 
-// Sharded runs P independent copies of the quantile tracker, dealing the
-// stream across them with core.ShardedItemTracker and answering rank
-// queries from the merged coordinator digest. Each shard tracks its
-// substream with rank error ≤ ε·W_k; q-digest accumulation adds both
-// weight and error, and Σ ε·W_k = εW — so the merged view keeps the
-// tracker's εW rank contract. Communication tallies sum over shards, so
-// Stats can grow by up to a factor of P versus one tracker.
+// Sharded runs P independent copies of the quantile tracker: the embedded
+// core.ShardEngine deals the stream across them (Deal — which validates
+// sites, weights and, through Tracker's core.BoundedUniverse, universe
+// membership for the whole batch before anything is enqueued — the flush
+// barrier, failure capture, Close, tallies), and rank queries answer from the merged coordinator digest.
+// Each shard tracks its substream with rank error ≤ ε·W_k; q-digest
+// accumulation adds both weight and error, and Σ ε·W_k = εW — so the merged
+// view keeps the tracker's εW rank contract. Communication tallies sum over
+// shards, so Stats can grow by up to a factor of P versus one tracker.
 //
 // Like Tracker, a Sharded instance is driven by one goroutine at a time.
 // Queries flush (merge barrier) first; Close stops the shard workers.
 type Sharded struct {
-	m    int
-	eps  float64
-	bits uint
-	st   *core.ShardedItemTracker
+	*core.ShardEngine[*Tracker, gen.WeightedItem]
 }
 
 // NewSharded builds a sharded quantile tracker over p shard trackers for m
 // sites, produced by build (called once per shard index). All shards must
 // come from the same constructor with the same parameters.
 func NewSharded(p, m int, build func(shard int) *Tracker) *Sharded {
-	trackers := make([]*Tracker, p)
-	st := core.NewShardedItemTracker(p, m, func(shard int) core.ItemShard {
-		trackers[shard] = build(shard)
-		return trackers[shard]
-	})
-	return &Sharded{m: m, eps: trackers[0].eps, bits: trackers[0].bits, st: st}
-}
-
-// newShardedFromTrackers wires restored shard trackers back into the deal
-// machinery (the snapshot restore path).
-func newShardedFromTrackers(m int, trackers []*Tracker) *Sharded {
-	st := core.NewShardedItemTracker(len(trackers), m, func(shard int) core.ItemShard {
-		return trackers[shard]
-	})
-	return &Sharded{m: m, eps: trackers[0].eps, bits: trackers[0].bits, st: st}
+	return &Sharded{core.NewShardedItemTracker(p, m, build)}
 }
 
 // Eps implements Summary: the merged view keeps the shard ε (summed
 // per-shard bounds telescope to εW).
-func (s *Sharded) Eps() float64 { return s.eps }
+func (s *Sharded) Eps() float64 { return s.Shard(0).eps }
 
 // Bits implements Summary.
-func (s *Sharded) Bits() uint { return s.bits }
+func (s *Sharded) Bits() uint { return s.Shard(0).bits }
 
-// Sites returns the site count m.
-func (s *Sharded) Sites() int { return s.m }
-
-// Process implements Summary, dealing one value to the shard workers. The
-// value is validated against the universe here, synchronously, so an
-// invalid value panics in the caller instead of poisoning a shard worker.
+// Process implements Summary, dealing one value to the shard workers.
 func (s *Sharded) Process(site int, value uint64, w float64) {
-	s.checkValue(value)
-	s.st.Process(site, value, w)
-}
-
-// ProcessItems deals a same-site batch across the shard workers. The whole
-// batch — sites, weights, and universe membership — is validated before
-// anything is enqueued, so a rejected batch never partially applies.
-func (s *Sharded) ProcessItems(site int, items []gen.WeightedItem) {
-	for _, it := range items {
-		s.checkValue(it.Elem)
-	}
-	s.st.ProcessItems(site, items)
-}
-
-func (s *Sharded) checkValue(v uint64) {
-	if v >= uint64(1)<<s.bits {
-		panic(fmt.Sprintf("quantile: value %d outside universe [0, 2^%d)", v, s.bits))
-	}
+	s.Deal(site, []gen.WeightedItem{{Elem: value, Weight: w}})
 }
 
 // merged flushes and folds every shard's coordinator digest into a fresh
@@ -104,11 +66,11 @@ func (s *Sharded) checkValue(v uint64) {
 // builder-constructed shards and rejected during snapshot restore, so a
 // failure here is a program bug and panics with the wrapped error.
 func (s *Sharded) merged() (*QDigest, float64) {
-	s.st.Flush()
-	dst := NewQDigest(s.bits, s.eps/2)
+	s.Flush()
+	dst := NewQDigest(s.Bits(), s.Eps()/2)
 	var tally float64
-	for i := 0; i < s.st.ShardCount(); i++ {
-		tl, err := s.st.Shard(i).(*Tracker).AccumulateInto(dst)
+	for i := 0; i < s.ShardCount(); i++ {
+		tl, err := s.Shard(i).AccumulateInto(dst)
 		if err != nil {
 			panic(err)
 		}
@@ -128,35 +90,6 @@ func (s *Sharded) EstimateTotal() float64 {
 	_, tally := s.merged()
 	return tally
 }
-
-// Stats implements Summary: a flush barrier, then the summed shard
-// tallies.
-func (s *Sharded) Stats() stream.Stats { return s.st.Stats() }
-
-// StatsApplied returns the summed shard tallies without the flush barrier
-// (the monitoring read; may trail enqueued work).
-func (s *Sharded) StatsApplied() stream.Stats { return s.st.StatsApplied() }
-
-// Flush waits until every dealt item has been applied, re-raising any
-// shard panic in the caller.
-func (s *Sharded) Flush() { s.st.Flush() }
-
-// FlushErr is the non-panicking barrier for checkpointers: it returns the
-// first shard panic instead of re-raising it.
-func (s *Sharded) FlushErr() any { return s.st.FlushErr() }
-
-// Close flushes and stops the shard workers; queries keep working,
-// further ingestion panics. Idempotent.
-func (s *Sharded) Close() { s.st.Close() }
-
-// ShardCount returns P.
-func (s *Sharded) ShardCount() int { return s.st.ShardCount() }
-
-// ShardItems returns the per-shard dealt item counts (the /metrics view).
-func (s *Sharded) ShardItems() []int64 { return s.st.ShardItems() }
-
-// Shard returns shard i's tracker, for snapshotting after a flush.
-func (s *Sharded) Shard(i int) *Tracker { return s.st.Shard(i).(*Tracker) }
 
 var (
 	_ Summary = (*Tracker)(nil)

@@ -35,7 +35,7 @@ func feedShardedValues(s *Sharded, items []wv, m, run int) {
 		for _, it := range items[start:end] {
 			batch = append(batch, gen.WeightedItem{Elem: it.v, Weight: it.w})
 		}
-		s.ProcessItems((start/run)%m, batch)
+		s.Deal((start/run)%m, batch)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestAccumulateIntoMismatch(t *testing.T) {
 	}
 	mustPanic("out-of-universe value", func() { s.Process(0, 1<<8, 1) })
 	mustPanic("out-of-universe batch", func() {
-		s.ProcessItems(0, []gen.WeightedItem{{Elem: 1, Weight: 1}, {Elem: 1 << 8, Weight: 1}})
+		s.Deal(0, []gen.WeightedItem{{Elem: 1, Weight: 1}, {Elem: 1 << 8, Weight: 1}})
 	})
 	s.Flush()
 	if got := s.EstimateTotal(); got != 0 {

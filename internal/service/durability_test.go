@@ -32,7 +32,7 @@ func walTestOptions(t *testing.T, dir string) Options {
 	return Options{
 		DataDir:        dir,
 		WAL:            true,
-		Shards:         2,
+		PoolWorkers:    2,
 		QueueDepth:     8,
 		EnqueueTimeout: 5 * time.Second,
 		Logf:           t.Logf,
@@ -195,7 +195,7 @@ func TestWALRecoveryBitIdentical(t *testing.T) {
 func TestWALTornTailEveryByte(t *testing.T) {
 	srcDir := filepath.Join(t.TempDir(), "data")
 	opts := walTestOptions(t, srcDir)
-	opts.Shards = 1
+	opts.PoolWorkers = 1
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestWALTornTailEveryByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		dopts := walTestOptions(t, destDir)
-		dopts.Shards = 1
+		dopts.PoolWorkers = 1
 		dopts.Logf = nil // too chatty at 1 open per byte
 		m2, err := Open(dopts)
 		if err != nil {
@@ -355,7 +355,7 @@ func TestWALCompactionAfterCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	opts := walTestOptions(t, dir)
 	opts.WALSegmentBytes = 256
-	opts.Shards = 1
+	opts.PoolWorkers = 1
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +517,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 
 	// Oracle: a fresh WAL-less tracker fed only the acknowledged batches,
 	// in LSN order.
-	om, err := Open(Options{Shards: 1, Logf: t.Logf})
+	om, err := Open(Options{PoolWorkers: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 // trackers come up.
 func TestQuarantineCorruptCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	base := Options{DataDir: dir, Shards: 1, Logf: t.Logf}
+	base := Options{DataDir: dir, PoolWorkers: 1, Logf: t.Logf}
 	m, err := Open(base)
 	if err != nil {
 		t.Fatal(err)
@@ -606,7 +606,7 @@ func TestQuarantineCorruptCheckpoint(t *testing.T) {
 // are deleted on Open, and never mistaken for checkpoints.
 func TestSweepOrphanCheckpointTemps(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	base := Options{DataDir: dir, Shards: 1, Logf: t.Logf}
+	base := Options{DataDir: dir, PoolWorkers: 1, Logf: t.Logf}
 	m, err := Open(base)
 	if err != nil {
 		t.Fatal(err)

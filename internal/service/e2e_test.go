@@ -61,7 +61,7 @@ func TestEndToEndServeCheckpointRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
 		DataDir:        dataDir,
-		Shards:         4,
+		PoolWorkers:    4,
 		QueueDepth:     8,
 		EnqueueTimeout: 5 * time.Second,
 		Logf:           t.Logf,

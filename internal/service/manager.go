@@ -62,7 +62,7 @@ type Options struct {
 	FS vfs.FS
 
 	// PoolWorkers is the size of the manager-wide shared ingestion worker
-	// pool (default: Shards, then 4). Every tracker's batches are
+	// pool (default 4). Every tracker's batches are
 	// dispatched onto these workers — goroutine count is O(PoolWorkers),
 	// not O(trackers) — with per-site FIFO order preserved by hashing
 	// (tracker, site) to a fixed pool lane.
@@ -75,12 +75,6 @@ type Options struct {
 	// query. Requires DataDir; only persistable trackers hibernate, and
 	// never while the manager is degraded.
 	MaxResident int
-
-	// Shards is the legacy per-tracker worker count knob; it now seeds
-	// PoolWorkers when that is unset (default 4).
-	//
-	// Deprecated: set PoolWorkers.
-	Shards int
 
 	// QueueDepth is the per-lane buffered-channel capacity of the shared
 	// pool, in batches (default 16).
@@ -96,11 +90,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
 	if o.PoolWorkers <= 0 {
-		o.PoolWorkers = o.Shards
+		o.PoolWorkers = 4
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 16

@@ -15,7 +15,7 @@ func testOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
 		DataDir:        filepath.Join(t.TempDir(), "data"),
-		Shards:         3,
+		PoolWorkers:    3,
 		QueueDepth:     4,
 		EnqueueTimeout: 2 * time.Second,
 		Logf:           t.Logf,

@@ -8,15 +8,17 @@
 // sessions instantiated by name from the public Config/registry — and
 // gives each one:
 //
-//   - Sharded ingestion: every tracker runs a fixed set of worker
-//     goroutines fed through buffered channels. Feeders (HTTP handlers or
-//     direct Go callers) enqueue batches keyed by site, so per-site order
-//     is preserved, concurrent feeders pipeline instead of contending, and
-//     a full queue pushes back (ErrBusy) instead of buffering unboundedly.
-//     Matrix trackers can additionally run P parallel compute shards
-//     (Spec "shards", core.ShardedTracker): posted blocks are dealt
-//     round-robin across P private tracker instances and queries merge the
-//     shard Grams, scaling the linear-algebra hot path across cores.
+//   - Pooled ingestion: one manager-wide pool of worker goroutines
+//     (Options.PoolWorkers lanes, not a set per tracker) applies every
+//     tracker's batches. Feeders (HTTP handlers or direct Go callers)
+//     enqueue batches hashed by (tracker, site) to a fixed lane, so
+//     per-site order is preserved, concurrent feeders pipeline instead of
+//     contending, and a full lane pushes back (ErrBusy) instead of
+//     buffering unboundedly. A tracker of any kind — matrix,
+//     heavy-hitters or quantile — can additionally run P parallel compute
+//     shards (Spec "shards"): core.ShardEngine deals posted blocks
+//     round-robin across P private tracker instances and queries merge
+//     the shard summaries, scaling the per-block hot path across cores.
 //   - Checkpointed recovery: persistable sessions are periodically saved
 //     (and always on Close) to one file per tracker in the data directory,
 //     via the facade's SaveState/RestoreSession over the gob snapshots in
@@ -124,9 +126,9 @@ type Spec struct {
 	// are dealt round-robin across P compute workers, each with a private
 	// tracker instance. For matrix trackers, combined with Fast this is
 	// the service's highest-throughput configuration. Distinct from
-	// Options.Shards, which sets the number of ingest queue workers per
-	// tracker; queue workers enqueue, compute shards run the summaries.
-	// Only windowed matrix trackers reject Shards > 1.
+	// Options.PoolWorkers, the manager-wide ingestion pool: pool workers
+	// hand batches to trackers, compute shards run the summaries. Only
+	// windowed matrix trackers reject Shards > 1.
 	Shards int `json:"shards,omitempty"`
 }
 

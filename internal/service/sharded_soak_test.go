@@ -27,7 +27,7 @@ func TestSoakShardedConcurrentIngestQueryCheckpointRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
 		DataDir:        dataDir,
-		Shards:         3, // queue workers per tracker, distinct from Spec.Shards
+		PoolWorkers:    3,
 		QueueDepth:     8,
 		EnqueueTimeout: 10 * time.Second,
 	}

@@ -26,7 +26,7 @@ func TestSoakConcurrentRowsCheckpointQueryRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
 		DataDir:        dataDir,
-		Shards:         4,
+		PoolWorkers:    4,
 		QueueDepth:     8,
 		EnqueueTimeout: 10 * time.Second,
 	}

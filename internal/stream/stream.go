@@ -80,11 +80,9 @@ func NewCheckedAccountant(m int) (*Accountant, error) {
 	return &Accountant{m: m}, nil
 }
 
-// NewAccountant returns an accountant for m ≥ 1 sites.
-//
-// Deprecated: use NewCheckedAccountant, which reports invalid site counts
-// as an error instead of panicking. This shim remains for callers that have
-// already validated m.
+// NewAccountant returns an accountant for m ≥ 1 sites, for callers that
+// have already validated m (every protocol constructor has); an invalid
+// site count panics. NewCheckedAccountant reports it as an error instead.
 func NewAccountant(m int) *Accountant {
 	a, err := NewCheckedAccountant(m)
 	if err != nil {

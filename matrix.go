@@ -78,98 +78,3 @@ func NewFrequentDirections(ell, d int) *FrequentDirections { return sketch.NewFD
 func NewFrequentDirectionsBuffered(ell, d, block int) *FrequentDirections {
 	return sketch.NewFDBuffered(ell, d, block)
 }
-
-// ---- deprecated positional constructors ----
-//
-// These predate the registry and panic on invalid parameters. They remain
-// as thin shims over the registry so existing callers keep working; new
-// code should use NewMatrix / NewMatrixByName and handle the error.
-
-// mustMatrix builds a registered tracker and panics on error, preserving
-// the deprecated constructors' contract.
-func mustMatrix(name string, cfg Config) MatrixTracker {
-	t, err := NewMatrixByName(name, cfg)
-	if err != nil {
-		//distlint:panic-ok implements the deprecated constructors' documented panic contract
-		panic(err)
-	}
-	return t
-}
-
-// matrixConfig fills the non-matrix defaults around positional parameters.
-func matrixConfig(m int, eps float64, d int, seed int64) Config {
-	c := DefaultConfig()
-	c.Sites, c.Epsilon, c.Dim, c.Seed = m, eps, d, seed
-	return c
-}
-
-// NewMatrixP1 builds the batched Frequent Directions tracker (Section 5.1)
-// for m sites, error ε, and d-dimensional rows.
-//
-// Deprecated: use NewMatrix("p1", ...), which reports errors instead of
-// panicking.
-func NewMatrixP1(m int, eps float64, d int) MatrixTracker {
-	return mustMatrix("p1", matrixConfig(m, eps, d, 1))
-}
-
-// NewMatrixP2 builds the deterministic SVD-threshold tracker (Section 5.2),
-// the paper's best protocol: O((m/ε)·log(βN)) messages.
-//
-// Deprecated: use NewMatrix("p2", ...), which reports errors instead of
-// panicking.
-func NewMatrixP2(m int, eps float64, d int) MatrixTracker {
-	return mustMatrix("p2", matrixConfig(m, eps, d, 1))
-}
-
-// NewMatrixP2SmallSpace builds the bounded-site-space variant of P2
-// (Section 5.2, "Bounding space at sites"): O(m/ε) sketch rows per site
-// instead of an O(d²) Gram, same guarantee, ≤ 2× the messages.
-//
-// Deprecated: use NewMatrix("p2small", ...), which reports errors instead
-// of panicking.
-func NewMatrixP2SmallSpace(m int, eps float64, d int) MatrixTracker {
-	return mustMatrix("p2small", matrixConfig(m, eps, d, 1))
-}
-
-// NewMatrixP3 builds the priority row-sampling tracker (Section 5.3,
-// without replacement). seed drives the sampling randomness.
-//
-// Deprecated: use NewMatrix("p3", ...), which reports errors instead of
-// panicking.
-func NewMatrixP3(m int, eps float64, d int, seed int64) MatrixTracker {
-	return mustMatrix("p3", matrixConfig(m, eps, d, seed))
-}
-
-// NewMatrixP3WR builds the with-replacement sampling tracker
-// (Section 4.3.1 applied to rows); dominated by NewMatrixP3, kept for
-// comparison.
-//
-// Deprecated: use NewMatrix("p3wr", ...), which reports errors instead of
-// panicking.
-func NewMatrixP3WR(m int, eps float64, d int, seed int64) MatrixTracker {
-	return mustMatrix("p3wr", matrixConfig(m, eps, d, seed))
-}
-
-// NewMatrixP4 builds the appendix's negative-result tracker (Algorithm
-// C.1). It carries no approximation guarantee and exists to demonstrate the
-// failure mode experimentally.
-//
-// Deprecated: use NewMatrix("p4", ...), which reports errors instead of
-// panicking.
-func NewMatrixP4(m int, eps float64, d int, seed int64) MatrixTracker {
-	return mustMatrix("p4", matrixConfig(m, eps, d, seed))
-}
-
-// NewFDBaseline builds the centralized baseline: every row is forwarded and
-// the coordinator runs an ℓ-row Frequent Directions sketch.
-//
-// Deprecated: use NewMatrix("fd", ..., WithRank(ell)), which reports errors
-// instead of panicking.
-func NewFDBaseline(m, ell, d int) *core.NaiveFD { return core.NewNaiveFD(m, ell, d) }
-
-// NewSVDBaseline builds the exact centralized baseline (optimal but not
-// communication-efficient).
-//
-// Deprecated: use NewMatrix("svd", ...), which reports errors instead of
-// panicking.
-func NewSVDBaseline(m, d int) *core.NaiveSVD { return core.NewNaiveSVD(m, d) }

@@ -190,22 +190,6 @@ func (s *Session) trackerSnapshot() (any, error) {
 	}
 }
 
-// stateShards returns the shard count persisted in sessionState: the live
-// tracker's when it is sharded (covering wrapped sessions whose Config
-// never set Shards), the Config echo otherwise.
-func (s *Session) stateShards() int {
-	if st, ok := s.mat.(*core.ShardedTracker); ok {
-		return st.ShardCount()
-	}
-	if sh, ok := s.hhp.(*hh.Sharded); ok {
-		return sh.ShardCount()
-	}
-	if sq, ok := s.qt.(*quantile.Sharded); ok {
-		return sq.ShardCount()
-	}
-	return s.cfg.Shards
-}
-
 // assignerState extracts the persisted assigner discriminator.
 func (s *Session) assignerState() (kind string, seed int64, err error) {
 	switch a := s.asg.(type) {
@@ -245,11 +229,7 @@ func (s *Session) SaveState(w io.Writer) error {
 		Bits:       s.cfg.Bits,
 		TrackExact: s.cfg.TrackExact,
 		FastIngest: s.cfg.FastIngest,
-		// From the tracker when sharded, not the Config echo: a wrapped
-		// session can carry a sharded tracker its Config never asked for,
-		// and the restore-time consistency check compares against the
-		// snapshot's shard count.
-		Shards: s.stateShards(),
+		Shards:     s.cfg.Shards,
 
 		Count: s.count,
 		Draws: s.draws,
@@ -300,9 +280,19 @@ func RestoreSession(r io.Reader) (_ *Session, err error) {
 		FastIngest: st.FastIngest, Shards: st.Shards,
 	}
 	s := &Session{proto: st.Proto, cfg: cfg, count: st.Count, draws: st.Draws}
+	// A sharded envelope must carry exactly the shard count the state
+	// echoes (itself bounded by Config validation) — checked before any
+	// shard is rebuilt, so a corrupt count never starts a worker.
+	echoesShards := func(n int) error {
+		if cfg.Shards != n {
+			return invalidConfigf("session state says %d shards, snapshot carries %d", cfg.Shards, n)
+		}
+		return nil
+	}
 	// A restored sharded tracker starts its worker goroutines immediately;
 	// release them if a later validation step rejects the state.
 	defer func() {
+		s.bindFleet()
 		if err != nil {
 			s.Close()
 		}
@@ -322,9 +312,8 @@ func RestoreSession(r io.Reader) (_ *Session, err error) {
 			}
 			s.mat = tr
 		case core.ShardedP2Snapshot:
-			if cfg.Shards != len(snap.Shards) {
-				return nil, invalidConfigf("session state says %d shards, snapshot carries %d",
-					cfg.Shards, len(snap.Shards))
+			if err := echoesShards(len(snap.Shards)); err != nil {
+				return nil, err
 			}
 			tr, err := core.RestoreShardedP2(snap)
 			if err != nil {
@@ -359,9 +348,8 @@ func RestoreSession(r io.Reader) (_ *Session, err error) {
 			}
 			s.hhp = p
 		case hh.ShardedP2Snapshot:
-			if cfg.Shards != len(snap.Shards) {
-				return nil, invalidConfigf("session state says %d shards, snapshot carries %d",
-					cfg.Shards, len(snap.Shards))
+			if err := echoesShards(len(snap.Shards)); err != nil {
+				return nil, err
 			}
 			p, err := hh.RestoreSharded(snap)
 			if err != nil {
@@ -369,9 +357,8 @@ func RestoreSession(r io.Reader) (_ *Session, err error) {
 			}
 			s.hhp = p
 		case hh.ShardedExactSnapshot:
-			if cfg.Shards != len(snap.Shards) {
-				return nil, invalidConfigf("session state says %d shards, snapshot carries %d",
-					cfg.Shards, len(snap.Shards))
+			if err := echoesShards(len(snap.Shards)); err != nil {
+				return nil, err
 			}
 			p, err := hh.RestoreShardedExact(snap)
 			if err != nil {
@@ -394,9 +381,8 @@ func RestoreSession(r io.Reader) (_ *Session, err error) {
 			}
 			s.qt = qt
 		case quantile.ShardedTrackerSnapshot:
-			if cfg.Shards != len(snap.Shards) {
-				return nil, invalidConfigf("session state says %d shards, snapshot carries %d",
-					cfg.Shards, len(snap.Shards))
+			if err := echoesShards(len(snap.Shards)); err != nil {
+				return nil, err
 			}
 			qt, err := quantile.RestoreSharded(snap)
 			if err != nil {

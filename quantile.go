@@ -29,16 +29,3 @@ type QDigest = quantile.QDigest
 
 // NewQDigest builds a q-digest for values in [0, 2^bits) with rank error εW.
 func NewQDigest(bits uint, eps float64) *QDigest { return quantile.NewQDigest(bits, eps) }
-
-// NewQuantileTracker builds the protocol for m sites with rank error ε·W
-// over values in [0, 2^bits).
-//
-// Deprecated: use NewQuantile(WithSites(m), WithEpsilon(eps),
-// WithBits(bits)), which reports errors instead of panicking.
-func NewQuantileTracker(m int, eps float64, bits uint) *QuantileTracker {
-	t, err := NewQuantile(WithSites(m), WithEpsilon(eps), WithBits(bits))
-	if err != nil {
-		panic(err)
-	}
-	return t
-}

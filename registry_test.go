@@ -210,67 +210,3 @@ func TestOptionsMatchConfigFields(t *testing.T) {
 		t.Fatalf("NewConfig = %+v, want %+v", got, want)
 	}
 }
-
-// TestRegistryMatchesDeprecatedConstructors asserts the registry and the
-// deprecated positional constructors build identical trackers: same name,
-// same communication tally after a fixed stream.
-func TestRegistryMatchesDeprecatedConstructors(t *testing.T) {
-	const m, eps, d, seed = 3, 0.3, 10, 5
-	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 400, D: d, Beta: 100, Seed: 5})
-	cfg := validMatrixConfig()
-
-	matrixPairs := []struct {
-		name string
-		old  func() distmat.MatrixTracker
-	}{
-		{"p1", func() distmat.MatrixTracker { return distmat.NewMatrixP1(m, eps, d) }},
-		{"p2", func() distmat.MatrixTracker { return distmat.NewMatrixP2(m, eps, d) }},
-		{"p2small", func() distmat.MatrixTracker { return distmat.NewMatrixP2SmallSpace(m, eps, d) }},
-		{"p3", func() distmat.MatrixTracker { return distmat.NewMatrixP3(m, eps, d, seed) }},
-		{"p3wr", func() distmat.MatrixTracker { return distmat.NewMatrixP3WR(m, eps, d, seed) }},
-		{"p4", func() distmat.MatrixTracker { return distmat.NewMatrixP4(m, eps, d, seed) }},
-	}
-	for _, pair := range matrixPairs {
-		byName, err := distmat.NewMatrixByName(pair.name, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", pair.name, err)
-		}
-		old := pair.old()
-		if byName.Name() != old.Name() {
-			t.Fatalf("%s: registry Name %q != deprecated Name %q", pair.name, byName.Name(), old.Name())
-		}
-		distmat.RunMatrix(byName, rows, distmat.NewRoundRobin(m))
-		distmat.RunMatrix(old, rows, distmat.NewRoundRobin(m))
-		if byName.Stats() != old.Stats() {
-			t.Fatalf("%s: registry Stats %v != deprecated Stats %v", pair.name, byName.Stats(), old.Stats())
-		}
-	}
-
-	items := distmat.ZipfStream(distmat.DefaultZipfConfig(2000))
-	hcfg := validHHConfig()
-	hhPairs := []struct {
-		name string
-		old  func() distmat.HHProtocol
-	}{
-		{"p1", func() distmat.HHProtocol { return distmat.NewHHP1(m, 0.1) }},
-		{"p2", func() distmat.HHProtocol { return distmat.NewHHP2(m, 0.1) }},
-		{"p3", func() distmat.HHProtocol { return distmat.NewHHP3(m, 0.1, seed) }},
-		{"p4", func() distmat.HHProtocol { return distmat.NewHHP4(m, 0.1, seed) }},
-		{"p4median", func() distmat.HHProtocol { return distmat.NewHHP4Median(m, 0.1, 3, seed) }},
-	}
-	for _, pair := range hhPairs {
-		byName, err := distmat.NewHHByName(pair.name, hcfg)
-		if err != nil {
-			t.Fatalf("%s: %v", pair.name, err)
-		}
-		old := pair.old()
-		if byName.Name() != old.Name() {
-			t.Fatalf("%s: registry Name %q != deprecated Name %q", pair.name, byName.Name(), old.Name())
-		}
-		distmat.RunHH(byName, items, distmat.NewRoundRobin(m))
-		distmat.RunHH(old, items, distmat.NewRoundRobin(m))
-		if byName.Stats() != old.Stats() {
-			t.Fatalf("%s: registry Stats %v != deprecated Stats %v", pair.name, byName.Stats(), old.Stats())
-		}
-	}
-}

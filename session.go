@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hh"
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/quantile"
 	"repro/internal/sketch"
@@ -58,6 +58,10 @@ type Session struct {
 	hhp HHProtocol       // hhKind
 	qt  quantile.Summary // quantileKind: *quantile.Tracker or *quantile.Sharded
 
+	// fleet is the tracker's shard engine — the tracker above, seen through
+	// the one surface every sharded kind shares — nil when unsharded.
+	fleet shardFleet
+
 	closed bool // set by Close; ingestion then returns ErrSessionClosed
 
 	exact *Sym // exact Gram AᵀA, non-nil iff cfg.TrackExact on a matrix session
@@ -68,6 +72,22 @@ type Session struct {
 	runBuf   [][]float64    // pooled same-site run staging (sharded batch coalescing)
 	itemBuf  []WeightedItem // pooled same-site item-run staging (sharded batch coalescing)
 	siteSeen []bool         // pooled per-site visited marks (sharded batch coalescing)
+}
+
+// shardFleet is what a Session needs from a sharded tracker beyond its
+// kind's query surface; core.ShardEngine, embedded by core.ShardedTracker,
+// hh.Sharded and quantile.Sharded, provides all of it.
+type shardFleet interface {
+	ShardCount() int
+	ShardRows() []int64
+	StatsApplied() Stats
+	Close()
+}
+
+// itemFleet is a shardFleet dealing weighted items (heavy-hitters and
+// quantile): Deal takes a whole same-site run as one batch.
+type itemFleet interface {
+	Deal(site int, items []WeightedItem)
 }
 
 // adoptAssigner reconciles cfg.Sites with an explicit assigner before any
@@ -86,8 +106,14 @@ func adoptAssigner(c *Config) error {
 	return invalidConfigf("sites %d conflicts with the assigner's %d sites", c.Sites, m)
 }
 
-// finishSession fills the default assigner when none was supplied.
+// finishSession binds the tracker's shard engine, if it has one (echoing
+// its shard count into the Config: a wrapped tracker may be sharded without
+// WithShards having asked), and fills the default assigner when none was
+// supplied.
 func finishSession(s *Session) (*Session, error) {
+	if s.bindFleet(); s.fleet != nil {
+		s.cfg.Shards = s.fleet.ShardCount()
+	}
 	if s.cfg.Assigner == nil {
 		if s.cfg.Sites < 1 {
 			return nil, invalidConfigf("need m ≥ 1 sites, got %d", s.cfg.Sites)
@@ -96,6 +122,16 @@ func finishSession(s *Session) (*Session, error) {
 	}
 	s.asg = s.cfg.Assigner
 	return s, nil
+}
+
+// bindFleet points s.fleet at the session's tracker (whichever of the
+// three kinds it is) when that tracker is sharded.
+func (s *Session) bindFleet() {
+	for _, tracker := range []any{s.mat, s.hhp, s.qt} {
+		if f, ok := tracker.(shardFleet); ok {
+			s.fleet = f
+		}
+	}
 }
 
 // NewMatrixSession builds a matrix tracking session around the named
@@ -150,9 +186,6 @@ func WrapMatrixSession(t MatrixTracker, opts ...Option) (*Session, error) {
 		return nil, invalidConfigf("need shards ≥ 0, got %d", cfg.Shards)
 	}
 	cfg.Dim, cfg.Epsilon = t.Dim(), t.Eps()
-	if st, ok := t.(*core.ShardedTracker); ok {
-		cfg.Shards = st.ShardCount()
-	}
 	s := &Session{kind: matrixKind, proto: canonicalName(t.Name()), cfg: cfg, mat: t}
 	if cfg.TrackExact {
 		s.exact = matrix.NewSym(cfg.Dim)
@@ -184,9 +217,6 @@ func WrapHHSession(p HHProtocol, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	cfg.Epsilon = p.Eps()
-	if sh, ok := p.(*hh.Sharded); ok {
-		cfg.Shards = sh.ShardCount()
-	}
 	s := &Session{kind: hhKind, proto: canonicalName(p.Name()), cfg: cfg, hhp: p}
 	return finishSession(s)
 }
@@ -235,14 +265,8 @@ func (s *Session) Matrix() MatrixTracker { return s.mat }
 // Shards returns the number of parallel tracker shards behind a session
 // built with WithShards; 1 for every unsharded session.
 func (s *Session) Shards() int {
-	if st, ok := s.mat.(*core.ShardedTracker); ok {
-		return st.ShardCount()
-	}
-	if sh, ok := s.hhp.(*hh.Sharded); ok {
-		return sh.ShardCount()
-	}
-	if sq, ok := s.qt.(*quantile.Sharded); ok {
-		return sq.ShardCount()
+	if s.fleet != nil {
+		return s.fleet.ShardCount()
 	}
 	return 1
 }
@@ -251,14 +275,8 @@ func (s *Session) Shards() int {
 // dealt to each tracker shard so far — the service layer's per-shard
 // metrics — nil for unsharded sessions.
 func (s *Session) ShardRows() []int64 {
-	if st, ok := s.mat.(*core.ShardedTracker); ok {
-		return st.ShardRows()
-	}
-	if sh, ok := s.hhp.(*hh.Sharded); ok {
-		return sh.ShardItems()
-	}
-	if sq, ok := s.qt.(*quantile.Sharded); ok {
-		return sq.ShardItems()
+	if s.fleet != nil {
+		return s.fleet.ShardRows()
 	}
 	return nil
 }
@@ -270,14 +288,8 @@ func (s *Session) ShardRows() []int64 {
 // other session kind it only marks the session closed.
 func (s *Session) Close() error {
 	s.closed = true
-	if st, ok := s.mat.(*core.ShardedTracker); ok {
-		st.Close()
-	}
-	if sh, ok := s.hhp.(*hh.Sharded); ok {
-		sh.Close()
-	}
-	if sq, ok := s.qt.(*quantile.Sharded); ok {
-		sq.Close()
+	if s.fleet != nil {
+		s.fleet.Close()
 	}
 	return nil
 }
@@ -323,14 +335,8 @@ func (s *Session) Stats() Stats {
 // enqueued work by up to the shard queue depth. Identical to Stats for
 // every other session — the monitoring read the service's /metrics uses.
 func (s *Session) StatsRelaxed() Stats {
-	if st, ok := s.mat.(*core.ShardedTracker); ok {
-		return st.StatsApplied()
-	}
-	if sh, ok := s.hhp.(*hh.Sharded); ok {
-		return sh.StatsApplied()
-	}
-	if sq, ok := s.qt.(*quantile.Sharded); ok {
-		return sq.StatsApplied()
+	if s.fleet != nil {
+		return s.fleet.StatsApplied()
 	}
 	return s.Stats()
 }
@@ -549,8 +555,8 @@ func (s *Session) ProcessItemAt(site int, it WeightedItem) error {
 }
 
 func (s *Session) checkItem(it WeightedItem) error {
-	if it.Weight <= 0 {
-		return fmt.Errorf("%w: need positive weight, got %v", ErrInvalidItem, it.Weight)
+	if !gen.ValidWeight(it.Weight) {
+		return fmt.Errorf("%w: need positive finite weight, got %v", ErrInvalidItem, it.Weight)
 	}
 	switch s.kind {
 	case hhKind:
@@ -591,27 +597,14 @@ func (s *Session) checkItems(items []WeightedItem) error {
 // unsharded trackers apply it item by item (bit-identical to per-item
 // feeds).
 func (s *Session) ingestItems(site int, items []WeightedItem) {
-	if len(items) == 0 {
+	if f, ok := s.fleet.(itemFleet); ok {
+		f.Deal(site, items)
+		s.count += int64(len(items))
 		return
 	}
-	if s.kind == hhKind {
-		if sh, ok := s.hhp.(*hh.Sharded); ok {
-			sh.ProcessItems(site, items)
-		} else {
-			for _, it := range items {
-				s.hhp.Process(site, it.Elem, it.Weight)
-			}
-		}
-	} else {
-		if sq, ok := s.qt.(*quantile.Sharded); ok {
-			sq.ProcessItems(site, items)
-		} else {
-			for _, it := range items {
-				s.qt.Process(site, it.Elem, it.Weight)
-			}
-		}
+	for _, it := range items {
+		s.ingestItem(site, it)
 	}
-	s.count += int64(len(items))
 }
 
 // ProcessItems ingests a batch of weighted items. The whole batch is

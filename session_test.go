@@ -2,6 +2,7 @@ package distmat_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	distmat "repro"
@@ -48,7 +49,7 @@ func TestMatrixSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesRun asserts the session path and the deprecated
+// TestSessionMatchesRun asserts the session path and the convenience
 // RunMatrix/RunHH wrappers drive protocols identically (same assigner
 // stream → same tally).
 func TestSessionMatchesRun(t *testing.T) {
@@ -65,7 +66,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := distmat.NewMatrixP2(m, eps, d)
+	tr := newMatrix(t, "p2", m, eps, d)
 	distmat.RunMatrix(tr, rows, distmat.NewUniformRandom(m, 9))
 	if sess.Stats() != tr.Stats() {
 		t.Fatalf("session stats %v != RunMatrix stats %v", sess.Stats(), tr.Stats())
@@ -80,7 +81,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	if err := hsess.ProcessItems(items); err != nil {
 		t.Fatal(err)
 	}
-	p := distmat.NewHHP2(m, 0.01)
+	p := newHH(t, "p2", m, 0.01)
 	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 9))
 	if hsess.Stats() != p.Stats() {
 		t.Fatalf("session stats %v != RunHH stats %v", hsess.Stats(), p.Stats())
@@ -223,8 +224,34 @@ func TestSessionBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hsess.ProcessItem(distmat.WeightedItem{Elem: 1, Weight: 0}); !errors.Is(err, distmat.ErrInvalidItem) {
-		t.Fatalf("zero weight: %v", err)
+	// Weights must be positive and finite on every item session, sharded
+	// or not. NaN is the case a plain w ≤ 0 test lets through, after which
+	// every εŴ threshold comparison is false forever.
+	for _, shards := range []int{0, 4} {
+		h, err := distmat.NewHHSession("p2", distmat.WithSites(2), distmat.WithEpsilon(0.2), distmat.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := distmat.NewQuantileSession(distmat.WithSites(2), distmat.WithEpsilon(0.2), distmat.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sess := range []*distmat.Session{h, q} {
+			for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+				it := distmat.WeightedItem{Elem: 1, Weight: w}
+				if err := sess.ProcessItem(it); !errors.Is(err, distmat.ErrInvalidItem) {
+					t.Fatalf("%s/%d shards: weight %v: %v, want ErrInvalidItem", sess.Kind(), shards, w, err)
+				}
+				if err := sess.ProcessItemAt(0, it); !errors.Is(err, distmat.ErrInvalidItem) {
+					t.Fatalf("%s/%d shards: weight %v at a site: %v, want ErrInvalidItem", sess.Kind(), shards, w, err)
+				}
+			}
+			if snap := sess.Snapshot(); snap.Count != 0 || math.IsNaN(snap.Total) {
+				t.Fatalf("%s/%d shards: rejected items reached the tracker: count %d, total %v",
+					sess.Kind(), shards, snap.Count, snap.Total)
+			}
+			sess.Close()
+		}
 	}
 	if _, err := hsess.HeavyHitters(1.5); !errors.Is(err, distmat.ErrInvalidQuery) {
 		t.Fatalf("phi out of range: %v", err)
@@ -328,7 +355,7 @@ func TestWindowedSession(t *testing.T) {
 func TestWrapSessions(t *testing.T) {
 	const m, eps, d = 3, 0.2, 8
 	w := distmat.NewWindowedTracker(400, func() distmat.MatrixTracker {
-		return distmat.NewMatrixP2(m, eps, d)
+		return newMatrix(t, "p2", m, eps, d)
 	})
 	sess, err := distmat.WrapMatrixSession(w,
 		distmat.WithAssigner(distmat.NewRoundRobin(m)), distmat.WithExactTracking())

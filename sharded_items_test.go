@@ -2,6 +2,7 @@ package distmat_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,32 +15,38 @@ import (
 // path shares with it.
 
 // TestItemBatchAtomicity pins the atomicity bugfix: a rejected item batch —
-// bad item mid-batch or bad explicit site — leaves the session exactly as
-// it was. The snapshot must match field for field, and a clean batch fed
+// bad item mid-batch (non-positive, NaN or +Inf weight: NaN passes a plain
+// w ≤ 0 test and would poison Ŵ for good) or bad explicit site — leaves the
+// session, unsharded or WithShards(4), exactly as it was. The snapshot must match field for field, and a clean batch fed
 // afterwards must land exactly where a twin session that never saw the bad
 // batch puts it, proving not even assigner draws escaped the rejected
 // call.
 func TestItemBatchAtomicity(t *testing.T) {
 	items := distmat.ZipfStream(distmat.DefaultZipfConfig(4000))
-	build := func(kind string) *distmat.Session {
+	build := func(kind string, shards int) *distmat.Session {
 		t.Helper()
 		var sess *distmat.Session
 		var err error
 		switch kind {
 		case "heavy-hitters":
-			sess, err = distmat.NewHHSession("p2",
+			sess, err = distmat.NewHHSession("p2", distmat.WithShards(shards),
 				distmat.WithSites(4), distmat.WithEpsilon(0.05), distmat.WithSeed(9))
 		case "quantile":
-			sess, err = distmat.NewQuantileSession(
+			sess, err = distmat.NewQuantileSession(distmat.WithShards(shards),
 				distmat.WithSites(4), distmat.WithEpsilon(0.05), distmat.WithBits(20), distmat.WithSeed(9))
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { sess.Close() })
 		return sess
 	}
-	for _, kind := range []string{"heavy-hitters", "quantile"} {
-		sess, twin := build(kind), build(kind)
+	for _, kind := range []string{"heavy-hitters", "quantile", "heavy-hitters/4 shards", "quantile/4 shards"} {
+		shards := 0
+		if base, sharded := strings.CutSuffix(kind, "/4 shards"); sharded {
+			kind, shards = base, 4
+		}
+		sess, twin := build(kind, shards), build(kind, shards)
 		half := len(items) / 2
 		if err := sess.ProcessItems(items[:half]); err != nil {
 			t.Fatal(err)
@@ -49,17 +56,22 @@ func TestItemBatchAtomicity(t *testing.T) {
 		}
 		before := sess.Snapshot()
 
-		bad := []distmat.WeightedItem{
-			{Elem: 1, Weight: 1},
-			{Elem: 2, Weight: -1}, // invalid weight mid-batch
-			{Elem: 3, Weight: 1},
-		}
-		err := sess.ProcessItems(bad)
-		if !errors.Is(err, distmat.ErrInvalidItem) {
-			t.Fatalf("%s: bad batch err = %v, want ErrInvalidItem", kind, err)
-		}
-		if !strings.HasPrefix(err.Error(), "item 1:") {
-			t.Errorf("%s: bad batch err = %q, want the offending index prefix", kind, err)
+		for _, w := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+			bad := []distmat.WeightedItem{
+				{Elem: 1, Weight: 1},
+				{Elem: 2, Weight: w}, // invalid weight mid-batch
+				{Elem: 3, Weight: 1},
+			}
+			err := sess.ProcessItems(bad)
+			if !errors.Is(err, distmat.ErrInvalidItem) {
+				t.Fatalf("%s: weight %v mid-batch: err = %v, want ErrInvalidItem", kind, w, err)
+			}
+			if !strings.HasPrefix(err.Error(), "item 1:") {
+				t.Errorf("%s: bad batch err = %q, want the offending index prefix", kind, err)
+			}
+			if err := sess.ProcessItemsAt(0, bad); !errors.Is(err, distmat.ErrInvalidItem) {
+				t.Fatalf("%s: weight %v mid-batch at a site: err = %v, want ErrInvalidItem", kind, w, err)
+			}
 		}
 		if err := sess.ProcessItemsAt(7, items[:3]); !errors.Is(err, distmat.ErrInvalidSite) {
 			t.Fatalf("%s: bad site err = %v, want ErrInvalidSite", kind, err)
@@ -92,8 +104,7 @@ func TestItemBatchAtomicity(t *testing.T) {
 
 	// Empty batches are a no-op even on a session whose kind would reject
 	// the call's other arguments later.
-	sess := build("heavy-hitters")
-	defer sess.Close()
+	sess := build("heavy-hitters", 0)
 	if err := sess.ProcessItems(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}

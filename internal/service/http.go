@@ -30,8 +30,8 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("PUT /trackers/{name}", m.handleCreate)
 	mux.HandleFunc("GET /trackers/{name}", m.handleStatus)
 	mux.HandleFunc("DELETE /trackers/{name}", m.handleDelete)
-	mux.HandleFunc("POST /trackers/{name}/rows", m.handleIngestRows)
-	mux.HandleFunc("POST /trackers/{name}/items", m.handleIngestItems)
+	mux.HandleFunc("POST /trackers/{name}/rows", func(w http.ResponseWriter, r *http.Request) { m.handleIngest(w, r, false) })
+	mux.HandleFunc("POST /trackers/{name}/items", func(w http.ResponseWriter, r *http.Request) { m.handleIngest(w, r, true) })
 	mux.HandleFunc("GET /trackers/{name}/query", m.handleQuery)
 	mux.HandleFunc("POST /trackers/{name}/checkpoint", m.handleCheckpoint)
 	return mux
@@ -93,9 +93,10 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBadRequest, fmt.Sprintf(format, args...))
 }
 
-// decodeBody strictly decodes a JSON body into v: unknown fields,
-// trailing data after the document, and oversized bodies are all
-// rejected rather than silently tolerated.
+// decodeBody strictly decodes a control-plane JSON body (the PUT Spec) into
+// v: unknown fields, trailing data after the document, and oversized
+// bodies are all rejected rather than silently tolerated. The ingest
+// routes do not come through here; see ingestjson.go.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -184,112 +185,36 @@ func (m *Manager) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": true})
 }
 
-// siteOf resolves the optional site field (nil → assigner). An explicit
-// negative site is rejected here rather than mapped onto the AssignSite
-// sentinel, so it 400s like any other out-of-range site.
-func siteOf(site *int) (int, error) {
-	if site == nil {
-		return AssignSite, nil
-	}
-	if *site < 0 {
-		return 0, fmt.Errorf("%w: site %d", distmat.ErrInvalidSite, *site)
-	}
-	return *site, nil
-}
-
-// rowsRequest is the POST rows body. Site, when present, is the explicit
-// origin site (the caller is the site, per the paper's model); absent, the
-// session's assigner deals rows out.
-type rowsRequest struct {
-	Site *int        `json:"site"`
-	Rows [][]float64 `json:"rows"`
-}
-
-func (m *Manager) handleIngestRows(w http.ResponseWriter, r *http.Request) {
+// handleIngest serves POST rows (items false) and POST items: one pooled
+// ingestBuf carries the body and its decoded batch to the tracker and is
+// recycled only when Tracker.ingest reports the batch's reply was received
+// — on any earlier return a pool worker may still be reading it.
+func (m *Manager) handleIngest(w http.ResponseWriter, r *http.Request, items bool) {
 	t, err := m.Get(r.PathValue("name"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	var req rowsRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeErr(w, badRequestf("empty rows batch"))
-		return
-	}
-	site, err := siteOf(req.Site)
+	b := ingestBufs.Get().(*ingestBuf)
+	site, err := b.decode(r, items)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if err := t.IngestRows(r.Context(), site, req.Rows); err != nil {
-		writeErr(w, err)
-		return
+	req := ingestReq{site: site, items: b.items}
+	if !items {
+		req = ingestReq{site: site, rows: b.rows}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ingested": len(req.Rows), "count": t.Count()})
-}
-
-// itemJSON is one weighted item; "elem" and "value" are aliases (the
-// quantile kind reads the value universe, the heavy-hitters kind an
-// element label). Weight defaults to 1.
-type itemJSON struct {
-	Elem   *uint64  `json:"elem"`
-	Value  *uint64  `json:"value"`
-	Weight *float64 `json:"weight"`
-}
-
-type itemsRequest struct {
-	Site  *int       `json:"site"`
-	Items []itemJSON `json:"items"`
-}
-
-func (m *Manager) handleIngestItems(w http.ResponseWriter, r *http.Request) {
-	t, err := m.Get(r.PathValue("name"))
+	n := len(b.rows) + len(b.items) // decode empties the one it does not fill
+	answered, err := t.ingest(r.Context(), req)
+	if answered {
+		ingestBufs.Put(b) // b is someone else's from here on
+	}
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	var req itemsRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if len(req.Items) == 0 {
-		writeErr(w, badRequestf("empty items batch"))
-		return
-	}
-	items := make([]distmat.WeightedItem, len(req.Items))
-	for i, it := range req.Items {
-		switch {
-		case it.Elem != nil && it.Value != nil:
-			writeErr(w, badRequestf("item %d sets both elem and value", i))
-			return
-		case it.Elem != nil:
-			items[i].Elem = *it.Elem
-		case it.Value != nil:
-			items[i].Elem = *it.Value
-		default:
-			writeErr(w, badRequestf("item %d has neither elem nor value", i))
-			return
-		}
-		items[i].Weight = 1
-		if it.Weight != nil {
-			items[i].Weight = *it.Weight
-		}
-	}
-	site, err := siteOf(req.Site)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if err := t.IngestItems(r.Context(), site, items); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ingested": len(items), "count": t.Count()})
+	writeAck(w, n, t.Count())
 }
 
 // phisOf parses the repeated φ query parameter, rejecting NaN, ±Inf,

@@ -43,6 +43,13 @@
 //	GET    /metrics                     per-tracker stats + throughput
 //	GET    /healthz                     liveness
 //
+// The two ingest routes parse their body once, in place (ingestjson.go;
+// grammar at ingestBuf.decode), into a pooled ingestBuf the enqueued batch
+// aliases. The handler owns that buffer until it enqueues, the pool worker
+// reads it until it replies on the request's done channel, and it is
+// recycled only after that reply was received (Tracker.enqueue's answered)
+// — never on the ctx.Done or closed early returns.
+//
 // cmd/distserve wraps the Manager in a daemon with graceful shutdown.
 package service
 

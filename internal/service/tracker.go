@@ -350,7 +350,12 @@ func (t *Tracker) lane(site int) chan poolReq {
 // enqueue dispatches a batch onto the shared pool and waits for it to be
 // applied. A lane that stays full past the enqueue timeout pushes back
 // with ErrBusy.
-func (t *Tracker) enqueue(ctx context.Context, req ingestReq) error {
+//
+// answered reports that the batch's reply was received, which is the only
+// proof no pool worker still reads req.rows/req.items: callers that lend
+// pooled buffers (the HTTP handlers) may recycle them only then. On the
+// closed and ctx.Done early returns the batch may be queued or mid-apply.
+func (t *Tracker) enqueue(ctx context.Context, req ingestReq) (answered bool, err error) {
 	lane := t.lane(req.site)
 	req.done = make(chan error, 1)
 	t.inflight.Add(1)
@@ -358,7 +363,7 @@ func (t *Tracker) enqueue(ctx context.Context, req ingestReq) error {
 	case lane <- poolReq{t: t, req: req}:
 	case <-t.closed:
 		t.inflight.Add(-1)
-		return ErrClosed
+		return false, ErrClosed
 	default:
 		// Lane full: only this slow path pays for a timer.
 		timer := time.NewTimer(t.enqTimeout)
@@ -367,24 +372,35 @@ func (t *Tracker) enqueue(ctx context.Context, req ingestReq) error {
 		case lane <- poolReq{t: t, req: req}:
 		case <-t.closed:
 			t.inflight.Add(-1)
-			return ErrClosed
+			return false, ErrClosed
 		case <-ctx.Done():
 			t.inflight.Add(-1)
-			return ctx.Err()
+			return false, ctx.Err()
 		case <-timer.C:
 			t.inflight.Add(-1)
 			t.rejected.Add(1)
-			return ErrBusy
+			return false, ErrBusy
 		}
 	}
 	select {
 	case err := <-req.done:
-		return err
+		return true, err
 	case <-t.closed:
-		return ErrClosed
+		return false, ErrClosed
 	case <-ctx.Done():
-		return ctx.Err()
+		return false, ctx.Err()
 	}
+}
+
+// ingest is IngestRows/IngestItems over a prepared request: the durability
+// gate, then enqueue (whose answered result it passes on).
+func (t *Tracker) ingest(ctx context.Context, req ingestReq) (answered bool, err error) {
+	if t.dur != nil {
+		if err := t.dur.gate(); err != nil {
+			return false, err
+		}
+	}
+	return t.enqueue(ctx, req)
 }
 
 // IngestRows ingests a batch of matrix rows at the given site (AssignSite
@@ -392,24 +408,16 @@ func (t *Tracker) enqueue(ctx context.Context, req ingestReq) error {
 // batch is acknowledged only once it is fsync-durable; in degraded mode
 // it fails fast with ErrDegraded.
 func (t *Tracker) IngestRows(ctx context.Context, site int, rows [][]float64) error {
-	if t.dur != nil {
-		if err := t.dur.gate(); err != nil {
-			return err
-		}
-	}
-	return t.enqueue(ctx, ingestReq{site: site, rows: rows})
+	_, err := t.ingest(ctx, ingestReq{site: site, rows: rows})
+	return err
 }
 
 // IngestItems ingests a batch of weighted items at the given site
 // (AssignSite routes through the session's assigner). Durability matches
 // IngestRows.
 func (t *Tracker) IngestItems(ctx context.Context, site int, items []distmat.WeightedItem) error {
-	if t.dur != nil {
-		if err := t.dur.gate(); err != nil {
-			return err
-		}
-	}
-	return t.enqueue(ctx, ingestReq{site: site, items: items})
+	_, err := t.ingest(ctx, ingestReq{site: site, items: items})
+	return err
 }
 
 // replayRecord re-applies one WAL record during recovery. Records at or
@@ -477,7 +485,8 @@ func (t *Tracker) IngestBlock(ctx context.Context, site int, seq uint64, rows []
 	if site < 0 {
 		return fmt.Errorf("%w: site %d", distmat.ErrInvalidSite, site)
 	}
-	return t.enqueue(ctx, ingestReq{site: site, seq: seq, rows: rows})
+	_, err := t.enqueue(ctx, ingestReq{site: site, seq: seq, rows: rows})
+	return err
 }
 
 // SiteWatermarks returns a site's wire stream watermarks: applied (every

@@ -45,12 +45,15 @@ bench-compare:
 # batch never-slower guard, the FD blocked-ingest guard, the steady-state
 # zero-allocation assertions, the ≥2× sharded scaling floor at 4 workers,
 # the shared-ingestion-pool never-slower floor (pool at 4 workers ≥
-# 0.5× a 16-lane pool), and the HTTP ingest decoder's floor (≥ 2× the
-# encoding/json oracle on a 256 × 44 rows body, 0 allocs per decode). The
-# scaling guards need ≥4 procs and skip — loudly — on smaller machines.
+# 0.5× a 16-lane pool), the HTTP ingest decoder's floor (≥ 2× the
+# encoding/json oracle on a 256 × 44 rows body, 0 allocs per decode), and
+# the hibernation fault-in floor (behind a 64 MiB log of other trackers'
+# records ≤ 2× what it costs behind an empty log: fault-in never reads the
+# WAL). The scaling guards need ≥4 procs and skip — loudly — on smaller
+# machines.
 # CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

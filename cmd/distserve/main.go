@@ -26,7 +26,8 @@
 // -max-resident N the daemon additionally caps how many tracker sessions
 // stay in memory: past the cap, the least-recently-used idle tracker is
 // hibernated to its checkpoint and faulted back in — bit-identically,
-// via checkpoint restore + WAL replay — on its next ingest or query.
+// from that checkpoint alone, never reading the WAL — on its next ingest
+// or query.
 // Together these let one daemon host far more trackers than fit as live
 // sessions. See the README's "Tenancy" section.
 //

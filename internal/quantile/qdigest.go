@@ -15,6 +15,7 @@ package quantile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +36,9 @@ type QDigest struct {
 	// compressAt defers compression until the node count doubles, keeping
 	// Update amortized O(1) map operations plus O(size) per compression.
 	compressAt int
+	// nodes is Compress's scratch node list, reused across calls; it is
+	// not part of the digest's state (never serialized or compared).
+	nodes []uint64
 }
 
 // CheckDigestParams reports whether (bits, eps) are valid q-digest
@@ -106,13 +110,16 @@ func (q *QDigest) Compress() {
 		return
 	}
 	budget := q.eps * q.weight / float64(q.bits)
-	// Process deepest nodes first so freed weight can cascade upward.
-	nodes := make([]uint64, 0, len(q.counts))
+	// Process deepest nodes first (descending id) so freed weight can
+	// cascade upward.
+	nodes := q.nodes[:0]
 	for n := range q.counts {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] > nodes[j] })
-	for _, n := range nodes {
+	slices.Sort(nodes)
+	q.nodes = nodes
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
 		if n <= 1 {
 			continue // the root absorbs everything
 		}

@@ -257,3 +257,26 @@ func TestQDigestQuantileMonotone(t *testing.T) {
 	}
 	_ = sort.SearchInts
 }
+
+// BenchmarkQDigestCompress times the coordinator's ship path — Merge of a
+// small site digest into a large merged one, which is absorb + Compress —
+// the q-digest tracker's dominant ingest cost. Steady state allocates
+// nothing: the node list is the digest's reused scratch.
+func BenchmarkQDigestCompress(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	merged := NewQDigest(16, 0.005)
+	for i := 0; i < 200000; i++ {
+		merged.Update(rng.Uint64()%(1<<16), 1)
+	}
+	merged.Compress()
+	site := NewQDigest(16, 0.005)
+	for i := 0; i < 32; i++ {
+		site.Update(rng.Uint64()%(1<<16), 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged.Merge(site)
+	}
+	b.ReportMetric(float64(merged.Size()), "nodes")
+}

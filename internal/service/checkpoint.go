@@ -71,10 +71,7 @@ func (m *Manager) checkpointLoop() {
 func (m *Manager) checkpointDirty() error {
 	var errs []error
 	for _, t := range m.List() {
-		t.mu.Lock()
-		skip := !t.dirty && t.lastCkpt.Load() != 0
-		t.mu.Unlock()
-		if skip {
+		if t.clean() {
 			continue
 		}
 		if err := m.checkpointTracker(t); err != nil {
@@ -113,7 +110,11 @@ func (m *Manager) CheckpointAll() error {
 // compactWAL deletes log segments every persistable tracker's last
 // durable checkpoint covers. Failed checkpoints hold the floor back
 // (walCkpt only advances on success), so compaction can never outrun
-// what the checkpoint files actually contain.
+// what the checkpoint files actually contain. A tracker whose live cursor
+// equals its checkpointed one (an idle tenant, a stub) has no record in
+// the log and does not hold the floor; DurableLSN is read first, so
+// whatever such a tracker stages after its cursor was read lands above
+// the floor.
 func (m *Manager) compactWAL() {
 	if m.wal == nil {
 		return
@@ -123,7 +124,10 @@ func (m *Manager) compactWAL() {
 		if !t.persistable {
 			continue
 		}
-		if c := t.walCkpt.Load(); c < floor {
+		t.mu.Lock()
+		live := t.walLSN
+		t.mu.Unlock()
+		if c := t.walCkpt.Load(); c != live && c < floor {
 			floor = c
 		}
 	}

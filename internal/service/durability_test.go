@@ -411,6 +411,66 @@ func TestWALCompactionAfterCheckpoint(t *testing.T) {
 	}
 }
 
+// TestIdleTrackerDoesNotPinWAL: a tracker with no record in the log (live
+// cursor == checkpointed cursor) must not hold the compaction floor —
+// before, one idle tenant's never-advancing walCkpt pinned every segment
+// forever. Recovery from what survives is still bit-identical for both.
+func TestIdleTrackerDoesNotPinWAL(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	opts := walTestOptions(t, dir)
+	opts.WALSegmentBytes = 256
+	opts.PoolWorkers = 1
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	idle, err := m.Create("idle", Spec{Kind: KindHH, Sites: 2, Epsilon: 0.05, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.IngestItems(ctx, 0, detItems(7, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	hot, err := m.Create("hot", Spec{Kind: KindHH, Sites: 2, Epsilon: 0.05, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 30 {
+		if err := hot.IngestItems(ctx, i%2, detItems(uint64(i), 5)); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	before := m.wal.Stats()
+	if err := m.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	after := m.wal.Stats()
+	if after.Segments != 1 {
+		t.Fatalf("idle tracker pinned the log: before %d segments, after %+v", before.Segments, after)
+	}
+	oracleIdle, oracleHot := stateBytes(t, idle), stateBytes(t, hot)
+	// Crash: abandon m.
+
+	m2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	defer m2.Close()
+	for name, oracle := range map[string][]byte{"idle": oracleIdle, "hot": oracleHot} {
+		tr, err := m2.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameState(t, stateBytes(t, tr), oracle) {
+			t.Errorf("%s: recovered state differs from oracle after compaction", name)
+		}
+	}
+}
+
 // TestDegradedModeAndRearm scripts a WAL disk failure: ingest must fail
 // fast with ErrDegraded (HTTP 503 + Retry-After), durable mutations
 // (Create/Delete) are rejected too, /metrics reports the outage, the

@@ -48,8 +48,8 @@ type TrackerMetrics struct {
 	NetDupBlocks int64 `json:"net_dup_blocks,omitempty"`
 
 	// Resident reports whether the tracker currently holds its session;
-	// false means it is hibernated — a stub whose state lives in its
-	// checkpoint (plus the WAL suffix) until the next touch faults it in.
+	// false means it is hibernated — a stub whose state lives entirely in
+	// its checkpoint file until the next touch faults it in.
 	Resident bool `json:"resident"`
 
 	Persistable        bool   `json:"persistable"`
@@ -59,7 +59,7 @@ type TrackerMetrics struct {
 
 // TenancyMetrics is the /metrics tenancy section: the shared ingestion
 // worker pool and the hibernation working set. Evictions and faults
-// count session round-trips through the checkpoint + WAL-replay path;
+// count session round-trips through the checkpoint file;
 // PoolQueueLen is the batches waiting across all pool lanes.
 type TenancyMetrics struct {
 	Trackers    int   `json:"trackers"`

@@ -2,11 +2,11 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
 	distmat "repro"
-	"repro/internal/wal"
 )
 
 // Tracker hibernation: Options.MaxResident bounds the resident working
@@ -14,18 +14,27 @@ import (
 // clean trackers — checkpoint the session (reusing the ordinary
 // checkpoint path), release it, and leave the Tracker as a stub holding
 // watermarks, counters, and the WAL cursor. The next ingest, query, or
-// wire block faults the session back in: restore the checkpoint, then
-// replay the WAL suffix past its coverage — the same two-step recovery
-// Open performs after a restart, so a faulted-in tracker is bit-identical
-// (distmat.StateEqual) to one that never hibernated.
+// wire block faults the session back in by restoring the checkpoint —
+// and nothing else: the log is never read, so a fault-in costs O(own
+// checkpoint) however long the WAL has grown, and a faulted-in tracker is
+// bit-identical (distmat.StateEqual) to one that never hibernated.
 //
 // Invariant: only clean (checkpointed, nothing in flight) trackers
-// hibernate, so the WAL suffix past a stub's cursor is empty in the
-// steady state; the replay is what makes the invariant safe rather than
-// load-bearing. Hibernation pauses entirely while the manager is
-// degraded — a damaged WAL means new batches cannot be logged, and the
-// eviction checkpoint could otherwise advance coverage past records the
-// re-arm will discard.
+// hibernate, and a stub must fault in before it can stage a record, so
+// the log holds no record of a stub past its checkpoint. The invariant is
+// checked, not assumed: Tracker.walLSN — the LSN of the tracker's last
+// own record — survives eviction in the stub, and faultIn refuses a
+// checkpoint file whose WalLSN differs from it (errStaleCheckpoint)
+// rather than install a session that has lost records. A log-cursor
+// advance marks the tracker dirty even when the session rejected the
+// batch, so "clean" always implies "file cursor == live cursor".
+// Hibernation pauses entirely while the manager is degraded — a damaged
+// WAL means new batches cannot be logged, and the eviction checkpoint
+// could otherwise advance coverage past records the re-arm will discard.
+
+// errStaleCheckpoint marks a fault-in refused because the checkpoint file
+// on disk is not the one the stub was evicted to.
+var errStaleCheckpoint = errors.New("checkpoint does not match the hibernated tracker")
 
 // maybeEnforce nudges the resident-session count back under
 // Options.MaxResident by hibernating the coldest clean trackers. Cheap
@@ -57,10 +66,11 @@ func (m *Manager) maybeEnforce() {
 	}
 }
 
-// hibernate checkpoints one tracker and releases its session, leaving
-// the stub behind. Returns false without evicting when the tracker is
-// not eligible: unpersistable, deleted, closed, dirty again after the
-// checkpoint, already hibernated, mid-ingest, or the manager degraded.
+// hibernate checkpoints one tracker (unless it is already clean) and
+// releases its session, leaving the stub behind. Returns false without
+// evicting when the tracker is not eligible: unpersistable, deleted,
+// closed, dirty again after the checkpoint, already hibernated,
+// mid-ingest, or the manager degraded.
 func (m *Manager) hibernate(t *Tracker) bool {
 	if m.opts.DataDir == "" || !t.persistable || t.deleted.Load() {
 		return false
@@ -68,9 +78,14 @@ func (m *Manager) hibernate(t *Tracker) bool {
 	if m.dur != nil && m.dur.gate() != nil {
 		return false
 	}
-	if err := m.checkpointTracker(t); err != nil {
-		m.opts.Logf("hibernate %s: checkpoint: %v", t.name, err)
-		return false
+	// A tracker faulted in by a query and never written to is still clean:
+	// its file is already what a checkpoint would write. The dirty re-check
+	// below decides the eviction either way.
+	if !t.clean() {
+		if err := m.checkpointTracker(t); err != nil {
+			m.opts.Logf("hibernate %s: checkpoint: %v", t.name, err)
+			return false
+		}
 	}
 	// ckptMu before mu (the checkpoint lock order): no checkpointer can
 	// be mid-serialize while the session goes away, and no new checkpoint
@@ -102,12 +117,14 @@ func (m *Manager) hibernate(t *Tracker) bool {
 	return true
 }
 
-// faultIn restores a hibernated tracker's session: decode its checkpoint
-// file, rebuild the session, and replay the WAL suffix past the
-// checkpoint's coverage. Called with t.mu held — the faulting request
-// owns the stub, and the tracker-lock → log-lock order matches the
-// ingest path's stage-under-mu. The stub's watermark maps, counters, and
-// walLSN survived eviction untouched; only the session is rebuilt.
+// faultIn restores a hibernated tracker's session from its checkpoint
+// file alone. The stub's walLSN is the tracker's last own log record and
+// the file must cover exactly it; equal cursors prove the WAL holds
+// nothing to replay, so the log (and its mutex) is never touched. A
+// mismatch — the file was replaced behind the manager's back — fails the
+// fault-in with the session not installed; a restart recovers through the
+// WAL. Called with t.mu held: the faulting request owns the stub, whose
+// watermark maps, counters, and walLSN survived eviction untouched.
 //
 //distlint:caller-holds mu
 func (m *Manager) faultIn(t *Tracker) error {
@@ -115,32 +132,15 @@ func (m *Manager) faultIn(t *Tracker) error {
 	if err != nil {
 		return fmt.Errorf("service: faulting in %s: %w", t.name, err)
 	}
+	if env.WalLSN != t.walLSN {
+		return fmt.Errorf("service: faulting in %s: %w: file covers WAL LSN %d, stub is at %d",
+			t.name, errStaleCheckpoint, env.WalLSN, t.walLSN)
+	}
 	sess, err := distmat.RestoreSession(bytes.NewReader(env.State))
 	if err != nil {
 		return fmt.Errorf("service: faulting in %s: %w", t.name, err)
 	}
 	t.sess = sess
-	if m.wal != nil {
-		err := m.wal.ReplayFrom(env.WalLSN, func(rec *wal.Record) error {
-			if rec.Tracker != t.name {
-				return nil
-			}
-			switch rec.Kind {
-			case wal.KindRows, wal.KindItems:
-				if rerr := t.replayRecordLocked(rec); rerr != nil {
-					// Same contract as Open-time replay: a deterministic
-					// session rejection replays as the same skip.
-					m.opts.Logf("fault-in replay: LSN %d on %s: %v (skipped)", rec.LSN, t.name, rerr)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			sess.Close()
-			t.sess = nil
-			return fmt.Errorf("service: faulting in %s: %w", t.name, err)
-		}
-	}
 	m.resident.Add(1)
 	m.faults.Add(1)
 	t.touch()

@@ -68,8 +68,8 @@ func stateOf(t *testing.T, tr *service.Tracker) []byte {
 
 // TestHibernationSoakBitIdentical is the hibernation acceptance test: a
 // WAL-enabled manager capped at MaxResident=4 hosts 18 trackers hammered
-// by concurrent feeders, so sessions churn through evict → checkpoint →
-// fault-in → WAL-replay cycles throughout the run. Every tracker is fed
+// by concurrent feeders, so sessions churn through checkpoint → evict →
+// fault-in cycles throughout the run. Every tracker is fed
 // in lockstep with a twin on an uncapped oracle manager, and at the end
 // each faulted-in tracker's serialized state must be bit-identical
 // (distmat.StateEqual) to its never-hibernated oracle.

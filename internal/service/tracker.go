@@ -36,7 +36,7 @@ type ingestReq struct {
 // tracker hibernates — its state is checkpointed, the session released,
 // and the Tracker left as a stub (sess == nil under mu) holding only
 // watermarks, counters, and the WAL cursor. The next ingest or query
-// faults the session back in from the checkpoint plus the WAL suffix.
+// faults the session back in from the checkpoint alone.
 // See ensureSessionLocked for the stub locking contract.
 type Tracker struct {
 	name        string
@@ -77,11 +77,13 @@ type Tracker struct {
 
 	// dur, when set (WAL-enabled manager, persistable tracker), write-ahead
 	// logs every direct/HTTP batch before it is applied. walLSN is the
-	// highest WAL LSN whose effects are in sess — staged in the same mu
+	// LSN of the tracker's last own log record — staged in the same mu
 	// critical section as the apply, so a checkpoint captured under mu
-	// records exactly the log prefix its state contains; walCkpt is the
-	// walLSN the last durable checkpoint file covers (the tracker's WAL
-	// compaction floor, and the replay cursor a fault-in resumes from).
+	// records exactly the log prefix its state contains; every advance
+	// also sets dirty. walCkpt is the walLSN the last durable checkpoint
+	// file covers: the tracker's WAL compaction floor while it trails
+	// walLSN, and the cursor a fault-in checks the file against (a stub's
+	// walLSN equals it — see tenancy.go).
 	dur *durability
 	//distlint:guarded-by mu
 	walLSN  uint64
@@ -157,8 +159,16 @@ func (t *Tracker) resident() bool {
 	return t.sess != nil
 }
 
-// ensureSessionLocked faults a hibernated tracker's session back in:
-// checkpoint restore plus WAL replay beyond the checkpoint's coverage.
+// clean reports whether the tracker's checkpoint file already holds its
+// state: nothing applied or logged since the last successful checkpoint.
+func (t *Tracker) clean() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return !t.dirty && t.lastCkpt.Load() != 0
+}
+
+// ensureSessionLocked faults a hibernated tracker's session back in from
+// its checkpoint file.
 //
 // The stub locking contract: t.sess may be nil whenever t.mu is held.
 // Every code path that dereferences t.sess must either call this first
@@ -251,7 +261,9 @@ func (t *Tracker) apply(req ingestReq) error {
 				t.mu.Unlock()
 				return err
 			}
-			t.walLSN = lsn
+			// Dirty even if the session rejects the batch: the checkpoint
+			// file's cursor is now behind the log.
+			t.walLSN, t.dirty = lsn, true
 			walLSN = lsn
 			logged = true
 		}
@@ -429,20 +441,10 @@ func (t *Tracker) IngestItems(ctx context.Context, site int, items []distmat.Wei
 func (t *Tracker) replayRecord(rec *wal.Record) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.replayRecordLocked(rec)
-}
-
-// replayRecordLocked is replayRecord for callers already inside the
-// tracker's critical section — Open-time recovery via replayRecord, and
-// the fault-in path replaying the WAL suffix into a just-restored
-// session.
-//
-//distlint:caller-holds mu
-func (t *Tracker) replayRecordLocked(rec *wal.Record) error {
 	if rec.LSN <= t.walLSN {
 		return nil
 	}
-	t.walLSN = rec.LSN
+	t.walLSN, t.dirty = rec.LSN, true
 	before := t.sess.Count()
 	var err error
 	switch rec.Kind {
@@ -468,7 +470,6 @@ func (t *Tracker) replayRecordLocked(rec *wal.Record) error {
 	if n := t.sess.Count() - before; n > 0 {
 		t.ingested.Add(n)
 		t.batches.Add(1)
-		t.dirty = true
 	}
 	return err
 }
@@ -629,8 +630,8 @@ func (t *Tracker) QueryQuantiles(phis []float64) ([]uint64, distmat.Snapshot, er
 
 // SaveState serializes the session's persistence stream to w under the
 // tracker lock, faulting a hibernated tracker back in first — so the
-// stream a stub produces is exactly what its checkpoint + WAL suffix
-// restore to (compare with distmat.StateEqual).
+// stream a stub produces is exactly what its checkpoint restores to
+// (compare with distmat.StateEqual).
 func (t *Tracker) SaveState(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

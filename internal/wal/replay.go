@@ -2,11 +2,12 @@ package wal
 
 import "fmt"
 
-// ReplayFrom hands every record with LSN > after to fn, in LSN order:
-// the per-tracker replay cursor behind service-layer tracker
-// hibernation. A tracker faulted back in from its checkpoint replays
-// only the log suffix past the checkpoint's WAL coverage, exactly as
-// Open would after a restart.
+// ReplayFrom hands every record with LSN > after to fn, in LSN order —
+// a live re-read of the log suffix past a cursor, exactly what Open would
+// replay after a restart. internal/service no longer calls it: a
+// hibernated tracker's own WAL cursor proves its suffix holds none of its
+// records, so fault-in restores the checkpoint and never reads the log.
+// It stays for tools that measure or inspect a live log.
 //
 // The scan runs under the log mutex — appends and flushes wait for it —
 // so the suffix it delivers is a consistent instant of the log. Records

@@ -7,8 +7,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# Two legs, as in CI: the default build (on amd64 the assembly gramRow body
+# where the CPU has AVX2) and the purego tag's portable body over the
+# packages whose results depend on the Gram kernel. testdata/golden-*.ckpt
+# must pass on both: that is the bodies' bit-identity at system level.
 test:
 	$(GO) test ./...
+	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch .
 
 race:
 	$(GO) test -race ./...
@@ -46,14 +51,17 @@ bench-compare:
 # zero-allocation assertions, the ≥2× sharded scaling floor at 4 workers,
 # the shared-ingestion-pool never-slower floor (pool at 4 workers ≥
 # 0.5× a 16-lane pool), the HTTP ingest decoder's floor (≥ 2× the
-# encoding/json oracle on a 256 × 44 rows body, 0 allocs per decode), and
-# the hibernation fault-in floor (behind a 64 MiB log of other trackers'
+# encoding/json oracle on a 256 × 44 rows body, 0 allocs per decode), the
+# hibernation fault-in floor (behind a 64 MiB log of other trackers'
 # records ≤ 2× what it costs behind an empty log: fault-in never reads the
-# WAL). The scaling guards need ≥4 procs and skip — loudly — on smaller
-# machines.
+# WAL), and the Gram kernel's floor (Sym.AddBlock under the AVX2 gramRow
+# body ≥ 2.5× the portable body at 64 × 44 and ≥ 2× at 256 × 44, and a
+# 63-row block ≤ 1.3× a 64-row one: no scalar cliff off a multiple of
+# four rows). The scaling guards need ≥4 procs, the kernel guard an
+# AVX2 CPU; both skip — loudly — on machines without.
 # CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard' -v -count=1 ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

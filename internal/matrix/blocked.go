@@ -44,31 +44,12 @@ const addBlockCutoff = 4
 //
 //distlint:hotpath
 func (s *Sym) AddBlock(rows [][]float64, scratch *Dense) {
-	n := len(rows)
-	d := s.n
 	for i, row := range rows {
-		if len(row) != d {
-			panic(fmt.Sprintf("matrix: block row %d of length %d, want %d", i, len(row), d))
+		if len(row) != s.n {
+			panic(fmt.Sprintf("matrix: block row %d of length %d, want %d", i, len(row), s.n))
 		}
 	}
-	if n == 0 {
-		return
-	}
-	if n < addBlockCutoff || scratch == nil {
-		for _, row := range rows {
-			s.AddOuter(1, row)
-		}
-		return
-	}
-	// Pack B column-major: scratch row j is column j of B, so every Gram
-	// entry below is one contiguous dot product of length n.
-	*scratch = *reuseDense(scratch, d, n, false)
-	for i, row := range rows {
-		for j, v := range row {
-			scratch.data[j*n+i] = v
-		}
-	}
-	s.addPackedColumns(scratch)
+	s.addRowBlock(len(rows), rows, nil, scratch)
 }
 
 // AddDenseBlock is AddBlock for a Dense row block (rows lo ≤ i < hi come
@@ -79,46 +60,86 @@ func (s *Sym) AddDenseBlock(b *Dense, scratch *Dense) {
 	if b.cols != s.n {
 		panic(fmt.Sprintf("matrix: %d-column block into %d×%d", b.cols, s.n, s.n))
 	}
-	n, d := b.rows, s.n
-	if n == 0 {
-		return
+	s.addRowBlock(b.rows, nil, b.data, scratch)
+}
+
+// blockRow is row i of a block of d-column rows held either as slices (rows
+// non-nil) or row-major in flat.
+func blockRow(rows [][]float64, flat []float64, d, i int) []float64 {
+	if rows != nil {
+		return rows[i][:d]
 	}
+	return flat[i*d : (i+1)*d]
+}
+
+// addRowBlock is the body of AddBlock and AddDenseBlock over an n-row block
+// in either of blockRow's forms: short blocks and a nil scratch take the
+// rank-1 loop; otherwise B is packed column-major (scratch row j is column j
+// of B, so every Gram entry is one contiguous dot product of length n), the
+// upper triangle of BᵀB is added a Gram row at a time, and the result is
+// mirrored onto the lower so s stays exactly symmetric.
+//
+//distlint:hotpath
+func (s *Sym) addRowBlock(n int, rows [][]float64, flat []float64, scratch *Dense) {
+	d := s.n
 	if n < addBlockCutoff || scratch == nil {
 		for i := 0; i < n; i++ {
-			s.AddOuter(1, b.Row(i))
+			s.AddOuter(1, blockRow(rows, flat, d, i))
 		}
 		return
 	}
 	*scratch = *reuseDense(scratch, d, n, false)
-	for i := 0; i < n; i++ {
-		row := b.data[i*d : (i+1)*d]
-		for j, v := range row {
-			scratch.data[j*n+i] = v
-		}
-	}
-	s.addPackedColumns(scratch)
-}
-
-// addPackedColumns adds BᵀB to s given the column-major packing of B
-// (packed row j = column j of B): the upper triangle is computed with
-// contiguous unrolled dots and mirrored onto the lower.
-//
-//distlint:hotpath
-func (s *Sym) addPackedColumns(packed *Dense) {
-	d, n := packed.rows, packed.cols
+	packed := scratch.data
+	packColumns(packed, n, d, rows, flat)
 	for j := 0; j < d; j++ {
-		cj := packed.data[j*n : (j+1)*n]
-		row := s.data[j*d : (j+1)*d]
-		for k := j; k < d; k++ {
-			ck := packed.data[k*n : (k+1)*n]
-			row[k] += dotUnrolled(cj, ck)
-		}
+		gramRow(packed[j*n:(j+1)*n], packed[j*n:], n, s.data[j*d+j:(j+1)*d])
 	}
-	// Mirror the updated upper triangle; s stays exactly symmetric.
 	for j := 0; j < d; j++ {
 		for k := j + 1; k < d; k++ {
 			s.data[k*d+j] = s.data[j*d+k]
 		}
+	}
+}
+
+// packColumns writes the n-row block column-major into packed (column j at
+// packed[j·n:(j+1)·n]), eight rows at a time so that each run of stores fills
+// one cache line of a packed column: a row at a time the stores stride by n,
+// which at n = 256 lands every column in the same two L1 sets. The last tile
+// of a block that is not a multiple of eight rows backs up over rows already
+// packed.
+//
+//distlint:hotpath
+func packColumns(packed []float64, n, d int, rows [][]float64, flat []float64) {
+	if n < 8 {
+		for i := 0; i < n; i++ {
+			for j, v := range blockRow(rows, flat, d, i) {
+				packed[j*n+i] = v
+			}
+		}
+		return
+	}
+	for i := 0; i < n; i += 8 {
+		i = min(i, n-8)
+		r0, r1, r2, r3 := blockRow(rows, flat, d, i), blockRow(rows, flat, d, i+1), blockRow(rows, flat, d, i+2), blockRow(rows, flat, d, i+3)
+		r4, r5, r6, r7 := blockRow(rows, flat, d, i+4), blockRow(rows, flat, d, i+5), blockRow(rows, flat, d, i+6), blockRow(rows, flat, d, i+7)
+		for j := 0; j < d; j++ {
+			p := packed[j*n+i : j*n+i+8]
+			p[0], p[1], p[2], p[3] = r0[j], r1[j], r2[j], r3[j]
+			p[4], p[5], p[6], p[7] = r4[j], r5[j], r6[j], r7[j]
+		}
+	}
+}
+
+// gramRowGo is the portable body of gramRow and the specification of every
+// other: out[m] += dotUnrolled(cj, column m of cols) for each m, where the
+// columns are n long and contiguous in cols. An assembly body must produce
+// the same bits (see CONTRIBUTING.md, "Kernels").
+//
+//distlint:hotpath
+func gramRowGo(cj, cols []float64, n int, out []float64) {
+	cj = cj[:n]
+	for m := range out {
+		out[m] += dotUnrolled(cj, cols[m*n:(m+1)*n])
 	}
 }
 

@@ -29,11 +29,27 @@ bench:
 # bench/ is its own module (the repo's end-to-end benchmark, BENCHMARK.json)
 # compiled against repro, internal/core and internal/service; `go build
 # ./...` and `go test ./...` at the root see none of it. This keeps it
-# building and its own tests (including the ~17 s smoke suite) passing
-# against the tree. CI runs exactly this target.
+# building, its own tests passing and every workload running against the
+# tree. CI runs exactly this target.
+#
+# The smoke runs go through the command line, not TestSmokeSuite, whose
+# http-json leg cannot pass since ISSUE 19: the smoke phase is 16 script
+# periods sized for the old decoder, the server now ends them inside one
+# 0.4 s window, and a run needs one whole window. bench/ is closed to a
+# perf PR, so until ROADMAP item 5 sizes that phase by elapsed windows
+# http-json takes a short full-mode run (--seconds 6: ≈ 4 windows) and the
+# other three their smoke runs, untraced and traced; each exits non-zero on
+# a failed op, a violated check or a metric that is not a number.
+BENCH_RUN = $(GO) -C bench run repro/bench --seed 1
 bench-check:
 	$(GO) -C bench vet ./...
-	$(GO) -C bench test ./...
+	$(GO) -C bench test -skip '^TestSmokeSuite$$' ./...
+	set -e; for t in 0 1; do \
+		$(BENCH_RUN) --workload http-json --seconds 6 --trace $$t >/dev/null; \
+		for w in wire-stream sharded-query durable-tenancy; do \
+			$(BENCH_RUN) --workload $$w -smoke --trace $$t >/dev/null; \
+		done; \
+	done
 
 # benchstat-style old-vs-new comparison: regenerate into a scratch file and
 # diff it against the committed artifact, promoting the new numbers only
@@ -50,8 +66,9 @@ bench-compare:
 # batch never-slower guard, the FD blocked-ingest guard, the steady-state
 # zero-allocation assertions, the ≥2× sharded scaling floor at 4 workers,
 # the shared-ingestion-pool never-slower floor (pool at 4 workers ≥
-# 0.5× a 16-lane pool), the HTTP ingest decoder's floor (≥ 2× the
-# encoding/json oracle on a 256 × 44 rows body, 0 allocs per decode), the
+# 0.5× a 16-lane pool), the HTTP ingest decoder's floor (≥ 4× the
+# encoding/json oracle on a 256 × 44 rows body, still ≥ 2× when every token
+# has 25 digits and takes the strconv fallback, 0 allocs per decode), the
 # hibernation fault-in floor (behind a 64 MiB log of other trackers'
 # records ≤ 2× what it costs behind an empty log: fault-in never reads the
 # WAL), and the Gram kernel's floor (Sym.AddBlock under the AVX2 gramRow

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -163,57 +164,111 @@ func (s *scanner) null() bool {
 	return true
 }
 
-// digits returns the index past the run of decimal digits at d[i:].
-func digits(d []byte, i int) int {
-	for d[i]-'0' <= 9 {
-		i++
-	}
-	return i
-}
-
-// number matches the RFC 8259 number grammar under the cursor, steps past
-// it and returns the token, or "" with the scan failed. It is what keeps
-// the spellings strconv takes but JSON forbids (+1, 01, .5, 1., 0x1p-3,
-// Inf, NaN, 1_0) out: strconv only ever sees a token this accepted.
-// integer stops the token before a fraction or exponent, which then fails
-// the scan as encoding/json fails 1.0 and 1e2 for integer fields.
+// number matches the integer subset of the RFC 8259 number grammar under
+// the cursor, -?(0|[1-9][0-9]*), steps past it and returns its sign and
+// magnitude; ok is false, with the cursor still past the digits, when the
+// magnitude overflows uint64. A token that is no integer (+1, 01, a bare
+// '-') fails the scan; a fraction or exponent is left under the cursor,
+// where it fails the scan next, as encoding/json fails 1.0 and 1e2 for
+// integer fields.
 //
 //distlint:hotpath
-func (s *scanner) number(integer bool) string {
+func (s *scanner) number() (neg bool, v uint64, ok bool) {
 	d, i := s.d, s.i
-	if d[i] == '-' {
+	if neg = d[i] == '-'; neg {
 		i++
 	}
-	end := digits(d, i)
-	ok := end > i && (d[i] != '0' || end == i+1) // some digits, no leading zero
-	if ok && d[end] == '.' && !integer {
-		i = end + 1
-		end = digits(d, i)
-		ok = end > i
-	}
-	if ok && d[end]|0x20 == 'e' && !integer {
-		i = end + 1
-		if d[i] == '+' || d[i] == '-' {
-			i++
+	first, ok := i, true
+	for c := uint64(d[i] - '0'); c <= 9; c = uint64(d[i] - '0') {
+		if v > (math.MaxUint64-c)/10 {
+			ok = false
 		}
-		end = digits(d, i)
-		ok = end > i
+		v = v*10 + c
+		i++
 	}
-	if !ok {
+	if i == first || (d[first] == '0' && i > first+1) { // no digits, or a leading zero
 		s.fail("want a number")
-		return ""
+		return neg, 0, false
 	}
-	tok := unsafe.String(&d[s.i], end-s.i)
-	s.i = end
-	return tok
+	s.i = i
+	return neg, v, ok
 }
 
-// float converts exactly as encoding/json does — strconv.ParseFloat over
-// the literal — so decoded values are bit-identical to the old path's.
+// digitRun folds the run of decimal digits at d[i:] into man, wrapping
+// past 64 bits, and returns it with the index past the run.
+func digitRun(d []byte, i int, man uint64) (uint64, int) {
+	for c := d[i] - '0'; c <= 9; c = d[i] - '0' {
+		man = man*10 + uint64(c)
+		i++
+	}
+	return man, i
+}
+
+// float reads the RFC 8259 number under the cursor in one walk: the same
+// pass that enforces the grammar — keeping out the spellings strconv takes
+// but JSON forbids (+1, 01, .5, 1., 0x1p-3, Inf, NaN, 1_0) — gathers the
+// decimal mantissa and exponent, which decimalToFloat then rounds. The
+// result is bit-identical to strconv.ParseFloat over the literal, which is
+// what encoding/json returns: every token the fast conversion declines
+// (more than 19 significant digits, an undecidable rounding, a subnormal or
+// out-of-range value) goes to ParseFloat itself, which so stays the
+// specification and the only source of the range error.
 //
 //distlint:hotpath
 func (s *scanner) float() float64 {
-	v, err := strconv.ParseFloat(s.number(false), 64)
+	d, i := s.d, s.i
+	neg := d[i] == '-'
+	if neg {
+		i++
+	}
+	// man wraps past 19 significant digits; sig below sends those tokens to
+	// the fallback before man is looked at.
+	first := i
+	man, i := digitRun(d, i, 0)
+	sig, exp10 := i-first, 0
+	ok := sig > 0 && (d[first] != '0' || sig == 1) // some digits, no leading zero
+	if ok && d[i] == '.' {
+		frac := i + 1
+		if i = frac; man == 0 { // 0.000…: walked, not significant
+			for sig = 0; d[i] == '0'; i++ {
+			}
+		}
+		nz := i
+		man, i = digitRun(d, i, man)
+		ok = i > frac
+		sig, exp10 = sig+i-nz, frac-i
+	}
+	if ok && d[i]|0x20 == 'e' {
+		i++
+		eneg := d[i] == '-'
+		if eneg || d[i] == '+' {
+			i++
+		}
+		e, efirst := 0, i
+		for c := d[i] - '0'; c <= 9; c = d[i] - '0' {
+			if e < 10000 { // saturate where strconv does, so exp10 is its dp − nd on every token
+				e = e*10 + int(c)
+			}
+			i++
+		}
+		ok = i > efirst
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	if !ok {
+		s.fail("want a number")
+		return 0
+	}
+	tok := unsafe.String(&d[s.i], i-s.i)
+	s.i = i
+	if sig <= 19 {
+		if v, ok := decimalToFloat(man, exp10, neg); ok {
+			return v
+		}
+	}
+	v, err := strconv.ParseFloat(tok, 64)
 	if err != nil {
 		s.fail("number out of float64 range")
 	}
@@ -251,8 +306,8 @@ func (b *ingestBuf) decode(r *http.Request, items bool) (site int, err error) {
 		case key == "site" && !seenSite:
 			seenSite = true
 			if !s.null() {
-				v, err := strconv.ParseInt(s.number(true), 10, 0)
-				if err != nil || v < 0 {
+				neg, v, ok := s.number()
+				if !ok || v > math.MaxInt || neg && v != 0 {
 					s.fail("site wants a non-negative integer")
 				}
 				site = int(v)
@@ -337,10 +392,11 @@ func (b *ingestBuf) scanItems(s *scanner) {
 			case name == weight && !s.null():
 				it.Weight = s.float()
 			case name != weight:
-				var err error
-				if it.Elem, err = strconv.ParseUint(s.number(true), 10, 64); err != nil {
+				neg, v, ok := s.number()
+				if neg || !ok {
 					s.fail("elem/value wants an unsigned 64-bit integer")
 				}
+				it.Elem = v
 			}
 			seen |= name
 		}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -128,7 +127,7 @@ func (s *CoordinatorServer) Serve() error {
 
 func (s *CoordinatorServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	dec := wire.NewDecoder(bufio.NewReader(conn), nil)
+	dec := wire.NewDecoder(conn, nil)
 	writer := &connWriter{enc: wire.NewEncoder(conn, nil), c: conn}
 
 	// First frame must be the site registration.
@@ -243,7 +242,7 @@ func DialSite(addr string, id int, recv BroadcastReceiver) (*SiteClient, error) 
 
 func (c *SiteClient) readLoop(recv BroadcastReceiver) {
 	defer close(c.done)
-	dec := wire.NewDecoder(bufio.NewReader(c.conn), nil)
+	dec := wire.NewDecoder(c.conn, nil)
 	for {
 		f, err := dec.Next()
 		if err != nil {

@@ -10,9 +10,11 @@ import (
 
 // Encoder writes frames to one stream. Each frame is staged — header and
 // payload — in a single pooled buffer and written with one Write call, so
-// a frame is never interleaved with another writer's bytes as long as
-// callers serialize Encode* calls (SiteConn and CoordListener both guard
-// their encoder with a mutex). Not safe for concurrent use.
+// a frame is never interleaved with another writer's bytes as long as one
+// goroutine at a time writes to the stream: a CoordListener connection's
+// serving goroutine owns its encoder, a SiteConn's handshake encoder is
+// done before its writer goroutine starts, and internal/node guards its
+// encoders with a mutex. Not safe for concurrent use.
 type Encoder struct {
 	w     io.Writer
 	buf   []byte // staging: header + payload
@@ -35,15 +37,20 @@ func (e *Encoder) stage(n int) []byte {
 	return e.buf[:total]
 }
 
-// finish seals the staged frame — header fields and payload CRC — and
-// writes it with a single Write.
+// seal fills in the header of a staged frame — magic, version, kind, and
+// the length and CRC of the payload behind it.
+func seal(kind Kind, frame []byte) {
+	payload := frame[HeaderSize:]
+	binary.LittleEndian.PutUint16(frame[0:2], Magic)
+	frame[2] = Version
+	frame[3] = uint8(kind)
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
+}
+
+// finish seals the staged frame and writes it with a single Write.
 func (e *Encoder) finish(kind Kind, buf []byte) error {
-	payload := buf[HeaderSize:]
-	binary.LittleEndian.PutUint16(buf[0:2], Magic)
-	buf[2] = Version
-	buf[3] = uint8(kind)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
+	seal(kind, buf)
 	if _, err := e.w.Write(buf); err != nil {
 		return fmt.Errorf("wire: writing %v frame: %w", kind, err)
 	}
@@ -102,16 +109,35 @@ func (e *Encoder) Error(msg string) error {
 }
 
 // RowBlock writes a numbered row block. Every row must have dim entries;
-// the caller (SiteConn validates on SendBlock) guarantees it.
+// the caller guarantees it.
 //
 //distlint:hotpath
 func (e *Encoder) RowBlock(seq uint64, site int, dim int, rows [][]float64) error {
+	buf, err := rowBlockFrame(e.buf, seq, site, dim, rows)
+	if err != nil {
+		return err
+	}
+	e.buf = buf
+	return e.finish(KindRowBlock, buf)
+}
+
+// rowBlockFrame builds the sealed frame of one row block in buf's storage,
+// reallocating when that is too small, and returns it. It is the one
+// writer of the row-block layout: Encoder.RowBlock stages through it and
+// SiteConn.SendBlock retains what it returns. Every row must have dim
+// entries (SendBlock validates).
+//
+//distlint:hotpath
+func rowBlockFrame(buf []byte, seq uint64, site int, dim int, rows [][]float64) ([]byte, error) {
 	n := len(rows)
 	payload := rowBlockHeadSize + n*dim*8
 	if payload > MaxPayload {
-		return fmt.Errorf("%w: %d rows × dim %d", ErrFrameTooLarge, n, dim) //distlint:alloc-ok oversize-frame error path
+		return buf, fmt.Errorf("%w: %d rows × dim %d", ErrFrameTooLarge, n, dim) //distlint:alloc-ok oversize-frame error path
 	}
-	buf := e.stage(payload) //distlint:alloc-ok stage pools its buffer; growth stops at the high-water block size
+	if cap(buf) < HeaderSize+payload {
+		buf = make([]byte, HeaderSize+payload) //distlint:alloc-ok growth stops at the high-water block size
+	}
+	buf = buf[:HeaderSize+payload]
 	p := buf[HeaderSize:]
 	binary.LittleEndian.PutUint64(p[0:8], seq)
 	binary.LittleEndian.PutUint32(p[8:12], uint32(site))
@@ -119,36 +145,11 @@ func (e *Encoder) RowBlock(seq uint64, site int, dim int, rows [][]float64) erro
 	binary.LittleEndian.PutUint32(p[16:20], uint32(dim))
 	off := rowBlockHeadSize
 	for _, row := range rows {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
-			off += 8
-		}
+		putFloats(p[off:], row)
+		off += len(row) * 8
 	}
-	return e.finish(KindRowBlock, buf)
-}
-
-// RowBlockFlat writes a row block from row-major flat storage — the
-// retransmit path, which retains blocks flattened.
-//
-//distlint:hotpath
-func (e *Encoder) RowBlockFlat(seq uint64, site int, dim int, flat []float64) error {
-	n := len(flat) / dim
-	payload := rowBlockHeadSize + len(flat)*8
-	if payload > MaxPayload {
-		return fmt.Errorf("%w: %d rows × dim %d", ErrFrameTooLarge, n, dim) //distlint:alloc-ok oversize-frame error path
-	}
-	buf := e.stage(payload) //distlint:alloc-ok stage pools its buffer; growth stops at the high-water block size
-	p := buf[HeaderSize:]
-	binary.LittleEndian.PutUint64(p[0:8], seq)
-	binary.LittleEndian.PutUint32(p[8:12], uint32(site))
-	binary.LittleEndian.PutUint32(p[12:16], uint32(n))
-	binary.LittleEndian.PutUint32(p[16:20], uint32(dim))
-	off := rowBlockHeadSize
-	for _, v := range flat {
-		binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
-		off += 8
-	}
-	return e.finish(KindRowBlock, buf)
+	seal(KindRowBlock, buf)
+	return buf, nil
 }
 
 // MsgBlock writes a batch of node-runtime messages as one frame.
@@ -174,65 +175,112 @@ func (e *Encoder) MsgBlock(ms []Msg) error {
 		binary.LittleEndian.PutUint64(p[off+13:off+21], math.Float64bits(m.Value))
 		binary.LittleEndian.PutUint32(p[off+21:off+25], uint32(len(m.Vec)))
 		off += msgHeadSize
-		for _, v := range m.Vec {
-			binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
-			off += 8
-		}
+		putFloats(p[off:], m.Vec)
+		off += len(m.Vec) * 8
 	}
 	return e.finish(KindMsgBlock, buf)
 }
 
-// Decoder reads frames from one stream into pooled buffers. The Frame
-// returned by Next — including row and vector views — is valid until the
-// following Next call. Not safe for concurrent use.
+// readAhead is the size of a Decoder's buffer unless a frame outgrows it:
+// one Read takes in whatever whole frames the socket has, up to this.
+const readAhead = 256 << 10
+
+// Decoder reads frames from one stream through its own read-ahead buffer:
+// one Read takes in as many frames as the stream has ready, and headers
+// and CRCs are checked where the bytes landed. Decoded values never alias
+// that buffer — rows and vectors are copied into pooled storage — and the
+// Frame returned by Next, views included, is valid until the following
+// Next call. Not safe for concurrent use.
 type Decoder struct {
-	r       io.Reader
-	hdr     [HeaderSize]byte
-	payload []byte // pooled payload buffer
-	floats  []float64
-	rowHdrs [][]float64
-	msgs    []Msg
-	frame   Frame
-	stats   *Stats
+	r          io.Reader
+	buf        []byte // buf[rd:wr] is read but not yet decoded
+	rd, wr     int
+	maxPayload uint32 // largest payload accepted: MaxPayload, less before a listener's handshake
+	floats     []float64
+	rowHdrs    [][]float64
+	msgs       []Msg
+	frame      Frame
+	stats      *Stats
 }
 
 // NewDecoder builds a decoder over r, counting traffic into stats (which
-// may be nil). Wrap r in a bufio.Reader when it is a raw net.Conn.
+// may be nil). It buffers for itself; hand it the raw net.Conn.
 func NewDecoder(r io.Reader, stats *Stats) *Decoder {
-	return &Decoder{r: r, stats: stats}
+	return &Decoder{r: r, maxPayload: MaxPayload, stats: stats}
+}
+
+// fill reads until need bytes are buffered from rd on, and returns the
+// reader's error as it came when the stream ends or fails short of that.
+// A partial frame is first moved to the front. The buffer grows only for
+// a frame larger than it, and only as that frame's bytes arrive — doubling
+// when full, never past the frame — so a header reserves nothing until
+// the payload it promises is on the wire.
+//
+//distlint:hotpath
+func (d *Decoder) fill(need int) error {
+	if d.wr-d.rd >= need {
+		return nil
+	}
+	if d.rd > 0 {
+		d.wr = copy(d.buf, d.buf[d.rd:d.wr])
+		d.rd = 0
+	}
+	for d.wr < need {
+		if d.wr == len(d.buf) {
+			grown := make([]byte, max(readAhead, min(need, 2*len(d.buf)))) //distlint:alloc-ok growth stops at the high-water frame size
+			copy(grown, d.buf)
+			d.buf = grown
+		}
+		n, err := d.r.Read(d.buf[d.wr:])
+		d.wr += n
+		if err != nil && d.wr < need {
+			return err
+		}
+	}
+	return nil
 }
 
 // Next reads, verifies, and decodes the next frame. The returned pointer
 // aliases the decoder's single frame slot: it is overwritten by the next
 // call.
 func (d *Decoder) Next() (*Frame, error) {
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
-		return nil, err // io.EOF between frames is the clean-close signal
+	if err := d.fill(HeaderSize); err != nil {
+		// io.EOF between frames is the clean-close signal.
+		if err == io.EOF && d.wr > d.rd {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
-	if binary.LittleEndian.Uint16(d.hdr[0:2]) != Magic {
+	hdr := d.buf[d.rd : d.rd+HeaderSize]
+	if binary.LittleEndian.Uint16(hdr[0:2]) != Magic {
 		return nil, ErrBadMagic
 	}
-	if d.hdr[2] != Version {
-		return nil, fmt.Errorf("%w: got %d, speak %d", ErrVersion, d.hdr[2], Version)
+	if hdr[2] != Version {
+		return nil, fmt.Errorf("%w: got %d, speak %d", ErrVersion, hdr[2], Version)
 	}
-	kind := Kind(d.hdr[3])
-	n := binary.LittleEndian.Uint32(d.hdr[4:8])
-	if n > MaxPayload {
+	kind := Kind(hdr[3])
+	n := binary.LittleEndian.Uint32(hdr[4:8])
+	crc := binary.LittleEndian.Uint32(hdr[8:12])
+	if n > d.maxPayload {
 		return nil, fmt.Errorf("%w: %d-byte payload", ErrFrameTooLarge, n)
 	}
-	if cap(d.payload) < int(n) {
-		d.payload = make([]byte, n)
-	}
-	p := d.payload[:n]
-	if _, err := io.ReadFull(d.r, p); err != nil {
+	total := HeaderSize + int(n)
+	if err := d.fill(total); err != nil { // may move the buffer: hdr is dead
+		// As io.ReadFull said it: EOF right behind the header, cut short
+		// inside the payload.
+		if err == io.EOF && d.wr-d.rd > HeaderSize {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("wire: reading %v payload: %w", kind, err)
 	}
-	if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(d.hdr[8:12]) {
+	p := d.buf[d.rd+HeaderSize : d.rd+total]
+	d.rd += total
+	if crc32.ChecksumIEEE(p) != crc {
 		return nil, fmt.Errorf("%w: %v frame", ErrChecksum, kind)
 	}
 	if d.stats != nil {
 		d.stats.FramesIn.Add(1)
-		d.stats.BytesIn.Add(int64(HeaderSize + len(p)))
+		d.stats.BytesIn.Add(int64(total))
 	}
 
 	d.frame = Frame{Kind: kind}
@@ -296,7 +344,10 @@ func (d *Decoder) decodeRowBlock(p []byte) error {
 	site := int(binary.LittleEndian.Uint32(p[8:12]))
 	rows := int(binary.LittleEndian.Uint32(p[12:16]))
 	dim := int(binary.LittleEndian.Uint32(p[16:20]))
-	if rows < 0 || dim <= 0 || len(p) != rowBlockHeadSize+rows*dim*8 {
+	// Divide, never multiply: rows × dim × 8 of two wire uint32s can wrap
+	// to the payload's length.
+	body := len(p) - rowBlockHeadSize
+	if rows < 0 || dim <= 0 || body%(dim*8) != 0 || body/(dim*8) != rows {
 		return malformedf("row-block %d×%d in %d-byte payload", rows, dim, len(p)) //distlint:alloc-ok malformed-frame error path
 	}
 	total := rows * dim
@@ -307,11 +358,7 @@ func (d *Decoder) decodeRowBlock(p []byte) error {
 		d.rowHdrs = make([][]float64, rows) //distlint:alloc-ok pool growth to the high-water row count
 	}
 	flat := d.floats[:total]
-	off := rowBlockHeadSize
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8]))
-		off += 8
-	}
+	getFloats(flat, p[rowBlockHeadSize:])
 	hdrs := d.rowHdrs[:rows]
 	for i := range hdrs {
 		hdrs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
@@ -369,10 +416,8 @@ func (d *Decoder) decodeMsgBlock(p []byte) error {
 		off += msgHeadSize
 		if vecLen > 0 {
 			vec := flat[vecOff : vecOff+vecLen : vecOff+vecLen]
-			for j := range vec {
-				vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8]))
-				off += 8
-			}
+			getFloats(vec, p[off:])
+			off += vecLen * 8
 			msgs[i].Vec = vec
 			vecOff += vecLen
 		}

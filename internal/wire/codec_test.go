@@ -117,24 +117,46 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecFlatMatchesRows: the retransmit encoder (flat storage) emits
-// byte-identical frames to the [][]float64 encoder.
-func TestCodecFlatMatchesRows(t *testing.T) {
+// TestRowBlockFrameLayout pins the row-block frame byte for byte against
+// the layout frame.go specifies, written out float by float: what
+// Encoder.RowBlock writes and what SiteConn retains (rowBlockFrame into a
+// recycled, dirty, larger buffer) are both exactly that.
+func TestRowBlockFrameLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := randRows(rng, 8, 6)
-	flat := make([]float64, 0, 48)
+	want := make([]byte, HeaderSize+rowBlockHeadSize)
+	p := want[HeaderSize:]
+	binary.LittleEndian.PutUint64(p[0:8], 5)
+	binary.LittleEndian.PutUint32(p[8:12], 2)
+	binary.LittleEndian.PutUint32(p[12:16], 8)
+	binary.LittleEndian.PutUint32(p[16:20], 6)
 	for _, r := range rows {
-		flat = append(flat, r...)
+		for _, v := range r {
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+		}
 	}
-	var a, b bytes.Buffer
+	binary.LittleEndian.PutUint16(want[0:2], Magic)
+	want[2], want[3] = Version, uint8(KindRowBlock)
+	binary.LittleEndian.PutUint32(want[4:8], uint32(len(want)-HeaderSize))
+	reCRC(want)
+
+	var a bytes.Buffer
 	if err := NewEncoder(&a, nil).RowBlock(5, 2, 6, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewEncoder(&b, nil).RowBlockFlat(5, 2, 6, flat); err != nil {
+	if !bytes.Equal(a.Bytes(), want) {
+		t.Fatal("Encoder.RowBlock departs from the specified layout")
+	}
+	dirty := bytes.Repeat([]byte{0xA5}, 2*len(want))
+	frame, err := rowBlockFrame(dirty[:7], 5, 2, 6, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("flat and row encoders disagree")
+	if !bytes.Equal(frame, want) {
+		t.Fatal("a frame built in a recycled buffer departs from the specified layout")
+	}
+	if &frame[0] != &dirty[0] {
+		t.Fatal("rowBlockFrame reallocated a buffer that was large enough")
 	}
 }
 
@@ -193,6 +215,18 @@ func TestCodecMalformedPayloads(t *testing.T) {
 	reCRC(frame)
 	if _, err := NewDecoder(bytes.NewReader(frame), nil).Next(); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("row count lie: %v", err)
+	}
+
+	// A row-block whose rows × dim × 8 wraps to the (empty) body it has:
+	// 2³¹ × 2³⁰ × 8 = 2⁶⁴. The multiplying check let it through to a make
+	// that panics — a 32-byte frame from any peer took the process down.
+	binary.LittleEndian.PutUint32(p[12:16], 1<<31)
+	binary.LittleEndian.PutUint32(p[16:20], 1<<30)
+	wrapped := frame[:HeaderSize+rowBlockHeadSize]
+	binary.LittleEndian.PutUint32(wrapped[4:8], rowBlockHeadSize)
+	reCRC(wrapped)
+	if _, err := NewDecoder(bytes.NewReader(wrapped), nil).Next(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("row-block shape that wraps: %v", err)
 	}
 
 	// A hello whose name length overruns the payload.

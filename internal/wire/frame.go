@@ -43,7 +43,9 @@ const (
 	KindRowBlock
 
 	// KindAck acknowledges row blocks cumulatively, coordinator → site:
-	// the applied and durable watermarks after an ingest.
+	// the applied and durable watermarks as of the newest block ingested.
+	// One ack may cover several blocks (see CoordListener); a later ack
+	// makes every earlier one redundant.
 	KindAck
 
 	// KindMsgBlock is a batch of node-runtime protocol messages, either
@@ -86,7 +88,7 @@ type Hello struct {
 }
 
 // HelloAck carries the coordinator's watermarks for the (tracker, site)
-// stream at handshake; Ack carries the same pair after each ingest.
+// stream at handshake; Ack carries the same pair as ingestion advances it.
 //
 // Payload: applied uint64 | durable uint64.
 type HelloAck struct {
@@ -94,8 +96,9 @@ type HelloAck struct {
 	Durable uint64 // every seq ≤ Durable is checkpointed
 }
 
-// Ack is the cumulative acknowledgement after an applied row block.
-// Same payload layout as HelloAck.
+// Ack is the cumulative acknowledgement of applied row blocks: every seq
+// ≤ Applied is ingested, whether or not it had an ack of its own. Same
+// payload layout as HelloAck.
 type Ack struct {
 	Applied uint64
 	Durable uint64

@@ -1,8 +1,8 @@
 package wire
 
 import (
-	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -33,7 +33,9 @@ const helloTimeout = 30 * time.Second
 // CoordListener accepts SiteConn streams and feeds their row blocks to a
 // Handler. One goroutine serves each connection: it reads a Hello,
 // answers with the handler's watermarks, then applies blocks and acks
-// each one. Sequential per-connection handling means a slow handler
+// them cumulatively — the newest watermarks go out whenever the
+// connection must be read for more input, and at the latest every
+// ackEvery blocks. Sequential per-connection handling means a slow handler
 // backpressures the site through TCP and the site's in-flight window —
 // there is no unbounded queue between socket and tracker.
 type CoordListener struct {
@@ -119,6 +121,55 @@ func (l *CoordListener) Close() error {
 	return err
 }
 
+// ackEvery bounds how many applied blocks one deferred ack may cover: a
+// quarter of the default site window. With small frames a whole window
+// arrives in one read, and acking only when the buffer runs dry would
+// stall the site for a round trip per window.
+const ackEvery = 8
+
+// maxHelloPayload is the largest payload a well-formed Hello can have, and
+// all the listener lets a peer announce before it has shaken hands.
+const maxHelloPayload = 4 + 4 + 2 + math.MaxUint16
+
+// ackReader is the connection as the decoder reads it. The decoder reads
+// only when it has consumed every buffered frame, so the ack owed for the
+// blocks applied since the last one is written here, before the read can
+// block: an idle socket is fully acked, and buffered blocks share an ack.
+type ackReader struct {
+	conn net.Conn
+	enc  *Encoder
+	ack  Ack // newest watermarks
+	owed int // blocks applied since the last ack was written
+}
+
+// Read writes the owed ack, then reads the connection.
+//
+//distlint:hotpath
+func (a *ackReader) Read(p []byte) (int, error) {
+	if err := a.flush(); err != nil {
+		return 0, err
+	}
+	return a.conn.Read(p)
+}
+
+// flush writes the owed ack, if any.
+func (a *ackReader) flush() error {
+	if a.owed == 0 {
+		return nil
+	}
+	a.owed = 0
+	return a.enc.Ack(a.ack)
+}
+
+// fail ends the connection with an Error frame, behind the ack for
+// whatever was applied before it: the site's watermarks never trail the
+// tracker's.
+func (a *ackReader) fail(msg string) {
+	if a.flush() == nil {
+		_ = a.enc.Error(msg)
+	}
+}
+
 // serveConn runs one connection: handshake, then the block/ack loop.
 func (l *CoordListener) serveConn(conn net.Conn) {
 	defer func() {
@@ -130,8 +181,10 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 	}()
 
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	dec := NewDecoder(bufio.NewReader(conn), &l.stats)
 	enc := NewEncoder(conn, &l.stats)
+	acks := &ackReader{conn: conn, enc: enc}
+	dec := NewDecoder(acks, &l.stats)
+	dec.maxPayload = maxHelloPayload
 
 	f, err := dec.Next()
 	if err != nil || f.Kind != KindHello {
@@ -147,6 +200,7 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	dec.maxPayload = MaxPayload
 
 	for {
 		f, err := dec.Next()
@@ -156,19 +210,21 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 		switch f.Kind {
 		case KindRowBlock:
 			if f.Block.Site != site {
-				_ = enc.Error(fmt.Sprintf("wire: block for site %d on site %d's connection", f.Block.Site, site))
+				acks.fail(fmt.Sprintf("wire: block for site %d on site %d's connection", f.Block.Site, site))
 				return
 			}
 			applied, durable, err := l.h.RowBlock(tracker, site, f.Block.Seq, f.Block.Rows)
 			if err != nil {
-				_ = enc.Error(err.Error())
+				acks.fail(err.Error())
 				return
 			}
-			if err := enc.Ack(Ack{Applied: applied, Durable: durable}); err != nil {
+			acks.ack = Ack{Applied: applied, Durable: durable}
+			acks.owed++
+			if acks.owed >= ackEvery && acks.flush() != nil {
 				return
 			}
 		default:
-			_ = enc.Error(fmt.Sprintf("wire: unexpected %v frame", f.Kind))
+			acks.fail(fmt.Sprintf("wire: unexpected %v frame", f.Kind))
 			return
 		}
 	}

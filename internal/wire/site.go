@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -22,7 +21,10 @@ type SiteConfig struct {
 	// Window bounds blocks in flight: SendBlock waits once
 	// lastSeq − applied reaches it (default 32). This is the
 	// backpressure coupling — a slow or partitioned coordinator stalls
-	// the feeder instead of buffering unboundedly.
+	// the feeder instead of buffering unboundedly. Acks are cumulative
+	// and may trail the blocks applied by up to 8 while more input is
+	// buffered behind them; an idle connection is acked at once, so a
+	// smaller window still makes progress but pipelines less.
 	Window int
 
 	// Retain bounds blocks held for retransmit above the durable
@@ -66,11 +68,12 @@ func (c SiteConfig) withDefaults() SiteConfig {
 	return c
 }
 
-// pblock is one retained block: flat row-major storage (the retransmit
-// encoder reads it without reshaping).
+// pblock is one retained block: its sealed frame, built once by SendBlock.
+// The writer and every retransmit send these bytes; nothing writes to a
+// frame while it is in pending.
 type pblock struct {
-	seq  uint64
-	flat []float64
+	seq   uint64
+	frame []byte
 }
 
 // SiteConn is the site end of a coordinator stream: a persistent
@@ -93,6 +96,16 @@ type SiteConn struct {
 	lastSeq uint64 // last assigned block seq
 	//distlint:guarded-by mu
 	sentSeq uint64 // highest seq ever transmitted (retransmit accounting)
+	// writeLo..writeHi are the seqs the writer is transmitting right now
+	// (empty when writeHi is 0): their frames must not be recycled.
+	//distlint:guarded-by mu
+	writeLo, writeHi uint64
+	//distlint:guarded-by mu
+	writes int64 // batches handed to the connection; the perf guard reads it
+	// free holds the frames of pruned blocks for SendBlock to build the
+	// next ones in, at most Window of them.
+	//distlint:guarded-by mu
+	free [][]byte
 	//distlint:guarded-by mu
 	applied uint64 // coordinator's applied watermark (monotone max)
 	//distlint:guarded-by mu
@@ -157,9 +170,9 @@ func (c *SiteConn) Watermarks() (applied, durable, lastSeq uint64) {
 // SendBlock queues one block of rows for delivery. It waits while the
 // in-flight window or the retransmit retention is full (backpressure),
 // or until the first handshake completes; it does not wait for this
-// block's ack — use Drain for an end-of-stream barrier. Rows are copied,
-// so the caller may reuse them. All rows must share the dimension of the
-// first block sent.
+// block's ack — use Drain for an end-of-stream barrier. Rows are encoded
+// before it returns, so the caller may reuse them. All rows must share the
+// dimension of the first block sent.
 func (c *SiteConn) SendBlock(rows [][]float64) error {
 	if len(rows) == 0 {
 		return nil
@@ -196,12 +209,21 @@ func (c *SiteConn) SendBlock(rows [][]float64) error {
 		c.mu.Unlock()
 		return err
 	}
-	flat := make([]float64, 0, len(rows)*dim)
-	for _, r := range rows {
-		flat = append(flat, r...)
+	// SendBlock has one caller and the handshake is past, so nothing else
+	// assigns sequence numbers: the block is encoded outside the lock.
+	seq := c.lastSeq + 1
+	var buf []byte
+	if n := len(c.free); n > 0 {
+		buf, c.free = c.free[n-1], c.free[:n-1]
 	}
-	c.lastSeq++
-	c.pending = append(c.pending, pblock{seq: c.lastSeq, flat: flat})
+	c.mu.Unlock()
+	frame, err := rowBlockFrame(buf, seq, c.cfg.Site, dim, rows)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.lastSeq = seq
+	c.pending = append(c.pending, pblock{seq: seq, frame: frame})
 	c.cond.Broadcast() // wake the writer
 	c.mu.Unlock()
 	return nil
@@ -381,7 +403,7 @@ func (c *SiteConn) connect() (net.Conn, *Decoder, HelloAck, error) {
 		conn.Close()
 		return nil, nil, hs, err
 	}
-	dec := NewDecoder(bufio.NewReader(conn), &c.stats)
+	dec := NewDecoder(conn, &c.stats)
 	f, err := dec.Next()
 	if err != nil {
 		conn.Close()
@@ -417,14 +439,16 @@ func (c *SiteConn) terminal(err error) bool {
 
 // writeLoop transmits pending blocks from the retransmit cursor onward,
 // one epoch: it exits when the connection is torn down or the SiteConn
-// closes. The single-writer design keeps frames whole without a write
-// lock: handshake frames are written before this goroutine starts, and
-// every later frame on the connection is written here.
+// closes. Each pass hands every frame behind the cursor to one vectored
+// write (writev on TCP). The single-writer design keeps frames whole
+// without a write lock: handshake frames are written before this
+// goroutine starts, and every later frame on the connection is written here.
 func (c *SiteConn) writeLoop(conn net.Conn, done chan struct{}) {
 	defer close(done)
-	enc := NewEncoder(conn, &c.stats)
+	var frames, batch net.Buffers // frames keeps the storage; WriteTo consumes batch
 	for {
 		c.mu.Lock()
+		c.writeLo, c.writeHi = 0, 0
 		for c.conn == conn && !c.closed && c.sendIdx >= len(c.pending) {
 			c.cond.Wait()
 		}
@@ -432,19 +456,27 @@ func (c *SiteConn) writeLoop(conn net.Conn, done chan struct{}) {
 			c.mu.Unlock()
 			return
 		}
-		b := c.pending[c.sendIdx]
-		c.sendIdx++
-		if b.seq > c.sentSeq {
-			c.sentSeq = b.seq
+		frames = frames[:0]
+		for _, b := range c.pending[c.sendIdx:] {
+			frames = append(frames, b.frame)
 		}
-		dim := c.dim
+		c.writeLo, c.writeHi = c.pending[c.sendIdx].seq, c.pending[len(c.pending)-1].seq
+		c.sendIdx = len(c.pending)
+		if c.writeHi > c.sentSeq {
+			c.sentSeq = c.writeHi
+		}
+		c.writes++
 		c.mu.Unlock()
-		if err := enc.RowBlockFlat(b.seq, c.cfg.Site, dim, b.flat); err != nil {
+		batch = frames
+		n, err := batch.WriteTo(conn)
+		if err != nil {
 			// Tear the epoch down; manage's read loop unblocks on the
 			// closed connection and reconnects.
 			conn.Close()
 			return
 		}
+		c.stats.FramesOut.Add(int64(len(frames)))
+		c.stats.BytesOut.Add(n)
 	}
 }
 
@@ -475,7 +507,10 @@ func (c *SiteConn) readAcks(dec *Decoder) {
 }
 
 // advanceLocked folds newly acked watermarks in (monotone max), prunes
-// durable blocks from the retention buffer, and wakes waiters.
+// durable blocks from the retention buffer, and wakes waiters. A pruned
+// frame goes to the free list unless the writer holds it: an ack can
+// overtake the write that carries later blocks of the same batch, and the
+// durable probe re-sends a block that is already acked.
 //
 //distlint:caller-holds mu
 func (c *SiteConn) advanceLocked(applied, durable uint64) {
@@ -487,6 +522,10 @@ func (c *SiteConn) advanceLocked(applied, durable uint64) {
 	}
 	drop := 0
 	for drop < len(c.pending) && c.pending[drop].seq <= c.durable {
+		b := c.pending[drop]
+		if len(c.free) < c.cfg.Window && (b.seq < c.writeLo || b.seq > c.writeHi) {
+			c.free = append(c.free, b.frame)
+		}
 		drop++
 	}
 	if drop > 0 {

@@ -15,15 +15,21 @@
 //
 // All integers are little-endian. Row-block payloads carry float64 rows
 // bit-for-bit (math.Float64bits), so a decoded block is numerically
-// identical to the encoded one; the decoder reads payloads into pooled
-// buffers and returns views, so the steady-state decode path allocates
-// nothing (//distlint:hotpath on both block codecs).
+// identical to the encoded one. The decoder reads ahead into one buffer of
+// its own, checks each frame where it landed and copies floats out in bulk
+// into pooled storage it returns views of, so the steady-state decode path
+// allocates nothing and costs a read per buffer, not per frame
+// (//distlint:hotpath on both block codecs).
 //
 // # Sessions, backpressure, and resume
 //
 // A SiteConn dials the coordinator, registers with a Hello frame naming
-// its tracker and site id, and streams numbered row blocks. The
-// coordinator acks applied blocks with two cumulative watermarks:
+// its tracker and site id, and streams numbered row blocks: each is
+// encoded once into a sealed frame, and the frames queued at any moment go
+// out in one vectored write. The coordinator acks applied blocks with two
+// cumulative watermarks — not per block: an ack is written when the
+// connection has to be read for more input (so an idle stream is always
+// fully acked) and at the latest every 8 applied blocks:
 //
 //   - applied: every block with seq ≤ applied has been ingested into
 //     tracker state. The site's in-flight window (SendBlock backpressure)

@@ -32,28 +32,25 @@ bench:
 # building, its own tests passing and every workload running against the
 # tree. CI runs exactly this target.
 #
-# The smoke runs go through the command line, not TestSmokeSuite, whose
-# http-json leg cannot pass since ISSUE 19 and whose wire-stream leg is
-# at the same cliff since ISSUE 20: the smoke phase is a fixed number of
-# script periods sized for the PR 12 server (16 for http-json, 102 a lane
-# for wire-stream) and a run needs one whole 0.4 s window. http-json's now
-# end in ≈ 0.22 s; wire-stream's in ≈ 0.6 s here — one window, none on a
-# host a little faster (2 of 4 runs of the issue's prototype). bench/ is
-# closed to a perf PR, so until ROADMAP item 5 sizes that phase by elapsed
-# windows those two take a short full-mode run (--seconds 6: ≥ 4 windows)
-# and the other two their smoke runs, untraced and traced; each exits
-# non-zero on a failed op, a violated check or a metric that is not a
-# number.
-BENCH_RUN = $(GO) -C bench run repro/bench --seed 1
+# The runs go through the command line, not TestSmokeSuite, and in full
+# mode, not -smoke: the smoke phase is a fixed number of script periods
+# sized for the PR 12 server, a run needs one whole 0.4 s window, and one
+# workload after another has outrun it — http-json since ISSUE 19 (≈ 0.22 s),
+# wire-stream since ISSUE 20 (≈ 0.6 s, one window at best), sharded-query
+# since ISSUE 21 (0.5 s and one window at the parent, none after it), and
+# durable-tenancy on any host a little faster than the one it was sized on
+# (none in 4 of 4 runs, parent and change alike, on ISSUE 21's). bench/ is
+# closed to a perf PR, so until ROADMAP item 4(a) sizes that phase by
+# elapsed windows each workload takes a short full-mode run (--seconds 6:
+# ≥ 3 windows), untraced and traced; each exits non-zero on a failed op, a
+# violated check or a metric that is not a number.
+BENCH_RUN = $(GO) -C bench run repro/bench --seed 1 --seconds 6
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -skip '^TestSmokeSuite$$' ./...
 	set -e; for t in 0 1; do \
-		for w in http-json wire-stream; do \
-			$(BENCH_RUN) --workload $$w --seconds 6 --trace $$t >/dev/null; \
-		done; \
-		for w in sharded-query durable-tenancy; do \
-			$(BENCH_RUN) --workload $$w -smoke --trace $$t >/dev/null; \
+		for w in http-json wire-stream sharded-query durable-tenancy; do \
+			$(BENCH_RUN) --workload $$w --trace $$t >/dev/null; \
 		done; \
 	done
 
@@ -80,15 +77,17 @@ bench-compare:
 # WAL), the Gram kernel's floor (Sym.AddBlock under the AVX2 gramRow
 # body ≥ 2.5× the portable body at 64 × 44 and ≥ 2× at 256 × 44, and a
 # 63-row block ≤ 1.3× a 64-row one: no scalar cliff off a multiple of
-# four rows), and the wire transport's floor (per 64 × 44 frame the
+# four rows), the wire transport's floor (per 64 × 44 frame the
 # read-ahead decoder allocates nothing and is ≥ 1.7× the io.ReadFull
 # decoder it replaced; a steady-state SendBlock allocates no frame; 512
-# streamed blocks cost < 128 ack frames and < 256 writes). The scaling
-# guards need ≥4 procs, the kernel guard an AVX2 CPU; both skip — loudly —
-# on machines without.
+# streamed blocks cost < 128 ack frames and < 256 writes), and the
+# eigensolver's floor (EigSymWork on the transposed workspace ≥ 1.3× the
+# row-major tred2/tql2 it replaced at n = 44 and ≥ 1.4× at n = 90, 0 allocs
+# on a warm workspace). The scaling guards need ≥4 procs, the kernel guard
+# an AVX2 CPU; both skip — loudly — on machines without.
 # CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestWireStreamGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/stream"
 )
@@ -102,5 +103,66 @@ func labelInt(s int) string {
 		return "s=256"
 	default:
 		return "s=1024"
+	}
+}
+
+// TestDecompositionShipRate counts, on the end-to-end benchmark's own
+// inputs (bench/inputs.go: gen.PAMAPLike at seed 1 cut into a pool of 256
+// blocks, block b arriving at site b%2 + 2·((b/2)%5), the pool cycled), how
+// many of fast P2's decompositions ship nothing — the share a values-only
+// first pass (tred2/tql2 on d and e alone, vectors only when λ₁ clears
+// shipThresh; ROADMAP item 6(i)) could make cheaper. ISSUE 21 read 106/602
+// = 0.176 (http-json's 256-row batches), 179/1048 = 0.171 (wire-stream's
+// 64-row frames) and 318/2314 = 0.137 (sharded-query's 64-row batches over
+// 4 shards). A values-only pass costs 79 µs at d = 44 against ≈ 175 µs for
+// the full decomposition, and the 82–86 % that do ship would pay it on top:
+// a net loss. It breaks even at an idle share of 79/175 ≈ 0.45 and is worth
+// a second body from about 0.6 up; a reading there — a new workload, a
+// change to shipFrac or to the deferral bound — is the evidence to reopen
+// the question with. The 0.30 below only keeps the recorded readings honest.
+func TestDecompositionShipRate(t *testing.T) {
+	const poolBlocks, m, d, eps = 256, 10, 44, 0.1
+	for _, c := range []struct {
+		name                  string
+		batch, blocks, shards int
+	}{
+		{"http-json", 256, 3_000, 0},
+		{"wire-stream", 64, 40_000, 0},
+		{"sharded-query", 64, 10_000, 4},
+	} {
+		cfg := gen.PAMAPLike(poolBlocks * c.batch)
+		cfg.Seed = 1
+		rows := gen.LowRankMatrix(cfg)
+		var tr BatchTracker
+		var shards []*P2
+		build := func(int) Tracker {
+			p := NewP2Fast(m, eps, d)
+			shards = append(shards, p)
+			return p
+		}
+		if c.shards > 0 {
+			st := NewShardedTracker(c.shards, build)
+			t.Cleanup(st.Close)
+			tr = st
+		} else {
+			tr = build(0).(*P2)
+		}
+		for k := 0; k < c.blocks; k++ {
+			b := k % poolBlocks
+			tr.ProcessRows(b%2+2*((b/2)%5), rows[b*c.batch:(b+1)*c.batch])
+		}
+		if st, ok := tr.(*ShardedTracker); ok {
+			st.Flush()
+		}
+		var total, idle int64
+		for _, p := range shards {
+			total += p.Decompositions()
+			idle += p.DecompositionsIdle()
+		}
+		ratio := float64(idle) / float64(total)
+		t.Logf("%s: %d of %d decompositions shipped nothing (%.3f)", c.name, idle, total, ratio)
+		if total == 0 || ratio >= 0.30 {
+			t.Errorf("%s: idle share %.3f of %d decompositions, want under 0.30 (see the doc comment before acting on it)", c.name, ratio, total)
+		}
 	}
 }

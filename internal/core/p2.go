@@ -41,6 +41,9 @@ type P2 struct {
 	shipFrac float64
 	decomps  int64      // total eigendecompositions across sites (observability)
 	mode     IngestMode // ProcessRows arithmetic (see IngestMode)
+	// decompsIdle: those of decomps that shipped nothing (λ₁ < shipThresh).
+	// Observability only — not checkpointed, zero again after a restore.
+	decompsIdle int64
 
 	// Reusable scratch shared by the decomposition step and the fast block
 	// path; sized on first use, so the steady-state ingest path allocates
@@ -293,6 +296,8 @@ func (p *P2) decomposeAndSend(s *p2site) {
 			s.empty = true
 			s.soleRow = nil
 		}
+	} else {
+		p.decompsIdle++
 	}
 	// Exact deferral bound for the next decomposition: the remaining top
 	// eigenvalue plus future mass.
@@ -329,3 +334,7 @@ func (p *P2) Stats() stream.Stats { return p.acct.Stats() }
 // Decompositions returns the number of site eigendecompositions performed,
 // the protocol's dominant computational cost.
 func (p *P2) Decompositions() int64 { return p.decomps }
+
+// DecompositionsIdle returns how many of those decompositions shipped
+// nothing, since construction or restore (see TestDecompositionShipRate).
+func (p *P2) DecompositionsIdle() int64 { return p.decompsIdle }

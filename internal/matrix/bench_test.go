@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -10,23 +11,41 @@ func benchSym(n int) *Sym {
 	return randSym(rng, n)
 }
 
-func BenchmarkEigSym44(b *testing.B) {
-	s := benchSym(44)
+// benchEigSym times one decomposition of s: through EigSym, which allocates
+// its workspace each call, or — work — through EigSymWork on a warm one, the
+// way the trackers call it.
+func benchEigSym(b *testing.B, s *Sym, work bool) {
+	var ws *EigWorkspace
+	if work {
+		ws = NewEigWorkspace()
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EigSym(s); err != nil {
+		if _, _, err := EigSymWork(s, ws); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEigSym90(b *testing.B) {
-	s := benchSym(90)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := EigSym(s); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkEigSym44(b *testing.B)     { benchEigSym(b, benchSym(44), false) }
+func BenchmarkEigSym90(b *testing.B)     { benchEigSym(b, benchSym(90), false) }
+func BenchmarkEigSymWork44(b *testing.B) { benchEigSym(b, benchSym(44), true) }
+func BenchmarkEigSymWork90(b *testing.B) { benchEigSym(b, benchSym(90), true) }
+
+// BenchmarkEigSymOracle is the row-major body EigSymWork replaced, on a warm
+// workspace and the same matrices: the README's before column.
+func BenchmarkEigSymOracle(b *testing.B) {
+	for _, n := range []int{44, 90} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s, o := benchSym(n), &oracleEig{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := o.eigSym(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

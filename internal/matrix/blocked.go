@@ -195,8 +195,8 @@ func ReconstructIntoWork(dst *Sym, v *Dense, vals, col []float64) {
 		if lam == 0 {
 			continue
 		}
-		for i := 0; i < v.rows; i++ {
-			col[i] = v.At(i, k)
+		for i := range col {
+			col[i] = v.data[i*v.cols+k]
 		}
 		dst.AddOuter(lam, col)
 	}

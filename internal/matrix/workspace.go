@@ -13,9 +13,12 @@ package matrix
 // valid until that workspace's next call. Workspaces are not safe for
 // concurrent use; give each goroutine (or each sketch/site) its own.
 
-// EigWorkspace holds the scratch for EigSymWork: the eigenvector
-// accumulator, the tridiagonal diagonals, and the sort permutation buffers.
-// The zero value is ready to use and sizes itself on first call.
+// EigWorkspace holds the scratch for EigSymWork: the returned eigenvector
+// matrix v, the tridiagonal diagonals, the sort permutation, and perm, the
+// one n×n scratch — the transposed matrix tred2/tql2 reduce in place, whose
+// rows the sort then writes into v's columns (JacobiEigSym, which only
+// sorts, transposes its V into it first). The zero value is ready to use
+// and sizes itself on first call.
 type EigWorkspace struct {
 	v      *Dense
 	d, e   []float64
@@ -35,9 +38,9 @@ func (ws *EigWorkspace) reserve(n int) {
 	ws.reserveSort(n)
 }
 
-// reserveSort sizes only the permutation buffers — all sortEigDescWork
-// touches — so the sort-only path (JacobiEigSym) skips the eigensolver's
-// n×n accumulator and tridiagonal scratch.
+// reserveSort sizes only the permutation buffers and the n×n scratch — all
+// sortEigDescWork touches — so the sort-only path (JacobiEigSym) skips the
+// eigensolver's output matrix and tridiagonal scratch.
 func (ws *EigWorkspace) reserveSort(n int) {
 	ws.sorted = growFloats(ws.sorted, n)
 	if cap(ws.idx) < n {
@@ -69,13 +72,17 @@ func (ws *SVDWorkspace) loadU(a *Dense) *Dense {
 // loadUT copies aᵀ into the reusable U buffer.
 func (ws *SVDWorkspace) loadUT(a *Dense) *Dense {
 	ws.u = reuseDense(ws.u, a.cols, a.rows, false)
-	for i := 0; i < a.rows; i++ {
-		ri := a.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range ri {
-			ws.u.data[j*a.rows+i] = v
+	transposeInto(ws.u.data, a.data, a.rows, a.cols)
+	return ws.u
+}
+
+// transposeInto writes the row-major rows×cols matrix a into dst transposed.
+func transposeInto(dst, a []float64, rows, cols int) {
+	for i := 0; i < rows; i++ {
+		for j, x := range a[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = x
 		}
 	}
-	return ws.u
 }
 
 // QRWorkspace holds the scratch for FactorQRWork: the compact Householder

@@ -80,14 +80,17 @@ bench-compare:
 # four rows), the wire transport's floor (per 64 × 44 frame the
 # read-ahead decoder allocates nothing and is ≥ 1.7× the io.ReadFull
 # decoder it replaced; a steady-state SendBlock allocates no frame; 512
-# streamed blocks cost < 128 ack frames and < 256 writes), and the
+# streamed blocks cost < 128 ack frames and < 256 writes), the
 # eigensolver's floor (EigSymWork on the transposed workspace ≥ 1.3× the
 # row-major tred2/tql2 it replaced at n = 44 and ≥ 1.4× at n = 90, 0 allocs
-# on a warm workspace). The scaling guards need ≥4 procs, the kernel guard
-# an AVX2 CPU; both skip — loudly — on machines without.
+# on a warm workspace), and the query encoder's floor (over a d = 44 P2 Gram
+# appendJSONFloat ≥ 1.4× strconv.AppendFloat under encoding/json's rule, the
+# ?gram=1 handler ≥ 1.6× the map-and-reflection one it replaced, 0 allocs
+# per encode into a warm buffer). The scaling guards need ≥4 procs, the
+# kernel guard an AVX2 CPU; both skip — loudly — on machines without.
 # CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

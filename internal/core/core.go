@@ -32,7 +32,12 @@ type Tracker interface {
 	Name() string
 	// ProcessRow delivers one matrix row to the given site.
 	ProcessRow(site int, row []float64)
-	// Gram returns the coordinator's current estimate of BᵀB.
+	// Gram returns the coordinator's current estimate of BᵀB as a matrix
+	// the caller owns: a copy or a fresh build, never the tracker's live
+	// state, so callers may keep it across further ingestion and mutate it
+	// (WindowedTracker.Gram adds into it; Session.Snapshot hands it out as
+	// the immutable view). TestGramIsCallerOwned holds every registered
+	// protocol to this.
 	Gram() *matrix.Sym
 	// EstimateFrobenius returns the coordinator's estimate of ‖A‖²_F.
 	EstimateFrobenius() float64

@@ -44,9 +44,13 @@ type ShardEngine[S ShardStats, E any] struct {
 	queues  []chan shardBlock[E]
 	workers sync.WaitGroup
 	next    int // round-robin deal cursor
-	dealt   []atomic.Int64
-	free    chan *stageBuf[E]
-	closed  bool
+	// dirty is set by deal and cleared by the barrier: with nothing dealt
+	// since the last flush every queue is empty, so a Snapshot that reads
+	// Stats, Gram and EstimateFrobenius waits on one barrier, not three.
+	dirty  bool
+	dealt  []atomic.Int64
+	free   chan *stageBuf[E]
+	closed bool
 
 	// failure holds the first worker panic; subsequent blocks are drained
 	// unapplied and the panic re-raises on the next flush, so a failed
@@ -252,6 +256,7 @@ func (e *ShardEngine[S, E]) deal(site int, blk []E) {
 	shard := e.next
 	e.next = (e.next + 1) % len(e.shards)
 	e.dealt[shard].Add(int64(len(blk)))
+	e.dirty = true
 	e.queues[shard] <- shardBlock[E]{site: site, buf: e.stage(blk)}
 }
 
@@ -282,9 +287,10 @@ func (e *ShardEngine[S, E]) Flush() {
 }
 
 // FlushErr is the non-panicking barrier: it waits for every dealt block to
-// be applied and returns the first worker panic (nil while healthy).
+// be applied and returns the first worker panic (nil while healthy). With
+// nothing dealt since the last flush there is nothing to wait for.
 func (e *ShardEngine[S, E]) FlushErr() any {
-	if !e.closed {
+	if e.dirty && !e.closed {
 		barriers := make([]chan struct{}, len(e.queues))
 		for i := range e.queues {
 			barriers[i] = make(chan struct{})
@@ -293,6 +299,7 @@ func (e *ShardEngine[S, E]) FlushErr() any {
 		for _, b := range barriers {
 			<-b
 		}
+		e.dirty = false
 	}
 	return e.failed()
 }

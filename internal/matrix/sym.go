@@ -48,6 +48,17 @@ func (s *Sym) At(i, j int) float64 {
 	return s.data[i*s.n+j]
 }
 
+// Row returns row i as a read-only view of the matrix storage, for readers
+// that walk whole rows (the query encoder): writing through it would break
+// the symmetry every other method keeps, and its capacity is clamped so an
+// append cannot reach row i+1. The Dense.RowsView counterpart.
+func (s *Sym) Row(i int) []float64 {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("matrix: row %d out of range %d", i, s.n))
+	}
+	return s.data[i*s.n : (i+1)*s.n : (i+1)*s.n]
+}
+
 // Set assigns elements (i,j) and (j,i).
 func (s *Sym) Set(i, j int, v float64) {
 	if i < 0 || i >= s.n || j < 0 || j >= s.n {

@@ -37,13 +37,6 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // degradedRetryAfter is the Retry-After hint (seconds) on degraded-mode
 // 503s — the re-arm loop's backoff starts well under this, so a client
 // honoring it never beats the first recovery attempt.
@@ -252,24 +245,13 @@ func (m *Manager) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		resp := map[string]any{
-			"kind":      KindMatrix,
-			"count":     snap.Count,
-			"frobenius": snap.Frobenius,
-			"trace":     snap.Gram.Trace(),
+		b := replyBufs.Get().(*replyBuf)
+		if err := b.encodeMatrix(snap.Count, snap.Frobenius, snap.Gram, r.URL.Query().Get("gram") == "1"); err != nil {
+			replyBufs.Put(b)
+			writeErr(w, err)
+			return
 		}
-		if r.URL.Query().Get("gram") == "1" {
-			d := snap.Gram.Dim()
-			gram := make([][]float64, d)
-			for i := range gram {
-				gram[i] = make([]float64, d)
-				for j := range gram[i] {
-					gram[i][j] = snap.Gram.At(i, j)
-				}
-			}
-			resp["gram"] = gram
-		}
-		writeJSON(w, http.StatusOK, resp)
+		b.send(w, http.StatusOK)
 	case KindHH:
 		phis, err := phisOf(r, nil)
 		if err != nil {

@@ -696,8 +696,8 @@ func (s *Session) ProcessItemsAt(site int, items []WeightedItem) error {
 	return nil
 }
 
-// Gram returns the live coordinator estimate BᵀB of a matrix session (not
-// a copy; take a Snapshot for an immutable view). Nil for other kinds.
+// Gram returns the coordinator estimate BᵀB of a matrix session as of now,
+// in a matrix the caller owns (see core.Tracker.Gram). Nil for other kinds.
 func (s *Session) Gram() *Sym {
 	if s.kind != matrixKind {
 		return nil
@@ -787,7 +787,7 @@ func (s *Session) Snapshot() Snapshot {
 	snap.Config.Assigner = nil
 	switch s.kind {
 	case matrixKind:
-		snap.Gram = s.mat.Gram().Clone()
+		snap.Gram = s.mat.Gram() // the caller's already: Tracker.Gram never returns live state
 		snap.Frobenius = s.mat.EstimateFrobenius()
 		if s.exact != nil {
 			snap.Exact = s.exact.Clone()

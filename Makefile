@@ -2,18 +2,25 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-check bench-compare perf-guard experiments fmt vet lint lint-findings e2e
+.PHONY: build test loc race bench bench-check bench-compare perf-guard experiments fmt vet lint lint-findings e2e
 
 build:
 	$(GO) build ./...
 
 # Two legs, as in CI: the default build (on amd64 the assembly gramRow body
 # where the CPU has AVX2) and the purego tag's portable body over the
-# packages whose results depend on the Gram kernel. testdata/golden-*.ckpt
-# must pass on both: that is the bodies' bit-identity at system level.
+# packages whose results depend on the Gram kernel (internal/node runs
+# internal/core's site half; internal/hh rides along so both protocols'
+# replay tests see both legs). testdata/golden-*.ckpt must pass on both:
+# that is the bodies' bit-identity at system level.
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch .
+	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./internal/node ./internal/hh .
+
+# Non-test Go outside bench/: the number ROADMAP's quality-of-design aim
+# tracks.
+loc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | xargs cat | wc -l
 
 race:
 	$(GO) test -race ./...

@@ -95,8 +95,9 @@ func NewUniformRandom(m int, seed int64) Assigner { return stream.NewUniformRand
 //
 // The trackers built by the registry are deterministic single-threaded
 // simulations — ideal for experiments and exact message accounting. For
-// deployment, the node runtime provides thread-safe site/coordinator
-// halves of the headline P2 protocols plus in-process and TCP transports.
+// deployment, the node runtime wraps the same site and coordinator halves
+// of the headline P2 protocols in locks and outboxes, and adds in-process
+// and TCP transports.
 
 // HHCluster is an in-process deployment of heavy-hitters P2: m thread-safe
 // sites wired to one coordinator; feed sites from concurrent goroutines.

@@ -14,6 +14,11 @@
 // replacement) — plus P4, the appendix's negative result, included to
 // reproduce its failure experimentally (Figures 6 and 7).
 //
+// P2 is defined once, as a site half and a coordinator half (P2Site,
+// P2Coordinator, joined by P2Uplink); the P2 simulator composes them over a
+// direct call and is the bit-exact specification, internal/node wraps the
+// same halves in a lock for deployment.
+//
 // Coordinator approximations are exposed as d×d Gram matrices BᵀB, which is
 // the exact object the error metric and all downstream uses (PCA, LSI)
 // consume, and which every protocol here can maintain in O(d²) space.

@@ -30,12 +30,9 @@ type P2SmallSpace struct {
 	shipRow []float64
 	wbuf    []float64
 
-	sites []p2sSite
-	// Coordinator state (identical to P2's).
-	gram      *matrix.Sym
-	coordFhat float64
-	siteFhat  float64
-	nmsg      int
+	sites    []p2sSite
+	siteFhat float64 // F̂ as known to the sites (last broadcast)
+	coord    *P2Coordinator
 }
 
 type p2sSite struct {
@@ -52,14 +49,8 @@ func NewP2SmallSpace(m int, eps float64, d int) *P2SmallSpace {
 	// FD error ε/4m ⇒ ℓ = ⌈4m/ε⌉ rows per sketch (our FD's 1/(ℓ+1) bound).
 	ell := int(math.Ceil(4 * float64(m) / eps))
 	p := &P2SmallSpace{
-		m:         m,
-		d:         d,
-		eps:       eps,
-		acct:      stream.NewAccountant(m),
-		sites:     make([]p2sSite, m),
-		gram:      matrix.NewSym(d),
-		coordFhat: 1,
-		siteFhat:  1,
+		m: m, d: d, eps: eps, acct: stream.NewAccountant(m),
+		sites: make([]p2sSite, m), siteFhat: 1, coord: NewP2Coordinator(m, d),
 	}
 	for i := range p.sites {
 		p.sites[i].recv = sketch.NewFD(ell, d)
@@ -132,8 +123,7 @@ func (p *P2SmallSpace) processBlock(s *p2sSite, rows [][]float64) {
 		mass += w
 		s.fdelta += w
 		if s.fdelta >= (p.eps/float64(p.m))*p.siteFhat {
-			p.acct.SendUp(1)
-			p.coordScalar(s.fdelta)
+			p.sendScalar(s.fdelta)
 			s.fdelta = 0
 		}
 	}
@@ -149,8 +139,7 @@ func (p *P2SmallSpace) processRow(s *p2sSite, row []float64) {
 
 	s.fdelta += w
 	if s.fdelta >= (p.eps/float64(p.m))*p.siteFhat {
-		p.acct.SendUp(1)
-		p.coordScalar(s.fdelta)
+		p.sendScalar(s.fdelta)
 		s.fdelta = 0
 	}
 
@@ -206,7 +195,7 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 			r[i] = sigma * vecs.At(i, k)
 		}
 		p.acct.SendUp(1)
-		p.gram.AddOuter(1, r)
+		p.coord.Row(r)
 		s.sent.Append(r) // the shipped row joins S̃_j
 		vals[k] = 0
 	}
@@ -222,28 +211,29 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 	s.lamBound = top
 }
 
-func (p *P2SmallSpace) coordScalar(fj float64) {
-	p.coordFhat += fj
-	p.nmsg++
-	if p.nmsg >= p.m {
-		p.nmsg = 0
-		p.siteFhat = p.coordFhat
+// sendScalar delivers a scalar report to the shared Algorithm 5.4 half.
+func (p *P2SmallSpace) sendScalar(fj float64) {
+	p.acct.SendUp(1)
+	if fhat, broadcast := p.coord.Scalar(fj); broadcast {
+		p.siteFhat = fhat
 		p.acct.Broadcast(1)
 	}
 }
 
 // Gram implements Tracker.
-func (p *P2SmallSpace) Gram() *matrix.Sym { return p.gram.Clone() }
+func (p *P2SmallSpace) Gram() *matrix.Sym { return p.coord.Gram().Clone() }
 
 // Sites implements SiteCounter.
 func (p *P2SmallSpace) Sites() int { return p.m }
 
 // AccumulateGram implements GramAccumulator: the coordinator estimate folds
 // into dst without allocating.
-func (p *P2SmallSpace) AccumulateGram(dst *matrix.Sym, w float64) { dst.AddScaledSym(w, p.gram) }
+func (p *P2SmallSpace) AccumulateGram(dst *matrix.Sym, w float64) {
+	dst.AddScaledSym(w, p.coord.Gram())
+}
 
 // EstimateFrobenius implements Tracker.
-func (p *P2SmallSpace) EstimateFrobenius() float64 { return p.coordFhat }
+func (p *P2SmallSpace) EstimateFrobenius() float64 { return p.coord.Estimate() }
 
 // Stats implements Tracker.
 func (p *P2SmallSpace) Stats() stream.Stats { return p.acct.Stats() }

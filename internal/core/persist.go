@@ -40,27 +40,75 @@ type P2Snapshot struct {
 	Stats     stream.Stats
 }
 
-// Snapshot captures the protocol's state.
+// Snapshot captures one site half's state. F̂ is not part of it: the owner
+// records its sites' view once (P2Snapshot.SiteFhat) or per site.
+func (s *P2Site) Snapshot() P2SiteSnapshot {
+	return P2SiteSnapshot{
+		Gram: s.gram.RawData(), Fdelta: s.fdelta, LamBound: s.lamBound,
+		SoleRow: append([]float64(nil), s.soleRow...), Empty: s.empty,
+	}
+}
+
+// Restore overwrites the half's state with a snapshot taken at the same d.
+func (s *P2Site) Restore(snap P2SiteSnapshot) error {
+	gram, err := restoreGram(s.d, snap.Gram)
+	if err != nil {
+		return err
+	}
+	if snap.SoleRow != nil && len(snap.SoleRow) != s.d {
+		return fmt.Errorf("core: sole row has %d values for d=%d", len(snap.SoleRow), s.d)
+	}
+	s.gram, s.fdelta, s.lamBound, s.empty = gram, snap.Fdelta, snap.LamBound, snap.Empty
+	s.soleRow = append([]float64(nil), snap.SoleRow...)
+	return nil
+}
+
+// Snapshot captures the protocol's state: the halves' snapshots under the
+// field names the golden checkpoints were written with.
 func (p *P2) Snapshot() P2Snapshot {
 	sites := make([]P2SiteSnapshot, len(p.sites))
 	for i := range p.sites {
-		s := &p.sites[i]
-		var sole []float64
-		if s.soleRow != nil {
-			sole = append(sole, s.soleRow...)
-		}
-		sites[i] = P2SiteSnapshot{
-			Gram: s.gram.RawData(), Fdelta: s.fdelta, LamBound: s.lamBound,
-			SoleRow: sole, Empty: s.empty,
-		}
+		sites[i] = p.sites[i].Snapshot()
 	}
+	c := p.coord.Snapshot()
 	return P2Snapshot{
-		M: p.m, D: p.d, Eps: p.eps, ShipFrac: p.shipFrac,
-		Fast: p.mode == IngestFast, Decomps: p.decomps,
-		Sites: sites, Gram: p.gram.RawData(),
-		CoordFhat: p.coordFhat, SiteFhat: p.siteFhat, NMsg: p.nmsg,
+		M: p.m, D: p.d, Eps: p.eps, ShipFrac: p.sites[0].shipFrac,
+		Fast: p.mode == IngestFast, Decomps: p.scratch.decomps,
+		Sites: sites, Gram: c.Gram,
+		CoordFhat: c.Fhat, SiteFhat: p.sites[0].Estimate(), NMsg: c.NMsg,
 		Stats: p.acct.Stats(),
 	}
+}
+
+// P2CoordinatorSnapshot is the serializable state of a P2Coordinator.
+type P2CoordinatorSnapshot struct {
+	Gram []float64 // row-major d×d BᵀB
+	Fhat float64
+	NMsg int
+}
+
+// Snapshot captures the coordinator half's state.
+func (c *P2Coordinator) Snapshot() P2CoordinatorSnapshot {
+	return P2CoordinatorSnapshot{Gram: c.gram.RawData(), Fhat: c.fhat, NMsg: c.nmsg}
+}
+
+// Restore overwrites the half's state with a snapshot taken at the same d.
+func (c *P2Coordinator) Restore(snap P2CoordinatorSnapshot) error {
+	gram, err := restoreGram(c.Dim(), snap.Gram)
+	if err != nil {
+		return err
+	}
+	c.gram, c.fhat, c.nmsg = gram, snap.Fhat, snap.NMsg
+	return nil
+}
+
+// restoreGram adopts a snapshot's row-major d×d values bit for bit: the
+// deferred-svd bounds must see exactly the matrices the saved half held.
+func restoreGram(d int, data []float64) (*matrix.Sym, error) {
+	if len(data) != d*d {
+		return nil, fmt.Errorf("core: snapshot Gram has %d values for d=%d", len(data), d)
+	}
+	return matrix.SymFromRaw(d, data), nil
 }
 
 // ShardedP2Snapshot is the serializable state of a ShardedTracker whose
@@ -135,43 +183,20 @@ func RestoreP2(snap P2Snapshot) (*P2, error) {
 	if len(snap.Sites) != snap.M {
 		return nil, fmt.Errorf("core: snapshot has %d sites for m=%d", len(snap.Sites), snap.M)
 	}
-	restoreGram := func(data []float64) (*matrix.Sym, error) {
-		if len(data) != snap.D*snap.D {
-			return nil, fmt.Errorf("core: snapshot Gram has %d values for d=%d", len(data), snap.D)
-		}
-		// Bit-exact adoption: the deferred-svd bounds must see exactly the
-		// matrices the saved instance held.
-		return matrix.SymFromRaw(snap.D, data), nil
-	}
 	p := NewP2ShipFraction(snap.M, snap.Eps, snap.D, snap.ShipFrac)
 	if snap.Fast {
 		p.mode = IngestFast
 	}
-	gram, err := restoreGram(snap.Gram)
-	if err != nil {
+	coord := P2CoordinatorSnapshot{Gram: snap.Gram, Fhat: snap.CoordFhat, NMsg: snap.NMsg} //distlint:alias-ok a view for Restore, which copies
+	if err := p.coord.Restore(coord); err != nil {
 		return nil, err
 	}
-	p.gram = gram
-	p.coordFhat = snap.CoordFhat
-	p.siteFhat = snap.SiteFhat
-	p.nmsg = snap.NMsg
-	p.decomps = snap.Decomps
+	p.scratch.decomps = snap.Decomps
 	for i, s := range snap.Sites {
-		g, err := restoreGram(s.Gram)
-		if err != nil {
+		if err := p.sites[i].Restore(s); err != nil {
 			return nil, fmt.Errorf("core: site %d: %w", i, err)
 		}
-		if s.SoleRow != nil && len(s.SoleRow) != snap.D {
-			return nil, fmt.Errorf("core: site %d sole row has %d values for d=%d", i, len(s.SoleRow), snap.D)
-		}
-		p.sites[i].gram = g
-		p.sites[i].fdelta = s.Fdelta
-		p.sites[i].lamBound = s.LamBound
-		p.sites[i].soleRow = append([]float64(nil), s.SoleRow...)
-		if s.SoleRow == nil {
-			p.sites[i].soleRow = nil
-		}
-		p.sites[i].empty = s.Empty
+		p.sites[i].SetEstimate(snap.SiteFhat)
 	}
 	p.acct.RestoreStats(snap.Stats)
 	return p, nil

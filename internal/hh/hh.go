@@ -10,7 +10,10 @@
 // (φ−ε)W.
 //
 // Protocols are deterministic single-threaded state machines; communication
-// is tallied by a stream.Accountant so message counts are exact.
+// is tallied by a stream.Accountant so message counts are exact. P2 is
+// defined once, as a site half and a coordinator half (P2Site,
+// P2Coordinator, joined by P2Uplink): the P2 simulator composes them over a
+// direct call, internal/node wraps the same halves in a lock.
 package hh
 
 import (

@@ -33,33 +33,61 @@ type P2Snapshot struct {
 	Stats     stream.Stats
 }
 
+// P2CoordinatorSnapshot is the serializable state of a P2Coordinator.
+type P2CoordinatorSnapshot struct {
+	What     float64
+	NMsg     int
+	Estimate map[uint64]float64
+}
+
+func cloneWeights(m map[uint64]float64) map[uint64]float64 {
+	out := make(map[uint64]float64, len(m))
+	for e, w := range m {
+		out[e] = w
+	}
+	return out
+}
+
+// Snapshot captures an exact-delta site half (Ŵ is the owner's to record).
+func (s *P2Site) Snapshot() P2SiteSnapshot {
+	return P2SiteSnapshot{Weight: s.weight, Delta: cloneWeights(s.delta)}
+}
+
+// Restore overwrites an exact-delta half's state with a snapshot.
+func (s *P2Site) Restore(snap P2SiteSnapshot) {
+	s.weight, s.delta = snap.Weight, cloneWeights(snap.Delta)
+}
+
+// Snapshot captures the coordinator half's state.
+func (c *P2Coordinator) Snapshot() P2CoordinatorSnapshot {
+	return P2CoordinatorSnapshot{What: c.what, NMsg: c.nmsg, Estimate: cloneWeights(c.estimate)}
+}
+
+// Restore overwrites the half's state with a snapshot.
+func (c *P2Coordinator) Restore(snap P2CoordinatorSnapshot) {
+	c.what, c.nmsg, c.estimate = snap.What, snap.NMsg, cloneWeights(snap.Estimate)
+}
+
 // Snapshotable reports whether Snapshot can serialize this instance: true
 // for the exact-delta P2, false for the SpaceSaving site-space variant,
 // whose bounded summaries are not snapshot-stable.
 func (p *P2) Snapshotable() bool { return p.sites[0].ss == nil }
 
-// Snapshot captures the protocol's state. It errors on the SpaceSaving
-// site-space variant, whose bounded summaries are not snapshot-stable.
+// Snapshot captures the protocol's state — the halves' snapshots under the
+// golden checkpoints' field names. It errors on the SpaceSaving variant.
 func (p *P2) Snapshot() (P2Snapshot, error) {
+	if !p.Snapshotable() {
+		return P2Snapshot{}, fmt.Errorf("hh: the SpaceSaving P2 variant is not persistable")
+	}
 	sites := make([]P2SiteSnapshot, len(p.sites))
 	for i := range p.sites {
-		if p.sites[i].ss != nil {
-			return P2Snapshot{}, fmt.Errorf("hh: the SpaceSaving P2 variant is not persistable")
-		}
-		delta := make(map[uint64]float64, len(p.sites[i].delta))
-		for e, w := range p.sites[i].delta {
-			delta[e] = w
-		}
-		sites[i] = P2SiteSnapshot{Weight: p.sites[i].weight, Delta: delta}
+		sites[i] = p.sites[i].Snapshot()
 	}
-	est := make(map[uint64]float64, len(p.estimate))
-	for e, w := range p.estimate {
-		est[e] = w
-	}
+	c := p.coord.Snapshot()
 	return P2Snapshot{
 		M: p.m, Eps: p.eps, Sites: sites,
-		CoordWhat: p.coordWhat, SiteWhat: p.siteWhat, NMsg: p.nmsg,
-		Estimate: est, Stats: p.acct.Stats(),
+		CoordWhat: c.What, SiteWhat: p.sites[0].Estimate(), NMsg: c.NMsg,
+		Estimate: c.Estimate, Stats: p.acct.Stats(),
 	}, nil
 }
 
@@ -72,17 +100,10 @@ func RestoreP2(snap P2Snapshot) (*P2, error) {
 		return nil, fmt.Errorf("hh: snapshot has %d sites for m=%d", len(snap.Sites), snap.M)
 	}
 	p := NewP2(snap.M, snap.Eps)
-	p.coordWhat = snap.CoordWhat
-	p.siteWhat = snap.SiteWhat
-	p.nmsg = snap.NMsg
-	for e, w := range snap.Estimate {
-		p.estimate[e] = w
-	}
+	p.coord.Restore(P2CoordinatorSnapshot{What: snap.CoordWhat, NMsg: snap.NMsg, Estimate: snap.Estimate}) //distlint:alias-ok a view for Restore, which copies
 	for i, s := range snap.Sites {
-		p.sites[i].weight = s.Weight
-		for e, w := range s.Delta {
-			p.sites[i].delta[e] = w
-		}
+		p.sites[i].Restore(s)
+		p.sites[i].SetEstimate(snap.SiteWhat)
 	}
 	p.acct.RestoreStats(snap.Stats)
 	return p, nil
@@ -98,11 +119,7 @@ type ExactSnapshot struct {
 
 // Snapshot captures the tracker's state.
 func (e *Exact) Snapshot() ExactSnapshot {
-	freq := make(map[uint64]float64, len(e.freq))
-	for el, w := range e.freq {
-		freq[el] = w
-	}
-	return ExactSnapshot{M: e.m, Freq: freq, Total: e.total, Stats: e.acct.Stats()}
+	return ExactSnapshot{M: e.m, Freq: cloneWeights(e.freq), Total: e.total, Stats: e.acct.Stats()}
 }
 
 // RestoreExact rebuilds an exact tracker from a snapshot.
@@ -111,9 +128,7 @@ func RestoreExact(snap ExactSnapshot) (*Exact, error) {
 		return nil, fmt.Errorf("hh: %w", err)
 	}
 	e := NewExact(snap.M)
-	for el, w := range snap.Freq {
-		e.freq[el] = w
-	}
+	e.freq = cloneWeights(snap.Freq)
 	e.total = snap.Total
 	e.acct.RestoreStats(snap.Stats)
 	return e, nil

@@ -113,15 +113,15 @@ func (p *P1) AccumulateInto(acc *MergedSummary) error {
 }
 
 // AccumulateInto implements Merger for P2: the coordinator estimate map
-// and running total add. Each shard's coordWhat starts from the protocol's
+// and running total add. Each shard's Ŵ starts from the protocol's
 // initial lower bound of 1, so the merged total overcounts by P−1 — within
 // the εW slack for any non-trivial stream, exactly as the unsharded
 // protocol's own initial bound is.
 func (p *P2) AccumulateInto(acc *MergedSummary) error {
-	for e, w := range p.estimate {
+	for e, w := range p.coord.estimate {
 		acc.AddEstimate(e, w)
 	}
-	acc.AddTotal(p.coordWhat)
+	acc.AddTotal(p.coord.what)
 	return nil
 }
 

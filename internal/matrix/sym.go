@@ -199,25 +199,9 @@ func (s *Sym) RawData() []float64 {
 	return out
 }
 
-// SymFromData reconstructs a Sym from RawData output. The data is copied
-// and symmetrized defensively.
-func SymFromData(d int, data []float64) *Sym {
-	if len(data) != d*d {
-		panic(fmt.Sprintf("matrix: %d values for a %d×%d symmetric matrix", len(data), d, d))
-	}
-	s := NewSym(d)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			s.Set(i, j, (data[i*d+j]+data[j*d+i])/2)
-		}
-	}
-	return s
-}
-
-// SymFromRaw adopts RawData output verbatim, without SymFromData's
-// defensive symmetrization. Accumulated Syms can be asymmetric in the last
-// ulp (AddOuter computes (w·aᵢ)·aⱼ against (w·aⱼ)·aᵢ), so checkpoint
-// restore uses this to keep a snapshot round-trip bit-exact.
+// SymFromRaw adopts RawData output verbatim, never symmetrizing: accumulated
+// Syms can be asymmetric in the last ulp (AddOuter computes (w·aᵢ)·aⱼ
+// against (w·aⱼ)·aᵢ), and a snapshot round-trip must stay bit-exact.
 func SymFromRaw(d int, data []float64) *Sym {
 	if len(data) != d*d {
 		panic(fmt.Sprintf("matrix: %d values for a %d×%d symmetric matrix", len(data), d, d))

@@ -2,46 +2,35 @@ package node
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
+	"repro/internal/hh"
 	"repro/internal/sketch"
 )
 
-// HHCoordinator is the coordinator half of heavy-hitters protocol P2
-// (Algorithm 4.4): it accumulates scalar and element reports from sites and
-// broadcasts a refreshed Ŵ after every m scalar reports. Thread-safe; no
-// lock is held across broadcast sends.
+// HHCoordinator is the coordinator half of heavy-hitters protocol P2 made
+// deployable: hh.P2Coordinator (Algorithm 4.4, defined once in internal/hh)
+// behind a mutex, plus the traffic ledger and the broadcast Sender.
+// Thread-safe; no lock is held across broadcast sends.
 type HHCoordinator struct {
-	m   int
-	eps float64
-
-	mu       sync.Mutex
-	what     float64 // Ŵ: running total estimate
-	nmsg     int     // scalar reports since last broadcast
-	estimate map[uint64]float64
-	received int64
-	bcasts   int64
-	history  []float64 // every broadcast Ŵ, oldest first
-
-	broadcast Sender // fan-out to all sites (transport's responsibility)
+	m      int
+	eps    float64
+	ledger // mu guards half too
+	half   *hh.P2Coordinator
 }
 
 // NewHHCoordinator builds the coordinator for m sites at error ε.
 // broadcast delivers one message to every site.
 func NewHHCoordinator(m int, eps float64, broadcast Sender) (*HHCoordinator, error) {
-	if err := validate(m, eps); err != nil {
-		return nil, err
+	if err := hh.CheckParams(m, eps); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	if broadcast == nil {
 		return nil, fmt.Errorf("node: nil broadcast sender")
 	}
 	return &HHCoordinator{
-		m:         m,
-		eps:       eps,
-		what:      1,
-		estimate:  make(map[uint64]float64),
-		broadcast: broadcast,
+		m: m, eps: eps,
+		ledger: ledger{broadcast: broadcast},
+		half:   hh.NewP2Coordinator(m),
 	}, nil
 }
 
@@ -52,41 +41,32 @@ func (c *HHCoordinator) Handle(m Message) error {
 	switch m.Kind {
 	case KindTotal:
 		c.received++
-		c.what += m.Value
-		c.nmsg++
-		if c.nmsg >= c.m {
-			c.nmsg = 0
-			c.bcasts++
-			c.history = append(c.history, c.what)
-			toSend = &Message{Kind: KindEstimate, Value: c.what}
+		if what, broadcast := c.half.Scalar(m.Value); broadcast {
+			toSend = c.broadcastLocked(what)
 		}
 	case KindElement:
 		c.received++
-		c.estimate[m.Elem] += m.Value
+		c.half.Element(m.Elem, m.Value)
 	default:
 		c.mu.Unlock()
 		return fmt.Errorf("node: coordinator received %v message", m.Kind)
 	}
 	c.mu.Unlock()
-
-	if toSend != nil {
-		return c.broadcast.Send(*toSend)
-	}
-	return nil
+	return c.send(toSend)
 }
 
 // Estimate returns Ŵ_e for an element.
 func (c *HHCoordinator) Estimate(elem uint64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.estimate[elem]
+	return c.half.Estimate(elem)
 }
 
 // EstimateTotal returns the running Ŵ.
 func (c *HHCoordinator) EstimateTotal() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.what
+	return c.half.EstimateTotal()
 }
 
 // HeavyHitters returns every element with Ŵ_e/Ŵ ≥ φ − ε/2, sorted by
@@ -96,41 +76,15 @@ func (c *HHCoordinator) HeavyHitters(phi float64) []sketch.WeightedElement {
 		return nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	thresh := (phi - c.eps/2) * c.what
+	cands := c.half.Candidates()
+	thresh := (phi - c.eps/2) * c.half.EstimateTotal()
+	c.mu.Unlock()
 	var out []sketch.WeightedElement
-	for e, w := range c.estimate {
-		if w >= thresh {
-			out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
+	for _, e := range cands {
+		if e.Weight >= thresh {
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].Elem < out[j].Elem
-	})
+	sketch.SortByWeightDesc(out)
 	return out
-}
-
-// Received returns the number of site messages processed.
-func (c *HHCoordinator) Received() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.received
-}
-
-// Broadcasts returns the number of estimate broadcasts issued.
-func (c *HHCoordinator) Broadcasts() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bcasts
-}
-
-// EstimateHistory returns every broadcast Ŵ in order, the estimate's
-// growth trajectory (one entry per broadcast, so O((1/ε)·log W) entries).
-func (c *HHCoordinator) EstimateHistory() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]float64(nil), c.history...)
 }

@@ -3,49 +3,58 @@ package node
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/hh"
 )
 
-// HHSite is the site half of heavy-hitters protocol P2 (Algorithm 4.3) as
-// a standalone, thread-safe state machine: feed it items from any
-// goroutine, deliver coordinator broadcasts from the transport's receive
-// loop, and it emits messages through the configured Sender.
+// HHSite is the site half of heavy-hitters protocol P2 made deployable:
+// hh.P2Site (Algorithm 4.3, defined once in internal/hh) behind a mutex.
+// Feed it items from any goroutine and deliver coordinator broadcasts from
+// the transport's receive loop; it emits messages through the Sender.
 //
-// Locking discipline: no lock is ever held across a Send, so transports
-// may deliver synchronously (direct call into the coordinator) without
-// deadlock, and lock order between site and coordinator never cycles.
+// Locking discipline: the half runs under the lock and ships into an
+// outbox; no lock is ever held across a Send, so transports may deliver
+// synchronously (direct call into the coordinator) without deadlock, and
+// lock order between site and coordinator never cycles.
 type HHSite struct {
-	id  int
-	m   int
-	eps float64
+	id, m int
+	eps   float64
 
 	mu     sync.Mutex
-	what   float64 // Ŵ as last received from the coordinator
-	weight float64 // W_i: unreported total weight
-	delta  map[uint64]float64
-	sent   int64 // messages emitted (observability)
+	half   *hh.P2Site
+	sent   int64      // messages emitted (observability)
+	outbox [2]Message // an item ships at most a total and an element report
+	n      int
 
 	out Sender
 }
 
+// hhSiteLink is the half's uplink: it runs with s.mu held and only fills
+// the outbox.
+type hhSiteLink HHSite
+
+func (s *hhSiteLink) Scalar(site int, wi float64) {
+	s.outbox[s.n] = Message{Kind: KindTotal, Site: site, Value: wi}
+	s.n++
+}
+
+func (s *hhSiteLink) Element(site int, elem uint64, de float64) {
+	s.outbox[s.n] = Message{Kind: KindElement, Site: site, Elem: elem, Value: de}
+	s.n++
+}
+
 // NewHHSite builds site id of m running at error ε, emitting to out.
 func NewHHSite(id, m int, eps float64, out Sender) (*HHSite, error) {
-	if err := validate(m, eps); err != nil {
-		return nil, err
-	}
-	if id < 0 || id >= m {
-		return nil, fmt.Errorf("node: site id %d out of range [0,%d)", id, m)
-	}
 	if out == nil {
 		return nil, fmt.Errorf("node: nil sender")
 	}
-	return &HHSite{
-		id:    id,
-		m:     m,
-		eps:   eps,
-		what:  1, // weights ≥ 1: valid initial lower bound
-		delta: make(map[uint64]float64),
-		out:   out,
-	}, nil
+	s := &HHSite{id: id, m: m, eps: eps, out: out}
+	half, err := hh.NewP2Site(id, m, eps, (*hhSiteLink)(s))
+	if err != nil {
+		return nil, fmt.Errorf("node: %w", err)
+	}
+	s.half = half
+	return s, nil
 }
 
 // ID returns the site id.
@@ -53,26 +62,13 @@ func (s *HHSite) ID() int { return s.id }
 
 // HandleItem processes one stream arrival at this site.
 func (s *HHSite) HandleItem(elem uint64, w float64) error {
-	if w <= 0 {
+	if !(w > 0) {
 		return fmt.Errorf("node: need positive weight, got %v", w)
 	}
 	s.mu.Lock()
-	var outbox [2]Message
-	n := 0
-
-	thresh := (s.eps / float64(s.m)) * s.what
-	s.weight += w
-	if s.weight >= thresh {
-		outbox[n] = Message{Kind: KindTotal, Site: s.id, Value: s.weight}
-		n++
-		s.weight = 0
-	}
-	s.delta[elem] += w
-	if s.delta[elem] >= thresh {
-		outbox[n] = Message{Kind: KindElement, Site: s.id, Elem: elem, Value: s.delta[elem]}
-		n++
-		delete(s.delta, elem)
-	}
+	s.half.Process(elem, w)
+	outbox, n := s.outbox, s.n
+	s.n = 0
 	s.sent += int64(n)
 	s.mu.Unlock()
 
@@ -93,8 +89,8 @@ func (s *HHSite) HandleBroadcast(m Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Estimates are monotone; keep the max to tolerate reordering.
-	if m.Value > s.what {
-		s.what = m.Value
+	if m.Value > s.half.Estimate() {
+		s.half.SetEstimate(m.Value)
 	}
 	return nil
 }
@@ -110,5 +106,5 @@ func (s *HHSite) Sent() int64 {
 func (s *HHSite) Estimate() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.what
+	return s.half.Estimate()
 }

@@ -101,11 +101,7 @@ func newLocalMatCluster(m int, eps float64, d int, fast bool) (*LocalMatCluster,
 	}
 	cl := &LocalMatCluster{Coordinator: coord}
 	for i := 0; i < m; i++ {
-		newSite := NewMatSite
-		if fast {
-			newSite = NewMatSiteFast
-		}
-		site, err := newSite(i, m, eps, d, matCoordSender{coord})
+		site, err := newMatSite(i, m, eps, d, matCoordSender{coord}, fast)
 		if err != nil {
 			return nil, err
 		}

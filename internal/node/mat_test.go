@@ -1,9 +1,13 @@
 package node
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -123,5 +127,63 @@ func TestMatSiteShipsWhatItMust(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("site never shipped the dominant direction")
+	}
+}
+
+// TestMatSiteNonFiniteRowsAndEigensolverFailure is the one answer to "the
+// eigensolver failed": a row whose norm is not a positive finite number is
+// refused before anything is ingested (HandleRow and HandleRows alike, exact
+// and fast), and a failure inside the half — reachable only through a
+// poisoned snapshot once such rows are refused — comes back as an error
+// from every entry point instead of being swallowed.
+func TestMatSiteNonFiniteRowsAndEigensolverFailure(t *testing.T) {
+	drop := SenderFunc(func(Message) error { return nil })
+	good := []float64{1, 2, 3}
+	for _, tc := range []struct {
+		name string
+		row  []float64
+	}{
+		{"overflowing norm", []float64{1e200, 1, 1}},
+		{"infinite entry", []float64{math.Inf(1), 0, 0}},
+		{"NaN entry", []float64{math.NaN(), 1, 1}},
+		{"zero row", []float64{0, 0, 0}},
+	} {
+		for _, build := range []func(int, int, float64, int, Sender) (*MatSite, error){NewMatSite, NewMatSiteFast} {
+			s, err := build(0, 2, 0.2, 3, drop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Snapshot()
+			if err := s.HandleRow(tc.row); err == nil {
+				t.Errorf("%s: HandleRow accepted %v", tc.name, tc.row)
+			}
+			if err := s.HandleRows([][]float64{good, tc.row}); err == nil {
+				t.Errorf("%s: HandleRows accepted %v", tc.name, tc.row)
+			}
+			if after := s.Snapshot(); !reflect.DeepEqual(before, after) {
+				t.Errorf("%s: a refused row changed the site: %+v → %+v", tc.name, before, after)
+			}
+		}
+	}
+
+	poisoned := MatSiteSnapshot{ID: 0, M: 2, D: 3, Eps: 0.2, Fhat: 1,
+		Half: core.P2SiteSnapshot{Gram: make([]float64, 9), LamBound: 10}}
+	for i := range poisoned.Half.Gram {
+		poisoned.Half.Gram[i] = math.NaN()
+	}
+	for _, fast := range []bool{false, true} {
+		poisoned.Fast = fast
+		for name, feed := range map[string]func(*MatSite) error{
+			"HandleRow":  func(s *MatSite) error { return s.HandleRow(good) },
+			"HandleRows": func(s *MatSite) error { return s.HandleRows([][]float64{good, good}) },
+		} {
+			s, err := RestoreMatSite(poisoned, drop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := feed(s); err == nil || !strings.Contains(err.Error(), "eigendecomposition failed") {
+				t.Errorf("fast=%v %s on a NaN Gram returned %v, want the half's eigendecomposition failure", fast, name, err)
+			}
+		}
 	}
 }

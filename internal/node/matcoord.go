@@ -2,50 +2,35 @@ package node
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 )
 
-// MatCoordinator is the coordinator half of matrix tracking protocol P2
-// (Algorithm 5.4): it accumulates shipped σ·v rows into the approximation's
-// Gram matrix and broadcasts a refreshed F̂ after every m scalar reports.
-// Thread-safe; no lock is held across broadcast sends.
+// MatCoordinator is the coordinator half of matrix tracking protocol P2 made
+// deployable: core.P2Coordinator (Algorithm 5.4, defined once in
+// internal/core) behind a mutex, plus the traffic ledger and the broadcast
+// Sender. Thread-safe; no lock is held across broadcast sends.
 type MatCoordinator struct {
-	m   int
-	d   int
-	eps float64
-
-	mu       sync.Mutex
-	fhat     float64
-	nmsg     int
-	gram     *matrix.Sym
-	received int64
-	bcasts   int64
-	history  []float64 // every broadcast F̂, oldest first
-
-	broadcast Sender
+	m      int
+	eps    float64
+	ledger // mu guards half too
+	half   *core.P2Coordinator
 }
 
 // NewMatCoordinator builds the coordinator for m sites at error ε and row
 // dimension d. broadcast delivers one message to every site.
 func NewMatCoordinator(m int, eps float64, d int, broadcast Sender) (*MatCoordinator, error) {
-	if err := validate(m, eps); err != nil {
-		return nil, err
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("node: need d ≥ 1, got %d", d)
+	if err := core.CheckParams(m, eps, d); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	if broadcast == nil {
 		return nil, fmt.Errorf("node: nil broadcast sender")
 	}
 	return &MatCoordinator{
-		m:         m,
-		d:         d,
-		eps:       eps,
-		fhat:      1,
-		gram:      matrix.NewSym(d),
-		broadcast: broadcast,
+		m: m, eps: eps,
+		ledger: ledger{broadcast: broadcast},
+		half:   core.NewP2Coordinator(m, d),
 	}, nil
 }
 
@@ -57,10 +42,7 @@ func (c *MatCoordinator) Handle(m Message) error {
 	if err != nil {
 		return err
 	}
-	if toSend != nil {
-		return c.broadcast.Send(*toSend)
-	}
-	return nil
+	return c.send(toSend)
 }
 
 // HandleAll processes a batch of site messages: the coordinator half of
@@ -83,35 +65,28 @@ func (c *MatCoordinator) HandleAll(ms []Message) error {
 			i++
 		}
 		c.mu.Unlock()
-		if toSend != nil {
-			if err := c.broadcast.Send(*toSend); err != nil {
-				return err
-			}
+		if err := c.send(toSend); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// handleLocked applies one message with c.mu held, returning a broadcast
-// to send after the lock is released.
+// handleLocked applies one message to the half with c.mu held, returning a
+// broadcast to send after the lock is released.
 func (c *MatCoordinator) handleLocked(m Message) (*Message, error) {
 	switch m.Kind {
 	case KindTotal:
 		c.received++
-		c.fhat += m.Value
-		c.nmsg++
-		if c.nmsg >= c.m {
-			c.nmsg = 0
-			c.bcasts++
-			c.history = append(c.history, c.fhat)
-			return &Message{Kind: KindEstimate, Value: c.fhat}, nil
+		if fhat, broadcast := c.half.Scalar(m.Value); broadcast {
+			return c.broadcastLocked(fhat), nil
 		}
 	case KindRow:
-		if len(m.Vec) != c.d {
-			return nil, fmt.Errorf("node: row of length %d, want %d", len(m.Vec), c.d)
+		if len(m.Vec) != c.half.Dim() {
+			return nil, fmt.Errorf("node: row of length %d, want %d", len(m.Vec), c.half.Dim())
 		}
 		c.received++
-		c.gram.AddOuter(1, m.Vec)
+		c.half.Row(m.Vec)
 	default:
 		return nil, fmt.Errorf("node: coordinator received %v message", m.Kind)
 	}
@@ -122,34 +97,12 @@ func (c *MatCoordinator) handleLocked(m Message) (*Message, error) {
 func (c *MatCoordinator) Gram() *matrix.Sym {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.gram.Clone()
+	return c.half.Gram().Clone()
 }
 
 // EstimateFrobenius returns the running F̂.
 func (c *MatCoordinator) EstimateFrobenius() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.fhat
-}
-
-// Received returns the number of site messages processed.
-func (c *MatCoordinator) Received() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.received
-}
-
-// Broadcasts returns the number of estimate broadcasts issued.
-func (c *MatCoordinator) Broadcasts() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bcasts
-}
-
-// EstimateHistory returns every broadcast F̂ in order, the estimate's
-// growth trajectory (one entry per broadcast, so O((1/ε)·log F) entries).
-func (c *MatCoordinator) EstimateHistory() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]float64(nil), c.history...)
+	return c.half.Estimate()
 }

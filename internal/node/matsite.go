@@ -5,64 +5,54 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 )
 
-// MatSite is the site half of matrix tracking protocol P2 (Algorithm 5.3)
-// as a standalone, thread-safe state machine. It carries its unsent rows as
-// a Gram matrix, runs the exact deferred-decomposition rule described in
-// internal/core, and ships σ·v rows plus scalar F_j reports through the
-// Sender. No lock is held across a Send.
+// MatSite is the site half of matrix tracking protocol P2 made deployable:
+// core.P2Site (Algorithm 5.3, defined once in internal/core) behind a mutex.
+// The half runs under the lock and ships into an outbox; the outbox is sent
+// after the lock is released — no lock is held across a Send — so a
+// broadcast the coordinator answers with reaches the half before the next
+// step, never in the middle of one.
 type MatSite struct {
-	id   int
-	m    int
-	d    int
-	eps  float64
-	fast bool // blocked fast ingest (see core.IngestFast); exact otherwise
+	id, m, d int
+	eps      float64
+	fast     bool // blocked fast ingest (see core.IngestFast); exact otherwise
 
-	mu       sync.Mutex
-	fhat     float64 // F̂ as last received
-	gram     *matrix.Sym
-	fdelta   float64
-	lamBound float64
-	sent     int64
-	eigWS    *matrix.EigWorkspace // reusable decomposition scratch (under mu)
-
-	// Pooled fast-path scratch (under mu). outBuf is handed out to at most
-	// one in-flight send at a time (checked out under mu), so concurrent
-	// HandleRows callers fall back to a fresh allocation instead of racing.
-	wbuf     []float64
-	pack     *matrix.Dense
-	reconCol []float64
-	outBuf   []Message
-	outBusy  bool
+	mu     sync.Mutex
+	half   *core.P2Site
+	sent   int64
+	outbox []Message // what the running step has shipped so far
 
 	out Sender
 }
 
+// matSiteLink is the half's uplink: it runs with s.mu held and only fills
+// the outbox.
+type matSiteLink MatSite
+
+// Scalar appends a KindTotal report — or adds to the one just before it. A
+// block scanned under the lock sees a frozen F̂, so on a cold start (or an
+// intra-block mass spike) the threshold can fire on row after row; those
+// crossings coalesce into one message carrying their sum, which leaves the
+// coordinator's estimate unchanged and the message count bounded.
+func (s *matSiteLink) Scalar(site int, fj float64) {
+	if n := len(s.outbox); n > 0 && s.outbox[n-1].Kind == KindTotal {
+		s.outbox[n-1].Value += fj
+		return
+	}
+	s.outbox = append(s.outbox, Message{Kind: KindTotal, Site: site, Value: fj})
+}
+
+// Row appends a KindRow message owning a copy of the half's staging row.
+func (s *matSiteLink) Row(site int, row []float64) {
+	s.outbox = append(s.outbox, Message{Kind: KindRow, Site: site, Vec: append([]float64(nil), row...)})
+}
+
 // NewMatSite builds site id of m at error ε for d-dimensional rows.
 func NewMatSite(id, m int, eps float64, d int, out Sender) (*MatSite, error) {
-	if err := validate(m, eps); err != nil {
-		return nil, err
-	}
-	if id < 0 || id >= m {
-		return nil, fmt.Errorf("node: site id %d out of range [0,%d)", id, m)
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("node: need d ≥ 1, got %d", d)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("node: nil sender")
-	}
-	return &MatSite{
-		id:   id,
-		m:    m,
-		d:    d,
-		eps:  eps,
-		fhat: 1,
-		gram: matrix.NewSym(d),
-		out:  out,
-	}, nil
+	return newMatSite(id, m, eps, d, out, false)
 }
 
 // NewMatSiteFast builds the site in the blocked fast ingest mode: HandleRows
@@ -73,35 +63,43 @@ func NewMatSite(id, m int, eps float64, d int, out Sender) (*MatSite, error) {
 // coalesce into one summed report, and row-ship messages may coalesce at
 // block boundaries (see core.IngestFast).
 func NewMatSiteFast(id, m int, eps float64, d int, out Sender) (*MatSite, error) {
-	s, err := NewMatSite(id, m, eps, d, out)
-	if err != nil {
-		return nil, err
+	return newMatSite(id, m, eps, d, out, true)
+}
+
+func newMatSite(id, m int, eps float64, d int, out Sender, fast bool) (*MatSite, error) {
+	if out == nil {
+		return nil, fmt.Errorf("node: nil sender")
 	}
-	s.fast = true
+	s := &MatSite{id: id, m: m, d: d, eps: eps, fast: fast, out: out}
+	half, err := core.NewP2Site(id, m, eps, d, (*matSiteLink)(s))
+	if err != nil {
+		return nil, fmt.Errorf("node: %w", err)
+	}
+	s.half = half
 	return s, nil
 }
 
 // ID returns the site id.
 func (s *MatSite) ID() int { return s.id }
 
-// HandleRow processes one matrix row arriving at this site.
+// HandleRow processes one matrix row arriving at this site. An eigensolver
+// failure in the half is returned once what the step had shipped is sent.
 func (s *MatSite) HandleRow(row []float64) error {
 	if err := s.checkRow(row); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	outbox := s.ingestLocked(row, nil)
-	s.mu.Unlock()
-	return sendAll(s.out, outbox)
+	return s.sendStep(s.half.ProcessRow(row))
 }
 
-// HandleRows processes a batch of rows arriving at this site: the blocked
-// ingest entry point. The site lock is held across runs of rows that
-// trigger no messages (the common case), and released to flush the outbox
-// at exactly the rows where the per-row path would send — so under the
-// synchronous in-process wiring the message sequence is identical to
-// calling HandleRow once per row. Unlike HandleRow, the whole batch is
-// validated up front: a bad row fails the call before any row is ingested.
+// HandleRows processes a batch of rows arriving at this site. In exact mode
+// the lock is held across runs of rows that trigger no messages (the common
+// case) and released to flush the outbox at exactly the rows where the
+// per-row path would send — under the synchronous in-process wiring the
+// message sequence is identical to calling HandleRow once per row. In fast
+// mode the whole block is one step of the half (core.P2Site.ProcessBlock)
+// and one flush. The batch is validated up front: a bad row fails the call
+// before any row is ingested.
 func (s *MatSite) HandleRows(rows [][]float64) error {
 	for i, row := range rows {
 		if err := s.checkRow(row); err != nil {
@@ -109,179 +107,59 @@ func (s *MatSite) HandleRows(rows [][]float64) error {
 		}
 	}
 	if s.fast {
-		return s.handleRowsBlocked(rows)
+		s.mu.Lock()
+		return s.sendStep(s.half.ProcessBlock(rows))
 	}
 	for i := 0; i < len(rows); {
 		s.mu.Lock()
-		var outbox []Message
-		for i < len(rows) && len(outbox) == 0 {
-			outbox = s.ingestLocked(rows[i], outbox)
+		var err error
+		for i < len(rows) && len(s.outbox) == 0 && err == nil {
+			err = s.half.ProcessRow(rows[i])
 			i++
 		}
-		s.mu.Unlock()
-		if err := sendAll(s.out, outbox); err != nil {
+		if err = s.sendStep(err); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// handleRowsBlocked is the fast-mode batch step: the scalar F̂ side-channel
-// is scanned at exact per-row indices over precomputed norms, the whole
-// block folds into the Gram as one rank-k update, and the deferred
-// decomposition bound is settled once at the block boundary. The outbox is
-// flushed once, after the lock is released.
-//
-// Unlike the exact path — which flushes after every scalar report, letting
-// the coordinator's synchronous broadcast raise F̂ mid-block — the block
-// scan sees a frozen F̂, so on a cold start (or an intra-block mass spike)
-// the per-row threshold can fire on row after row. The crossings therefore
-// coalesce into at most one KindTotal message per block carrying the
-// summed settled mass: the coordinator accumulates report values, so its
-// estimate is unchanged, and the message count stays bounded instead of
-// degrading to one report per row.
-func (s *MatSite) handleRowsBlocked(rows [][]float64) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	s.wbuf = matrix.NormSqRows(rows, s.wbuf)
-	outbox, pooled := s.checkOutOutboxLocked()
-	before := len(outbox)
-
-	var mass, settled float64
-	for _, w := range s.wbuf {
-		mass += w
-		s.fdelta += w
-		if s.fdelta >= (s.eps/float64(s.m))*s.fhat {
-			settled += s.fdelta
-			s.fdelta = 0
-		}
-	}
-	if settled > 0 {
-		outbox = append(outbox, Message{Kind: KindTotal, Site: s.id, Value: settled})
-	}
-
-	if s.pack == nil {
-		s.pack = matrix.NewDense(0, 0)
-	}
-	s.gram.AddBlock(rows, s.pack)
-	s.lamBound += mass
-	if s.lamBound >= (s.eps/float64(s.m))*s.fhat {
-		outbox = append(outbox, s.decompose()...)
-	}
-	s.sent += int64(len(outbox) - before)
+// sendStep closes a step of the half run under the lock: it takes the
+// outbox, releases the lock and sends. stepErr, the half's verdict on the
+// step, wins over a send error.
+func (s *MatSite) sendStep(stepErr error) error {
+	outbox := s.outbox
+	s.outbox = nil
+	s.sent += int64(len(outbox))
 	s.mu.Unlock()
-
-	err := sendAll(s.out, outbox)
-	if pooled {
-		s.mu.Lock()
-		s.outBuf, s.outBusy = outbox[:0], false
-		s.mu.Unlock()
+	if err := sendAll(s.out, outbox); stepErr == nil {
+		return err
 	}
-	return err
+	return stepErr
 }
 
-// checkOutOutboxLocked hands out the pooled outbox to at most one in-flight
-// send; a concurrent caller gets a nil (allocating) slice instead. Called
-// with s.mu held.
-func (s *MatSite) checkOutOutboxLocked() (outbox []Message, pooled bool) {
-	if s.outBusy {
-		return nil, false
-	}
-	s.outBusy = true
-	return s.outBuf[:0], true
-}
-
-// checkRow validates a row before ingestion.
+// checkRow validates a row before ingestion: a zero row carries nothing, a
+// NaN or overflowing norm would poison the Gram for every later row.
 func (s *MatSite) checkRow(row []float64) error {
 	if len(row) != s.d {
 		return fmt.Errorf("node: row of length %d, want %d", len(row), s.d)
 	}
-	if matrix.NormSq(row) <= 0 {
-		return fmt.Errorf("node: need positive row norm")
+	if w := matrix.NormSq(row); !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("node: need a positive finite row norm, got %v", w)
 	}
 	return nil
 }
 
-// ingestLocked runs the per-row protocol step with s.mu held, appending any
-// triggered messages to outbox.
-func (s *MatSite) ingestLocked(row []float64, outbox []Message) []Message {
-	w := matrix.NormSq(row)
-	before := len(outbox)
-
-	s.fdelta += w
-	if s.fdelta >= (s.eps/float64(s.m))*s.fhat {
-		outbox = append(outbox, Message{Kind: KindTotal, Site: s.id, Value: s.fdelta})
-		s.fdelta = 0
-	}
-
-	s.gram.AddOuter(1, row)
-	s.lamBound += w
-	if s.lamBound >= (s.eps/float64(s.m))*s.fhat {
-		outbox = append(outbox, s.decompose()...)
-	}
-	s.sent += int64(len(outbox) - before)
-	return outbox
-}
-
-// decompose runs the svd step with the lock held and returns the row
-// messages to ship: every direction with σ² ≥ (ε/2m)·F̂ (see internal/core
-// for why shipping at half the limit is sound and cheaper).
-func (s *MatSite) decompose() []Message {
-	if s.eigWS == nil {
-		s.eigWS = matrix.NewEigWorkspace()
-	}
-	vals, vecs, err := matrix.EigSymWork(s.gram, s.eigWS)
-	if err != nil {
-		vals, vecs, err = matrix.JacobiEigSym(s.gram)
-		if err != nil {
-			// Only reachable on NaN/Inf input, which HandleRow's norm check
-			// already excludes; keep the row mass and carry on.
-			return nil
-		}
-	}
-	shipThresh := (s.eps / (2 * float64(s.m))) * s.fhat
-	var out []Message
-	for k, lam := range vals {
-		if lam < shipThresh {
-			break
-		}
-		sigma := math.Sqrt(lam)
-		r := make([]float64, s.d)
-		for i := 0; i < s.d; i++ {
-			r[i] = sigma * vecs.At(i, k)
-		}
-		out = append(out, Message{Kind: KindRow, Site: s.id, Vec: r})
-		vals[k] = 0
-	}
-	if len(out) > 0 {
-		// vecs and vals live in the eigensolver workspace, so the site Gram
-		// can be rebuilt in place without allocating a replacement.
-		if s.reconCol == nil {
-			s.reconCol = make([]float64, s.d)
-		}
-		matrix.ReconstructIntoWork(s.gram, vecs, vals, s.reconCol)
-	}
-	top := 0.0
-	for _, lam := range vals {
-		if lam > top {
-			top = lam
-		}
-	}
-	s.lamBound = top
-	return out
-}
-
-// HandleBroadcast applies a coordinator F̂ broadcast.
+// HandleBroadcast applies a coordinator F̂ broadcast. Estimates are monotone;
+// keeping the max tolerates reordering.
 func (s *MatSite) HandleBroadcast(m Message) error {
 	if m.Kind != KindEstimate {
 		return fmt.Errorf("node: site received %v message", m.Kind)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m.Value > s.fhat {
-		s.fhat = m.Value
+	if m.Value > s.half.Estimate() {
+		s.half.SetEstimate(m.Value)
 	}
 	return nil
 }
@@ -291,4 +169,11 @@ func (s *MatSite) Sent() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sent
+}
+
+// Estimate returns the site's current view of F̂.
+func (s *MatSite) Estimate() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.half.Estimate()
 }

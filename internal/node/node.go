@@ -1,26 +1,25 @@
 // Package node is the deployable runtime for the paper's protocols:
-// thread-safe site and coordinator state machines for weighted heavy
-// hitters P2, matrix tracking P2, and the sampling protocol P3 (P3Site /
-// P3Coordinator), decoupled from any transport, plus two transports —
-// in-process (direct calls from concurrent feeder goroutines) and TCP with
-// gob framing (cmd/distdemo shows a full deployment on loopback).
+// thread-safe sites and coordinators for weighted heavy hitters P2, matrix
+// tracking P2 and the sampling protocol P3 (P3Site / P3Coordinator),
+// decoupled from any transport, plus two transports — in-process (direct
+// calls from concurrent feeder goroutines) and TCP on the internal/wire
+// frame codec (cmd/distdemo shows a full deployment on loopback).
 //
-// Every deterministic runtime half is checkpointable: persist.go defines
-// gob-encodable snapshots (including the coordinators' broadcast-estimate
-// history) with Restore constructors, and its WriteSnapshot/ReadSnapshot
-// helpers serve any snapshot type — the single-process simulators
-// (internal/core P2, internal/hh P2/Exact, internal/quantile's tracker)
-// expose matching Snapshot/Restore pairs that internal/service's
-// checkpointer writes through the same helpers.
+// The two P2 protocols are not implemented here. Each is defined once, as a
+// single-goroutine site half and coordinator half in internal/hh and
+// internal/core; the sequential simulators there join the halves with a
+// direct call and are the bit-exact specification. This package wraps the
+// same halves in what only a deployment needs — a mutex, an outbox filled
+// while the half runs under the lock and sent after it is released,
+// monotone-max broadcast handling, traffic counters — and may differ from
+// the simulator only in *when* a broadcast arrives. The protocols tolerate
+// that by design: a site thresholds against the last estimate it received,
+// and the analysis (Sections 4.2 and 5.2) only needs that estimate to be a
+// lower bound on the true total, which survives arbitrary reordering
+// between a site and the coordinator on an ordered channel.
 //
-// The sequential simulator in internal/hh and internal/core remains the
-// vehicle for the paper's experiments (it counts messages exactly and is
-// perfectly reproducible); this package is what a production system embeds.
-// The protocols tolerate the asynchrony by design: a site thresholds
-// against the last estimate it *received*, and the analysis (Sections 4.2
-// and 5.2) only needs that estimate to be a lower bound on the true total,
-// which remains true under arbitrary message reordering between a site and
-// the coordinator on an ordered channel.
+// Every deterministic node is checkpointable: persist.go's gob-encodable
+// snapshots are the half's own snapshot plus what the wrapper adds.
 package node
 
 import (
@@ -103,16 +102,6 @@ func sendAll(out Sender, ms []Message) error {
 		if err := out.Send(m); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func validate(m int, eps float64) error {
-	if m < 1 {
-		return fmt.Errorf("node: need m ≥ 1 sites, got %d", m)
-	}
-	if eps <= 0 || eps >= 1 {
-		return fmt.Errorf("node: need 0 < ε < 1, got %v", eps)
 	}
 	return nil
 }

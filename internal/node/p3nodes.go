@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/sample"
 )
@@ -153,15 +154,7 @@ func (c *P3Coordinator) Gram() *matrix.Sym {
 	c.mu.Lock()
 	items, _ := c.sampler.Sample()
 	c.mu.Unlock()
-	g := matrix.NewSym(c.d)
-	for _, e := range items {
-		orig := matrix.NormSq(e.Payload)
-		if orig <= 0 {
-			continue
-		}
-		g.AddOuter(e.Weight/orig, e.Payload)
-	}
-	return g
+	return core.P3SampleGram(c.d, items)
 }
 
 // EstimateFrobenius returns the sample's unbiased ‖A‖²_F estimate.
@@ -201,8 +194,8 @@ type LocalP3Cluster struct {
 // NewLocalP3Cluster builds the in-process deployment of matrix P3 with the
 // paper's sample size for ε.
 func NewLocalP3Cluster(m int, eps float64, d int, seed int64) (*LocalP3Cluster, error) {
-	if err := validate(m, eps); err != nil {
-		return nil, err
+	if err := core.CheckParams(m, eps, d); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	fo := &fanout{}
 	coord, err := NewP3Coordinator(d, sample.RecommendedSampleSize(eps), fo)

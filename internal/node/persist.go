@@ -1,42 +1,34 @@
 package node
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
-
-	"repro/internal/matrix"
+	"repro/internal/core"
+	"repro/internal/hh"
 )
 
-// Checkpoint/restore for the runtime nodes. Snapshots are plain exported
-// structs encoded with encoding/gob, so a deployment can persist protocol
-// state across process restarts without losing the continuous guarantee:
-// a restored node resumes exactly where the snapshot was taken (any rows or
-// items that arrived after the snapshot are the operator's replay
+// Checkpoint/restore for the runtime nodes. A node's snapshot is its
+// protocol half's snapshot (defined beside the half) plus what the wrapper
+// adds: identity, the site's view of the estimate, traffic counters. Plain
+// exported structs for encoding/gob; a restored node resumes exactly where
+// the snapshot was taken (what arrived after it is the operator's replay
 // responsibility, as with any at-least-once ingestion pipeline).
 
 // HHSiteSnapshot is the serializable state of an HHSite.
 type HHSiteSnapshot struct {
-	ID     int
-	M      int
-	Eps    float64
-	What   float64
-	Weight float64
-	Delta  map[uint64]float64
-	SentN  int64
+	ID    int
+	M     int
+	Eps   float64
+	What  float64
+	Half  hh.P2SiteSnapshot
+	SentN int64
 }
 
 // Snapshot captures the site's state.
 func (s *HHSite) Snapshot() HHSiteSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delta := make(map[uint64]float64, len(s.delta))
-	for k, v := range s.delta {
-		delta[k] = v
-	}
 	return HHSiteSnapshot{
 		ID: s.id, M: s.m, Eps: s.eps,
-		What: s.what, Weight: s.weight, Delta: delta, SentN: s.sent,
+		What: s.half.Estimate(), Half: s.half.Snapshot(), SentN: s.sent,
 	}
 }
 
@@ -46,12 +38,9 @@ func RestoreHHSite(snap HHSiteSnapshot, out Sender) (*HHSite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.what = snap.What
-	s.weight = snap.Weight
+	s.half.Restore(snap.Half)
+	s.half.SetEstimate(snap.What)
 	s.sent = snap.SentN
-	for k, v := range snap.Delta {
-		s.delta[k] = v
-	}
 	return s, nil
 }
 
@@ -59,9 +48,7 @@ func RestoreHHSite(snap HHSiteSnapshot, out Sender) (*HHSite, error) {
 type HHCoordinatorSnapshot struct {
 	M        int
 	Eps      float64
-	What     float64
-	NMsg     int
-	Estimate map[uint64]float64
+	Half     hh.P2CoordinatorSnapshot
 	Received int64
 	Bcasts   int64
 	History  []float64 // broadcast Ŵ trajectory, oldest first
@@ -71,14 +58,9 @@ type HHCoordinatorSnapshot struct {
 func (c *HHCoordinator) Snapshot() HHCoordinatorSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	est := make(map[uint64]float64, len(c.estimate))
-	for k, v := range c.estimate {
-		est[k] = v
-	}
 	return HHCoordinatorSnapshot{
-		M: c.m, Eps: c.eps, What: c.what, NMsg: c.nmsg,
-		Estimate: est, Received: c.received, Bcasts: c.bcasts,
-		History: append([]float64(nil), c.history...),
+		M: c.m, Eps: c.eps, Half: c.half.Snapshot(),
+		Received: c.received, Bcasts: c.bcasts, History: append([]float64(nil), c.history...),
 	}
 }
 
@@ -88,28 +70,22 @@ func RestoreHHCoordinator(snap HHCoordinatorSnapshot, broadcast Sender) (*HHCoor
 	if err != nil {
 		return nil, err
 	}
-	c.what = snap.What
-	c.nmsg = snap.NMsg
-	c.received = snap.Received
-	c.bcasts = snap.Bcasts
+	c.half.Restore(snap.Half)
+	c.received, c.bcasts = snap.Received, snap.Bcasts
 	c.history = append([]float64(nil), snap.History...)
-	for k, v := range snap.Estimate {
-		c.estimate[k] = v
-	}
 	return c, nil
 }
 
 // MatSiteSnapshot is the serializable state of a MatSite.
 type MatSiteSnapshot struct {
-	ID       int
-	M        int
-	D        int
-	Eps      float64
-	Fhat     float64
-	Gram     []float64 // row-major d×d
-	Fdelta   float64
-	LamBound float64
-	SentN    int64
+	ID    int
+	M     int
+	D     int
+	Eps   float64
+	Fast  bool
+	Fhat  float64
+	Half  core.P2SiteSnapshot
+	SentN int64
 }
 
 // Snapshot captures the site's state.
@@ -117,25 +93,21 @@ func (s *MatSite) Snapshot() MatSiteSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return MatSiteSnapshot{
-		ID: s.id, M: s.m, D: s.d, Eps: s.eps,
-		Fhat: s.fhat, Gram: s.gram.RawData(),
-		Fdelta: s.fdelta, LamBound: s.lamBound, SentN: s.sent,
+		ID: s.id, M: s.m, D: s.d, Eps: s.eps, Fast: s.fast,
+		Fhat: s.half.Estimate(), Half: s.half.Snapshot(), SentN: s.sent,
 	}
 }
 
 // RestoreMatSite rebuilds a site from a snapshot.
 func RestoreMatSite(snap MatSiteSnapshot, out Sender) (*MatSite, error) {
-	s, err := NewMatSite(snap.ID, snap.M, snap.Eps, snap.D, out)
+	s, err := newMatSite(snap.ID, snap.M, snap.Eps, snap.D, out, snap.Fast)
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Gram) != snap.D*snap.D {
-		return nil, fmt.Errorf("node: snapshot Gram has %d values for d=%d", len(snap.Gram), snap.D)
+	if err := s.half.Restore(snap.Half); err != nil {
+		return nil, err
 	}
-	s.fhat = snap.Fhat
-	s.gram = matrix.SymFromData(snap.D, snap.Gram)
-	s.fdelta = snap.Fdelta
-	s.lamBound = snap.LamBound
+	s.half.SetEstimate(snap.Fhat)
 	s.sent = snap.SentN
 	return s, nil
 }
@@ -145,9 +117,7 @@ type MatCoordinatorSnapshot struct {
 	M        int
 	D        int
 	Eps      float64
-	Fhat     float64
-	NMsg     int
-	Gram     []float64
+	Half     core.P2CoordinatorSnapshot
 	Received int64
 	Bcasts   int64
 	History  []float64 // broadcast F̂ trajectory, oldest first
@@ -158,9 +128,8 @@ func (c *MatCoordinator) Snapshot() MatCoordinatorSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return MatCoordinatorSnapshot{
-		M: c.m, D: c.d, Eps: c.eps, Fhat: c.fhat, NMsg: c.nmsg,
-		Gram: c.gram.RawData(), Received: c.received, Bcasts: c.bcasts,
-		History: append([]float64(nil), c.history...),
+		M: c.m, D: c.half.Dim(), Eps: c.eps, Half: c.half.Snapshot(),
+		Received: c.received, Bcasts: c.bcasts, History: append([]float64(nil), c.history...),
 	}
 }
 
@@ -170,24 +139,10 @@ func RestoreMatCoordinator(snap MatCoordinatorSnapshot, broadcast Sender) (*MatC
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Gram) != snap.D*snap.D {
-		return nil, fmt.Errorf("node: snapshot Gram has %d values for d=%d", len(snap.Gram), snap.D)
+	if err := c.half.Restore(snap.Half); err != nil {
+		return nil, err
 	}
-	c.fhat = snap.Fhat
-	c.nmsg = snap.NMsg
-	c.gram = matrix.SymFromData(snap.D, snap.Gram)
-	c.received = snap.Received
-	c.bcasts = snap.Bcasts
+	c.received, c.bcasts = snap.Received, snap.Bcasts
 	c.history = append([]float64(nil), snap.History...)
 	return c, nil
-}
-
-// WriteSnapshot gob-encodes any of the snapshot types to w.
-func WriteSnapshot(w io.Writer, snap any) error {
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// ReadSnapshot gob-decodes into the given snapshot pointer.
-func ReadSnapshot(r io.Reader, snap any) error {
-	return gob.NewDecoder(r).Decode(snap)
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -35,18 +36,18 @@ func TestHHCheckpointResume(t *testing.T) {
 
 	// Checkpoint everything through gob.
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, cl.Coordinator.Snapshot()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cl.Coordinator.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range cl.Sites {
-		if err := WriteSnapshot(&buf, s.Snapshot()); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// "Restart": rebuild a cluster from the snapshots.
 	var csnap HHCoordinatorSnapshot
-	if err := ReadSnapshot(&buf, &csnap); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&csnap); err != nil {
 		t.Fatal(err)
 	}
 	fo := &fanout{}
@@ -57,7 +58,7 @@ func TestHHCheckpointResume(t *testing.T) {
 	restored := &LocalHHCluster{Coordinator: coord}
 	for i := 0; i < m; i++ {
 		var ssnap HHSiteSnapshot
-		if err := ReadSnapshot(&buf, &ssnap); err != nil {
+		if err := gob.NewDecoder(&buf).Decode(&ssnap); err != nil {
 			t.Fatal(err)
 		}
 		site, err := RestoreHHSite(ssnap, SenderFunc(coord.Handle))
@@ -104,17 +105,17 @@ func TestMatCheckpointResume(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, cl.Coordinator.Snapshot()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cl.Coordinator.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range cl.Sites {
-		if err := WriteSnapshot(&buf, s.Snapshot()); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var csnap MatCoordinatorSnapshot
-	if err := ReadSnapshot(&buf, &csnap); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&csnap); err != nil {
 		t.Fatal(err)
 	}
 	fo := &fanout{}
@@ -125,7 +126,7 @@ func TestMatCheckpointResume(t *testing.T) {
 	restored := &LocalMatCluster{Coordinator: coord}
 	for i := 0; i < m; i++ {
 		var ssnap MatSiteSnapshot
-		if err := ReadSnapshot(&buf, &ssnap); err != nil {
+		if err := gob.NewDecoder(&buf).Decode(&ssnap); err != nil {
 			t.Fatal(err)
 		}
 		site, err := RestoreMatSite(ssnap, SenderFunc(coord.Handle))
@@ -180,10 +181,10 @@ func TestSnapshotPreservesCounters(t *testing.T) {
 
 func TestRestoreValidation(t *testing.T) {
 	drop := SenderFunc(func(Message) error { return nil })
-	if _, err := RestoreMatSite(MatSiteSnapshot{ID: 0, M: 2, D: 3, Eps: 0.1, Gram: []float64{1}}, drop); err == nil {
+	if _, err := RestoreMatSite(MatSiteSnapshot{ID: 0, M: 2, D: 3, Eps: 0.1, Half: core.P2SiteSnapshot{Gram: []float64{1}}}, drop); err == nil {
 		t.Fatal("expected Gram size error")
 	}
-	if _, err := RestoreMatCoordinator(MatCoordinatorSnapshot{M: 2, D: 3, Eps: 0.1, Gram: []float64{1}}, drop); err == nil {
+	if _, err := RestoreMatCoordinator(MatCoordinatorSnapshot{M: 2, D: 3, Eps: 0.1, Half: core.P2CoordinatorSnapshot{Gram: []float64{1}}}, drop); err == nil {
 		t.Fatal("expected Gram size error")
 	}
 	if _, err := RestoreHHSite(HHSiteSnapshot{ID: 9, M: 2, Eps: 0.1}, drop); err == nil {
@@ -210,11 +211,11 @@ func TestEstimateHistoryPersists(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, cl.Coordinator.Snapshot()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cl.Coordinator.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var snap HHCoordinatorSnapshot
-	if err := ReadSnapshot(&buf, &snap); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
 	coord, err := RestoreHHCoordinator(snap, SenderFunc(func(Message) error { return nil }))
@@ -250,11 +251,11 @@ func TestHHSimulatorSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
 	var decoded hh.P2Snapshot
-	if err := ReadSnapshot(&buf, &decoded); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
 	q, err := hh.RestoreP2(decoded)
@@ -289,11 +290,11 @@ func TestMatSimulatorSnapshotRoundTrip(t *testing.T) {
 		p.ProcessRow(i%m, r)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, p.Snapshot()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var decoded core.P2Snapshot
-	if err := ReadSnapshot(&buf, &decoded); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
 	q, err := core.RestoreP2(decoded)
@@ -321,11 +322,11 @@ func TestQuantileSnapshotRoundTrip(t *testing.T) {
 		tr.Process(i%m, uint64(i%(1<<bits)), 1+float64(i%3))
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, tr.Snapshot()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(tr.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var decoded quantile.TrackerSnapshot
-	if err := ReadSnapshot(&buf, &decoded); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := quantile.RestoreTracker(decoded)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -57,6 +58,36 @@ func fuzzStream(data []byte) []Record {
 		}
 	}
 	return recs
+}
+
+// TestRecordReaderRejectsWrappingRowCounts holds the reader to the wire
+// decoder's rule: a KindRows record whose rows × dim × 8 wraps to its body
+// length — with a valid CRC, which FuzzWALRecovery's bit flips never
+// produce — is malformed, not a makeslice panic. wal.Open's recovery and
+// ReplayFrom both read segments through recordReader.next.
+func TestRecordReaderRejectsWrappingRowCounts(t *testing.T) {
+	for _, tc := range []struct{ rows, dim uint32 }{
+		{1 << 31, 1 << 30}, // × 8 = 2⁶⁴ ≡ 0: the 34-byte record
+		{1 << 30, 1 << 31},
+		{1 << 29, 1 << 29}, // 2⁶¹ elements, no wrap, still not 0 bytes
+		{1, 1},             // honest count, empty body
+	} {
+		p := make([]byte, 22) // LSN, empty name, site, rows, dim — and no floats
+		binary.LittleEndian.PutUint64(p[0:8], 1)
+		binary.LittleEndian.PutUint32(p[14:18], tc.rows)
+		binary.LittleEndian.PutUint32(p[18:22], tc.dim)
+		img := make([]byte, headerSize, headerSize+len(p))
+		binary.LittleEndian.PutUint16(img[0:2], Magic)
+		img[2], img[3] = Version, uint8(KindRows)
+		binary.LittleEndian.PutUint32(img[4:8], uint32(len(p)))
+		binary.LittleEndian.PutUint32(img[8:12], recordCRC(img[2:8], p))
+		img = append(img, p...)
+
+		var rd recordReader
+		if _, _, err := rd.next(img, 0); !errors.Is(err, errMalformed) {
+			t.Errorf("rows %d × dim %d in a %d-byte record: got %v, want errMalformed", tc.rows, tc.dim, len(img), err)
+		}
+	}
 }
 
 // FuzzWALRecovery writes a record stream to a single-segment log, then

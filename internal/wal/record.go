@@ -280,7 +280,9 @@ func (r *recordReader) next(data []byte, off int) (*Record, int, error) {
 		}
 		rows := int(binary.LittleEndian.Uint32(body[4:8]))
 		dim := int(binary.LittleEndian.Uint32(body[8:12]))
-		if dim <= 0 || rows < 0 || len(body) != 12+rows*dim*8 {
+		// Divide, never multiply: rows × dim × 8 of two on-disk uint32s can
+		// wrap to the body's length (as in wire.Decoder.decodeRowBlock).
+		if payload := len(body) - 12; dim <= 0 || rows < 0 || payload%(dim*8) != 0 || payload/(dim*8) != rows {
 			return nil, off, fmt.Errorf("%w: rows %d×%d in %d-byte body", errMalformed, rows, dim, len(body))
 		}
 		r.rec.Site = decodeSite(binary.LittleEndian.Uint32(body[0:4]))

@@ -75,8 +75,7 @@ bench-compare:
 # The in-tree perf floors: the ≥5× fast-ingest speedup guard, the exact-mode
 # batch never-slower guard, the FD blocked-ingest guard, the steady-state
 # zero-allocation assertions, the ≥2× sharded scaling floor at 4 workers,
-# the shared-ingestion-pool never-slower floor (pool at 4 workers ≥
-# 0.5× a 16-lane pool), the HTTP ingest decoder's floor (≥ 4× the
+# the HTTP ingest decoder's floor (≥ 4× the
 # encoding/json oracle on a 256 × 44 rows body, still ≥ 2× when every token
 # has 25 digits and takes the strconv fallback, 0 allocs per decode), the
 # hibernation fault-in floor (behind a 64 MiB log of other trackers'
@@ -97,7 +96,7 @@ bench-compare:
 # kernel guard an AVX2 CPU; both skip — loudly — on machines without.
 # CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestPoolNoSlowerGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

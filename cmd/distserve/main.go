@@ -21,8 +21,8 @@
 // keep serving, until the background loop re-arms durability. See the
 // README's "Durability model" for which window each mechanism covers.
 //
-// Ingestion runs on a fixed shared worker pool (-pool-workers), so the
-// daemon's goroutine count is O(pool), not O(trackers). With
+// A batch is applied on the goroutine that serves its request or wire
+// connection, so an unsharded tracker costs the daemon no goroutine. With
 // -max-resident N the daemon additionally caps how many tracker sessions
 // stay in memory: past the cap, the least-recently-used idle tracker is
 // hibernated to its checkpoint and faulted back in — bit-identically,
@@ -35,8 +35,7 @@
 //
 //	distserve [-addr :9146] [-wire :9147] [-data DIR] [-checkpoint 30s]
 //	          [-wal] [-wal-flush 0s] [-wal-segment 16777216]
-//	          [-quarantine-corrupt] [-pool-workers N] [-max-resident N]
-//	          [-queue N] [-quiet]
+//	          [-quarantine-corrupt] [-max-resident N] [-quiet]
 //
 // See the README's "Running distserve" and "Multi-node deployment"
 // sections for walkthroughs.
@@ -68,10 +67,7 @@ func main() {
 		walFl   = flag.Duration("wal-flush", 0, "WAL group-commit interval (0 = leader commit per batch)")
 		walSeg  = flag.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (default 16MiB)")
 		quarant = flag.Bool("quarantine-corrupt", false, "set corrupt checkpoints aside as .corrupt and keep starting")
-		pool    = flag.Int("pool-workers", 0, "shared ingestion worker pool size (default 4)")
 		maxRes  = flag.Int("max-resident", 0, "max tracker sessions resident in memory; 0 = unlimited (needs -data)")
-		queue   = flag.Int("queue", 0, "per-lane queue depth in batches (default 16)")
-		timeout = flag.Duration("enqueue-timeout", 0, "backpressure bound before 503 (default 5s)")
 		quiet   = flag.Bool("quiet", false, "suppress operational logging")
 	)
 	flag.Parse()
@@ -89,10 +85,7 @@ func main() {
 		WALFlushInterval:   *walFl,
 		WALSegmentBytes:    *walSeg,
 		QuarantineCorrupt:  *quarant,
-		PoolWorkers:        *pool,
 		MaxResident:        *maxRes,
-		QueueDepth:         *queue,
-		EnqueueTimeout:     *timeout,
 		Logf:               logf,
 	})
 	if err != nil {

@@ -21,7 +21,7 @@ func All() []*lintkit.Analyzer {
 // ErrContract is scoped to the public facade and the service layer, whose
 // error-handling conventions it encodes; WorkerLifecycle is scoped to the
 // packages that spawn long-lived worker goroutines (matrix and item ingest
-// shards, the service layer's shared ingestion pool dispatcher, the wire
+// shards, the service layer's checkpoint and WAL re-arm loops, the wire
 // transport's connection managers and listeners, and the write-ahead
 // log's interval flusher).
 func Suite(pkgPath string) []*lintkit.Analyzer {

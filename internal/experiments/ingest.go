@@ -433,8 +433,7 @@ func walIngestBench(cfg Config, rows [][]float64, matDim int) (IngestResult, err
 // fault-ins continuously — the eviction checkpoint, session restore, and
 // per-tracker WAL-replay cursor all sit on the timed path. The artifact
 // tracks the million-tracker tenancy machinery's overhead release over
-// release; TestPoolNoSlowerGuard enforces the shared pool's floor in
-// make perf-guard.
+// release.
 func tenancyIngestBench(cfg Config, rows [][]float64, matDim int) (IngestResult, error) {
 	const (
 		trackers = 8

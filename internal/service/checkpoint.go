@@ -149,7 +149,7 @@ func (m *Manager) checkpointTracker(t *Tracker) error {
 	// Delete (which marks the tracker deleted, then removes the file
 	// under the same mutex) cannot have its checkpoint file resurrected.
 	// Closed-but-not-deleted trackers still checkpoint — Manager.Close
-	// stops the workers first and checkpoints after, so every
+	// stops ingestion first and checkpoints after, so every
 	// acknowledged batch is persisted.
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()

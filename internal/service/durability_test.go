@@ -30,12 +30,9 @@ import (
 func walTestOptions(t *testing.T, dir string) Options {
 	t.Helper()
 	return Options{
-		DataDir:        dir,
-		WAL:            true,
-		PoolWorkers:    2,
-		QueueDepth:     8,
-		EnqueueTimeout: 5 * time.Second,
-		Logf:           t.Logf,
+		DataDir: dir,
+		WAL:     true,
+		Logf:    t.Logf,
 	}
 }
 
@@ -195,7 +192,6 @@ func TestWALRecoveryBitIdentical(t *testing.T) {
 func TestWALTornTailEveryByte(t *testing.T) {
 	srcDir := filepath.Join(t.TempDir(), "data")
 	opts := walTestOptions(t, srcDir)
-	opts.PoolWorkers = 1
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +239,6 @@ func TestWALTornTailEveryByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		dopts := walTestOptions(t, destDir)
-		dopts.PoolWorkers = 1
 		dopts.Logf = nil // too chatty at 1 open per byte
 		m2, err := Open(dopts)
 		if err != nil {
@@ -355,7 +350,6 @@ func TestWALCompactionAfterCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	opts := walTestOptions(t, dir)
 	opts.WALSegmentBytes = 256
-	opts.PoolWorkers = 1
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +413,6 @@ func TestIdleTrackerDoesNotPinWAL(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	opts := walTestOptions(t, dir)
 	opts.WALSegmentBytes = 256
-	opts.PoolWorkers = 1
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -577,7 +570,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 
 	// Oracle: a fresh WAL-less tracker fed only the acknowledged batches,
 	// in LSN order.
-	om, err := Open(Options{PoolWorkers: 1, Logf: t.Logf})
+	om, err := Open(Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +599,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 // trackers come up.
 func TestQuarantineCorruptCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	base := Options{DataDir: dir, PoolWorkers: 1, Logf: t.Logf}
+	base := Options{DataDir: dir, Logf: t.Logf}
 	m, err := Open(base)
 	if err != nil {
 		t.Fatal(err)
@@ -666,7 +659,7 @@ func TestQuarantineCorruptCheckpoint(t *testing.T) {
 // are deleted on Open, and never mistaken for checkpoints.
 func TestSweepOrphanCheckpointTemps(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	base := Options{DataDir: dir, PoolWorkers: 1, Logf: t.Logf}
+	base := Options{DataDir: dir, Logf: t.Logf}
 	m, err := Open(base)
 	if err != nil {
 		t.Fatal(err)

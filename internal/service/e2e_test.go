@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/service"
 )
@@ -60,11 +59,8 @@ func mustStatus(t *testing.T, got int, want int, doc map[string]any) {
 func TestEndToEndServeCheckpointRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
-		DataDir:        dataDir,
-		PoolWorkers:    4,
-		QueueDepth:     8,
-		EnqueueTimeout: 5 * time.Second,
-		Logf:           t.Logf,
+		DataDir: dataDir,
+		Logf:    t.Logf,
 	}
 	mgr, err := service.Open(opts)
 	if err != nil {

@@ -37,7 +37,7 @@ func savedState(tb testing.TB, t *Tracker) []byte {
 // detItems batches 0..batches-1, on a manager with no data dir at all.
 func twinState(tb testing.TB, batches int) []byte {
 	tb.Helper()
-	m, err := Open(Options{PoolWorkers: 1})
+	m, err := Open(Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -261,7 +261,7 @@ const foreignLogBytes = 64 << 20
 // it back (the visit being read-only, without writing anything).
 func faultInBed(tb testing.TB, foreign bool) (faultIn, evict func()) {
 	tb.Helper()
-	m, err := Open(Options{DataDir: filepath.Join(tb.TempDir(), "data"), WAL: true, PoolWorkers: 2})
+	m, err := Open(Options{DataDir: filepath.Join(tb.TempDir(), "data"), WAL: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func rawPost(t *testing.T, client *http.Client, url, body string) int {
 
 func newValidationServer(t *testing.T) (*httptest.Server, *http.Client) {
 	t.Helper()
-	mgr, err := service.Open(service.Options{PoolWorkers: 2})
+	mgr, err := service.Open(service.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestQueryPhiValidation(t *testing.T) {
 // durable is set.
 func newRowsServer(t *testing.T, durable bool) (*service.Manager, *httptest.Server) {
 	t.Helper()
-	opts := service.Options{PoolWorkers: 2}
+	opts := service.Options{}
 	if durable {
 		opts.DataDir, opts.WAL = t.TempDir(), true
 	}

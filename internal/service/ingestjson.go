@@ -17,10 +17,8 @@ import (
 // decoded into: the raw body, and either the row-major floats with row
 // views over them (the shape wire.Decoder hands IngestBlock) or the items.
 //
-// The handler owns it until it enqueues the batch; from then on a pool
-// worker reads rows/items, and it may go back to ingestBufs only once the
-// request's done reply was received (Tracker.ingest's answered). On every
-// other return it is left to the GC: a worker may still be reading it.
+// The handler owns it for the whole request: Tracker.ingest applies the
+// batch on the handler's goroutine and keeps no reference past its return.
 type ingestBuf struct {
 	body  []byte
 	flat  []float64

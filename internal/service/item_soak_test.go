@@ -24,10 +24,7 @@ import (
 func TestSoakShardedItemConcurrentIngestQueryCheckpointRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
-		DataDir:        dataDir,
-		PoolWorkers:    3,
-		QueueDepth:     8,
-		EnqueueTimeout: 10 * time.Second,
+		DataDir: dataDir,
 	}
 	mgr, err := service.Open(opts)
 	if err != nil {

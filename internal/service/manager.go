@@ -61,13 +61,6 @@ type Options struct {
 	// partial writes, fsync errors, and power cuts.
 	FS vfs.FS
 
-	// PoolWorkers is the size of the manager-wide shared ingestion worker
-	// pool (default 4). Every tracker's batches are
-	// dispatched onto these workers — goroutine count is O(PoolWorkers),
-	// not O(trackers) — with per-site FIFO order preserved by hashing
-	// (tracker, site) to a fixed pool lane.
-	PoolWorkers int
-
 	// MaxResident caps how many tracker sessions stay resident in memory
 	// (0: unlimited). Past the cap, the least-recently-touched clean
 	// tracker is hibernated: checkpointed, its session released, and the
@@ -76,29 +69,12 @@ type Options struct {
 	// never while the manager is degraded.
 	MaxResident int
 
-	// QueueDepth is the per-lane buffered-channel capacity of the shared
-	// pool, in batches (default 16).
-	QueueDepth int
-
-	// EnqueueTimeout bounds how long an ingest waits for queue space
-	// before ErrBusy (default 5s).
-	EnqueueTimeout time.Duration
-
 	// Logf, when set, receives operational log lines (checkpoint results,
 	// restores). Default: silent.
 	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
-	if o.PoolWorkers <= 0 {
-		o.PoolWorkers = 4
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 16
-	}
-	if o.EnqueueTimeout <= 0 {
-		o.EnqueueTimeout = 5 * time.Second
-	}
 	if o.DegradedRetry <= 0 {
 		o.DegradedRetry = 100 * time.Millisecond
 	}
@@ -111,8 +87,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Manager hosts named trackers: creation from Specs, sharded ingestion,
-// checkpointing, and the HTTP surface. Safe for concurrent use.
+// Load shedding: at most admitSlots ingest calls are past admission at
+// once, manager-wide; one that finds every slot still taken after
+// admitTimeout is refused with ErrBusy.
+const (
+	admitSlots   = 64
+	admitTimeout = 5 * time.Second
+)
+
+// Manager hosts named trackers: creation from Specs, ingestion on the
+// caller's goroutine, checkpointing, and the HTTP surface. It starts no
+// goroutine for ingest; its own are the checkpoint loop and the WAL's.
+// Safe for concurrent use.
 type Manager struct {
 	opts  Options
 	start time.Time
@@ -122,9 +108,11 @@ type Manager struct {
 	trackers map[string]*Tracker //distlint:guarded-by mu
 	closed   bool                //distlint:guarded-by mu
 
-	// pool is the shared ingestion worker set every tracker's mailbox
-	// dispatches onto.
-	pool *workerPool
+	// admission is the ingest semaphore (Tracker.admit); Close fills it to
+	// wait out every admitted call. admitTimeout is the constant, in a
+	// field so the shedding test need not park callers for 5 s.
+	admission    chan struct{}
+	admitTimeout time.Duration
 
 	// Tenancy accounting: resident counts trackers currently holding
 	// their session, faults counts hibernated sessions restored on
@@ -166,6 +154,9 @@ func Open(opts Options) (*Manager, error) {
 		fs:       opts.FS,
 		trackers: make(map[string]*Tracker),
 		stopCkpt: make(chan struct{}),
+
+		admission:    make(chan struct{}, admitSlots),
+		admitTimeout: admitTimeout,
 	}
 	if opts.WAL && opts.DataDir == "" {
 		return nil, fmt.Errorf("service: %w: WAL requires DataDir", errBadConfig)
@@ -173,15 +164,12 @@ func Open(opts Options) (*Manager, error) {
 	if opts.MaxResident > 0 && opts.DataDir == "" {
 		return nil, fmt.Errorf("service: %w: MaxResident requires DataDir (hibernation evicts to checkpoints)", errBadConfig)
 	}
-	m.pool = newWorkerPool(opts.PoolWorkers, opts.QueueDepth)
 	if opts.DataDir != "" {
 		if err := m.fs.MkdirAll(opts.DataDir, 0o755); err != nil {
-			m.pool.close()
 			return nil, fmt.Errorf("service: data dir: %w", err)
 		}
 		if err := m.restoreAll(); err != nil {
 			m.closeTrackers()
-			m.pool.close()
 			return nil, err
 		}
 	}
@@ -195,7 +183,6 @@ func Open(opts Options) (*Manager, error) {
 		}, m.replayWAL)
 		if err != nil {
 			m.closeTrackers()
-			m.pool.close()
 			return nil, fmt.Errorf("service: opening wal: %w", err)
 		}
 		m.wal = wlog
@@ -495,16 +482,20 @@ func (m *Manager) Close() error {
 	close(m.stopCkpt)
 	m.ckptWG.Wait()
 
-	// Stop workers before the final checkpoint: once close returns, every
-	// batch that was acknowledged has been applied, so the checkpoint
-	// below persists all acked ingestion. Feeders still in flight get
-	// ErrClosed (not acked) and must retry after restart.
+	// Stop ingestion before the final checkpoint: a batch that reached its
+	// tracker's lock first is applied whole and the checkpoint below
+	// persists it; every later one gets ErrClosed (not acked) and must
+	// retry after restart.
 	for _, t := range m.List() {
 		t.close()
 	}
-	// Every tracker has drained its in-flight batches; the pool workers
-	// have nothing left to deliver.
-	m.pool.close()
+	// Admitted calls may still be waiting for their group commit or
+	// running the eviction sweep; taking every slot waits them out, so no
+	// ingest call touches the log or a checkpoint file after Close. The
+	// slots stay taken: later calls see their tracker closed instead.
+	for i := 0; i < admitSlots; i++ {
+		m.admission <- struct{}{}
+	}
 	err := m.CheckpointAll()
 	// The final checkpoint covers the whole log (when it succeeded), so
 	// CheckpointAll's compaction pass has already shrunk the WAL; close

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	distmat "repro"
 )
@@ -14,11 +13,8 @@ import (
 func testOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
-		DataDir:        filepath.Join(t.TempDir(), "data"),
-		PoolWorkers:    3,
-		QueueDepth:     4,
-		EnqueueTimeout: 2 * time.Second,
-		Logf:           t.Logf,
+		DataDir: filepath.Join(t.TempDir(), "data"),
+		Logf:    t.Logf,
 	}
 }
 

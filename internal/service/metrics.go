@@ -14,11 +14,11 @@ type TrackerMetrics struct {
 	Kind     string `json:"kind"`
 	Protocol string `json:"protocol"`
 
-	Count    int64 `json:"count"`    // total rows/items in the session
-	Ingested int64 `json:"ingested"` // applied since create/restore
-	Batches  int64 `json:"batches"`  // blocked batches applied
-	Rejected int64 `json:"rejected"` // batches refused by backpressure
-	QueueLen int   `json:"queue_len"`
+	Count    int64 `json:"count"`     // total rows/items in the session
+	Ingested int64 `json:"ingested"`  // applied since create/restore
+	Batches  int64 `json:"batches"`   // blocked batches applied
+	Rejected int64 `json:"rejected"`  // batches refused by backpressure
+	QueueLen int   `json:"queue_len"` // ingest calls admitted, not yet answered
 
 	UpMsgs     int64 `json:"up_msgs"`
 	DownMsgs   int64 `json:"down_msgs"`
@@ -57,10 +57,9 @@ type TrackerMetrics struct {
 	CheckpointError    string `json:"checkpoint_error,omitempty"`
 }
 
-// TenancyMetrics is the /metrics tenancy section: the shared ingestion
-// worker pool and the hibernation working set. Evictions and faults
-// count session round-trips through the checkpoint file;
-// PoolQueueLen is the batches waiting across all pool lanes.
+// TenancyMetrics is the /metrics tenancy section: the hibernation
+// working set. Evictions and faults count session round-trips through
+// the checkpoint file.
 type TenancyMetrics struct {
 	Trackers    int   `json:"trackers"`
 	Resident    int64 `json:"resident"`
@@ -68,9 +67,6 @@ type TenancyMetrics struct {
 	MaxResident int   `json:"max_resident,omitempty"`
 	Faults      int64 `json:"faults"`
 	Evictions   int64 `json:"evictions"`
-
-	PoolWorkers  int `json:"pool_workers"`
-	PoolQueueLen int `json:"pool_queue_len"`
 }
 
 // WireMetrics is the /metrics network section: the wire listener's frame
@@ -108,7 +104,7 @@ type Metrics struct {
 	UptimeSeconds float64                   `json:"uptime_seconds"`
 	Trackers      map[string]TrackerMetrics `json:"trackers"`
 
-	// Tenancy is the shared-pool and hibernation section.
+	// Tenancy is the hibernation section.
 	Tenancy TenancyMetrics `json:"tenancy"`
 
 	// QuarantinedCheckpoints counts corrupt checkpoint files renamed
@@ -193,11 +189,9 @@ func (m *Manager) Metrics() Metrics {
 	}
 	var netRows int64
 	ten := TenancyMetrics{
-		MaxResident:  m.opts.MaxResident,
-		Faults:       m.faults.Load(),
-		Evictions:    m.evictions.Load(),
-		PoolWorkers:  m.opts.PoolWorkers,
-		PoolQueueLen: m.pool.queueLen(),
+		MaxResident: m.opts.MaxResident,
+		Faults:      m.faults.Load(),
+		Evictions:   m.evictions.Load(),
 	}
 	for _, t := range m.List() {
 		tm := t.metrics()

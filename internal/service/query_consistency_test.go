@@ -16,10 +16,10 @@ import (
 // candidate list with a bit-identical weight even while feeders hammer
 // the tracker. (The pre-fix handler read the hits and the snapshot under
 // two separate lock acquisitions; concurrent ingest between them drifted
-// the weights apart.) Run under -race this also exercises the pool
-// dispatch and query locking.
+// the weights apart.) Run under -race this also exercises the ingest
+// and query locking.
 func TestQueryHeavyHittersConsistentUnderIngest(t *testing.T) {
-	mgr, err := service.Open(service.Options{PoolWorkers: 4})
+	mgr, err := service.Open(service.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestQueryHeavyHittersConsistentUnderIngest(t *testing.T) {
 // computed under the old one-lock-per-φ scheme would interleave with
 // distribution shifts and break monotonicity.
 func TestQueryQuantilesMonotoneUnderIngest(t *testing.T) {
-	mgr, err := service.Open(service.Options{PoolWorkers: 4})
+	mgr, err := service.Open(service.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func pamapRows(n, spread int) [][]float64 {
 // in 64-row batches over its four sites.
 func newQueryTracker(tb testing.TB, spec Spec, rows [][]float64) (*Manager, *Tracker) {
 	tb.Helper()
-	mgr, err := Open(Options{PoolWorkers: 2})
+	mgr, err := Open(Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

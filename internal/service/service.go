@@ -8,17 +8,19 @@
 // sessions instantiated by name from the public Config/registry — and
 // gives each one:
 //
-//   - Pooled ingestion: one manager-wide pool of worker goroutines
-//     (Options.PoolWorkers lanes, not a set per tracker) applies every
-//     tracker's batches. Feeders (HTTP handlers or direct Go callers)
-//     enqueue batches hashed by (tracker, site) to a fixed lane, so
-//     per-site order is preserved, concurrent feeders pipeline instead of
-//     contending, and a full lane pushes back (ErrBusy) instead of
+//   - Ingestion on the caller's goroutine: a feeder (an HTTP handler, a
+//     wire connection's serving goroutine, or a direct Go caller) applies
+//     its own batch under the tracker's lock — the coordinator is one
+//     sequential state machine per tracker, and a site's batches arrive in
+//     the order its one channel delivers them. The manager starts no
+//     goroutine for ingest; it admits at most 64 ingest calls at once and
+//     refuses one that waits 5 s for a slot (ErrBusy) instead of
 //     buffering unboundedly. A tracker of any kind — matrix,
 //     heavy-hitters or quantile — can additionally run P parallel compute
 //     shards (Spec "shards"): core.ShardEngine deals posted blocks
 //     round-robin across P private tracker instances and queries merge
 //     the shard summaries, scaling the per-block hot path across cores.
+//     Those P workers are the only ingest goroutines in the process.
 //   - Checkpointed recovery: persistable sessions are periodically saved
 //     (and always on Close) to one file per tracker in the data directory,
 //     via the facade's SaveState/RestoreSession over the gob snapshots in
@@ -44,11 +46,8 @@
 //	GET    /healthz                     liveness
 //
 // The two ingest routes parse their body once, in place (ingestjson.go;
-// grammar at ingestBuf.decode), into a pooled ingestBuf the enqueued batch
-// aliases. The handler owns that buffer until it enqueues, the pool worker
-// reads it until it replies on the request's done channel, and it is
-// recycled only after that reply was received (Tracker.enqueue's answered)
-// — never on the ctx.Done or closed early returns.
+// grammar at ingestBuf.decode), into a pooled ingestBuf the handler owns
+// for the whole request.
 //
 // cmd/distserve wraps the Manager in a daemon with graceful shutdown.
 package service
@@ -76,8 +75,8 @@ var (
 	// ErrClosed reports an operation on a closed manager or tracker.
 	ErrClosed = errors.New("service: closed")
 
-	// ErrBusy reports an ingest rejected by backpressure: the tracker's
-	// shard queue stayed full past the enqueue timeout.
+	// ErrBusy reports an ingest rejected by backpressure: every admission
+	// slot stayed taken past the admission timeout.
 	ErrBusy = errors.New("service: ingest queue full")
 
 	// ErrDegraded reports a durable ingest refused because the manager's
@@ -132,10 +131,8 @@ type Spec struct {
 	// parallel shards merged at query time (Config.Shards): posted blocks
 	// are dealt round-robin across P compute workers, each with a private
 	// tracker instance. For matrix trackers, combined with Fast this is
-	// the service's highest-throughput configuration. Distinct from
-	// Options.PoolWorkers, the manager-wide ingestion pool: pool workers
-	// hand batches to trackers, compute shards run the summaries. Only
-	// windowed matrix trackers reject Shards > 1.
+	// the service's highest-throughput configuration. Only windowed matrix
+	// trackers reject Shards > 1.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -19,17 +19,14 @@ import (
 // tracker and a shards:1 fallback twin take concurrent POST rows batches
 // from every site while a checkpointer hammers POST checkpoint and a reader
 // hammers GET query and /metrics (which reports the per-shard row split) —
-// queue workers, compute-shard workers, merge barriers, and checkpoint
+// feeders, compute-shard workers, merge barriers, and checkpoint
 // serialization all interleaving under -race. The manager is then closed
 // (final checkpoint) and reopened, and both trackers must answer their
 // queries bit-identically with exact counts.
 func TestSoakShardedConcurrentIngestQueryCheckpointRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
-		DataDir:        dataDir,
-		PoolWorkers:    3,
-		QueueDepth:     8,
-		EnqueueTimeout: 10 * time.Second,
+		DataDir: dataDir,
 	}
 	mgr, err := service.Open(opts)
 	if err != nil {

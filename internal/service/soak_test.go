@@ -25,10 +25,7 @@ import (
 func TestSoakConcurrentRowsCheckpointQueryRestore(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	opts := service.Options{
-		DataDir:        dataDir,
-		PoolWorkers:    4,
-		QueueDepth:     8,
-		EnqueueTimeout: 10 * time.Second,
+		DataDir: dataDir,
 	}
 	mgr, err := service.Open(opts)
 	if err != nil {

@@ -103,8 +103,8 @@ func (m *Manager) hibernate(t *Tracker) bool {
 	default:
 	}
 	if t.inflight.Load() > 0 {
-		// A batch is queued or mid-flight; it would fault the session
-		// straight back in — not a useful eviction.
+		// A batch is waiting for mu or for its group commit; it would fault
+		// the session straight back in — not a useful eviction.
 		return false
 	}
 	t.hibStats = t.sess.StatsRelaxed()

@@ -16,21 +16,19 @@ import (
 // paper's arrival model) instead of an explicit site.
 const AssignSite = -1
 
-// ingestReq is one enqueued batch. Exactly one of rows/items is set; done
-// (buffered) receives the apply result. seq, when non-zero, is the wire
-// stream's block number: apply dedups against the site's watermark and
-// advances it atomically with the session mutation.
+// ingestReq is one batch. Exactly one of rows/items is set. seq, when
+// non-zero, is the wire stream's block number: apply dedups against the
+// site's watermark and advances it atomically with the session mutation.
 type ingestReq struct {
 	site  int // explicit site, or AssignSite
 	seq   uint64
 	rows  [][]float64
 	items []distmat.WeightedItem
-	done  chan error
 }
 
-// Tracker is one hosted session: a named tracker plus its mailbox into
-// the manager's shared worker pool and its counters. All methods are
-// safe for concurrent use.
+// Tracker is one hosted session: a named tracker plus its counters. It
+// owns no goroutine — every batch and query runs on its caller's, under
+// mu. All methods are safe for concurrent use.
 //
 // A tracker need not hold its session: under Options.MaxResident an idle
 // tracker hibernates — its state is checkpointed, the session released,
@@ -45,11 +43,10 @@ type Tracker struct {
 	created     time.Time
 	baseCount   int64 // session count at construction (restored checkpoints)
 
-	m        *Manager // owning manager: worker pool, hibernation, fault-in
-	laneBase uint64   // per-tracker seed of the (tracker, site) → lane hash
+	m *Manager // owning manager: admission, hibernation, fault-in
 
-	// mu guards sess and dirty. Ingestion applies batches under mu from
-	// the pool workers; queries take it only for the snapshot. sess is
+	// mu guards sess and dirty. Ingestion applies each batch under mu on
+	// its caller's goroutine; queries take it only for the snapshot. sess is
 	// nil while the tracker is hibernated — every access must go through
 	// ensureSessionLocked (or return the hib* cache) first.
 	mu   sync.Mutex
@@ -89,13 +86,13 @@ type Tracker struct {
 	walLSN  uint64
 	walCkpt atomic.Uint64
 
-	closed     chan struct{}
-	closeOnce  sync.Once
-	rr         atomic.Uint64 // round-robin lane cursor for assigner batches
-	enqTimeout time.Duration
+	// closed is closed by close, under mu: a batch that takes mu afterwards
+	// is refused with ErrClosed, one that held it first was applied whole.
+	closed    chan struct{}
+	closeOnce sync.Once
 
-	// inflight counts batches handed to the pool whose reply has not been
-	// sent yet; close drains it to zero before releasing the session.
+	// inflight counts ingest calls admitted and not yet answered (waiting
+	// for mu, applying, or waiting for the group commit).
 	inflight atomic.Int64
 
 	// lastTouch (unix nanos) is the hibernation LRU clock, advanced by
@@ -108,7 +105,7 @@ type Tracker struct {
 	// deleted tracker's file cannot be resurrected by an in-flight
 	// checkpoint. Hibernation releases the session under the same mutex,
 	// so the checkpoint it depends on cannot race a concurrent writer.
-	// deleted (distinct from closed: Close stops workers and *then*
+	// deleted (distinct from closed: Close stops ingestion and *then*
 	// checkpoints, so every acknowledged batch is persisted) marks
 	// trackers whose state must never be written again.
 	ckptMu  sync.Mutex
@@ -125,21 +122,18 @@ type Tracker struct {
 	ckptErr    atomic.Value // string: last checkpoint failure, "" when clean
 }
 
-// newTracker wires a tracker around an existing session. The tracker
-// owns no goroutines: its batches ride the manager's shared worker pool.
+// newTracker wires a tracker around an existing session.
 func newTracker(m *Manager, name string, spec Spec, sess *distmat.Session) *Tracker {
 	t := &Tracker{
-		name:       name,
-		spec:       spec,
-		created:    time.Now(),
-		baseCount:  sess.Count(),
-		m:          m,
-		laneBase:   laneBase(name),
-		sess:       sess,
-		wm:         make(map[int]uint64),
-		wmDurable:  make(map[int]uint64),
-		closed:     make(chan struct{}),
-		enqTimeout: m.opts.EnqueueTimeout,
+		name:      name,
+		spec:      spec,
+		created:   time.Now(),
+		baseCount: sess.Count(),
+		m:         m,
+		sess:      sess,
+		wm:        make(map[int]uint64),
+		wmDurable: make(map[int]uint64),
+		closed:    make(chan struct{}),
 	}
 	t.ckptErr.Store("")
 	t.touch()
@@ -187,45 +181,24 @@ func (t *Tracker) ensureSessionLocked() error {
 	return t.m.faultIn(t)
 }
 
-// close stops the tracker: no new batches are accepted, every batch
-// already handed to the pool gets its reply (applied, or ErrClosed if it
-// had not started), and the session is closed so a sharded tracker's
-// compute workers stop too (flushing their in-flight blocks first, so a
-// final checkpoint after close persists every applied batch). The
-// session pointer is kept: Manager.Close checkpoints after closing, and
-// SaveState on a closed session still serializes its final state.
+// close stops the tracker: a batch that already holds mu is applied
+// whole, every later one gets ErrClosed, and the session is closed so a
+// sharded tracker's compute workers stop too (flushing their in-flight
+// blocks first, so a final checkpoint after close persists every applied
+// batch). The session pointer is kept: Manager.Close checkpoints after
+// closing, and SaveState on a closed session still serializes its final
+// state.
 func (t *Tracker) close() {
 	t.closeOnce.Do(func() {
-		close(t.closed)
-		// Drain the pool: inflight hits zero once every dispatched batch
-		// has been answered, after which no pool worker touches sess.
-		for t.inflight.Load() > 0 {
-			time.Sleep(50 * time.Microsecond)
-		}
-		// Under mu: a periodic checkpoint may still be serializing state.
+		// Under mu: behind any batch mid-apply, and a periodic checkpoint
+		// may still be serializing state.
 		t.mu.Lock()
+		close(t.closed)
 		if t.sess != nil {
 			t.sess.Close()
 		}
 		t.mu.Unlock()
 	})
-}
-
-// serve runs one dispatched batch on a pool worker, replying on the
-// request's buffered done channel, and then lets the manager enforce the
-// resident cap — after the reply, so eviction I/O never sits in a
-// batch's acknowledgement latency.
-func (t *Tracker) serve(req ingestReq) {
-	select {
-	case <-t.closed:
-		req.done <- ErrClosed
-		t.inflight.Add(-1)
-		return
-	default:
-	}
-	req.done <- t.apply(req)
-	t.inflight.Add(-1)
-	t.m.maybeEnforce()
 }
 
 // apply ingests one batch. Row batches flow through the session's blocked
@@ -246,6 +219,12 @@ func (t *Tracker) serve(req ingestReq) {
 // the state cannot contain.
 func (t *Tracker) apply(req ingestReq) error {
 	t.mu.Lock()
+	select {
+	case <-t.closed:
+		t.mu.Unlock()
+		return ErrClosed
+	default:
+	}
 	if err := t.ensureSessionLocked(); err != nil {
 		t.mu.Unlock()
 		return err
@@ -319,25 +298,8 @@ func (t *Tracker) applyLocked(req ingestReq) error {
 			return fmt.Errorf("service: wire stream gap at site %d: got block %d, want %d", req.site, req.seq, a+1)
 		}
 	}
-	before := t.sess.Count()
-	var err error
-	switch {
-	case req.rows != nil:
-		if req.site == AssignSite {
-			err = t.sess.ProcessRows(req.rows)
-		} else {
-			err = t.sess.ProcessRowsAt(req.site, req.rows)
-		}
-	default:
-		if req.site == AssignSite {
-			err = t.sess.ProcessItems(req.items)
-		} else {
-			err = t.sess.ProcessItemsAt(req.site, req.items)
-		}
-	}
-	if n := t.sess.Count() - before; n > 0 {
-		t.ingested.Add(n)
-		t.batches.Add(1)
+	n, err := t.processLocked(req)
+	if n > 0 {
 		t.dirty = true
 	}
 	if req.seq != 0 && err == nil {
@@ -348,71 +310,76 @@ func (t *Tracker) applyLocked(req ingestReq) error {
 	return err
 }
 
-// lane picks the pool lane for a batch: explicit sites hash (tracker,
-// site) to a fixed lane, preserving per-site order end to end; assigner
-// batches round-robin across lanes.
-func (t *Tracker) lane(site int) chan poolReq {
-	lanes := t.m.pool.lanes
-	if site >= 0 {
-		return lanes[laneMix(t.laneBase, site)%uint64(len(lanes))]
-	}
-	return lanes[t.rr.Add(1)%uint64(len(lanes))]
-}
-
-// enqueue dispatches a batch onto the shared pool and waits for it to be
-// applied. A lane that stays full past the enqueue timeout pushes back
-// with ErrBusy.
+// processLocked runs one batch through the session — live ingest and WAL
+// replay alike — and counts what it added: n is the rows/items the
+// session took (a mid-batch rejection keeps the entries before it), err
+// the session's verdict.
 //
-// answered reports that the batch's reply was received, which is the only
-// proof no pool worker still reads req.rows/req.items: callers that lend
-// pooled buffers (the HTTP handlers) may recycle them only then. On the
-// closed and ctx.Done early returns the batch may be queued or mid-apply.
-func (t *Tracker) enqueue(ctx context.Context, req ingestReq) (answered bool, err error) {
-	lane := t.lane(req.site)
-	req.done = make(chan error, 1)
-	t.inflight.Add(1)
-	select {
-	case lane <- poolReq{t: t, req: req}:
-	case <-t.closed:
-		t.inflight.Add(-1)
-		return false, ErrClosed
+//distlint:caller-holds mu
+func (t *Tracker) processLocked(req ingestReq) (n int64, err error) {
+	before := t.sess.Count()
+	switch {
+	case req.rows != nil && req.site == AssignSite:
+		err = t.sess.ProcessRows(req.rows)
+	case req.rows != nil:
+		err = t.sess.ProcessRowsAt(req.site, req.rows)
+	case req.site == AssignSite:
+		err = t.sess.ProcessItems(req.items)
 	default:
-		// Lane full: only this slow path pays for a timer.
-		timer := time.NewTimer(t.enqTimeout)
-		defer timer.Stop()
-		select {
-		case lane <- poolReq{t: t, req: req}:
-		case <-t.closed:
-			t.inflight.Add(-1)
-			return false, ErrClosed
-		case <-ctx.Done():
-			t.inflight.Add(-1)
-			return false, ctx.Err()
-		case <-timer.C:
-			t.inflight.Add(-1)
-			t.rejected.Add(1)
-			return false, ErrBusy
-		}
+		err = t.sess.ProcessItemsAt(req.site, req.items)
 	}
+	if n = t.sess.Count() - before; n > 0 {
+		t.ingested.Add(n)
+		t.batches.Add(1)
+	}
+	return n, err
+}
+
+// admit takes one of the manager's admission slots, pushing back with
+// ErrBusy when every slot stays taken past the admission timeout.
+func (t *Tracker) admit(ctx context.Context) error {
 	select {
-	case err := <-req.done:
-		return true, err
+	case t.m.admission <- struct{}{}:
+		return nil
+	default:
+	}
+	// Full: only this slow path pays for a timer.
+	timer := time.NewTimer(t.m.admitTimeout)
+	defer timer.Stop()
+	select {
+	case t.m.admission <- struct{}{}:
+		return nil
 	case <-t.closed:
-		return false, ErrClosed
+		return ErrClosed
 	case <-ctx.Done():
-		return false, ctx.Err()
+		return ctx.Err()
+	case <-timer.C:
+		t.rejected.Add(1)
+		return ErrBusy
 	}
 }
 
-// ingest is IngestRows/IngestItems over a prepared request: the durability
-// gate, then enqueue (whose answered result it passes on).
-func (t *Tracker) ingest(ctx context.Context, req ingestReq) (answered bool, err error) {
-	if t.dur != nil {
+// ingest applies one batch on the calling goroutine: the durability gate
+// (direct/HTTP batches; wire blocks are not logged), admission, apply,
+// and then the resident-cap sweep, as the queries run it on theirs. Once
+// admitted the batch is applied whole or not at all, whatever becomes of
+// ctx: req's buffers are the caller's again when ingest returns.
+func (t *Tracker) ingest(ctx context.Context, req ingestReq) error {
+	if t.dur != nil && req.seq == 0 {
 		if err := t.dur.gate(); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return t.enqueue(ctx, req)
+	if err := t.admit(ctx); err != nil {
+		return err
+	}
+	t.inflight.Add(1)
+	err := t.apply(req)
+	t.inflight.Add(-1)
+	// Still admitted during the sweep: Manager.Close waits it out too.
+	t.m.maybeEnforce()
+	<-t.m.admission
+	return err
 }
 
 // IngestRows ingests a batch of matrix rows at the given site (AssignSite
@@ -420,16 +387,14 @@ func (t *Tracker) ingest(ctx context.Context, req ingestReq) (answered bool, err
 // batch is acknowledged only once it is fsync-durable; in degraded mode
 // it fails fast with ErrDegraded.
 func (t *Tracker) IngestRows(ctx context.Context, site int, rows [][]float64) error {
-	_, err := t.ingest(ctx, ingestReq{site: site, rows: rows})
-	return err
+	return t.ingest(ctx, ingestReq{site: site, rows: rows})
 }
 
 // IngestItems ingests a batch of weighted items at the given site
 // (AssignSite routes through the session's assigner). Durability matches
 // IngestRows.
 func (t *Tracker) IngestItems(ctx context.Context, site int, items []distmat.WeightedItem) error {
-	_, err := t.ingest(ctx, ingestReq{site: site, items: items})
-	return err
+	return t.ingest(ctx, ingestReq{site: site, items: items})
 }
 
 // replayRecord re-applies one WAL record during recovery. Records at or
@@ -445,40 +410,27 @@ func (t *Tracker) replayRecord(rec *wal.Record) error {
 		return nil
 	}
 	t.walLSN, t.dirty = rec.LSN, true
-	before := t.sess.Count()
-	var err error
+	req := ingestReq{site: rec.Site}
 	switch rec.Kind {
 	case wal.KindRows:
-		if rec.Site == AssignSite {
-			err = t.sess.ProcessRows(rec.Rows)
-		} else {
-			err = t.sess.ProcessRowsAt(rec.Site, rec.Rows)
-		}
+		req.rows = rec.Rows
 	case wal.KindItems:
-		items := make([]distmat.WeightedItem, len(rec.Items))
+		req.items = make([]distmat.WeightedItem, len(rec.Items))
 		for i, it := range rec.Items {
-			items[i] = distmat.WeightedItem{Elem: it.Elem, Weight: it.Weight}
-		}
-		if rec.Site == AssignSite {
-			err = t.sess.ProcessItems(items)
-		} else {
-			err = t.sess.ProcessItemsAt(rec.Site, items)
+			req.items[i] = distmat.WeightedItem{Elem: it.Elem, Weight: it.Weight}
 		}
 	default:
 		return fmt.Errorf("service: wal replay: unexpected %v record", rec.Kind)
 	}
-	if n := t.sess.Count() - before; n > 0 {
-		t.ingested.Add(n)
-		t.batches.Add(1)
-	}
+	_, err := t.processLocked(req)
 	return err
 }
 
 // IngestBlock applies one numbered wire-stream block at an explicit site.
 // A seq at or below the site's applied watermark is dropped as a
 // retransmitted duplicate (nil error); a seq past applied+1 is a stream
-// gap and errors. Explicit sites hash to a fixed pool lane, so blocks
-// stay in per-site FIFO order end to end.
+// gap and errors. A site's blocks arrive in order because one connection's
+// serving goroutine applies each before it reads the next.
 func (t *Tracker) IngestBlock(ctx context.Context, site int, seq uint64, rows [][]float64) error {
 	if seq == 0 {
 		return fmt.Errorf("service: wire block seq must be positive")
@@ -486,8 +438,7 @@ func (t *Tracker) IngestBlock(ctx context.Context, site int, seq uint64, rows []
 	if site < 0 {
 		return fmt.Errorf("%w: site %d", distmat.ErrInvalidSite, site)
 	}
-	_, err := t.enqueue(ctx, ingestReq{site: site, seq: seq, rows: rows})
-	return err
+	return t.ingest(ctx, ingestReq{site: site, seq: seq, rows: rows})
 }
 
 // SiteWatermarks returns a site's wire stream watermarks: applied (every
@@ -654,15 +605,10 @@ func (t *Tracker) ShardInfo() (int, []int64) {
 	return t.sess.Shards(), t.sess.ShardRows()
 }
 
-// QueueLen returns the number of batches dispatched to the pool and not
-// yet answered (queued in a lane or mid-apply).
-func (t *Tracker) QueueLen() int {
-	n := t.inflight.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
+// QueueLen returns the number of ingest calls admitted and not yet
+// answered (waiting for the tracker lock, applying, or awaiting the WAL
+// group commit).
+func (t *Tracker) QueueLen() int { return int(t.inflight.Load()) }
 
 // LastCheckpoint returns the time of the last successful checkpoint (zero
 // when never checkpointed) and the last checkpoint error ("" when clean).

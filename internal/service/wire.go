@@ -50,9 +50,9 @@ func (b *WireBridge) RowBlock(tracker string, site int, seq uint64, rows [][]flo
 	if err != nil {
 		return 0, 0, err
 	}
-	// The block is applied (not just queued) when IngestBlock returns —
-	// enqueue waits for the shard worker — so the decoder's borrowed row
-	// views are safe and the returned watermarks cover this block.
+	// IngestBlock applies the block on this goroutine before it returns, so
+	// the decoder's borrowed row views are safe and the returned watermarks
+	// cover this block.
 	if err := t.IngestBlock(context.Background(), site, seq, rows); err != nil {
 		return 0, 0, err
 	}

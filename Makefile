@@ -92,11 +92,15 @@ bench-compare:
 # on a warm workspace), and the query encoder's floor (over a d = 44 P2 Gram
 # appendJSONFloat ≥ 1.4× strconv.AppendFloat under encoding/json's rule, the
 # ?gram=1 handler ≥ 1.6× the map-and-reflection one it replaced, 0 allocs
-# per encode into a warm buffer). The scaling guards need ≥4 procs, the
+# per encode into a warm buffer), and the q-digest's floor (a fresh
+# NewTracker(10, 0.01, 16) over 40 × 256 durable-tenancy-shaped items ≥
+# 2.5× the map-backed digest it replaced, a standalone NewQDigest(20, 0.01)
+# under 400 k uniform values ≥ 0.85× it, 0 allocs per steady-state Merge).
+# The scaling guards need ≥4 procs, the
 # kernel guard an AVX2 CPU; both skip — loudly — on machines without.
 # CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

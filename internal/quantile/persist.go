@@ -2,6 +2,8 @@ package quantile
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/stream"
@@ -26,8 +28,11 @@ type QDigestSnapshot struct {
 
 // Snapshot captures the digest's state.
 func (q *QDigest) Snapshot() QDigestSnapshot {
-	counts := make(map[uint64]float64, len(q.counts))
-	for n, c := range q.counts {
+	counts := make(map[uint64]float64, q.Size())
+	for _, nd := range q.nodes {
+		counts[nd.id] = nd.w
+	}
+	for n, c := range q.fresh {
 		counts[n] = c
 	}
 	return QDigestSnapshot{
@@ -36,31 +41,38 @@ func (q *QDigest) Snapshot() QDigestSnapshot {
 	}
 }
 
-// RestoreQDigest rebuilds a digest from a snapshot.
+// RestoreQDigest rebuilds a digest from a snapshot. A node outside the
+// tree, a negative or non-finite node weight, and a negative or non-finite
+// total are errors: any of them would poison every later answer.
 func RestoreQDigest(snap QDigestSnapshot) (*QDigest, error) {
 	if err := CheckDigestParams(snap.Bits, snap.Eps); err != nil {
 		return nil, err
+	}
+	if snap.Weight < 0 || math.IsNaN(snap.Weight) || math.IsInf(snap.Weight, 0) {
+		return nil, fmt.Errorf("quantile: snapshot total weight %v is not a finite non-negative number", snap.Weight)
 	}
 	q := &QDigest{
 		bits:   snap.Bits,
 		eps:    snap.Eps,
 		weight: snap.Weight,
-		counts: make(map[uint64]float64, len(snap.Counts)),
+		nodes:  make([]node, 0, len(snap.Counts)),
+		fresh:  make(map[uint64]float64),
 	}
 	maxNode := uint64(1)<<(snap.Bits+1) - 1
 	for n, c := range snap.Counts {
 		if n < 1 || n > maxNode {
 			return nil, fmt.Errorf("quantile: snapshot node %d outside the %d-bit dyadic tree", n, snap.Bits)
 		}
-		if c < 0 {
-			return nil, fmt.Errorf("quantile: snapshot node %d has negative weight %v", n, c)
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("quantile: snapshot node %d has weight %v, want finite and non-negative", n, c)
 		}
-		q.counts[n] = c
+		q.nodes = append(q.nodes, node{n, c})
 	}
+	slices.SortFunc(q.nodes, byID)
 	q.compressAt = snap.CompressAt
 	if q.compressAt <= 0 {
 		// Pre-CompressAt snapshot: fall back to the post-compression value.
-		q.compressAt = 2 * (len(q.counts) + 32)
+		q.compressAt = 2 * (len(q.nodes) + 32)
 	}
 	return q, nil
 }

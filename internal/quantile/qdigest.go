@@ -14,9 +14,11 @@
 package quantile
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+
+	"repro/internal/gen"
 )
 
 // QDigest is a weighted q-digest over the bounded universe [0, 2^bits).
@@ -27,19 +29,35 @@ import (
 type QDigest struct {
 	bits uint // universe is [0, 1<<bits)
 	eps  float64
-	// counts maps a dyadic node id to its weight. Node ids follow the
-	// standard heap convention: 1 is the root covering the whole universe,
-	// node n has children 2n and 2n+1, and the leaves (at depth bits)
-	// cover single values.
-	counts map[uint64]float64
+	// A node is a dyadic range with a weight. Node ids follow the standard
+	// heap convention: 1 is the root covering the whole universe, node n
+	// has children 2n and 2n+1, and the leaves (at depth bits) cover single
+	// values. Each stored node is in exactly one of nodes, kept sorted by
+	// id, and fresh, which holds only the leaves first seen since nodes was
+	// last rebuilt — so Update is one binary search plus either an in-place
+	// add or one map operation, and never shifts the array.
+	nodes  []node
+	fresh  map[uint64]float64
 	weight float64
-	// compressAt defers compression until the node count doubles, keeping
-	// Update amortized O(1) map operations plus O(size) per compression.
+	// compressAt defers compression until the node count doubles. A
+	// Compress costs O(k + f log f) for k stored nodes of which f are
+	// fresh: it sorts only the fresh keys, then makes one linear pass.
 	compressAt int
-	// nodes is Compress's scratch node list, reused across calls; it is
-	// not part of the digest's state (never serialized or compared).
-	nodes []uint64
+	// born and spare are Compress's and absorb's scratch, reused across
+	// calls; they are not part of the digest's state (never serialized or
+	// compared).
+	born, spare []node
 }
+
+type node struct {
+	id uint64
+	w  float64
+}
+
+// dead marks a node merged away during Compress's pass. Ids stay below
+// 2^(bits+1) ≤ 2^63, so the top bit is free, and a marked id still sorts
+// above every id the pass has yet to look up.
+const dead = uint64(1) << 63
 
 // CheckDigestParams reports whether (bits, eps) are valid q-digest
 // parameters. The public facade turns a non-nil result into its typed
@@ -62,7 +80,7 @@ func NewQDigest(bits uint, eps float64) *QDigest {
 	return &QDigest{
 		bits:       bits,
 		eps:        eps,
-		counts:     make(map[uint64]float64),
+		fresh:      make(map[uint64]float64),
 		compressAt: 64,
 	}
 }
@@ -77,27 +95,89 @@ func (q *QDigest) Eps() float64 { return q.eps }
 func (q *QDigest) Weight() float64 { return q.weight }
 
 // Size returns the number of stored nodes.
-func (q *QDigest) Size() int { return len(q.counts) }
+func (q *QDigest) Size() int { return len(q.nodes) + len(q.fresh) }
 
 // leaf returns the node id of the leaf covering value v.
 func (q *QDigest) leaf(v uint64) uint64 { return (uint64(1) << q.bits) | v }
 
-// Update inserts value v with weight w.
+// Update inserts value v with weight w. A zero weight is a no-op; a
+// negative, NaN or infinite one panics.
 func (q *QDigest) Update(v uint64, w float64) {
 	if v >= uint64(1)<<q.bits {
 		panic(fmt.Sprintf("quantile: value %d outside universe [0, 2^%d)", v, q.bits))
 	}
-	if w < 0 {
-		panic(fmt.Sprintf("quantile: negative weight %v", w))
-	}
 	if w == 0 {
 		return
 	}
-	q.counts[q.leaf(v)] += w
+	if !gen.ValidWeight(w) {
+		panic(fmt.Sprintf("quantile: need positive finite weight, got %v", w))
+	}
+	q.add(q.leaf(v), w)
 	q.weight += w
-	if len(q.counts) >= q.compressAt {
+	if q.Size() >= q.compressAt {
 		q.Compress()
 	}
+}
+
+// add adds w to node id's weight: in place if id is in nodes, else in fresh.
+func (q *QDigest) add(id uint64, w float64) {
+	if i, ok := slices.BinarySearchFunc(q.nodes, id, func(nd node, id uint64) int { return cmp.Compare(nd.id, id) }); ok {
+		q.nodes[i].w += w
+	} else {
+		q.fresh[id] += w
+	}
+}
+
+func byID(a, b node) int { return cmp.Compare(a.id, b.id) }
+
+// sortedFresh returns fresh's nodes in id order, in dst's storage.
+func (q *QDigest) sortedFresh(dst []node) []node {
+	for id, w := range q.fresh {
+		dst = append(dst, node{id, w})
+	}
+	slices.SortFunc(dst, byID)
+	return dst
+}
+
+// fold moves fresh into nodes, sorting only the fresh keys.
+func (q *QDigest) fold() {
+	if len(q.fresh) == 0 {
+		return
+	}
+	f := q.sortedFresh(q.born[:0])
+	q.nodes, q.spare = mergeNodes(q.spare[:0], q.nodes, f), q.nodes
+	q.born = f[:0]
+	clear(q.fresh)
+}
+
+// mergeNodes appends the id-ordered union of a and b, both sorted by id,
+// to dst; an id in both gets weight a + b.
+func mergeNodes(dst, a, b []node) []node {
+	for len(a) > 0 && len(b) > 0 {
+		switch x, y := a[0], b[0]; {
+		case x.id < y.id:
+			dst = append(dst, x)
+			a = a[1:]
+		case x.id > y.id:
+			dst = append(dst, y)
+			b = b[1:]
+		default:
+			dst = append(dst, node{x.id, x.w + y.w})
+			a, b = a[1:], b[1:]
+		}
+	}
+	dst = append(dst, a...)
+	return append(dst, b...)
+}
+
+// sorted returns every stored node in id order without folding: nodes
+// itself when fresh is empty, else a new slice.
+func (q *QDigest) sorted() []node {
+	if len(q.fresh) == 0 {
+		return q.nodes
+	}
+	f := q.sortedFresh(make([]node, 0, len(q.fresh)))
+	return mergeNodes(make([]node, 0, q.Size()), q.nodes, f)
 }
 
 // Compress enforces the q-digest size bound: any node whose subtree triple
@@ -109,34 +189,88 @@ func (q *QDigest) Compress() {
 	if q.weight == 0 {
 		return
 	}
+	q.fold()
 	budget := q.eps * q.weight / float64(q.bits)
 	// Process deepest nodes first (descending id) so freed weight can
-	// cascade upward.
-	nodes := q.nodes[:0]
-	for n := range q.counts {
-		nodes = append(nodes, n)
-	}
-	slices.Sort(nodes)
-	q.nodes = nodes
+	// cascade upward. A parent born during the pass goes to born, not
+	// nodes, and is not visited until the next call. A node's sibling is
+	// its neighbour in nodes or else a parent in born; born descends, and
+	// so do the siblings looked up there (a node whose sibling is stored
+	// above it finds it adjacent), so cursor b only moves down. Its parent,
+	// when stored, is always in nodes, found by cursor p, which only moves
+	// down because the parents of descending ids descend too.
+	nodes, born := q.nodes, q.born[:0]
+	p, b := len(nodes)-1, 0
 	for i := len(nodes) - 1; i >= 0; i-- {
-		n := nodes[i]
-		if n <= 1 {
-			continue // the root absorbs everything
+		n := nodes[i].id
+		if n <= 1 || n&dead != 0 {
+			continue // the root absorbs everything; or already merged as a sibling
 		}
-		c, ok := q.counts[n]
-		if !ok {
-			continue // already merged as a sibling
+		sib, parent := n^1, n>>1
+		var s *node
+		switch {
+		case n&1 == 1 && i > 0 && nodes[i-1].id == sib:
+			s = &nodes[i-1]
+		case n&1 == 0 && i+1 < len(nodes) && nodes[i+1].id == sib:
+			s = &nodes[i+1]
+		default:
+			for b < len(born) && born[b].id > sib {
+				b++
+			}
+			if b < len(born) && born[b].id == sib {
+				s = &born[b]
+			}
 		}
-		sib := n ^ 1
-		parent := n >> 1
-		total := c + q.counts[sib] + q.counts[parent]
+		for p >= 0 && nodes[p].id > parent {
+			p--
+		}
+		hasParent := p >= 0 && nodes[p].id == parent
+		var sw, pw float64
+		if s != nil {
+			sw = s.w
+		}
+		if hasParent {
+			pw = nodes[p].w
+		}
+		total := nodes[i].w + sw + pw
 		if total < budget {
-			q.counts[parent] = total
-			delete(q.counts, n)
-			delete(q.counts, sib)
+			nodes[i].id |= dead
+			if s != nil {
+				s.id |= dead // before the append below can move born
+			}
+			if hasParent {
+				nodes[p].w = total
+			} else {
+				born = append(born, node{parent, total})
+			}
 		}
 	}
-	q.compressAt = 2 * (len(q.counts) + 32)
+	q.rebuild(born)
+	q.compressAt = 2 * (len(q.nodes) + 32)
+}
+
+// rebuild drops Compress's dead nodes and merges in its surviving newborn
+// parents.
+func (q *QDigest) rebuild(born []node) {
+	live := q.nodes[:0]
+	for _, nd := range q.nodes {
+		if nd.id&dead == 0 {
+			live = append(live, nd)
+		}
+	}
+	up := born[:0]
+	for _, nd := range born {
+		if nd.id&dead == 0 {
+			up = append(up, nd)
+		}
+	}
+	q.born = born[:0]
+	if len(up) == 0 {
+		q.nodes = live
+		return
+	}
+	slices.Reverse(up)
+	q.nodes, q.spare = mergeNodes(q.spare[:0], live, up), live
 }
 
 // depth returns the depth of node n (root = 0, leaves = bits).
@@ -164,28 +298,33 @@ func (q *QDigest) Quantile(phi float64) uint64 {
 	if phi < 0 || phi > 1 {
 		panic(fmt.Sprintf("quantile: need 0 ≤ φ ≤ 1, got %v", phi))
 	}
-	if len(q.counts) == 0 {
+	if q.Size() == 0 {
 		return 0
 	}
 	// Order nodes by (hi, depth descending): the standard q-digest
 	// post-order traversal, so accumulating weights scans values in
-	// nondecreasing order of their upper bounds.
+	// nondecreasing order of their upper bounds. The key is unique per node.
 	type entry struct {
-		node   uint64
 		hi     uint64
 		d      uint
 		weight float64
 	}
-	entries := make([]entry, 0, len(q.counts))
-	for n, c := range q.counts {
+	entries := make([]entry, 0, q.Size())
+	visit := func(n uint64, c float64) {
 		_, hi := q.rangeOf(n)
-		entries = append(entries, entry{node: n, hi: hi, d: depth(n), weight: c})
+		entries = append(entries, entry{hi: hi, d: depth(n), weight: c})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].hi != entries[j].hi {
-			return entries[i].hi < entries[j].hi
+	for _, nd := range q.nodes {
+		visit(nd.id, nd.w)
+	}
+	for n, c := range q.fresh {
+		visit(n, c)
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(a.hi, b.hi); c != 0 {
+			return c
 		}
-		return entries[i].d > entries[j].d
+		return cmp.Compare(b.d, a.d)
 	})
 	target := phi * q.weight
 	var acc float64
@@ -200,16 +339,17 @@ func (q *QDigest) Quantile(phi float64) uint64 {
 
 // RankBounds returns lower and upper bounds on the weighted rank of value v
 // (the weight of items ≤ v). The true rank lies in [lo, hi], and
-// hi − lo ≤ εW after compression.
+// hi − lo ≤ εW after compression. The sums run in node-id order, so the
+// bounds are deterministic to the last bit.
 func (q *QDigest) RankBounds(v uint64) (lo, hi float64) {
-	for n, c := range q.counts {
-		nlo, nhi := q.rangeOf(n)
+	for _, nd := range q.sorted() {
+		nlo, nhi := q.rangeOf(nd.id)
 		switch {
 		case nhi <= v:
-			lo += c
-			hi += c
+			lo += nd.w
+			hi += nd.w
 		case nlo <= v:
-			hi += c // straddling range: may or may not be ≤ v
+			hi += nd.w // straddling range: may or may not be ≤ v
 		}
 	}
 	return lo, hi
@@ -229,20 +369,27 @@ func (q *QDigest) Merge(other *QDigest) {
 	q.Compress()
 }
 
-// absorb adds other's nodes and weight without compressing. The sharded
+// absorb adds other's nodes and weight without compressing: a merge-join of
+// the two sorted arrays, then other's fresh leaves one by one. The sharded
 // merged query view uses it directly so a one-shard tracker's view is
 // node-for-node identical to the shard's own digest (compressing here
 // would add fresh compression debt the unsharded tracker doesn't have).
 func (q *QDigest) absorb(other *QDigest) {
-	for n, c := range other.counts {
-		q.counts[n] += c
+	q.fold()
+	if len(other.nodes) > 0 {
+		q.nodes, q.spare = mergeNodes(q.spare[:0], q.nodes, other.nodes), q.nodes
+	}
+	for n, c := range other.fresh {
+		q.add(n, c)
 	}
 	q.weight += other.weight
 }
 
-// Reset clears the digest.
+// Reset clears the digest. fresh is replaced, not cleared: a map never
+// shrinks, and every later fold would walk a burst's capacity.
 func (q *QDigest) Reset() {
-	q.counts = make(map[uint64]float64)
+	q.nodes = q.nodes[:0]
+	q.fresh = make(map[uint64]float64)
 	q.weight = 0
 	q.compressAt = 64
 }

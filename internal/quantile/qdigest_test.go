@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -178,6 +179,9 @@ func TestQDigestValidation(t *testing.T) {
 		func() { NewQDigest(8, 0) },
 		func() { NewQDigest(8, 0.1).Update(1<<8, 1) },
 		func() { NewQDigest(8, 0.1).Update(1, -1) },
+		func() { NewQDigest(8, 0.1).Update(3, math.NaN()) },
+		func() { NewQDigest(8, 0.1).Update(3, math.Inf(1)) },
+		func() { NewQDigest(8, 0.1).Update(3, math.Inf(-1)) },
 		func() { NewQDigest(8, 0.1).Quantile(2) },
 	} {
 		func() {
@@ -261,22 +265,31 @@ func TestQDigestQuantileMonotone(t *testing.T) {
 // BenchmarkQDigestCompress times the coordinator's ship path — Merge of a
 // small site digest into a large merged one, which is absorb + Compress —
 // the q-digest tracker's dominant ingest cost. Steady state allocates
-// nothing: the node list is the digest's reused scratch.
+// nothing: the node arrays and the fresh map are reused. Every Merge grows
+// the weight and so shrinks the digest, so ns/op depends on b.N: compare
+// two trees at a fixed -benchtime such as 2000x.
 func BenchmarkQDigestCompress(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	merged := NewQDigest(16, 0.005)
-	for i := 0; i < 200000; i++ {
-		merged.Update(rng.Uint64()%(1<<16), 1)
-	}
-	merged.Compress()
-	site := NewQDigest(16, 0.005)
-	for i := 0; i < 32; i++ {
-		site.Update(rng.Uint64()%(1<<16), 1)
-	}
+	merged, site := compressBenchDigests()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		merged.Merge(site)
 	}
 	b.ReportMetric(float64(merged.Size()), "nodes")
+}
+
+// compressBenchDigests builds BenchmarkQDigestCompress's pair: a merged
+// digest over 200 000 uniform values and a 32-value site digest.
+func compressBenchDigests() (merged, site *QDigest) {
+	rng := rand.New(rand.NewSource(1))
+	merged = NewQDigest(16, 0.005)
+	for i := 0; i < 200000; i++ {
+		merged.Update(rng.Uint64()%(1<<16), 1)
+	}
+	merged.Compress()
+	site = NewQDigest(16, 0.005)
+	for i := 0; i < 32; i++ {
+		site.Update(rng.Uint64()%(1<<16), 1)
+	}
+	return merged, site
 }

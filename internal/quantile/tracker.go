@@ -3,6 +3,7 @@ package quantile
 import (
 	"fmt"
 
+	"repro/internal/gen"
 	"repro/internal/stream"
 )
 
@@ -74,8 +75,8 @@ func (t *Tracker) Process(site int, value uint64, w float64) {
 	if site < 0 || site >= t.m {
 		panic(fmt.Sprintf("quantile: site %d out of range [0,%d)", site, t.m))
 	}
-	if w <= 0 {
-		panic(fmt.Sprintf("quantile: need positive weight, got %v", w))
+	if !gen.ValidWeight(w) {
+		panic(fmt.Sprintf("quantile: need positive finite weight, got %v", w))
 	}
 	s := &t.sites[site]
 	s.digest.Update(value, w)

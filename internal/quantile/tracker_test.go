@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -77,6 +78,8 @@ func TestTrackerValidation(t *testing.T) {
 		func() { NewTracker(2, 0, 8) },
 		func() { NewTracker(2, 0.1, 8).Process(5, 1, 1) },
 		func() { NewTracker(2, 0.1, 8).Process(0, 1, 0) },
+		func() { NewTracker(2, 0.1, 8).Process(0, 3, math.NaN()) },
+		func() { NewTracker(2, 0.1, 8).Process(0, 3, math.Inf(1)) },
 	} {
 		func() {
 			defer func() {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test loc race bench bench-check bench-compare perf-guard experiments fmt vet lint lint-findings e2e
+.PHONY: build test loc race bench-check perf-guard experiments fmt vet lint lint-findings e2e
 
 build:
 	$(GO) build ./...
@@ -24,14 +24,6 @@ loc:
 
 race:
 	$(GO) test -race ./...
-
-# Reproducible perf artifact: rows/sec and messages-per-update for the
-# headline protocols, at quick scale by default. Override the scale with
-# BENCH_FLAGS (e.g. BENCH_FLAGS="" for the paper-scale streams).
-BENCH_FLAGS ?= -quick
-bench:
-	$(GO) run ./cmd/experiments $(BENCH_FLAGS) -bench-json BENCH_ingest.json
-	@cat BENCH_ingest.json
 
 # bench/ is its own module (the repo's end-to-end benchmark, BENCHMARK.json)
 # compiled against repro, internal/core and internal/service; `go build
@@ -61,44 +53,9 @@ bench-check:
 		done; \
 	done
 
-# benchstat-style old-vs-new comparison: regenerate into a scratch file and
-# diff it against the committed artifact, promoting the new numbers only
-# when the comparison passes — a -fail-over failure leaves the committed
-# baseline untouched (and BENCH_ingest.new.json behind for inspection).
-# COMPARE_FLAGS="-fail-over 20" makes a >20% rows/sec regression fail.
-COMPARE_FLAGS ?=
-bench-compare:
-	$(GO) run ./cmd/experiments $(BENCH_FLAGS) -bench-json BENCH_ingest.new.json
-	$(GO) run ./cmd/benchcompare $(COMPARE_FLAGS) BENCH_ingest.json BENCH_ingest.new.json
-	@mv BENCH_ingest.new.json BENCH_ingest.json
-
-# The in-tree perf floors: the ≥5× fast-ingest speedup guard, the exact-mode
-# batch never-slower guard, the FD blocked-ingest guard, the steady-state
-# zero-allocation assertions, the ≥2× sharded scaling floor at 4 workers,
-# the HTTP ingest decoder's floor (≥ 4× the
-# encoding/json oracle on a 256 × 44 rows body, still ≥ 2× when every token
-# has 25 digits and takes the strconv fallback, 0 allocs per decode), the
-# hibernation fault-in floor (behind a 64 MiB log of other trackers'
-# records ≤ 2× what it costs behind an empty log: fault-in never reads the
-# WAL), the Gram kernel's floor (Sym.AddBlock under the AVX2 gramRow
-# body ≥ 2.5× the portable body at 64 × 44 and ≥ 2× at 256 × 44, and a
-# 63-row block ≤ 1.3× a 64-row one: no scalar cliff off a multiple of
-# four rows), the wire transport's floor (per 64 × 44 frame the
-# read-ahead decoder allocates nothing and is ≥ 1.7× the io.ReadFull
-# decoder it replaced; a steady-state SendBlock allocates no frame; 512
-# streamed blocks cost < 128 ack frames and < 256 writes), the
-# eigensolver's floor (EigSymWork on the transposed workspace ≥ 1.3× the
-# row-major tred2/tql2 it replaced at n = 44 and ≥ 1.4× at n = 90, 0 allocs
-# on a warm workspace), and the query encoder's floor (over a d = 44 P2 Gram
-# appendJSONFloat ≥ 1.4× strconv.AppendFloat under encoding/json's rule, the
-# ?gram=1 handler ≥ 1.6× the map-and-reflection one it replaced, 0 allocs
-# per encode into a warm buffer), and the q-digest's floor (a fresh
-# NewTracker(10, 0.01, 16) over 40 × 256 durable-tenancy-shaped items ≥
-# 2.5× the map-backed digest it replaced, a standalone NewQDigest(20, 0.01)
-# under 400 k uniform values ≥ 0.85× it, 0 allocs per steady-state Merge).
-# The scaling guards need ≥4 procs, the
-# kernel guard an AVX2 CPU; both skip — loudly — on machines without.
-# CI runs exactly this target.
+# The in-tree perf floors. README's Performance section lists each guard
+# with its floor and package; the scaling guards skip loudly below 4 procs
+# and the kernel guard without AVX2. CI runs exactly this target.
 perf-guard:
 	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
 

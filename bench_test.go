@@ -1,14 +1,14 @@
 package distmat_test
 
 // One benchmark per table and figure of the paper's evaluation. Each bench
-// regenerates its experiment at Quick scale (the shapes survive; see
-// EXPERIMENTS.md for the default-scale numbers) and reports, beyond ns/op,
-// the headline quantities the paper plots — message counts and measured
-// errors — as custom benchmark metrics.
+// regenerates its experiment at Quick scale (the shapes survive) and
+// reports, beyond ns/op, the headline quantities the paper plots — message
+// counts and measured errors — as custom benchmark metrics.
 //
 //	go test -bench=. -benchmem
 //
-// cmd/experiments runs the same harness at full scale.
+// `go run ./cmd/experiments` runs the same harness at default scale and
+// prints the numbers.
 
 import (
 	"strconv"

@@ -5,16 +5,10 @@
 // Usage:
 //
 //	experiments [-quick] [-only fig1,table1,fig2,...] [-protocol p1,p2,...]
-//	            [-hh-n N] [-mat-n N] [-sites M] [-seed S] [-v]
-//	            [-bench-json FILE]
+//	            [-hh-n N] [-mat-n N] [-sites M] [-seed S] [-v] [-plot]
 //
-// -bench-json skips the figures and instead runs the ingestion benchmark,
-// writing rows/sec and messages-per-update per protocol to FILE (the
-// repo's `make bench` target emits BENCH_ingest.json this way). Beyond the
-// per-protocol session rows it records the blocked batch path ("p1+batch",
-// "p2+batch": per-site blocks through Session.ProcessRowsAt) and the
-// sketch-level blocked-vs-unblocked Frequent Directions comparison
-// ("fd-blocked" vs "fd-unblocked").
+// -only selects experiments by key, case-insensitively; an unknown key
+// exits 2 before any sweep runs.
 //
 // -protocol restricts every sweep to a comma-separated subset of the
 // registered protocol names (distmat.HHProtocols / distmat.MatrixProtocols);
@@ -27,11 +21,58 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	distmat "repro"
 	"repro/internal/experiments"
 )
+
+// experiment is one -only key and the tables it prints.
+type experiment struct {
+	key string
+	run func(*experiments.Runner) []experiments.Table
+}
+
+// catalogue lists every experiment in paper order; it drives both the run
+// loop and -only validation.
+var catalogue = []experiment{
+	{"fig1", (*experiments.Runner).Fig1},
+	{"table1", func(r *experiments.Runner) []experiments.Table { return []experiments.Table{r.Table1()} }},
+	{"fig2", (*experiments.Runner).Fig2},
+	{"fig3", (*experiments.Runner).Fig3},
+	{"fig4", (*experiments.Runner).Fig4},
+	{"fig6", (*experiments.Runner).Fig6},
+	{"fig7", (*experiments.Runner).Fig7},
+	{"stability", (*experiments.Runner).Stability},
+}
+
+// selectExperiments parses an -only value into catalogue entries, in
+// catalogue order. An empty value selects every experiment; an unknown
+// key is an error naming it.
+func selectExperiments(arg string) ([]experiment, error) {
+	wanted := map[string]bool{}
+	for _, k := range strings.Split(arg, ",") {
+		k = strings.ToLower(strings.TrimSpace(k))
+		if k == "" {
+			continue
+		}
+		if !slices.ContainsFunc(catalogue, func(e experiment) bool { return e.key == k }) {
+			return nil, fmt.Errorf("unknown experiment %q", k)
+		}
+		wanted[k] = true
+	}
+	if len(wanted) == 0 {
+		return catalogue, nil
+	}
+	var out []experiment
+	for _, e := range catalogue {
+		if wanted[e.key] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
 
 // splitProtocols parses and registry-validates a -protocol flag value,
 // returning the subset valid for each problem.
@@ -60,17 +101,22 @@ func splitProtocols(arg string) (hhNames, matNames []string, err error) {
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "run at test scale (seconds instead of minutes)")
-		only     = flag.String("only", "", "comma-separated subset: fig1,table1,fig2,fig3,fig4,fig6,fig7")
+		only     = flag.String("only", "", "comma-separated subset: fig1,table1,fig2,fig3,fig4,fig6,fig7,stability")
 		protocol = flag.String("protocol", "", "comma-separated registry protocol names to sweep (default: the paper's p1,p2,p3,p4)")
 		hhN      = flag.Int("hh-n", 0, "override heavy-hitters stream length (paper: 10000000)")
 		matN     = flag.Int("mat-n", 0, "override matrix stream rows (paper: 629250/300000)")
 		sites    = flag.Int("sites", 0, "override default site count m (paper: 50)")
-		seed     = flag.Int64("seed", 0, "override random seed")
+		seed     = flag.Int64("seed", 0, "override random seed (default: the config's)")
 		verbose  = flag.Bool("v", false, "log per-run progress to stderr")
 		plots    = flag.Bool("plot", false, "also render sweep tables as ASCII log-log charts")
-		benchOut = flag.String("bench-json", "", "run the ingestion benchmark and write its JSON document to this file instead of the figures")
 	)
 	flag.Parse()
+
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := experiments.Default()
 	if *quick {
@@ -98,43 +144,18 @@ func main() {
 	if *sites > 0 {
 		cfg.Sites = *sites
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			cfg.Seed = *seed
+		}
+	})
 	if *verbose {
 		cfg.Progress = os.Stderr
 	}
 
 	r := experiments.NewRunner(cfg)
-	if *benchOut != "" {
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		if err := r.WriteIngestBenchJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-		return
-	}
-	wanted := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			wanted[strings.ToLower(strings.TrimSpace(k))] = true
-		}
-	}
-	run := func(key string, f func() []experiments.Table) {
-		if len(wanted) > 0 && !wanted[key] {
-			return
-		}
-		for _, t := range f() {
+	for _, e := range selected {
+		for _, t := range e.run(r) {
 			t.Render(os.Stdout)
 			if *plots && t.Chartable {
 				if c, err := t.Chart(); err == nil {
@@ -143,25 +164,6 @@ func main() {
 					}
 					fmt.Println()
 				}
-			}
-		}
-	}
-
-	run("fig1", r.Fig1)
-	run("table1", func() []experiments.Table { return []experiments.Table{r.Table1()} })
-	run("fig2", r.Fig2)
-	run("fig3", r.Fig3)
-	run("fig4", r.Fig4)
-	run("fig6", r.Fig6)
-	run("fig7", r.Fig7)
-	run("stability", r.Stability)
-
-	if len(wanted) > 0 {
-		known := map[string]bool{"fig1": true, "table1": true, "fig2": true, "fig3": true, "fig4": true, "fig6": true, "fig7": true, "stability": true}
-		for k := range wanted {
-			if !known[k] {
-				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", k)
-				os.Exit(2)
 			}
 		}
 	}

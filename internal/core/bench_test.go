@@ -26,9 +26,8 @@ func benchTracker(b *testing.B, build func() Tracker) {
 }
 
 // BenchmarkMatrixIngestModes compares exact and fast ingest on identical
-// per-site block feeds for the headline protocols: the benchmark behind the
-// BENCH_ingest.json p1-blocked/p2-blocked entries and the ≥5× speedup guard
-// (TestFastIngestSpeedupGuard).
+// per-site block feeds for the headline protocols; TestFastIngestSpeedupGuard
+// holds fast at ≥ 5× exact.
 func BenchmarkMatrixIngestModes(b *testing.B) {
 	const m, d, block = 10, 44, 1024
 	builders := []struct {

@@ -18,7 +18,7 @@ import (
 //      batch boundary, on adversarial streams;
 //   2. message counts within the documented factor of exact mode on the
 //      same blocks (P1: identical; P2/P2small: ≤ the ship-early factor 2);
-//   3. the ≥5× ingest speedup floor the BENCH_ingest.json entries claim;
+//   3. a ≥5× ingest speedup floor over exact per-row ingestion;
 //   4. a steady-state zero-allocation site hot path.
 
 // adversarialStreams are the stress shapes the fast paths must survive:
@@ -194,11 +194,10 @@ func TestFastModeMessageFactor(t *testing.T) {
 	}
 }
 
-// TestFastIngestSpeedupGuard is the in-tree benchmark guard for the
-// BENCH_ingest.json acceptance bar: fast-mode blocked ingest must beat
-// exact per-row ingestion by at least 5× rows/sec for both headline matrix
-// protocols. The measured margin is >15× (see the p1-blocked/p2-blocked
-// BENCH entries), so the 5× floor is safe against CI noise;
+// TestFastIngestSpeedupGuard holds fast-mode blocked ingest (1024-row
+// per-site blocks) at ≥ 5× the rows/sec of exact per-row ingestion for both
+// headline matrix protocols. The test logs the measured ratio, which sits
+// well above the floor, so the floor is safe against CI noise;
 // BenchmarkMatrixIngestModes reports the exact ratios.
 func TestFastIngestSpeedupGuard(t *testing.T) {
 	if testing.Short() {

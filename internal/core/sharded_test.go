@@ -19,8 +19,8 @@ import (
 //  3. determinism: results are a pure function of the feed and P — two
 //     runs with concurrent workers produce bit-identical Grams and message
 //     tallies, regardless of goroutine schedule;
-//  4. the ≥2× scaling floor at 4 workers that the BENCH_ingest.json
-//     p2-sharded entry claims (enforced where ≥4 procs exist);
+//  4. a ≥2× scaling floor at 4 workers over one fast tracker (enforced
+//     where ≥4 procs exist);
 //  5. snapshot/restore round-trips bit-exactly and resumes the trajectory.
 
 // feedSharded drives rows through ProcessRows in site runs, exactly like
@@ -193,9 +193,8 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	sampled.Close()
 }
 
-// TestShardedSpeedupGuard is the scaling floor behind the BENCH_ingest.json
-// p2-sharded entry: 4 shards over the fast-mode blocked path must beat the
-// single fast tracker by ≥2× rows/sec. Real parallelism is required, so the
+// TestShardedSpeedupGuard holds 4 shards over the fast-mode blocked path at
+// ≥ 2× the rows/sec of the single fast tracker. Real parallelism is required, so the
 // guard runs only with ≥4 procs available (the CI perf-guard job's runners;
 // a laptop container pinned to one core skips). Best-of-3 on each side
 // absorbs scheduler noise; the expected margin at 4 workers is well above

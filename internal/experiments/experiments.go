@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6 plus the appendix's P4 study). Each experiment
 // returns plain-text tables whose rows/series mirror what the paper plots;
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// `go run ./cmd/experiments` prints them.
 //
 // The workloads are the paper's where reproducible (Zipf skew 2, weights
 // Unif[1,β]) and the documented synthetic substitutes for the PAMAP and

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,6 +27,25 @@ func cellFloat(t *testing.T, s string) float64 {
 		t.Fatalf("cell %q not numeric: %v", s, err)
 	}
 	return v
+}
+
+// checkDeterministicBound asserts the paper's deterministic guarantee on an
+// err-vs-ε table: P1 and P2 keep the covariance error within ε at every
+// sweep point.
+func checkDeterministicBound(t *testing.T, tbl *Table) {
+	t.Helper()
+	for _, proto := range []string{"P1", "P2"} {
+		col := slices.Index(tbl.Columns, proto)
+		if col < 0 {
+			t.Fatalf("%s has no %s column (columns %v)", tbl.ID, proto, tbl.Columns)
+		}
+		for _, row := range tbl.Rows {
+			eps := cellFloat(t, row[0])
+			if v := cellFloat(t, row[col]); v > eps {
+				t.Errorf("%s: %s err %v exceeds ε=%v", tbl.ID, proto, v, eps)
+			}
+		}
+	}
 }
 
 func findTable(tables []Table, id string) *Table {
@@ -127,6 +147,15 @@ func TestTable1Shapes(t *testing.T) {
 	if worMsg >= wrMsg {
 		t.Fatalf("P3wor messages %v not below P3wr %v", worMsg, wrMsg)
 	}
+	// The deterministic protocols keep their error within ε=0.1 on both
+	// datasets.
+	for _, method := range []string{"P1", "P2"} {
+		for _, col := range []int{1, 3} {
+			if v := cellFloat(t, get(method)[col]); v > 0.1 {
+				t.Errorf("%s %s %v exceeds ε=0.1", method, tbl.Columns[col], v)
+			}
+		}
+	}
 	// P1's error is far smaller than P2's but its message count is near the
 	// naive baseline.
 	p1Pam := cellFloat(t, get("P1")[1])
@@ -151,8 +180,10 @@ func TestFig2Fig4Fig6Shapes(t *testing.T) {
 	if len(f2) != 4 {
 		t.Fatalf("Fig2 returned %d tables", len(f2))
 	}
-	// (a): P2's error decreases (weakly) as ε decreases.
+	// (a): P1 and P2 within ε everywhere; P2's error decreases (weakly) as
+	// ε decreases.
 	ta := findTable(f2, "Fig 2(a)")
+	checkDeterministicBound(t, ta)
 	smallest := cellFloat(t, ta.Rows[0][2])
 	largest := cellFloat(t, ta.Rows[len(ta.Rows)-1][2])
 	if smallest > largest+1e-9 {
@@ -191,14 +222,8 @@ func TestFig3Fig7Shapes(t *testing.T) {
 	if len(f3) != 4 {
 		t.Fatalf("Fig3 returned %d tables", len(f3))
 	}
-	// High-rank dataset: P2 error still under each ε.
-	ta := findTable(f3, "Fig 3(a)")
-	for _, row := range ta.Rows {
-		eps := cellFloat(t, row[0])
-		if v := cellFloat(t, row[2]); v > eps {
-			t.Fatalf("MSD P2 err %v exceeds ε=%v", v, eps)
-		}
-	}
+	// High-rank dataset: P1 and P2 error still under each ε.
+	checkDeterministicBound(t, findTable(f3, "Fig 3(a)"))
 	// Fig 7 reuses the sweep; P4's error at smallest ε far above P2's.
 	f7 := r.Fig7()
 	row := findTable(f7, "Fig 7(a)").Rows[0]

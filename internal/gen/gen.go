@@ -111,8 +111,8 @@ func MSDLike(n int) MatrixConfig {
 }
 
 // LowRankMatrix generates rows x = Σ_k σ_k·g_k·v_k + noise with an
-// orthonormal factor V (fixed per seed), geometric spectrum σ_k = 2^{−k}
-// down to EffectiveRank, and isotropic Gaussian noise. Rows are rescaled to
+// orthonormal factor V (fixed per seed), geometric spectrum σ_k = 2^{−k/2}
+// for k = 0 … EffectiveRank−1, and isotropic Gaussian noise. Rows are rescaled to
 // squared norm in [1, β].
 func LowRankMatrix(cfg MatrixConfig) [][]float64 {
 	if cfg.EffectiveRank < 1 || cfg.EffectiveRank > cfg.D {

@@ -28,8 +28,7 @@ import (
 //     ordered heavy-hitter lists on tie-heavy streams (the canonical
 //     weight-desc/elem-asc order leaves no room for map-iteration order);
 //  5. snapshot/restore round-trips bit-exactly and resumes the trajectory;
-//  6. the ≥2× scaling floor at 4 workers that BENCH_ingest.json's
-//     p2-sharded heavy-hitters entry claims.
+//  6. a ≥2× scaling floor at 4 workers over one tracker.
 
 // feedShardedItems drives items through Deal in site runs of run
 // items each, cycling sites; feedBare drives the identical sequence through
@@ -307,9 +306,8 @@ func TestMergedSummaryMGMismatch(t *testing.T) {
 	}
 }
 
-// TestShardedItemSpeedupGuard is property 6, the scaling floor behind the
-// BENCH_ingest.json heavy-hitters p2-sharded entry: 4 shards over the
-// batched item path must beat the single tracker by ≥2× items/sec. The
+// TestShardedItemSpeedupGuard is property 6: 4 shards over the batched item
+// path must beat the single tracker by ≥2× items/sec. The
 // per-item work is amplified with P4Median (4 independent P4 copies per
 // item), the workload sharding exists to parallelize. Real parallelism is
 // required, so the guard runs only with ≥4 procs (the CI perf-guard job's

@@ -7,9 +7,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Two legs, as in CI: the default build (on amd64 the assembly gramRow body
-# where the CPU has AVX2) and the purego tag's portable body over the
-# packages whose results depend on the Gram kernel (internal/node runs
+# Two legs, as in CI: the default build (on amd64 the assembly bodies of
+# internal/matrix's kernels — gramRow and the row kernels of the P2 site
+# step — where the CPU has AVX2) and the purego tag's portable bodies over
+# the packages whose results depend on those kernels (internal/node runs
 # internal/core's site half; internal/hh rides along so both protocols'
 # replay tests see both legs). testdata/golden-*.ckpt must pass on both:
 # that is the bodies' bit-identity at system level.
@@ -55,9 +56,9 @@ bench-check:
 
 # The in-tree perf floors. README's Performance section lists each guard
 # with its floor and package; the scaling guards skip loudly below 4 procs
-# and the kernel guard without AVX2. CI runs exactly this target.
+# and the two kernel guards without AVX2. CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestSiteStepKernelGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

@@ -1,7 +1,7 @@
-// Command distlint runs the project's static-analysis suite — the five
-// analyzers in internal/analysis that enforce the hot-path allocation,
-// mutex-guard, snapshot-purity, error-contract, and worker-lifecycle
-// conventions declared with //distlint: directives.
+// Command distlint runs the project's static-analysis suite — the six
+// analyzers in internal/analysis that enforce the assembly-spec, hot-path
+// allocation, mutex-guard, snapshot-purity, error-contract, and
+// worker-lifecycle conventions declared with //distlint: directives.
 //
 // Usage:
 //

@@ -7,6 +7,10 @@ import (
 	"repro/internal/analysis/lintkit"
 )
 
+func TestAsmSpec(t *testing.T) {
+	lintkit.RunFixture(t, "testdata/src/asmspec", analysis.AsmSpec)
+}
+
 func TestHotPathAlloc(t *testing.T) {
 	lintkit.RunFixture(t, "testdata/src/hotpathalloc", analysis.HotPathAlloc)
 }
@@ -28,7 +32,7 @@ func TestWorkerLifecycle(t *testing.T) {
 }
 
 // TestSuiteScoping pins the driver's package scoping: directive-driven
-// analyzers run everywhere, errcontract only on the facade and service,
+// analyzers and asmspec run everywhere, errcontract only on the facade and service,
 // workerlifecycle only on the worker-spawning packages (core, hh,
 // quantile, service, wire).
 func TestSuiteScoping(t *testing.T) {
@@ -54,7 +58,7 @@ func TestSuiteScoping(t *testing.T) {
 		{"repro/internal/sketch", false, false},
 	} {
 		got := names(analysis.Suite(tc.pkg))
-		for _, always := range []string{"hotpathalloc", "mutexguard", "snapshotpurity"} {
+		for _, always := range []string{"asmspec", "hotpathalloc", "mutexguard", "snapshotpurity"} {
 			if !got[always] {
 				t.Errorf("Suite(%q): missing %s", tc.pkg, always)
 			}
@@ -66,7 +70,7 @@ func TestSuiteScoping(t *testing.T) {
 			t.Errorf("Suite(%q): workerlifecycle = %v, want %v", tc.pkg, got["workerlifecycle"], tc.lifecycle)
 		}
 	}
-	if len(analysis.All()) != 5 {
-		t.Errorf("All() = %d analyzers, want 5", len(analysis.All()))
+	if len(analysis.All()) != 6 {
+		t.Errorf("All() = %d analyzers, want 6", len(analysis.All()))
 	}
 }

@@ -7,6 +7,7 @@ import "repro/internal/analysis/lintkit"
 // analyzer's package scope.
 func All() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
+		AsmSpec,
 		ErrContract,
 		HotPathAlloc,
 		MutexGuard,
@@ -17,7 +18,8 @@ func All() []*lintkit.Analyzer {
 
 // Suite returns the analyzers that apply to the package with the given
 // import path. Directive-driven analyzers (hotpath, guarded-by, snapshot
-// aliasing) run everywhere — they only fire where annotations exist.
+// aliasing) run everywhere — they only fire where annotations exist — and so
+// does AsmSpec, which only fires on functions declared without a body.
 // ErrContract is scoped to the public facade and the service layer, whose
 // error-handling conventions it encodes; WorkerLifecycle is scoped to the
 // packages that spawn long-lived worker goroutines (matrix and item ingest
@@ -25,7 +27,7 @@ func All() []*lintkit.Analyzer {
 // transport's connection managers and listeners, and the write-ahead
 // log's interval flusher).
 func Suite(pkgPath string) []*lintkit.Analyzer {
-	suite := []*lintkit.Analyzer{HotPathAlloc, MutexGuard, SnapshotPurity}
+	suite := []*lintkit.Analyzer{AsmSpec, HotPathAlloc, MutexGuard, SnapshotPurity}
 	switch pkgPath {
 	case "repro", "repro/internal/service":
 		suite = append(suite, ErrContract)

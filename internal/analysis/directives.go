@@ -1,7 +1,8 @@
 // Package analysis is distlint: the project-specific static-analysis suite
 // that mechanically enforces the codebase's unwritten contracts — zero-alloc
 // steady-state hot paths, mutex-guarded shared state, deep-copied snapshots,
-// sentinel-error wrapping, and worker-goroutine lifecycles. The analyzers
+// sentinel-error wrapping, worker-goroutine lifecycles, and a portable spec
+// and a differential test for every assembly body. The analyzers
 // run on lintkit (a stdlib-only go/analysis workalike) through the
 // cmd/distlint driver, which `make lint` and CI invoke on every package.
 //
@@ -11,6 +12,7 @@
 //	//distlint:alloc-ok         (line) permitted allocation, e.g. pool growth
 //	//distlint:guarded-by mu    (struct field) only touch with mu held
 //	//distlint:caller-holds mu  (function) lock discipline is the caller's
+//	//distlint:spec f TestX     (body-less function) portable spec and its test
 //	//distlint:alias-ok         (line) permitted snapshot aliasing
 //	//distlint:panic-ok         (line) permitted panic, e.g. unreachable
 //	//distlint:lifecycle-ok     (line) goroutine shutdown handled elsewhere

@@ -23,9 +23,7 @@ import "fmt"
 //distlint:hotpath
 func NormSqRows(rows [][]float64, dst []float64) []float64 {
 	dst = growFloats(dst, len(rows))
-	for i, row := range rows {
-		dst[i] = NormSq(row)
-	}
+	normSqRows(rows, dst)
 	return dst
 }
 

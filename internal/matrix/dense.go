@@ -370,9 +370,7 @@ func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("matrix: axpy of vectors with lengths %d and %d", len(x), len(y)))
 	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
+	axpy(alpha, x, y)
 }
 
 // ErrDimension is returned by operations whose input shapes are incompatible

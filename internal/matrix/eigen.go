@@ -106,7 +106,10 @@ func tred2(w []float64, n int, d, e []float64) {
 				ei[j] = 0
 			}
 
-			// Apply the similarity transformation to remaining columns.
+			// Apply the similarity transformation to remaining columns. The
+			// port's fused loop (g += wj[k]·di[k]; ei[k] += wj[k]·f) splits
+			// into its dot, summed in the same order, and an axpy: neither
+			// half reads what the other writes.
 			for j := range di {
 				f = di[j]
 				wi[j] = f
@@ -114,8 +117,8 @@ func tred2(w []float64, n int, d, e []float64) {
 				g = ei[j] + wj[j]*f
 				for k := j + 1; k < i; k++ {
 					g += wj[k] * di[k]
-					ei[k] += wj[k] * f
 				}
+				axpy(f, wj[j+1:], ei[j+1:])
 				ei[j] = g
 			}
 			f = 0
@@ -123,17 +126,16 @@ func tred2(w []float64, n int, d, e []float64) {
 				ei[j] /= h
 				f += ei[j] * di[j]
 			}
+			// ei[j] − hh·di[j] is ei[j] + (−hh)·di[j]: negation is exact and
+			// a − b ≡ a + (−b).
 			hh := f / (h + h)
-			for j := range ei {
-				ei[j] -= hh * di[j]
-			}
+			axpy(-hh, di, ei)
+			// The port's wj[k] += −(f·ei[k] + g·di[k]), by a + (−b) ≡ a − b.
 			for j := range di {
 				f = di[j]
 				g = ei[j]
 				wj := w[j*n:][:i] // V(0..i-1, j)
-				for k := j; k < i; k++ {
-					wj[k] += -(f*ei[k] + g*di[k])
-				}
+				subScaled2(wj[j:], ei[j:], di[j:], f, g)
 				di[j] = wj[i-1]
 				w[j*n+i] = 0
 			}
@@ -152,15 +154,32 @@ func tred2(w []float64, n int, d, e []float64) {
 			for k, x := range wi1 {
 				di[k] = x / h
 			}
-			for j := 0; j <= i; j++ {
+			// Row j's dot reads only wi1 and row j, so four rows' dots run
+			// as four independent chains, each in the port's order, before
+			// the four updates wj[k] += (−g)·di[k].
+			j := 0
+			for ; j+3 <= i; j += 4 {
+				w0, w1 := w[j*n:][:i+1], w[(j+1)*n:][:i+1]
+				w2, w3 := w[(j+2)*n:][:i+1], w[(j+3)*n:][:i+1]
+				var g0, g1, g2, g3 float64
+				for k, x := range wi1 {
+					g0 += x * w0[k]
+					g1 += x * w1[k]
+					g2 += x * w2[k]
+					g3 += x * w3[k]
+				}
+				axpy(-g0, di, w0)
+				axpy(-g1, di, w1)
+				axpy(-g2, di, w2)
+				axpy(-g3, di, w3)
+			}
+			for ; j <= i; j++ {
 				wj := w[j*n:][:i+1] // V(0..i, j)
 				g := 0.0
 				for k, x := range wi1 {
 					g += x * wj[k]
 				}
-				for k, x := range di {
-					wj[k] += -g * x
-				}
+				axpy(-g, di, wj)
 			}
 		}
 		for k := range wi1 {
@@ -247,14 +266,9 @@ func tql2(w []float64, n int, d, e []float64) error {
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
 
-					// Accumulate the transformation.
-					wi := w[i*n:][:n]      // V(·, i)
-					wi1 := w[(i+1)*n:][:n] // V(·, i+1)
-					for k, x := range wi {
-						y := wi1[k]
-						wi1[k] = s*x + c*y
-						wi[k] = c*x - s*y
-					}
+					// Accumulate the transformation: rotate V(·, i) and
+					// V(·, i+1).
+					rot(w[i*n:][:n], w[(i+1)*n:][:n], c, s)
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p

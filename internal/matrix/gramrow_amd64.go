@@ -2,16 +2,20 @@
 
 package matrix
 
-// useAVX2 selects gramRow's assembly body. It is set once, here, from the
-// CPU's features (AVX2 present and the OS saving YMM state), and nothing but
-// the tests, which run both bodies, writes it afterwards.
+// useAVX2 selects the assembly body of every kernel — gramRow and the row
+// kernels normSqRows, axpy, rot and subScaled2 (rowkernels_amd64.go) —
+// together. It is set once, here, from the CPU's features (AVX2 present and
+// the OS saving YMM state), and nothing but the tests, which run both
+// bodies, writes it afterwards.
 var useAVX2 = cpuHasAVX2()
 
+//distlint:spec none a CPUID/XGETBV probe: it picks between bodies and has no portable twin
 func cpuHasAVX2() bool
 
 // gramRowAVX2 is gramRowGo for m ≥ 1 columns of n ≥ 1 rows behind raw
 // pointers; see gramrow_amd64.s.
 //
+//distlint:spec gramRowGo TestGramRowBitIdentical
 //go:noescape
 func gramRowAVX2(cj, cols *float64, n, m int, out *float64)
 

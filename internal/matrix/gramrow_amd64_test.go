@@ -12,21 +12,22 @@ import (
 	"time"
 )
 
-// selectGramBody runs the rest of the test under the named gramRow body and
-// restores init's choice afterwards. Asking for the assembly body on a CPU
-// without AVX2 skips the test, loudly.
-func selectGramBody(t testing.TB, avx2 bool) {
+// selectBody runs the rest of the test under the named body of every kernel
+// — gramRow and the row kernels, which the one useAVX2 switches together —
+// and restores init's choice afterwards. Asking for the assembly bodies on a
+// CPU without AVX2 skips the test, loudly.
+func selectBody(t testing.TB, avx2 bool) {
 	t.Helper()
 	if avx2 && !cpuHasAVX2() {
-		t.Skip("SKIPPED: no AVX2 on this CPU (or YMM state not OS-enabled): the assembly gramRow body cannot run here")
+		t.Skip("SKIPPED: no AVX2 on this CPU (or YMM state not OS-enabled): the assembly kernel bodies cannot run here")
 	}
 	was := useAVX2
 	useAVX2 = avx2
 	t.Cleanup(func() { useAVX2 = was })
 }
 
-// gramBodies names the two gramRow bodies for subtests and sub-benchmarks.
-var gramBodies = []struct {
+// kernelBodies names the two bodies for subtests and sub-benchmarks.
+var kernelBodies = []struct {
 	name string
 	avx2 bool
 }{{"portable", false}, {"avx2", true}}
@@ -98,7 +99,7 @@ func diffGramRow(t *testing.T, cj, cols []float64, n int, out []float64) {
 // non-zero starting out, and values from signed zeros and denormals to
 // overflow, ±Inf and NaN.
 func TestGramRowBitIdentical(t *testing.T) {
-	selectGramBody(t, true)
+	selectBody(t, true)
 	var lengths []int
 	for _, span := range [][2]int{{1, 40}, {61, 68}, {253, 260}, {297, 300}} {
 		for n := span[0]; n <= span[1]; n++ {
@@ -131,7 +132,7 @@ func FuzzGramRowEquivalence(f *testing.F) {
 	f.Add(uint8(7), uint16(2), seed[:64])
 	f.Add(uint8(8), uint16(299), seed[8:])
 	f.Add(uint8(0), uint16(4), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff}) // +Inf, −Inf
-	selectGramBody(f, true)
+	selectBody(f, true)
 	f.Fuzz(func(t *testing.T, columns uint8, rows uint16, data []byte) {
 		words := len(data) / 8
 		if words == 0 {
@@ -151,14 +152,20 @@ func FuzzGramRowEquivalence(f *testing.F) {
 	})
 }
 
-// TestBlockedKernelsBothBodies reruns the blocked-kernel tests under each
-// gramRow body by name, whichever one init chose.
+// TestBlockedKernelsBothBodies reruns the kernel-backed tests under each
+// body by name, whichever one init chose: the blocked Gram update, the block
+// row norms, the rank-1 update and the Gram rebuild, and the eigensolver
+// against its oracle.
 func TestBlockedKernelsBothBodies(t *testing.T) {
-	for _, body := range gramBodies {
+	for _, body := range kernelBodies {
 		t.Run(body.name, func(t *testing.T) {
-			selectGramBody(t, body.avx2)
+			selectBody(t, body.avx2)
 			t.Run("AddBlock", TestAddBlockMatchesOuterProducts)
 			t.Run("AddDenseBlock", TestAddDenseBlockMatchesAddBlock)
+			t.Run("NormSqRows", TestNormSqRows)
+			t.Run("AddOuter", TestSymAddOuter)
+			t.Run("ReconstructIntoWork", TestReconstructIntoWork)
+			t.Run("EigSym", TestEigSymBitIdentical)
 		})
 	}
 }
@@ -176,10 +183,10 @@ func addBlockLap(n, d int) func() {
 // wire-stream frame shape (64 rows, d = 44), one row short of it (the n mod 4
 // tail) and the HTTP batch shape (256 rows).
 func BenchmarkAddBlock(b *testing.B) {
-	for _, body := range gramBodies {
+	for _, body := range kernelBodies {
 		for _, n := range []int{64, 63, 256} {
 			b.Run(fmt.Sprintf("%s/%dx44", body.name, n), func(b *testing.B) {
-				selectGramBody(b, body.avx2)
+				selectBody(b, body.avx2)
 				lap := addBlockLap(n, 44)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -200,7 +207,7 @@ func TestGramKernelGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
-	selectGramBody(t, true) // skips without AVX2; its cleanup undoes the switching below
+	selectBody(t, true) // skips without AVX2; its cleanup undoes the switching below
 	const calls = 40
 	lap := func(avx2 bool, n int) func() {
 		fold := addBlockLap(n, 44)

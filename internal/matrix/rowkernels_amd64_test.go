@@ -1,0 +1,308 @@
+//go:build amd64 && !purego
+
+package matrix
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+)
+
+// sameBits reports whether two results are the same float64: equal bits, or
+// two NaNs whatever their payloads.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// diffFloats fails on the first entry of got whose bits differ from want's.
+func diffFloats(t *testing.T, what string, n int, want, got []float64) {
+	t.Helper()
+	for k := range want {
+		if !sameBits(want[k], got[k]) {
+			t.Fatalf("%s n=%d: [%d] = %x (%g), portable body gives %x (%g)",
+				what, n, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+		}
+	}
+}
+
+// diffRowKernels runs each row kernel under the selected body and under its
+// Go specification on vectors of length n cut from vals, which must hold
+// max(3n+2, rows·n) values, and fails on the first result whose bits differ:
+// axpy, rot and subScaled2 on x, y, w = vals[0:n], vals[n:2n], vals[2n:3n]
+// (every output starts non-zero) with the scalars vals[3n] and vals[3n+1];
+// NormSqRows on rows rows of length n laid end to end from vals[0], and
+// again with the third row one element short, which sends its group of four
+// down the portable path.
+func diffRowKernels(t *testing.T, vals []float64, n, rows int) {
+	t.Helper()
+	x, y, w := vals[:n], vals[n:2*n], vals[2*n:3*n]
+	a, b := vals[3*n], vals[3*n+1]
+
+	want, got := slices.Clone(y), slices.Clone(y)
+	axpyGo(a, x, want)
+	axpy(a, x, got)
+	diffFloats(t, "axpy", n, want, got)
+
+	wantX, wantY, gotX, gotY := slices.Clone(x), slices.Clone(y), slices.Clone(x), slices.Clone(y)
+	rotGo(wantX, wantY, a, b)
+	rot(gotX, gotY, a, b)
+	diffFloats(t, "rot x", n, wantX, gotX)
+	diffFloats(t, "rot y", n, wantY, gotY)
+
+	want, got = slices.Clone(w), slices.Clone(w)
+	subScaled2Go(want, x, y, a, b)
+	subScaled2(got, x, y, a, b)
+	diffFloats(t, "subScaled2", n, want, got)
+
+	block := make([][]float64, rows)
+	for r := range block {
+		block[r] = vals[r*n : (r+1)*n]
+	}
+	for _, ragged := range []bool{false, true} {
+		if ragged {
+			if rows < 3 || n == 0 {
+				break
+			}
+			block[2] = block[2][:n-1]
+		}
+		want = make([]float64, rows)
+		normSqRowsGo(block, want)
+		got = slices.Repeat([]float64{math.NaN()}, rows)
+		got = NormSqRows(block, got)
+		diffFloats(t, fmt.Sprintf("NormSqRows %d rows ragged=%v", rows, ragged), n, want, got)
+	}
+}
+
+// TestRowKernelsBitIdentical compares every row kernel's assembly body with
+// its Go specification bit for bit: lengths 0…40 and three spans past 60,
+// 250 and 296 (so every n mod 4 and n mod 8), 1…13 rows for the norms (every
+// count of whole groups of four and every remainder), and values from signed
+// zeros and denormals to overflow, ±Inf and NaN — the scalars included.
+func TestRowKernelsBitIdentical(t *testing.T) {
+	selectBody(t, true)
+	var lengths []int
+	for _, span := range [][2]int{{0, 40}, {61, 68}, {253, 260}, {293, 300}} {
+		for n := span[0]; n <= span[1]; n++ {
+			lengths = append(lengths, n)
+		}
+	}
+	for name, pool := range gramValuePools() {
+		t.Run(name, func(t *testing.T) {
+			for _, n := range lengths {
+				for rows := 1; rows <= 13; rows++ {
+					diffRowKernels(t, pool, n, rows)
+				}
+			}
+		})
+	}
+}
+
+// FuzzRowKernelsEquivalence is the same comparison over fuzzed lengths, row
+// counts and bit patterns: a word of data is a float64 as it stands (any
+// exponent, NaN payload or denormal) or, three times in four, a value of
+// moderate size, so that results stay finite often enough to compare
+// roundings and not only NaNs.
+func FuzzRowKernelsEquivalence(f *testing.F) {
+	seed := make([]byte, 8*97)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < len(seed); i += 8 {
+		binary.LittleEndian.PutUint64(seed[i:], rng.Uint64())
+	}
+	f.Add(uint8(12), uint16(44), seed)
+	f.Add(uint8(3), uint16(7), seed[:64])
+	f.Add(uint8(4), uint16(299), seed[8:])
+	f.Add(uint8(0), uint16(5), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff}) // +Inf, −Inf
+	selectBody(f, true)
+	f.Fuzz(func(t *testing.T, rows uint8, length uint16, data []byte) {
+		words := len(data) / 8
+		if words == 0 {
+			return
+		}
+		r, n := 1+int(rows%13), int(length%301)
+		vals := make([]float64, max(3*n+2, r*n))
+		for i := range vals {
+			w := binary.LittleEndian.Uint64(data[8*(i%words):])
+			if w&3 == 0 {
+				vals[i] = math.Float64frombits(w)
+			} else {
+				vals[i] = float64(int32(w>>32)) / (1 << 16)
+			}
+		}
+		diffRowKernels(t, vals, n, r)
+	})
+}
+
+// siteStep is one decomposition as P2Site.decomposeAndSend runs it on a
+// site's Gram between ships: EigSymWork on a warm workspace, the five
+// largest eigenvalues shipped (zeroed), and ReconstructIntoWork rebuilding
+// the Gram from the rest into dst.
+type siteStep struct {
+	g, dst *Sym
+	ws     *EigWorkspace
+	col    []float64
+}
+
+func newSiteStep(d int) *siteStep {
+	return &siteStep{g: rankFiveNoise(rand.New(rand.NewSource(24)), d), dst: NewSym(d), ws: NewEigWorkspace(), col: make([]float64, d)}
+}
+
+func (s *siteStep) run(tb testing.TB) {
+	vals, vecs, err := EigSymWork(s.g, s.ws)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := 0; k < 5 && k < len(vals); k++ {
+		vals[k] = 0
+	}
+	ReconstructIntoWork(s.dst, vecs, vals, s.col)
+}
+
+// TestSiteStepBothBodiesBitIdentical runs the whole site step under each
+// body and requires the same bits from both: the eigenvalues, the
+// eigenvectors and the rebuilt Gram, d = 1…64.
+func TestSiteStepBothBodiesBitIdentical(t *testing.T) {
+	selectBody(t, true)
+	for d := 1; d <= 64; d++ {
+		var out [2][]float64
+		for i, avx2 := range []bool{false, true} {
+			useAVX2 = avx2
+			s := newSiteStep(d)
+			s.run(t)
+			out[i] = slices.Concat(s.ws.d[:d], s.ws.v.data, s.dst.data)
+		}
+		diffFloats(t, "site step", d, out[0], out[1])
+	}
+}
+
+// normSqRowsLap returns one NormSqRows call over a fixed n×d block.
+func normSqRowsLap(n, d int) func() {
+	rows := randBlock(rand.New(rand.NewSource(25)), n, d)
+	dst := make([]float64, n)
+	return func() { dst = NormSqRows(rows, dst) }
+}
+
+// BenchmarkSiteStep times the site step's pieces under both bodies at the
+// benchmark's d = 44: the whole decomposition (EigSymWork and the Gram
+// rebuild), tred2 and tql2 alone (each lap first restores the input it
+// overwrites, a 44×44 copy), the rebuild alone, and the norms of a 64-row
+// wire frame.
+func BenchmarkSiteStep(b *testing.B) {
+	const d = 44
+	for _, body := range kernelBodies {
+		b.Run(body.name+"/decomposition", func(b *testing.B) {
+			selectBody(b, body.avx2)
+			s := newSiteStep(d)
+			s.run(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.run(b)
+			}
+		})
+		b.Run(body.name+"/tred2", func(b *testing.B) {
+			selectBody(b, body.avx2)
+			g := newSiteStep(d).g
+			in, w, dd, e := make([]float64, d*d), make([]float64, d*d), make([]float64, d), make([]float64, d)
+			transposeInto(in, g.data, d, d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(w, in)
+				tred2(w, d, dd, e)
+			}
+		})
+		b.Run(body.name+"/tql2", func(b *testing.B) {
+			selectBody(b, body.avx2)
+			g := newSiteStep(d).g
+			in, ind, ine := make([]float64, d*d), make([]float64, d), make([]float64, d)
+			transposeInto(in, g.data, d, d)
+			tred2(in, d, ind, ine)
+			w, dd, e := make([]float64, d*d), make([]float64, d), make([]float64, d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(w, in)
+				copy(dd, ind)
+				copy(e, ine)
+				if err := tql2(w, d, dd, e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(body.name+"/reconstruct", func(b *testing.B) {
+			selectBody(b, body.avx2)
+			s := newSiteStep(d)
+			vals, vecs, err := EigSymWork(s.g, s.ws)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ReconstructIntoWork(s.dst, vecs, vals[5:], s.col)
+			}
+		})
+		b.Run(body.name+"/normsqrows-64x44", func(b *testing.B) {
+			selectBody(b, body.avx2)
+			lap := normSqRowsLap(64, d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lap()
+			}
+		})
+	}
+}
+
+// TestSiteStepKernelGuard keeps the row kernels worth having (medians of 21
+// laps, the two bodies taking turns so that a noisy spell falls on both):
+// one site-step decomposition at d = 44 is at least 1.35× the portable body,
+// the norms of a 64 × 44 frame at least 2.5×, and neither allocates. A
+// reading under the floor is taken again, twice at most, as TestEigSymGuard
+// does.
+func TestSiteStepKernelGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock guard skipped in -short mode")
+	}
+	selectBody(t, true) // skips without AVX2; its cleanup undoes the switching below
+	step := newSiteStep(44)
+	for _, c := range []struct {
+		name  string
+		lap   func()
+		calls int
+		floor float64
+	}{
+		{"site step d=44", func() { step.run(t) }, 10, 1.35},
+		{"NormSqRows 64×44", normSqRowsLap(64, 44), 400, 2.5},
+	} {
+		for _, avx2 := range []bool{false, true} {
+			useAVX2 = avx2
+			if allocs := testing.AllocsPerRun(10, c.lap); allocs != 0 {
+				t.Errorf("%s (avx2=%v): %v allocs per call, want 0", c.name, avx2, allocs)
+			}
+		}
+		lap := func(avx2 bool) time.Duration {
+			useAVX2 = avx2
+			start := time.Now()
+			for k := 0; k < c.calls; k++ {
+				c.lap()
+			}
+			return time.Since(start) / time.Duration(c.calls)
+		}
+		ratio := 0.0
+		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
+			var tp, ta [21]time.Duration
+			for i := range tp {
+				tp[i], ta[i] = lap(false), lap(true)
+			}
+			slices.Sort(tp[:])
+			slices.Sort(ta[:])
+			portable, asm := tp[len(tp)/2], ta[len(ta)/2]
+			ratio = float64(portable) / float64(asm)
+			t.Logf("%s: portable %v, avx2 %v: %.2fx", c.name, portable, asm, ratio)
+		}
+		if ratio < c.floor {
+			t.Errorf("%s: avx2 body only %.2fx the portable one, want ≥ %gx", c.name, ratio, c.floor)
+		}
+	}
+}

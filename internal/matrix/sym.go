@@ -77,11 +77,7 @@ func (s *Sym) AddOuter(w float64, a []float64) {
 		if ai == 0 {
 			continue
 		}
-		wai := w * ai
-		row := s.data[i*s.n : (i+1)*s.n]
-		for j, aj := range a {
-			row[j] += wai * aj
-		}
+		axpy(w*ai, a, s.data[i*s.n:(i+1)*s.n])
 	}
 }
 

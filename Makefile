@@ -85,10 +85,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 # The required lint gate, run by CI on every push: formatting, go vet, the
-# project's own distlint analyzers (hot-path allocations, mutex guards,
-# snapshot purity, error contracts, worker lifecycles — see
-# internal/analysis), and the pinned external linters when installed.
-# distlint type-checks against the build cache, so build first.
+# project's own seven distlint analyzers (assembly specs, hot-path
+# allocations, mutex guards, snapshot purity, unreachable exported
+# functions, error contracts, worker lifecycles — see internal/analysis),
+# and the pinned external linters when installed. distlint type-checks
+# against the build cache, so build first; it also loads the bench/ module,
+# whose references count for the unreachable analyzer.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi

@@ -1,15 +1,19 @@
-// Command distlint runs the project's static-analysis suite — the six
+// Command distlint runs the project's static-analysis suite — the seven
 // analyzers in internal/analysis that enforce the assembly-spec, hot-path
-// allocation, mutex-guard, snapshot-purity, error-contract, and
-// worker-lifecycle conventions declared with //distlint: directives.
+// allocation, mutex-guard, snapshot-purity, unreachable-code,
+// error-contract, and worker-lifecycle conventions declared with
+// //distlint: directives.
 //
 // Usage:
 //
 //	distlint [flags] [packages]
 //
-// Packages default to ./... . distlint exits 1 when it reports findings,
-// so `make lint` and CI fail on contract violations. Dependency types come
-// from the build cache; run `go build ./...` first on a cold cache.
+// Packages default to ./... . Run it from the module root: whatever the
+// packages, the unreachable analyzer counts references from every package
+// of the module and of the benchmark module in bench/, so both are always
+// loaded. distlint exits 1 when it reports findings, so `make lint` and CI
+// fail on contract violations. Dependency types come from the build cache;
+// run `go build ./...` first on a cold cache.
 //
 //	-list       print the analyzers and their docs, then exit
 //	-exit-zero  report findings but exit 0 (for surveying a new annotation)
@@ -19,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/lintkit"
@@ -45,26 +48,17 @@ func main() {
 	loader := lintkit.NewLoader("")
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "distlint:", err)
-		os.Exit(2)
+		fail(err)
+	}
+	program, err := analysis.LoadProgram("")
+	if err != nil {
+		fail(err)
 	}
 
-	var diags []lintkit.Diagnostic
-	for _, pkg := range pkgs {
-		// Skip the analysis suite itself and its fixtures: fixture sources
-		// under testdata are not listed, but the analyzers' own test files
-		// deliberately violate the contracts they document.
-		if strings.HasPrefix(pkg.ImportPath, "repro/internal/analysis") {
-			continue
-		}
-		ds, err := lintkit.Run([]*lintkit.Package{pkg}, analysis.Suite(pkg.ImportPath))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "distlint:", err)
-			os.Exit(2)
-		}
-		diags = append(diags, ds...)
+	diags, err := lintkit.RunSuite(pkgs, program, analysis.Suite)
+	if err != nil {
+		fail(err)
 	}
-
 	for _, d := range diags {
 		fmt.Println(lintkit.FormatDiagnostic(loader.Fset, d))
 	}
@@ -74,4 +68,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "distlint:", err)
+	os.Exit(2)
 }

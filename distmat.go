@@ -20,7 +20,7 @@
 // Four heavy-hitter protocols (HH P1–P4) and four matrix trackers (Matrix
 // P1–P3 plus the paper's negative-result P4) are provided, with the
 // centralized Frequent Directions sketch, weighted Misra–Gries /
-// SpaceSaving / Count-Min summaries, and priority sampling available as
+// SpaceSaving summaries, and priority sampling available as
 // standalone primitives. Every protocol is registered by name — see
 // MatrixProtocols and HHProtocols — and is built from a validated Config:
 //

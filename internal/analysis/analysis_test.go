@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -31,10 +32,14 @@ func TestWorkerLifecycle(t *testing.T) {
 	lintkit.RunFixture(t, "testdata/src/workerlifecycle", analysis.WorkerLifecycle)
 }
 
+func TestUnreachable(t *testing.T) {
+	lintkit.RunFixture(t, "testdata/src/unreachable", analysis.Unreachable)
+}
+
 // TestSuiteScoping pins the driver's package scoping: directive-driven
 // analyzers and asmspec run everywhere, errcontract only on the facade and service,
 // workerlifecycle only on the worker-spawning packages (core, hh,
-// quantile, service, wire).
+// quantile, service, wire), unreachable only under internal/.
 func TestSuiteScoping(t *testing.T) {
 	names := func(as []*lintkit.Analyzer) map[string]bool {
 		m := map[string]bool{}
@@ -69,8 +74,54 @@ func TestSuiteScoping(t *testing.T) {
 		if got["workerlifecycle"] != tc.lifecycle {
 			t.Errorf("Suite(%q): workerlifecycle = %v, want %v", tc.pkg, got["workerlifecycle"], tc.lifecycle)
 		}
+		if want := strings.HasPrefix(tc.pkg, "repro/internal/"); got["unreachable"] != want {
+			t.Errorf("Suite(%q): unreachable = %v, want %v", tc.pkg, got["unreachable"], want)
+		}
 	}
-	if len(analysis.All()) != 6 {
-		t.Errorf("All() = %d analyzers, want 6", len(analysis.All()))
+	if len(analysis.All()) != 7 {
+		t.Errorf("All() = %d analyzers, want 7", len(analysis.All()))
+	}
+}
+
+// TestUnreachableCountsBench runs Unreachable over the real module the way
+// the driver does: gen.ExactFrequencies, whose only non-test caller is the
+// benchmark module's check.go, is reachable with bench/ in the program and
+// flagged without it.
+func TestUnreachableCountsBench(t *testing.T) {
+	program, err := analysis.LoadProgram("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gen []*lintkit.Package
+	var module []*lintkit.Package
+	for _, pkg := range program {
+		if pkg.ImportPath == "repro/internal/gen" {
+			gen = append(gen, pkg)
+		}
+		if !strings.HasPrefix(pkg.ImportPath, "repro/bench") {
+			module = append(module, pkg)
+		}
+	}
+	if len(gen) != 1 || len(module) == len(program) {
+		t.Fatalf("program of %d packages has %d gen packages and no bench package", len(program), len(gen))
+	}
+	unreachable := func(string) []*lintkit.Analyzer { return []*lintkit.Analyzer{analysis.Unreachable} }
+	findings := func(program []*lintkit.Package) []string {
+		diags, err := lintkit.RunSuite(gen, program, unreachable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, d := range diags {
+			out = append(out, d.Message)
+		}
+		return out
+	}
+	if got := findings(program); len(got) != 0 {
+		t.Errorf("with bench/ in the program, gen has findings: %q", got)
+	}
+	got := findings(module)
+	if len(got) != 1 || !strings.HasPrefix(got[0], "ExactFrequencies ") {
+		t.Errorf("without bench/, findings are %q, want only ExactFrequencies", got)
 	}
 }

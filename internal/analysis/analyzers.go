@@ -1,6 +1,10 @@
 package analysis
 
-import "repro/internal/analysis/lintkit"
+import (
+	"strings"
+
+	"repro/internal/analysis/lintkit"
+)
 
 // All returns every distlint analyzer, unscoped. The test harness runs
 // these directly against fixtures; the driver uses Suite to respect each
@@ -12,6 +16,7 @@ func All() []*lintkit.Analyzer {
 		HotPathAlloc,
 		MutexGuard,
 		SnapshotPurity,
+		Unreachable,
 		WorkerLifecycle,
 	}
 }
@@ -25,9 +30,14 @@ func All() []*lintkit.Analyzer {
 // packages that spawn long-lived worker goroutines (matrix and item ingest
 // shards, the service layer's checkpoint and WAL re-arm loops, the wire
 // transport's connection managers and listeners, and the write-ahead
-// log's interval flusher).
+// log's interval flusher). Unreachable is scoped to the packages under
+// internal/, whose exported functions exist only for the module's own
+// programs.
 func Suite(pkgPath string) []*lintkit.Analyzer {
 	suite := []*lintkit.Analyzer{AsmSpec, HotPathAlloc, MutexGuard, SnapshotPurity}
+	if strings.HasPrefix(pkgPath, "repro/internal/") {
+		suite = append(suite, Unreachable)
+	}
 	switch pkgPath {
 	case "repro", "repro/internal/service":
 		suite = append(suite, ErrContract)

@@ -1,8 +1,9 @@
 // Package analysis is distlint: the project-specific static-analysis suite
 // that mechanically enforces the codebase's unwritten contracts — zero-alloc
 // steady-state hot paths, mutex-guarded shared state, deep-copied snapshots,
-// sentinel-error wrapping, worker-goroutine lifecycles, and a portable spec
-// and a differential test for every assembly body. The analyzers
+// sentinel-error wrapping, worker-goroutine lifecycles, a portable spec and
+// a differential test for every assembly body, and no exported function
+// under internal/ that no program reaches. The analyzers
 // run on lintkit (a stdlib-only go/analysis workalike) through the
 // cmd/distlint driver, which `make lint` and CI invoke on every package.
 //
@@ -16,6 +17,7 @@
 //	//distlint:alias-ok         (line) permitted snapshot aliasing
 //	//distlint:panic-ok         (line) permitted panic, e.g. unreachable
 //	//distlint:lifecycle-ok     (line) goroutine shutdown handled elsewhere
+//	//distlint:unreachable-ok   (function) kept with no non-test caller; why
 //
 // Escape-hatch directives apply to their own line and, when written as a
 // standalone comment line, to the line directly below; every hatch should

@@ -3,6 +3,8 @@ package lintkit
 import (
 	"fmt"
 	"go/token"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -22,24 +24,43 @@ type expectation struct {
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // RunFixture type-checks the fixture package in dir (relative to the test's
-// working directory) and asserts that the analyzers report exactly the
-// diagnostics its `// want "regexp"` comments declare — the analysistest
-// contract: every diagnostic must match a want on its line, every want must
-// be matched by some diagnostic.
+// working directory), then each of dir's subdirectories as a further
+// package that may import it by its name, and asserts that the analyzers,
+// run over every one of them with all of them as the Program, report
+// exactly the diagnostics their `// want "regexp"` comments declare — the
+// analysistest contract: every diagnostic must match a want on its line,
+// every want must be matched by some diagnostic.
+//
+//distlint:unreachable-ok test helper: internal/analysis's fixture tests
 func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
-	l := NewLoader("")
-	pkg, err := l.LoadDir(dir)
+	dirs := []string{dir}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
+		t.Fatalf("reading fixture %s: %v", dir, err)
 	}
-	wants := collectWants(t, pkg)
-	diags, err := Run([]*Package{pkg}, analyzers)
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, filepath.Join(dir, e.Name()))
+		}
+	}
+	l := NewLoader("")
+	var pkgs []*Package
+	var wants []*expectation
+	for _, d := range dirs {
+		pkg, err := l.LoadDir(d)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", d, err)
+		}
+		pkgs = append(pkgs, pkg)
+		wants = append(wants, collectWants(t, pkg)...)
+	}
+	diags, err := Run(pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := l.Fset.Position(d.Pos)
 		if !claimWant(wants, pos, d.Message) {
 			t.Errorf("%s:%d: unexpected diagnostic [%s]: %s", pos.Filename, pos.Line, d.Analyzer, d.Message)
 		}

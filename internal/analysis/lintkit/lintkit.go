@@ -36,6 +36,11 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Program is every package of the run, the analyzed one included, for
+	// a check that needs to see who uses the package. Packages loaded by
+	// different Loaders have different FileSets and distinct objects for
+	// the same declaration: compare objects by package path and name.
+	Program []*Package
 
 	report func(Diagnostic)
 }
@@ -59,17 +64,27 @@ type Diagnostic struct {
 }
 
 // Run applies each analyzer to each package and returns every diagnostic,
-// sorted by file position. Analyzer errors (not findings) abort the run.
+// sorted by file position. The packages are also each pass's Program.
+// Analyzer errors (not findings) abort the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	return RunSuite(pkgs, pkgs, func(string) []*Analyzer { return analyzers })
+}
+
+// RunSuite applies to each target package the analyzers suite returns for
+// its import path, with program as every pass's Program, and returns every
+// diagnostic sorted by file position. Analyzer errors (not findings) abort
+// the run.
+func RunSuite(targets, program []*Package, suite func(importPath string) []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+	for _, pkg := range targets {
+		for _, a := range suite(pkg.ImportPath) {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
+				Program:   program,
 				report:    func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
@@ -78,8 +93,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
+	if len(targets) > 0 {
+		fset = targets[0].Fset
 	}
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)

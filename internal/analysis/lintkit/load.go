@@ -51,7 +51,7 @@ type Loader struct {
 
 	Fset  *token.FileSet
 	metas map[string]*pkgMeta
-	typed map[string]*types.Package
+	typed map[string]*types.Package // packages LoadDir checked, by path
 	imp   types.Importer
 }
 
@@ -65,6 +65,15 @@ func NewLoader(dir string) *Loader {
 	}
 	l.imp = importer.ForCompiler(l.Fset, "gc", l.lookup)
 	return l
+}
+
+// Import resolves an import for the type checker: a package LoadDir has
+// already checked from source, else the dependency's export data.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if p, ok := l.typed[path]; ok {
+		return p, nil
+	}
+	return l.imp.Import(path)
 }
 
 // lookup serves export data for the gc importer from the metadata the
@@ -150,7 +159,7 @@ func (l *Loader) check(m *pkgMeta) (*Package, error) {
 		files = append(files, f)
 	}
 	info := NewInfo()
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(m.ImportPath, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lintkit: type-checking %s: %v", m.ImportPath, err)
@@ -166,10 +175,11 @@ func (l *Loader) check(m *pkgMeta) (*Package, error) {
 }
 
 // LoadDir type-checks the .go files of one directory as a standalone
-// package outside the module's package graph — the fixture loader. Imports
-// resolve through `go list` run from the loader's Dir, so fixtures may
-// import the standard library (and module packages, when Dir is inside the
-// module).
+// package outside the module's package graph — the fixture loader. The
+// package's path is its name. Imports resolve to a package an earlier
+// LoadDir on this loader checked, else through `go list` run from the
+// loader's Dir, so fixtures may import each other, the standard library
+// and (when Dir is inside the module) module packages.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -195,7 +205,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		files = append(files, f)
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if path != "unsafe" {
+			if _, loaded := l.typed[path]; !loaded && path != "unsafe" {
 				imports[path] = true
 			}
 		}
@@ -211,12 +221,13 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		}
 	}
 	info := NewInfo()
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	path := files[0].Name.Name
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lintkit: type-checking %s: %v", dir, err)
 	}
+	l.typed[path] = tpkg
 	return &Package{
 		ImportPath: path,
 		Dir:        dir,

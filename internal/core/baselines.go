@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/matrix"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -175,12 +173,3 @@ var (
 	_ BatchTracker = (*NaiveFD)(nil)
 	_ BatchTracker = (*NaiveSVD)(nil)
 )
-
-// EllForEps returns the FD sketch size achieving deterministic error ε:
-// ℓ = ⌈1/ε⌉ (the Gram-shrink variant's 1/(ℓ+1) bound).
-func EllForEps(eps float64) int {
-	if eps <= 0 || eps >= 1 {
-		panic("core: need 0 < ε < 1")
-	}
-	return int(math.Ceil(1 / eps))
-}

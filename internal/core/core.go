@@ -139,25 +139,6 @@ func Run(t Tracker, rows [][]float64, asg stream.Assigner) *matrix.Sym {
 	return exact
 }
 
-// DirectionalError returns max over the sampled unit directions xs of
-// |‖Ax‖² − ‖Bx‖²| / ‖A‖²_F given the two Grams. The exact metric maximizes
-// over all x (the spectral norm, see metrics.CovarianceError); this sampled
-// variant is a cheap lower bound used in tests.
-func DirectionalError(gramA, gramB *matrix.Sym, xs [][]float64) float64 {
-	fro := gramA.Trace()
-	worst := 0.0
-	for _, x := range xs {
-		diff := gramA.Quad(x) - gramB.Quad(x)
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > worst {
-			worst = diff
-		}
-	}
-	return worst / fro
-}
-
 // CheckParams reports whether (m, eps, d) are valid tracker parameters.
 // The public facade turns a non-nil result into its typed configuration
 // error; the panicking internal constructors funnel through it too, so the

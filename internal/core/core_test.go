@@ -310,3 +310,31 @@ func TestP3DeterministicPerSeed(t *testing.T) {
 		t.Fatal("same seed must give identical runs")
 	}
 }
+
+// DirectionalError returns max over the sampled unit directions xs of
+// |‖Ax‖² − ‖Bx‖²| / ‖A‖²_F given the two Grams. The exact metric maximizes
+// over all x (the spectral norm, see metrics.CovarianceError); this sampled
+// variant is a cheap lower bound.
+func DirectionalError(gramA, gramB *matrix.Sym, xs [][]float64) float64 {
+	fro := gramA.Trace()
+	worst := 0.0
+	for _, x := range xs {
+		diff := gramA.Quad(x) - gramB.Quad(x)
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff > worst {
+			worst = diff
+		}
+	}
+	return worst / fro
+}
+
+// EllForEps returns the FD sketch size achieving deterministic error ε:
+// ℓ = ⌈1/ε⌉ (the Gram-shrink variant's 1/(ℓ+1) bound).
+func EllForEps(eps float64) int {
+	if eps <= 0 || eps >= 1 {
+		panic("core: need 0 < ε < 1")
+	}
+	return int(math.Ceil(1 / eps))
+}

@@ -63,6 +63,8 @@ func ZipfStream(cfg ZipfConfig) []WeightedItem {
 }
 
 // TotalWeight sums the weights of a stream.
+//
+//distlint:unreachable-ok test helper: the gen, hh and node tests
 func TotalWeight(items []WeightedItem) float64 {
 	var w float64
 	for _, it := range items {

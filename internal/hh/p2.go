@@ -70,15 +70,9 @@ type P2Site struct {
 	what   float64 // Ŵ as last received (SetEstimate)
 	weight float64 // W_i: unsent weight
 	delta  map[uint64]float64
-	// Optional bounded-space summary standing in for the exact delta map
-	// (the paper's SpaceSaving reduction); nil means exact. `sent` records
-	// what has already been reported per element so the overcounting
-	// summary yields unsent deltas.
-	ss   *sketch.SpaceSaving
-	sent map[uint64]float64
 }
 
-// NewP2Site builds site id of m at error ε (exact delta map) over up.
+// NewP2Site builds site id of m at error ε over up.
 func NewP2Site(id, m int, eps float64, up P2Uplink) (*P2Site, error) {
 	if err := CheckParams(m, eps); err != nil {
 		return nil, err
@@ -86,21 +80,14 @@ func NewP2Site(id, m int, eps float64, up P2Uplink) (*P2Site, error) {
 	if id < 0 || id >= m {
 		return nil, fmt.Errorf("hh: site id %d out of range [0,%d)", id, m)
 	}
-	s := makeP2Site(id, m, eps, 0, up)
+	s := makeP2Site(id, m, eps, up)
 	return &s, nil
 }
 
-// makeP2Site is NewP2Site unvalidated and by value; ssk > 0 selects a
-// SpaceSaving summary of ssk counters in place of the delta map.
-func makeP2Site(id, m int, eps float64, ssk int, up P2Uplink) P2Site {
-	s := P2Site{id: id, m: m, eps: eps, up: up, what: 1} // weights ≥ 1: a valid initial lower bound
-	if ssk > 0 {
-		s.ss = sketch.NewSpaceSaving(ssk)
-		s.sent = make(map[uint64]float64)
-	} else {
-		s.delta = make(map[uint64]float64)
-	}
-	return s
+// makeP2Site is NewP2Site unvalidated and by value.
+func makeP2Site(id, m int, eps float64, up P2Uplink) P2Site {
+	// Weights are ≥ 1, so Ŵ = 1 is a valid initial lower bound.
+	return P2Site{id: id, m: m, eps: eps, up: up, what: 1, delta: make(map[uint64]float64)}
 }
 
 // Estimate returns Ŵ as the site last received it.
@@ -120,21 +107,10 @@ func (s *P2Site) Process(elem uint64, w float64) {
 	// Read Ŵ again: the scalar report may have brought a broadcast back.
 	thresh := (s.eps / float64(s.m)) * s.what
 
-	var de float64
-	if s.ss != nil {
-		s.ss.Update(elem, w)
-		de = s.ss.Estimate(elem) - s.sent[elem]
-	} else {
-		s.delta[elem] += w
-		de = s.delta[elem]
-	}
-	if de >= thresh {
+	s.delta[elem] += w
+	if de := s.delta[elem]; de >= thresh {
 		s.up.Element(s.id, elem, de)
-		if s.ss != nil {
-			s.sent[elem] += de
-		} else {
-			delete(s.delta, elem)
-		}
+		delete(s.delta, elem)
 	}
 }
 
@@ -186,26 +162,14 @@ func (c *P2Coordinator) Candidates() []sketch.WeightedElement {
 
 // NewP2 builds the protocol for m sites with error parameter ε, using exact
 // per-site delta maps (space O(distinct elements per site)).
-func NewP2(m int, eps float64) *P2 { return newP2(m, eps, 0) }
-
-// NewP2SpaceSaving builds P2 with each site's delta map replaced by a
-// weighted SpaceSaving summary of k counters (k ≤ 0 selects the paper's
-// O(m/ε) sizing), the suggested site-space reduction.
-func NewP2SpaceSaving(m int, eps float64, k int) *P2 {
-	if k < 1 {
-		k = int(float64(m)/eps) + 1
-	}
-	return newP2(m, eps, k)
-}
-
-func newP2(m int, eps float64, ssk int) *P2 {
+func NewP2(m int, eps float64) *P2 {
 	validateParams(m, eps)
 	p := &P2{
 		m: m, eps: eps, acct: stream.NewAccountant(m),
 		sites: make([]P2Site, m), coord: NewP2Coordinator(m),
 	}
 	for i := range p.sites {
-		p.sites[i] = makeP2Site(i, m, eps, ssk, (*p2Direct)(p))
+		p.sites[i] = makeP2Site(i, m, eps, (*p2Direct)(p))
 	}
 	return p
 }

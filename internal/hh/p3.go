@@ -2,7 +2,6 @@ package hh
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/sample"
 	"repro/internal/sketch"
@@ -91,86 +90,3 @@ func (p *P3) Candidates() []sketch.WeightedElement {
 
 // Stats implements Protocol.
 func (p *P3) Stats() stream.Stats { return p.acct.Stats() }
-
-// P3WR is the with-replacement variant of Section 4.3.1: s independent
-// samplers, each site forwarding an element once per sampler whose priority
-// draw passes the threshold, the coordinator keeping each sampler's top-2
-// priorities. It exists to demonstrate (as the paper does) that it is
-// dominated by the without-replacement P3.
-//
-// Communication: O((m + s·log s)·log(βN)) messages.
-type P3WR struct {
-	m    int
-	eps  float64
-	acct *stream.Accountant
-	rng  *rand.Rand
-
-	coord *sample.WRSampler
-	tau   float64
-}
-
-// NewP3WR builds the with-replacement protocol with the paper's sample size.
-func NewP3WR(m int, eps float64, seed int64) *P3WR {
-	return NewP3WRSize(m, eps, sample.RecommendedSampleSize(eps), seed)
-}
-
-// NewP3WRSize builds P3WR with an explicit sampler count s.
-func NewP3WRSize(m int, eps float64, s int, seed int64) *P3WR {
-	validateParams(m, eps)
-	return &P3WR{
-		m:     m,
-		eps:   eps,
-		acct:  stream.NewAccountant(m),
-		rng:   rand.New(rand.NewSource(seed)),
-		coord: sample.NewWRSampler(s),
-		tau:   1,
-	}
-}
-
-// Name implements Protocol.
-func (p *P3WR) Name() string { return "P3wr" }
-
-// Eps implements Protocol.
-func (p *P3WR) Eps() float64 { return p.eps }
-
-// Process implements Protocol.
-func (p *P3WR) Process(site int, elem uint64, w float64) {
-	validateSite(site, p.m)
-	validateWeight(w)
-	idx, pri := sample.SitePriorities(w, p.tau, p.coord.Samplers(), p.rng)
-	if len(idx) == 0 {
-		return
-	}
-	// One message carrying the element plus the list of sampler indices;
-	// its size grows with the number of successes.
-	p.acct.SendUpN(1, 1+len(idx))
-	for t := range idx {
-		if newRound := p.coord.Offer(idx[t], sample.Prioritized{Key: elem, Weight: w, Priority: pri[t]}); newRound {
-			p.tau = p.coord.Threshold()
-			p.acct.Broadcast(1)
-		}
-	}
-}
-
-// Estimate implements Protocol.
-func (p *P3WR) Estimate(elem uint64) float64 { return p.coord.EstimateKey(elem) }
-
-// EstimateTotal implements Protocol.
-func (p *P3WR) EstimateTotal() float64 { return p.coord.EstimateTotal() }
-
-// Candidates implements Protocol.
-func (p *P3WR) Candidates() []sketch.WeightedElement {
-	agg := make(map[uint64]float64)
-	for _, e := range p.coord.Sample() {
-		agg[e.Key] += e.Weight
-	}
-	out := make([]sketch.WeightedElement, 0, len(agg))
-	for e, w := range agg {
-		out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Elem < out[j].Elem })
-	return out
-}
-
-// Stats implements Protocol.
-func (p *P3WR) Stats() stream.Stats { return p.acct.Stats() }

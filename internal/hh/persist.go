@@ -68,17 +68,9 @@ func (c *P2Coordinator) Restore(snap P2CoordinatorSnapshot) {
 	c.what, c.nmsg, c.estimate = snap.What, snap.NMsg, cloneWeights(snap.Estimate)
 }
 
-// Snapshotable reports whether Snapshot can serialize this instance: true
-// for the exact-delta P2, false for the SpaceSaving site-space variant,
-// whose bounded summaries are not snapshot-stable.
-func (p *P2) Snapshotable() bool { return p.sites[0].ss == nil }
-
 // Snapshot captures the protocol's state — the halves' snapshots under the
-// golden checkpoints' field names. It errors on the SpaceSaving variant.
-func (p *P2) Snapshot() (P2Snapshot, error) {
-	if !p.Snapshotable() {
-		return P2Snapshot{}, fmt.Errorf("hh: the SpaceSaving P2 variant is not persistable")
-	}
+// golden checkpoints' field names.
+func (p *P2) Snapshot() P2Snapshot {
 	sites := make([]P2SiteSnapshot, len(p.sites))
 	for i := range p.sites {
 		sites[i] = p.sites[i].Snapshot()
@@ -88,7 +80,7 @@ func (p *P2) Snapshot() (P2Snapshot, error) {
 		M: p.m, Eps: p.eps, Sites: sites,
 		CoordWhat: c.What, SiteWhat: p.sites[0].Estimate(), NMsg: c.NMsg,
 		Estimate: c.Estimate, Stats: p.acct.Stats(),
-	}, nil
+	}
 }
 
 // RestoreP2 rebuilds a heavy-hitters P2 instance from a snapshot.
@@ -146,15 +138,14 @@ type ShardedP2Snapshot struct {
 
 // SnapshotSharded captures a sharded P2 tracker. It flushes first (without
 // re-raising shard panics — a poisoned tracker yields an error here, not a
-// crashed checkpointer) and errors unless every shard is a snapshotable
-// P2 instance.
+// crashed checkpointer) and errors unless every shard is a P2 instance.
 func SnapshotSharded(s *Sharded) (ShardedP2Snapshot, error) {
 	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (P2Snapshot, error) {
 		p2, ok := p.(*P2)
 		if !ok {
 			return P2Snapshot{}, fmt.Errorf("%s is not a persistable P2", p.Name())
 		}
-		return p2.Snapshot()
+		return p2.Snapshot(), nil
 	})
 	if err != nil {
 		return ShardedP2Snapshot{}, fmt.Errorf("hh: %w", err)

@@ -85,10 +85,7 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 			// The shard's serialized state equals the bare tracker's field
 			// for field (gob encodes maps in nondeterministic order, so the
 			// identity is structural, not a raw byte compare).
-			want, err := bare.(*P2).Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := bare.(*P2).Snapshot()
 			snap, err := SnapshotSharded(sharded)
 			if err != nil {
 				t.Fatal(err)

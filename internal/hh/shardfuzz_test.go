@@ -99,11 +99,7 @@ func FuzzShardedItemMergeEquivalence(f *testing.F) {
 			if a, b := bare.Stats(), sharded.Stats(); a != b {
 				t.Fatalf("one-shard tallies diverge: oracle %v, sharded %v", a, b)
 			}
-			want, err := bare.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, snap.Shards[0]) {
+			if want := bare.Snapshot(); !reflect.DeepEqual(want, snap.Shards[0]) {
 				t.Fatal("one-shard snapshot diverges from the unsharded oracle")
 			}
 		}

@@ -42,6 +42,8 @@ func Cholesky(s *Sym) (*Dense, error) {
 
 // SolveCholesky solves s·x = b given the factor L from Cholesky, by the
 // usual forward/back substitution pair.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes cholesky.go with its tests
 func SolveCholesky(l *Dense, b []float64) []float64 {
 	n := l.Rows()
 	if len(b) != n {
@@ -69,6 +71,8 @@ func SolveCholesky(l *Dense, b []float64) []float64 {
 }
 
 // IsPositiveDefinite reports whether s is numerically SPD.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes cholesky.go with its tests
 func IsPositiveDefinite(s *Sym) bool {
 	_, err := Cholesky(s)
 	return err == nil

@@ -1,14 +1,24 @@
-// Package matrix implements the dense linear algebra substrate used by the
-// distributed matrix tracking protocols: a row-major dense matrix type,
-// Householder QR, symmetric eigendecomposition (Householder tridiagonalization
-// with implicit QL, and cyclic Jacobi as a robust reference), singular value
-// decomposition (Golub–Kahan–Reinsch, and one-sided Jacobi as a reference),
-// Gram-matrix utilities and matrix norms.
+// Package matrix is the dense linear algebra the distributed matrix
+// tracking protocols run on: a row-major dense matrix, a symmetric d×d
+// matrix for Gram matrices AᵀA, and the one factorisation the protocols
+// need — the symmetric eigendecomposition of a Gram (EigSym, EigSymWork:
+// Householder tridiagonalisation and implicit QL, with cyclic Jacobi as
+// the fallback when QL does not converge). Its eigenpairs are the right
+// singular vectors and squared singular values of A: Algorithm 5.3's site
+// step and the P1, P2small and FD shrinks all factor A this way.
 //
-// Everything is built on the standard library only. Matrices in this
-// repository are small in one dimension (d ≤ a few hundred columns), so the
-// implementations favour clarity and numerical robustness over blocking or
-// vectorization tricks.
+// The O(d²) and O(d³) loops of that path — the blocked Gram update, row
+// norms, the rank-1 update, tql2's plane rotation and tred2's similarity
+// update — have AVX2 bodies on amd64, each bit-identical to a portable Go
+// spec and chosen once by CPUID; the purego build tag keeps the portable
+// bodies. The workspace-taking variants let the blocked ingest paths run
+// without allocating.
+//
+// No program reaches svd.go, qr.go or cholesky.go (Golub–Kahan and
+// one-sided Jacobi SVD, Householder QR, Cholesky); ROADMAP item 10 deletes
+// them with their tests.
+//
+// Everything is built on the standard library only.
 package matrix
 
 import (
@@ -31,31 +41,6 @@ func NewDense(r, c int) *Dense {
 		panic(fmt.Sprintf("matrix: negative dimension %d×%d", r, c))
 	}
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// NewDenseData wraps data (row-major, length r*c) without copying.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("matrix: data length %d does not match %d×%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
-// FromRows builds a matrix whose rows are copies of the given slices.
-// All rows must have equal length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return &Dense{}
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic(fmt.Sprintf("matrix: ragged rows: row %d has %d entries, want %d", i, len(r), c))
-		}
-		copy(m.data[i*c:(i+1)*c], r)
-	}
-	return m
 }
 
 // Identity returns the n×n identity matrix.
@@ -270,9 +255,6 @@ func (m *Dense) FrobeniusSq() float64 {
 	return s
 }
 
-// Frobenius returns the Frobenius norm ‖m‖_F.
-func (m *Dense) Frobenius() float64 { return math.Sqrt(m.FrobeniusSq()) }
-
 // MaxAbs returns the largest absolute entry (the max norm).
 func (m *Dense) MaxAbs() float64 {
 	var s float64
@@ -322,26 +304,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v, guarding against overflow.
-func Norm2(v []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // NormSq returns the squared Euclidean norm of v.
 func NormSq(v []float64) float64 {
 	var s float64
@@ -353,8 +315,10 @@ func NormSq(v []float64) float64 {
 
 // Normalize scales v to unit Euclidean norm in place and returns its original
 // norm. A zero vector is left unchanged and 0 is returned.
+//
+//distlint:unreachable-ok test helper: random unit directions for the core, sketch and matrix tests
 func Normalize(v []float64) float64 {
-	n := Norm2(v)
+	n := math.Sqrt(NormSq(v))
 	if n == 0 {
 		return 0
 	}
@@ -363,14 +327,6 @@ func Normalize(v []float64) float64 {
 		v[i] *= inv
 	}
 	return n
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("matrix: axpy of vectors with lengths %d and %d", len(x), len(y)))
-	}
-	axpy(alpha, x, y)
 }
 
 // ErrDimension is returned by operations whose input shapes are incompatible

@@ -326,25 +326,3 @@ func sortEigDescWork(d, w []float64, V *Dense, ws *EigWorkspace) {
 	}
 	copy(d, sorted)
 }
-
-// TopEigSym returns the k largest eigenvalues of s and their eigenvectors
-// (as the first k columns of the returned matrix). k is clamped to [0, d].
-func TopEigSym(s *Sym, k int) (vals []float64, V *Dense, err error) {
-	vals, V, err = EigSym(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if k < 0 {
-		k = 0
-	}
-	if k > len(vals) {
-		k = len(vals)
-	}
-	top := NewDense(V.rows, k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < V.rows; i++ {
-			top.Set(i, j, V.at(i, j))
-		}
-	}
-	return vals[:k], top, nil
-}

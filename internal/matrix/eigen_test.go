@@ -173,36 +173,6 @@ func TestJacobiEigSymReconstruction(t *testing.T) {
 	}
 }
 
-func TestTopEigSym(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	s := randSym(rng, 8)
-	all, _, err := EigSym(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, V, err := TopEigSym(s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || V.Cols() != 3 {
-		t.Fatalf("TopEigSym returned %d values, %d columns", len(vals), V.Cols())
-	}
-	for i := range vals {
-		if !almostEqual(vals[i], all[i], 1e-12) {
-			t.Fatalf("top value %d = %v want %v", i, vals[i], all[i])
-		}
-	}
-	// Clamping.
-	vals, _, err = TopEigSym(s, 100)
-	if err != nil || len(vals) != 8 {
-		t.Fatalf("clamped TopEigSym: %d values err=%v", len(vals), err)
-	}
-	vals, _, err = TopEigSym(s, -1)
-	if err != nil || len(vals) != 0 {
-		t.Fatalf("negative k TopEigSym: %d values err=%v", len(vals), err)
-	}
-}
-
 func TestSpectralNormSymAgainstPowerIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -239,4 +209,56 @@ func TestCovarianceDiffNorm(t *testing.T) {
 	if !almostEqual(norm, 0.5, 1e-12) {
 		t.Fatalf("‖G−H‖₂ = %v want 0.5", norm)
 	}
+}
+
+// PowerIterationSym estimates the dominant absolute eigenvalue of the
+// symmetric matrix s by power iteration with the given number of steps.
+// It is the independent cross-check of SpectralNormSym. The returned value
+// is a lower bound that converges to ‖s‖₂.
+func PowerIterationSym(s *Sym, steps int, rng *rand.Rand) float64 {
+	n := s.Dim()
+	if n == 0 {
+		return 0
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	Normalize(v)
+	var lambda float64
+	for it := 0; it < steps; it++ {
+		w := s.MulVec(v)
+		lambda = math.Sqrt(NormSq(w))
+		if lambda == 0 {
+			return 0
+		}
+		inv := 1 / lambda
+		for i := range w {
+			w[i] *= inv
+		}
+		v = w
+	}
+	// Rayleigh quotient for the final estimate (captures the sign-free
+	// magnitude since we only need |λ| here).
+	return math.Abs(s.Quad(v))
+}
+
+// IsOrthonormalCols reports whether the columns of m are orthonormal
+// within tol.
+func IsOrthonormalCols(m *Dense, tol float64) bool {
+	_, c := m.Dims()
+	for i := 0; i < c; i++ {
+		ci := m.Col(i)
+		for j := i; j < c; j++ {
+			got := Dot(ci, m.Col(j))
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			if math.Abs(got-want) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -106,6 +106,8 @@ func offDiagNorm(a *Sym) float64 {
 // descending. U is n×r and V is d×r with r = min(n, d). One-sided Jacobi is
 // the reference SVD used to validate the Golub–Reinsch implementation; it is
 // also the most accurate for small matrices since it never forms AᵀA.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes it with svd.go and their tests
 func JacobiSVD(a *Dense) (U *Dense, sigma []float64, V *Dense, err error) {
 	n, d := a.Dims()
 	if n >= d {

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // SpectralNormSym returns ‖s‖₂, the largest absolute eigenvalue of the
 // symmetric matrix s. This is the quantity the paper's matrix error metric
@@ -22,63 +19,10 @@ func SpectralNormSym(s *Sym) (float64, error) {
 	return m, nil
 }
 
-// PowerIterationSym estimates the dominant absolute eigenvalue of the
-// symmetric matrix s by power iteration with the given number of steps.
-// It is used as an independent cross-check of SpectralNormSym in tests and as
-// a cheaper alternative when only a rough norm is needed. The returned value
-// is a lower bound that converges to ‖s‖₂.
-func PowerIterationSym(s *Sym, steps int, rng *rand.Rand) float64 {
-	n := s.Dim()
-	if n == 0 {
-		return 0
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	Normalize(v)
-	var lambda float64
-	for it := 0; it < steps; it++ {
-		w := s.MulVec(v)
-		lambda = Norm2(w)
-		if lambda == 0 {
-			return 0
-		}
-		inv := 1 / lambda
-		for i := range w {
-			w[i] *= inv
-		}
-		v = w
-	}
-	// Rayleigh quotient for the final estimate (captures the sign-free
-	// magnitude since we only need |λ| here).
-	return math.Abs(s.Quad(v))
-}
-
 // CovarianceDiffNorm computes ‖g − h‖₂ for two symmetric matrices of equal
 // dimension without mutating either operand.
 func CovarianceDiffNorm(g, h *Sym) (float64, error) {
 	d := g.Clone()
 	d.SubSym(h)
 	return SpectralNormSym(d)
-}
-
-// IsOrthonormalCols reports whether the columns of m are orthonormal
-// within tol.
-func IsOrthonormalCols(m *Dense, tol float64) bool {
-	_, c := m.Dims()
-	for i := 0; i < c; i++ {
-		ci := m.Col(i)
-		for j := i; j < c; j++ {
-			got := Dot(ci, m.Col(j))
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(got-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -43,6 +43,8 @@ func SVDWork(a *Dense, ws *SVDWorkspace) (U *Dense, sigma []float64, V *Dense, e
 }
 
 // SingularValues returns only the singular values of a, sorted descending.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes svd.go with its tests
 func SingularValues(a *Dense) ([]float64, error) {
 	_, sigma, _, err := SVD(a)
 	return sigma, err

@@ -23,20 +23,6 @@ func NewSym(d int) *Sym {
 	return &Sym{n: d, data: make([]float64, d*d)}
 }
 
-// SymFromDense copies the symmetric part (S+Sᵀ)/2 of a square matrix.
-func SymFromDense(m *Dense) *Sym {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("matrix: SymFromDense of %d×%d", m.rows, m.cols))
-	}
-	s := NewSym(m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			s.data[i*m.rows+j] = (m.At(i, j) + m.At(j, i)) / 2
-		}
-	}
-	return s
-}
-
 // Dim returns d.
 func (s *Sym) Dim() int { return s.n }
 
@@ -208,6 +194,8 @@ func SymFromRaw(d int, data []float64) *Sym {
 }
 
 // Gram returns AᵀA for a row matrix A.
+//
+//distlint:unreachable-ok test helper: the exact AᵀA the sketch and matrix tests compare against
 func Gram(a *Dense) *Sym {
 	g := NewSym(a.cols)
 	for i := 0; i < a.rows; i++ {

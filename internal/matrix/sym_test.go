@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,6 +104,20 @@ func TestSymMulVec(t *testing.T) {
 	if got[0] != 3 || got[1] != 5 {
 		t.Fatalf("MulVec = %v want [3 5]", got)
 	}
+}
+
+// SymFromDense copies the symmetric part (S+Sᵀ)/2 of a square matrix.
+func SymFromDense(m *Dense) *Sym {
+	if m.rows != m.cols {
+		panic(fmt.Sprintf("matrix: SymFromDense of %d×%d", m.rows, m.cols))
+	}
+	s := NewSym(m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			s.data[i*m.rows+j] = (m.At(i, j) + m.At(j, i)) / 2
+		}
+	}
+	return s
 }
 
 func TestSymFromDense(t *testing.T) {

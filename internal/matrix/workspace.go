@@ -60,6 +60,8 @@ type SVDWorkspace struct {
 
 // NewSVDWorkspace returns an empty workspace; buffers are sized lazily by
 // the first SVDWork call.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes it with svd.go and their tests
 func NewSVDWorkspace() *SVDWorkspace { return &SVDWorkspace{} }
 
 // loadU copies a into the reusable U buffer.
@@ -94,6 +96,8 @@ type QRWorkspace struct {
 
 // NewQRWorkspace returns an empty workspace; buffers are sized lazily by
 // the first FactorQRWork call.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes it with qr.go and their tests
 func NewQRWorkspace() *QRWorkspace { return &QRWorkspace{} }
 
 // reuseDense resizes m to r×c reusing its backing array when it is large

@@ -89,6 +89,8 @@ func NewLocalMatCluster(m int, eps float64, d int) (*LocalMatCluster, error) {
 // NewLocalMatClusterFast builds the in-process deployment with fast-mode
 // sites (NewMatSiteFast): FeedRows blocks fold as single rank-k updates
 // with per-block decompositions and pooled site scratch.
+//
+//distlint:unreachable-ok the node runtime's blocked ingest mode, which no program builds until ROADMAP item 2(b) runs sites over the wire
 func NewLocalMatClusterFast(m int, eps float64, d int) (*LocalMatCluster, error) {
 	return newLocalMatCluster(m, eps, d, true)
 }

@@ -62,6 +62,8 @@ func NewMatSite(id, m int, eps float64, d int, out Sender) (*MatSite, error) {
 // threshold is still evaluated at every row index, but a block's crossings
 // coalesce into one summed report, and row-ship messages may coalesce at
 // block boundaries (see core.IngestFast).
+//
+//distlint:unreachable-ok the node runtime's blocked ingest mode, which no program builds until ROADMAP item 2(b) runs sites over the wire
 func NewMatSiteFast(id, m int, eps float64, d int, out Sender) (*MatSite, error) {
 	return newMatSite(id, m, eps, d, out, true)
 }

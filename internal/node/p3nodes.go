@@ -193,6 +193,8 @@ type LocalP3Cluster struct {
 
 // NewLocalP3Cluster builds the in-process deployment of matrix P3 with the
 // paper's sample size for ε.
+//
+//distlint:unreachable-ok test entry point: TestWireTransportP3Retention drives node/tcp.go through it until ROADMAP item 13 deletes that transport
 func NewLocalP3Cluster(m int, eps float64, d int, seed int64) (*LocalP3Cluster, error) {
 	if err := core.CheckParams(m, eps, d); err != nil {
 		return nil, fmt.Errorf("node: %w", err)

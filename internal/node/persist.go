@@ -33,6 +33,8 @@ func (s *HHSite) Snapshot() HHSiteSnapshot {
 }
 
 // RestoreHHSite rebuilds a site from a snapshot, wired to a new sender.
+//
+//distlint:unreachable-ok no program restores a node; ROADMAP item 10 deletes persist.go with its tests
 func RestoreHHSite(snap HHSiteSnapshot, out Sender) (*HHSite, error) {
 	s, err := NewHHSite(snap.ID, snap.M, snap.Eps, out)
 	if err != nil {
@@ -65,6 +67,8 @@ func (c *HHCoordinator) Snapshot() HHCoordinatorSnapshot {
 }
 
 // RestoreHHCoordinator rebuilds a coordinator from a snapshot.
+//
+//distlint:unreachable-ok no program restores a node; ROADMAP item 10 deletes persist.go with its tests
 func RestoreHHCoordinator(snap HHCoordinatorSnapshot, broadcast Sender) (*HHCoordinator, error) {
 	c, err := NewHHCoordinator(snap.M, snap.Eps, broadcast)
 	if err != nil {
@@ -99,6 +103,8 @@ func (s *MatSite) Snapshot() MatSiteSnapshot {
 }
 
 // RestoreMatSite rebuilds a site from a snapshot.
+//
+//distlint:unreachable-ok no program restores a node; ROADMAP item 10 deletes persist.go with its tests
 func RestoreMatSite(snap MatSiteSnapshot, out Sender) (*MatSite, error) {
 	s, err := newMatSite(snap.ID, snap.M, snap.Eps, snap.D, out, snap.Fast)
 	if err != nil {
@@ -134,6 +140,8 @@ func (c *MatCoordinator) Snapshot() MatCoordinatorSnapshot {
 }
 
 // RestoreMatCoordinator rebuilds a coordinator from a snapshot.
+//
+//distlint:unreachable-ok no program restores a node; ROADMAP item 10 deletes persist.go with its tests
 func RestoreMatCoordinator(snap MatCoordinatorSnapshot, broadcast Sender) (*MatCoordinator, error) {
 	c, err := NewMatCoordinator(snap.M, snap.Eps, snap.D, broadcast)
 	if err != nil {

@@ -246,12 +246,8 @@ func TestHHSimulatorSnapshotRoundTrip(t *testing.T) {
 	for i, it := range items {
 		p.Process(i%4, it.Elem, it.Weight)
 	}
-	snap, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var decoded hh.P2Snapshot

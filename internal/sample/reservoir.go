@@ -18,6 +18,8 @@ type Reservoir struct {
 }
 
 // NewReservoir returns a sampler retaining k ≥ 1 items.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes reservoir.go with its tests
 func NewReservoir(k int) *Reservoir {
 	if k < 1 {
 		panic(fmt.Sprintf("sample: need k ≥ 1, got %d", k))

@@ -42,6 +42,8 @@ func NewCountMin(width, depth int, seed uint64) *CountMin {
 
 // NewCountMinEps returns a sketch sized for additive error ε·W with failure
 // probability δ.
+//
+//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes countmin.go with its tests
 func NewCountMinEps(eps, delta float64, seed uint64) *CountMin {
 	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
 		panic(fmt.Sprintf("sketch: CountMin needs 0<ε,δ<1, got %v,%v", eps, delta))

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 )
@@ -34,9 +33,8 @@ func decodeFDRows(data []byte, d int) (rows [][]float64, splits []int) {
 
 // FuzzFDBlockedEquivalence feeds arbitrary row streams split at arbitrary
 // batch boundaries and asserts that AppendRows is exactly equivalent to
-// repeated Append — on the final sketch state, on its persisted snapshot
-// (through a gob round-trip), and on the trajectory a restored sketch
-// follows when ingestion continues.
+// repeated Append on the sketch's complete state, compared through
+// Snapshot.
 func FuzzFDBlockedEquivalence(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3))
 	f.Add([]byte{1, 200, 100, 0, 2, 9, 9, 9, 9}, uint8(1), uint8(2))
@@ -64,31 +62,6 @@ func FuzzFDBlockedEquivalence(f *testing.F) {
 		got := blocked.Snapshot()
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("blocked sketch diverges from row-at-a-time:\nrow:     %+v\nblocked: %+v", want, got)
-		}
-
-		// Persisted form: a gob round-trip of the blocked snapshot restores
-		// a sketch whose own snapshot matches the row path's bit for bit.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(got); err != nil {
-			t.Fatalf("encoding snapshot: %v", err)
-		}
-		var decoded FDSnapshot
-		if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-			t.Fatalf("decoding snapshot: %v", err)
-		}
-		restored, err := RestoreFD(decoded)
-		if err != nil {
-			t.Fatalf("restoring snapshot: %v", err)
-		}
-		if snap := restored.Snapshot(); !reflect.DeepEqual(want, snap) {
-			t.Fatalf("restored sketch diverges:\nwant: %+v\ngot:  %+v", want, snap)
-		}
-
-		// Continued ingestion after restore stays on the same trajectory.
-		rowPath.AppendRows(rows)
-		restored.AppendRows(rows)
-		if a, b := rowPath.Snapshot(), restored.Snapshot(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("post-restore ingestion diverges:\nwant: %+v\ngot:  %+v", a, b)
 		}
 	})
 }

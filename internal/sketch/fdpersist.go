@@ -1,17 +1,9 @@
 package sketch
 
-import (
-	"fmt"
-
-	"repro/internal/matrix"
-)
-
-// FDSnapshot is a self-contained, gob/json-encodable image of an FD
-// sketch. Snapshot/RestoreFD round-trips are bit-exact: every float is
-// carried verbatim, so a restored sketch answers every query identically
-// and continues ingesting on exactly the same trajectory. The blocked
-// equivalence fuzz harness leans on this to compare ingest paths through
-// their persisted form.
+// FDSnapshot is a self-contained image of an FD sketch's complete state,
+// every float carried verbatim: two sketches with equal snapshots answer
+// every query identically and continue ingesting on the same trajectory.
+// The blocked equivalence fuzz harness compares ingest paths through it.
 type FDSnapshot struct {
 	Ell   int
 	D     int
@@ -62,49 +54,4 @@ func (f *FD) Snapshot() FDSnapshot {
 		s.Buf[i] = f.buf.RowCopy(i)
 	}
 	return s
-}
-
-// RestoreFD rebuilds a sketch from a snapshot.
-func RestoreFD(s FDSnapshot) (*FD, error) {
-	if s.Ell < 1 || s.D < 1 || s.Block < 1 {
-		return nil, fmt.Errorf("sketch: FD snapshot needs ℓ,d,block ≥ 1, got %d,%d,%d", s.Ell, s.D, s.Block)
-	}
-	if s.Exact != (s.Ell >= s.D) {
-		return nil, fmt.Errorf("sketch: FD snapshot mode %v inconsistent with ℓ=%d d=%d", s.Exact, s.Ell, s.D)
-	}
-	f := NewFDBuffered(s.Ell, s.D, s.Block)
-	f.appended = s.Appended
-	f.total = s.Total
-	f.deducted = s.Deducted
-	f.shrinks = s.Shrinks
-	if s.Exact {
-		if len(s.Gram) != s.D*s.D {
-			return nil, fmt.Errorf("sketch: FD snapshot Gram has %d values, want %d", len(s.Gram), s.D*s.D)
-		}
-		f.gram = matrix.SymFromRaw(s.D, s.Gram)
-		return f, nil
-	}
-	keep := len(s.Vals)
-	if keep > s.D || len(s.Vecs) != s.D*keep {
-		return nil, fmt.Errorf("sketch: FD snapshot has %d eigenvalues and %d eigenvector entries for d=%d", keep, len(s.Vecs), s.D)
-	}
-	f.vals = append(f.vals[:0], s.Vals...)
-	for i := 0; i < s.D; i++ {
-		for k := 0; k < keep; k++ {
-			f.vecs.Set(i, k, s.Vecs[i*keep+k])
-		}
-	}
-	// compress() fires the moment the buffer reaches the block size, so a
-	// legitimate snapshot always holds strictly fewer buffered rows; a full
-	// buffer would break the Append ≡ AppendRows compression schedule.
-	if len(s.Buf) >= s.Block {
-		return nil, fmt.Errorf("sketch: FD snapshot buffers %d rows, block is %d", len(s.Buf), s.Block)
-	}
-	for i, row := range s.Buf {
-		if len(row) != s.D {
-			return nil, fmt.Errorf("sketch: FD snapshot buffered row %d has length %d, want %d", i, len(row), s.D)
-		}
-		f.buf.AppendRow(row)
-	}
-	return f, nil
 }

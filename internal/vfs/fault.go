@@ -72,6 +72,8 @@ type Fault struct {
 
 // NewFault wraps base with no rules armed: every operation passes
 // through until a Fail*/Partial*/Limit* call scripts a failure.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func NewFault(base FS) *Fault {
 	return &Fault{base: base, nth: make(map[Op]map[int]error)}
 }

@@ -106,20 +106,12 @@ func (s *Session) Persistable() error {
 		}
 	case hhKind:
 		switch p := s.hhp.(type) {
-		case *hh.P2:
-			if !p.Snapshotable() {
-				return notPersistable("the SpaceSaving P2 variant is not persistable")
-			}
-		case *hh.Exact:
+		case *hh.P2, *hh.Exact:
 		case *hh.Sharded:
 			// Shard types never mix (one builder), so probing shard 0
 			// answers for the fleet.
-			switch sp := p.Shard(0).(type) {
-			case *hh.P2:
-				if !sp.Snapshotable() {
-					return notPersistable("the SpaceSaving P2 variant is not persistable")
-				}
-			case *hh.Exact:
+			switch p.Shard(0).(type) {
+			case *hh.P2, *hh.Exact:
 			default:
 				return notPersistable("sharded heavy-hitters protocol %q has no snapshot support (persistable shards: p2, exact)", s.proto)
 			}
@@ -151,11 +143,7 @@ func (s *Session) trackerSnapshot() (any, error) {
 	case hhKind:
 		switch p := s.hhp.(type) {
 		case *hh.P2:
-			snap, err := p.Snapshot()
-			if err != nil {
-				return nil, notPersistable("%v", err)
-			}
-			return snap, nil
+			return p.Snapshot(), nil
 		case *hh.Exact:
 			return p.Snapshot(), nil
 		case *hh.Sharded:

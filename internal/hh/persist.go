@@ -48,12 +48,12 @@ func cloneWeights(m map[uint64]float64) map[uint64]float64 {
 	return out
 }
 
-// Snapshot captures an exact-delta site half (Ŵ is the owner's to record).
+// Snapshot captures a site half (Ŵ is the owner's to record).
 func (s *P2Site) Snapshot() P2SiteSnapshot {
 	return P2SiteSnapshot{Weight: s.weight, Delta: cloneWeights(s.delta)}
 }
 
-// Restore overwrites an exact-delta half's state with a snapshot.
+// Restore overwrites a site half's state with a snapshot.
 func (s *P2Site) Restore(snap P2SiteSnapshot) {
 	s.weight, s.delta = snap.Weight, cloneWeights(snap.Delta)
 }

@@ -13,10 +13,14 @@ build:
 # the packages whose results depend on those kernels (internal/node runs
 # internal/core's site half; internal/hh rides along so both protocols'
 # replay tests see both legs). testdata/golden-*.ckpt must pass on both:
-# that is the bodies' bit-identity at system level.
+# that is the bodies' bit-identity at system level. A third leg builds for
+# 386 and runs the frame codec and its two users there: a 32-bit int is
+# where a length check that multiplies wraps first.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./internal/node ./internal/hh .
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal
 
 # Non-test Go outside bench/ and outside the analyzers' fixtures (sources
 # under internal/analysis/testdata that only the analyzer tests load): the

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // fuzzStream derives a deterministic record stream from fuzz bytes.
@@ -60,11 +63,12 @@ func fuzzStream(data []byte) []Record {
 	return recs
 }
 
-// TestRecordReaderRejectsWrappingRowCounts holds the reader to the wire
-// decoder's rule: a KindRows record whose rows × dim × 8 wraps to its body
-// length — with a valid CRC, which FuzzWALRecovery's bit flips never
-// produce — is malformed, not a makeslice panic. wal.Open's recovery and
-// ReplayFrom both read segments through recordReader.next.
+// TestRecordReaderRejectsWrappingRowCounts holds the reader to the rows
+// check it shares with the wire decoder (frame.Rows): a KindRows record
+// whose rows × dim × 8 wraps to its body length — with a valid CRC, which
+// FuzzWALRecovery's bit flips never produce — is malformed, not a
+// makeslice panic, nor on a 32-bit int a divide by zero. wal.Open's
+// recovery and ReplayFrom both read segments through recordReader.next.
 func TestRecordReaderRejectsWrappingRowCounts(t *testing.T) {
 	for _, tc := range []struct{ rows, dim uint32 }{
 		{1 << 31, 1 << 30}, // × 8 = 2⁶⁴ ≡ 0: the 34-byte record
@@ -76,15 +80,10 @@ func TestRecordReaderRejectsWrappingRowCounts(t *testing.T) {
 		binary.LittleEndian.PutUint64(p[0:8], 1)
 		binary.LittleEndian.PutUint32(p[14:18], tc.rows)
 		binary.LittleEndian.PutUint32(p[18:22], tc.dim)
-		img := make([]byte, headerSize, headerSize+len(p))
-		binary.LittleEndian.PutUint16(img[0:2], Magic)
-		img[2], img[3] = Version, uint8(KindRows)
-		binary.LittleEndian.PutUint32(img[4:8], uint32(len(p)))
-		binary.LittleEndian.PutUint32(img[8:12], recordCRC(img[2:8], p))
-		img = append(img, p...)
+		img := append(make([]byte, frame.HeaderSize), p...)
+		format.Seal(uint8(KindRows), img)
 
-		var rd recordReader
-		if _, _, err := rd.next(img, 0); !errors.Is(err, errMalformed) {
+		if _, err := (&recordReader{fr: frame.NewReader(format, bytes.NewReader(img))}).next(); !errors.Is(err, errMalformed) {
 			t.Errorf("rows %d × dim %d in a %d-byte record: got %v, want errMalformed", tc.rows, tc.dim, len(img), err)
 		}
 	}

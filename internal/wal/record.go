@@ -4,17 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
+
+	"repro/internal/frame"
 )
 
-// Record framing follows the wire protocol's discipline (internal/wire):
-// a fixed 12-byte header — magic(2) version(1) kind(1) length(4) crc(4),
-// all little-endian — followed by the payload. The CRC-32 IEEE covers
-// version, kind, length, AND the payload (the magic is a plain sync
-// marker), so a single flipped bit anywhere past the magic is always
-// caught — a corrupted kind byte can never reinterpret a record. Row
-// payloads carry float64 bits verbatim, so a replayed block is
+// Records are internal/frame frames, whose CRC covers every byte past the
+// magic. Row payloads carry float64 bits verbatim, so a replayed block is
 // numerically identical to the ingested one.
 
 // Framing constants.
@@ -25,14 +22,9 @@ const (
 	// Version is the record-format version; any other version is
 	// corruption, not negotiation.
 	Version uint8 = 1
-
-	// headerSize is magic(2) + version(1) + kind(1) + length(4) + crc(4).
-	headerSize = 12
-
-	// MaxPayload bounds one record's payload — matches the wire frame
-	// bound, comfortably above the service's HTTP body limit.
-	MaxPayload = 64 << 20
 )
+
+var format = frame.Format{Magic: Magic, Version: Version}
 
 // Kind discriminates log records.
 type Kind uint8
@@ -114,204 +106,147 @@ type Record struct {
 // like a bad CRC (torn tail in the final segment, corruption earlier).
 var errMalformed = errors.New("wal: malformed record")
 
-// payloadSize computes the record's payload length, validating the
-// encodable ranges.
-func payloadSize(rec *Record) (int, error) {
-	if len(rec.Tracker) > math.MaxUint16 {
-		return 0, fmt.Errorf("%w: tracker name of %d bytes", errMalformed, len(rec.Tracker))
-	}
-	n := 8 + 2 + len(rec.Tracker) // lsn + nameLen + name
-	switch rec.Kind {
-	case KindCreate:
-		n += 4 + len(rec.Spec)
-	case KindDelete:
-	case KindRows:
-		if rec.Dim <= 0 {
-			return 0, fmt.Errorf("%w: rows record with dim %d", errMalformed, rec.Dim)
+// malformed reports whether err is about the bytes — a short record, a
+// header or CRC frame refuses, a payload that does not parse — and not a
+// failed read: only the first can be a torn tail or corruption.
+func malformed(err error) bool {
+	for _, e := range [...]error{io.ErrUnexpectedEOF, errMalformed, frame.ErrBadMagic, frame.ErrVersion, frame.ErrChecksum, frame.ErrFrameTooLarge} {
+		if errors.Is(err, e) {
+			return true
 		}
-		n += 4 + 4 + 4 + len(rec.Rows)*rec.Dim*8
-	case KindItems:
-		n += 4 + 4 + len(rec.Items)*16
-	default:
-		return 0, fmt.Errorf("%w: kind %d", errMalformed, rec.Kind)
 	}
-	if rec.Site != AssignSite && (rec.Site < 0 || rec.Site >= assignSiteWire) {
-		return 0, fmt.Errorf("%w: site %d outside uint32", errMalformed, rec.Site)
-	}
-	if n > MaxPayload {
-		return 0, fmt.Errorf("wal: %v record payload of %d bytes exceeds %d", rec.Kind, n, MaxPayload)
-	}
-	return n, nil
+	return false
 }
 
 // appendRecord encodes rec (header + payload) onto buf and returns the
-// extended buffer.
+// extended buffer; on error, buf as it was.
 func appendRecord(buf []byte, rec *Record) ([]byte, error) {
-	n, err := payloadSize(rec)
-	if err != nil {
-		return buf, err
+	if len(rec.Tracker) > math.MaxUint16 {
+		return buf, fmt.Errorf("%w: tracker name of %d bytes", errMalformed, len(rec.Tracker))
 	}
-	base := len(buf)
-	buf = append(buf, make([]byte, headerSize+n)...)
-	p := buf[base+headerSize:]
-
-	binary.LittleEndian.PutUint64(p[0:8], rec.LSN)
-	binary.LittleEndian.PutUint16(p[8:10], uint16(len(rec.Tracker)))
-	off := 10 + copy(p[10:], rec.Tracker)
 	site := uint32(assignSiteWire)
 	if rec.Site != AssignSite {
+		if rec.Site < 0 || uint64(rec.Site) >= assignSiteWire {
+			return buf, fmt.Errorf("%w: site %d outside uint32", errMalformed, rec.Site)
+		}
 		site = uint32(rec.Site)
 	}
+	base := len(buf)
+	le := binary.LittleEndian
+	buf = append(buf, make([]byte, frame.HeaderSize)...)
+	buf = le.AppendUint64(buf, rec.LSN)
+	buf = le.AppendUint16(buf, uint16(len(rec.Tracker)))
+	buf = append(buf, rec.Tracker...)
 	switch rec.Kind {
 	case KindCreate:
-		binary.LittleEndian.PutUint32(p[off:off+4], uint32(len(rec.Spec)))
-		off += 4
-		off += copy(p[off:], rec.Spec)
+		buf = le.AppendUint32(buf, uint32(len(rec.Spec)))
+		buf = append(buf, rec.Spec...)
+	case KindDelete:
 	case KindRows:
-		binary.LittleEndian.PutUint32(p[off:off+4], site)
-		binary.LittleEndian.PutUint32(p[off+4:off+8], uint32(len(rec.Rows)))
-		binary.LittleEndian.PutUint32(p[off+8:off+12], uint32(rec.Dim))
-		off += 12
+		if rec.Dim <= 0 {
+			return buf[:base], fmt.Errorf("%w: rows record with dim %d", errMalformed, rec.Dim)
+		}
+		buf = le.AppendUint32(buf, site)
+		buf = le.AppendUint32(buf, uint32(len(rec.Rows)))
+		buf = le.AppendUint32(buf, uint32(rec.Dim))
 		for _, row := range rec.Rows {
 			if len(row) != rec.Dim {
 				return buf[:base], fmt.Errorf("%w: row of %d entries in dim-%d record", errMalformed, len(row), rec.Dim)
 			}
-			for _, v := range row {
-				binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
-				off += 8
-			}
+			off := len(buf)
+			buf = append(buf, make([]byte, len(row)*8)...)
+			frame.PutFloats(buf[off:], row)
 		}
 	case KindItems:
-		binary.LittleEndian.PutUint32(p[off:off+4], site)
-		binary.LittleEndian.PutUint32(p[off+4:off+8], uint32(len(rec.Items)))
-		off += 8
+		buf = le.AppendUint32(buf, site)
+		buf = le.AppendUint32(buf, uint32(len(rec.Items)))
 		for _, it := range rec.Items {
-			binary.LittleEndian.PutUint64(p[off:off+8], it.Elem)
-			binary.LittleEndian.PutUint64(p[off+8:off+16], math.Float64bits(it.Weight))
-			off += 16
+			buf = le.AppendUint64(buf, it.Elem)
+			buf = le.AppendUint64(buf, math.Float64bits(it.Weight))
 		}
+	default:
+		return buf[:base], fmt.Errorf("%w: kind %d", errMalformed, rec.Kind)
 	}
-
-	h := buf[base:]
-	binary.LittleEndian.PutUint16(h[0:2], Magic)
-	h[2] = Version
-	h[3] = uint8(rec.Kind)
-	binary.LittleEndian.PutUint32(h[4:8], uint32(n))
-	binary.LittleEndian.PutUint32(h[8:12], recordCRC(h[2:8], p))
+	if n := len(buf) - base - frame.HeaderSize; n > frame.MaxPayload {
+		return buf[:base], fmt.Errorf("wal: %v record payload of %d bytes exceeds %d", rec.Kind, n, frame.MaxPayload)
+	}
+	format.Seal(uint8(rec.Kind), buf[base:])
 	return buf, nil
 }
 
-// recordCRC checksums a record: header bytes past the magic (version,
-// kind, length) followed by the payload.
-func recordCRC(hdr, payload []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload)
-}
-
-// recordReader decodes records from an in-memory segment image into
-// pooled scratch; each decoded Record's slices are valid until the next
-// call.
+// recordReader decodes records through a frame.Reader into pooled
+// scratch; each decoded Record's slices are valid until the next call.
 type recordReader struct {
-	floats []float64
-	rows   [][]float64
-	items  []Item
-	rec    Record
+	fr    *frame.Reader
+	rows  frame.Rows
+	items []Item
+	rec   Record
 }
 
-// next decodes the record starting at data[off], returning the record
-// and the offset just past it. Any structural failure — short header or
-// payload, bad magic/version/kind, CRC mismatch, malformed payload —
-// returns an error; the caller decides whether that is a torn tail or
-// corruption.
-func (r *recordReader) next(data []byte, off int) (*Record, int, error) {
-	if len(data)-off < headerSize {
-		return nil, off, fmt.Errorf("%w: %d-byte tail", errMalformed, len(data)-off)
+// next decodes the next record: io.EOF between records, and otherwise an
+// error for which malformed holds, or the source's failed Read.
+func (r *recordReader) next() (*Record, error) {
+	kind, err := r.fr.Header()
+	if err != nil {
+		return nil, err
 	}
-	h := data[off : off+headerSize]
-	if binary.LittleEndian.Uint16(h[0:2]) != Magic {
-		return nil, off, fmt.Errorf("%w: bad magic", errMalformed)
+	p, err := r.fr.Payload()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // cut off right behind its header
 	}
-	if h[2] != Version {
-		return nil, off, fmt.Errorf("%w: version %d", errMalformed, h[2])
+	if err != nil {
+		return nil, err
 	}
-	kind := Kind(h[3])
-	n := int(binary.LittleEndian.Uint32(h[4:8]))
-	if n > MaxPayload {
-		return nil, off, fmt.Errorf("%w: %d-byte payload", errMalformed, n)
-	}
-	if len(data)-off-headerSize < n {
-		return nil, off, fmt.Errorf("%w: truncated payload", errMalformed)
-	}
-	p := data[off+headerSize : off+headerSize+n]
-	if recordCRC(h[2:8], p) != binary.LittleEndian.Uint32(h[8:12]) {
-		return nil, off, fmt.Errorf("%w: checksum mismatch", errMalformed)
-	}
-	if n < 10 {
-		return nil, off, fmt.Errorf("%w: %d-byte payload", errMalformed, n)
+	if len(p) < 10 {
+		return nil, fmt.Errorf("%w: %d-byte payload", errMalformed, len(p))
 	}
 
 	r.rec = Record{
-		Kind: kind,
+		Kind: Kind(kind),
 		LSN:  binary.LittleEndian.Uint64(p[0:8]),
 	}
 	nameLen := int(binary.LittleEndian.Uint16(p[8:10]))
-	if 10+nameLen > n {
-		return nil, off, fmt.Errorf("%w: name length %d", errMalformed, nameLen)
+	if 10+nameLen > len(p) {
+		return nil, fmt.Errorf("%w: name length %d", errMalformed, nameLen)
 	}
 	r.rec.Tracker = string(p[10 : 10+nameLen])
 	body := p[10+nameLen:]
 
-	switch kind {
+	switch Kind(kind) {
 	case KindCreate:
 		if len(body) < 4 {
-			return nil, off, fmt.Errorf("%w: create body of %d bytes", errMalformed, len(body))
+			return nil, fmt.Errorf("%w: create body of %d bytes", errMalformed, len(body))
 		}
 		specLen := int(binary.LittleEndian.Uint32(body[0:4]))
 		if len(body) != 4+specLen {
-			return nil, off, fmt.Errorf("%w: spec length %d in %d-byte body", errMalformed, specLen, len(body))
+			return nil, fmt.Errorf("%w: spec length %d in %d-byte body", errMalformed, specLen, len(body))
 		}
 		r.rec.Spec = body[4:]
 	case KindDelete:
 		if len(body) != 0 {
-			return nil, off, fmt.Errorf("%w: delete body of %d bytes", errMalformed, len(body))
+			return nil, fmt.Errorf("%w: delete body of %d bytes", errMalformed, len(body))
 		}
 	case KindRows:
 		if len(body) < 12 {
-			return nil, off, fmt.Errorf("%w: rows body of %d bytes", errMalformed, len(body))
+			return nil, fmt.Errorf("%w: rows body of %d bytes", errMalformed, len(body))
 		}
-		rows := int(binary.LittleEndian.Uint32(body[4:8]))
-		dim := int(binary.LittleEndian.Uint32(body[8:12]))
-		// Divide, never multiply: rows × dim × 8 of two on-disk uint32s can
-		// wrap to the body's length (as in wire.Decoder.decodeRowBlock).
-		if payload := len(body) - 12; dim <= 0 || rows < 0 || payload%(dim*8) != 0 || payload/(dim*8) != rows {
-			return nil, off, fmt.Errorf("%w: rows %d×%d in %d-byte body", errMalformed, rows, dim, len(body))
+		rows := binary.LittleEndian.Uint32(body[4:8])
+		dim := binary.LittleEndian.Uint32(body[8:12])
+		hdrs, ok := r.rows.Decode(rows, dim, body[12:])
+		if !ok {
+			return nil, fmt.Errorf("%w: rows %d×%d in %d-byte body", errMalformed, rows, dim, len(body))
 		}
 		r.rec.Site = decodeSite(binary.LittleEndian.Uint32(body[0:4]))
-		r.rec.Dim = dim
-		total := rows * dim
-		if cap(r.floats) < total {
-			r.floats = make([]float64, total)
-		}
-		flat := r.floats[:total]
-		bo := 12
-		for i := range flat {
-			flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[bo : bo+8]))
-			bo += 8
-		}
-		if cap(r.rows) < rows {
-			r.rows = make([][]float64, rows)
-		}
-		hdrs := r.rows[:rows]
-		for i := range hdrs {
-			hdrs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-		}
+		r.rec.Dim = int(dim)
 		r.rec.Rows = hdrs
 	case KindItems:
 		if len(body) < 8 {
-			return nil, off, fmt.Errorf("%w: items body of %d bytes", errMalformed, len(body))
+			return nil, fmt.Errorf("%w: items body of %d bytes", errMalformed, len(body))
 		}
+		// Divided, as the rows check is: count × 16 wraps a 32-bit int.
 		count := int(binary.LittleEndian.Uint32(body[4:8]))
-		if count < 0 || len(body) != 8+count*16 {
-			return nil, off, fmt.Errorf("%w: %d items in %d-byte body", errMalformed, count, len(body))
+		if count < 0 || (len(body)-8)%16 != 0 || (len(body)-8)/16 != count {
+			return nil, fmt.Errorf("%w: %d items in %d-byte body", errMalformed, count, len(body))
 		}
 		r.rec.Site = decodeSite(binary.LittleEndian.Uint32(body[0:4]))
 		if cap(r.items) < count {
@@ -328,9 +263,9 @@ func (r *recordReader) next(data []byte, off int) (*Record, int, error) {
 		}
 		r.rec.Items = items
 	default:
-		return nil, off, fmt.Errorf("%w: kind %d", errMalformed, uint8(kind))
+		return nil, fmt.Errorf("%w: kind %d", errMalformed, kind)
 	}
-	return &r.rec, off + headerSize + n, nil
+	return &r.rec, nil
 }
 
 func decodeSite(v uint32) int {

@@ -3,12 +3,14 @@ package wal
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -75,7 +77,7 @@ func (l *Log) recover(fn func(*Record) error) error {
 	)
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		size, terr, err := l.replaySegment(&rd, seg.path, &lastLSN, fn)
+		size, terr, err := l.replaySegment(&rd, seg.path, math.MaxInt64, 0, &lastLSN, fn)
 		if err != nil {
 			return err
 		}
@@ -113,56 +115,42 @@ func (l *Log) recover(fn func(*Record) error) error {
 	return nil
 }
 
-// replaySegment reads one segment and replays its records. It returns
-// the byte offset of the first bad record (== file size when the whole
-// segment is intact) and, separately, what was wrong with it; the caller
-// decides whether that is a torn tail or corruption. A replay-callback
-// error aborts immediately.
-func (l *Log) replaySegment(rd *recordReader, path string, lastLSN *uint64, fn func(*Record) error) (int64, error, error) {
-	data, err := l.readAll(path)
+// replaySegment streams the first size bytes of a segment through replay.
+func (l *Log) replaySegment(rd *recordReader, path string, size int64, after uint64, lastLSN *uint64, fn func(*Record) error) (int64, error, error) {
+	f, err := vfs.Open(l.fs, path)
 	if err != nil {
 		return 0, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	off := 0
-	for off < len(data) {
-		rec, next, err := rd.next(data, off)
-		if err != nil {
-			return int64(off), err, nil
-		}
-		if rec.LSN <= *lastLSN {
-			return int64(off), fmt.Errorf("%w: LSN %d after %d", errMalformed, rec.LSN, *lastLSN), nil
-		}
-		if err := fn(rec); err != nil {
-			return int64(off), nil, fmt.Errorf("wal: replaying LSN %d: %w", rec.LSN, err)
-		}
-		*lastLSN = rec.LSN
-		off = next
-	}
-	return int64(off), nil, nil
+	defer f.Close()
+	return rd.replay(io.LimitReader(f, size), path, after, lastLSN, fn)
 }
 
-// readAll loads a whole segment through the FS seam.
-func (l *Log) readAll(path string) ([]byte, error) {
-	f, err := vfs.Open(l.fs, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := l.fs.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, 0, info.Size())
-	buf := make([]byte, 1<<20)
+// replay streams src's records, each LSN above *lastLSN, and hands fn
+// those above after. It returns the offset of the first bad record (== the
+// bytes read when all are intact) and, separately, what was wrong with it;
+// the caller decides whether that is a torn tail or corruption. A failed
+// read or a replay-callback error aborts immediately.
+func (rd *recordReader) replay(src io.Reader, what string, after uint64, lastLSN *uint64, fn func(*Record) error) (int64, error, error) {
+	rd.fr = frame.NewReader(format, src)
 	for {
-		n, err := f.Read(buf)
-		data = append(data, buf[:n]...)
-		if err == io.EOF {
-			return data, nil
+		off := rd.fr.Offset()
+		rec, err := rd.next()
+		switch {
+		case err == io.EOF:
+			return off, nil, nil
+		case malformed(err):
+			return off, err, nil
+		case err != nil:
+			return off, nil, fmt.Errorf("wal: reading %s: %w", what, err)
+		case rec.LSN <= *lastLSN:
+			return off, fmt.Errorf("%w: LSN %d after %d", errMalformed, rec.LSN, *lastLSN), nil
 		}
-		if err != nil {
-			return nil, err
+		if rec.LSN > after {
+			if err := fn(rec); err != nil {
+				return off, nil, fmt.Errorf("wal: replaying LSN %d: %w", rec.LSN, err)
+			}
 		}
+		*lastLSN = rec.LSN
 	}
 }
 

@@ -1,6 +1,9 @@
 package wal
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // ReplayFrom hands every record with LSN > after to fn, in LSN order —
 // a live re-read of the log suffix past a cursor, exactly what Open would
@@ -29,21 +32,12 @@ func (l *Log) ReplayFrom(after uint64, fn func(*Record) error) error {
 		return nil
 	}
 	var rd recordReader
-	replay := func(data []byte, what string) error {
-		off := 0
-		for off < len(data) {
-			rec, next, err := rd.next(data, off)
-			if err != nil {
-				return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, what, off, err)
-			}
-			if rec.LSN > after {
-				if ferr := fn(rec); ferr != nil {
-					return fmt.Errorf("wal: replaying LSN %d: %w", rec.LSN, ferr)
-				}
-			}
-			off = next
+	var lastLSN uint64
+	corrupt := func(what string, off int64, bad, err error) error {
+		if bad != nil {
+			return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, what, off, bad)
 		}
-		return nil
+		return err
 	}
 	for i, seg := range l.segments {
 		// Every LSN in this closed segment is below the next segment's
@@ -56,35 +50,22 @@ func (l *Log) ReplayFrom(after uint64, fn func(*Record) error) error {
 		if next <= after+1 {
 			continue
 		}
-		data, err := l.readAll(seg.path)
-		if err != nil {
-			return fmt.Errorf("wal: reading %s: %w", seg.path, err)
-		}
-		if int64(len(data)) > seg.bytes {
-			data = data[:seg.bytes]
-		}
-		if err := replay(data, seg.path); err != nil {
+		off, bad, err := l.replaySegment(&rd, seg.path, seg.bytes, after, &lastLSN, fn)
+		if err := corrupt(seg.path, off, bad, err); err != nil {
 			return err
 		}
 	}
 	if l.segDurable > 0 && l.durableLSN > after {
 		// The active segment's durable prefix; anything past segDurable is
 		// a failed flush's debris awaiting Rearm truncation.
-		data, err := l.readAll(l.segPath)
-		if err != nil {
-			return fmt.Errorf("wal: reading %s: %w", l.segPath, err)
-		}
-		if int64(len(data)) > l.segDurable {
-			data = data[:l.segDurable]
-		}
-		if err := replay(data, l.segPath); err != nil {
+		off, bad, err := l.replaySegment(&rd, l.segPath, l.segDurable, after, &lastLSN, fn)
+		if err := corrupt(l.segPath, off, bad, err); err != nil {
 			return err
 		}
 	}
 	if l.damaged == nil && len(l.buf) > 0 {
-		if err := replay(l.buf, "staged tail"); err != nil {
-			return err
-		}
+		off, bad, err := rd.replay(bytes.NewReader(l.buf), "staged tail", after, &lastLSN, fn)
+		return corrupt("staged tail", off, bad, err)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package wal is the write-ahead block log under internal/service's
 // durability layer: a segmented, append-only log of ingested batches
-// (tracker create/delete marks plus row and item blocks) framed with the
-// CRC-checked length-prefixed record discipline of internal/wire.
+// (tracker create/delete marks plus row and item blocks), each record a
+// CRC-checked, length-prefixed internal/frame frame, as on the wire.
 //
 // # Write path
 //
@@ -16,11 +16,12 @@
 //
 // # Recovery
 //
-// Open scans the segments in LSN order and replays every intact record
-// through the caller's callback. The first bad record in the final
-// segment — short header, bad CRC, malformed payload, or a
-// non-increasing LSN — is a torn tail: the file is truncated at the last
-// good record and the log continues from there. A bad record in any
+// Open streams the segments in LSN order and replays every intact record
+// through the caller's callback; a failed read fails Open. The first bad
+// record in the final segment — short header or payload, bad CRC,
+// malformed payload, or a non-increasing LSN — is a torn tail: the file is
+// truncated at the last good record and the log continues from there. A
+// bad record in any
 // earlier segment cannot be a tear (the writer never wrote past it) and
 // fails Open with ErrCorrupt. Records past the last durable flush may
 // include batches whose acknowledgements never went out; they replay

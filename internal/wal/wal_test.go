@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -119,10 +122,9 @@ func TestRecordRoundtrip(t *testing.T) {
 			t.Fatalf("appendRecord %d: %v", i, err)
 		}
 	}
-	var rd recordReader
-	off := 0
+	rd := recordReader{fr: frame.NewReader(format, bytes.NewReader(buf))}
 	for i := range recs {
-		rec, next, err := rd.next(buf, off)
+		rec, err := rd.next()
 		if err != nil {
 			t.Fatalf("next %d: %v", i, err)
 		}
@@ -141,10 +143,12 @@ func TestRecordRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, want)
 		}
-		off = next
 	}
-	if off != len(buf) {
+	if off := rd.fr.Offset(); off != int64(len(buf)) {
 		t.Fatalf("decoded %d of %d bytes", off, len(buf))
+	}
+	if _, err := rd.next(); err != io.EOF {
+		t.Fatalf("after the last record: %v, want io.EOF", err)
 	}
 }
 
@@ -258,6 +262,21 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// recordBounds is every record boundary of a segment image, 0 and its
+// length included, so a cut maps to its surviving prefix length.
+func recordBounds(t *testing.T, seg []byte) []int {
+	t.Helper()
+	bounds := []int{0}
+	rd := recordReader{fr: frame.NewReader(format, bytes.NewReader(seg))}
+	for bounds[len(bounds)-1] < len(seg) {
+		if _, err := rd.next(); err != nil {
+			t.Fatalf("segment self-scan: %v", err)
+		}
+		bounds = append(bounds, int(rd.fr.Offset()))
+	}
+	return bounds
+}
+
 func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := collectOpen(t, Options{Dir: dir})
@@ -272,16 +291,7 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 
 	// Record boundaries, so a cut maps to its surviving prefix length.
-	bounds := []int{0}
-	var rd recordReader
-	for off := 0; off < len(whole); {
-		_, next, err := rd.next(whole, off)
-		if err != nil {
-			t.Fatalf("segment self-scan: %v", err)
-		}
-		bounds = append(bounds, next)
-		off = next
-	}
+	bounds := recordBounds(t, whole)
 
 	for cut := 0; cut <= len(whole); cut++ {
 		if err := os.WriteFile(seg, whole[:cut], 0o600); err != nil {
@@ -328,18 +338,9 @@ func TestBitFlipTruncatesTail(t *testing.T) {
 	}
 	// Flip a payload bit in the 4th record: records 1–3 survive, the rest
 	// are cut.
-	bounds := []int{0}
-	var rd recordReader
-	for off := 0; off < len(whole); {
-		_, next, err := rd.next(whole, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bounds = append(bounds, next)
-		off = next
-	}
+	bounds := recordBounds(t, whole)
 	mut := append([]byte(nil), whole...)
-	mut[bounds[3]+headerSize] ^= 0x10
+	mut[bounds[3]+frame.HeaderSize] ^= 0x10
 	if err := os.WriteFile(seg, mut, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -510,5 +511,57 @@ func TestTempAndForeignFilesIgnored(t *testing.T) {
 	defer l.Close()
 	if len(got) != 0 {
 		t.Fatalf("replayed %d records from foreign files", len(got))
+	}
+}
+
+// TestReadFailureIsNotATear: a segment streamed through the frame reader
+// can fail to read part-way. That is an I/O error — Open and ReplayFrom
+// return it, and nothing is truncated — never a torn tail or corruption,
+// which only a short or malformed record is.
+func TestReadFailureIsNotATear(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := collectOpen(t, Options{Dir: dir})
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, 44)
+		rows[i][i%44] = float64(i)
+	}
+	var want []Record
+	for i := range 20 { // ≈ 450 KB: the frame reader takes it in over several Reads
+		want = append(want, Record{Kind: KindRows, Tracker: "big", Site: i % 3, Dim: 44, Rows: rows})
+	}
+	want = appendAll(t, l, want)
+	seg := l.segPath
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("injected read failure")
+	fault := vfs.NewFault(vfs.OS())
+	fault.FailNth(vfs.OpRead, 1, boom)
+	replayed := 0
+	if _, err := Open(Options{Dir: dir, FS: fault}, func(*Record) error { replayed++; return nil }); !errors.Is(err, boom) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with a failing second Read: %v, want %v", err, boom)
+	}
+	if replayed == 0 || replayed == len(want) {
+		t.Fatalf("the Read failed after %d of %d records; want it part-way", replayed, len(want))
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, whole) {
+		t.Fatalf("a failed read changed the segment (%d → %d bytes, %v)", len(whole), len(after), err)
+	}
+
+	fault = vfs.NewFault(vfs.OS())
+	l2, got := collectOpen(t, Options{Dir: dir, FS: fault})
+	defer l2.Close()
+	if !equalRecords(got, want) || l2.Stats().TornTruncations != 0 {
+		t.Fatalf("reopened with %d records, %d torn truncations", len(got), l2.Stats().TornTruncations)
+	}
+	fault.FailOp(vfs.OpRead, boom)
+	if err := l2.ReplayFrom(0, func(*Record) error { return nil }); !errors.Is(err, boom) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReplayFrom with failing reads: %v, want %v", err, boom)
 	}
 }

@@ -11,16 +11,8 @@ const (
 	// Version is the protocol version this package speaks. A decoder
 	// rejects frames from any other version — resume semantics depend on
 	// both ends agreeing on watermark meaning, so there is no negotiation,
-	// only refusal.
-	Version uint8 = 1
-
-	// HeaderSize is the fixed frame header length:
-	// magic(2) version(1) kind(1) length(4) crc(4).
-	HeaderSize = 12
-
-	// MaxPayload bounds a single frame's payload (64 MiB, comfortably
-	// above the service layer's HTTP body bound for the same blocks).
-	MaxPayload = 64 << 20
+	// only refusal. Version 2 is internal/frame's CRC rule.
+	Version uint8 = 2
 )
 
 // Kind discriminates frames.

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Handler is the coordinator-side sink a CoordListener feeds. Both
@@ -184,7 +186,7 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 	enc := NewEncoder(conn, &l.stats)
 	acks := &ackReader{conn: conn, enc: enc}
 	dec := NewDecoder(acks, &l.stats)
-	dec.maxPayload = maxHelloPayload
+	dec.fr.SetMaxPayload(maxHelloPayload)
 
 	f, err := dec.Next()
 	if err != nil || f.Kind != KindHello {
@@ -200,7 +202,7 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	dec.maxPayload = MaxPayload
+	dec.fr.SetMaxPayload(frame.MaxPayload)
 
 	for {
 		f, err := dec.Next()

@@ -5,21 +5,22 @@
 //
 // # Frames
 //
-// Every frame is a fixed 12-byte header followed by a payload:
+// Every frame is internal/frame's 12-byte header followed by a payload:
 //
 //	magic   uint16  0x5744 ("WD")
-//	version uint8   1
+//	version uint8   2
 //	kind    uint8   hello / hello-ack / row-block / ack / msg-block / error
 //	length  uint32  payload bytes
-//	crc     uint32  IEEE CRC-32 of the payload
+//	crc     uint32  IEEE CRC-32 of version, kind, length and payload
 //
-// All integers are little-endian. Row-block payloads carry float64 rows
-// bit-for-bit (math.Float64bits), so a decoded block is numerically
-// identical to the encoded one. The decoder reads ahead into one buffer of
-// its own, checks each frame where it landed and copies floats out in bulk
-// into pooled storage it returns views of, so the steady-state decode path
-// allocates nothing and costs a read per buffer, not per frame
-// (//distlint:hotpath on both block codecs).
+// All integers are little-endian; a version-1 peer, whose CRC covered the
+// payload alone, is refused with ErrVersion. Row-block payloads carry
+// float64 rows bit-for-bit (math.Float64bits), so a decoded block is
+// numerically identical to the encoded one. The decoder reads ahead through
+// a frame.Reader, which checks each frame where it landed, and copies
+// floats out in bulk into pooled storage it returns views of, so the
+// steady-state decode path allocates nothing and costs a read per buffer,
+// not per frame (//distlint:hotpath on both block codecs).
 //
 // # Sessions, backpressure, and resume
 //
@@ -57,23 +58,25 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/frame"
 )
 
 // Codec and session errors, matched with errors.Is.
 var (
 	// ErrBadMagic reports a frame header that does not start with the
 	// protocol magic — the peer is not speaking this protocol.
-	ErrBadMagic = errors.New("wire: bad magic")
+	ErrBadMagic = frame.ErrBadMagic
 
 	// ErrVersion reports a frame from an incompatible protocol version.
-	ErrVersion = errors.New("wire: unsupported protocol version")
+	ErrVersion = frame.ErrVersion
 
-	// ErrChecksum reports a payload whose CRC does not match its header.
-	ErrChecksum = errors.New("wire: payload checksum mismatch")
+	// ErrChecksum reports a frame whose CRC does not match its bytes.
+	ErrChecksum = frame.ErrChecksum
 
 	// ErrFrameTooLarge reports a header announcing a payload beyond
-	// MaxPayload.
-	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
+	// frame.MaxPayload.
+	ErrFrameTooLarge = frame.ErrFrameTooLarge
 
 	// ErrMalformed reports a structurally invalid payload.
 	ErrMalformed = errors.New("wire: malformed payload")

@@ -66,10 +66,10 @@ const (
 	IngestExact IngestMode = iota
 
 	// IngestFast is the blocked mode: a whole known-mass prefix folds into
-	// the site state with one rank-k update (matrix.Sym.AddBlock /
-	// sketch.FD.AppendRows) and the expensive eigendecomposition or merge
-	// work runs once per block instead of once per row. The documented
-	// relaxations, per protocol:
+	// the site state with one rank-k update read where the rows lie
+	// (matrix.Sym.AddBlock / sketch.FD.AppendRows) and the expensive
+	// eigendecomposition or merge work runs once per block instead of once
+	// per row. The documented relaxations, per protocol:
 	//
 	//   - P1: message counts and ship rows are identical to exact mode (the
 	//     ship trigger reads only the scalar mass side-channel); only the

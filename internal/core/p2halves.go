@@ -24,9 +24,8 @@ type P2Uplink interface {
 // sites do, so its footprint does not grow with m; NewP2Site's owns its own.
 type p2Scratch struct {
 	eigWS   *matrix.EigWorkspace
-	shipRow []float64     // σ·v staging, also the reconstruction column
-	wbuf    []float64     // per-block row norms
-	pack    *matrix.Dense // column-major packing for Sym.AddBlock
+	shipRow []float64 // σ·v staging, also the reconstruction column
+	wbuf    []float64 // per-block row norms
 
 	decomps     int64 // eigendecompositions run
 	decompsIdle int64 // those that shipped nothing (λ₁ < shipThresh)
@@ -152,10 +151,7 @@ func (s *P2Site) ProcessBlock(rows [][]float64) error {
 	}
 
 	// One block update; the exact deferral bound accrues the block's mass.
-	if ws.pack == nil {
-		ws.pack = matrix.NewDense(0, 0)
-	}
-	s.gram.AddBlock(rows, ws.pack)
+	s.gram.AddBlock(rows)
 	s.lamBound += mass
 	if s.empty && len(rows) == 1 {
 		s.soleRow = append(s.soleRow[:0], rows[0]...) //distlint:alloc-ok grows to one row length once, then reused

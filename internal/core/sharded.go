@@ -13,7 +13,7 @@ import (
 // counterpart of the blocked fast ingest mode: the fast path removed the
 // per-row linear algebra, and sharding removes the single-core ceiling by
 // running P block pipelines at once. Each shard is a complete tracker with
-// its own private scratch (pack buffers, eigendecomposition workspaces), so
+// its own private scratch (eigendecomposition workspaces, row-norm buffers), so
 // workers never contend on shared state.
 //
 // Queries: Gram, EstimateFrobenius, and Stats first flush, then merge shard

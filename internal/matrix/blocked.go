@@ -6,8 +6,8 @@ import "fmt"
 // historically paid one rank-1 AddOuter (O(d²), bounds-checked, one row at a
 // time) per stream row; the kernels here restructure that per-record work
 // into per-block work: a whole row block B folds into a Gram matrix as the
-// rank-k update G += BᵀB, computed column-major over caller-provided packing
-// scratch so the inner loops are contiguous dot products.
+// rank-k update G += BᵀB, read row-major where the block's rows lie (a Gram
+// row's entries are the vector lanes), so nothing is packed first.
 //
 // The blocked kernels reassociate floating-point additions (each Gram entry
 // accumulates the block's contribution before rounding into G), so their
@@ -27,38 +27,32 @@ func NormSqRows(rows [][]float64, dst []float64) []float64 {
 	return dst
 }
 
-// addBlockCutoff is the block size below which AddBlock falls back to plain
-// rank-1 updates: packing a one- or two-row block costs more than it saves.
+// addBlockCutoff is the block size below which AddBlock takes rank-1 updates:
+// AddOuter rounds each row into the Gram, so moving it changes bits.
 const addBlockCutoff = 4
 
 // AddBlock performs the rank-k update s += BᵀB where the rows of B are the
-// given slices, all of length Dim. scratch holds the column-major packing of
-// the block and is resized (reusing its backing array) as needed; passing
-// the same scratch across calls makes the steady-state update allocation-
-// free. A nil scratch falls back to the rank-1 loop.
-//
-// Entries are accumulated block-at-a-time (see the package comment on
-// reassociation); the result is made exactly symmetric.
+// given slices, all of length Dim, without allocating. The trailing argument
+// is ignored: bench/ still passes the packing scratch the update once took.
 //
 //distlint:hotpath
-func (s *Sym) AddBlock(rows [][]float64, scratch *Dense) {
+func (s *Sym) AddBlock(rows [][]float64, _ ...*Dense) {
 	for i, row := range rows {
 		if len(row) != s.n {
 			panic(fmt.Sprintf("matrix: block row %d of length %d, want %d", i, len(row), s.n))
 		}
 	}
-	s.addRowBlock(len(rows), rows, nil, scratch)
+	s.addRowBlock(len(rows), rows, nil)
 }
 
-// AddDenseBlock is AddBlock for a Dense row block (rows lo ≤ i < hi come
-// from callers slicing with RowsView). b must have Dim columns.
+// AddDenseBlock is AddBlock for a Dense row block with Dim columns.
 //
 //distlint:hotpath
-func (s *Sym) AddDenseBlock(b *Dense, scratch *Dense) {
+func (s *Sym) AddDenseBlock(b *Dense) {
 	if b.cols != s.n {
 		panic(fmt.Sprintf("matrix: %d-column block into %d×%d", b.cols, s.n, s.n))
 	}
-	s.addRowBlock(b.rows, nil, b.data, scratch)
+	s.addRowBlock(b.rows, nil, b.data)
 }
 
 // blockRow is row i of a block of d-column rows held either as slices (rows
@@ -70,95 +64,78 @@ func blockRow(rows [][]float64, flat []float64, d, i int) []float64 {
 	return flat[i*d : (i+1)*d]
 }
 
-// addRowBlock is the body of AddBlock and AddDenseBlock over an n-row block
-// in either of blockRow's forms: short blocks and a nil scratch take the
-// rank-1 loop; otherwise B is packed column-major (scratch row j is column j
-// of B, so every Gram entry is one contiguous dot product of length n), the
-// upper triangle of BᵀB is added a Gram row at a time, and the result is
-// mirrored onto the lower so s stays exactly symmetric.
+// addRowBlock folds an n-row block of checked rows in a blockRow form.
 //
 //distlint:hotpath
-func (s *Sym) addRowBlock(n int, rows [][]float64, flat []float64, scratch *Dense) {
+func (s *Sym) addRowBlock(n int, rows [][]float64, flat []float64) {
 	d := s.n
-	if n < addBlockCutoff || scratch == nil {
+	if n < addBlockCutoff {
 		for i := 0; i < n; i++ {
 			s.AddOuter(1, blockRow(rows, flat, d, i))
 		}
 		return
 	}
-	*scratch = *reuseDense(scratch, d, n, false)
-	packed := scratch.data
-	packColumns(packed, n, d, rows, flat)
-	for j := 0; j < d; j++ {
-		gramRow(packed[j*n:(j+1)*n], packed[j*n:], n, s.data[j*d+j:(j+1)*d])
+	gramUpper(rows, flat, n, d, s.data)
+	s.mirrorUpper()
+}
+
+// mirrorUpper copies the upper triangle onto the lower in 4×4 transposes,
+// so no store walks down a column.
+//
+//distlint:hotpath
+func (s *Sym) mirrorUpper() {
+	d, a := s.n, s.data
+	i := 0
+	for ; i+4 <= d; i += 4 {
+		u0, u1, u2, u3 := a[i*d:][:d], a[(i+1)*d:][:d], a[(i+2)*d:][:d], a[(i+3)*d:][:d]
+		a[(i+1)*d+i] = u0[i+1]
+		a[(i+2)*d+i], a[(i+2)*d+i+1] = u0[i+2], u1[i+2]
+		a[(i+3)*d+i], a[(i+3)*d+i+1], a[(i+3)*d+i+2] = u0[i+3], u1[i+3], u2[i+3]
+		for k := i + 4; k < d; k++ {
+			l := a[k*d+i:][:4]
+			l[0], l[1], l[2], l[3] = u0[k], u1[k], u2[k], u3[k]
+		}
 	}
-	for j := 0; j < d; j++ {
-		for k := j + 1; k < d; k++ {
-			s.data[k*d+j] = s.data[j*d+k]
+	for ; i < d; i++ {
+		for k := i + 1; k < d; k++ {
+			a[k*d+i] = a[i*d+k]
 		}
 	}
 }
 
-// packColumns writes the n-row block column-major into packed (column j at
-// packed[j·n:(j+1)·n]), eight rows at a time so that each run of stores fills
-// one cache line of a packed column: a row at a time the stores stride by n,
-// which at n = 256 lands every column in the same two L1 sets. The last tile
-// of a block that is not a multiple of eight rows backs up over rows already
-// packed.
+// gramRowGo specifies gramUpper's bodies: out[m] += Σᵢ rᵢ[j]·rᵢ[j+m] over
+// the n rows (held as blockRow describes), summed as partial sums s0..s3 of
+// the rows i ≡ 0…3 (mod 4), the n mod 4 tail rows into s0, then
+// out[m] += (s0+s1)+(s2+s3). Assembly bodies produce the same bits.
 //
 //distlint:hotpath
-func packColumns(packed []float64, n, d int, rows [][]float64, flat []float64) {
-	if n < 8 {
-		for i := 0; i < n; i++ {
-			for j, v := range blockRow(rows, flat, d, i) {
-				packed[j*n+i] = v
+func gramRowGo(rows [][]float64, flat []float64, n, d, j int, out []float64) {
+	for m0 := 0; m0 < len(out); m0 += 8 {
+		o := out[m0:min(m0+8, len(out))]
+		var s0, s1, s2, s3 [8]float64
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			r0, r1, r2, r3 := blockRow(rows, flat, d, i), blockRow(rows, flat, d, i+1), blockRow(rows, flat, d, i+2), blockRow(rows, flat, d, i+3)
+			a0, a1, a2, a3 := r0[j], r1[j], r2[j], r3[j]
+			c0, c1, c2, c3 := r0[j+m0:][:len(o)], r1[j+m0:][:len(o)], r2[j+m0:][:len(o)], r3[j+m0:][:len(o)]
+			for k := range o {
+				s0[k] += a0 * c0[k]
+				s1[k] += a1 * c1[k]
+				s2[k] += a2 * c2[k]
+				s3[k] += a3 * c3[k]
 			}
 		}
-		return
-	}
-	for i := 0; i < n; i += 8 {
-		i = min(i, n-8)
-		r0, r1, r2, r3 := blockRow(rows, flat, d, i), blockRow(rows, flat, d, i+1), blockRow(rows, flat, d, i+2), blockRow(rows, flat, d, i+3)
-		r4, r5, r6, r7 := blockRow(rows, flat, d, i+4), blockRow(rows, flat, d, i+5), blockRow(rows, flat, d, i+6), blockRow(rows, flat, d, i+7)
-		for j := 0; j < d; j++ {
-			p := packed[j*n+i : j*n+i+8]
-			p[0], p[1], p[2], p[3] = r0[j], r1[j], r2[j], r3[j]
-			p[4], p[5], p[6], p[7] = r4[j], r5[j], r6[j], r7[j]
+		for ; i < n; i++ {
+			r := blockRow(rows, flat, d, i)
+			a, c := r[j], r[j+m0:][:len(o)]
+			for k := range o {
+				s0[k] += a * c[k]
+			}
+		}
+		for k := range o {
+			o[k] += (s0[k] + s1[k]) + (s2[k] + s3[k])
 		}
 	}
-}
-
-// gramRowGo is the portable body of gramRow and the specification of every
-// other: out[m] += dotUnrolled(cj, column m of cols) for each m, where the
-// columns are n long and contiguous in cols. An assembly body must produce
-// the same bits (see CONTRIBUTING.md, "Kernels").
-//
-//distlint:hotpath
-func gramRowGo(cj, cols []float64, n int, out []float64) {
-	cj = cj[:n]
-	for m := range out {
-		out[m] += dotUnrolled(cj, cols[m*n:(m+1)*n])
-	}
-}
-
-// dotUnrolled is Dot for equal-length slices with four independent
-// accumulators, trading the sequential rounding order for instruction-level
-// parallelism in the blocked kernels' inner loop.
-//
-//distlint:hotpath
-func dotUnrolled(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
 }
 
 // RowsView returns rows [lo, hi) of m as a Dense view aliasing m's storage:

@@ -31,8 +31,7 @@ func TestAddBlockMatchesOuterProducts(t *testing.T) {
 			for _, row := range rows {
 				want.AddOuter(1, row)
 			}
-			scratch := NewDense(0, 0)
-			got.AddBlock(rows, scratch)
+			got.AddBlock(rows)
 
 			tol := 1e-12 * (1 + want.MaxAbs()) * float64(n+1)
 			for i := 0; i < d; i++ {
@@ -63,20 +62,19 @@ func TestAddDenseBlockMatchesAddBlock(t *testing.T) {
 	b := FromRows(rows)
 
 	want := NewSym(d)
-	want.AddBlock(rows, NewDense(0, 0))
+	want.AddBlock(rows)
 
 	got := NewSym(d)
-	got.AddDenseBlock(b, NewDense(0, 0))
+	got.AddDenseBlock(b)
 	if diff := maxSymDiff(want, got); diff != 0 {
 		t.Fatalf("AddDenseBlock differs from AddBlock by %g", diff)
 	}
 
 	// Folding two RowsView windows equals folding the whole block when the
-	// split lands on the packed path both times.
+	// split lands on the blocked kernel both times.
 	got2 := NewSym(d)
-	scratch := NewDense(0, 0)
-	got2.AddDenseBlock(b.RowsView(0, 16), scratch)
-	got2.AddDenseBlock(b.RowsView(16, n), scratch)
+	got2.AddDenseBlock(b.RowsView(0, 16))
+	got2.AddDenseBlock(b.RowsView(16, n))
 	if diff := maxSymDiff(want, got2); diff > 1e-12*(1+want.MaxAbs()) {
 		t.Fatalf("RowsView windows differ from whole block by %g", diff)
 	}

@@ -2,11 +2,12 @@
 
 package matrix
 
-// gramRow adds cj's dot product with each of the len(out) packed columns in
-// cols, n rows apiece, into out: the portable body, for architectures with
-// no assembly one and for the purego build tag.
+// gramUpper adds the upper triangle of BᵀB for the n-row block B (held as
+// blockRow describes) into the d×d row-major Gram g: the portable body.
 //
 //distlint:hotpath
-func gramRow(cj, cols []float64, n int, out []float64) {
-	gramRowGo(cj, cols, n, out)
+func gramUpper(rows [][]float64, flat []float64, n, d int, g []float64) {
+	for j := 0; j < d; j++ {
+		gramRowGo(rows, flat, n, d, j, g[j*d+j:(j+1)*d])
+	}
 }

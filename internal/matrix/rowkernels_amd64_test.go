@@ -12,12 +12,6 @@ import (
 	"time"
 )
 
-// sameBits reports whether two results are the same float64: equal bits, or
-// two NaNs whatever their payloads.
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
 // diffFloats fails on the first entry of got whose bits differ from want's.
 func diffFloats(t *testing.T, what string, n int, want, got []float64) {
 	t.Helper()

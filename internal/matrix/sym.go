@@ -10,9 +10,13 @@ import (
 // rank-1 update G += a·aᵀ, and the right singular vectors and squared
 // singular values of A are exactly the eigenpairs of G. The zero value is not
 // usable; construct with NewSym.
+//
+// Its triangles can disagree in the last ulp: AddOuter with w ≠ 1 rounds (i,j)
+// and (j,i) apart, as in every ReconstructIntoWork (after a P2 ship or an FD
+// shrink). AddBlock overwrites the lower one with the upper.
 type Sym struct {
 	n    int
-	data []float64 // row-major, full storage, kept symmetric
+	data []float64 // row-major, full storage; see the type comment on symmetry
 }
 
 // NewSym returns a d×d symmetric zero matrix.
@@ -54,7 +58,8 @@ func (s *Sym) Set(i, j int, v float64) {
 	s.data[j*s.n+i] = v
 }
 
-// AddOuter performs the rank-1 update s += w·(a aᵀ).
+// AddOuter performs the rank-1 update s += w·(a aᵀ). Entries (i,j) and
+// (j,i) get (w·aᵢ)·aⱼ and (w·aⱼ)·aᵢ, which for w ≠ 1 can round apart.
 func (s *Sym) AddOuter(w float64, a []float64) {
 	if len(a) != s.n {
 		panic(fmt.Sprintf("matrix: outer product of length-%d vector with %d×%d", len(a), s.n, s.n))

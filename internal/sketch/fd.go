@@ -59,8 +59,7 @@ type FD struct {
 	// Reusable per-sketch factorization scratch (lazily allocated).
 	scratch *matrix.Sym
 	eigWS   *matrix.EigWorkspace
-	col     []float64     // eigenvector column staging for reconstructions
-	pack    *matrix.Dense // column-major packing for the blocked Gram fold
+	col     []float64 // eigenvector column staging for reconstructions
 }
 
 // NewFD returns a Frequent Directions sketch with ℓ rows for d-dimensional
@@ -183,10 +182,7 @@ func (f *FD) compress() {
 		f.scratch = matrix.NewSym(f.d)
 	}
 	matrix.ReconstructIntoWork(f.scratch, f.vecs, f.vals, f.colScratch())
-	if f.pack == nil {
-		f.pack = matrix.NewDense(0, 0)
-	}
-	f.scratch.AddDenseBlock(f.buf, f.pack)
+	f.scratch.AddDenseBlock(f.buf)
 	f.buf.Reset()
 	f.factorAndShrink(f.scratch)
 }

@@ -14,16 +14,18 @@ build:
 # internal/core's site half; internal/hh rides along so both protocols'
 # replay tests see both legs). testdata/golden-*.ckpt must pass on both:
 # that is the bodies' bit-identity at system level. A third leg builds for
-# 386 and runs the frame codec and its two users there, and the portable
-# Gram body (its row offsets i·d + m) with the FD sketch over it: a 32-bit
-# int is where a length check or an index that multiplies wraps first.
-# -short skips the wall-clock guards, which time the amd64 assembly.
+# 386 and runs the frame codec and its two users there, the portable
+# Gram body (its row offsets i·d + m) with the FD sketch over it, and the
+# service, whose JSON digit walk reads unchecked and whose decoders do
+# index math: a 32-bit int is where a length check or an index that
+# multiplies wraps first. -short skips the wall-clock guards, which time
+# the amd64 build.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./internal/node ./internal/hh .
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal
-	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch
+	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch ./internal/service
 
 # Non-test Go outside bench/ and outside the analyzers' fixtures (sources
 # under internal/analysis/testdata that only the analyzer tests load): the

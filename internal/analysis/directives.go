@@ -1,9 +1,9 @@
 // Package analysis is distlint: the project-specific static-analysis suite
 // that mechanically enforces the codebase's unwritten contracts — zero-alloc
 // steady-state hot paths, mutex-guarded shared state, deep-copied snapshots,
-// sentinel-error wrapping, worker-goroutine lifecycles, a portable spec and
-// a differential test for every assembly body, and no exported function
-// under internal/ that no program reaches. The analyzers
+// sentinel-error wrapping, worker-goroutine lifecycles, a spec body and a
+// differential test for every assembly or unsafe fast body, and no
+// exported function under internal/ that no program reaches. The analyzers
 // run on lintkit (a stdlib-only go/analysis workalike) through the
 // cmd/distlint driver, which `make lint` and CI invoke on every package.
 //
@@ -13,7 +13,7 @@
 //	//distlint:alloc-ok         (line) permitted allocation, e.g. pool growth
 //	//distlint:guarded-by mu    (struct field) only touch with mu held
 //	//distlint:caller-holds mu  (function) lock discipline is the caller's
-//	//distlint:spec f TestX     (body-less function) portable spec and its test
+//	//distlint:spec f TestX     (function) spec body and its test; required without a body
 //	//distlint:alias-ok         (line) permitted snapshot aliasing
 //	//distlint:panic-ok         (line) permitted panic, e.g. unreachable
 //	//distlint:lifecycle-ok     (line) goroutine shutdown handled elsewhere

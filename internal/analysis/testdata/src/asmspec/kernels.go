@@ -45,3 +45,24 @@ func missingTest(x *float64) // want `no _test.go file .* declares TestSubBitIde
 
 // withBody has a body, so it needs no directive.
 func withBody() {}
+
+// scan has a body and names the slower one it replaced, kept in a test file.
+//
+//distlint:spec scanSpec FuzzScan
+func scan(d []byte) int { return len(d) }
+
+type walker struct{}
+
+// walk names a method of the test file's oracle type.
+//
+//distlint:spec oracle.walk TestWalkBitIdentical
+func (w *walker) walk() {}
+
+//distlint:spec walker.walk TestWalkBitIdentical
+func walkAgain() {}
+
+//distlint:spec scanGone FuzzScan
+func scanMissingSpec(d []byte) int { return len(d) } // want `spec function scanGone is not declared in package asmspec or its tests`
+
+//distlint:spec scanSpec FuzzScanGone
+func scanMissingTest(d []byte) int { return len(d) } // want `no _test.go file .* declares FuzzScanGone`

@@ -19,6 +19,7 @@ var hostLittleEndian = func() bool {
 // the result; on a little-endian host the same bytes are already in memory
 // and one copy moves them.
 //
+//distlint:spec putFloatsGo TestFloatsBothBodies
 //distlint:hotpath
 func PutFloats(dst []byte, src []float64) {
 	if !hostLittleEndian || len(src) == 0 {
@@ -31,6 +32,7 @@ func PutFloats(dst []byte, src []float64) {
 // GetFloats fills dst from src[:8·len(dst)], the inverse of PutFloats;
 // getFloatsGo defines the result.
 //
+//distlint:spec getFloatsGo TestFloatsBothBodies
 //distlint:hotpath
 func GetFloats(dst []float64, src []byte) {
 	if !hostLittleEndian || len(dst) == 0 {

@@ -37,6 +37,7 @@ func EigSym(s *Sym) (vals []float64, V *Dense, err error) {
 // s transposed is required, not cosmetic: a Sym may be asymmetric in the last
 // ulp (see SymFromRaw) and tred2 reads the lower triangle only.
 //
+//distlint:spec oracleEig.eigSym FuzzEigSymEquivalence
 //distlint:hotpath
 func EigSymWork(s *Sym, ws *EigWorkspace) (vals []float64, V *Dense, err error) {
 	if ws == nil {

@@ -55,6 +55,67 @@ func specFloat(d []byte, i int) (v float64, end int, msg string) {
 	return v, end, ""
 }
 
+// specDigitRun is the specification digitRun is held to: the byte loop it
+// replaced, kept verbatim — one digit a step, each byte bounds-checked.
+func specDigitRun(d []byte, i int, man uint64) (uint64, int) {
+	for c := d[i] - '0'; c <= 9; c = d[i] - '0' {
+		man = man*10 + uint64(c)
+		i++
+	}
+	return man, i
+}
+
+// checkDigitRun runs digitRun and specDigitRun over run followed by delim
+// and the body's final NUL (delim 0 is that NUL itself), from man, and
+// requires the same mantissa, wrapped or not, and the same cursor.
+func checkDigitRun(t *testing.T, run string, delim byte, man uint64) {
+	t.Helper()
+	d := append([]byte(run), delim)
+	if delim != 0 {
+		d = append(d, 0)
+	}
+	d = d[:len(d):len(d)] // nothing readable past the NUL
+	wantMan, wantEnd := specDigitRun(d, 0, man)
+	if gotMan, gotEnd := digitRun(d, 0, man); gotMan != wantMan || gotEnd != wantEnd {
+		t.Fatalf("%q then %q from %d: mantissa %d, cursor %d; the byte loop gives %d, %d", run, delim, man, gotMan, gotEnd, wantMan, wantEnd)
+	}
+}
+
+// digitRunDelims are the bytes a digit run meets in a body: a separator, a
+// closing bracket, a point, an exponent, a sign and the final NUL.
+var digitRunDelims = []byte{',', ']', '.', 'e', '-', 0}
+
+// TestDigitRun walks runs of 0–45 digits — past the 19 a mantissa holds and
+// the 20 that wrap it, odd and even — before every delimiter class, from a
+// zero and a non-zero mantissa.
+func TestDigitRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for n := 0; n <= 45; n++ {
+		random := make([]byte, n)
+		for k := range random {
+			random[k] = byte('0' + rng.Intn(10))
+		}
+		for _, run := range []string{string(random), strings.Repeat("9", n), strings.Repeat("0", n)} {
+			for _, delim := range digitRunDelims {
+				for _, man := range []uint64{0, 7, rng.Uint64()} {
+					checkDigitRun(t, run, delim, man)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDigitRun holds digitRun to the byte loop on any bytes: the walk stops
+// at the first non-digit wherever it falls, the final NUL included.
+func FuzzDigitRun(f *testing.F) {
+	for n := 0; n <= 45; n += 5 {
+		for _, delim := range digitRunDelims {
+			f.Add(strings.Repeat("7", n), delim, uint64(n))
+		}
+	}
+	f.Fuzz(func(t *testing.T, run string, delim byte, man uint64) { checkDigitRun(t, run, delim, man) })
+}
+
 // checkScanFloat runs scanner.float and specFloat over tok and requires the
 // same verdict, the same message at the same offset, the same cursor and
 // the same bits. It returns the value and whether both rejected tok.
@@ -116,6 +177,24 @@ var scanFloatVectors = []struct {
 	{"Inf", true}, {"NaN", true}, {"-", true}, {"1e", true}, {"1e+", true}, {"", true},
 }
 
+// TestScanFloatDigitCount holds the significant-digit count at the 19/20
+// edge, where a wrapped mantissa must go to the fallback. After a 0. and
+// 0–3 zeros, 19 nines fit the mantissa and 20 wrap it. An integer part
+// that wraps the mantissa to exactly 0 (a multiple of 2⁶⁴) is as many
+// digits as it is long — its fraction's zeros are as significant as any —
+// so those tokens are no 0.xxx.
+func TestScanFloatDigitCount(t *testing.T) {
+	toks := []string{"18446744073709551616.5", "36893488147419103232.25", "-18446744073709551616.0001e3"}
+	for z := 0; z <= 3; z++ {
+		for _, n := range []int{19, 20} {
+			toks = append(toks, "0."+strings.Repeat("0", z)+strings.Repeat("9", n), "-0."+strings.Repeat("0", z)+strings.Repeat("9", n)+"e-7")
+		}
+	}
+	for _, tok := range toks {
+		checkScanFloat(t, tok)
+	}
+}
+
 // manyZeros is long enough for a token's leading fractional zeros to cancel
 // an exponent past strconv's saturation point.
 var manyZeros = strings.Repeat("0", 99990)
@@ -143,10 +222,20 @@ func TestScanFloatVectors(t *testing.T) {
 
 // scanFloatSeeds calls add with n rounds of the spellings clients send:
 // shortest 'g', 'e' at every precision 0..21 and 'f' of random bit
-// patterns, N(0,1) scaled across 10^±20, and 54-bit integers times 10^0..24.
+// patterns, N(0,1) scaled across 10^±20, 54-bit integers times 10^0..24,
+// and the benchmark's row values (shortest 'g' of gen.PAMAPLike rows): a
+// sign, 0., 0–2 zeros and 15–18 digits.
 func scanFloatSeeds(n int, add func(string)) {
 	rng := rand.New(rand.NewSource(19))
+	pamap := rand.New(rand.NewSource(44)) // its own source: the other spellings stay the ones they were
 	for i := 0; i < n; i++ {
+		tok := []byte("-0.")[pamap.Intn(2):]
+		tok = append(tok, "00"[:pamap.Intn(3)]...)
+		tok = append(tok, byte('1'+pamap.Intn(9)))
+		for k := 14 + pamap.Intn(4); k > 0; k-- {
+			tok = append(tok, byte('0'+pamap.Intn(10)))
+		}
+		add(string(tok))
 		v := math.Float64frombits(rng.Uint64())
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue

@@ -230,7 +230,10 @@ func TestWALTornTailEveryByte(t *testing.T) {
 		step = 7
 	}
 	sawFull := false
-	for cut := 0; cut <= len(seg); cut += step {
+	for cut := 0; cut <= len(seg); cut++ {
+		if cut%step != 0 && cut != len(seg) { // -short strides, but always ends on the uncut segment
+			continue
+		}
 		destDir := filepath.Join(t.TempDir(), "data")
 		if err := os.MkdirAll(filepath.Join(destDir, "wal"), 0o755); err != nil {
 			t.Fatal(err)

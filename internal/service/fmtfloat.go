@@ -20,6 +20,7 @@ const digitPairs = "0001020304050607080910111213141516171819" +
 // specification (TestAppendJSONFloatVectors, FuzzAppendJSONFloat); the
 // digits come from shortestDecimal instead.
 //
+//distlint:spec specAppendJSONFloat FuzzAppendJSONFloat
 //distlint:hotpath
 func appendJSONFloat(dst []byte, f float64) []byte {
 	// The longest are 25 bytes: -0.00000ddddddddddddddddd, one more than

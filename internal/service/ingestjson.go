@@ -192,13 +192,29 @@ func (s *scanner) number() (neg bool, v uint64, ok bool) {
 	return neg, v, ok
 }
 
-// digitRun folds the run of decimal digits at d[i:] into man, wrapping
-// past 64 bits, and returns it with the index past the run.
+// digitRun folds the digits at d[i:] into man two a step, man·100 + 10·c0 +
+// c1 (modulo 2⁶⁴ two man·10 + c steps), and returns the index past them. It
+// reads unchecked: d ends in a NUL (read), so a digit at d[i] puts d[i+1] in
+// d. checkptr does not instrument unsafe.Add; the one uintptr conversion at
+// the end has -race check, once a run, that the byte it stopped on is in d.
+//
+//distlint:spec specDigitRun FuzzDigitRun
+//distlint:hotpath
 func digitRun(d []byte, i int, man uint64) (uint64, int) {
-	for c := d[i] - '0'; c <= 9; c = d[i] - '0' {
-		man = man*10 + uint64(c)
-		i++
+	p := unsafe.Pointer(unsafe.SliceData(d))
+	for ; ; i += 2 {
+		c0 := *(*byte)(unsafe.Add(p, i)) - '0'
+		if c0 > 9 {
+			break
+		}
+		c1 := *(*byte)(unsafe.Add(p, i+1)) - '0'
+		if c1 > 9 {
+			man, i = man*10+uint64(c0), i+1
+			break
+		}
+		man = man*100 + uint64(c0*10+c1)
 	}
+	_ = unsafe.Pointer(uintptr(p) + uintptr(i)) // free outside -race
 	return man, i
 }
 
@@ -212,29 +228,19 @@ func digitRun(d []byte, i int, man uint64) (uint64, int) {
 // out-of-range value) goes to ParseFloat itself, which so stays the
 // specification and the only source of the range error.
 //
+//distlint:spec specFloat FuzzScanFloat
 //distlint:hotpath
 func (s *scanner) float() float64 {
-	d, i := s.d, s.i
-	neg := d[i] == '-'
-	if neg {
-		i++
-	}
-	// man wraps past 19 significant digits; sig below sends those tokens to
-	// the fallback before man is looked at.
-	first := i
-	man, i := digitRun(d, i, 0)
-	sig, exp10 := i-first, 0
-	ok := sig > 0 && (d[first] != '0' || sig == 1) // some digits, no leading zero
+	d := s.d
+	first := s.i + int((uint64(d[s.i]^'-')-1)>>63) // past a '-', without a branch
+	man, i := digitRun(d, first, 0)
+	nd, exp10 := i-first, 0                      // nd counts the digits walked
+	ok := nd > 0 && (d[first] != '0' || nd == 1) // some digits, no leading zero
 	if ok && d[i] == '.' {
 		frac := i + 1
-		if i = frac; man == 0 { // 0.000…: walked, not significant
-			for sig = 0; d[i] == '0'; i++ {
-			}
-		}
-		nz := i
-		man, i = digitRun(d, i, man)
+		man, i = digitRun(d, frac, man)
 		ok = i > frac
-		sig, exp10 = sig+i-nz, frac-i
+		nd, exp10 = nd+i-frac, frac-i
 	}
 	if ok && d[i]|0x20 == 'e' {
 		i++
@@ -261,8 +267,13 @@ func (s *scanner) float() float64 {
 	}
 	tok := unsafe.String(&d[s.i], i-s.i)
 	s.i = i
-	if sig <= 19 {
-		if v, ok := decimalToFloat(man, exp10, neg); ok {
+	// man wraps past 19 significant digits. A 0.000…'s 0 and the zeros after
+	// its point were walked but are not significant: count them off.
+	if nd > 19 && d[first] == '0' {
+		nd -= i - first - len(bytes.TrimLeft(d[first:i], "0.")) - 1
+	}
+	if nd <= 19 {
+		if v, ok := decimalToFloat(man, exp10, tok[0] == '-'); ok {
 			return v
 		}
 	}

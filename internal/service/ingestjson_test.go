@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 	"unicode"
+	"unsafe"
 
 	distmat "repro"
+	"repro/internal/gen"
 )
 
 // The oracle: the encoding/json request structs and the handler loops the
@@ -212,10 +214,21 @@ func sameBatch(a, b batch) bool {
 // every one of them falls back to strconv.ParseFloat.
 const benchBatch = 256
 
-func benchRowsBody(n int) []byte { return rowsBody(n, 'g', -1) }
-func longRowsBody(n int) []byte  { return rowsBody(n, 'e', 24) }
+func benchRowsBody(n int) []byte { return rowsBody(n, sinRow, 'g', -1) }
+func longRowsBody(n int) []byte  { return rowsBody(n, sinRow, 'e', 24) }
 
-func rowsBody(n int, format byte, prec int) []byte {
+// pamapRowsBody is the body the benchmark's http-json workload posts: n
+// gen.PAMAPLike rows in shortest 'g' form, almost every token a sign, 0.,
+// 0–2 zeros and 15–18 digits.
+func pamapRowsBody(n int) []byte {
+	rows := gen.LowRankMatrix(gen.PAMAPLike(n))
+	return rowsBody(n, func(r, c int) float64 { return rows[r][c] }, 'g', -1)
+}
+
+func sinRow(r, c int) float64 { return math.Sin(float64(r*44+c)) * math.Pow(10, float64((r+c)%7-3)) }
+
+// rowsBody spells n rows of 44 values, value(r, c), in strconv's format.
+func rowsBody(n int, value func(r, c int) float64, format byte, prec int) []byte {
 	buf := []byte(`{"site":3,"rows":[`)
 	for r := 0; r < n; r++ {
 		if r > 0 {
@@ -226,8 +239,7 @@ func rowsBody(n int, format byte, prec int) []byte {
 			if c > 0 {
 				buf = append(buf, ',')
 			}
-			v := math.Sin(float64(r*44+c)) * math.Pow(10, float64((r+c)%7-3))
-			buf = strconv.AppendFloat(buf, v, format, prec, 64)
+			buf = strconv.AppendFloat(buf, value(r, c), format, prec, 64)
 		}
 		buf = append(buf, ']')
 	}
@@ -473,6 +485,10 @@ func BenchmarkIngestJSONRows(b *testing.B) {
 	benchmarkIngestJSON(b, benchRowsBody(benchBatch), false, pooledDecode(newReplayBody(nil)))
 }
 
+func BenchmarkIngestJSONRowsPAMAP(b *testing.B) {
+	benchmarkIngestJSON(b, pamapRowsBody(benchBatch), false, pooledDecode(newReplayBody(nil)))
+}
+
 func BenchmarkIngestJSONItems(b *testing.B) {
 	benchmarkIngestJSON(b, benchItemsBody(benchBatch), true, pooledDecode(newReplayBody(nil)))
 }
@@ -485,12 +501,106 @@ func BenchmarkIngestJSONItemsOracle(b *testing.B) {
 	benchmarkIngestJSON(b, benchItemsBody(benchBatch), true, oracleDecode)
 }
 
+// prevFloat is the scan scanner.float replaced, kept verbatim but for its
+// digit loop's name (specDigitRun): one digit a step, each byte
+// bounds-checked, the sign kept across the walk and the zeros of a 0.000…
+// in a loop of their own. TestIngestJSONGuard times the two; it is no
+// specification (specFloat is), and an integer part that wraps the
+// mantissa to 0 misleads it (TestScanFloatDigitCount).
+func (s *scanner) prevFloat() float64 {
+	d, i := s.d, s.i
+	neg := d[i] == '-'
+	if neg {
+		i++
+	}
+	// man wraps past 19 significant digits; sig below sends those tokens to
+	// the fallback before man is looked at.
+	first := i
+	man, i := specDigitRun(d, i, 0)
+	sig, exp10 := i-first, 0
+	ok := sig > 0 && (d[first] != '0' || sig == 1) // some digits, no leading zero
+	if ok && d[i] == '.' {
+		frac := i + 1
+		if i = frac; man == 0 { // 0.000…: walked, not significant
+			for sig = 0; d[i] == '0'; i++ {
+			}
+		}
+		nz := i
+		man, i = specDigitRun(d, i, man)
+		ok = i > frac
+		sig, exp10 = sig+i-nz, frac-i
+	}
+	if ok && d[i]|0x20 == 'e' {
+		i++
+		eneg := d[i] == '-'
+		if eneg || d[i] == '+' {
+			i++
+		}
+		e, efirst := 0, i
+		for c := d[i] - '0'; c <= 9; c = d[i] - '0' {
+			if e < 10000 { // saturate where strconv does, so exp10 is its dp − nd on every token
+				e = e*10 + int(c)
+			}
+			i++
+		}
+		ok = i > efirst
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	if !ok {
+		s.fail("want a number")
+		return 0
+	}
+	tok := unsafe.String(&d[s.i], i-s.i)
+	s.i = i
+	if sig <= 19 {
+		if v, ok := decimalToFloat(man, exp10, neg); ok {
+			return v
+		}
+	}
+	v, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		s.fail("number out of float64 range")
+	}
+	return v
+}
+
+// pamapNumbers is the numbers of pamapRowsBody(n) alone, each followed by
+// a comma, then the body's NUL: what scanLap walks.
+func pamapNumbers(n int) []byte {
+	var buf []byte
+	for _, row := range gen.LowRankMatrix(gen.PAMAPLike(n)) {
+		for _, v := range row {
+			buf = append(strconv.AppendFloat(buf, v, 'g', -1, 64), ',')
+		}
+	}
+	return append(buf, 0)
+}
+
+var scanSink float64
+
+// scanLap scans every number of nums with scan, stepping over the commas.
+func scanLap(t *testing.T, nums []byte, scan func(*scanner) float64) {
+	s := scanner{d: nums}
+	for s.d[s.i] != 0 {
+		scanSink += scan(&s)
+		s.i++
+	}
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+}
+
 // TestIngestJSONGuard keeps the ingest decode fixed: at least four times the
 // encoding/json oracle's throughput on the benchmark's rows body, still at
 // least twice on a body whose every token takes the strconv fallback (what
 // the validate-then-reparse decoder held on any body: a client cannot pick
 // digits that make this one slower than the one it replaced), and no
-// allocation for decode + recycle in steady state on either route.
+// allocation for decode + recycle in steady state on either route; and the
+// scan of the benchmark-shaped body's numbers at least 1.1× the scan it
+// replaced (prevFloat), from interleaved best-of laps.
 func TestIngestJSONGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -538,5 +648,23 @@ func TestIngestJSONGuard(t *testing.T) {
 		if oracleNs < c.floor*newNs {
 			t.Errorf("decoder only %.2fx the encoding/json oracle on the %s body, want ≥ %gx", oracleNs/newNs, c.name, c.floor)
 		}
+	}
+	// Fifteen laps of each, alternating, ≈ 0.2 s: a quiet stretch of the
+	// machine serves both scans' minima alike.
+	nums := pamapNumbers(benchBatch)
+	prevNs, newNs := math.Inf(1), math.Inf(1)
+	for rep := 0; rep < 15; rep++ {
+		for _, c := range []struct {
+			scan func(*scanner) float64
+			best *float64
+		}{{(*scanner).prevFloat, &prevNs}, {(*scanner).float, &newNs}} {
+			start := time.Now()
+			scanLap(t, nums, c.scan)
+			*c.best = math.Min(*c.best, float64(time.Since(start).Nanoseconds()))
+		}
+	}
+	t.Logf("bench-shaped numbers (%d bytes): previous scan %.0f µs, scan %.0f µs: %.2fx", len(nums), prevNs/1e3, newNs/1e3, prevNs/newNs)
+	if prevNs < 1.1*newNs && !raceEnabled {
+		t.Errorf("scan only %.2fx the one it replaced on the bench-shaped numbers, want ≥ 1.1x", prevNs/newNs)
 	}
 }

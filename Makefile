@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test loc race bench-check perf-guard experiments fmt vet lint lint-findings e2e
+.PHONY: build test loc symbols race bench-check perf-guard experiments fmt vet lint lint-findings e2e
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,18 @@ test:
 # number ROADMAP's quality-of-design aim tracks.
 loc:
 	@git ls-files '*.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | grep -v '_test.go$$' | xargs cat | wc -l
+
+# The module's symbols (repro. for the facade, repro/... for the rest) that
+# the two shipped daemons link, each binary's set sorted and de-duplicated
+# from go tool nm (names only, so a layout shift does not show). A change
+# that should leave the production code alone prints the same sets at the
+# parent and at the change: diff the two.
+symbols:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && for c in distserve distsite; do \
+		$(GO) build -o "$$d/$$c" ./cmd/$$c || exit 1; \
+		echo "== $$c"; \
+		$(GO) tool nm "$$d/$$c" | sed -E 's/^ *[0-9a-f]* +[A-Za-z] +//' | grep -E '^repro[./]' | sort -u; \
+	done
 
 race:
 	$(GO) test -race ./...

@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/hh"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
-	"repro/internal/quantile"
 )
 
 // TestHHCheckpointResume snapshots a live heavy-hitters cluster midstream,
@@ -229,126 +227,6 @@ func TestEstimateHistoryPersists(t *testing.T) {
 	for i := range got {
 		if got[i] != hist[i] {
 			t.Fatalf("history[%d] = %v after restore, want %v", i, got[i], hist[i])
-		}
-	}
-}
-
-// The simulator round-trips below are what internal/service's checkpointer
-// relies on: snapshot → gob encode → decode → restore → identical query
-// answers, for heavy hitters, matrix, and quantile trackers alike.
-
-// TestHHSimulatorSnapshotRoundTrip gob round-trips an hh.P2 snapshot and
-// checks query answers are identical.
-func TestHHSimulatorSnapshotRoundTrip(t *testing.T) {
-	p := hh.NewP2(4, 0.05)
-	cfg := gen.DefaultZipfConfig(20_000)
-	items := gen.ZipfStream(cfg)
-	for i, it := range items {
-		p.Process(i%4, it.Elem, it.Weight)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var decoded hh.P2Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	q, err := hh.RestoreP2(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.EstimateTotal() != p.EstimateTotal() {
-		t.Fatalf("total %v after restore, want %v", q.EstimateTotal(), p.EstimateTotal())
-	}
-	if q.Stats() != p.Stats() {
-		t.Fatalf("stats %v after restore, want %v", q.Stats(), p.Stats())
-	}
-	want := hh.HeavyHitters(p, 0.02)
-	got := hh.HeavyHitters(q, 0.02)
-	if len(got) != len(want) {
-		t.Fatalf("%d heavy hitters after restore, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("heavy hitter %d = %+v after restore, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestMatSimulatorSnapshotRoundTrip gob round-trips a core.P2 snapshot and
-// checks the coordinator estimate is identical.
-func TestMatSimulatorSnapshotRoundTrip(t *testing.T) {
-	const m, eps, d = 3, 0.2, 44
-	p := core.NewP2(m, eps, d)
-	rows := gen.LowRankMatrix(gen.PAMAPLike(1_500))
-	for i, r := range rows {
-		p.ProcessRow(i%m, r)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var decoded core.P2Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	q, err := core.RestoreP2(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.EstimateFrobenius() != p.EstimateFrobenius() {
-		t.Fatalf("F̂ %v after restore, want %v", q.EstimateFrobenius(), p.EstimateFrobenius())
-	}
-	if q.Stats() != p.Stats() {
-		t.Fatalf("stats %v after restore, want %v", q.Stats(), p.Stats())
-	}
-	if !q.Gram().Dense().Equal(p.Gram().Dense(), 0) {
-		t.Fatal("Gram estimate differs after restore")
-	}
-}
-
-// TestQuantileSnapshotRoundTrip gob round-trips the newly-persistable
-// quantile tracker and checks quantile answers are identical, then resumes
-// ingestion on the restored tracker to confirm the guarantee survives.
-func TestQuantileSnapshotRoundTrip(t *testing.T) {
-	const m, eps, bits = 4, 0.05, 12
-	tr := quantile.NewTracker(m, eps, bits)
-	for i := 0; i < 30_000; i++ {
-		tr.Process(i%m, uint64(i%(1<<bits)), 1+float64(i%3))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var decoded quantile.TrackerSnapshot
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := quantile.RestoreTracker(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.EstimateTotal() != tr.EstimateTotal() {
-		t.Fatalf("total %v after restore, want %v", restored.EstimateTotal(), tr.EstimateTotal())
-	}
-	if restored.Stats() != tr.Stats() {
-		t.Fatalf("stats %v after restore, want %v", restored.Stats(), tr.Stats())
-	}
-	for _, phi := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := restored.Quantile(phi), tr.Quantile(phi); got != want {
-			t.Fatalf("quantile(%v) = %d after restore, want %d", phi, got, want)
-		}
-	}
-	// Resume both and confirm they stay in lockstep.
-	for i := 0; i < 10_000; i++ {
-		v, w := uint64((7*i)%(1<<bits)), 1+float64(i%2)
-		tr.Process(i%m, v, w)
-		restored.Process(i%m, v, w)
-	}
-	for _, phi := range []float64{0.1, 0.5, 0.95} {
-		if got, want := restored.Quantile(phi), tr.Quantile(phi); got != want {
-			t.Fatalf("quantile(%v) = %d after resume, want %d", phi, got, want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package quantile
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 )
@@ -39,6 +41,52 @@ func TestRestoreQDigestRejectsNonFinite(t *testing.T) {
 		}
 		if err == nil && q.Weight() != c.weight {
 			t.Errorf("%s: restored weight %v, want %v", name, q.Weight(), c.weight)
+		}
+	}
+}
+
+// TestQuantileSnapshotRoundTrip gob round-trips the tracker and checks
+// quantile answers are identical, then resumes ingestion on the restored
+// tracker to confirm the guarantee survives: what internal/service's
+// checkpointer relies on for a quantile tracker.
+func TestQuantileSnapshotRoundTrip(t *testing.T) {
+	const m, eps, bits = 4, 0.05, 12
+	tr := NewTracker(m, eps, bits)
+	for i := 0; i < 30_000; i++ {
+		tr.Process(i%m, uint64(i%(1<<bits)), 1+float64(i%3))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tr.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var decoded TrackerSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreTracker(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.EstimateTotal() != tr.EstimateTotal() {
+		t.Fatalf("total %v after restore, want %v", restored.EstimateTotal(), tr.EstimateTotal())
+	}
+	if restored.Stats() != tr.Stats() {
+		t.Fatalf("stats %v after restore, want %v", restored.Stats(), tr.Stats())
+	}
+	for _, phi := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+		if got, want := restored.Quantile(phi), tr.Quantile(phi); got != want {
+			t.Fatalf("quantile(%v) = %d after restore, want %d", phi, got, want)
+		}
+	}
+	// Resume both and confirm they stay in lockstep.
+	for i := 0; i < 10_000; i++ {
+		v, w := uint64((7*i)%(1<<bits)), 1+float64(i%2)
+		tr.Process(i%m, v, w)
+		restored.Process(i%m, v, w)
+	}
+	for _, phi := range []float64{0.1, 0.5, 0.95} {
+		if got, want := restored.Quantile(phi), tr.Quantile(phi); got != want {
+			t.Fatalf("quantile(%v) = %d after resume, want %d", phi, got, want)
 		}
 	}
 }

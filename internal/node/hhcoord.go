@@ -12,7 +12,6 @@ import (
 // behind a mutex, plus the traffic ledger and the broadcast Sender.
 // Thread-safe; no lock is held across broadcast sends.
 type HHCoordinator struct {
-	m      int
 	eps    float64
 	ledger // mu guards half too
 	half   *hh.P2Coordinator
@@ -28,7 +27,7 @@ func NewHHCoordinator(m int, eps float64, broadcast Sender) (*HHCoordinator, err
 		return nil, fmt.Errorf("node: nil broadcast sender")
 	}
 	return &HHCoordinator{
-		m: m, eps: eps,
+		eps:    eps,
 		ledger: ledger{broadcast: broadcast},
 		half:   hh.NewP2Coordinator(m),
 	}, nil

@@ -17,8 +17,7 @@ import (
 // synchronously (direct call into the coordinator) without deadlock, and
 // lock order between site and coordinator never cycles.
 type HHSite struct {
-	id, m int
-	eps   float64
+	id int
 
 	mu     sync.Mutex
 	half   *hh.P2Site
@@ -48,7 +47,7 @@ func NewHHSite(id, m int, eps float64, out Sender) (*HHSite, error) {
 	if out == nil {
 		return nil, fmt.Errorf("node: nil sender")
 	}
-	s := &HHSite{id: id, m: m, eps: eps, out: out}
+	s := &HHSite{id: id, out: out}
 	half, err := hh.NewP2Site(id, m, eps, (*hhSiteLink)(s))
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)

@@ -134,11 +134,19 @@ func TestMatSiteShipsWhatItMust(t *testing.T) {
 // eigensolver failed": a row whose norm is not a positive finite number is
 // refused before anything is ingested (HandleRow and HandleRows alike, exact
 // and fast), and a failure inside the half — reachable only through a
-// poisoned snapshot once such rows are refused — comes back as an error
-// from every entry point instead of being swallowed.
+// poisoned half once such rows are refused — comes back as an error from
+// every entry point instead of being swallowed.
 func TestMatSiteNonFiniteRowsAndEigensolverFailure(t *testing.T) {
 	drop := SenderFunc(func(Message) error { return nil })
 	good := []float64{1, 2, 3}
+	// state is everything a step may change: the half, its F̂ and the
+	// wrapper's message counter.
+	type siteState struct {
+		Half core.P2SiteSnapshot
+		Fhat float64
+		Sent int64
+	}
+	state := func(s *MatSite) siteState { return siteState{s.half.Snapshot(), s.half.Estimate(), s.sent} }
 	for _, tc := range []struct {
 		name string
 		row  []float64
@@ -153,34 +161,36 @@ func TestMatSiteNonFiniteRowsAndEigensolverFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := s.Snapshot()
+			before := state(s)
 			if err := s.HandleRow(tc.row); err == nil {
 				t.Errorf("%s: HandleRow accepted %v", tc.name, tc.row)
 			}
 			if err := s.HandleRows([][]float64{good, tc.row}); err == nil {
 				t.Errorf("%s: HandleRows accepted %v", tc.name, tc.row)
 			}
-			if after := s.Snapshot(); !reflect.DeepEqual(before, after) {
+			if after := state(s); !reflect.DeepEqual(before, after) {
 				t.Errorf("%s: a refused row changed the site: %+v → %+v", tc.name, before, after)
 			}
 		}
 	}
 
-	poisoned := MatSiteSnapshot{ID: 0, M: 2, D: 3, Eps: 0.2, Fhat: 1,
-		Half: core.P2SiteSnapshot{Gram: make([]float64, 9), LamBound: 10}}
-	for i := range poisoned.Half.Gram {
-		poisoned.Half.Gram[i] = math.NaN()
+	poisoned := core.P2SiteSnapshot{Gram: make([]float64, 9), LamBound: 10}
+	for i := range poisoned.Gram {
+		poisoned.Gram[i] = math.NaN()
 	}
 	for _, fast := range []bool{false, true} {
-		poisoned.Fast = fast
 		for name, feed := range map[string]func(*MatSite) error{
 			"HandleRow":  func(s *MatSite) error { return s.HandleRow(good) },
 			"HandleRows": func(s *MatSite) error { return s.HandleRows([][]float64{good, good}) },
 		} {
-			s, err := RestoreMatSite(poisoned, drop)
+			s, err := newMatSite(0, 2, 0.2, 3, drop, fast)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := s.half.Restore(poisoned); err != nil {
+				t.Fatal(err)
+			}
+			s.half.SetEstimate(1)
 			if err := feed(s); err == nil || !strings.Contains(err.Error(), "eigendecomposition failed") {
 				t.Errorf("fast=%v %s on a NaN Gram returned %v, want the half's eigendecomposition failure", fast, name, err)
 			}

@@ -12,8 +12,6 @@ import (
 // internal/core) behind a mutex, plus the traffic ledger and the broadcast
 // Sender. Thread-safe; no lock is held across broadcast sends.
 type MatCoordinator struct {
-	m      int
-	eps    float64
 	ledger // mu guards half too
 	half   *core.P2Coordinator
 }
@@ -28,7 +26,6 @@ func NewMatCoordinator(m int, eps float64, d int, broadcast Sender) (*MatCoordin
 		return nil, fmt.Errorf("node: nil broadcast sender")
 	}
 	return &MatCoordinator{
-		m: m, eps: eps,
 		ledger: ledger{broadcast: broadcast},
 		half:   core.NewP2Coordinator(m, d),
 	}, nil

@@ -16,9 +16,8 @@ import (
 // broadcast the coordinator answers with reaches the half before the next
 // step, never in the middle of one.
 type MatSite struct {
-	id, m, d int
-	eps      float64
-	fast     bool // blocked fast ingest (see core.IngestFast); exact otherwise
+	id, d int
+	fast  bool // blocked fast ingest (see core.IngestFast); exact otherwise
 
 	mu     sync.Mutex
 	half   *core.P2Site
@@ -72,7 +71,7 @@ func newMatSite(id, m int, eps float64, d int, out Sender, fast bool) (*MatSite,
 	if out == nil {
 		return nil, fmt.Errorf("node: nil sender")
 	}
-	s := &MatSite{id: id, m: m, d: d, eps: eps, fast: fast, out: out}
+	s := &MatSite{id: id, d: d, fast: fast, out: out}
 	half, err := core.NewP2Site(id, m, eps, d, (*matSiteLink)(s))
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)

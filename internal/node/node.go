@@ -17,9 +17,6 @@
 // and the analysis (Sections 4.2 and 5.2) only needs that estimate to be a
 // lower bound on the true total, which survives arbitrary reordering
 // between a site and the coordinator on an ordered channel.
-//
-// Every deterministic node is checkpointable: persist.go's gob-encodable
-// snapshots are the half's own snapshot plus what the wrapper adds.
 package node
 
 import (

@@ -24,9 +24,9 @@
 //   - Checkpointed recovery: persistable sessions are periodically saved
 //     (and always on Close) to one file per tracker in the data directory,
 //     via the facade's SaveState/RestoreSession over the gob snapshots in
-//     internal/{core,hh,quantile} and internal/node/persist. A Manager
-//     reopened on the same directory restores every tracker and resumes
-//     the continuous guarantee.
+//     internal/{core,hh,quantile}. A Manager reopened on the same
+//     directory restores every tracker and resumes the continuous
+//     guarantee.
 //   - Observability: per-tracker message-count Stats (readable while
 //     ingesting — the stream.Accountant is mutex-guarded), ingest
 //     throughput, queue depths, and checkpoint status, served as JSON

@@ -1,8 +1,7 @@
 // Package sample implements the weighted sampling machinery behind protocol
-// P3: priority sampling without replacement (Duffield–Lund–Thorup), k
-// independent with-replacement samplers, and a weighted reservoir sampler
-// used as an additional baseline. All samplers are deterministic given a
-// *rand.Rand.
+// P3: priority sampling without replacement (Duffield–Lund–Thorup) and k
+// independent with-replacement samplers. All samplers are deterministic
+// given a *rand.Rand.
 package sample
 
 import (

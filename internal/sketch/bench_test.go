@@ -27,17 +27,6 @@ func BenchmarkSpaceSavingUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkCountMinUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	s := randStream(rng, 100_000, 5000, 100)
-	cm := NewCountMin(2048, 4, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := s[i%len(s)]
-		cm.Update(it.Elem, it.Weight)
-	}
-}
-
 // BenchmarkFDAppend measures the amortized per-row cost of the batched FD
 // sketch in its shrinking regime (ℓ < d).
 func BenchmarkFDAppend(b *testing.B) {

@@ -1,11 +1,11 @@
 // Package sketch implements the mergeable stream summaries the distributed
 // protocols are built from: the weighted Misra–Gries frequency sketch, the
-// weighted SpaceSaving sketch, a Count-Min sketch, and Liberty's Frequent
-// Directions matrix sketch (maintained in its exact Gram-eigen form).
+// weighted SpaceSaving sketch, and Liberty's Frequent Directions matrix
+// sketch (maintained in its exact Gram-eigen form).
 //
-// All summaries are deterministic except Count-Min. Weights are arbitrary
-// nonnegative float64 values; the protocols in this repository use weights in
-// [1, β] per the paper's model.
+// All summaries are deterministic. Weights are arbitrary nonnegative
+// float64 values; the protocols in this repository use weights in [1, β]
+// per the paper's model.
 package sketch
 
 import (

@@ -70,15 +70,6 @@ func BenchmarkSVDTall(b *testing.B) {
 	}
 }
 
-func BenchmarkQR(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := randDense(rng, 200, 44)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FactorQR(a)
-	}
-}
-
 func BenchmarkGramAddOuter90(b *testing.B) {
 	g := NewSym(90)
 	row := make([]float64, 90)

@@ -14,8 +14,8 @@
 // bodies. The workspace-taking variants let the blocked ingest paths run
 // without allocating.
 //
-// No program reaches svd.go or qr.go (Golub–Kahan and one-sided Jacobi
-// SVD, Householder QR); ROADMAP item 10 deletes them with their tests.
+// No program reaches svd.go (Golub–Kahan and one-sided Jacobi SVD);
+// ROADMAP item 10 deletes it with its tests.
 //
 // Everything is built on the standard library only.
 package matrix

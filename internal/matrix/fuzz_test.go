@@ -111,22 +111,3 @@ func FuzzEigSymIdentities(f *testing.F) {
 		}
 	})
 }
-
-// FuzzQRIdentities checks QR on arbitrary small tall matrices.
-func FuzzQRIdentities(f *testing.F) {
-	f.Add([]byte{4, 2, 10, 20, 30, 40, 50, 60, 70, 80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a := decodeMatrix(data)
-		if a == nil || a.Rows() < a.Cols() {
-			return
-		}
-		qr := FactorQR(a)
-		q, r := qr.Q(), qr.R()
-		if !IsOrthonormalCols(q, 1e-8) {
-			t.Fatal("Q not orthonormal")
-		}
-		if !q.Mul(r).Equal(a, 1e-7*(1+a.MaxAbs())*float64(a.Cols())) {
-			t.Fatal("QR != A")
-		}
-	})
-}

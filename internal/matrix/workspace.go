@@ -2,8 +2,8 @@ package matrix
 
 // Reusable decomposition workspaces. The blocked ingestion paths
 // (sketch.FD.AppendRows, the site runtimes) run one factorization per block
-// on matrices of a fixed dimension; the plain EigSym/SVD/FactorQR entry
-// points allocate every output and scratch buffer per call, which makes the
+// on matrices of a fixed dimension; the plain EigSym/SVD entry points
+// allocate every output and scratch buffer per call, which makes the
 // factorization loop allocation-bound long before it is flop-bound. Each
 // workspace type below owns every buffer its decomposition needs and is
 // reused across calls: after the first call on a given dimension, the
@@ -86,19 +86,6 @@ func transposeInto(dst, a []float64, rows, cols int) {
 		}
 	}
 }
-
-// QRWorkspace holds the scratch for FactorQRWork: the compact Householder
-// storage and the R diagonal. The zero value is ready to use.
-type QRWorkspace struct {
-	qr    *Dense
-	rdiag []float64
-}
-
-// NewQRWorkspace returns an empty workspace; buffers are sized lazily by
-// the first FactorQRWork call.
-//
-//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes it with qr.go and their tests
-func NewQRWorkspace() *QRWorkspace { return &QRWorkspace{} }
 
 // reuseDense resizes m to r×c reusing its backing array when it is large
 // enough, zeroing the contents when zero is set. A nil m allocates fresh.

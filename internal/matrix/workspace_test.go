@@ -96,34 +96,3 @@ func TestSVDWorkMatchesSVD(t *testing.T) {
 		}
 	}
 }
-
-// TestFactorQRWorkMatchesFactorQR reuses one workspace across shapes and
-// checks R, Q, and Solve against the allocating path.
-func TestFactorQRWorkMatchesFactorQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ws := NewQRWorkspace()
-	for trial := 0; trial < 30; trial++ {
-		c := 1 + rng.Intn(8)
-		r := c + rng.Intn(8)
-		a := randDenseWS(rng, r, c)
-
-		want := FactorQR(a)
-		got := FactorQRWork(a, ws)
-		if !want.R().Equal(got.R(), 0) {
-			t.Fatalf("trial %d: R diverges", trial)
-		}
-		if !want.Q().Equal(got.Q(), 0) {
-			t.Fatalf("trial %d: Q diverges", trial)
-		}
-		b := make([]float64, r)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		xw, xg := want.Solve(b), got.Solve(b)
-		for i := range xw {
-			if xw[i] != xg[i] {
-				t.Fatalf("trial %d: solve diverges at %d", trial, i)
-			}
-		}
-	}
-}

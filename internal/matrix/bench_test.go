@@ -59,17 +59,6 @@ func BenchmarkJacobiEigSym44(b *testing.B) {
 	}
 }
 
-func BenchmarkSVDTall(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := randDense(rng, 200, 44)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := SVD(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGramAddOuter90(b *testing.B) {
 	g := NewSym(90)
 	row := make([]float64, 90)

@@ -14,9 +14,6 @@
 // bodies. The workspace-taking variants let the blocked ingest paths run
 // without allocating.
 //
-// No program reaches svd.go (Golub–Kahan and one-sided Jacobi SVD);
-// ROADMAP item 10 deletes it with its tests.
-//
 // Everything is built on the standard library only.
 package matrix
 

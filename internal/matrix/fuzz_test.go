@@ -24,55 +24,6 @@ func decodeMatrix(data []byte) *Dense {
 	return m
 }
 
-// FuzzSVDIdentities checks the SVD factorization identities on arbitrary
-// small matrices: nonnegative sorted values, Σσ² = ‖A‖²_F, reconstruction.
-func FuzzSVDIdentities(f *testing.F) {
-	f.Add([]byte{3, 2, 10, 20, 30, 40, 50, 60})
-	f.Add([]byte{1, 1, 0})
-	f.Add([]byte{4, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a := decodeMatrix(data)
-		if a == nil {
-			return
-		}
-		U, sigma, V, err := SVD(a)
-		if err != nil {
-			t.Fatalf("SVD failed on %v: %v", a, err)
-		}
-		var sum float64
-		for i, s := range sigma {
-			if s < 0 {
-				t.Fatalf("negative singular value %v", s)
-			}
-			if i > 0 && sigma[i] > sigma[i-1]+1e-12 {
-				t.Fatalf("singular values not sorted: %v", sigma)
-			}
-			sum += s * s
-		}
-		if math.Abs(sum-a.FrobeniusSq()) > 1e-8*(1+a.FrobeniusSq()) {
-			t.Fatalf("Σσ²=%v vs ‖A‖²_F=%v", sum, a.FrobeniusSq())
-		}
-		// Reconstruction.
-		n, d := a.Dims()
-		r := len(sigma)
-		scale := 1.0
-		if r > 0 {
-			scale += sigma[0]
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				var rec float64
-				for k := 0; k < r; k++ {
-					rec += U.At(i, k) * sigma[k] * V.At(j, k)
-				}
-				if math.Abs(rec-a.At(i, j)) > 1e-7*scale*float64(r+1) {
-					t.Fatalf("reconstruction off at (%d,%d): %v vs %v", i, j, rec, a.At(i, j))
-				}
-			}
-		}
-	})
-}
-
 // FuzzEigSymIdentities checks the symmetric eigendecomposition on arbitrary
 // small symmetric matrices.
 func FuzzEigSymIdentities(f *testing.F) {

@@ -100,130 +100,3 @@ func offDiagNorm(a *Sym) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// JacobiSVD computes the thin singular value decomposition of a (n×d) by the
-// one-sided Jacobi method: a = U·diag(sigma)·Vᵀ with singular values sorted
-// descending. U is n×r and V is d×r with r = min(n, d). One-sided Jacobi is
-// the reference SVD used to validate the Golub–Reinsch implementation; it is
-// also the most accurate for small matrices since it never forms AᵀA.
-//
-//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes it with svd.go and their tests
-func JacobiSVD(a *Dense) (U *Dense, sigma []float64, V *Dense, err error) {
-	n, d := a.Dims()
-	if n >= d {
-		return jacobiSVDTall(a)
-	}
-	// For wide matrices decompose the transpose and swap factors:
-	// Aᵀ = U'ΣV'ᵀ  ⇒  A = V'ΣU'ᵀ.
-	Ut, sigma, Vt, err := jacobiSVDTall(a.T())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return Vt, sigma, Ut, nil
-}
-
-// jacobiSVDTall handles the n ≥ d case by orthogonalizing the columns of a
-// working copy of A with Jacobi rotations applied on the right, accumulating
-// the rotations in V. At convergence the k-th working column equals σ_k·u_k.
-func jacobiSVDTall(a *Dense) (U *Dense, sigma []float64, V *Dense, err error) {
-	n, d := a.Dims()
-	w := a.Clone()
-	V = Identity(d)
-
-	const maxSweeps = 60
-	tol := 1e-14
-	for sweep := 0; ; sweep++ {
-		if sweep >= maxSweeps {
-			return nil, nil, nil, ErrNoConvergence
-		}
-		rotated := false
-		for p := 0; p < d-1; p++ {
-			for q := p + 1; q < d; q++ {
-				// Column inner products.
-				var app, aqq, apq float64
-				for i := 0; i < n; i++ {
-					wp := w.At(i, p)
-					wq := w.At(i, q)
-					app += wp * wp
-					aqq += wq * wq
-					apq += wp * wq
-				}
-				if math.Abs(apq) <= tol*math.Sqrt(app*aqq) || apq == 0 {
-					continue
-				}
-				rotated = true
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				sn := t * c
-				// Rotate columns p and q of w and of V.
-				for i := 0; i < n; i++ {
-					wp := w.At(i, p)
-					wq := w.At(i, q)
-					w.Set(i, p, c*wp-sn*wq)
-					w.Set(i, q, sn*wp+c*wq)
-				}
-				for i := 0; i < d; i++ {
-					vp := V.At(i, p)
-					vq := V.At(i, q)
-					V.Set(i, p, c*vp-sn*vq)
-					V.Set(i, q, sn*vp+c*vq)
-				}
-			}
-		}
-		if !rotated {
-			break
-		}
-	}
-
-	// Extract singular values and left vectors.
-	sigma = make([]float64, d)
-	U = NewDense(n, d)
-	for j := 0; j < d; j++ {
-		var norm float64
-		for i := 0; i < n; i++ {
-			norm += w.At(i, j) * w.At(i, j)
-		}
-		norm = math.Sqrt(norm)
-		sigma[j] = norm
-		if norm > 0 {
-			inv := 1 / norm
-			for i := 0; i < n; i++ {
-				U.Set(i, j, w.At(i, j)*inv)
-			}
-		}
-	}
-	sortSVDDesc(sigma, U, V)
-	return U, sigma, V, nil
-}
-
-// sortSVDDesc sorts singular values descending, permuting the columns of U
-// and V consistently. Either factor may be nil.
-func sortSVDDesc(sigma []float64, U, V *Dense) {
-	d := len(sigma)
-	for i := 0; i < d-1; i++ {
-		k := i
-		for j := i + 1; j < d; j++ {
-			if sigma[j] > sigma[k] {
-				k = j
-			}
-		}
-		if k != i {
-			sigma[i], sigma[k] = sigma[k], sigma[i]
-			if U != nil {
-				swapCols(U, i, k)
-			}
-			if V != nil {
-				swapCols(V, i, k)
-			}
-		}
-	}
-}
-
-func swapCols(m *Dense, a, b int) {
-	for r := 0; r < m.rows; r++ {
-		va := m.At(r, a)
-		m.Set(r, a, m.At(r, b))
-		m.Set(r, b, va)
-	}
-}

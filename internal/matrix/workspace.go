@@ -1,17 +1,16 @@
 package matrix
 
-// Reusable decomposition workspaces. The blocked ingestion paths
-// (sketch.FD.AppendRows, the site runtimes) run one factorization per block
-// on matrices of a fixed dimension; the plain EigSym/SVD entry points
-// allocate every output and scratch buffer per call, which makes the
-// factorization loop allocation-bound long before it is flop-bound. Each
-// workspace type below owns every buffer its decomposition needs and is
-// reused across calls: after the first call on a given dimension, the
-// workspace-taking variants allocate nothing.
+// The reusable eigendecomposition workspace. The blocked ingestion paths
+// (sketch.FD.AppendRows, the site runtimes) run one decomposition per block
+// on matrices of a fixed dimension; EigSym allocates every output and
+// scratch buffer per call, which makes that loop allocation-bound long
+// before it is flop-bound. An EigWorkspace owns every buffer the
+// decomposition needs and is reused across calls: after the first call on a
+// given dimension, EigSymWork allocates nothing.
 //
-// Results returned by the *Work variants alias their workspace and are only
-// valid until that workspace's next call. Workspaces are not safe for
-// concurrent use; give each goroutine (or each sketch/site) its own.
+// What EigSymWork returns aliases its workspace and is only valid until the
+// workspace's next call. A workspace is not safe for concurrent use; give
+// each goroutine (or each sketch/site) its own.
 
 // EigWorkspace holds the scratch for EigSymWork: the returned eigenvector
 // matrix v, the tridiagonal diagonals, the sort permutation, and perm, the
@@ -48,34 +47,6 @@ func (ws *EigWorkspace) reserveSort(n int) {
 	}
 	ws.idx = ws.idx[:n]
 	ws.perm = reuseDense(ws.perm, n, n, false)
-}
-
-// SVDWorkspace holds the scratch for SVDWork: the U accumulator (loaded
-// with the input), V, and the bidiagonal vectors. The zero value is ready
-// to use.
-type SVDWorkspace struct {
-	u, v   *Dense
-	w, rv1 []float64
-}
-
-// NewSVDWorkspace returns an empty workspace; buffers are sized lazily by
-// the first SVDWork call.
-//
-//distlint:unreachable-ok no program reaches it; ROADMAP item 10 deletes it with svd.go and their tests
-func NewSVDWorkspace() *SVDWorkspace { return &SVDWorkspace{} }
-
-// loadU copies a into the reusable U buffer.
-func (ws *SVDWorkspace) loadU(a *Dense) *Dense {
-	ws.u = reuseDense(ws.u, a.rows, a.cols, false)
-	copy(ws.u.data, a.data)
-	return ws.u
-}
-
-// loadUT copies aᵀ into the reusable U buffer.
-func (ws *SVDWorkspace) loadUT(a *Dense) *Dense {
-	ws.u = reuseDense(ws.u, a.cols, a.rows, false)
-	transposeInto(ws.u.data, a.data, a.rows, a.cols)
-	return ws.u
 }
 
 // transposeInto writes the row-major rows×cols matrix a into dst transposed.

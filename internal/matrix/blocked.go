@@ -138,17 +138,6 @@ func gramRowGo(rows [][]float64, flat []float64, n, d, j int, out []float64) {
 	}
 }
 
-// RowsView returns rows [lo, hi) of m as a Dense view aliasing m's storage:
-// the row-block window the blocked ingest paths hand to AddDenseBlock
-// without copying. Mutating the view mutates m; AppendRow on m may
-// reallocate and detach existing views.
-func (m *Dense) RowsView(lo, hi int) *Dense {
-	if lo < 0 || hi < lo || hi > m.rows {
-		panic(fmt.Sprintf("matrix: rows view [%d,%d) of %d×%d", lo, hi, m.rows, m.cols))
-	}
-	return &Dense{rows: hi - lo, cols: m.cols, data: m.data[lo*m.cols : hi*m.cols]}
-}
-
 // ReconstructIntoWork is ReconstructInto with caller-provided column
 // scratch (length ≥ v.rows), so the per-block factorization loops rebuild
 // their Gram without allocating.

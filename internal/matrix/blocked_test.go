@@ -53,8 +53,8 @@ func TestAddBlockMatchesOuterProducts(t *testing.T) {
 	}
 }
 
-// TestAddDenseBlockMatchesAddBlock pins the Dense entry point and RowsView
-// to the slice-based kernel.
+// TestAddDenseBlockMatchesAddBlock pins the Dense entry point to the
+// slice-based kernel, whole and split into two row windows.
 func TestAddDenseBlockMatchesAddBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const n, d = 33, 13
@@ -70,13 +70,13 @@ func TestAddDenseBlockMatchesAddBlock(t *testing.T) {
 		t.Fatalf("AddDenseBlock differs from AddBlock by %g", diff)
 	}
 
-	// Folding two RowsView windows equals folding the whole block when the
+	// Folding two row windows equals folding the whole block when the
 	// split lands on the blocked kernel both times.
 	got2 := NewSym(d)
-	got2.AddDenseBlock(b.RowsView(0, 16))
-	got2.AddDenseBlock(b.RowsView(16, n))
+	got2.AddDenseBlock(FromRows(rows[:16]))
+	got2.AddDenseBlock(FromRows(rows[16:]))
 	if diff := maxSymDiff(want, got2); diff > 1e-12*(1+want.MaxAbs()) {
-		t.Fatalf("RowsView windows differ from whole block by %g", diff)
+		t.Fatalf("row windows differ from whole block by %g", diff)
 	}
 }
 
@@ -84,26 +84,6 @@ func maxSymDiff(a, b *Sym) float64 {
 	d := a.Clone()
 	d.SubSym(b)
 	return d.MaxAbs()
-}
-
-// TestRowsViewAliases checks the view shares storage with its parent.
-func TestRowsViewAliases(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	v := m.RowsView(1, 3)
-	if r, c := v.Dims(); r != 2 || c != 2 {
-		t.Fatalf("view dims %d×%d", r, c)
-	}
-	v.Set(0, 0, 30)
-	if m.At(1, 0) != 30 {
-		t.Fatal("view does not alias parent storage")
-	}
-	for _, bad := range [][2]int{{-1, 1}, {2, 1}, {0, 4}} {
-		func() {
-			defer func() { recover() }()
-			m.RowsView(bad[0], bad[1])
-			t.Fatalf("RowsView(%d,%d) did not panic", bad[0], bad[1])
-		}()
-	}
 }
 
 // TestNormSqRows pins the batched norms to the scalar reference and the

@@ -54,9 +54,6 @@ func (m *Dense) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Dense) Cols() int { return m.cols }
 
-// Dims returns (rows, cols).
-func (m *Dense) Dims() (int, int) { return m.rows, m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.boundsCheck(i, j)
@@ -151,97 +148,6 @@ func (m *Dense) Reset() {
 	m.data = m.data[:0]
 }
 
-// Scale multiplies every element by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
-// AddMat adds b to m in place. Dimensions must match.
-func (m *Dense) AddMat(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("matrix: add %d×%d to %d×%d", b.rows, b.cols, m.rows, m.cols))
-	}
-	for i := range m.data {
-		m.data[i] += b.data[i]
-	}
-}
-
-// SubMat subtracts b from m in place. Dimensions must match.
-func (m *Dense) SubMat(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("matrix: sub %d×%d from %d×%d", b.rows, b.cols, m.rows, m.cols))
-	}
-	for i := range m.data {
-		m.data[i] -= b.data[i]
-	}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range ri {
-			out.data[j*m.rows+i] = v
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("matrix: multiply %d×%d by %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewDense(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		arow := m.data[i*m.cols : (i+1)*m.cols]
-		orow := out.data[i*b.cols : (i+1)*b.cols]
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m·x.
-func (m *Dense) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("matrix: multiply %d×%d by vector of length %d", m.rows, m.cols, len(x)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = Dot(m.data[i*m.cols:(i+1)*m.cols], x)
-	}
-	return out
-}
-
-// VecMul returns the vector-matrix product xᵀ·m as a slice of length Cols.
-func (m *Dense) VecMul(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("matrix: multiply vector of length %d by %d×%d", len(x), m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
-}
-
 // FrobeniusSq returns the squared Frobenius norm ‖m‖²_F.
 func (m *Dense) FrobeniusSq() float64 {
 	var s float64
@@ -249,30 +155,6 @@ func (m *Dense) FrobeniusSq() float64 {
 		s += v * v
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute entry (the max norm).
-func (m *Dense) MaxAbs() float64 {
-	var s float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// Equal reports whether m and b have the same shape and entries within tol.
-func (m *Dense) Equal(b *Dense, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

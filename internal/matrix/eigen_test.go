@@ -246,7 +246,7 @@ func PowerIterationSym(s *Sym, steps int, rng *rand.Rand) float64 {
 // IsOrthonormalCols reports whether the columns of m are orthonormal
 // within tol.
 func IsOrthonormalCols(m *Dense, tol float64) bool {
-	_, c := m.Dims()
+	c := m.Cols()
 	for i := 0; i < c; i++ {
 		ci := m.Col(i)
 		for j := i; j < c; j++ {

@@ -41,7 +41,7 @@ func (s *Sym) At(i, j int) float64 {
 // Row returns row i as a read-only view of the matrix storage, for readers
 // that walk whole rows (the query encoder): writing through it would break
 // the symmetry every other method keeps, and its capacity is clamped so an
-// append cannot reach row i+1. The Dense.RowsView counterpart.
+// append cannot reach row i+1.
 func (s *Sym) Row(i int) []float64 {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("matrix: row %d out of range %d", i, s.n))
@@ -102,13 +102,6 @@ func (s *Sym) SubSym(b *Sym) {
 	}
 }
 
-// Scale multiplies every entry by c in place.
-func (s *Sym) Scale(c float64) {
-	for i := range s.data {
-		s.data[i] *= c
-	}
-}
-
 // Clone returns a deep copy.
 func (s *Sym) Clone() *Sym {
 	out := &Sym{n: s.n, data: make([]float64, len(s.data))}
@@ -159,13 +152,6 @@ func (s *Sym) MulVec(x []float64) []float64 {
 		out[i] = Dot(s.data[i*s.n:(i+1)*s.n], x)
 	}
 	return out
-}
-
-// Dense returns a dense copy of s.
-func (s *Sym) Dense() *Dense {
-	d := NewDense(s.n, s.n)
-	copy(d.data, s.data)
-	return d
 }
 
 // MaxAbs returns the largest absolute entry.

@@ -118,7 +118,17 @@ func (s *CoordinatorServer) Serve() error {
 			}
 			return fmt.Errorf("node: accept: %w", err)
 		}
+		// Count the conn under mu, where Close sets closed before it waits:
+		// an Add after that Wait has begun is a WaitGroup misuse, so a conn
+		// Accept hands over once Close has started is closed unserved.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		//distlint:lifecycle serveConn exits when its conn closes (peer or
 		// Close); Close waits on wg.
 		go s.serveConn(conn)

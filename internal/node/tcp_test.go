@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -115,6 +116,57 @@ func TestTCPServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal("second close must be a no-op")
+	}
+}
+
+// TestTCPServerCloseWhileDialing closes the server while sites keep
+// dialing it. A connection Accept returns as Close runs must be either
+// counted before Close waits or closed unserved: counting it after Close
+// has started waiting is the WaitGroup misuse -race reports, and a lost
+// count would let Close return under a live serveConn. Run with -race.
+func TestTCPServerCloseWhileDialing(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		srv, err := NewCoordinatorServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve() }()
+
+		stop := make(chan struct{})
+		dialed := make(chan struct{}, 1)
+		var dialers sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					conn, err := net.Dial("tcp", srv.Addr())
+					if err != nil {
+						continue // refused once the listener is closed
+					}
+					conn.Close()
+					select {
+					case dialed <- struct{}{}:
+					default:
+					}
+				}
+			}()
+		}
+		<-dialed
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		dialers.Wait()
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve returned %v after Close, want nil", round, err)
+		}
 	}
 }
 

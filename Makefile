@@ -85,9 +85,13 @@ perf-guard:
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted
 # mid-stream, and the final query must match the site's oracle replay bit
-# for bit. CI runs exactly this target.
+# for bit. Then distdemo runs the node runtime's matrix P2 over the same
+# transport and exits non-zero unless the covariance error is within ε and
+# the coordinator received fewer messages than rows. CI runs exactly this
+# target.
 e2e:
 	scripts/e2e_smoke.sh
+	$(GO) run ./cmd/distdemo -n 20000
 
 # Full figure/table regeneration (minutes).
 experiments:

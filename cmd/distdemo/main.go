@@ -1,20 +1,24 @@
 // Command distdemo deploys matrix tracking protocol P2 for real: a
-// coordinator TCP server plus m site processes-worth of goroutines dialing
-// in over loopback, streaming a synthetic low-rank dataset concurrently,
-// then comparing the coordinator's approximation against the exact
-// covariance.
+// coordinator on an internal/wire listener plus m sites' worth of
+// goroutines dialing in over loopback, streaming a synthetic low-rank
+// dataset concurrently, then comparing the coordinator's approximation
+// against the exact covariance.
 //
 // Usage:
 //
 //	distdemo [-protocol p2] [-sites M] [-eps E] [-n N] [-addr HOST:PORT]
 //
 // -protocol is validated against the matrix registry
-// (distmat.MatrixProtocols); the deployable TCP runtime currently
-// implements the headline protocol p2 only, so other registered names are
-// rejected with a pointer to the single-threaded simulators.
+// (distmat.MatrixProtocols); the deployable runtime currently implements
+// the headline protocol p2 only, so other registered names are rejected
+// with a pointer to the single-threaded simulators.
+//
+// The run is a check: it exits 1 if the covariance error exceeds ε or the
+// coordinator received as many messages as there were rows.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,13 +30,14 @@ import (
 	distmat "repro"
 	"repro/internal/matrix"
 	"repro/internal/node"
+	"repro/internal/wire"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("distdemo: ")
 	var (
-		protocol = flag.String("protocol", "p2", "matrix protocol name: "+strings.Join(distmat.MatrixProtocols(), ", ")+" (TCP runtime: p2 only)")
+		protocol = flag.String("protocol", "p2", "matrix protocol name: "+strings.Join(distmat.MatrixProtocols(), ", ")+" (runtime: p2 only)")
 		m        = flag.Int("sites", 8, "number of sites")
 		eps      = flag.Float64("eps", 0.1, "error parameter ε")
 		n        = flag.Int("n", 20_000, "rows to stream")
@@ -41,14 +46,14 @@ func main() {
 	flag.Parse()
 
 	// Validate the name against the registry, then check it is one the
-	// concurrent TCP runtime can deploy.
+	// concurrent runtime can deploy.
 	info, ok := distmat.LookupMatrixProtocol(*protocol)
 	if !ok {
 		log.Printf("unknown matrix protocol %q (registered: %v)", *protocol, distmat.MatrixProtocols())
 		os.Exit(2)
 	}
 	if info.Name != "p2" {
-		log.Printf("protocol %q is registered but has no concurrent TCP runtime yet; only p2 does (use cmd/mtrack to simulate it)", *protocol)
+		log.Printf("protocol %q is registered but has no concurrent runtime yet; only p2 does (use cmd/mtrack to simulate it)", *protocol)
 		os.Exit(2)
 	}
 
@@ -56,22 +61,15 @@ func main() {
 	rows := distmat.LowRankMatrix(cfg)
 	d := cfg.D
 
-	// Coordinator process: TCP server + protocol logic.
-	srv, err := distmat.NewCoordinatorServer(*addr)
+	// Coordinator process: wire listener + protocol logic.
+	coord, ln, err := node.ListenWire(*addr, func(broadcast node.Sender) (*node.MatCoordinator, error) {
+		return node.NewMatCoordinator(*m, *eps, d, broadcast)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	coord, err := node.NewMatCoordinator(*m, *eps, d, srv)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv.SetHandler(coord)
-	go func() {
-		if err := srv.Serve(); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-	}()
-	fmt.Printf("coordinator listening on %s\n", srv.Addr())
+	go ln.Serve() // returns once ln.Close runs at the end of main
+	fmt.Printf("coordinator listening on %s\n", ln.Addr())
 
 	// Site processes: each dials the coordinator and streams its shard.
 	perSite := make([][][]float64, *m)
@@ -81,35 +79,36 @@ func main() {
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	clients := make([]*distmat.SiteClient, *m)
+	conns := make([]*wire.SiteConn, *m)
 	for id := 0; id < *m; id++ {
-		var cli *distmat.SiteClient
-		site, err := node.NewMatSite(id, *m, *eps, d, node.SenderFunc(func(msg node.Message) error {
-			return cli.Send(msg)
-		}))
+		site, conn, err := node.DialWire(wire.SiteConfig{Addr: ln.Addr(), Site: id}, func(out node.Sender) (*node.MatSite, error) {
+			return node.NewMatSite(id, *m, *eps, d, out)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cli, err = distmat.DialSite(srv.Addr(), id, site)
-		if err != nil {
-			log.Fatal(err)
-		}
-		clients[id] = cli
+		conns[id] = conn
 		wg.Add(1)
 		go func(id int, site *node.MatSite) {
 			defer wg.Done()
 			for _, r := range perSite[id] {
 				if err := site.HandleRow(r); err != nil {
-					log.Printf("site %d: %v", id, err)
-					return
+					log.Fatalf("site %d: %v", id, err)
 				}
 			}
 		}(id, site)
 	}
 	wg.Wait()
 
-	// Let in-flight TCP frames drain, then evaluate.
-	time.Sleep(200 * time.Millisecond)
+	// Wait until the coordinator has applied every message sent, then
+	// evaluate.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for id, c := range conns {
+		if err := c.Drain(ctx); err != nil {
+			log.Fatalf("site %d: drain: %v", id, err)
+		}
+	}
 	elapsed := time.Since(start)
 
 	exact := matrix.NewSym(d)
@@ -121,15 +120,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("streamed      %d rows (d=%d) from %d TCP sites in %v\n", len(rows), d, *m, elapsed.Round(time.Millisecond))
+	fmt.Printf("streamed      %d rows (d=%d) from %d wire sites in %v\n", len(rows), d, *m, elapsed.Round(time.Millisecond))
 	fmt.Printf("cov error     %.4g (guarantee ε=%g)\n", covErr, *eps)
 	fmt.Printf("coordinator   received %d messages, issued %d broadcasts\n",
 		coord.Received(), coord.Broadcasts())
 	fmt.Printf("vs naive      %d row transfers avoided (%.1fx saving)\n",
 		int64(len(rows))-coord.Received(), float64(len(rows))/float64(coord.Received()))
 
-	for _, c := range clients {
+	for _, c := range conns {
 		c.Close()
 	}
-	srv.Close()
+	ln.Close()
+
+	if covErr > *eps {
+		log.Fatalf("covariance error %.4g exceeds ε = %g", covErr, *eps)
+	}
+	if coord.Received() >= int64(len(rows)) {
+		log.Fatalf("coordinator received %d messages for %d rows: no saving", coord.Received(), len(rows))
+	}
 }

@@ -96,8 +96,9 @@ func NewUniformRandom(m int, seed int64) Assigner { return stream.NewUniformRand
 // The trackers built by the registry are deterministic single-threaded
 // simulations — ideal for experiments and exact message accounting. For
 // deployment, the node runtime wraps the same site and coordinator halves
-// of the headline P2 protocols in locks and outboxes, and adds in-process
-// and TCP transports.
+// of the headline P2 protocols in locks and outboxes; the facade exports
+// its in-process clusters, and cmd/distdemo runs it over the internal/wire
+// transport that cmd/distsite and cmd/distserve speak.
 
 // HHCluster is an in-process deployment of heavy-hitters P2: m thread-safe
 // sites wired to one coordinator; feed sites from concurrent goroutines.
@@ -112,24 +113,6 @@ type MatrixCluster = node.LocalMatCluster
 // NewMatrixCluster builds an in-process matrix P2 deployment.
 func NewMatrixCluster(m int, eps float64, d int) (*MatrixCluster, error) {
 	return node.NewLocalMatCluster(m, eps, d)
-}
-
-// CoordinatorServer is the TCP coordinator endpoint; see internal/node and
-// cmd/distdemo for the full deployment pattern.
-type CoordinatorServer = node.CoordinatorServer
-
-// NewCoordinatorServer listens for site connections on addr.
-func NewCoordinatorServer(addr string) (*CoordinatorServer, error) {
-	return node.NewCoordinatorServer(addr)
-}
-
-// SiteClient is a TCP connection from one site to the coordinator.
-type SiteClient = node.SiteClient
-
-// DialSite connects site id to the coordinator at addr, delivering
-// broadcasts into recv.
-func DialSite(addr string, id int, recv node.BroadcastReceiver) (*SiteClient, error) {
-	return node.DialSite(addr, id, recv)
 }
 
 // ---- workload generation ----

@@ -117,24 +117,3 @@ func TestFacadeQuantiles(t *testing.T) {
 		t.Fatalf("rank bounds [%v,%v] too loose", lo, hi)
 	}
 }
-
-func TestFacadeTCPDeployment(t *testing.T) {
-	srv, err := distmat.NewCoordinatorServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.Addr() == "" {
-		t.Fatal("no listen address")
-	}
-	// Full TCP protocol runs are covered in internal/node; here the facade
-	// wiring (dial a live server, clean close) is exercised.
-	go srv.Serve()
-	cli, err := distmat.DialSite(srv.Addr(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -93,17 +93,12 @@ func (p *P3) processRow(row []float64) {
 	}
 }
 
-// Gram implements Tracker: the stacked-and-rescaled sample rows' Gram.
+// Gram implements Tracker: the stacked-and-rescaled sample rows' Gram, the
+// P3 coordinator's estimate of BᵀB with the without-replacement
+// reweighting of Section 5.3.
 func (p *P3) Gram() *matrix.Sym {
 	items, _ := p.coord.Sample()
-	return P3SampleGram(p.d, items)
-}
-
-// P3SampleGram is the P3 coordinator's estimate of BᵀB from a priority
-// sample of rows, with the without-replacement reweighting of Section 5.3
-// (shared with internal/node's P3Coordinator).
-func P3SampleGram(d int, items []sample.Prioritized) *matrix.Sym {
-	g := matrix.NewSym(d)
+	g := matrix.NewSym(p.d)
 	for _, e := range items {
 		// e.Weight is the adjusted w̄ = max(w, ρ̂); scale the row's outer
 		// product so its squared norm equals w̄.

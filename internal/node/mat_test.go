@@ -93,7 +93,7 @@ func TestMatCoordinatorRejectsBadRows(t *testing.T) {
 	if err := c.Handle(Message{Kind: KindRow, Vec: []float64{1}}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if err := c.Handle(Message{Kind: KindHello}); err == nil {
+	if err := c.Handle(Message{Kind: KindElement}); err == nil {
 		t.Fatal("expected kind error")
 	}
 }
@@ -196,4 +196,19 @@ func TestMatSiteNonFiniteRowsAndEigensolverFailure(t *testing.T) {
 			}
 		}
 	}
+}
+
+func BenchmarkLocalMatClusterThroughput(b *testing.B) {
+	cl, err := NewLocalMatCluster(8, 0.1, 44)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := gen.LowRankMatrix(gen.PAMAPLike(8_000))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.Feed(i%8, rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -1,9 +1,9 @@
-// Package node is the deployable runtime for the paper's protocols:
-// thread-safe sites and coordinators for weighted heavy hitters P2, matrix
-// tracking P2 and the sampling protocol P3 (P3Site / P3Coordinator),
-// decoupled from any transport, plus two transports — in-process (direct
-// calls from concurrent feeder goroutines) and TCP on the internal/wire
-// frame codec (cmd/distdemo shows a full deployment on loopback).
+// Package node is the deployable runtime for the paper's P2 protocols:
+// thread-safe sites and coordinators for weighted heavy hitters and matrix
+// tracking, decoupled from any transport, plus two ways to connect them —
+// in-process (direct calls from concurrent feeder goroutines) and over the
+// network on internal/wire, with its sequence numbers, acks and resume
+// (wire.go; cmd/distdemo shows a full deployment on loopback).
 //
 // The two P2 protocols are not implemented here. Each is defined once, as a
 // single-goroutine site half and coordinator half in internal/hh and
@@ -38,9 +38,6 @@ const (
 	// KindEstimate is a coordinator→site broadcast of the new global
 	// estimate (Ŵ or F̂).
 	KindEstimate
-	// KindHello is the site registration message on connection-oriented
-	// transports, carrying the site id.
-	KindHello
 )
 
 func (k MsgKind) String() string {
@@ -53,15 +50,13 @@ func (k MsgKind) String() string {
 		return "row"
 	case KindEstimate:
 		return "estimate"
-	case KindHello:
-		return "hello"
 	default:
 		return fmt.Sprintf("MsgKind(%d)", uint8(k))
 	}
 }
 
-// Message is the single wire format shared by both protocols. Exported
-// fields only, so encoding/gob handles it directly.
+// Message is the one message type of both protocols; it crosses the
+// network as a wire.Msg.
 type Message struct {
 	Kind  MsgKind
 	Site  int

@@ -11,7 +11,7 @@ import (
 func TestMsgKindString(t *testing.T) {
 	for k, want := range map[MsgKind]string{
 		KindTotal: "total", KindElement: "element", KindRow: "row",
-		KindEstimate: "estimate", KindHello: "hello", MsgKind(99): "MsgKind(99)",
+		KindEstimate: "estimate", MsgKind(99): "MsgKind(99)",
 	} {
 		if got := k.String(); got != want {
 			t.Fatalf("String(%d) = %q want %q", k, got, want)
@@ -147,4 +147,21 @@ func TestLocalHHClusterFeedValidation(t *testing.T) {
 	if err := cl.Feed(5, 1, 1); err == nil {
 		t.Fatal("expected range error")
 	}
+}
+
+func BenchmarkLocalHHClusterThroughput(b *testing.B) {
+	cl, err := NewLocalHHCluster(8, 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := gen.DefaultZipfConfig(100_000)
+	items := gen.ZipfStream(cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := items[i%len(items)]
+		if err := cl.Feed(i%8, it.Elem, it.Weight); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "items/s")
 }

@@ -60,6 +60,11 @@ func (b *WireBridge) RowBlock(tracker string, site int, seq uint64, rows [][]flo
 	return a, b.durableFor(t, a, d), nil
 }
 
+// MsgBlock refuses node-runtime messages: a tracker is fed rows.
+func (b *WireBridge) MsgBlock(tracker string, _ int, _ uint64, _ []wire.Msg) (applied, durable uint64, err error) {
+	return 0, 0, fmt.Errorf("service: tracker %q takes row blocks, not protocol messages", tracker)
+}
+
 // durableFor resolves the durable watermark a site is told. A tracker
 // that can never checkpoint (no data dir, or a non-persistable session)
 // reports durable = applied: retaining blocks for a restart that cannot

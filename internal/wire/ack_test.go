@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -28,7 +29,7 @@ type pipeSession struct {
 // pipeConn starts serveConn on one end of a net.Pipe and returns the other.
 func pipeConn(t *testing.T, h Handler) net.Conn {
 	t.Helper()
-	l := &CoordListener{h: h, conns: make(map[net.Conn]struct{})}
+	l := &CoordListener{h: h, conns: make(map[net.Conn]*ackReader)}
 	server, client := net.Pipe()
 	l.wg.Add(1)
 	go l.serveConn(server)
@@ -245,7 +246,7 @@ func TestDeferredAckWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := &ackFaultListener{Listener: inner, failAt: 3} // hello-ack, one ack, then the failure
-	l := &CoordListener{ln: fl, h: h, conns: make(map[net.Conn]struct{})}
+	l := &CoordListener{ln: fl, h: h, conns: make(map[net.Conn]*ackReader)}
 	go l.Serve()
 	defer l.Close()
 
@@ -314,6 +315,19 @@ func TestHeaderCannotReserveMemory(t *testing.T) {
 		t.Fatalf("a claim cut short: %v", err)
 	}
 
+	// A msg-block whose count claims a record per payload byte: refused
+	// before the count sizes anything (it used to cost ~60× the payload).
+	claimed := oversizedMsgCount(1 << 20)
+	runtime.ReadMemStats(&before)
+	dec = NewDecoder(bytes.NewReader(claimed), nil)
+	if _, err := dec.Next(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a msg-block count past its records: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if spent := after.TotalAlloc - before.TotalAlloc; spent >= 4<<20 {
+		t.Fatalf("a 1 MiB msg-block's count cost %d bytes of allocation", spent)
+	}
+
 	// A real 1 MiB block, behind a small one so that it starts mid-buffer.
 	rows := randRows(rand.New(rand.NewSource(2)), 1<<10, 1<<7)
 	var stream bytes.Buffer
@@ -337,4 +351,14 @@ func TestHeaderCannotReserveMemory(t *testing.T) {
 			t.Fatalf("row %d of the 1 MiB block differs", i)
 		}
 	}
+}
+
+// oversizedMsgCount is a sealed msg-block of n zero payload bytes whose
+// count claims n records: the most a count bounded by the payload's bytes
+// let through.
+func oversizedMsgCount(n int) []byte {
+	buf := make([]byte, HeaderSize+n)
+	binary.LittleEndian.PutUint32(buf[HeaderSize+8:], uint32(n))
+	format.Seal(uint8(KindMsgBlock), buf)
+	return buf
 }

@@ -15,9 +15,9 @@ var format = frame.Format{Magic: Magic, Version: Version}
 // payload — in a single pooled buffer and written with one Write call, so
 // a frame is never interleaved with another writer's bytes as long as one
 // goroutine at a time writes to the stream: a CoordListener connection's
-// serving goroutine owns its encoder, a SiteConn's handshake encoder is
-// done before its writer goroutine starts, and internal/node guards its
-// encoders with a mutex. Not safe for concurrent use.
+// acks and broadcasts share its encoder under the connection's write lock,
+// and a SiteConn's handshake encoder is done before its writer goroutine
+// starts. Not safe for concurrent use.
 type Encoder struct {
 	w     io.Writer
 	buf   []byte // staging: header + payload
@@ -40,9 +40,14 @@ func (e *Encoder) stage(n int) []byte {
 	return e.buf[:total]
 }
 
-// finish seals the staged frame and writes it with a single Write.
+// finish seals the staged frame and writes it.
 func (e *Encoder) finish(kind Kind, buf []byte) error {
 	format.Seal(uint8(kind), buf)
+	return e.write(kind, buf)
+}
+
+// write writes a sealed frame with a single Write.
+func (e *Encoder) write(kind Kind, buf []byte) error {
 	if _, err := e.w.Write(buf); err != nil {
 		return fmt.Errorf("wire: writing %v frame: %w", kind, err)
 	}
@@ -107,7 +112,7 @@ func (e *Encoder) RowBlock(seq uint64, site int, dim int, rows [][]float64) erro
 		return err
 	}
 	e.buf = buf
-	return e.finish(KindRowBlock, buf)
+	return e.write(KindRowBlock, buf)
 }
 
 // rowBlockFrame builds the sealed frame of one row block in buf's storage,
@@ -141,23 +146,40 @@ func rowBlockFrame(buf []byte, seq uint64, site int, dim int, rows [][]float64) 
 	return buf, nil
 }
 
-// MsgBlock writes a batch of node-runtime messages as one frame.
-func (e *Encoder) MsgBlock(ms []Msg) error {
-	payload := 4
+// MsgBlock writes a batch of node-runtime messages as one frame: numbered
+// site → coordinator, seq 0 on a broadcast.
+func (e *Encoder) MsgBlock(seq uint64, ms []Msg) error {
+	buf, err := msgBlockFrame(e.buf, seq, ms)
+	if err != nil {
+		return err
+	}
+	e.buf = buf
+	return e.write(KindMsgBlock, buf)
+}
+
+// msgBlockFrame builds the sealed frame of one msg-block in buf's storage,
+// reallocating when that is too small, and returns it: the one writer of
+// the msg-block layout, as rowBlockFrame is of the row-block one.
+func msgBlockFrame(buf []byte, seq uint64, ms []Msg) ([]byte, error) {
+	payload := msgBlockHeadSize
 	for _, m := range ms {
+		if m.Site < 0 || uint64(m.Site) > math.MaxUint32 {
+			return buf, malformedf("message site %d outside uint32", m.Site)
+		}
 		payload += msgHeadSize + len(m.Vec)*8
 	}
 	if payload > frame.MaxPayload {
-		return fmt.Errorf("%w: %d messages, %d bytes", ErrFrameTooLarge, len(ms), payload)
+		return buf, fmt.Errorf("%w: %d messages, %d bytes", ErrFrameTooLarge, len(ms), payload)
 	}
-	buf := e.stage(payload)
+	if cap(buf) < frame.HeaderSize+payload {
+		buf = make([]byte, frame.HeaderSize+payload)
+	}
+	buf = buf[:frame.HeaderSize+payload]
 	p := buf[frame.HeaderSize:]
-	binary.LittleEndian.PutUint32(p[0:4], uint32(len(ms)))
-	off := 4
+	binary.LittleEndian.PutUint64(p[0:8], seq)
+	binary.LittleEndian.PutUint32(p[8:12], uint32(len(ms)))
+	off := msgBlockHeadSize
 	for _, m := range ms {
-		if m.Site < 0 || uint64(m.Site) > math.MaxUint32 {
-			return malformedf("message site %d outside uint32", m.Site)
-		}
 		p[off] = m.Kind
 		binary.LittleEndian.PutUint32(p[off+1:off+5], uint32(m.Site))
 		binary.LittleEndian.PutUint64(p[off+5:off+13], m.Elem)
@@ -167,7 +189,8 @@ func (e *Encoder) MsgBlock(ms []Msg) error {
 		frame.PutFloats(p[off:], m.Vec)
 		off += len(m.Vec) * 8
 	}
-	return e.finish(KindMsgBlock, buf)
+	format.Seal(uint8(KindMsgBlock), buf)
+	return buf, nil
 }
 
 // Decoder reads frames from one stream through a frame.Reader, which
@@ -283,11 +306,13 @@ func (d *Decoder) decodeRowBlock(p []byte) error {
 // decodeMsgBlock unpacks a msg-block payload; vectors alias the pooled
 // float buffer until the next call.
 func (d *Decoder) decodeMsgBlock(p []byte) error {
-	if len(p) < 4 {
+	if len(p) < msgBlockHeadSize {
 		return malformedf("msg-block payload of %d bytes", len(p))
 	}
-	count := int(binary.LittleEndian.Uint32(p[0:4]))
-	if count < 0 || count > len(p) { // each record is ≥ 1 byte; cheap sanity bound
+	count := int(binary.LittleEndian.Uint32(p[8:12]))
+	// Bound the count by the records that fit before it sizes anything: a
+	// count alone must not reserve more than the payload could hold.
+	if count < 0 || count > (len(p)-msgBlockHeadSize)/msgHeadSize {
 		return malformedf("msg-block count %d in %d-byte payload", count, len(p))
 	}
 	if cap(d.msgs) < count {
@@ -299,7 +324,7 @@ func (d *Decoder) decodeMsgBlock(p []byte) error {
 		d.floats = make([]float64, len(p)/8)
 	}
 	msgs := d.msgs[:count]
-	off, vecOff := 4, 0
+	off, vecOff := msgBlockHeadSize, 0
 	for i := range msgs {
 		if off+msgHeadSize > len(p) {
 			return malformedf("msg-block truncated at record %d", i)
@@ -326,6 +351,7 @@ func (d *Decoder) decodeMsgBlock(p []byte) error {
 	if off != len(p) {
 		return malformedf("msg-block has %d trailing bytes", len(p)-off)
 	}
+	d.frame.Seq = binary.LittleEndian.Uint64(p[0:8])
 	d.frame.Msgs = msgs
 	return nil
 }

@@ -57,7 +57,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Kind: 2, Site: 0, Vec: []float64{1, -2.5, math.Pi}},
 		{Kind: 1, Site: 4, Elem: 77, Value: -0.125},
 	}
-	if err := enc.MsgBlock(msgs); err != nil {
+	if err := enc.MsgBlock(12, msgs); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Error("tracker not found"); err != nil {
@@ -95,7 +95,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("ack: %+v %v", f, err)
 	}
 	f, err = dec.Next()
-	if err != nil || f.Kind != KindMsgBlock || len(f.Msgs) != len(msgs) {
+	if err != nil || f.Kind != KindMsgBlock || f.Seq != 12 || len(f.Msgs) != len(msgs) {
 		t.Fatalf("msg-block: %+v %v", f, err)
 	}
 	for i, want := range msgs {

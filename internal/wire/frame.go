@@ -34,14 +34,15 @@ const (
 	// KindRowBlock is a numbered block of float64 rows, site → coordinator.
 	KindRowBlock
 
-	// KindAck acknowledges row blocks cumulatively, coordinator → site:
+	// KindAck acknowledges blocks cumulatively, coordinator → site:
 	// the applied and durable watermarks as of the newest block ingested.
 	// One ack may cover several blocks (see CoordListener); a later ack
 	// makes every earlier one redundant.
 	KindAck
 
-	// KindMsgBlock is a batch of node-runtime protocol messages, either
-	// direction (the internal/node TCP transport's frame).
+	// KindMsgBlock is a batch of node-runtime protocol messages: numbered
+	// like a row block site → coordinator, unnumbered (seq 0) on a
+	// coordinator → site broadcast.
 	KindMsgBlock
 
 	// KindError carries a terminal error string, coordinator → site, and
@@ -88,7 +89,7 @@ type HelloAck struct {
 	Durable uint64 // every seq ≤ Durable is checkpointed
 }
 
-// Ack is the cumulative acknowledgement of applied row blocks: every seq
+// Ack is the cumulative acknowledgement of applied blocks: every seq
 // ≤ Applied is ingested, whether or not it had an ack of its own. Same
 // payload layout as HelloAck.
 type Ack struct {
@@ -113,8 +114,9 @@ type RowBlock struct {
 // not import the runtime. A decoded Vec is a view into the decoder's
 // pooled buffers, valid until its next Next call.
 //
-// Record layout: kind uint8 | site uint32 | elem uint64 | value float64 |
-// vecLen uint32 | vecLen float64 bits.
+// Payload: seq uint64 | count uint32 | count records, each
+// kind uint8 | site uint32 | elem uint64 | value float64 | vecLen uint32 |
+// vecLen float64 bits.
 type Msg struct {
 	Kind  uint8
 	Site  int
@@ -123,15 +125,17 @@ type Msg struct {
 	Vec   []float64
 }
 
-// Frame is one decoded frame: Kind selects which field is meaningful.
-// Slice-carrying fields (Block.Rows, Msgs[i].Vec) are views into the
-// decoder's pooled buffers, valid until the next Next call.
+// Frame is one decoded frame: Kind selects which field is meaningful
+// (Seq and Msgs both belong to a msg-block). Slice-carrying fields
+// (Block.Rows, Msgs[i].Vec) are views into the decoder's pooled buffers,
+// valid until the next Next call.
 type Frame struct {
 	Kind     Kind
 	Hello    Hello
 	HelloAck HelloAck
 	Ack      Ack
 	Block    RowBlock
+	Seq      uint64
 	Msgs     []Msg
 	ErrMsg   string
 }
@@ -140,5 +144,6 @@ type Frame struct {
 const (
 	rowBlockHeadSize = 8 + 4 + 4 + 4 // seq, site, rows, dim
 	ackSize          = 8 + 8
+	msgBlockHeadSize = 8 + 4             // seq, count
 	msgHeadSize      = 1 + 4 + 8 + 8 + 4 // kind, site, elem, value, vecLen
 )

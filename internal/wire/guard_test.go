@@ -41,6 +41,11 @@ func (h *nopHandler) Hello(string, int) (uint64, uint64, error) {
 	return a, a, nil
 }
 
+func (h *nopHandler) MsgBlock(_ string, _ int, seq uint64, _ []Msg) (uint64, uint64, error) {
+	h.applied.Store(seq)
+	return seq, seq, nil
+}
+
 func (h *nopHandler) RowBlock(_ string, _ int, seq uint64, _ [][]float64) (uint64, uint64, error) {
 	for start, hold := time.Now(), time.Duration(h.hold.Load()); time.Since(start) < hold; {
 	}

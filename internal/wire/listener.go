@@ -26,20 +26,26 @@ type Handler interface {
 	// seq ≤ applied as a duplicate (returning current watermarks) and
 	// reject gaps (seq > applied+1) with an error.
 	RowBlock(tracker string, site int, seq uint64, rows [][]float64) (applied, durable uint64, err error)
+
+	// MsgBlock applies one numbered block of node-runtime messages under
+	// RowBlock's rules, in the same seq space. The messages and their
+	// vectors are the decoder's, valid only until MsgBlock returns.
+	MsgBlock(tracker string, site int, seq uint64, msgs []Msg) (applied, durable uint64, err error)
 }
 
 // helloTimeout bounds how long an accepted connection may sit silent
 // before its handshake; it keeps port scanners from pinning goroutines.
 const helloTimeout = 30 * time.Second
 
-// CoordListener accepts SiteConn streams and feeds their row blocks to a
+// CoordListener accepts SiteConn streams and feeds their blocks to a
 // Handler. One goroutine serves each connection: it reads a Hello,
 // answers with the handler's watermarks, then applies blocks and acks
 // them cumulatively — the newest watermarks go out whenever the
 // connection must be read for more input, and at the latest every
 // ackEvery blocks. Sequential per-connection handling means a slow handler
 // backpressures the site through TCP and the site's in-flight window —
-// there is no unbounded queue between socket and tracker.
+// there is no unbounded queue between socket and tracker. Broadcast
+// writes the other way, to every connection of a tracker.
 type CoordListener struct {
 	ln    net.Listener
 	h     Handler
@@ -47,7 +53,7 @@ type CoordListener struct {
 
 	mu sync.Mutex
 	//distlint:guarded-by mu
-	conns map[net.Conn]struct{}
+	conns map[net.Conn]*ackReader
 	//distlint:guarded-by mu
 	closed bool
 	wg     sync.WaitGroup
@@ -63,7 +69,7 @@ func NewCoordListener(addr string, h Handler) (*CoordListener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CoordListener{ln: ln, h: h, conns: make(map[net.Conn]struct{})}, nil
+	return &CoordListener{ln: ln, h: h, conns: make(map[net.Conn]*ackReader)}, nil
 }
 
 // Addr returns the bound listen address.
@@ -92,7 +98,7 @@ func (l *CoordListener) Serve() error {
 			conn.Close()
 			return ErrClosed
 		}
-		l.conns[conn] = struct{}{}
+		l.conns[conn] = nil // no broadcasts before the handshake
 		l.wg.Add(1)
 		l.mu.Unlock()
 		//distlint:lifecycle serveConn exits when its conn is closed, by
@@ -123,6 +129,37 @@ func (l *CoordListener) Close() error {
 	return err
 }
 
+// broadcastTimeout bounds one broadcast write: a site that stops reading
+// loses its connection rather than stalling the coordinator.
+const broadcastTimeout = 5 * time.Second
+
+// Broadcast writes msgs as one unnumbered (seq 0) msg-block to every
+// connection of tracker that has finished its handshake. It is best
+// effort: a connection whose write fails is closed, and its site resumes
+// with the stale broadcast state it holds — the node runtime's protocols
+// only need a site's estimate to be a lower bound, never a current one —
+// so a failed write never fails, or replays, the block that caused it.
+func (l *CoordListener) Broadcast(tracker string, msgs []Msg) {
+	l.mu.Lock()
+	var to []*ackReader
+	for _, a := range l.conns {
+		if a != nil && a.tracker == tracker {
+			to = append(to, a)
+		}
+	}
+	l.mu.Unlock()
+	for _, a := range to {
+		a.mu.Lock()
+		_ = a.conn.SetWriteDeadline(time.Now().Add(broadcastTimeout))
+		err := a.enc.MsgBlock(0, msgs)
+		_ = a.conn.SetWriteDeadline(time.Time{})
+		a.mu.Unlock()
+		if err != nil {
+			a.conn.Close()
+		}
+	}
+}
+
 // ackEvery bounds how many applied blocks one deferred ack may cover: a
 // quarter of the default site window. With small frames a whole window
 // arrives in one read, and acking only when the buffer runs dry would
@@ -137,11 +174,15 @@ const maxHelloPayload = 4 + 4 + 2 + math.MaxUint16
 // only when it has consumed every buffered frame, so the ack owed for the
 // blocks applied since the last one is written here, before the read can
 // block: an idle socket is fully acked, and buffered blocks share an ack.
+// Every frame after the handshake is written under mu, which Broadcast
+// takes too.
 type ackReader struct {
-	conn net.Conn
-	enc  *Encoder
-	ack  Ack // newest watermarks
-	owed int // blocks applied since the last ack was written
+	conn    net.Conn
+	tracker string
+	mu      sync.Mutex
+	enc     *Encoder //distlint:guarded-by mu
+	ack     Ack      // newest watermarks
+	owed    int      // blocks applied since the last ack was written
 }
 
 // Read writes the owed ack, then reads the connection.
@@ -160,6 +201,8 @@ func (a *ackReader) flush() error {
 		return nil
 	}
 	a.owed = 0
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return a.enc.Ack(a.ack)
 }
 
@@ -168,7 +211,9 @@ func (a *ackReader) flush() error {
 // tracker's.
 func (a *ackReader) fail(msg string) {
 	if a.flush() == nil {
+		a.mu.Lock()
 		_ = a.enc.Error(msg)
+		a.mu.Unlock()
 	}
 }
 
@@ -203,6 +248,10 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	dec.fr.SetMaxPayload(frame.MaxPayload)
+	acks.tracker = tracker
+	l.mu.Lock()
+	l.conns[conn] = acks // Broadcast may write from here on
+	l.mu.Unlock()
 
 	for {
 		f, err := dec.Next()
@@ -215,18 +264,19 @@ func (l *CoordListener) serveConn(conn net.Conn) {
 				acks.fail(fmt.Sprintf("wire: block for site %d on site %d's connection", f.Block.Site, site))
 				return
 			}
-			applied, durable, err := l.h.RowBlock(tracker, site, f.Block.Seq, f.Block.Rows)
-			if err != nil {
-				acks.fail(err.Error())
-				return
-			}
-			acks.ack = Ack{Applied: applied, Durable: durable}
-			acks.owed++
-			if acks.owed >= ackEvery && acks.flush() != nil {
-				return
-			}
+			applied, durable, err = l.h.RowBlock(tracker, site, f.Block.Seq, f.Block.Rows)
+		case KindMsgBlock:
+			applied, durable, err = l.h.MsgBlock(tracker, site, f.Seq, f.Msgs)
 		default:
-			acks.fail(fmt.Sprintf("wire: unexpected %v frame", f.Kind))
+			err = fmt.Errorf("wire: unexpected %v frame", f.Kind)
+		}
+		if err != nil {
+			acks.fail(err.Error())
+			return
+		}
+		acks.ack = Ack{Applied: applied, Durable: durable}
+		acks.owed++
+		if acks.owed >= ackEvery && acks.flush() != nil {
 			return
 		}
 	}

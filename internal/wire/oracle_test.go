@@ -146,17 +146,17 @@ func (d *oracleDecoder) decodeRowBlock(p []byte) error {
 }
 
 func (d *oracleDecoder) decodeMsgBlock(p []byte) error {
-	if len(p) < 4 {
+	if len(p) < msgBlockHeadSize {
 		return malformedf("msg-block payload of %d bytes", len(p))
 	}
-	count := int(binary.LittleEndian.Uint32(p[0:4]))
-	if count < 0 || count > len(p) {
+	count := int(binary.LittleEndian.Uint32(p[8:12]))
+	if count < 0 || count > (len(p)-msgBlockHeadSize)/msgHeadSize {
 		return malformedf("msg-block count %d in %d-byte payload", count, len(p))
 	}
 	if cap(d.msgs) < count {
 		d.msgs = make([]Msg, count)
 	}
-	off := 4
+	off := msgBlockHeadSize
 	totalVec := 0
 	for i := 0; i < count; i++ {
 		if off+msgHeadSize > len(p) {
@@ -177,7 +177,7 @@ func (d *oracleDecoder) decodeMsgBlock(p []byte) error {
 	}
 	flat := d.floats[:totalVec]
 	msgs := d.msgs[:count]
-	off = 4
+	off = msgBlockHeadSize
 	vecOff := 0
 	for i := range msgs {
 		vecLen := int(binary.LittleEndian.Uint32(p[off+21 : off+25]))
@@ -198,6 +198,7 @@ func (d *oracleDecoder) decodeMsgBlock(p []byte) error {
 			vecOff += vecLen
 		}
 	}
+	d.frame.Seq = binary.LittleEndian.Uint64(p[0:8])
 	d.frame.Msgs = msgs
 	return nil
 }
@@ -262,7 +263,7 @@ func sameBits(a, b []float64) bool {
 // sameFrame compares two decoded frames field by field, floats by bits.
 func sameFrame(a, b *Frame) bool {
 	if a.Kind != b.Kind || a.Hello != b.Hello || a.HelloAck != b.HelloAck || a.Ack != b.Ack || a.ErrMsg != b.ErrMsg ||
-		a.Block.Seq != b.Block.Seq || a.Block.Site != b.Block.Site || a.Block.Dim != b.Block.Dim ||
+		a.Block.Seq != b.Block.Seq || a.Block.Site != b.Block.Site || a.Block.Dim != b.Block.Dim || a.Seq != b.Seq ||
 		len(a.Block.Rows) != len(b.Block.Rows) || len(a.Msgs) != len(b.Msgs) {
 		return false
 	}
@@ -346,7 +347,7 @@ func FuzzWireDecoder(f *testing.F) {
 	afterHello := stream.Len()
 	enc.RowBlock(1, 3, 5, randRows(rng, 7, 5))
 	afterBlock := stream.Len()
-	enc.MsgBlock([]Msg{{Kind: 1, Site: 2, Elem: 9, Value: -0.5}, {Kind: 2, Vec: []float64{}}, {Kind: 2, Site: 1, Vec: []float64{1, math.Inf(-1)}}, {}})
+	enc.MsgBlock(2, []Msg{{Kind: 1, Site: 2, Elem: 9, Value: -0.5}, {Kind: 2, Vec: []float64{}}, {Kind: 2, Site: 1, Vec: []float64{1, math.Inf(-1)}}, {}})
 	enc.Ack(Ack{Applied: 8, Durable: 3})
 	enc.Error("tracker not found")
 	clean := append([]byte(nil), stream.Bytes()...)
@@ -380,6 +381,7 @@ func FuzzWireDecoder(f *testing.F) {
 	binary.LittleEndian.PutUint32(wrap[HeaderSize+16:], 1<<30)
 	reCRC(wrap)
 	f.Add(wrap, int64(3), uint32(0))
+	f.Add(oversizedMsgCount(4096), int64(4), uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunkSeed int64, lead uint32) {
 		stream := append(fillerFrame(int(lead%40000)), data...)

@@ -34,6 +34,7 @@ type appliedBlock struct {
 	site int
 	seq  uint64
 	rows [][]float64
+	msgs []Msg
 }
 
 // memCheckpoint is a point-in-time copy of handler state, standing in
@@ -61,11 +62,30 @@ func (h *memHandler) Hello(tracker string, site int) (uint64, uint64, error) {
 }
 
 func (h *memHandler) RowBlock(tracker string, site int, seq uint64, rows [][]float64) (uint64, uint64, error) {
+	cp := make([][]float64, len(rows))
+	for i, r := range rows {
+		cp[i] = append([]float64(nil), r...)
+	}
+	return h.apply(appliedBlock{site: site, seq: seq, rows: cp})
+}
+
+func (h *memHandler) MsgBlock(tracker string, site int, seq uint64, msgs []Msg) (uint64, uint64, error) {
+	cp := make([]Msg, len(msgs))
+	for i, m := range msgs {
+		m.Vec = append([]float64(nil), m.Vec...)
+		cp[i] = m
+	}
+	return h.apply(appliedBlock{site: site, seq: seq, msgs: cp})
+}
+
+// apply logs one block of either kind under the dedup and gap rules.
+func (h *memHandler) apply(b appliedBlock) (uint64, uint64, error) {
 	if h.gate != nil {
 		<-h.gate
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	site, seq := b.site, b.seq
 	a := h.applied[site]
 	if seq <= a {
 		h.dups++
@@ -74,11 +94,7 @@ func (h *memHandler) RowBlock(tracker string, site int, seq uint64, rows [][]flo
 	if seq != a+1 {
 		return 0, 0, fmt.Errorf("sequence gap: got %d, want %d", seq, a+1)
 	}
-	cp := make([][]float64, len(rows))
-	for i, r := range rows {
-		cp[i] = append([]float64(nil), r...)
-	}
-	h.log = append(h.log, appliedBlock{site: site, seq: seq, rows: cp})
+	h.log = append(h.log, b)
 	h.applied[site] = seq
 	if h.alwaysDurable {
 		h.durable[site] = seq

@@ -41,6 +41,12 @@ type SiteConfig struct {
 
 	// Logf, when set, receives connection lifecycle lines. Default: silent.
 	Logf func(format string, args ...any)
+
+	// Recv, when set, receives the msg-blocks the coordinator broadcasts,
+	// on the connection's read goroutine; the messages are the decoder's,
+	// valid only until Recv returns, and an error drops the connection.
+	// Without it a msg-block is an unexpected frame.
+	Recv func([]Msg) error
 }
 
 func (c SiteConfig) withDefaults() SiteConfig {
@@ -79,8 +85,8 @@ type pblock struct {
 // SiteConn is the site end of a coordinator stream: a persistent
 // connection with a bounded in-flight window, exponential-backoff
 // reconnect, and at-least-once resume from the coordinator's acked
-// watermarks. SendBlock may be called from one goroutine; the other
-// methods are safe from any.
+// watermarks. One goroutine at a time may call SendBlock or SendMsgs;
+// the other methods are safe from any.
 type SiteConn struct {
 	cfg   SiteConfig
 	stats Stats
@@ -196,35 +202,64 @@ func (c *SiteConn) SendBlock(rows [][]float64) error {
 		c.mu.Unlock()
 		return malformedf("block dimension %d, stream dimension %d", dim, want)
 	}
+	seq, buf, err := c.reserveLocked()
+	if err != nil {
+		return err
+	}
+	frame, err := rowBlockFrame(buf, seq, c.cfg.Site, dim, rows)
+	return c.commit(seq, frame, err)
+}
+
+// SendMsgs queues one block of node-runtime messages, encoded before it
+// returns, under SendBlock's window, retention, resume and sequence space;
+// one goroutine at a time sends either kind.
+func (c *SiteConn) SendMsgs(msgs []Msg) error {
+	if len(msgs) == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	seq, buf, err := c.reserveLocked()
+	if err != nil {
+		return err
+	}
+	frame, err := msgBlockFrame(buf, seq, msgs)
+	return c.commit(seq, frame, err)
+}
+
+// reserveLocked waits until the window and the retention have room and
+// the first handshake is done, then releases c.mu and returns the next seq
+// and a frame buffer to build it in. One goroutine sends and the handshake
+// is past, so nothing else assigns seqs: the block is encoded unlocked.
+//
+//distlint:caller-holds mu
+func (c *SiteConn) reserveLocked() (seq uint64, buf []byte, err error) {
 	for !c.closed && c.err == nil &&
 		(!c.ready || c.lastSeq-c.applied >= uint64(c.cfg.Window) || len(c.pending) >= c.cfg.Retain) {
 		c.cond.Wait()
 	}
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+		return 0, nil, ErrClosed
 	}
 	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return err
+		return 0, nil, c.err
 	}
-	// SendBlock has one caller and the handshake is past, so nothing else
-	// assigns sequence numbers: the block is encoded outside the lock.
-	seq := c.lastSeq + 1
-	var buf []byte
 	if n := len(c.free); n > 0 {
 		buf, c.free = c.free[n-1], c.free[:n-1]
 	}
-	c.mu.Unlock()
-	frame, err := rowBlockFrame(buf, seq, c.cfg.Site, dim, rows)
+	return c.lastSeq + 1, buf, nil
+}
+
+// commit queues the sealed frame of block seq, unless building it failed,
+// and wakes the writer.
+func (c *SiteConn) commit(seq uint64, frame []byte, err error) error {
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	c.lastSeq = seq
 	c.pending = append(c.pending, pblock{seq: seq, frame: frame})
-	c.cond.Broadcast() // wake the writer
+	c.cond.Broadcast()
 	c.mu.Unlock()
 	return nil
 }
@@ -481,7 +516,7 @@ func (c *SiteConn) writeLoop(conn net.Conn, done chan struct{}) {
 }
 
 // readAcks consumes coordinator frames until the connection breaks,
-// advancing the watermarks and waking senders.
+// advancing the watermarks, waking senders and handing broadcasts to Recv.
 func (c *SiteConn) readAcks(dec *Decoder) {
 	for {
 		f, err := dec.Next()
@@ -493,6 +528,15 @@ func (c *SiteConn) readAcks(dec *Decoder) {
 			c.mu.Lock()
 			c.advanceLocked(f.Ack.Applied, f.Ack.Durable)
 			c.mu.Unlock()
+		case KindMsgBlock:
+			if c.cfg.Recv == nil {
+				c.cfg.Logf("wire: site %d: unexpected %v frame", c.cfg.Site, f.Kind)
+				return
+			}
+			if err := c.cfg.Recv(f.Msgs); err != nil {
+				c.cfg.Logf("wire: site %d: broadcast: %v", c.cfg.Site, err)
+				return
+			}
 		case KindError:
 			// Mid-stream protocol error (e.g. a sequence gap after frame
 			// loss): drop the connection; the reconnect handshake heals

@@ -49,9 +49,9 @@
 // sequence order; a gap (seq beyond applied+1) is a protocol error that
 // drops the connection, and the retransmit handshake heals it.
 //
-// The msg-block frame carries batched protocol messages for the
-// internal/node runtime, whose TCP transport runs on this codec (block
-// frames end to end instead of one gob message per row).
+// Msg-blocks carry the internal/node runtime's protocol messages: numbered
+// site → coordinator under the same window and resume as row blocks, and
+// unnumbered (seq 0) from CoordListener.Broadcast back to the sites.
 package wire
 
 import (

@@ -2,10 +2,14 @@
 
 GO ?= go
 
-.PHONY: build test loc symbols race bench-check perf-guard experiments fmt vet lint lint-findings e2e
+.PHONY: build test loc symbols race bench-check perf-guard profile experiments fmt vet lint lint-findings e2e
 
+# The cpuprofile tag builds distserve's profiling hook (cmd/distserve/
+# cpuprofile.go), which no other build compiles: building it here keeps it
+# from rotting.
 build:
 	$(GO) build ./...
+	$(GO) build -tags cpuprofile -o /dev/null ./cmd/distserve
 
 # Two legs, as in CI: the default build (on amd64 the assembly bodies of
 # internal/matrix's kernels — gramRow and the row kernels of the P2 site
@@ -75,6 +79,24 @@ bench-check:
 			$(BENCH_RUN) --workload $$w --trace $$t >/dev/null; \
 		done; \
 	done
+
+# The CPU profile of the benchmark's own server on one workload: bench/
+# builds distserve with the cpuprofile tag (its `go build` inherits
+# GOFLAGS), runs the workload untraced on seeds 1 and 2 (one run is under
+# 2 s of samples on http-json), and the servers' 0.5 s profile slices are
+# merged and written, flat then cumulative, to profiles/$(W).txt and to
+# stdout. W is a workload name from BENCHMARK.json.
+PROFILE_TOP = $(GO) tool pprof -top -nodecount=40
+profile:
+	@test -n "$(W)" || { echo "usage: make profile W=<workload>" >&2; exit 2; }
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+		for s in 1 2; do \
+			DISTSERVE_CPUPROFILE=$$d GOFLAGS=-tags=cpuprofile $(GO) -C bench run repro/bench \
+				--workload $(W) --seed $$s --seconds 13 --trace 0 >/dev/null || exit 1; \
+		done && \
+		$(GO) tool pprof -proto $$d/*.pprof >$$d/merged.pb.gz && \
+		{ $(PROFILE_TOP) $$d/merged.pb.gz && echo && $(PROFILE_TOP) -cum $$d/merged.pb.gz; } >profiles/$(W).txt
+	@cat profiles/$(W).txt
 
 # The in-tree perf floors. README's Performance section lists each guard
 # with its floor and package; the scaling guards skip loudly below 4 procs

@@ -39,29 +39,30 @@ func init() {
 	}
 }
 
-// decimalToFloat returns the float64 nearest ±man·10^exp10, ties to even —
-// what strconv.ParseFloat returns for that decimal — or ok false where it
-// cannot decide, and the caller asks ParseFloat. Small cases take Clinger's
-// exact path (man < 2^53 and a power of ten that is itself exact: one
-// correctly rounded multiply or divide); the rest is the Eisel–Lemire
-// algorithm, following eiselLemire64 in the toolchain's
-// strconv/eisel_lemire.go step for step (see there, and
+// decimalToFloat returns the float64 nearest man·10^exp10, ties to even,
+// with sign (0 or 1<<63) ORed into its sign bit — what strconv.ParseFloat
+// returns for that decimal — or ok false where it cannot decide, and the
+// caller asks ParseFloat. Both paths round the magnitude, which is exact
+// for a signed result too: round-to-nearest-even is symmetric about 0, so
+// (−x)·10^k is −(x·10^k) bit for bit, and a zero mantissa keeps its sign.
+// Small cases take Clinger's exact path (man < 2^53 and a power of ten
+// that is itself exact: one correctly rounded multiply or divide); the
+// rest is the Eisel–Lemire algorithm, following eiselLemire64 in the
+// toolchain's strconv/eisel_lemire.go step for step (see there, and
 // https://nigeltao.github.io/blog/2020/eisel-lemire.html, for the proof).
 //
 //distlint:hotpath
-func decimalToFloat(man uint64, exp10 int, neg bool) (f float64, ok bool) {
-	if man>>53 == 0 {
-		if f = float64(man); neg {
-			f = -f
+func decimalToFloat(man uint64, exp10 int, sign uint64) (f float64, ok bool) {
+	if man == 0 {
+		return math.Float64frombits(sign), true // ±0 whatever the exponent
+	}
+	if man>>53 == 0 && -22 <= exp10 && exp10 <= 22 {
+		if f = float64(man); exp10 < 0 {
+			f /= exactPow10[-exp10]
+		} else {
+			f *= exactPow10[exp10]
 		}
-		switch {
-		case man == 0:
-			return f, true // ±0 whatever the exponent
-		case 0 <= exp10 && exp10 <= 22:
-			return f * exactPow10[exp10], true
-		case -22 <= exp10 && exp10 < 0:
-			return f / exactPow10[-exp10], true
-		}
+		return math.Float64frombits(math.Float64bits(f) | sign), true
 	}
 	if exp10 < pow10Min || pow10Max < exp10 {
 		return 0, false
@@ -108,9 +109,5 @@ func decimalToFloat(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	if exp2-1 >= 0x7FF-1 {
 		return 0, false
 	}
-	b := exp2<<52 | m&(1<<52-1)
-	if neg {
-		b |= 1 << 63
-	}
-	return math.Float64frombits(b), true
+	return math.Float64frombits(sign | exp2<<52 | m&(1<<52-1)), true
 }

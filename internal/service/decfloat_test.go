@@ -14,7 +14,7 @@ import (
 	"unsafe"
 )
 
-// specFloat is the specification scanner.float is held to: the
+// specFloat is the specification floatAt is held to: the
 // validate-then-reparse pair it replaced, kept verbatim — a walk that
 // matches the RFC 8259 number grammar at d[i:], then strconv.ParseFloat
 // over the token. It returns the value, the index past the token and the
@@ -116,7 +116,17 @@ func FuzzDigitRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, run string, delim byte, man uint64) { checkDigitRun(t, run, delim, man) })
 }
 
-// checkScanFloat runs scanner.float and specFloat over tok and requires the
+// float reads the number under the cursor through floatAt as a row walk
+// does: the scan goes on at next, and a failure reports there.
+func (s *scanner) float() float64 {
+	v, next, bad := floatAt(s.d, s.i)
+	if s.i = next; bad != "" {
+		s.fail(bad)
+	}
+	return v
+}
+
+// checkScanFloat runs floatAt and specFloat over tok and requires the
 // same verdict, the same message at the same offset, the same cursor and
 // the same bits. It returns the value and whether both rejected tok.
 func checkScanFloat(t *testing.T, tok string) (got float64, rejected bool) {
@@ -251,7 +261,7 @@ func scanFloatSeeds(n int, add func(string)) {
 }
 
 // FuzzScanFloat is the differential proof behind reading each number once:
-// on every token scanner.float and the validate-then-ParseFloat
+// on every token floatAt and the validate-then-ParseFloat
 // specification agree on accept or reject, on the message and offset, on
 // where the token ends and, when accepted, on every bit of the value.
 func FuzzScanFloat(f *testing.F) {
@@ -307,13 +317,13 @@ func TestDecimalToFloatSweep(t *testing.T) {
 			mans = append(mans, rng.Uint64()%1e19>>(i%60))
 		}
 		for _, man := range mans {
-			for _, neg := range []bool{false, true} {
+			for _, sign := range []uint64{0, 1 << 63} {
 				tok := fmt.Sprintf("%de%d", man, q)
-				if neg {
+				if sign != 0 {
 					tok = "-" + tok
 				}
 				asked++
-				got, ok := decimalToFloat(man, q, neg)
+				got, ok := decimalToFloat(man, q, sign)
 				if !ok {
 					continue
 				}

@@ -218,9 +218,9 @@ func digitRun(d []byte, i int, man uint64) (uint64, int) {
 	return man, i
 }
 
-// float reads the RFC 8259 number under the cursor in one walk: the same
-// pass that enforces the grammar — keeping out the spellings strconv takes
-// but JSON forbids (+1, 01, .5, 1., 0x1p-3, Inf, NaN, 1_0) — gathers the
+// floatAt reads the RFC 8259 number at d[start:] in one walk: the same pass
+// that enforces the grammar — keeping out the spellings strconv takes but
+// JSON forbids (+1, 01, .5, 1., 0x1p-3, Inf, NaN, 1_0) — gathers the
 // decimal mantissa and exponent, which decimalToFloat then rounds. The
 // result is bit-identical to strconv.ParseFloat over the literal, which is
 // what encoding/json returns: every token the fast conversion declines
@@ -228,11 +228,16 @@ func digitRun(d []byte, i int, man uint64) (uint64, int) {
 // out-of-range value) goes to ParseFloat itself, which so stays the
 // specification and the only source of the range error.
 //
+// next is where the scan goes on, or, with a failure in bad, the offset
+// it reports: the token's start for a syntax error, past the token for a
+// range error. It is a pure function of d and start, so a caller walking a
+// row keeps its cursor in a register rather than in a scanner.
+//
 //distlint:spec specFloat FuzzScanFloat
 //distlint:hotpath
-func (s *scanner) float() float64 {
-	d := s.d
-	first := s.i + int((uint64(d[s.i]^'-')-1)>>63) // past a '-', without a branch
+func floatAt(d []byte, start int) (v float64, next int, bad string) {
+	neg := (uint64(d[start]^'-') - 1) >> 63 // 1 at a '-', else 0, without a branch
+	first := start + int(neg)
 	man, i := digitRun(d, first, 0)
 	nd, exp10 := i-first, 0                      // nd counts the digits walked
 	ok := nd > 0 && (d[first] != '0' || nd == 1) // some digits, no leading zero
@@ -262,26 +267,27 @@ func (s *scanner) float() float64 {
 		exp10 += e
 	}
 	if !ok {
-		s.fail("want a number")
-		return 0
+		return 0, start, "want a number"
 	}
-	tok := unsafe.String(&d[s.i], i-s.i)
-	s.i = i
 	// man wraps past 19 significant digits. A 0.000…'s 0 and the zeros after
 	// its point were walked but are not significant: count them off.
 	if nd > 19 && d[first] == '0' {
-		nd -= i - first - len(bytes.TrimLeft(d[first:i], "0.")) - 1
+		z := first + 2 // past the "0."
+		for z < i && d[z] == '0' {
+			z++
+		}
+		nd -= z - first - 1
 	}
 	if nd <= 19 {
-		if v, ok := decimalToFloat(man, exp10, tok[0] == '-'); ok {
-			return v
+		if v, ok := decimalToFloat(man, exp10, neg<<63); ok {
+			return v, i, ""
 		}
 	}
-	v, err := strconv.ParseFloat(tok, 64)
+	v, err := strconv.ParseFloat(unsafe.String(&d[start], i-start), 64)
 	if err != nil {
-		s.fail("number out of float64 range")
+		return v, i, "number out of float64 range"
 	}
-	return v
+	return v, i, ""
 }
 
 // decode reads r's body into b and parses it as the one document a POST
@@ -352,7 +358,22 @@ func (b *ingestBuf) scanRows(s *scanner) {
 	for more := s.open('[', ']'); more; more = s.next(']') {
 		start := len(flat)
 		for more := s.open('[', ']'); more; more = s.next(']') {
-			flat = append(flat, s.float()) //distlint:alloc-ok first growth to the high-water batch size
+			// The cursor stays in i across each ',' that a byte above ' '
+			// follows (a ',' is not the closing NUL, so d[i+1] is in the
+			// body); any other separator goes back through s.next.
+			d, i, bad := s.d, s.i, ""
+			for {
+				var v float64
+				v, i, bad = floatAt(d, i)
+				flat = append(flat, v) //distlint:alloc-ok first growth to the high-water batch size
+				if bad != "" || d[i] != ',' || d[i+1] <= ' ' {
+					break
+				}
+				i++
+			}
+			if s.i = i; bad != "" {
+				s.fail(bad)
+			}
 		}
 		if n == 0 {
 			dim = len(flat) - start
@@ -399,7 +420,10 @@ func (b *ingestBuf) scanItems(s *scanner) {
 			case name == 0 || seen&name != 0:
 				s.fail("unknown or repeated item field")
 			case name == weight && !s.null():
-				it.Weight = s.float()
+				var bad string
+				if it.Weight, s.i, bad = floatAt(s.d, s.i); bad != "" {
+					s.fail(bad)
+				}
 			case name != weight:
 				neg, v, ok := s.number()
 				if neg || !ok {

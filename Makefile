@@ -23,11 +23,14 @@ build:
 # service, whose JSON digit walk reads unchecked and whose decoders do
 # index math: a 32-bit int is where a length check or an index that
 # multiplies wraps first. -short skips the wall-clock guards, which time
-# the amd64 build.
+# the amd64 build. An arm64 vet type-checks the generic kernel bodies and
+# the build tags on a second 64-bit architecture, one without the amd64
+# assembly.
 test:
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./internal/node ./internal/hh .
 	GOARCH=386 $(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal
 	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch ./internal/service
 

@@ -18,7 +18,8 @@
 // the log beyond each tracker's checkpoint (truncating a torn tail from
 // a crash mid-write), and a persistently failing disk flips the daemon
 // into degraded mode — ingest answers 503 + Retry-After while queries
-// keep serving, until the background loop re-arms durability. See the
+// keep serving, until the log re-arms itself. Every acked batch had its
+// own group-commit fsync (concurrent batches share one). See the
 // README's "Durability model" for which window each mechanism covers.
 //
 // A batch is applied on the goroutine that serves its request or wire
@@ -34,7 +35,7 @@
 // Usage:
 //
 //	distserve [-addr :9146] [-wire :9147] [-data DIR] [-checkpoint 30s]
-//	          [-wal] [-wal-flush 0s] [-wal-segment 16777216]
+//	          [-wal] [-wal-segment 16777216]
 //	          [-quarantine-corrupt] [-max-resident N] [-quiet]
 //
 // See the README's "Running distserve" and "Multi-node deployment"
@@ -64,7 +65,6 @@ func main() {
 		data    = flag.String("data", "distserve-data", "checkpoint directory (empty disables persistence)")
 		ckpt    = flag.Duration("checkpoint", 30*time.Second, "periodic checkpoint interval (0 disables)")
 		useWAL  = flag.Bool("wal", true, "write-ahead log: fsync every batch before acking (needs -data)")
-		walFl   = flag.Duration("wal-flush", 0, "WAL group-commit interval (0 = leader commit per batch)")
 		walSeg  = flag.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (default 16MiB)")
 		quarant = flag.Bool("quarantine-corrupt", false, "set corrupt checkpoints aside as .corrupt and keep starting")
 		maxRes  = flag.Int("max-resident", 0, "max tracker sessions resident in memory; 0 = unlimited (needs -data)")
@@ -82,7 +82,6 @@ func main() {
 		DataDir:            *data,
 		CheckpointInterval: *ckpt,
 		WAL:                *useWAL && *data != "",
-		WALFlushInterval:   *walFl,
 		WALSegmentBytes:    *walSeg,
 		QuarantineCorrupt:  *quarant,
 		MaxResident:        *maxRes,

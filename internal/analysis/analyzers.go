@@ -28,9 +28,9 @@ func All() []*lintkit.Analyzer {
 // ErrContract is scoped to the public facade and the service layer, whose
 // error-handling conventions it encodes; WorkerLifecycle is scoped to the
 // packages that spawn long-lived worker goroutines (matrix and item ingest
-// shards, the service layer's checkpoint and WAL re-arm loops, the wire
-// transport's connection managers and listeners, and the write-ahead
-// log's interval flusher). Unreachable is scoped to the packages under
+// shards, the service layer's checkpoint loop, the wire transport's
+// connection managers and listeners, and the write-ahead log's re-arm
+// loop). Unreachable is scoped to the packages under
 // internal/, whose exported functions exist only for the module's own
 // programs.
 func Suite(pkgPath string) []*lintkit.Analyzer {

@@ -52,8 +52,8 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrExists):
 		status = http.StatusConflict
 	case errors.Is(err, ErrDegraded), errors.Is(err, ErrBusy):
-		// Durability lost (the service is degraded read-only while a
-		// background loop re-arms the WAL) or admission full: neither
+		// Durability lost (the service is degraded read-only while the
+		// WAL re-arms itself) or admission full: neither
 		// lasts, so tell clients when to retry.
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfter)

@@ -36,19 +36,13 @@ type Options struct {
 	// durability, the pre-WAL behavior).
 	WAL bool
 
-	// WALFlushInterval selects the WAL group-commit cadence: zero
-	// (default) commits leader-driven — the first waiting batch fsyncs
-	// immediately and concurrent batches share the sync; a positive
-	// interval batches commits at that period, trading acknowledgement
-	// latency for fewer fsyncs.
-	WALFlushInterval time.Duration
-
 	// WALSegmentBytes is the log's segment rotation threshold
 	// (default 16 MiB).
 	WALSegmentBytes int64
 
-	// DegradedRetry is the initial backoff of the degraded-mode re-arm
-	// loop after a WAL disk failure (default 100ms, doubling to 32×).
+	// DegradedRetry is the initial backoff of the WAL's own re-arm loop
+	// after a disk failure (wal.Options.RearmDelay: default 100ms,
+	// doubling to 32×).
 	DegradedRetry time.Duration
 
 	// QuarantineCorrupt renames a checkpoint that fails to restore to
@@ -75,9 +69,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DegradedRetry <= 0 {
-		o.DegradedRetry = 100 * time.Millisecond
-	}
 	if o.FS == nil {
 		o.FS = vfs.OS()
 	}
@@ -127,11 +118,10 @@ type Manager struct {
 	stopCkpt chan struct{}
 	ckptWG   sync.WaitGroup
 
-	// wal and dur, set when Options.WAL is on, are the write-ahead block
-	// log and the degraded-mode state machine over it; quarantined counts
-	// corrupt checkpoints set aside by Options.QuarantineCorrupt.
+	// wal, set when Options.WAL is on, is the write-ahead block log;
+	// quarantined counts corrupt checkpoints set aside by
+	// Options.QuarantineCorrupt.
 	wal         *wal.Log
-	dur         *durability
 	quarantined atomic.Int64
 
 	// wireStats, when set (SetWireStats), are the wire listener's traffic
@@ -175,22 +165,21 @@ func Open(opts Options) (*Manager, error) {
 	}
 	if opts.WAL {
 		wlog, err := wal.Open(wal.Options{
-			Dir:           filepath.Join(opts.DataDir, "wal"),
-			FS:            m.fs,
-			SegmentBytes:  opts.WALSegmentBytes,
-			FlushInterval: opts.WALFlushInterval,
-			Logf:          opts.Logf,
+			Dir:          filepath.Join(opts.DataDir, "wal"),
+			FS:           m.fs,
+			SegmentBytes: opts.WALSegmentBytes,
+			RearmDelay:   opts.DegradedRetry,
+			Logf:         opts.Logf,
 		}, m.replayWAL)
 		if err != nil {
 			m.closeTrackers()
 			return nil, fmt.Errorf("service: opening wal: %w", err)
 		}
 		m.wal = wlog
-		m.dur = newDurability(wlog, opts.Logf, opts.DegradedRetry)
 		m.mu.Lock()
 		for _, t := range m.trackers {
 			if t.persistable {
-				t.dur = m.dur
+				t.wal = wlog
 			}
 		}
 		m.mu.Unlock()
@@ -279,13 +268,51 @@ func (m *Manager) replayWAL(rec *wal.Record) error {
 }
 
 // Degraded returns the degraded-mode error when the manager has lost
-// its durability guarantee (ingest is rejected until the background
-// loop re-arms the WAL), or nil while healthy or WAL-less.
+// its durability guarantee (ingest is rejected until the WAL re-arms
+// itself), or nil while healthy or WAL-less.
 func (m *Manager) Degraded() error {
-	if m.dur == nil {
+	if m.wal == nil {
 		return nil
 	}
-	return m.dur.gate()
+	return gate(m.wal)
+}
+
+// gate, stage and commit are the service's side of the write-ahead log.
+// Healthy path: stage a record inside the tracker-lock critical section
+// that applies the batch (LSN order = apply order), commit outside it,
+// acknowledge only after both. A damaged log (a failed write or fsync;
+// it re-arms itself) is degraded mode: each helper maps the failure onto
+// ErrDegraded (HTTP 503 + Retry-After), while queries, metrics and the
+// wire path (whose durability is watermark retransmit, not the WAL) keep
+// serving. Every other error — a closed log, a record the encoder
+// rejects — is reported as it is.
+
+// gate returns ErrDegraded wrapping the log's damage, or nil while the
+// log is armed. Ingest paths call it before taking an admission slot.
+func gate(l *wal.Log) error {
+	if err := l.Damaged(); err != nil {
+		return fmt.Errorf("%w: %w", ErrDegraded, err)
+	}
+	return nil
+}
+
+// stage appends one record, assigning its LSN. On any error the batch
+// must not be applied.
+func stage(l *wal.Log, rec *wal.Record) (uint64, error) {
+	lsn, err := l.Append(rec)
+	if err != nil && l.Damaged() != nil {
+		err = fmt.Errorf("%w: %w", ErrDegraded, err)
+	}
+	return lsn, err
+}
+
+// commit blocks until the record's group commit lands.
+func commit(l *wal.Log, lsn uint64) error {
+	err := l.WaitDurable(lsn)
+	if err != nil && l.Damaged() != nil {
+		err = fmt.Errorf("%w: %w", ErrDegraded, err)
+	}
+	return err
 }
 
 // buildSession normalizes a spec, builds its session, and echoes the
@@ -345,8 +372,8 @@ func (m *Manager) Create(name string, spec Spec) (*Tracker, error) {
 	}
 	t := newTracker(m, name, spec, sess)
 	var createLSN uint64
-	if m.dur != nil && t.persistable {
-		t.dur = m.dur
+	if m.wal != nil && t.persistable {
+		t.wal = m.wal
 		// Stage the create record while holding the registry lock, so any
 		// batch staged through the just-published tracker gets a later
 		// LSN: replay always sees the create first. (If the record never
@@ -355,7 +382,7 @@ func (m *Manager) Create(name string, spec Spec) (*Tracker, error) {
 		// an unlogged tracker.)
 		blob, jerr := json.Marshal(spec)
 		if jerr == nil {
-			createLSN, jerr = m.dur.stage(&wal.Record{Kind: wal.KindCreate, Tracker: name, Spec: blob})
+			createLSN, jerr = stage(m.wal, &wal.Record{Kind: wal.KindCreate, Tracker: name, Spec: blob})
 		}
 		if jerr != nil {
 			m.mu.Unlock()
@@ -370,8 +397,8 @@ func (m *Manager) Create(name string, spec Spec) (*Tracker, error) {
 	m.trackers[name] = t
 	m.mu.Unlock()
 
-	if m.dur != nil && t.persistable {
-		if err := m.dur.waitDurable(createLSN); err != nil {
+	if t.wal != nil {
+		if err := commit(t.wal, createLSN); err != nil {
 			m.mu.Lock()
 			if cur, ok := m.trackers[name]; ok && cur == t {
 				delete(m.trackers, name)
@@ -418,13 +445,13 @@ func (m *Manager) List() []*Tracker {
 func (m *Manager) Delete(name string) error {
 	m.mu.Lock()
 	t, ok := m.trackers[name]
-	if ok && t.dur != nil {
+	if ok && t.wal != nil {
 		// The registry still holds the tracker while the delete record
 		// commits, so a failed commit leaves it fully serviceable.
-		lsn, err := t.dur.stage(&wal.Record{Kind: wal.KindDelete, Tracker: name})
+		lsn, err := stage(t.wal, &wal.Record{Kind: wal.KindDelete, Tracker: name})
 		if err == nil {
 			m.mu.Unlock()
-			err = t.dur.waitDurable(lsn)
+			err = commit(t.wal, lsn)
 			m.mu.Lock()
 		}
 		if err != nil {
@@ -498,12 +525,8 @@ func (m *Manager) Close() error {
 	}
 	err := m.CheckpointAll()
 	// The final checkpoint covers the whole log (when it succeeded), so
-	// CheckpointAll's compaction pass has already shrunk the WAL; close
-	// it after the degraded-mode retry loop so nothing re-arms a log
-	// that is going away.
-	if m.dur != nil {
-		m.dur.close()
-	}
+	// CheckpointAll's compaction pass has already shrunk the WAL; closing
+	// it stops its re-arm loop too.
 	if m.wal != nil {
 		if werr := m.wal.Close(); werr != nil {
 			err = errors.Join(err, fmt.Errorf("service: closing wal: %w", werr))

@@ -88,8 +88,8 @@ type WireMetrics struct {
 
 // DurabilityMetrics is the /metrics durability section, present on
 // WAL-enabled managers: the write-ahead log's counters plus the
-// degraded-mode state (ingest rejected with 503 until the re-arm loop
-// restores the disk).
+// degraded-mode state read from them (ingest rejected with 503 until the
+// log's re-arm loop restores the disk).
 type DurabilityMetrics struct {
 	Degraded      bool   `json:"degraded"`
 	DegradedError string `json:"degraded_error,omitempty"`
@@ -177,14 +177,14 @@ func (m *Manager) Metrics() Metrics {
 		Trackers:               make(map[string]TrackerMetrics),
 		QuarantinedCheckpoints: m.quarantined.Load(),
 	}
-	if m.dur != nil {
-		cause, entered, rearmed := m.dur.snapshot()
+	if m.wal != nil {
+		st := m.wal.Stats()
 		out.Durability = &DurabilityMetrics{
-			Degraded:      cause != "",
-			DegradedError: cause,
-			TimesDegraded: entered,
-			TimesRearmed:  rearmed,
-			WAL:           m.wal.Stats(),
+			Degraded:      st.Damaged != "",
+			DegradedError: st.Damaged,
+			TimesDegraded: st.Degradations,
+			TimesRearmed:  st.Rearms,
+			WAL:           st,
 		}
 	}
 	var netRows int64

@@ -82,7 +82,7 @@ var (
 	// ErrDegraded reports a durable ingest refused because the manager's
 	// write-ahead log lost its disk (a failed write or fsync) and the
 	// service is running degraded: queries and metrics keep serving, but
-	// nothing new may be acknowledged until the background re-arm loop
+	// nothing new may be acknowledged until the log's own re-arm loop
 	// restores durability. HTTP maps it to 503 with a Retry-After header.
 	ErrDegraded = errors.New("service: durability degraded")
 )

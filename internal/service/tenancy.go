@@ -75,7 +75,7 @@ func (m *Manager) hibernate(t *Tracker) bool {
 	if m.opts.DataDir == "" || !t.persistable || t.deleted.Load() {
 		return false
 	}
-	if m.dur != nil && m.dur.gate() != nil {
+	if m.wal != nil && m.wal.Damaged() != nil {
 		return false
 	}
 	// A tracker faulted in by a query and never written to is still clean:

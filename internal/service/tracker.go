@@ -72,7 +72,7 @@ type Tracker struct {
 	//distlint:guarded-by mu
 	wmDurable map[int]uint64
 
-	// dur, when set (WAL-enabled manager, persistable tracker), write-ahead
+	// wal, when set (WAL-enabled manager, persistable tracker), write-ahead
 	// logs every direct/HTTP batch before it is applied. walLSN is the
 	// LSN of the tracker's last own log record — staged in the same mu
 	// critical section as the apply, so a checkpoint captured under mu
@@ -81,7 +81,7 @@ type Tracker struct {
 	// file covers: the tracker's WAL compaction floor while it trails
 	// walLSN, and the cursor a fault-in checks the file against (a stub's
 	// walLSN equals it — see tenancy.go).
-	dur *durability
+	wal *wal.Log
 	//distlint:guarded-by mu
 	walLSN  uint64
 	walCkpt atomic.Uint64
@@ -231,9 +231,9 @@ func (t *Tracker) apply(req ingestReq) error {
 	}
 	var walLSN uint64
 	logged := false
-	if t.dur != nil && req.seq == 0 {
+	if t.wal != nil && req.seq == 0 {
 		if rec := walRecord(t.name, req); rec != nil {
-			lsn, err := t.dur.stage(rec)
+			lsn, err := stage(t.wal, rec)
 			if err != nil {
 				// Nothing reached the log; applying would make state the
 				// replay cannot reproduce, so reject the batch whole.
@@ -251,7 +251,7 @@ func (t *Tracker) apply(req ingestReq) error {
 	t.mu.Unlock()
 	t.touch()
 	if logged {
-		if derr := t.dur.waitDurable(walLSN); derr != nil {
+		if derr := commit(t.wal, walLSN); derr != nil {
 			return derr
 		}
 	}
@@ -365,8 +365,8 @@ func (t *Tracker) admit(ctx context.Context) error {
 // admitted the batch is applied whole or not at all, whatever becomes of
 // ctx: req's buffers are the caller's again when ingest returns.
 func (t *Tracker) ingest(ctx context.Context, req ingestReq) error {
-	if t.dur != nil && req.seq == 0 {
-		if err := t.dur.gate(); err != nil {
+	if t.wal != nil && req.seq == 0 {
+		if err := gate(t.wal); err != nil {
 			return err
 		}
 	}

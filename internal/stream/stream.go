@@ -47,9 +47,10 @@ func (s Stats) String() string {
 		s.UpMsgs, s.DownMsgs, s.Broadcasts, s.UpUnits+s.DownUnits, s.UpUnits, s.DownUnits)
 }
 
-// CheckSites reports whether m is a valid site count. The error-returning
-// constructors funnel through it, as do the panicking shims, so the two
-// paths agree on what is valid.
+// CheckSites reports whether m is a valid site count. Protocol
+// constructors report it as an error; the constructors here, whose
+// callers have already checked, panic on it — so both agree on what is
+// valid.
 func CheckSites(m int) error {
 	if m < 1 {
 		return fmt.Errorf("stream: need m ≥ 1 sites, got %d", m)
@@ -71,24 +72,14 @@ type Accountant struct {
 	stats Stats
 }
 
-// NewCheckedAccountant returns an accountant for m ≥ 1 sites, or an error
-// for an invalid site count.
-func NewCheckedAccountant(m int) (*Accountant, error) {
-	if err := CheckSites(m); err != nil {
-		return nil, err
-	}
-	return &Accountant{m: m}, nil
-}
-
 // NewAccountant returns an accountant for m ≥ 1 sites, for callers that
-// have already validated m (every protocol constructor has); an invalid
-// site count panics. NewCheckedAccountant reports it as an error instead.
+// have already validated m (every protocol constructor has, through
+// CheckSites); an invalid site count panics.
 func NewAccountant(m int) *Accountant {
-	a, err := NewCheckedAccountant(m)
-	if err != nil {
+	if err := CheckSites(m); err != nil {
 		panic(err.Error())
 	}
-	return a
+	return &Accountant{m: m}
 }
 
 // Sites returns m.

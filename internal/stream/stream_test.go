@@ -128,24 +128,26 @@ func TestConstructorsValidate(t *testing.T) {
 	}
 }
 
-func TestCheckedAccountant(t *testing.T) {
-	if _, err := NewCheckedAccountant(0); err == nil {
-		t.Fatal("expected error for m = 0")
-	}
+func TestAccountant(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewAccountant(0) did not panic")
+			}
+		}()
+		NewAccountant(0)
+	}()
 	if err := CheckSites(-3); err == nil {
 		t.Fatal("expected error for m = -3")
 	}
-	a, err := NewCheckedAccountant(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAccountant(2)
 	a.SendUp(3)
 	a.Broadcast(1)
 	want := Stats{UpMsgs: 1, UpUnits: 3, Broadcasts: 1, DownMsgs: 2, DownUnits: 2}
 	if a.Stats() != want {
 		t.Fatalf("stats %v, want %v", a.Stats(), want)
 	}
-	b, _ := NewCheckedAccountant(2)
+	b := NewAccountant(2)
 	b.RestoreStats(a.Stats())
 	if b.Stats() != want {
 		t.Fatalf("restored stats %v, want %v", b.Stats(), want)

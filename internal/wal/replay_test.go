@@ -85,10 +85,10 @@ func TestReplayFromAfterCompaction(t *testing.T) {
 
 func TestReplayFromIncludesStagedTail(t *testing.T) {
 	dir := t.TempDir()
-	// A huge flush interval keeps appends staged in memory; ReplayFrom
-	// must still deliver them — they are applied state awaiting group
-	// commit.
-	l, _ := collectOpen(t, Options{Dir: dir, FlushInterval: 3600e9})
+	// With no WaitDurable caller to lead a flush, appends stay staged in
+	// memory; ReplayFrom must still deliver them — they are applied state
+	// awaiting group commit.
+	l, _ := collectOpen(t, Options{Dir: dir})
 	defer l.Close()
 	want := testRecords(6)
 	for i := range want {

@@ -8,11 +8,9 @@
 // Append stages a record and assigns its LSN under the log mutex — call
 // it inside the same critical section that applies the batch, so LSN
 // order equals apply order. WaitDurable then blocks until an fsync
-// covers the LSN: with FlushInterval zero the first waiter becomes the
-// flush leader and writes+syncs everything staged (group commit — while
-// one fsync is in flight, later appends stage behind it and ride the
-// next one); with a positive interval a background ticker flushes, so
-// commits batch at that cadence.
+// covers the LSN: the first waiter becomes the flush leader and
+// writes+syncs everything staged (group commit — while one fsync is in
+// flight, later appends stage behind it and ride the next one).
 //
 // # Recovery
 //
@@ -34,8 +32,9 @@
 // discarded (its waiters get the error; nothing was acknowledged) and
 // every Append/WaitDurable fails with the same error until Rearm
 // truncates the active segment back to its durable length and proves a
-// fresh sync. The service layer maps damaged onto its degraded mode and
-// drives Rearm from an exponential-backoff retry loop.
+// fresh sync. The log re-arms itself: damage starts a background loop
+// that retries Rearm with exponential backoff until it succeeds or the
+// log closes. The service layer maps damage onto its degraded mode.
 //
 // # Compaction
 //
@@ -77,12 +76,9 @@ type Options struct {
 	// that leaves the active segment at or beyond it opens a new segment.
 	SegmentBytes int64
 
-	// FlushInterval selects the group-commit cadence: zero (default)
-	// means leader-driven — the first WaitDurable caller flushes
-	// immediately and concurrent callers ride the same fsync; a positive
-	// interval means a background ticker flushes at that period and
-	// waiters block until their record's flush lands.
-	FlushInterval time.Duration
+	// RearmDelay is the first backoff of the re-arm loop a damaged log
+	// runs (default 100ms, doubling to 32×).
+	RearmDelay time.Duration
 
 	// Logf, when set, receives operational log lines (torn-tail
 	// truncations, re-arms).
@@ -95,6 +91,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
+	}
+	if o.RearmDelay <= 0 {
+		o.RearmDelay = 100 * time.Millisecond
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -121,6 +120,8 @@ type Stats struct {
 	Rotations         int64 `json:"rotations"`
 	SegmentsCompacted int64 `json:"segments_compacted"`
 	TornTruncations   int64 `json:"torn_truncations"`
+	Degradations      int64 `json:"degradations"` // times the log became damaged
+	Rearms            int64 `json:"rearms"`       // successful Rearm calls
 
 	Damaged string `json:"damaged,omitempty"` // sticky failure, "" when armed
 }
@@ -152,13 +153,15 @@ type Log struct {
 
 	flushing bool  //distlint:guarded-by mu
 	damaged  error //distlint:guarded-by mu
+	rearming bool  //distlint:guarded-by mu
 	closed   bool  //distlint:guarded-by mu
 
 	//distlint:guarded-by mu
-	appends, flushes, rotations, compacted, torn int64
+	appends, flushes, rotations, compacted, torn, degradations, rearms int64
 
-	stopFlush chan struct{}
-	flushWG   sync.WaitGroup
+	// stop, closed by Close, ends the re-arm loop; loops waits it out.
+	stop  chan struct{}
+	loops sync.WaitGroup
 }
 
 // Open scans the log directory, truncates any torn tail, replays every
@@ -167,18 +170,13 @@ type Log struct {
 // during the call. A non-nil error from fn aborts Open.
 func Open(opts Options, fn func(*Record) error) (*Log, error) {
 	opts = opts.withDefaults()
-	l := &Log{opts: opts, fs: opts.FS}
+	l := &Log{opts: opts, fs: opts.FS, stop: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.fs.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: log dir: %w", err)
 	}
 	if err := l.recover(fn); err != nil {
 		return nil, err
-	}
-	if opts.FlushInterval > 0 {
-		l.stopFlush = make(chan struct{})
-		l.flushWG.Add(1)
-		go l.flushLoop()
 	}
 	return l, nil
 }
@@ -208,9 +206,8 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	return rec.LSN, nil
 }
 
-// WaitDurable blocks until an fsync covers lsn. In leader-driven mode
-// the caller may perform the flush itself; concurrent waiters share one
-// fsync (group commit).
+// WaitDurable blocks until an fsync covers lsn. The caller may perform
+// the flush itself; concurrent waiters share one fsync (group commit).
 func (l *Log) WaitDurable(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -224,7 +221,7 @@ func (l *Log) WaitDurable(lsn uint64) error {
 		if l.closed {
 			return ErrClosed
 		}
-		if l.flushing || l.opts.FlushInterval > 0 {
+		if l.flushing {
 			l.cond.Wait()
 			continue
 		}
@@ -240,26 +237,7 @@ func (l *Log) Sync() error {
 	if staged == 0 {
 		return nil
 	}
-	// In interval mode a caller-forced sync still flushes directly rather
-	// than waiting a full tick.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.durableLSN >= staged {
-			return nil
-		}
-		if l.damaged != nil {
-			return l.damaged
-		}
-		if l.closed {
-			return ErrClosed
-		}
-		if l.flushing {
-			l.cond.Wait()
-			continue
-		}
-		l.flushLocked()
-	}
+	return l.WaitDurable(staged)
 }
 
 // flushLocked writes and fsyncs everything staged. Called with mu held
@@ -292,7 +270,7 @@ func (l *Log) flushLocked() {
 	l.flushing = false
 	l.flushes++
 	if err != nil {
-		l.damaged = fmt.Errorf("wal: flush: %w", err)
+		l.damageLocked(fmt.Errorf("wal: flush: %w", err))
 		// The staged bytes in buf (and anything staged since) may be
 		// partially on disk without a covering sync; none of it was
 		// acknowledged. Rearm discards the staged tail and truncates the
@@ -308,19 +286,57 @@ func (l *Log) flushLocked() {
 	l.cond.Broadcast()
 }
 
+// damageLocked marks a healthy log damaged and starts the re-arm loop
+// unless one is already running or the log is closing. Called with mu
+// held, from the flush that failed.
+func (l *Log) damageLocked(err error) {
+	l.damaged = err
+	l.degradations++
+	l.opts.Logf("wal: damaged, appends refused until re-arm: %v", err)
+	if !l.rearming && !l.closed {
+		l.rearming = true
+		l.loops.Add(1)
+		go l.rearmLoop()
+	}
+}
+
+// rearmLoop retries Rearm with exponential backoff until the log is
+// healthy again or closes. A successful Rearm clears rearming in the
+// critical section that clears damaged, so a failure right after it
+// starts a fresh loop.
+func (l *Log) rearmLoop() {
+	defer l.loops.Done()
+	delay := l.opts.RearmDelay
+	for {
+		timer := time.NewTimer(delay)
+		select {
+		case <-timer.C:
+		case <-l.stop:
+			timer.Stop()
+			return
+		}
+		err := l.Rearm()
+		if err == nil || errors.Is(err, ErrClosed) {
+			return
+		}
+		delay = min(2*delay, 32*l.opts.RearmDelay)
+		l.opts.Logf("wal: re-arm failed (next attempt in %v): %v", delay, err)
+	}
+}
+
 // rotateLocked closes the active segment and opens a fresh one named by
 // the next LSN to be assigned. Called with mu held, with nothing staged.
 func (l *Log) rotateLocked() {
 	path := l.segmentPath(l.nextLSN)
 	f, err := l.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
-		l.damaged = fmt.Errorf("wal: rotating: %w", err)
+		l.damageLocked(fmt.Errorf("wal: rotating: %w", err))
 		return
 	}
 	if err := l.fs.SyncDir(l.opts.Dir); err != nil {
 		f.Close()
 		_ = l.fs.Remove(path)
-		l.damaged = fmt.Errorf("wal: rotating: %w", err)
+		l.damageLocked(fmt.Errorf("wal: rotating: %w", err))
 		return
 	}
 	l.seg.Close()
@@ -360,7 +376,8 @@ func (l *Log) Rearm() error {
 		return err
 	}
 	l.seg = f
-	l.damaged = nil
+	l.damaged, l.rearming = nil, false
+	l.rearms++
 	l.opts.Logf("wal: re-armed at LSN %d (%s truncated to %d bytes)", l.durableLSN, l.segPath, l.segDurable)
 	l.cond.Broadcast()
 	return nil
@@ -448,6 +465,8 @@ func (l *Log) Stats() Stats {
 		Rotations:         l.rotations,
 		SegmentsCompacted: l.compacted,
 		TornTruncations:   l.torn,
+		Degradations:      l.degradations,
+		Rearms:            l.rearms,
 	}
 	for _, s := range l.segments {
 		st.Bytes += s.bytes
@@ -458,8 +477,8 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close flushes everything staged (when healthy), stops the background
-// flusher, and closes the active segment. Returns the sticky damage
+// Close flushes everything staged (when healthy), stops the re-arm
+// loop, and closes the active segment. Returns the sticky damage
 // error, if any — staged records behind a damaged log are NOT durable.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -480,33 +499,12 @@ func (l *Log) Close() error {
 	l.cond.Broadcast()
 	l.mu.Unlock()
 
-	if l.stopFlush != nil {
-		close(l.stopFlush)
-	}
-	l.flushWG.Wait()
+	close(l.stop)
+	l.loops.Wait()
 	if seg != nil {
 		if cerr := seg.Close(); err == nil {
 			err = cerr
 		}
 	}
 	return err
-}
-
-// flushLoop is the interval-mode group-commit ticker.
-func (l *Log) flushLoop() {
-	defer l.flushWG.Done()
-	ticker := time.NewTicker(l.opts.FlushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			l.mu.Lock()
-			if !l.flushing && !l.closed && l.damaged == nil && l.durableLSN < l.stagedLSN {
-				l.flushLocked()
-			}
-			l.mu.Unlock()
-		case <-l.stopFlush:
-			return
-		}
-	}
 }

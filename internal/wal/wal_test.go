@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/frame"
 	"repro/internal/vfs"
@@ -425,20 +427,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestFlushIntervalMode(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := collectOpen(t, Options{Dir: dir, FlushInterval: 1e6 /* 1ms */})
-	want := appendAll(t, l, testRecords(10))
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	l2, got := collectOpen(t, Options{Dir: dir})
-	defer l2.Close()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("interval-mode replay mismatch: %d vs %d records", len(got), len(want))
-	}
-}
-
 func TestDamageAndRearm(t *testing.T) {
 	dir := t.TempDir()
 	fault := vfs.NewFault(vfs.OS())
@@ -497,6 +485,80 @@ func TestDamageAndRearm(t *testing.T) {
 	}
 	if got[len(got)-1].LSN != postLSN {
 		t.Fatalf("last replayed LSN %d, want %d", got[len(got)-1].LSN, postLSN)
+	}
+}
+
+// damage appends one record behind a failing fsync and returns the
+// injected error, leaving the log damaged and its re-arm loop running.
+func damage(t *testing.T, l *Log, fault *vfs.Fault) error {
+	t.Helper()
+	boom := errors.New("injected fsync failure")
+	fault.FailOp(vfs.OpSync, boom)
+	lsn, err := l.Append(&Record{Kind: KindDelete, Tracker: "x"})
+	if err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l.WaitDurable(lsn); !errors.Is(err, boom) {
+		t.Fatalf("WaitDurable under failure = %v, want %v", err, boom)
+	}
+	return boom
+}
+
+// TestDamageRearmsItself: once the disk heals, a damaged log re-arms
+// from its own loop, with no Rearm call from outside; the failed
+// attempts before that count no second degradation.
+func TestDamageRearmsItself(t *testing.T) {
+	fault := vfs.NewFault(vfs.OS())
+	l, _ := collectOpen(t, Options{Dir: t.TempDir(), FS: fault, RearmDelay: time.Millisecond})
+	defer l.Close()
+	appendAll(t, l, testRecords(3))
+	damage(t, l, fault)
+	time.Sleep(20 * time.Millisecond) // a few failed attempts
+	if l.Damaged() == nil {
+		t.Fatal("re-armed while fsync still fails")
+	}
+
+	fault.ClearOp(vfs.OpSync)
+	deadline := time.Now().Add(10 * time.Second)
+	for l.Damaged() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("log did not re-arm after the disk healed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := l.Stats(); st.Degradations != 1 || st.Rearms != 1 {
+		t.Fatalf("Degradations = %d, Rearms = %d; want 1 and 1", st.Degradations, st.Rearms)
+	}
+	lsn, err := l.Append(&Record{Kind: KindDelete, Tracker: "y"})
+	if err != nil {
+		t.Fatalf("Append after re-arm: %v", err)
+	}
+	if err := l.WaitDurable(lsn); err != nil || l.DurableLSN() < lsn {
+		t.Fatalf("WaitDurable after re-arm: %v (durable LSN %d < %d)", err, l.DurableLSN(), lsn)
+	}
+}
+
+// TestCloseStopsRearmLoop: Close on a log that is still damaged returns
+// the damage at once, without waiting out the loop's backoff, and leaves
+// no goroutine behind.
+func TestCloseStopsRearmLoop(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fault := vfs.NewFault(vfs.OS())
+	l, _ := collectOpen(t, Options{Dir: t.TempDir(), FS: fault, RearmDelay: time.Hour})
+	boom := damage(t, l, fault)
+	start := time.Now()
+	if err := l.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close of a damaged log = %v, want %v", err, boom)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close took %v", d)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -93,89 +93,62 @@ func notPersistable(format string, args ...any) error {
 // A nil result means persistable; otherwise the ErrNotPersistable explains
 // why.
 func (s *Session) Persistable() error {
-	switch s.kind {
-	case matrixKind:
-		switch t := s.mat.(type) {
-		case *core.P2:
-		case *core.ShardedTracker:
-			if !t.SnapshotableP2() {
-				return notPersistable("sharded matrix tracker %q has no snapshot support (persistable shards: p2)", s.proto)
-			}
-		default:
-			return notPersistable("matrix tracker %q has no snapshot support (persistable: p2)", s.proto)
-		}
-	case hhKind:
-		switch p := s.hhp.(type) {
-		case *hh.P2, *hh.Exact:
-		case *hh.Sharded:
-			// Shard types never mix (one builder), so probing shard 0
-			// answers for the fleet.
-			switch p.Shard(0).(type) {
-			case *hh.P2, *hh.Exact:
-			default:
-				return notPersistable("sharded heavy-hitters protocol %q has no snapshot support (persistable shards: p2, exact)", s.proto)
-			}
-		default:
-			return notPersistable("heavy-hitters protocol %q has no snapshot support (persistable: p2, exact)", s.proto)
-		}
+	if _, err := s.snapshotter(); err != nil {
+		return err
 	}
 	_, _, err := s.assignerState()
 	return err
 }
 
-// trackerSnapshot extracts the serializable state of the session's tracker,
-// or ErrNotPersistable.
-func (s *Session) trackerSnapshot() (any, error) {
+// snapshotter decides whether the session's tracker can be serialized:
+// it returns the function that captures the tracker's state, or
+// ErrNotPersistable. It captures nothing itself.
+func (s *Session) snapshotter() (func() (any, error), error) {
 	switch s.kind {
 	case matrixKind:
 		switch t := s.mat.(type) {
 		case *core.P2:
-			return t.Snapshot(), nil
+			return func() (any, error) { return t.Snapshot(), nil }, nil
 		case *core.ShardedTracker:
-			snap, err := t.SnapshotShardedP2()
-			if err != nil {
-				return nil, notPersistable("%v", err)
+			if t.SnapshotableP2() {
+				return func() (any, error) { return captured(t.SnapshotShardedP2()) }, nil
 			}
-			return snap, nil
-		default:
-			return nil, notPersistable("matrix tracker %q has no snapshot support (persistable: p2)", s.proto)
+			return nil, notPersistable("sharded matrix tracker %q has no snapshot support (persistable shards: p2)", s.proto)
 		}
+		return nil, notPersistable("matrix tracker %q has no snapshot support (persistable: p2)", s.proto)
 	case hhKind:
 		switch p := s.hhp.(type) {
 		case *hh.P2:
-			return p.Snapshot(), nil
+			return func() (any, error) { return p.Snapshot(), nil }, nil
 		case *hh.Exact:
-			return p.Snapshot(), nil
+			return func() (any, error) { return p.Snapshot(), nil }, nil
 		case *hh.Sharded:
+			// Shard types never mix (one builder), so probing shard 0
+			// answers for the fleet.
 			switch p.Shard(0).(type) {
 			case *hh.P2:
-				snap, err := hh.SnapshotSharded(p)
-				if err != nil {
-					return nil, notPersistable("%v", err)
-				}
-				return snap, nil
+				return func() (any, error) { return captured(hh.SnapshotSharded(p)) }, nil
 			case *hh.Exact:
-				snap, err := hh.SnapshotShardedExact(p)
-				if err != nil {
-					return nil, notPersistable("%v", err)
-				}
-				return snap, nil
-			default:
-				return nil, notPersistable("sharded heavy-hitters protocol %q has no snapshot support (persistable shards: p2, exact)", s.proto)
+				return func() (any, error) { return captured(hh.SnapshotShardedExact(p)) }, nil
 			}
-		default:
-			return nil, notPersistable("heavy-hitters protocol %q has no snapshot support (persistable: p2, exact)", s.proto)
+			return nil, notPersistable("sharded heavy-hitters protocol %q has no snapshot support (persistable shards: p2, exact)", s.proto)
 		}
-	default:
-		if sq, ok := s.qt.(*quantile.Sharded); ok {
-			snap, err := quantile.SnapshotSharded(sq)
-			if err != nil {
-				return nil, notPersistable("%v", err)
-			}
-			return snap, nil
-		}
-		return s.qt.(*quantile.Tracker).Snapshot(), nil
+		return nil, notPersistable("heavy-hitters protocol %q has no snapshot support (persistable: p2, exact)", s.proto)
 	}
+	if sq, ok := s.qt.(*quantile.Sharded); ok {
+		return func() (any, error) { return captured(quantile.SnapshotSharded(sq)) }, nil
+	}
+	qt := s.qt.(*quantile.Tracker)
+	return func() (any, error) { return qt.Snapshot(), nil }, nil
+}
+
+// captured boxes a sharded snapshot, reporting a failed capture (a shard
+// worker's terminal failure) as ErrNotPersistable.
+func captured[T any](snap T, err error) (any, error) {
+	if err != nil {
+		return nil, notPersistable("%v", err)
+	}
+	return snap, nil
 }
 
 // assignerState extracts the persisted assigner discriminator.
@@ -195,7 +168,11 @@ func (s *Session) assignerState() (kind string, seed int64, err error) {
 // cannot be reconstructed (see the package notes above); every other error
 // comes from w.
 func (s *Session) SaveState(w io.Writer) error {
-	tracker, err := s.trackerSnapshot()
+	capture, err := s.snapshotter()
+	if err != nil {
+		return err
+	}
+	tracker, err := capture()
 	if err != nil {
 		return err
 	}

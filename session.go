@@ -445,7 +445,7 @@ func (s *Session) ProcessRows(rows [][]float64) error {
 	}
 	s.draws += int64(n)
 	if s.Shards() > 1 {
-		s.ingestCoalesced(rows[:n], sites)
+		coalesce(s, &s.runBuf, rows[:n], sites, s.ingestRows)
 		return dimErr
 	}
 	for start := 0; start < n; {
@@ -459,22 +459,23 @@ func (s *Session) ProcessRows(rows [][]float64) error {
 	return dimErr
 }
 
-// ingestCoalesced regroups an assigner-dealt batch into one run per site —
-// sites ordered by first appearance, rows in stream order within each
-// site — and hands every run to the tracker as a single block. Only
-// sharded sessions take this path: their workers consume whole blocks, so
-// the ~length-1 runs a per-row assigner (round-robin, uniform) produces
+// coalesce regroups an assigner-dealt batch — rows or items — into one
+// run per site, sites ordered by first appearance and elements in stream
+// order within each site, and hands every run to ingest as a single
+// block, staged in the session's pooled run buffer *buf. Only sharded
+// sessions take this path: their workers consume whole blocks, so the
+// ~length-1 runs a per-row assigner (round-robin, uniform) produces
 // would degrade the shard pipeline to single-row blocks and forfeit the
 // blocked fast path. Unsharded sessions keep consecutive-run splitting,
 // which stays bit-identical to per-row ingestion; a sharded session's
 // state already depends on block boundaries (see ProcessRows), and any
-// grouping satisfies the same covariance guarantee.
+// grouping satisfies the same guarantee.
 //
 //distlint:hotpath
-func (s *Session) ingestCoalesced(rows [][]float64, sites []int) {
-	n := len(rows)
-	if cap(s.runBuf) < n {
-		s.runBuf = make([][]float64, n) //distlint:alloc-ok pool growth to the new high-water batch size
+func coalesce[T any](s *Session, buf *[]T, elems []T, sites []int, ingest func(site int, run []T)) {
+	n := len(elems)
+	if cap(*buf) < n {
+		*buf = make([]T, n) //distlint:alloc-ok pool growth to the new high-water batch size
 	}
 	if len(s.siteSeen) < s.cfg.Sites {
 		s.siteSeen = make([]bool, s.cfg.Sites) //distlint:alloc-ok sized once by the fixed site count
@@ -486,22 +487,20 @@ func (s *Session) ingestCoalesced(rows [][]float64, sites []int) {
 			continue
 		}
 		s.siteSeen[site] = true
-		run := s.runBuf[:0]
+		run := (*buf)[:0]
 		for j := start; j < n; j++ {
 			if sites[j] == site {
-				run = append(run, rows[j]) //distlint:alloc-ok cap(runBuf) ≥ n: never grows
+				run = append(run, elems[j]) //distlint:alloc-ok cap(*buf) ≥ n: never grows
 			}
 		}
-		if len(run) > maxRun {
-			maxRun = len(run)
-		}
-		s.ingestRows(site, run)
+		maxRun = max(maxRun, len(run))
+		ingest(site, run)
 	}
 	for _, site := range sites {
 		s.siteSeen[site] = false
 	}
-	// Drop the borrowed row headers so the pool does not pin caller slices.
-	clear(s.runBuf[:maxRun])
+	// Drop borrowed row headers so the pool does not pin caller slices.
+	clear((*buf)[:maxRun])
 }
 
 // ProcessRowsAt ingests a batch of matrix rows at an explicit site as one
@@ -633,46 +632,13 @@ func (s *Session) ProcessItems(items []WeightedItem) error {
 	}
 	s.draws += int64(n)
 	if s.Shards() > 1 {
-		s.ingestItemsCoalesced(items, sites)
+		coalesce(s, &s.itemBuf, items, sites, s.ingestItems)
 		return nil
 	}
 	for i, it := range items {
 		s.ingestItem(sites[i], it)
 	}
 	return nil
-}
-
-// ingestItemsCoalesced regroups an assigner-dealt item batch into one run
-// per site — sites ordered by first appearance, items in stream order
-// within each site — and deals every run to the sharded tracker as a
-// single batch, mirroring ingestCoalesced on the rows path.
-//
-//distlint:hotpath
-func (s *Session) ingestItemsCoalesced(items []WeightedItem, sites []int) {
-	n := len(items)
-	if cap(s.itemBuf) < n {
-		s.itemBuf = make([]WeightedItem, n) //distlint:alloc-ok pool growth to the new high-water batch size
-	}
-	if len(s.siteSeen) < s.cfg.Sites {
-		s.siteSeen = make([]bool, s.cfg.Sites) //distlint:alloc-ok sized once by the fixed site count
-	}
-	for start := 0; start < n; start++ {
-		site := sites[start]
-		if s.siteSeen[site] {
-			continue
-		}
-		s.siteSeen[site] = true
-		run := s.itemBuf[:0]
-		for j := start; j < n; j++ {
-			if sites[j] == site {
-				run = append(run, items[j]) //distlint:alloc-ok cap(itemBuf) ≥ n: never grows
-			}
-		}
-		s.ingestItems(site, run)
-	}
-	for _, site := range sites {
-		s.siteSeen[site] = false
-	}
 }
 
 // ProcessItemsAt ingests a batch of weighted items at an explicit site as

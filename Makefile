@@ -21,9 +21,10 @@ build:
 # 386 and runs the frame codec and its two users there, the portable
 # Gram body (its row offsets i·d + m) with the FD sketch over it, and the
 # service, whose JSON digit walk reads unchecked and whose decoders do
-# index math: a 32-bit int is where a length check or an index that
-# multiplies wraps first. -short skips the wall-clock guards, which time
-# the amd64 build. An arm64 vet type-checks the generic kernel bodies and
+# index math, with the item trackers behind its items route (internal/hh
+# and internal/quantile, whose q-digest node ids fill 63 bits): a 32-bit
+# int is where a length check or an index that multiplies wraps first.
+# -short skips the wall-clock guards, which time the amd64 build. An arm64 vet type-checks the generic kernel bodies and
 # the build tags on a second 64-bit architecture, one without the amd64
 # assembly.
 test:
@@ -32,7 +33,7 @@ test:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal
-	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch ./internal/service
+	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch ./internal/service ./internal/hh ./internal/quantile
 
 # Non-test Go outside bench/ and outside the analyzers' fixtures (sources
 # under internal/analysis/testdata that only the analyzer tests load): the

@@ -1,8 +1,6 @@
 package hh
 
 import (
-	"sort"
-
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -46,13 +44,8 @@ func (e *Exact) EstimateTotal() float64 { return e.total }
 func (e *Exact) Eps() float64 { return 0 }
 
 // Candidates implements Protocol.
-func (e *Exact) Candidates() []sketch.WeightedElement {
-	out := make([]sketch.WeightedElement, 0, len(e.freq))
-	for el, w := range e.freq {
-		out = append(out, sketch.WeightedElement{Elem: el, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Elem < out[j].Elem })
-	return out
+func (e *Exact) Candidates(floor float64) []sketch.WeightedElement {
+	return candidatesOf(e.freq, floor)
 }
 
 // Stats implements Protocol.

@@ -17,7 +17,9 @@
 package hh
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/gen"
 	"repro/internal/sketch"
@@ -34,9 +36,9 @@ type Protocol interface {
 	Estimate(elem uint64) float64
 	// EstimateTotal returns the coordinator's estimate Ŵ of the total weight.
 	EstimateTotal() float64
-	// Candidates returns every element the coordinator tracks with a nonzero
-	// estimate, for heavy-hitter extraction.
-	Candidates() []sketch.WeightedElement
+	// Candidates returns every tracked element whose estimate is at least
+	// floor (−Inf: all), for heavy-hitter extraction; it filters, then sorts.
+	Candidates(floor float64) []sketch.WeightedElement
 	// Eps returns the protocol's error parameter.
 	Eps() float64
 	// Stats returns the communication tally so far.
@@ -53,16 +55,26 @@ func HeavyHitters(p Protocol, phi float64) []sketch.WeightedElement {
 	if what <= 0 {
 		return nil
 	}
-	thresh := (phi - p.Eps()/2) * what
-	var out []sketch.WeightedElement
-	for _, c := range p.Candidates() {
-		if c.Weight >= thresh {
-			out = append(out, c)
-		}
-	}
+	out := p.Candidates((phi - p.Eps()/2) * what)
 	sketch.SortByWeightDesc(out)
 	return out
 }
+
+// candidatesOf returns the entries of est whose weight is at least floor,
+// by ascending element.
+func candidatesOf(est map[uint64]float64, floor float64) []sketch.WeightedElement {
+	var out []sketch.WeightedElement
+	for e, w := range est {
+		if w >= floor {
+			out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
+		}
+	}
+	slices.SortFunc(out, byElem)
+	return out
+}
+
+// byElem orders weighted elements by ascending element.
+func byElem(a, b sketch.WeightedElement) int { return cmp.Compare(a.Elem, b.Elem) }
 
 // Run feeds a materialized stream through a protocol, assigning each element
 // to a site with the given assigner.

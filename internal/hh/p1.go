@@ -102,8 +102,8 @@ func (p *P1) Estimate(elem uint64) float64 { return p.merged.Estimate(elem) }
 func (p *P1) EstimateTotal() float64 { return p.tally }
 
 // Candidates implements Protocol.
-func (p *P1) Candidates() []sketch.WeightedElement {
-	return p.merged.HeavyHitters(0)
+func (p *P1) Candidates(floor float64) []sketch.WeightedElement {
+	return p.merged.HeavyHitters(floor)
 }
 
 // Stats implements Protocol.

@@ -2,7 +2,6 @@ package hh
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -150,14 +149,10 @@ func (c *P2Coordinator) Estimate(elem uint64) float64 { return c.estimate[elem] 
 // EstimateTotal returns the running Ŵ.
 func (c *P2Coordinator) EstimateTotal() float64 { return c.what }
 
-// Candidates returns every tracked element, sorted by label.
-func (c *P2Coordinator) Candidates() []sketch.WeightedElement {
-	out := make([]sketch.WeightedElement, 0, len(c.estimate))
-	for e, w := range c.estimate {
-		out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Elem < out[j].Elem })
-	return out
+// Candidates returns every tracked element whose estimate is at least
+// floor, sorted by label.
+func (c *P2Coordinator) Candidates(floor float64) []sketch.WeightedElement {
+	return candidatesOf(c.estimate, floor)
 }
 
 // NewP2 builds the protocol for m sites with error parameter ε, using exact
@@ -194,7 +189,7 @@ func (p *P2) Estimate(elem uint64) float64 { return p.coord.Estimate(elem) }
 func (p *P2) EstimateTotal() float64 { return p.coord.EstimateTotal() }
 
 // Candidates implements Protocol.
-func (p *P2) Candidates() []sketch.WeightedElement { return p.coord.Candidates() }
+func (p *P2) Candidates(floor float64) []sketch.WeightedElement { return p.coord.Candidates(floor) }
 
 // Stats implements Protocol.
 func (p *P2) Stats() stream.Stats { return p.acct.Stats() }

@@ -66,7 +66,7 @@ func TestP2HalvesReplay(t *testing.T) {
 	if a, b := replay.EstimateTotal(), p.EstimateTotal(); math.Float64bits(a) != math.Float64bits(b) {
 		t.Fatalf("replayed Ŵ %v, tracker %v", a, b)
 	}
-	got, want := replay.Candidates(), p.Candidates()
+	got, want := replay.Candidates(math.Inf(-1)), p.Candidates(math.Inf(-1))
 	if len(got) != len(want) || len(want) == 0 {
 		t.Fatalf("replay tracks %d elements, tracker %d", len(got), len(want))
 	}

@@ -79,11 +79,12 @@ func (p *P3) Estimate(elem uint64) float64 { return p.coord.EstimateKey(elem) }
 func (p *P3) EstimateTotal() float64 { return p.coord.EstimateTotal() }
 
 // Candidates implements Protocol.
-func (p *P3) Candidates() []sketch.WeightedElement {
-	kws := p.coord.EstimateAll()
-	out := make([]sketch.WeightedElement, len(kws))
-	for i, kw := range kws {
-		out[i] = sketch.WeightedElement{Elem: kw.Key, Weight: kw.Weight}
+func (p *P3) Candidates(floor float64) []sketch.WeightedElement {
+	var out []sketch.WeightedElement
+	for _, kw := range p.coord.EstimateAll() {
+		if kw.Weight >= floor {
+			out = append(out, sketch.WeightedElement{Elem: kw.Key, Weight: kw.Weight})
+		}
 	}
 	return out
 }

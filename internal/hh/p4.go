@@ -3,7 +3,7 @@ package hh
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -117,12 +117,14 @@ func (p *P4) Estimate(elem uint64) float64 {
 func (p *P4) EstimateTotal() float64 { return p.weight.CoordinatorTally() }
 
 // Candidates implements Protocol.
-func (p *P4) Candidates() []sketch.WeightedElement {
-	out := make([]sketch.WeightedElement, 0, len(p.reports))
+func (p *P4) Candidates(floor float64) []sketch.WeightedElement {
+	var out []sketch.WeightedElement
 	for e := range p.reports {
-		out = append(out, sketch.WeightedElement{Elem: e, Weight: p.Estimate(e)})
+		if w := p.Estimate(e); w >= floor {
+			out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Elem < out[j].Elem })
+	slices.SortFunc(out, byElem)
 	return out
 }
 

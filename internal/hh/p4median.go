@@ -1,6 +1,8 @@
 package hh
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sketch"
@@ -65,21 +67,23 @@ func (p *P4Median) Estimate(elem uint64) float64 {
 // observations, so any copy's tracker serves).
 func (p *P4Median) EstimateTotal() float64 { return p.copies[0].EstimateTotal() }
 
-// Candidates implements Protocol: the union of the copies' candidates with
-// median estimates.
-func (p *P4Median) Candidates() []sketch.WeightedElement {
+// Candidates implements Protocol: the union of the copies' candidates
+// whose median estimate is at least floor.
+func (p *P4Median) Candidates(floor float64) []sketch.WeightedElement {
 	seen := make(map[uint64]bool)
 	var out []sketch.WeightedElement
 	for _, c := range p.copies {
-		for _, cand := range c.Candidates() {
+		for _, cand := range c.Candidates(math.Inf(-1)) {
 			if seen[cand.Elem] {
 				continue
 			}
 			seen[cand.Elem] = true
-			out = append(out, sketch.WeightedElement{Elem: cand.Elem, Weight: p.Estimate(cand.Elem)})
+			if w := p.Estimate(cand.Elem); w >= floor {
+				out = append(out, sketch.WeightedElement{Elem: cand.Elem, Weight: w})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Elem < out[j].Elem })
+	slices.SortFunc(out, byElem)
 	return out
 }
 

@@ -81,7 +81,7 @@ func TestP4MedianCandidatesDeduped(t *testing.T) {
 	p := NewP4Median(m, 0.2, 3, 49)
 	runProtocol(p, items, m)
 	seen := make(map[uint64]bool)
-	for _, c := range p.Candidates() {
+	for _, c := range p.Candidates(math.Inf(-1)) {
 		if seen[c.Elem] {
 			t.Fatalf("duplicate candidate %d", c.Elem)
 		}

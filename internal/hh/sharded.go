@@ -3,6 +3,7 @@ package hh
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -28,7 +29,6 @@ var ErrMergeMismatch = errors.New("hh: shard summary parameters mismatch")
 type MergedSummary struct {
 	mg       *sketch.MG // mergeable-summary path (P1); nil until first use
 	estimate map[uint64]float64
-	total    float64
 }
 
 // NewMergedSummary returns an empty accumulation target.
@@ -38,9 +38,6 @@ func NewMergedSummary() *MergedSummary {
 
 // AddEstimate folds one element estimate into the view.
 func (a *MergedSummary) AddEstimate(elem uint64, w float64) { a.estimate[elem] += w }
-
-// AddTotal folds one shard's total-weight estimate into the view.
-func (a *MergedSummary) AddTotal(w float64) { a.total += w }
 
 // MergeMG folds one shard's coordinator MG summary into the view's own MG,
 // returning ErrMergeMismatch (wrapped) if the capacities disagree.
@@ -63,28 +60,28 @@ func (a *MergedSummary) Estimate(elem uint64) float64 {
 	return v
 }
 
-// Total returns the merged Ŵ.
-func (a *MergedSummary) Total() float64 { return a.total }
-
-// Candidates returns every element the merged view tracks, in the
-// repository's canonical weight-desc/elem-asc order.
-func (a *MergedSummary) Candidates() []sketch.WeightedElement {
-	var mgCands []sketch.WeightedElement
+// Candidates returns every element whose merged estimate is at least
+// floor, in the repository's canonical weight-desc/elem-asc order.
+func (a *MergedSummary) Candidates(floor float64) []sketch.WeightedElement {
+	var mgCands, out []sketch.WeightedElement
 	if a.mg != nil {
 		mgCands = a.mg.HeavyHitters(0)
 	}
-	out := make([]sketch.WeightedElement, 0, len(a.estimate)+len(mgCands))
 	for _, c := range mgCands {
 		if w := a.estimate[c.Elem]; w != 0 {
 			c.Weight += w
 		}
-		out = append(out, c)
+		if c.Weight >= floor {
+			out = append(out, c)
+		}
 	}
 	for e, w := range a.estimate {
 		if a.mg != nil && a.mg.Estimate(e) != 0 {
-			continue // already emitted with the MG candidates
+			continue // already weighed with the MG candidates
 		}
-		out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
+		if w >= floor {
+			out = append(out, sketch.WeightedElement{Elem: e, Weight: w})
+		}
 	}
 	sketch.SortByWeightDesc(out)
 	return out
@@ -94,44 +91,36 @@ func (a *MergedSummary) Candidates() []sketch.WeightedElement {
 // state folds losslessly into a MergedSummary implement it (P1 merges its
 // coordinator MG, P2 and Exact add their estimate maps). Protocols without
 // it — the randomized P3/P4 family, whose coordinator state is not a
-// mergeable summary — fall back to Candidates()+EstimateTotal(), which
-// preserves the εW bound all the same: each shard's candidate estimates
-// carry that shard's error, and addition over shards sums both weight and
-// error.
+// mergeable summary — fall back to Candidates, which preserves the εW
+// bound all the same: each shard's candidate estimates carry that shard's
+// error, and addition over shards sums both weight and error.
 type Merger interface {
 	AccumulateInto(acc *MergedSummary) error
 }
 
 // AccumulateInto implements Merger for P1: the coordinator MG merges via
-// the mergeable-summaries rule and the tally adds.
+// the mergeable-summaries rule.
 func (p *P1) AccumulateInto(acc *MergedSummary) error {
 	if err := acc.MergeMG(p.merged); err != nil {
 		return fmt.Errorf("hh: P1 accumulate: %w", err)
 	}
-	acc.AddTotal(p.tally)
 	return nil
 }
 
-// AccumulateInto implements Merger for P2: the coordinator estimate map
-// and running total add. Each shard's Ŵ starts from the protocol's
-// initial lower bound of 1, so the merged total overcounts by P−1 — within
-// the εW slack for any non-trivial stream, exactly as the unsharded
-// protocol's own initial bound is.
+// AccumulateInto implements Merger for P2: the coordinator estimate map adds.
 func (p *P2) AccumulateInto(acc *MergedSummary) error {
 	for e, w := range p.coord.estimate {
 		acc.AddEstimate(e, w)
 	}
-	acc.AddTotal(p.coord.what)
 	return nil
 }
 
-// AccumulateInto implements Merger for Exact: frequencies and totals add,
-// keeping the merged view exact.
+// AccumulateInto implements Merger for Exact: frequencies add, keeping the
+// merged view exact.
 func (e *Exact) AccumulateInto(acc *MergedSummary) error {
 	for el, w := range e.freq {
 		acc.AddEstimate(el, w)
 	}
-	acc.AddTotal(e.total)
 	return nil
 }
 
@@ -141,10 +130,9 @@ func Accumulate(p Protocol, acc *MergedSummary) error {
 	if m, ok := p.(Merger); ok {
 		return m.AccumulateInto(acc)
 	}
-	for _, c := range p.Candidates() {
+	for _, c := range p.Candidates(math.Inf(-1)) {
 		acc.AddEstimate(c.Elem, c.Weight)
 	}
-	acc.AddTotal(p.EstimateTotal())
 	return nil
 }
 
@@ -203,11 +191,22 @@ func (s *Sharded) merged() *MergedSummary {
 // Estimate implements Protocol from the merged view.
 func (s *Sharded) Estimate(elem uint64) float64 { return s.merged().Estimate(elem) }
 
-// EstimateTotal implements Protocol from the merged view.
-func (s *Sharded) EstimateTotal() float64 { return s.merged().Total() }
+// EstimateTotal implements Protocol: the shards' Ŵs summed, no estimate
+// merged. Each starts from its protocol's initial lower bound (1 for P2):
+// the sum overcounts by up to P−1, within the εW slack as that bound is.
+func (s *Sharded) EstimateTotal() float64 {
+	s.Flush()
+	var total float64
+	for i := 0; i < s.ShardCount(); i++ {
+		total += s.Shard(i).EstimateTotal()
+	}
+	return total
+}
 
 // Candidates implements Protocol from the merged view, in the canonical
 // weight-desc/elem-asc order.
-func (s *Sharded) Candidates() []sketch.WeightedElement { return s.merged().Candidates() }
+func (s *Sharded) Candidates(floor float64) []sketch.WeightedElement {
+	return s.merged().Candidates(floor)
+}
 
 var _ Protocol = (*Sharded)(nil)

@@ -142,7 +142,7 @@ func TestShardedDeterministicItemReplay(t *testing.T) {
 				s := NewSharded(p, m, func(shard int) Protocol { return NewP3(m, eps, seed+int64(shard)) })
 				defer s.Close()
 				feedShardedItems(s, items, m, run)
-				return s.Stats(), s.EstimateTotal(), s.Candidates()
+				return s.Stats(), s.EstimateTotal(), s.Candidates(math.Inf(-1))
 			}
 			s1, t1, c1 := exec()
 			s2, t2, c2 := exec()
@@ -184,7 +184,7 @@ func TestShardedTieOrderingMatchesUnsharded(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("P=%d: merged ordered output diverges from unsharded on ties:\nwant %v\ngot  %v", p, want, got)
 		}
-		if !reflect.DeepEqual(sharded.Candidates(), bare.Candidates()) {
+		if !reflect.DeepEqual(sharded.Candidates(math.Inf(-1)), bare.Candidates(math.Inf(-1))) {
 			t.Errorf("P=%d: merged candidate order diverges from unsharded on ties", p)
 		}
 		sharded.Close()

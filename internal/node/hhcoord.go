@@ -75,15 +75,8 @@ func (c *HHCoordinator) HeavyHitters(phi float64) []sketch.WeightedElement {
 		return nil
 	}
 	c.mu.Lock()
-	cands := c.half.Candidates()
-	thresh := (phi - c.eps/2) * c.half.EstimateTotal()
+	out := c.half.Candidates((phi - c.eps/2) * c.half.EstimateTotal())
 	c.mu.Unlock()
-	var out []sketch.WeightedElement
-	for _, e := range cands {
-		if e.Weight >= thresh {
-			out = append(out, e)
-		}
-	}
 	sketch.SortByWeightDesc(out)
 	return out
 }

@@ -109,7 +109,7 @@ func TestLocalHHClusterReplay(t *testing.T) {
 	if !sameBits(history, cl.Coordinator.EstimateHistory()) {
 		t.Fatalf("replayed broadcasts %v, coordinator %v", history, cl.Coordinator.EstimateHistory())
 	}
-	cands := replay.Candidates()
+	cands := replay.Candidates(math.Inf(-1))
 	if len(cands) == 0 {
 		t.Fatal("replay tracks no element")
 	}

@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/gen"
 )
@@ -293,26 +294,34 @@ func (q *QDigest) rangeOf(n uint64) (lo, hi uint64) {
 }
 
 // Quantile returns a value whose weighted rank approximates phi·W within
-// ±εW. phi ∈ [0, 1].
+// ±εW. phi ∈ [0, 1]. It is Quantiles with one φ.
 func (q *QDigest) Quantile(phi float64) uint64 {
-	if phi < 0 || phi > 1 {
-		panic(fmt.Sprintf("quantile: need 0 ≤ φ ≤ 1, got %v", phi))
-	}
-	if q.Size() == 0 {
-		return 0
+	var v [1]uint64
+	return q.Quantiles([]float64{phi}, v[:0])[0]
+}
+
+// Quantiles appends Quantile(φ) for each φ of phis (each in [0, 1]) to out
+// from one ordered pass: nodes sorted and weights summed into a running
+// rank once, then per φ a binary search for the first node whose rank
+// reaches φ·W — the node a scan stops at, as the rank never falls.
+func (q *QDigest) Quantiles(phis []float64, out []uint64) []uint64 {
+	for _, phi := range phis {
+		if phi < 0 || phi > 1 {
+			panic(fmt.Sprintf("quantile: need 0 ≤ φ ≤ 1, got %v", phi))
+		}
 	}
 	// Order nodes by (hi, depth descending): the standard q-digest
 	// post-order traversal, so accumulating weights scans values in
 	// nondecreasing order of their upper bounds. The key is unique per node.
 	type entry struct {
-		hi     uint64
-		d      uint
-		weight float64
+		hi   uint64
+		d    uint
+		rank float64 // the node's weight, then the running sum through it
 	}
 	entries := make([]entry, 0, q.Size())
 	visit := func(n uint64, c float64) {
 		_, hi := q.rangeOf(n)
-		entries = append(entries, entry{hi: hi, d: depth(n), weight: c})
+		entries = append(entries, entry{hi: hi, d: depth(n), rank: c})
 	}
 	for _, nd := range q.nodes {
 		visit(nd.id, nd.w)
@@ -326,15 +335,20 @@ func (q *QDigest) Quantile(phi float64) uint64 {
 		}
 		return cmp.Compare(b.d, a.d)
 	})
-	target := phi * q.weight
 	var acc float64
-	for _, e := range entries {
-		acc += e.weight
-		if acc >= target {
-			return e.hi
-		}
+	for i := range entries {
+		acc += entries[i].rank
+		entries[i].rank = acc
 	}
-	return entries[len(entries)-1].hi
+	for _, phi := range phis {
+		// No node's rank reaches a NaN target (0·+Inf): a scan ends on the last.
+		target, v := phi*q.weight, uint64(0)
+		if k := sort.Search(len(entries), func(k int) bool { return entries[k].rank >= target }); len(entries) > 0 {
+			v = entries[min(k, len(entries)-1)].hi
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // RankBounds returns lower and upper bounds on the weighted rank of value v

@@ -251,8 +251,9 @@ func (t *oracleTracker) Process(site int, value uint64, w float64) {
 }
 
 // sameState reports the first way q differs from its oracle: ids and
-// Float64bits of every node weight, the total, compressAt, Size and
-// Quantile at five φ. It also checks q's own invariants: nodes strictly
+// Float64bits of every node weight, the total, compressAt, Size,
+// Quantile at five φ and Quantiles over seven, out of order and one twice.
+// It also checks q's own invariants: nodes strictly
 // ascending with no dead mark, fresh disjoint from nodes.
 func sameState(q *QDigest, o *oracleQDigest) error {
 	for i, nd := range q.nodes {
@@ -285,6 +286,12 @@ func sameState(q *QDigest, o *oracleQDigest) error {
 	for _, phi := range []float64{0, 0.1, 0.5, 0.9, 1} {
 		if a, b := q.Quantile(phi), o.Quantile(phi); a != b {
 			return fmt.Errorf("Quantile(%v) = %d, oracle %d", phi, a, b)
+		}
+	}
+	phis := []float64{0.9, 0, 0.5, 1, 0.25, 0.5, 0.1}
+	for i, v := range q.Quantiles(phis, nil) {
+		if b := o.Quantile(phis[i]); v != b {
+			return fmt.Errorf("Quantiles(%v)[%d] = %d, oracle Quantile(%v) %d", phis, i, v, phis[i], b)
 		}
 	}
 	return nil

@@ -22,6 +22,7 @@ type Summary interface {
 	Bits() uint
 	Process(site int, value uint64, w float64)
 	Quantile(phi float64) uint64
+	Quantiles(phis []float64, out []uint64) []uint64
 	EstimateTotal() float64
 	Stats() stream.Stats
 }
@@ -65,29 +66,32 @@ func (s *Sharded) Process(site int, value uint64, w float64) {
 // uncompressed accumulation digest. A universe mismatch is impossible for
 // builder-constructed shards and rejected during snapshot restore, so a
 // failure here is a program bug and panics with the wrapped error.
-func (s *Sharded) merged() (*QDigest, float64) {
+func (s *Sharded) merged() *QDigest {
 	s.Flush()
 	dst := NewQDigest(s.Bits(), s.Eps()/2)
-	var tally float64
 	for i := 0; i < s.ShardCount(); i++ {
-		tl, err := s.Shard(i).AccumulateInto(dst)
-		if err != nil {
+		if err := s.Shard(i).AccumulateInto(dst); err != nil {
 			panic(err)
 		}
-		tally += tl
 	}
-	return dst, tally
+	return dst
 }
 
 // Quantile implements Summary from the merged coordinator digest.
-func (s *Sharded) Quantile(phi float64) uint64 {
-	dst, _ := s.merged()
-	return dst.Quantile(phi)
+func (s *Sharded) Quantile(phi float64) uint64 { return s.merged().Quantile(phi) }
+
+// Quantiles implements Summary: every φ from one merged coordinator digest.
+func (s *Sharded) Quantiles(phis []float64, out []uint64) []uint64 {
+	return s.merged().Quantiles(phis, out)
 }
 
-// EstimateTotal implements Summary: the summed shard tallies.
+// EstimateTotal implements Summary: the shard tallies summed, no digest merged.
 func (s *Sharded) EstimateTotal() float64 {
-	_, tally := s.merged()
+	s.Flush()
+	var tally float64
+	for i := 0; i < s.ShardCount(); i++ {
+		tally += s.Shard(i).tally
+	}
 	return tally
 }
 

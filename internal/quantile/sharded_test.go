@@ -45,6 +45,38 @@ func feedBareValues(t *Tracker, items []wv, m, run int) {
 	}
 }
 
+// TestQuantilesMatchOnePhi holds a multi-φ answer to the one-φ answers,
+// value for value, on Tracker and on Sharded with one and three shards, at
+// every 1500 items of a stream: φ out of order, repeated, at 0 and at 1,
+// appended after what out already holds.
+func TestQuantilesMatchOnePhi(t *testing.T) {
+	const m, eps, bits, run = 4, 0.05, 12, 64
+	phis := []float64{0.99, 0, 0.5, 0.01, 1, 0.5, 0.3, 0.75}
+	items := randItems(rand.New(rand.NewSource(8)), 9000, bits, 100)
+	for _, shards := range []int{0, 1, 3} {
+		var s Summary = NewTracker(m, eps, bits)
+		if shards > 0 {
+			sh := NewSharded(shards, m, func(int) *Tracker { return NewTracker(m, eps, bits) })
+			defer sh.Close()
+			s = sh
+		}
+		for start := 0; start <= len(items); start += 1500 {
+			got := s.Quantiles(phis, []uint64{7})
+			if len(got) != 1+len(phis) || got[0] != 7 {
+				t.Fatalf("shards %d, %d items: Quantiles returned %v, want 7 and then %d values", shards, start, got, len(phis))
+			}
+			for i, phi := range phis {
+				if want := s.Quantile(phi); got[1+i] != want {
+					t.Errorf("shards %d, %d items: Quantiles(%v)[%d] = %d, Quantile(%v) = %d", shards, start, phis, i, got[1+i], phi, want)
+				}
+			}
+			for i, it := range items[start:min(start+1500, len(items))] {
+				s.Process(((start+i)/run)%m, it.v, it.w)
+			}
+		}
+	}
+}
+
 // TestShardedQuantileOneShardIdentity holds property 1 across a fine φ
 // grid.
 func TestShardedQuantileOneShardIdentity(t *testing.T) {
@@ -186,16 +218,15 @@ func TestAccumulateIntoMismatch(t *testing.T) {
 	tr := NewTracker(2, 0.1, 8)
 	tr.Process(0, 3, 1)
 	dst := NewQDigest(10, 0.05) // wrong universe
-	if _, err := tr.AccumulateInto(dst); !errors.Is(err, ErrMergeMismatch) {
+	if err := tr.AccumulateInto(dst); !errors.Is(err, ErrMergeMismatch) {
 		t.Fatalf("bits 8 into bits 10: err = %v, want ErrMergeMismatch", err)
 	}
 	ok := NewQDigest(8, 0.05)
-	tally, err := tr.AccumulateInto(ok)
-	if err != nil {
+	if err := tr.AccumulateInto(ok); err != nil {
 		t.Fatal(err)
 	}
-	if tally != tr.EstimateTotal() {
-		t.Fatalf("AccumulateInto tally = %v, want %v", tally, tr.EstimateTotal())
+	if ok.Weight() != tr.merged.Weight() {
+		t.Fatalf("AccumulateInto weight = %v, want %v", ok.Weight(), tr.merged.Weight())
 	}
 
 	s := NewSharded(2, 2, func(int) *Tracker { return NewTracker(2, 0.1, 8) })

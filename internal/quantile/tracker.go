@@ -110,6 +110,12 @@ func (t *Tracker) ship(site int) {
 // Quantile answers a φ-quantile query at the coordinator.
 func (t *Tracker) Quantile(phi float64) uint64 { return t.merged.Quantile(phi) }
 
+// Quantiles appends to out the answer to a φ-quantile query for every φ of
+// phis, from one pass over the coordinator digest (QDigest.Quantiles).
+func (t *Tracker) Quantiles(phis []float64, out []uint64) []uint64 {
+	return t.merged.Quantiles(phis, out)
+}
+
 // EstimateTotal returns the coordinator's weight tally.
 func (t *Tracker) EstimateTotal() float64 { return t.tally }
 
@@ -121,16 +127,15 @@ func (t *Tracker) Bits() uint { return t.bits }
 
 // AccumulateInto is the tracker-level merge surface: it folds the
 // coordinator digest into dst (without compressing, so a one-shard merge
-// is node-identical to the shard's own digest) and returns the
-// coordinator tally. A universe mismatch returns a wrapped
-// ErrMergeMismatch instead of panicking — this is the boundary
-// service-reachable shard merges cross, and a daemon restoring a bad
-// checkpoint must survive it.
-func (t *Tracker) AccumulateInto(dst *QDigest) (tally float64, err error) {
+// is node-identical to the shard's own digest). A universe mismatch
+// returns a wrapped ErrMergeMismatch instead of panicking — this is the
+// boundary service-reachable shard merges cross, and a daemon restoring a
+// bad checkpoint must survive it.
+func (t *Tracker) AccumulateInto(dst *QDigest) error {
 	if dst.bits != t.bits {
-		return 0, fmt.Errorf("quantile: accumulating digest with bits %d into bits %d: %w",
+		return fmt.Errorf("quantile: accumulating digest with bits %d into bits %d: %w",
 			t.bits, dst.bits, ErrMergeMismatch)
 	}
 	dst.absorb(t.merged)
-	return t.tally, nil
+	return nil
 }

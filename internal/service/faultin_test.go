@@ -245,7 +245,7 @@ func TestRejectedBatchKeepsCheckpointCursor(t *testing.T) {
 		t.Fatal("out-of-universe item was accepted")
 	}
 	mustHibernate(t, m, q)
-	if _, err := q.Quantile(0.5); err != nil {
+	if _, _, err := q.QueryQuantiles([]float64{0.5}); err != nil {
 		t.Fatalf("fault-in after a rejected batch: %v", err)
 	}
 }

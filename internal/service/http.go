@@ -240,75 +240,47 @@ func (m *Manager) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	b := replyBufs.Get().(*replyBuf)
+	if err := b.answer(t, r); err != nil {
+		replyBufs.Put(b)
+		writeErr(w, err)
+		return
+	}
+	b.send(w, http.StatusOK)
+}
+
+// answer runs the query r asks of t and builds its reply in b.
+func (b *replyBuf) answer(t *Tracker, r *http.Request) error {
 	switch t.Kind() {
 	case KindMatrix:
 		snap, err := t.Snapshot()
 		if err != nil {
-			writeErr(w, err)
-			return
+			return err
 		}
-		b := replyBufs.Get().(*replyBuf)
-		if err := b.encodeMatrix(snap.Count, snap.Frobenius, snap.Gram, r.URL.Query().Get("gram") == "1"); err != nil {
-			replyBufs.Put(b)
-			writeErr(w, err)
-			return
-		}
-		b.send(w, http.StatusOK)
+		return b.encodeMatrix(snap.Count, snap.Frobenius, snap.Gram, r.URL.Query().Get("gram") == "1")
 	case KindHH:
 		phis, err := phisOf(r, nil)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return err
 		}
 		if len(phis) != 1 {
-			writeErr(w, badRequestf("heavy-hitters query needs exactly one phi parameter"))
-			return
+			return badRequestf("heavy-hitters query needs exactly one phi parameter")
 		}
-		// One tracker-lock critical section answers the hits and the
-		// snapshot together, so count/total always describe the same
-		// instant as the heavy-hitter set even under concurrent ingest.
-		hits, snap, err := t.QueryHeavyHitters(phis[0])
+		hits, at, err := t.QueryHeavyHitters(phis[0])
 		if err != nil {
-			writeErr(w, err)
-			return
+			return err
 		}
-		type hit struct {
-			Elem   uint64  `json:"elem"`
-			Weight float64 `json:"weight"`
-		}
-		out := make([]hit, len(hits))
-		for i, h := range hits {
-			out[i] = hit{Elem: h.Elem, Weight: h.Weight}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"kind": KindHH, "count": snap.Count, "phi": phis[0],
-			"total": snap.Total, "heavy_hitters": out,
-		})
+		return b.encodeHH(at, phis[0], hits)
 	default: // KindQuantile
 		phis, err := phisOf(r, []float64{0.5})
 		if err != nil {
-			writeErr(w, err)
-			return
+			return err
 		}
-		// All φ values cut one digest instant (single lock acquisition),
-		// so the answers are monotone in φ and consistent with count/total.
-		vals, snap, err := t.QueryQuantiles(phis)
+		vals, at, err := t.QueryQuantiles(phis)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return err
 		}
-		type qv struct {
-			Phi   float64 `json:"phi"`
-			Value uint64  `json:"value"`
-		}
-		out := make([]qv, len(phis))
-		for i, phi := range phis {
-			out[i] = qv{Phi: phi, Value: vals[i]}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"kind": KindQuantile, "count": snap.Count,
-			"total": snap.Total, "quantiles": out,
-		})
+		return b.encodeQuantiles(at, phis, vals)
 	}
 }
 

@@ -396,49 +396,90 @@ func (b *ingestBuf) scanRows(s *scanner) {
 	}
 }
 
-// scanItems reads the "items" array into b.items. "elem" and "value" are
-// aliases (the quantile kind reads the value universe, the heavy-hitters
-// kind an element label) and exactly one must be set; weight defaults to 1.
+// scanItems reads the "items" array into b.items: itemAt's one walk per
+// item, the cursor in a local across each ',' a '{' follows, and the
+// member loop (item) for any item itemAt declines, from its first byte.
 //
 //distlint:hotpath
 func (b *ingestBuf) scanItems(s *scanner) {
-	const elem, value, weight = 1, 2, 4
 	items := b.items[:0]
 	for more := s.open('[', ']'); more; more = s.next(']') {
-		it, seen := distmat.WeightedItem{Weight: 1}, 0
-		for more := s.open('{', '}'); more; more = s.next('}') {
-			name := 0
-			switch s.key() {
-			case "elem":
-				name = elem
-			case "value":
-				name = value
-			case "weight":
-				name = weight
-			}
-			switch {
-			case name == 0 || seen&name != 0:
-				s.fail("unknown or repeated item field")
-			case name == weight && !s.null():
-				var bad string
-				if it.Weight, s.i, bad = floatAt(s.d, s.i); bad != "" {
-					s.fail(bad)
-				}
-			case name != weight:
-				neg, v, ok := s.number()
-				if neg || !ok {
-					s.fail("elem/value wants an unsigned 64-bit integer")
-				}
-				it.Elem = v
-			}
-			seen |= name
+		d, i := s.d, s.i
+		it, next, ok := itemAt(d, i)
+		for ok && d[next] == ',' && d[next+1] == '{' {
+			items = append(items, it) //distlint:alloc-ok first growth to the high-water batch size
+			i = next + 1
+			it, next, ok = itemAt(d, i)
 		}
-		if id := seen &^ weight; id != elem && id != value {
-			s.fail("item wants exactly one of elem and value")
+		if s.i = next; !ok {
+			s.i = i
+			it = s.item()
 		}
 		items = append(items, it) //distlint:alloc-ok first growth to the high-water batch size
 	}
 	b.items = items
+}
+
+// itemAt reads the item {"elem":N,"weight":F} at d[i:] in one walk — N
+// 1–19 digits, no leading zero, so no uint64 overflows — and returns it
+// with the index past its '}'. ok is false for any other spelling.
+//
+//distlint:hotpath
+func itemAt(d []byte, i int) (it distmat.WeightedItem, next int, ok bool) {
+	if len(d)-i <= 8 || string(d[i:i+8]) != `{"elem":` { //distlint:alloc-ok a comparison: compared in place, not copied
+		return it, i, false
+	}
+	elem, j := digitRun(d, i+8, 0)
+	if n := j - i - 8; n == 0 || n > 19 || (d[i+8] == '0' && n > 1) ||
+		len(d)-j <= 10 || string(d[j:j+10]) != `,"weight":` { //distlint:alloc-ok as above
+		return it, i, false
+	}
+	w, k, bad := floatAt(d, j+10)
+	if bad != "" || d[k] != '}' {
+		return it, i, false
+	}
+	return distmat.WeightedItem{Elem: elem, Weight: w}, k + 1, true
+}
+
+// item reads one item object member by member, the only source of item
+// errors. "elem" and "value" are aliases (the quantile kind's value, the
+// heavy-hitters kind's element label), exactly one set; weight defaults to 1.
+//
+//distlint:hotpath
+func (s *scanner) item() distmat.WeightedItem {
+	const elem, value, weight = 1, 2, 4
+	it, seen := distmat.WeightedItem{Weight: 1}, 0
+	for more := s.open('{', '}'); more; more = s.next('}') {
+		name := 0
+		switch s.key() {
+		case "elem":
+			name = elem
+		case "value":
+			name = value
+		case "weight":
+			name = weight
+		}
+		switch {
+		case name == 0 || seen&name != 0:
+			s.fail("unknown or repeated item field")
+		case name == weight && !s.null():
+			var bad string
+			if it.Weight, s.i, bad = floatAt(s.d, s.i); bad != "" {
+				s.fail(bad)
+			}
+		case name != weight:
+			neg, v, ok := s.number()
+			if neg || !ok {
+				s.fail("elem/value wants an unsigned 64-bit integer")
+			}
+			it.Elem = v
+		}
+		seen |= name
+	}
+	if id := seen &^ weight; id != elem && id != value {
+		s.fail("item wants exactly one of elem and value")
+	}
+	return it
 }
 
 // writeAck writes the ingest reply, byte for byte what encoding/json made

@@ -390,6 +390,33 @@ var ingestCases = []ingestCase{
 	{body: `{"items":[{"weight":-,"elem":2}]}`, items: true, msg: "want a number at offset 20"},
 	{body: `{"items":[{"weight":1e400,"elem":2}]}`, items: true, msg: "number out of float64 range at offset 25"},
 	{body: `{"items":[{"elem":2,"weight":1,`, items: true, msg: "want a member name at offset 31"},
+
+	// Items the one-walk read of {"elem":N,"weight":F} declines, read again
+	// from their first byte by the member loop: the verdicts, messages and
+	// offsets are the member loop's alone.
+	{body: `{"items":[{"value":3,"weight":2}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"weight":2,"elem":3}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem": 3,"weight":2}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{ "elem":3,"weight":2 }]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem":3,"weight":null}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem":3},{"elem":4,"weight":2}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem":18446744073709551615,"weight":2}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem":18446744073709551616,"weight":2}]}`, items: true, msg: "elem/value wants an unsigned 64-bit integer at offset 38"},
+	{body: `{"items":[{"elem":01,"weight":2}]}`, items: true, msg: "want a number at offset 18"},
+	{body: `{"items":[{"elem":-0,"weight":2}]}`, items: true, msg: "elem/value wants an unsigned 64-bit integer at offset 20"},
+	{body: `{"items":[{"elem":3,"weight":1e400}]}`, items: true, msg: "number out of float64 range at offset 34"},
+	{body: `{"items":[{"elem":3,"elem":4,"weight":2}]}`, items: true, oracleOK: true, msg: "unknown or repeated item field at offset 27"},
+	{body: `{"items":[{"elem":3,"weight":2,"elem":4}]}`, items: true, oracleOK: true, msg: "unknown or repeated item field at offset 38"},
+	{body: `{"items":[{"elem":3,"weight":2,"extra":1}]}`, items: true, msg: "unknown or repeated item field at offset 39"},
+	// Canonical items around them: the walk hands over mid-array, and takes
+	// the ',' before a '{' in place, any other separator through the scanner.
+	{body: `{"items":[{"elem":1,"weight":2},{"elem":01,"weight":2}]}`, items: true, msg: "want a number at offset 40"},
+	{body: `{"items":[{"elem":1,"weight":2}, {"elem":2,"weight":3},{"elem":4,"weight":0.5}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem":1,"weight":2.5e-3},{"elem":1234567890123456789,"weight":-0.0}]}`, items: true, ok: true, oracleOK: true},
+	{body: `{"items":[{"elem":1,"weight":2}`, items: true, msg: "want ',' or the closing bracket at offset 31"},
+	{body: `{"items":[{"elem":1,"weight":2},{"elem":2,"weight":3}`, items: true, msg: "want ',' or the closing bracket at offset 53"},
+	{body: `{"items":[{"elem":1,"weight":`, items: true, msg: "want a number at offset 29"},
+	{body: `{"items":[{"elem":1,"weight":2,}]}`, items: true, msg: "want a member name at offset 31"},
 }
 
 // TestIngestJSONCases pins both decoders' verdict on every table entry and,
@@ -685,6 +712,51 @@ func (b *ingestBuf) prevScanRows(s *scanner) {
 	}
 }
 
+// prevScanItems is the items loop scanItems replaced, kept verbatim but
+// for its name: every item through the member loop, every name matched as
+// a string after bytes.IndexByte found its closing quote, whitespace
+// skipped around every token. TestIngestJSONGuard times it; it is no
+// specification (the oracle is).
+func (b *ingestBuf) prevScanItems(s *scanner) {
+	const elem, value, weight = 1, 2, 4
+	items := b.items[:0]
+	for more := s.open('[', ']'); more; more = s.next(']') {
+		it, seen := distmat.WeightedItem{Weight: 1}, 0
+		for more := s.open('{', '}'); more; more = s.next('}') {
+			name := 0
+			switch s.key() {
+			case "elem":
+				name = elem
+			case "value":
+				name = value
+			case "weight":
+				name = weight
+			}
+			switch {
+			case name == 0 || seen&name != 0:
+				s.fail("unknown or repeated item field")
+			case name == weight && !s.null():
+				var bad string
+				if it.Weight, s.i, bad = floatAt(s.d, s.i); bad != "" {
+					s.fail(bad)
+				}
+			case name != weight:
+				neg, v, ok := s.number()
+				if neg || !ok {
+					s.fail("elem/value wants an unsigned 64-bit integer")
+				}
+				it.Elem = v
+			}
+			seen |= name
+		}
+		if id := seen &^ weight; id != elem && id != value {
+			s.fail("item wants exactly one of elem and value")
+		}
+		items = append(items, it) //distlint:alloc-ok first growth to the high-water batch size
+	}
+	b.items = items
+}
+
 // pamapNumbers is the numbers of pamapRowsBody(n) alone, each followed by
 // a comma, then the body's NUL: what scanLap walks.
 func pamapNumbers(n int) []byte {
@@ -738,9 +810,11 @@ func lapNs(lap func()) float64 {
 // allocation for decode + recycle in steady state on either route. Against
 // the code floatAt replaced, on the benchmark's own gen.PAMAPLike numbers,
 // the scan is at least 1.1× prevFloat's and the rows array's walk at least
-// 1.15× the per-token loop over it (prevScanRows); those two are logged,
-// not held, under -race. Every pair is timed in interleaved laps, and a
-// reading under its floor is taken again, twice at most.
+// 1.15× the per-token loop over it (prevScanRows), and on the benchmark's
+// items body the items walk is at least 1.4× the member loop it replaced
+// (prevScanItems); those three are logged, not held, under -race. Every
+// pair is timed in interleaved laps, and a reading under its floor is
+// taken again, twice at most.
 func TestIngestJSONGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -806,10 +880,10 @@ func TestIngestJSONGuard(t *testing.T) {
 	nums := pamapNumbers(benchBatch)
 	hold(fmt.Sprintf("prevFloat, then floatAt, on the bench-shaped numbers (%d bytes)", len(nums)),
 		1.1, !raceEnabled, 100, func() { prevScanLap(t, nums) }, func() { scanLap(t, nums) })
-	body := append(pamapRowsBody(benchBatch), 0)
-	at := bytes.IndexByte(body, '[') // the rows array
 	b := new(ingestBuf)
-	walk := func(scan func(*ingestBuf, *scanner)) func() {
+	// walk scans the array in body (NUL-terminated here) with scan.
+	walk := func(body []byte, scan func(*ingestBuf, *scanner)) func() {
+		at := bytes.IndexByte(body, '[')
 		return func() {
 			s := scanner{d: body, i: at}
 			if scan(b, &s); s.err != nil {
@@ -817,6 +891,10 @@ func TestIngestJSONGuard(t *testing.T) {
 			}
 		}
 	}
-	hold(fmt.Sprintf("prevScanRows, then scanRows, on the bench's rows array (%d bytes)", len(body)-at),
-		1.15, !raceEnabled, 100, walk((*ingestBuf).prevScanRows), walk((*ingestBuf).scanRows))
+	body := append(pamapRowsBody(benchBatch), 0)
+	hold(fmt.Sprintf("prevScanRows, then scanRows, on the bench's rows array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),
+		1.15, !raceEnabled, 100, walk(body, (*ingestBuf).prevScanRows), walk(body, (*ingestBuf).scanRows))
+	body = append(benchItemsBody(benchBatch), 0)
+	hold(fmt.Sprintf("prevScanItems, then scanItems, on the bench's items array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),
+		1.4, !raceEnabled, 100, walk(body, (*ingestBuf).prevScanItems), walk(body, (*ingestBuf).scanItems))
 }

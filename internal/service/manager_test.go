@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -188,7 +189,7 @@ func TestManagerCheckpointRestore(t *testing.T) {
 	if err := tr.IngestItems(context.Background(), AssignSite, items); err != nil {
 		t.Fatal(err)
 	}
-	p99, err := tr.Quantile(0.99)
+	p99, _, err := tr.QueryQuantiles([]float64{0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestManagerCheckpointRestore(t *testing.T) {
 	if tr2.Count() != int64(len(items)) {
 		t.Fatalf("restored count %d, want %d", tr2.Count(), len(items))
 	}
-	if got, _ := tr2.Quantile(0.99); got != p99 {
-		t.Fatalf("restored p99 %d, want %d", got, p99)
+	if got, _, _ := tr2.QueryQuantiles([]float64{0.99}); !slices.Equal(got, p99) {
+		t.Fatalf("restored p99 %v, want %v", got, p99)
 	}
 	if tr2.Stats() != wantStats {
 		t.Fatalf("restored stats %v, want %v", tr2.Stats(), wantStats)

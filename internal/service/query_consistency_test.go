@@ -3,80 +3,92 @@ package service_test
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	distmat "repro"
 	"repro/internal/service"
 )
 
-// TestQueryHeavyHittersConsistentUnderIngest pins the single-snapshot
-// query contract: the hits and the snapshot QueryHeavyHitters returns
-// describe the same instant, so every hit appears in the snapshot's
-// candidate list with a bit-identical weight even while feeders hammer
-// the tracker. (The pre-fix handler read the hits and the snapshot under
-// two separate lock acquisitions; concurrent ingest between them drifted
-// the weights apart.) Run under -race this also exercises the ingest
-// and query locking.
+// TestQueryHeavyHittersConsistentUnderIngest pins the single-instant
+// query contract: the hits, the count and the Ŵ QueryHeavyHitters returns
+// describe the same instant even while feeders hammer the tracker. Every
+// feeder posts the same batch to the same site, so the tracker's state
+// after n batches is one state whichever feeder posted them: a reference
+// tracker fed n batches in turn gives the hits and Ŵ every answer with
+// count 16·n must equal, bit for bit. (Hits from one lock acquisition and
+// count/Ŵ from a later one match a later reference, not theirs.) Run under
+// -race this also exercises the ingest and query locking.
 func TestQueryHeavyHittersConsistentUnderIngest(t *testing.T) {
+	const phi, batches = 0.02, 1500
 	mgr, err := service.Open(service.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	tr, err := mgr.Create("hot", service.Spec{
-		Kind: service.KindHH, Sites: 4, Epsilon: 0.02, Seed: 7})
+	spec := service.Spec{Kind: service.KindHH, Sites: 4, Epsilon: 0.02, Seed: 7}
+	tr, err := mgr.Create("hot", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := mgr.Create("ref", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]distmat.WeightedItem, 16)
+	for k := range batch {
+		batch[k] = distmat.WeightedItem{Elem: uint64(k*k) % 64, Weight: 1}
+	}
+	ctx := context.Background()
+	type answer struct {
+		hits  []distmat.WeightedElement
+		total float64
+	}
+	want := make([]answer, batches+1)
+	for n := range want {
+		if n > 0 {
+			if err := ref.IngestItems(ctx, 0, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits, at, err := ref.QueryHeavyHitters(phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[n] = answer{hits, at.Total}
+	}
 
-	stop := make(chan struct{})
+	var posted atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
-	ctx := context.Background()
-	for site := 0; site < 4; site++ {
+	for range 4 {
 		wg.Add(1)
-		go func(site int) {
+		go func() {
 			defer wg.Done()
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				items := make([]distmat.WeightedItem, 16)
-				for k := range items {
-					seq := n*16 + k
-					items[k] = distmat.WeightedItem{Elem: uint64(seq*seq) % 64, Weight: 1}
-				}
-				if err := tr.IngestItems(ctx, site, items); err != nil {
+			for posted.Add(1) <= batches {
+				if err := tr.IngestItems(ctx, 0, batch); err != nil {
 					errs <- err
 					return
 				}
 			}
-		}(site)
+		}()
 	}
-
 	for i := 0; i < 300; i++ {
-		hits, snap, err := tr.QueryHeavyHitters(0.02)
+		hits, at, err := tr.QueryHeavyHitters(phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := make(map[uint64]float64, len(snap.Estimates))
-		for _, e := range snap.Estimates {
-			est[e.Elem] = e.Weight
+		n := int(at.Count) / len(batch)
+		if at.Count%int64(len(batch)) != 0 || n > batches {
+			t.Fatalf("iter %d: count %d is no whole number of batches up to %d", i, at.Count, batches)
 		}
-		for _, h := range hits {
-			w, ok := est[h.Elem]
-			if !ok {
-				t.Fatalf("iter %d: hit %d missing from the same-snapshot candidates", i, h.Elem)
-			}
-			if math.Float64bits(w) != math.Float64bits(h.Weight) {
-				t.Fatalf("iter %d: hit %d weight %v, snapshot says %v — torn read", i, h.Elem, h.Weight, w)
-			}
+		if w := want[n]; math.Float64bits(at.Total) != math.Float64bits(w.total) || !slices.Equal(hits, w.hits) {
+			t.Fatalf("iter %d, count %d: hits %v, Ŵ %v; the state after %d batches answers %v, Ŵ %v — torn read",
+				i, at.Count, hits, at.Total, n, w.hits, w.total)
 		}
 	}
-	close(stop)
 	wg.Wait()
 	select {
 	case err := <-errs:

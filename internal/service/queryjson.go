@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	distmat "repro"
 	"repro/internal/matrix"
 )
 
@@ -26,12 +27,6 @@ var replyBufs = sync.Pool{New: func() any { return &replyBuf{out: make([]byte, 0
 // one big Gram answer must not pin its megabytes for good.
 const maxPooledReply = 1 << 20
 
-// Write implements io.Writer for encoding/json's Encoder.
-func (b *replyBuf) Write(p []byte) (int, error) {
-	b.out = append(b.out, p...)
-	return len(p), nil
-}
-
 // send writes the built body as the whole response and recycles b.
 func (b *replyBuf) send(w http.ResponseWriter, status int) {
 	h := w.Header()
@@ -48,19 +43,20 @@ func (b *replyBuf) send(w http.ResponseWriter, status int) {
 // line goes out: a value encoding/json refuses (a NaN or ±Inf float) is a
 // 500 carrying the encoder's message, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	b := replyBufs.Get().(*replyBuf)
-	b.out = b.out[:0]
-	if err := json.NewEncoder(b).Encode(v); err != nil {
-		status, b.out = http.StatusInternalServerError, b.out[:0]
-		_ = json.NewEncoder(b).Encode(map[string]string{"error": "service: encoding reply: " + err.Error()}) // a string map always encodes
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "service: encoding reply: " + err.Error()}) // a string map always encodes
 	}
+	b := replyBufs.Get().(*replyBuf)
+	b.out = append(append(b.out[:0], body...), '\n')
 	b.send(w, status)
 }
 
-// errNonFinite reports the first value of a matrix answer JSON has no
-// number for.
-func errNonFinite(what string, v float64) error {
-	return fmt.Errorf("service: matrix answer is not finite: %s is %v", what, v)
+// errNonFinite reports the first value of a kind's query answer JSON has
+// no number for.
+func errNonFinite(kind, what string, v float64) error {
+	return fmt.Errorf("service: %s answer is not finite: %s is %v", kind, what, v)
 }
 
 // encodeMatrix builds the matrix query answer in b.out, byte for byte what
@@ -81,10 +77,10 @@ func errNonFinite(what string, v float64) error {
 func (b *replyBuf) encodeMatrix(count int64, frob float64, g *matrix.Sym, withGram bool) error {
 	trace := g.Trace()
 	if frob-frob != 0 {
-		return errNonFinite("frobenius", frob)
+		return errNonFinite(KindMatrix, "frobenius", frob)
 	}
 	if trace-trace != 0 {
-		return errNonFinite("trace", trace)
+		return errNonFinite(KindMatrix, "trace", trace)
 	}
 	out := append(b.out[:0], `{"count":`...) //distlint:alloc-ok pooled buffer
 	out = strconv.AppendInt(out, count, 10)
@@ -115,7 +111,7 @@ func (b *replyBuf) encodeMatrix(count int64, frob float64, g *matrix.Sym, withGr
 					continue
 				}
 				if v-v != 0 {
-					return errNonFinite("gram["+strconv.Itoa(i)+"]["+strconv.Itoa(j)+"]", v)
+					return errNonFinite(KindMatrix, "gram["+strconv.Itoa(i)+"]["+strconv.Itoa(j)+"]", v)
 				}
 				out = appendJSONFloat(out, v)
 			}
@@ -126,6 +122,68 @@ func (b *replyBuf) encodeMatrix(count int64, frob float64, g *matrix.Sym, withGr
 	}
 	out = append(out, `,"kind":"matrix","trace":`...) //distlint:alloc-ok pooled buffer
 	out = appendJSONFloat(out, trace)
+	b.out = append(out, '}', '\n') //distlint:alloc-ok pooled buffer
+	return nil
+}
+
+// encodeHH builds the heavy-hitters query answer in b.out, byte for byte
+// what encoding/json made of the map oracleHHBody (TestQueryResponseBytes)
+// builds, or reports the first non-finite value and leaves b.out unusable.
+//
+//distlint:hotpath
+func (b *replyBuf) encodeHH(at ItemTotals, phi float64, hits []distmat.WeightedElement) error {
+	out := append(b.out[:0], `{"count":`...) //distlint:alloc-ok pooled buffer
+	out = strconv.AppendInt(out, at.Count, 10)
+	out = append(out, `,"heavy_hitters":[`...) //distlint:alloc-ok pooled buffer
+	for i, h := range hits {
+		if h.Weight-h.Weight != 0 {
+			return errNonFinite(KindHH, "heavy_hitters["+strconv.Itoa(i)+"].weight", h.Weight)
+		}
+		if i > 0 {
+			out = append(out, ',') //distlint:alloc-ok pooled buffer
+		}
+		out = append(out, `{"elem":`...) //distlint:alloc-ok pooled buffer
+		out = strconv.AppendUint(out, h.Elem, 10)
+		out = append(out, `,"weight":`...) //distlint:alloc-ok pooled buffer
+		out = appendJSONFloat(out, h.Weight)
+		out = append(out, '}') //distlint:alloc-ok pooled buffer
+	}
+	out = append(out, `],"kind":"heavy-hitters","phi":`...) //distlint:alloc-ok pooled buffer
+	out = appendJSONFloat(out, phi)
+	return b.endItems(out, KindHH, at.Total)
+}
+
+// encodeQuantiles does what encodeHH does for the quantile answer, whose
+// map is oracleQuantileBody's; only Ŵ can be non-finite (φ ∈ (0, 1)).
+//
+//distlint:hotpath
+func (b *replyBuf) encodeQuantiles(at ItemTotals, phis []float64, vals []uint64) error {
+	out := append(b.out[:0], `{"count":`...) //distlint:alloc-ok pooled buffer
+	out = strconv.AppendInt(out, at.Count, 10)
+	out = append(out, `,"kind":"quantile","quantiles":[`...) //distlint:alloc-ok pooled buffer
+	for i, phi := range phis {
+		if i > 0 {
+			out = append(out, ',') //distlint:alloc-ok pooled buffer
+		}
+		out = append(out, `{"phi":`...) //distlint:alloc-ok pooled buffer
+		out = appendJSONFloat(out, phi)
+		out = append(out, `,"value":`...) //distlint:alloc-ok pooled buffer
+		out = strconv.AppendUint(out, vals[i], 10)
+		out = append(out, '}') //distlint:alloc-ok pooled buffer
+	}
+	out = append(out, ']') //distlint:alloc-ok pooled buffer
+	return b.endItems(out, KindQuantile, at.Total)
+}
+
+// endItems ends an item answer with its last member, "total", in b.out.
+//
+//distlint:hotpath
+func (b *replyBuf) endItems(out []byte, kind string, total float64) error {
+	if total-total != 0 {
+		return errNonFinite(kind, "total", total)
+	}
+	out = append(out, `,"total":`...) //distlint:alloc-ok pooled buffer
+	out = appendJSONFloat(out, total)
 	b.out = append(out, '}', '\n') //distlint:alloc-ok pooled buffer
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	distmat "repro"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 )
@@ -42,6 +43,47 @@ func oracleMatrixBody(tb testing.TB, count int64, frob float64, g *matrix.Sym, w
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oracleHHBody and oracleQuantileBody are handleQuery's item branches as
+// they stood before the append encoders — the maps and encoding/json —
+// kept as the specification of every byte.
+func oracleHHBody(tb testing.TB, at ItemTotals, phi float64, hits []distmat.WeightedElement) []byte {
+	type hit struct {
+		Elem   uint64  `json:"elem"`
+		Weight float64 `json:"weight"`
+	}
+	out := make([]hit, len(hits))
+	for i, h := range hits {
+		out[i] = hit{Elem: h.Elem, Weight: h.Weight}
+	}
+	return oracleEncode(tb, map[string]any{
+		"kind": KindHH, "count": at.Count, "phi": phi,
+		"total": at.Total, "heavy_hitters": out,
+	})
+}
+
+func oracleQuantileBody(tb testing.TB, at ItemTotals, phis []float64, vals []uint64) []byte {
+	type qv struct {
+		Phi   float64 `json:"phi"`
+		Value uint64  `json:"value"`
+	}
+	out := make([]qv, len(phis))
+	for i, phi := range phis {
+		out[i] = qv{Phi: phi, Value: vals[i]}
+	}
+	return oracleEncode(tb, map[string]any{
+		"kind": KindQuantile, "count": at.Count,
+		"total": at.Total, "quantiles": out,
+	})
+}
+
+func oracleEncode(tb testing.TB, v any) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -83,6 +125,27 @@ func newQueryTracker(tb testing.TB, spec Spec, rows [][]float64) (*Manager, *Tra
 	return mgr, tr
 }
 
+// newItemTracker opens a manager holding one item tracker "m" fed items
+// in 256-item batches over its four sites.
+func newItemTracker(tb testing.TB, spec Spec, items []distmat.WeightedItem) (*Manager, *Tracker) {
+	tb.Helper()
+	mgr, err := Open(Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { mgr.Close() })
+	tr, err := mgr.Create("m", spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, site := 0, 0; i < len(items); i, site = i+256, (site+1)%spec.Sites {
+		if err := tr.IngestItems(context.Background(), site, items[i:min(i+256, len(items))]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return mgr, tr
+}
+
 func benchSpec(shards int) Spec {
 	return Spec{Kind: KindMatrix, Protocol: "p2", Fast: true, Sites: 4, Epsilon: 0.1, Dim: 44, Shards: shards}
 }
@@ -110,7 +173,8 @@ func ulpAsymmetric(g *matrix.Sym) *matrix.Sym {
 // mirror copy is then held to "selected by
 // nothing but the input": on a Gram that is asymmetric in the last ulp it
 // must not fire, neither on a p1 tracker's own (AddOuter with w ≠ 1) nor on
-// a restored SymFromRaw one.
+// a restored SymFromRaw one. The item trackers' answers are held to their
+// oracles the same way (itemResponseBytes).
 func TestQueryResponseBytes(t *testing.T) {
 	get := func(t *testing.T, tr *Tracker, url string, withGram bool) []byte {
 		t.Helper()
@@ -118,26 +182,7 @@ func TestQueryResponseBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleMatrixBody(t, snap.Count, snap.Frobenius, snap.Gram, withGram)
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		got, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("body differs from the encoding/json oracle (%d bytes against %d): first difference at %d", len(got), len(want), firstDiff(got, want))
-		}
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-			t.Errorf("status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-		}
-		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(want)) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("Content-Length %q for a %d-byte body, Transfer-Encoding %v: want the length and no chunking", cl, len(want), resp.TransferEncoding)
-		}
-		return got
+		return getOracle(t, url, oracleMatrixBody(t, snap.Count, snap.Frobenius, snap.Gram, withGram))
 	}
 	for _, shards := range []int{0, 4} {
 		for _, c := range []struct {
@@ -178,6 +223,8 @@ func TestQueryResponseBytes(t *testing.T) {
 		get(t, tr, srv.URL+"/trackers/m/query?gram=1", true)
 	})
 
+	t.Run("items", itemResponseBytes)
+
 	t.Run("restored-asymmetric", func(t *testing.T) {
 		_, tr := newQueryTracker(t, benchSpec(4), pamapRows(2500, 0))
 		snap, err := tr.Snapshot()
@@ -196,6 +243,80 @@ func TestQueryResponseBytes(t *testing.T) {
 			t.Fatalf("ulp-asymmetric Gram: body differs from the oracle at byte %d: the mirror copy fired on unequal bits", firstDiff(b.out, want))
 		}
 	})
+}
+
+// getOracle GETs url and wants want back byte for byte, as a 200 of JSON
+// sent with its Content-Length and no chunking.
+func getOracle(t *testing.T, url string, want []byte) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("body differs from the encoding/json oracle (%d bytes against %d): first difference at %d", len(got), len(want), firstDiff(got, want))
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(want)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %q for a %d-byte body, Transfer-Encoding %v: want the length and no chunking", cl, len(want), resp.TransferEncoding)
+	}
+	return got
+}
+
+// itemResponseBytes is TestQueryResponseBytes on the item trackers: over
+// a real server the heavy-hitters and quantile answers — body and headers —
+// are what the map-building oracles make of the same answer, unsharded and
+// on four shards, for an empty tracker (an empty "heavy_hitters" list) and
+// for 20 k Zipf items, with one φ and with three out of order.
+func itemResponseBytes(t *testing.T) {
+	items := gen.ZipfStream(gen.ZipfConfig{N: 20000, Skew: 1.3, Universe: 1 << 16, Beta: 1000, Seed: 5})
+	for _, shards := range []int{0, 4} {
+		for _, c := range []struct {
+			name  string
+			items []distmat.WeightedItem
+		}{{"empty", nil}, {"zipf", items}} {
+			t.Run(fmt.Sprintf("shards=%d/%s/hh", shards, c.name), func(t *testing.T) {
+				mgr, tr := newItemTracker(t, Spec{Kind: KindHH, Protocol: "p2", Sites: 4, Epsilon: 0.01, Shards: shards}, c.items)
+				srv := httptest.NewServer(mgr.Handler())
+				defer srv.Close()
+				for _, phi := range []float64{0.01, 0.3} {
+					hits, at, err := tr.QueryHeavyHitters(phi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body := getOracle(t, srv.URL+"/trackers/m/query?phi="+strconv.FormatFloat(phi, 'g', -1, 64), oracleHHBody(t, at, phi, hits))
+					if empty := bytes.Contains(body, []byte(`"heavy_hitters":[]`)); empty != (len(hits) == 0) {
+						t.Errorf("φ = %v: %d hits, empty list in the body: %v", phi, len(hits), empty)
+					}
+					if c.items != nil && phi == 0.01 && len(hits) < 2 {
+						t.Errorf("φ = %v: %d hits: the populated case lists fewer than two", phi, len(hits))
+					}
+				}
+			})
+			t.Run(fmt.Sprintf("shards=%d/%s/quantile", shards, c.name), func(t *testing.T) {
+				mgr, tr := newItemTracker(t, Spec{Kind: KindQuantile, Protocol: "qdigest", Sites: 4, Epsilon: 0.01, Bits: 16, Shards: shards}, c.items)
+				srv := httptest.NewServer(mgr.Handler())
+				defer srv.Close()
+				for _, q := range []struct {
+					query string
+					phis  []float64
+				}{{"", []float64{0.5}}, {"?phi=0.99", []float64{0.99}}, {"?phi=0.9&phi=0.01&phi=0.5", []float64{0.9, 0.01, 0.5}}} {
+					vals, at, err := tr.QueryQuantiles(q.phis)
+					if err != nil {
+						t.Fatal(err)
+					}
+					getOracle(t, srv.URL+"/trackers/m/query"+q.query, oracleQuantileBody(t, at, q.phis, vals))
+				}
+			})
+		}
+	}
 }
 
 func firstDiff(a, b []byte) int {
@@ -246,6 +367,33 @@ func TestQueryNonFinite500(t *testing.T) {
 	}
 	if err := b.encodeMatrix(2, 2, g, false); err != nil {
 		t.Errorf("the plain answer does not carry the entry: %v", err)
+	}
+
+	// The item answers: three posts of two items of weight 1e308 take Ŵ
+	// past the largest float64.
+	for _, c := range []struct{ kind, query string }{
+		{KindHH, "?phi=0.5"}, {KindQuantile, ""}, {KindQuantile, "?phi=0.1&phi=0.9"},
+	} {
+		mgr, _ := newItemTracker(t, Spec{Kind: c.kind, Sites: 2, Epsilon: 0.1, Bits: 8},
+			[]distmat.WeightedItem{{Elem: 1, Weight: 1e308}, {Elem: 2, Weight: 1e308}})
+		for range 2 {
+			rec := httptest.NewRecorder()
+			mgr.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/trackers/m/items",
+				strings.NewReader(`{"items":[{"elem":1,"weight":1e308},{"elem":2,"weight":1e308}]}`)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: post: %d %q", c.kind, rec.Code, rec.Body)
+			}
+		}
+		rec := httptest.NewRecorder()
+		mgr.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/trackers/m/query"+c.query, nil))
+		var doc struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("%s query%s: body %q: %v", c.kind, c.query, rec.Body, err)
+		}
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(doc.Error, c.kind+" answer is not finite") ||
+			!strings.Contains(doc.Error, "is +Inf") {
+			t.Errorf("%s query%s: %d %q, want a 500 naming the +Inf", c.kind, c.query, rec.Code, doc.Error)
+		}
 	}
 
 	rec := httptest.NewRecorder()

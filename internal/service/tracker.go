@@ -501,82 +501,63 @@ func (t *Tracker) statsRelaxed() distmat.Stats {
 	return t.sess.StatsRelaxed()
 }
 
-// Snapshot returns an immutable view of the session, taken under the
-// tracker lock, faulting a hibernated tracker back in first.
-func (t *Tracker) Snapshot() (distmat.Snapshot, error) {
+// read runs f on the session under the tracker lock, faulting a
+// hibernated tracker back in first; a query that answers counts as a use.
+func (t *Tracker) read(f func(*distmat.Session) error) error {
 	t.mu.Lock()
-	if err := t.ensureSessionLocked(); err != nil {
-		t.mu.Unlock()
-		return distmat.Snapshot{}, err
+	err := t.ensureSessionLocked()
+	if err == nil {
+		err = f(t.sess)
 	}
-	snap := t.sess.Snapshot()
 	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	t.touch()
 	t.m.maybeEnforce()
-	return snap, nil
+	return nil
 }
 
-// HeavyHitters answers the paper's φ-heavy-hitters query.
-func (t *Tracker) HeavyHitters(phi float64) ([]distmat.WeightedElement, error) {
-	hits, _, err := t.QueryHeavyHitters(phi)
-	return hits, err
+// Snapshot returns an immutable view of the session, taken under the
+// tracker lock, faulting a hibernated tracker back in first.
+func (t *Tracker) Snapshot() (snap distmat.Snapshot, err error) {
+	err = t.read(func(s *distmat.Session) error {
+		snap = s.Snapshot()
+		return nil
+	})
+	return snap, err
+}
+
+// ItemTotals is the instant an item tracker's answer was cut at: the items
+// the session had taken and its estimate Ŵ of the total weight.
+type ItemTotals struct {
+	Count int64
+	Total float64
 }
 
 // QueryHeavyHitters answers the φ-heavy-hitters query together with the
-// snapshot it is consistent with, from one tracker-lock critical
-// section: the hits and the snapshot's count/total describe the same
-// instant even under concurrent ingestion.
-func (t *Tracker) QueryHeavyHitters(phi float64) ([]distmat.WeightedElement, distmat.Snapshot, error) {
-	t.mu.Lock()
-	if err := t.ensureSessionLocked(); err != nil {
-		t.mu.Unlock()
-		return nil, distmat.Snapshot{}, err
-	}
-	hits, err := t.sess.HeavyHitters(phi)
-	if err != nil {
-		t.mu.Unlock()
-		return nil, distmat.Snapshot{}, err
-	}
-	snap := t.sess.Snapshot()
-	t.mu.Unlock()
-	t.touch()
-	t.m.maybeEnforce()
-	return hits, snap, nil
-}
-
-// Quantile answers a φ-quantile query.
-func (t *Tracker) Quantile(phi float64) (uint64, error) {
-	vals, _, err := t.QueryQuantiles([]float64{phi})
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
-}
-
-// QueryQuantiles answers a multi-φ quantile query together with the
-// snapshot it is consistent with, all from one tracker-lock critical
-// section: the values are cuts of a single digest instant, so they are
-// monotone in φ and consistent with the snapshot's count/total.
-func (t *Tracker) QueryQuantiles(phis []float64) ([]uint64, distmat.Snapshot, error) {
-	t.mu.Lock()
-	if err := t.ensureSessionLocked(); err != nil {
-		t.mu.Unlock()
-		return nil, distmat.Snapshot{}, err
-	}
-	vals := make([]uint64, len(phis))
-	for i, phi := range phis {
-		v, err := t.sess.Quantile(phi)
-		if err != nil {
-			t.mu.Unlock()
-			return nil, distmat.Snapshot{}, err
+// count and Ŵ it is consistent with, from one tracker-lock critical
+// section: they describe the same instant even under concurrent ingestion.
+func (t *Tracker) QueryHeavyHitters(phi float64) (hits []distmat.WeightedElement, at ItemTotals, err error) {
+	err = t.read(func(s *distmat.Session) (err error) {
+		if hits, err = s.HeavyHitters(phi); err == nil {
+			at = ItemTotals{Count: s.Count(), Total: s.HH().EstimateTotal()}
 		}
-		vals[i] = v
-	}
-	snap := t.sess.Snapshot()
-	t.mu.Unlock()
-	t.touch()
-	t.m.maybeEnforce()
-	return vals, snap, nil
+		return err
+	})
+	return hits, at, err
+}
+
+// QueryQuantiles answers a multi-φ quantile query together with the count
+// and Ŵ, all from one tracker-lock critical section: cuts of one digest
+// instant, monotone in φ and consistent with the count and Ŵ.
+func (t *Tracker) QueryQuantiles(phis []float64) (vals []uint64, at ItemTotals, err error) {
+	err = t.read(func(s *distmat.Session) (err error) {
+		vals, at.Total, err = s.QueryQuantiles(phis)
+		at.Count = s.Count()
+		return err
+	})
+	return vals, at, err
 }
 
 // SaveState serializes the session's persistence stream to w under the

@@ -9,7 +9,9 @@
 package sketch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -160,10 +162,10 @@ type WeightedElement struct {
 // particular, a sharded tracker's merged listing matches the unsharded
 // tracker's even when shard merges visit elements in a different map order.
 func SortByWeightDesc(s []WeightedElement) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Weight != s[j].Weight {
-			return s[i].Weight > s[j].Weight
+	slices.SortFunc(s, func(a, b WeightedElement) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
 		}
-		return s[i].Elem < s[j].Elem
+		return cmp.Compare(a.Elem, b.Elem)
 	})
 }

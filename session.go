@@ -2,6 +2,8 @@ package distmat
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -718,6 +720,19 @@ func (s *Session) Quantile(phi float64) (uint64, error) {
 	return s.qt.Quantile(phi), nil
 }
 
+// QueryQuantiles answers Quantile for every φ of phis from one cut of the
+// digest (one ordered pass; one shard merge when sharded) and returns the
+// estimated total weight Ŵ of the same instant.
+func (s *Session) QueryQuantiles(phis []float64) (vals []uint64, total float64, err error) {
+	if s.kind != quantileKind {
+		return nil, 0, fmt.Errorf("%w: QueryQuantiles on a %s session", ErrWrongKind, s.kind)
+	}
+	if i := slices.IndexFunc(phis, func(phi float64) bool { return phi < 0 || phi > 1 }); i >= 0 {
+		return nil, 0, fmt.Errorf("%w: need 0 ≤ φ ≤ 1, got %v", ErrInvalidQuery, phis[i])
+	}
+	return s.qt.Quantiles(phis, make([]uint64, 0, len(phis))), s.qt.EstimateTotal(), nil
+}
+
 // Snapshot is an immutable view of a session at one instant: the fields a
 // consumer reads never alias the session's live state, so a snapshot taken
 // before further ingestion stays valid.
@@ -759,7 +774,7 @@ func (s *Session) Snapshot() Snapshot {
 			snap.Exact = s.exact.Clone()
 		}
 	case hhKind:
-		snap.Estimates = s.hhp.Candidates()
+		snap.Estimates = s.hhp.Candidates(math.Inf(-1))
 		sketch.SortByWeightDesc(snap.Estimates)
 		snap.Total = s.hhp.EstimateTotal()
 	case quantileKind:

@@ -407,13 +407,6 @@ func (l *Log) Damaged() error {
 	return l.damaged
 }
 
-// LSN returns the highest assigned LSN (0 before the first Append).
-func (l *Log) LSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN - 1
-}
-
 // DurableLSN returns the highest LSN covered by an fsync.
 func (l *Log) DurableLSN() uint64 {
 	l.mu.Lock()

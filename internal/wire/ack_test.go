@@ -198,7 +198,7 @@ func TestDrainDurableLateCheckpoint(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("DrainDurable after a late checkpoint: %v", err)
 	}
-	if a, d, _ := c.Watermarks(); a != 11 || d != 11 {
+	if a, d, _ := watermarks(c); a != 11 || d != 11 {
 		t.Fatalf("watermarks %d/%d, want 11/11", a, d)
 	}
 	verifyLog(t, h, 0, 11, 3, 4)

@@ -407,7 +407,7 @@ func TestBroadcastSurvivesSeveredSite(t *testing.T) {
 		}()
 	}
 	for _, at := range []uint64{blocks / 3, 2 * blocks / 3} {
-		for _, _, last := conns[0].Watermarks(); last < at; _, _, last = conns[0].Watermarks() {
+		for _, _, last := watermarks(conns[0]); last < at; _, _, last = watermarks(conns[0]) {
 			time.Sleep(50 * time.Microsecond)
 		}
 		p.sever()

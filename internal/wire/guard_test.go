@@ -130,7 +130,7 @@ func TestWireStreamGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for a, _, last := c.Watermarks(); a < last && ctx.Err() == nil; a, _, last = c.Watermarks() {
+		for a, _, last := watermarks(c); a < last && ctx.Err() == nil; a, _, last = watermarks(c) {
 			runtime.Gosched() // Drain would do, but it allocates its wake-up
 		}
 	}

@@ -152,7 +152,7 @@ func TestDrainDurableProbe(t *testing.T) {
 	if err := c.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, d, _ := c.Watermarks(); d != 0 {
+	if _, d, _ := watermarks(c); d != 0 {
 		t.Fatalf("durable watermark %d before any checkpoint", d)
 	}
 
@@ -162,7 +162,7 @@ func TestDrainDurableProbe(t *testing.T) {
 	if err := c.DrainDurable(ctx); err != nil {
 		t.Fatalf("DrainDurable after an idle checkpoint: %v", err)
 	}
-	if a, d, _ := c.Watermarks(); a != 5 || d != 5 {
+	if a, d, _ := watermarks(c); a != 5 || d != 5 {
 		t.Fatalf("watermarks %d/%d after durable drain, want 5/5", a, d)
 	}
 	h.mu.Lock()
@@ -209,6 +209,14 @@ func verifyLog(t *testing.T, h *memHandler, site int, n, rowsPer, dim int) {
 }
 
 // startListener runs a CoordListener on a loopback port and returns it.
+// watermarks returns the coordinator's acked (applied, durable)
+// watermarks as c last saw them, and c's last assigned block sequence.
+func watermarks(c *SiteConn) (applied, durable, lastSeq uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.applied, c.durable, c.lastSeq
+}
+
 func startListener(t *testing.T, addr string, h Handler) *CoordListener {
 	t.Helper()
 	l, err := NewCoordListener(addr, h)
@@ -263,7 +271,7 @@ func TestSiteStreamBasic(t *testing.T) {
 	if c.Stats().BytesOut.Load() == 0 || l.Stats().BytesOut.Load() == 0 {
 		t.Fatal("byte counters did not move")
 	}
-	applied, durable, last := c.Watermarks()
+	applied, durable, last := watermarks(c)
 	if applied != blocks || durable != blocks || last != blocks {
 		t.Fatalf("watermarks %d/%d/%d, want %d across", applied, durable, last, blocks)
 	}

@@ -165,14 +165,6 @@ func (c *SiteConn) Err() error {
 	return c.err
 }
 
-// Watermarks returns the coordinator's acked (applied, durable)
-// watermarks as last seen, and the last assigned block sequence.
-func (c *SiteConn) Watermarks() (applied, durable, lastSeq uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applied, c.durable, c.lastSeq
-}
-
 // SendBlock queues one block of rows for delivery. It waits while the
 // in-flight window or the retransmit retention is full (backpressure),
 // or until the first handshake completes; it does not wait for this

@@ -30,9 +30,6 @@ type Stats struct {
 // Total returns the headline message count UpMsgs + DownMsgs.
 func (s Stats) Total() int64 { return s.UpMsgs + s.DownMsgs }
 
-// TotalUnits returns the size-weighted volume.
-func (s Stats) TotalUnits() int64 { return s.UpUnits + s.DownUnits }
-
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.UpMsgs += other.UpMsgs
@@ -116,17 +113,6 @@ func (a *Accountant) Broadcast(units int) {
 	a.stats.Broadcasts++
 	a.stats.DownMsgs += int64(a.m)
 	a.stats.DownUnits += int64(a.m) * int64(units)
-	a.mu.Unlock()
-}
-
-// SendDown records one coordinator→single-site message (rare; most
-// coordinator traffic is broadcast).
-//
-//distlint:hotpath
-func (a *Accountant) SendDown(units int) {
-	a.mu.Lock()
-	a.stats.DownMsgs++
-	a.stats.DownUnits += int64(units)
 	a.mu.Unlock()
 }
 

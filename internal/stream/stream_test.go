@@ -10,19 +10,15 @@ func TestAccountantCounts(t *testing.T) {
 	a.SendUp(3)
 	a.SendUp(1)
 	a.Broadcast(2)
-	a.SendDown(1)
 	s := a.Stats()
 	if s.UpMsgs != 2 || s.UpUnits != 4 {
 		t.Fatalf("up: %+v", s)
 	}
-	if s.Broadcasts != 1 || s.DownMsgs != 5+1 || s.DownUnits != 10+1 {
+	if s.Broadcasts != 1 || s.DownMsgs != 5 || s.DownUnits != 10 {
 		t.Fatalf("down: %+v", s)
 	}
-	if s.Total() != 8 {
-		t.Fatalf("Total = %d want 8", s.Total())
-	}
-	if s.TotalUnits() != 15 {
-		t.Fatalf("TotalUnits = %d want 15", s.TotalUnits())
+	if s.Total() != 7 {
+		t.Fatalf("Total = %d want 7", s.Total())
 	}
 }
 

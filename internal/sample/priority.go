@@ -38,11 +38,10 @@ func Priority(w float64, rng *rand.Rand) float64 {
 // priority exceeds τ_j; the union Q_j ∪ Q_{j+1} is a priority sample without
 // replacement of size ≥ s (until the stream is exhausted).
 type PrioritySampler struct {
-	s      int
-	tau    float64
-	qj     []Prioritized // τ ≤ ρ < 2τ
-	qj1    []Prioritized // ρ ≥ 2τ
-	rounds int
+	s   int
+	tau float64
+	qj  []Prioritized // τ ≤ ρ < 2τ
+	qj1 []Prioritized // ρ ≥ 2τ
 }
 
 // NewPrioritySampler returns a coordinator sampler targeting sample size
@@ -58,9 +57,6 @@ func NewPrioritySampler(s int) *PrioritySampler {
 // Threshold returns the current round threshold τ_j. Sites must forward
 // exactly the elements with priority ≥ τ_j.
 func (p *PrioritySampler) Threshold() float64 { return p.tau }
-
-// Rounds returns how many times the threshold has doubled.
-func (p *PrioritySampler) Rounds() int { return p.rounds }
 
 // TargetSize returns s.
 func (p *PrioritySampler) TargetSize() int { return p.s }
@@ -90,7 +86,6 @@ func (p *PrioritySampler) Offer(e Prioritized) (newRound bool) {
 // against the doubled threshold.
 func (p *PrioritySampler) advance() {
 	p.tau *= 2
-	p.rounds++
 	old := p.qj1
 	p.qj = p.qj[:0]
 	p.qj1 = nil

@@ -50,9 +50,6 @@ func TestPrioritySamplerRoundDoubling(t *testing.T) {
 	if p.Threshold() != 2 {
 		t.Fatalf("τ = %v want 2 after round", p.Threshold())
 	}
-	if p.Rounds() != 1 {
-		t.Fatalf("Rounds = %d want 1", p.Rounds())
-	}
 }
 
 func TestPrioritySamplerRePartition(t *testing.T) {
@@ -200,7 +197,7 @@ func TestRoundsLogarithmic(t *testing.T) {
 		}
 		// Lemma 4: rounds = O(log(βN/s)); allow constant 3 plus slack.
 		bound := 3*math.Log2(beta*float64(n)/float64(s)) + 8
-		return float64(p.Rounds()) <= bound
+		return math.Log2(p.Threshold()) <= bound // τ = 2^rounds
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

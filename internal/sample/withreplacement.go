@@ -15,12 +15,11 @@ import (
 // A round ends when every sampler's second priority exceeds 2τ_j; the
 // coordinator then doubles the threshold.
 type WRSampler struct {
-	s      int
-	tau    float64
-	top1   []float64
-	top2   []float64
-	elems  []Prioritized
-	rounds int
+	s     int
+	tau   float64
+	top1  []float64
+	top2  []float64
+	elems []Prioritized
 }
 
 // NewWRSampler returns a coordinator with s independent samplers and initial
@@ -40,9 +39,6 @@ func NewWRSampler(s int) *WRSampler {
 
 // Threshold returns the current round threshold τ_j.
 func (w *WRSampler) Threshold() float64 { return w.tau }
-
-// Rounds returns how many times the threshold has doubled.
-func (w *WRSampler) Rounds() int { return w.rounds }
 
 // Samplers returns s.
 func (w *WRSampler) Samplers() int { return w.s }
@@ -80,7 +76,6 @@ func (w *WRSampler) Offer(t int, e Prioritized) (newRound bool) {
 	}
 	if w.roundDone() {
 		w.tau *= 2
-		w.rounds++
 		return true
 	}
 	return false
@@ -119,15 +114,4 @@ func (w *WRSampler) Sample() []Prioritized {
 		out = append(out, Prioritized{Key: e.Key, Weight: what, Priority: e.Priority, Payload: e.Payload})
 	}
 	return out
-}
-
-// EstimateKey returns the estimated weight of key: (#samplers holding key)·Ŵ/s.
-func (w *WRSampler) EstimateKey(key uint64) float64 {
-	var sum float64
-	for _, e := range w.Sample() {
-		if e.Key == key {
-			sum += e.Weight
-		}
-	}
-	return sum
 }

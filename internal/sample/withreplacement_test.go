@@ -42,10 +42,13 @@ func TestWRSamplerKeyEstimates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := NewWRSampler(600)
 	total, exact := feedWR(w, 20000, 5, rng)
+	got := map[uint64]float64{} // key → (#samplers holding key)·Ŵ/s
+	for _, e := range w.Sample() {
+		got[e.Key] += e.Weight
+	}
 	for key, fe := range exact {
-		got := w.EstimateKey(key)
-		if math.Abs(got-fe) > 0.15*total {
-			t.Fatalf("key %d estimate %v exact %v (W=%v)", key, got, fe, total)
+		if math.Abs(got[key]-fe) > 0.15*total {
+			t.Fatalf("key %d estimate %v exact %v (W=%v)", key, got[key], fe, total)
 		}
 	}
 }
@@ -71,11 +74,8 @@ func TestWRSamplerRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	w := NewWRSampler(8)
 	feedWR(w, 5000, 8, rng)
-	if w.Rounds() == 0 {
-		t.Fatal("threshold never doubled on a 5000-element stream")
-	}
-	if w.Threshold() != math.Pow(2, float64(w.Rounds())) {
-		t.Fatalf("τ = %v inconsistent with %d rounds", w.Threshold(), w.Rounds())
+	if w.Threshold() < 2 {
+		t.Fatalf("τ = %v: the threshold never doubled on a 5000-element stream", w.Threshold())
 	}
 }
 

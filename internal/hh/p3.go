@@ -53,9 +53,6 @@ func (p *P3) Name() string { return "P3" }
 // Eps implements Protocol.
 func (p *P3) Eps() float64 { return p.eps }
 
-// SampleSize returns the coordinator's target sample size s.
-func (p *P3) SampleSize() int { return p.coord.TargetSize() }
-
 // Process implements Protocol (Algorithm 4.5).
 func (p *P3) Process(site int, elem uint64, w float64) {
 	validateSite(site, p.m)

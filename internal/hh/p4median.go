@@ -39,9 +39,6 @@ func (p *P4Median) Name() string { return "P4med" }
 // Eps implements Protocol.
 func (p *P4Median) Eps() float64 { return p.eps }
 
-// Copies returns the number of independent instances.
-func (p *P4Median) Copies() int { return len(p.copies) }
-
 // Process implements Protocol: every copy sees every element.
 func (p *P4Median) Process(site int, elem uint64, w float64) {
 	for _, c := range p.copies {

@@ -59,7 +59,7 @@ func TestP4MedianStatsSumCopies(t *testing.T) {
 	if p.Stats().Total() != sum {
 		t.Fatalf("Stats %d != sum of copies %d", p.Stats().Total(), sum)
 	}
-	if p.Copies() != 3 || p.Name() != "P4med" || p.Eps() != eps {
+	if len(p.copies) != 3 || p.Name() != "P4med" || p.Eps() != eps {
 		t.Fatal("accessors wrong")
 	}
 }

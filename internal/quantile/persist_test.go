@@ -39,8 +39,8 @@ func TestRestoreQDigestRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: err = %v, want ok %v", name, err, c.ok)
 			continue
 		}
-		if err == nil && q.Weight() != c.weight {
-			t.Errorf("%s: restored weight %v, want %v", name, q.Weight(), c.weight)
+		if err == nil && q.weight != c.weight {
+			t.Errorf("%s: restored weight %v, want %v", name, q.weight, c.weight)
 		}
 	}
 }

@@ -92,9 +92,6 @@ func (q *QDigest) Bits() uint { return q.bits }
 // Eps returns the rank error parameter.
 func (q *QDigest) Eps() float64 { return q.eps }
 
-// Weight returns the total inserted weight.
-func (q *QDigest) Weight() float64 { return q.weight }
-
 // Size returns the number of stored nodes.
 func (q *QDigest) Size() int { return len(q.nodes) + len(q.fresh) }
 
@@ -169,16 +166,6 @@ func mergeNodes(dst, a, b []node) []node {
 	}
 	dst = append(dst, a...)
 	return append(dst, b...)
-}
-
-// sorted returns every stored node in id order without folding: nodes
-// itself when fresh is empty, else a new slice.
-func (q *QDigest) sorted() []node {
-	if len(q.fresh) == 0 {
-		return q.nodes
-	}
-	f := q.sortedFresh(make([]node, 0, len(q.fresh)))
-	return mergeNodes(make([]node, 0, q.Size()), q.nodes, f)
 }
 
 // Compress enforces the q-digest size bound: any node whose subtree triple
@@ -349,24 +336,6 @@ func (q *QDigest) Quantiles(phis []float64, out []uint64) []uint64 {
 		out = append(out, v)
 	}
 	return out
-}
-
-// RankBounds returns lower and upper bounds on the weighted rank of value v
-// (the weight of items ≤ v). The true rank lies in [lo, hi], and
-// hi − lo ≤ εW after compression. The sums run in node-id order, so the
-// bounds are deterministic to the last bit.
-func (q *QDigest) RankBounds(v uint64) (lo, hi float64) {
-	for _, nd := range q.sorted() {
-		nlo, nhi := q.rangeOf(nd.id)
-		switch {
-		case nhi <= v:
-			lo += nd.w
-			hi += nd.w
-		case nlo <= v:
-			hi += nd.w // straddling range: may or may not be ≤ v
-		}
-	}
-	return lo, hi
 }
 
 // Merge folds other into q. Both digests must share bits; the error

@@ -46,12 +46,12 @@ func TestQDigestExactWhenUncompressed(t *testing.T) {
 	q.Update(3, 5)
 	q.Update(200, 2)
 	q.Update(3, 1)
-	if q.Weight() != 8 {
-		t.Fatalf("Weight = %v", q.Weight())
+	if q.weight != 8 {
+		t.Fatalf("Weight = %v", q.weight)
 	}
-	lo, hi := q.RankBounds(3)
+	lo, hi := q.rankBounds(3)
 	if lo != 6 || hi != 6 {
-		t.Fatalf("RankBounds(3) = [%v,%v] want [6,6] before compression", lo, hi)
+		t.Fatalf("rankBounds(3) = [%v,%v] want [6,6] before compression", lo, hi)
 	}
 	if got := q.Quantile(0.5); got != 3 {
 		t.Fatalf("median = %d want 3", got)
@@ -79,7 +79,7 @@ func TestQDigestRankGuarantee(t *testing.T) {
 		// the bounds must be εW-tight.
 		for trial := 0; trial < 20; trial++ {
 			v := rng.Uint64() % (uint64(1) << bits)
-			lo, hi := q.RankBounds(v)
+			lo, hi := q.rankBounds(v)
 			r := exactRank(items, v)
 			if r < lo-1e-6 || r > hi+1e-6 {
 				return false
@@ -155,12 +155,12 @@ func TestQDigestMergeGuarantee(t *testing.T) {
 	a.Merge(b)
 	all := append(append([]wv{}, itemsA...), itemsB...)
 	w := totalW(all)
-	if got := a.Weight(); got < w-1e-6 || got > w+1e-6 {
+	if got := a.weight; got < w-1e-6 || got > w+1e-6 {
 		t.Fatalf("merged weight %v want %v", got, w)
 	}
 	for trial := 0; trial < 20; trial++ {
 		v := rng.Uint64() % (1 << bits)
-		lo, hi := a.RankBounds(v)
+		lo, hi := a.rankBounds(v)
 		r := exactRank(all, v)
 		if r < lo-1e-6 || r > hi+1e-6 {
 			t.Fatalf("merged rank of %d: %v outside [%v,%v]", v, r, lo, hi)
@@ -211,7 +211,7 @@ func TestQDigestEmptyAndReset(t *testing.T) {
 	}
 	q.Update(7, 3)
 	q.Reset()
-	if q.Weight() != 0 || q.Size() != 0 {
+	if q.weight != 0 || q.Size() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -219,7 +219,7 @@ func TestQDigestEmptyAndReset(t *testing.T) {
 func TestQDigestZeroWeightNoop(t *testing.T) {
 	q := NewQDigest(8, 0.1)
 	q.Update(1, 0)
-	if q.Weight() != 0 || q.Size() != 0 {
+	if q.weight != 0 || q.Size() != 0 {
 		t.Fatal("zero weight should be no-op")
 	}
 }
@@ -292,4 +292,32 @@ func compressBenchDigests() (merged, site *QDigest) {
 		site.Update(rng.Uint64()%(1<<16), 1)
 	}
 	return merged, site
+}
+
+// rankBounds returns lower and upper bounds on the weighted rank of value v
+// (the weight of items ≤ v). The true rank lies in [lo, hi], and
+// hi − lo ≤ εW after compression. The sums run in node-id order, so the
+// bounds are deterministic to the last bit.
+func (q *QDigest) rankBounds(v uint64) (lo, hi float64) {
+	for _, nd := range q.sorted() {
+		nlo, nhi := q.rangeOf(nd.id)
+		switch {
+		case nhi <= v:
+			lo += nd.w
+			hi += nd.w
+		case nlo <= v:
+			hi += nd.w // straddling range: may or may not be ≤ v
+		}
+	}
+	return lo, hi
+}
+
+// sorted returns every stored node in id order without folding: nodes
+// itself when fresh is empty, else a new slice.
+func (q *QDigest) sorted() []node {
+	if len(q.fresh) == 0 {
+		return q.nodes
+	}
+	f := q.sortedFresh(make([]node, 0, len(q.fresh)))
+	return mergeNodes(make([]node, 0, q.Size()), q.nodes, f)
 }

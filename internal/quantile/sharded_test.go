@@ -225,8 +225,8 @@ func TestAccumulateIntoMismatch(t *testing.T) {
 	if err := tr.AccumulateInto(ok); err != nil {
 		t.Fatal(err)
 	}
-	if ok.Weight() != tr.merged.Weight() {
-		t.Fatalf("AccumulateInto weight = %v, want %v", ok.Weight(), tr.merged.Weight())
+	if ok.weight != tr.merged.weight {
+		t.Fatalf("AccumulateInto weight = %v, want %v", ok.weight, tr.merged.weight)
 	}
 
 	s := NewSharded(2, 2, func(int) *Tracker { return NewTracker(2, 0.1, 8) })

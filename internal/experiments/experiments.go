@@ -198,20 +198,6 @@ func fmtG(v float64) string { return fmt.Sprintf("%.4g", v) }
 
 func fmtInt(v int64) string { return fmt.Sprintf("%d", v) }
 
-// All runs every experiment in paper order.
-func (r *Runner) All() []Table {
-	var out []Table
-	out = append(out, r.Fig1()...)
-	out = append(out, r.Table1())
-	out = append(out, r.Fig2()...)
-	out = append(out, r.Fig3()...)
-	out = append(out, r.Fig4()...)
-	out = append(out, r.Fig6()...)
-	out = append(out, r.Fig7()...)
-	out = append(out, r.Stability()...)
-	return out
-}
-
 // --- shared workloads ----------------------------------------------------
 
 func (r *Runner) zipfStream() []gen.WeightedItem {

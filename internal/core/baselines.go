@@ -76,10 +76,6 @@ func (b *NaiveFD) Sites() int { return b.m }
 // allocating.
 func (b *NaiveFD) AccumulateGram(dst *matrix.Sym, w float64) { b.sk.AccumulateGram(dst, w) }
 
-// TruncatedGram returns the rank-k truncation of the sketch, the object the
-// Table 1 "FD" row evaluates.
-func (b *NaiveFD) TruncatedGram(k int) *matrix.Sym { return b.sk.TruncatedGram(k) }
-
 // EstimateFrobenius implements Tracker.
 func (b *NaiveFD) EstimateFrobenius() float64 { return b.fro }
 
@@ -145,23 +141,6 @@ func (b *NaiveSVD) Sites() int { return b.m }
 
 // AccumulateGram implements GramAccumulator.
 func (b *NaiveSVD) AccumulateGram(dst *matrix.Sym, w float64) { dst.AddScaledSym(w, b.gram) }
-
-// TruncatedGram returns A_kᵀA_k for the optimal rank-k approximation.
-func (b *NaiveSVD) TruncatedGram(k int) (*matrix.Sym, error) {
-	vals, vecs, err := matrix.EigSym(b.gram)
-	if err != nil {
-		return nil, err
-	}
-	if k > len(vals) {
-		k = len(vals)
-	}
-	for i := 0; i < k; i++ {
-		if vals[i] < 0 {
-			vals[i] = 0
-		}
-	}
-	return matrix.Reconstruct(vecs, vals[:k]), nil
-}
 
 // EstimateFrobenius implements Tracker.
 func (b *NaiveSVD) EstimateFrobenius() float64 { return b.fro }

@@ -189,22 +189,6 @@ func TestNaiveSVDExact(t *testing.T) {
 	if got > 1e-10 {
 		t.Fatalf("exact baseline err %v", got)
 	}
-	// Rank-k truncation error equals the (k+1)-th eigenvalue ratio.
-	gk, err := sv.TruncatedGram(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, err := metrics.CovarianceError(sv.Gram(), gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := metrics.RankKError(sv.Gram(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e1-e2) > 1e-9 {
-		t.Fatalf("truncation error %v vs rank-k error %v", e1, e2)
-	}
 }
 
 func TestFrobeniusEstimates(t *testing.T) {

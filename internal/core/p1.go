@@ -81,9 +81,6 @@ func newP1(m int, eps float64, d int) (*P1, int) {
 	return p, ell
 }
 
-// Mode returns the tracker's ingest mode.
-func (p *P1) Mode() IngestMode { return p.mode }
-
 // Name implements Tracker.
 func (p *P1) Name() string { return "P1" }
 

@@ -66,9 +66,6 @@ func NewP2Fast(m int, eps float64, d int) *P2 {
 	return p
 }
 
-// Mode returns the tracker's ingest mode.
-func (p *P2) Mode() IngestMode { return p.mode }
-
 // NewP2ShipFraction builds P2 with an explicit ship fraction in (0, 1]
 // (see P2Site.shipFrac); used by the ablation benchmarks.
 func NewP2ShipFraction(m int, eps float64, d int, shipFrac float64) *P2 {
@@ -147,9 +144,13 @@ func (p *P2) Stats() stream.Stats { return p.acct.Stats() }
 
 // Decompositions returns the number of site eigendecompositions performed,
 // the protocol's dominant computational cost.
+//
+//distlint:unreachable-ok ROADMAP 3(e) publishes it per tracker; TestDecompositionShipRate reads it today
 func (p *P2) Decompositions() int64 { return p.scratch.decomps }
 
 // DecompositionsIdle returns how many of those decompositions shipped
 // nothing, since construction or restore (see TestDecompositionShipRate).
 // Observability only — not checkpointed.
+//
+//distlint:unreachable-ok ROADMAP 3(e) publishes it per tracker; TestDecompositionShipRate reads it today
 func (p *P2) DecompositionsIdle() int64 { return p.scratch.decompsIdle }

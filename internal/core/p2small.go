@@ -69,9 +69,6 @@ func NewP2SmallSpaceFast(m int, eps float64, d int) *P2SmallSpace {
 	return p
 }
 
-// Mode returns the tracker's ingest mode.
-func (p *P2SmallSpace) Mode() IngestMode { return p.mode }
-
 // Name implements Tracker.
 func (p *P2SmallSpace) Name() string { return "P2small" }
 
@@ -80,9 +77,6 @@ func (p *P2SmallSpace) Dim() int { return p.d }
 
 // Eps implements Tracker.
 func (p *P2SmallSpace) Eps() float64 { return p.eps }
-
-// SketchRows returns the per-site sketch size ℓ (space accounting).
-func (p *P2SmallSpace) SketchRows() int { return p.sites[0].recv.Ell() }
 
 // ProcessRow implements Tracker.
 func (p *P2SmallSpace) ProcessRow(site int, row []float64) {

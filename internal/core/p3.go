@@ -57,9 +57,6 @@ func (p *P3) Dim() int { return p.d }
 // Eps implements Tracker.
 func (p *P3) Eps() float64 { return p.eps }
 
-// SampleSize returns the coordinator's target sample size.
-func (p *P3) SampleSize() int { return p.coord.TargetSize() }
-
 // ProcessRow implements Tracker.
 func (p *P3) ProcessRow(site int, row []float64) {
 	validateSite(site, p.m)

@@ -53,9 +53,6 @@ func (w *WindowedTracker) Dim() int { return w.current.Dim() }
 // Eps implements Tracker.
 func (w *WindowedTracker) Eps() float64 { return w.current.Eps() }
 
-// Window returns the target coverage W.
-func (w *WindowedTracker) Window() int { return w.window }
-
 // Sites implements SiteCounter when the inner trackers do (−1 otherwise).
 func (w *WindowedTracker) Sites() int {
 	if sc, ok := w.current.(SiteCounter); ok {

@@ -58,9 +58,6 @@ func NewPrioritySampler(s int) *PrioritySampler {
 // exactly the elements with priority ≥ τ_j.
 func (p *PrioritySampler) Threshold() float64 { return p.tau }
 
-// TargetSize returns s.
-func (p *PrioritySampler) TargetSize() int { return p.s }
-
 // Offer ingests an element forwarded by a site. It returns newRound=true if
 // the offer completed the current round, in which case the caller must
 // broadcast the new Threshold() to all sites.

@@ -51,9 +51,6 @@ func Identity(n int) *Dense {
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.boundsCheck(i, j)
@@ -64,12 +61,6 @@ func (m *Dense) At(i, j int) float64 {
 func (m *Dense) Set(i, j int, v float64) {
 	m.boundsCheck(i, j)
 	m.data[i*m.cols+j] = v
-}
-
-// Add adds v to the element at row i, column j.
-func (m *Dense) Add(i, j int, v float64) {
-	m.boundsCheck(i, j)
-	m.data[i*m.cols+j] += v
 }
 
 // at, set and add are the unchecked accessors used by the O(d³) inner loops
@@ -134,27 +125,11 @@ func (m *Dense) CopyFrom(b *Dense) {
 	copy(m.data, b.data)
 }
 
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	out := &Dense{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
-	copy(out.data, m.data)
-	return out
-}
-
 // Reset truncates the matrix to 0 rows, keeping the column count and
 // retaining capacity.
 func (m *Dense) Reset() {
 	m.rows = 0
 	m.data = m.data[:0]
-}
-
-// FrobeniusSq returns the squared Frobenius norm ‖m‖²_F.
-func (m *Dense) FrobeniusSq() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return s
 }
 
 // String renders the matrix for debugging.

@@ -113,8 +113,8 @@ func TestEigSymGramPSD(t *testing.T) {
 	for _, v := range vals {
 		sum += v
 	}
-	if !almostEqual(sum, a.FrobeniusSq(), 1e-8*(1+a.FrobeniusSq())) {
-		t.Fatalf("Σλ = %v want ‖A‖²_F = %v", sum, a.FrobeniusSq())
+	if !almostEqual(sum, NormSq(a.data), 1e-8*(1+NormSq(a.data))) {
+		t.Fatalf("Σλ = %v want ‖A‖²_F = %v", sum, NormSq(a.data))
 	}
 }
 
@@ -227,7 +227,10 @@ func PowerIterationSym(s *Sym, steps int, rng *rand.Rand) float64 {
 	Normalize(v)
 	var lambda float64
 	for it := 0; it < steps; it++ {
-		w := s.MulVec(v)
+		w := make([]float64, n) // s·v
+		for i := range w {
+			w[i] = Dot(s.data[i*n:(i+1)*n], v)
+		}
 		lambda = math.Sqrt(NormSq(w))
 		if lambda == 0 {
 			return 0
@@ -246,7 +249,7 @@ func PowerIterationSym(s *Sym, steps int, rng *rand.Rand) float64 {
 // IsOrthonormalCols reports whether the columns of m are orthonormal
 // within tol.
 func IsOrthonormalCols(m *Dense, tol float64) bool {
-	c := m.Cols()
+	c := m.cols
 	for i := 0; i < c; i++ {
 		ci := m.Col(i)
 		for j := i; j < c; j++ {

@@ -31,7 +31,7 @@ func FuzzEigSymIdentities(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := decodeMatrix(data)
-		if a == nil || a.Rows() != a.Cols() {
+		if a == nil || a.Rows() != a.cols {
 			return
 		}
 		s := SymFromDense(a)

@@ -142,18 +142,6 @@ func (s *Sym) Quad(x []float64) float64 {
 	return q
 }
 
-// MulVec returns s·x.
-func (s *Sym) MulVec(x []float64) []float64 {
-	if len(x) != s.n {
-		panic(fmt.Sprintf("matrix: multiply %d×%d by vector of length %d", s.n, s.n, len(x)))
-	}
-	out := make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = Dot(s.data[i*s.n:(i+1)*s.n], x)
-	}
-	return out
-}
-
 // MaxAbs returns the largest absolute entry.
 func (s *Sym) MaxAbs() float64 {
 	var m float64

@@ -70,7 +70,7 @@ func TestFDBlockedPropertyHarness(t *testing.T) {
 		}
 
 		// Identical Gram spectra within 1e-9 (relative to the stream mass).
-		scale := 1 + a.FrobeniusSq()
+		scale := 1 + frobeniusSq(a)
 		sr := spectrumOf(t, rowPath)
 		sb := spectrumOf(t, blocked)
 		if len(sr) != len(sb) {
@@ -103,7 +103,7 @@ func spectrumOf(t *testing.T, fd *FD) []float64 {
 // ‖AᵀA − BᵀB‖₂ ≤ Deducted ≤ ‖A‖²_F/(ℓ+1).
 func checkCovarianceBound(t *testing.T, trial int, path string, a *matrix.Dense, fd *FD) {
 	t.Helper()
-	totF := a.FrobeniusSq()
+	totF := frobeniusSq(a)
 	tol := 1e-7 * (1 + totF)
 	if fd.Deducted() > totF/float64(fd.Ell()+1)+tol {
 		t.Fatalf("trial %d (%s): deducted %v exceeds ‖A‖²_F/(ℓ+1) = %v",
@@ -133,7 +133,7 @@ func checkProjectionBound(t *testing.T, trial int, path string, a *matrix.Dense,
 	if err != nil {
 		t.Fatal(err)
 	}
-	totF := a.FrobeniusSq()
+	totF := frobeniusSq(a)
 	tol := 1e-7 * (1 + totF)
 	for _, k := range []int{1, 2} {
 		if k > len(vals) || k >= fd.Ell()+1 {

@@ -54,7 +54,7 @@ func TestP2SmallSpaceOnHighRank(t *testing.T) {
 
 func TestP2SmallSpaceSketchSizing(t *testing.T) {
 	p := NewP2SmallSpace(5, 0.1, 44)
-	if got := p.sites[0].recv.Ell(); got != 200 {
+	if got := p.sites[0].recv.Snapshot().Ell; got != 200 {
 		t.Fatalf("ℓ = %d want 4m/ε = 200", got)
 	}
 	if p.Name() != "P2small" {

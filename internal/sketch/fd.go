@@ -98,17 +98,8 @@ func NewFDBuffered(ell, d, block int) *FD {
 	return f
 }
 
-// Ell returns the sketch size ℓ.
-func (f *FD) Ell() int { return f.ell }
-
 // Dim returns the row dimension d.
 func (f *FD) Dim() int { return f.d }
-
-// Block returns the ingest-buffer capacity (rows per factorization).
-func (f *FD) Block() int { return f.bufCap }
-
-// Exact reports whether the sketch is running in the zero-error ℓ ≥ d mode.
-func (f *FD) Exact() bool { return f.exact }
 
 // Append processes one row of the stream.
 //
@@ -244,23 +235,6 @@ func (f *FD) Flush() { f.compress() }
 // Gram returns BᵀB for the current sketch (including buffered rows).
 func (f *FD) Gram() *matrix.Sym { return f.gramFull() }
 
-// Quad returns ‖Bx‖² for the current sketch (including buffered rows).
-func (f *FD) Quad(x []float64) float64 {
-	if f.exact {
-		return f.gram.Quad(x)
-	}
-	var q float64
-	for k, lam := range f.vals {
-		dot := matrix.Dot(f.vecs.Col(k), x)
-		q += lam * dot * dot
-	}
-	for i := 0; i < f.buf.Rows(); i++ {
-		dot := matrix.Dot(f.buf.Row(i), x)
-		q += dot * dot
-	}
-	return q
-}
-
 // Rows materializes the sketch matrix B: at most ℓ (and at most d) rows,
 // the k-th being √vals_k · v_kᵀ. This costs one eigendecomposition in exact
 // mode; use RowBound when only the count is needed.
@@ -313,27 +287,12 @@ func (f *FD) factors() ([]float64, *matrix.Dense) {
 	return vals, vecs
 }
 
-// TruncatedGram returns BₖᵀBₖ where Bₖ keeps only the top k directions of
-// the sketch. Used by the rank-k baselines in the evaluation.
-func (f *FD) TruncatedGram(k int) *matrix.Sym {
-	vals, vecs := f.factors()
-	if k > len(vals) {
-		k = len(vals)
-	}
-	return matrix.Reconstruct(vecs, vals[:k])
-}
-
 // Total returns ‖A‖²_F over everything processed.
 func (f *FD) Total() float64 { return f.total }
 
 // Deducted returns the cumulative shrink deduction; for any unit x it bounds
 // ‖Ax‖² − ‖Bx‖². Zero in exact mode.
 func (f *FD) Deducted() float64 { return f.deducted }
-
-// Shrinks returns how many shrink deductions have been applied: the
-// equivalence tests use it to prove the blocked and row-at-a-time ingest
-// paths follow the same compression schedule. Zero in exact mode.
-func (f *FD) Shrinks() int64 { return f.shrinks }
 
 // Size returns the number of retained directions after a flush (sketch
 // mode) or the rank bound (exact mode).

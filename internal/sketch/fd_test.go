@@ -70,7 +70,7 @@ func TestFDGuarantee(t *testing.T) {
 				continue
 			}
 			ax := normSqAx(a, x)
-			bx := fd.Quad(x)
+			bx := fd.Gram().Quad(x)
 			diff := ax - bx
 			if diff < -1e-7*(1+totF) || diff > fd.Deducted()+1e-7*(1+totF) {
 				return false
@@ -156,7 +156,7 @@ func TestFDMerge(t *testing.T) {
 				continue
 			}
 			ax := normSqAx(a1, x) + normSqAx(a2, x)
-			bx := f1.Quad(x)
+			bx := f1.Gram().Quad(x)
 			diff := ax - bx
 			if diff < -1e-7*(1+total) || diff > f1.Deducted()+1e-7*(1+total) {
 				return false
@@ -169,34 +169,11 @@ func TestFDMerge(t *testing.T) {
 	}
 }
 
-func TestFDTruncatedGram(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randRows(rng, 60, 8)
-	fd := NewFD(8, 8) // exact
-	feedFD(fd, a)
-	gk := fd.TruncatedGram(3)
-	vals, _, err := matrix.EigSym(gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := 0
-	for _, v := range vals {
-		if v > 1e-8 {
-			pos++
-		}
-	}
-	if pos > 3 {
-		t.Fatalf("truncated Gram has rank %d > 3", pos)
-	}
-	// Clamp: k larger than size.
-	_ = fd.TruncatedGram(100)
-}
-
 func TestFDQuadIncludesBuffer(t *testing.T) {
 	fd := NewFD(4, 3)
 	fd.Append([]float64{1, 0, 0}) // stays in buffer (bufCap ≥ 8)
 	x := []float64{1, 0, 0}
-	if got := fd.Quad(x); !almostEq(got, 1, 1e-12) {
+	if got := fd.Gram().Quad(x); !almostEq(got, 1, 1e-12) {
 		t.Fatalf("Quad with buffered row = %v want 1", got)
 	}
 	if got := fd.Total(); got != 1 {
@@ -211,7 +188,7 @@ func TestFDReset(t *testing.T) {
 	if fd.Total() != 0 || fd.Size() != 0 || fd.Deducted() != 0 {
 		t.Fatal("Reset incomplete")
 	}
-	if fd.Quad([]float64{1, 0, 0}) != 0 {
+	if fd.Gram().Quad([]float64{1, 0, 0}) != 0 {
 		t.Fatal("Quad nonzero after Reset")
 	}
 }

@@ -26,6 +26,8 @@ type FDSnapshot struct {
 }
 
 // Snapshot captures the sketch's complete state.
+//
+//distlint:unreachable-ok test oracle: FuzzFDBlockedEquivalence and the FD tests compare sketches through it
 func (f *FD) Snapshot() FDSnapshot {
 	s := FDSnapshot{
 		Ell:      f.ell,

@@ -61,9 +61,9 @@ func TestFDBlockedPropertyHarness(t *testing.T) {
 
 		// Identical shrink counts: the two paths share one compression
 		// schedule.
-		if rowPath.Shrinks() != blocked.Shrinks() {
+		if rowPath.shrinks != blocked.shrinks {
 			t.Fatalf("trial %d (ℓ=%d d=%d n=%d): shrinks %d (row) vs %d (blocked)",
-				trial, ell, d, n, rowPath.Shrinks(), blocked.Shrinks())
+				trial, ell, d, n, rowPath.shrinks, blocked.shrinks)
 		}
 		if rowPath.Deducted() != blocked.Deducted() {
 			t.Fatalf("trial %d: deducted %v vs %v", trial, rowPath.Deducted(), blocked.Deducted())
@@ -105,9 +105,9 @@ func checkCovarianceBound(t *testing.T, trial int, path string, a *matrix.Dense,
 	t.Helper()
 	totF := frobeniusSq(a)
 	tol := 1e-7 * (1 + totF)
-	if fd.Deducted() > totF/float64(fd.Ell()+1)+tol {
+	if fd.Deducted() > totF/float64(fd.ell+1)+tol {
 		t.Fatalf("trial %d (%s): deducted %v exceeds ‖A‖²_F/(ℓ+1) = %v",
-			trial, path, fd.Deducted(), totF/float64(fd.Ell()+1))
+			trial, path, fd.Deducted(), totF/float64(fd.ell+1))
 	}
 	diff := matrix.Gram(a)
 	diff.SubSym(fd.Gram())
@@ -136,7 +136,7 @@ func checkProjectionBound(t *testing.T, trial int, path string, a *matrix.Dense,
 	totF := frobeniusSq(a)
 	tol := 1e-7 * (1 + totF)
 	for _, k := range []int{1, 2} {
-		if k > len(vals) || k >= fd.Ell()+1 {
+		if k > len(vals) || k >= fd.ell+1 {
 			continue
 		}
 		// ‖A − π_{B,k}(A)‖²_F = ‖A‖²_F − ‖A·V_k‖²_F.

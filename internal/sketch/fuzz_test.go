@@ -38,13 +38,13 @@ func FuzzMGInvariant(f *testing.F) {
 		if m.Size() > k {
 			t.Fatalf("size %d exceeds k=%d", m.Size(), k)
 		}
-		if m.Deducted() > w/float64(k+1)+1e-9 {
-			t.Fatalf("deducted %v exceeds W/(k+1)=%v", m.Deducted(), w/float64(k+1))
+		if m.deducted > w/float64(k+1)+1e-9 {
+			t.Fatalf("deducted %v exceeds W/(k+1)=%v", m.deducted, w/float64(k+1))
 		}
 		for e, fe := range exact {
 			under := fe - m.Estimate(e)
-			if under < -1e-9 || under > m.Deducted()+1e-9 {
-				t.Fatalf("element %d: undercount %v outside [0, %v]", e, under, m.Deducted())
+			if under < -1e-9 || under > m.deducted+1e-9 {
+				t.Fatalf("element %d: undercount %v outside [0, %v]", e, under, m.deducted)
 			}
 		}
 	})
@@ -122,7 +122,7 @@ func FuzzFDGuarantee(f *testing.F) {
 			for _, r := range rows {
 				ax += r[j] * r[j]
 			}
-			bx := fd.Quad(x)
+			bx := fd.Gram().Quad(x)
 			diff := ax - bx
 			if diff < -1e-6*(1+total) || diff > fd.Deducted()+1e-6*(1+total) {
 				t.Fatalf("direction e%d: ‖Ax‖²−‖Bx‖² = %v outside [0, %v]", j, diff, fd.Deducted())
@@ -159,8 +159,8 @@ func FuzzMGMergeCommutes(f *testing.F) {
 		}
 		m1.Merge(m2) // A←B
 		m4.Merge(m3) // B←A
-		if math.Abs(m1.Weight()-m4.Weight()) > 1e-9 {
-			t.Fatalf("merge weight differs by order: %v vs %v", m1.Weight(), m4.Weight())
+		if math.Abs(m1.weight-m4.weight) > 1e-9 {
+			t.Fatalf("merge weight differs by order: %v vs %v", m1.weight, m4.weight)
 		}
 		if m1.Size() > k || m4.Size() > k {
 			t.Fatal("merge exceeded capacity")

@@ -83,24 +83,8 @@ func (m *MG) shrink() {
 // Estimate returns f̂_e, an underestimate of the true weight of element e.
 func (m *MG) Estimate(e uint64) float64 { return m.counters[e] }
 
-// Weight returns the total weight processed by this summary (W).
-func (m *MG) Weight() float64 { return m.weight }
-
-// Deducted returns the cumulative shrink deduction, which upper-bounds the
-// undercount of any element's estimate.
-func (m *MG) Deducted() float64 { return m.deducted }
-
 // Size returns the number of live counters.
 func (m *MG) Size() int { return len(m.counters) }
-
-// Counters returns a copy of the live counters.
-func (m *MG) Counters() map[uint64]float64 {
-	out := make(map[uint64]float64, len(m.counters))
-	for e, v := range m.counters {
-		out[e] = v
-	}
-	return out
-}
 
 // Merge folds other into m without increasing the combined error bound
 // beyond the sum of the two inputs' bounds. other is not modified.

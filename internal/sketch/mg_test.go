@@ -40,11 +40,11 @@ func TestMGExactWhenSmallUniverse(t *testing.T) {
 		m.Update(it.Elem, it.Weight)
 	}
 	f, w := s.exact()
-	if !almostEq(m.Weight(), w, 1e-9) {
-		t.Fatalf("Weight = %v want %v", m.Weight(), w)
+	if !almostEq(m.weight, w, 1e-9) {
+		t.Fatalf("Weight = %v want %v", m.weight, w)
 	}
-	if m.Deducted() != 0 {
-		t.Fatalf("Deducted = %v want 0", m.Deducted())
+	if m.deducted != 0 {
+		t.Fatalf("Deducted = %v want 0", m.deducted)
 	}
 	for e, want := range f {
 		if got := m.Estimate(e); !almostEq(got, want, 1e-9) {
@@ -64,12 +64,12 @@ func TestMGErrorBound(t *testing.T) {
 			m.Update(it.Elem, it.Weight)
 		}
 		exact, w := s.exact()
-		if m.Deducted() > w/float64(k+1)+1e-9 {
+		if m.deducted > w/float64(k+1)+1e-9 {
 			return false
 		}
 		for e, fe := range exact {
 			under := fe - m.Estimate(e)
-			if under < -1e-9 || under > m.Deducted()+1e-9 {
+			if under < -1e-9 || under > m.deducted+1e-9 {
 				return false
 			}
 		}
@@ -87,7 +87,7 @@ func TestMGErrorBound(t *testing.T) {
 func TestMGZeroAndNegativeWeights(t *testing.T) {
 	m := NewMG(4)
 	m.Update(1, 0)
-	if m.Weight() != 0 || m.Size() != 0 {
+	if m.weight != 0 || m.Size() != 0 {
 		t.Fatal("zero-weight update must be a no-op")
 	}
 	defer func() {
@@ -116,16 +116,16 @@ func TestMGMergePreservesBound(t *testing.T) {
 		if m1.Size() > k {
 			return false
 		}
-		if !almostEq(m1.Weight(), w, 1e-6) {
+		if !almostEq(m1.weight, w, 1e-6) {
 			return false
 		}
 		// Merged deduction stays within the union bound 2W/(k+1).
-		if m1.Deducted() > 2*w/float64(k+1)+1e-9 {
+		if m1.deducted > 2*w/float64(k+1)+1e-9 {
 			return false
 		}
 		for e, fe := range exact {
 			under := fe - m1.Estimate(e)
-			if under < -1e-9 || under > m1.Deducted()+1e-9 {
+			if under < -1e-9 || under > m1.deducted+1e-9 {
 				return false
 			}
 		}
@@ -151,7 +151,7 @@ func TestMGReset(t *testing.T) {
 	m := NewMG(4)
 	m.Update(7, 3)
 	m.Reset()
-	if m.Weight() != 0 || m.Size() != 0 || m.Estimate(7) != 0 {
+	if m.weight != 0 || m.Size() != 0 || m.Estimate(7) != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -170,8 +170,8 @@ func TestMGShrinkRemovesMin(t *testing.T) {
 	if got := m.Estimate(3); got != 0 {
 		t.Fatalf("Estimate(3) = %v want 0", got)
 	}
-	if m.Deducted() != 1 {
-		t.Fatalf("Deducted = %v want 1", m.Deducted())
+	if m.deducted != 1 {
+		t.Fatalf("Deducted = %v want 1", m.deducted)
 	}
 }
 

@@ -512,7 +512,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 	if err := m.Delete("hot"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("delete while degraded: %v, want ErrDegraded", err)
 	}
-	if err := m.Degraded(); !errors.Is(err, ErrDegraded) {
+	if err := gate(m.wal); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Degraded() = %v", err)
 	}
 
@@ -543,7 +543,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 	// Heal the disk; the background loop re-arms on its own.
 	fault.ClearOp(vfs.OpSync)
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Degraded() != nil {
+	for gate(m.wal) != nil {
 		if time.Now().After(deadline) {
 			t.Fatal("manager did not re-arm after the disk healed")
 		}

@@ -1,6 +1,9 @@
 package service
 
-import "time"
+import (
+	"io"
+	"time"
+)
 
 // SetMaxBodyBytes shrinks the ingest body cap for tests — exercising the
 // 413 path without posting 64 MiB. The returned func restores it.
@@ -22,4 +25,16 @@ func SetAdmitTimeout(m *Manager, d time.Duration) { m.admitTimeout = d }
 func HoldTracker(t *Tracker) (release func()) {
 	t.mu.Lock()
 	return t.mu.Unlock
+}
+
+// SaveState serializes t's session to w under the tracker lock, faulting a
+// hibernated tracker back in first — so the stream a stub produces is
+// exactly what its checkpoint restores to.
+func SaveState(t *Tracker, w io.Writer) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.ensureSessionLocked(); err != nil {
+		return err
+	}
+	return t.sess.SaveState(w)
 }

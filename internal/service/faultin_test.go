@@ -27,7 +27,7 @@ var coldSpec = Spec{Kind: KindHH, Sites: 2, Epsilon: 0.05, Seed: 9}
 func savedState(tb testing.TB, t *Tracker) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := t.SaveState(&buf); err != nil {
+	if err := SaveState(t, &buf); err != nil {
 		tb.Fatalf("SaveState %s: %v", t.name, err)
 	}
 	return buf.Bytes()

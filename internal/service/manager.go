@@ -267,16 +267,6 @@ func (m *Manager) replayWAL(rec *wal.Record) error {
 	return nil
 }
 
-// Degraded returns the degraded-mode error when the manager has lost
-// its durability guarantee (ingest is rejected until the WAL re-arms
-// itself), or nil while healthy or WAL-less.
-func (m *Manager) Degraded() error {
-	if m.wal == nil {
-		return nil
-	}
-	return gate(m.wal)
-}
-
 // gate, stage and commit are the service's side of the write-ahead log.
 // Healthy path: stage a record inside the tracker-lock critical section
 // that applies the batch (LSN order = apply order), commit outside it,

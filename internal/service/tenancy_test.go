@@ -59,7 +59,7 @@ func soakFeed(tr *service.Tracker, i, b int) error {
 func stateOf(t *testing.T, tr *service.Tracker) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.SaveState(&buf); err != nil {
+	if err := service.SaveState(tr, &buf); err != nil {
 		t.Fatalf("SaveState %s: %v", tr.Name(), err)
 	}
 	return buf.Bytes()

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -464,34 +463,18 @@ func (t *Tracker) Kind() string { return t.spec.Kind }
 // checkpointing.
 func (t *Tracker) Persistable() bool { return t.persistable }
 
-// Ingested returns the number of rows/items applied since the tracker was
-// created or restored.
-func (t *Tracker) Ingested() int64 { return t.ingested.Load() }
-
 // Count returns the total rows/items in the session, including everything
 // a restored checkpoint carried.
 func (t *Tracker) Count() int64 { return t.baseCount + t.ingested.Load() }
 
-// Stats returns the session's communication tally, taken under the
+// statsRelaxed returns the session's communication tally, taken under the
 // tracker lock: composite trackers (e.g. windowed matrix sessions) sum
 // sub-tracker tallies in plain fields, so the mutex-guarded accountant
-// alone is not enough. A hibernated tracker answers from the tally
-// cached at eviction (identical — only clean, idle trackers hibernate)
-// without faulting the session in.
-func (t *Tracker) Stats() distmat.Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sess == nil {
-		return t.hibStats
-	}
-	return t.sess.Stats()
-}
-
-// statsRelaxed is the monitoring variant of Stats: on a sharded session it
-// skips the merge barrier, so a /metrics scrape never stalls ingestion
-// behind a shard pipeline drain (the tally may trail enqueued blocks by up
-// to the lane depth), and a hibernated tracker answers from the stub's
-// cache instead of faulting its session in.
+// alone is not enough. On a sharded session it skips the merge barrier, so
+// a /metrics scrape never stalls ingestion behind a shard pipeline drain
+// (the tally may trail enqueued blocks by up to the lane depth), and a
+// hibernated tracker answers from the tally cached at eviction (identical —
+// only clean, idle trackers hibernate) instead of faulting its session in.
 func (t *Tracker) statsRelaxed() distmat.Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -558,19 +541,6 @@ func (t *Tracker) QueryQuantiles(phis []float64) (vals []uint64, at ItemTotals, 
 		return err
 	})
 	return vals, at, err
-}
-
-// SaveState serializes the session's persistence stream to w under the
-// tracker lock, faulting a hibernated tracker back in first — so the
-// stream a stub produces is exactly what its checkpoint restores to
-// (compare with distmat.StateEqual).
-func (t *Tracker) SaveState(w io.Writer) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ensureSessionLocked(); err != nil {
-		return err
-	}
-	return t.sess.SaveState(w)
 }
 
 // ShardInfo returns the tracker-level compute shard count (1 when

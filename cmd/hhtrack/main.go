@@ -67,7 +67,13 @@ func main() {
 	}
 
 	exact := distmat.NewHHExact(*m)
-	distmat.RunHH(exact, items, distmat.NewUniformRandom(*m, *seed+2))
+	exactSess, err := distmat.WrapHHSession(exact, distmat.WithAssigner(distmat.NewUniformRandom(*m, *seed+2)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := exactSess.ProcessItems(items); err != nil {
+		log.Fatalf("ingest: %v", err)
+	}
 	truth := exact.TrueHeavyHitters(*phi)
 
 	returned, err := sess.HeavyHitters(*phi)

@@ -19,9 +19,8 @@
 //
 // Four heavy-hitter protocols (HH P1–P4) and four matrix trackers (Matrix
 // P1–P3 plus the paper's negative-result P4) are provided, with the
-// centralized Frequent Directions sketch, weighted Misra–Gries /
-// SpaceSaving summaries, and priority sampling available as
-// standalone primitives. Every protocol is registered by name — see
+// centralized Frequent Directions sketch available as a standalone
+// primitive. Every protocol is registered by name — see
 // MatrixProtocols and HHProtocols — and is built from a validated Config:
 //
 //	Name         Guarantee                  Communication
@@ -99,13 +98,6 @@ func NewUniformRandom(m int, seed int64) Assigner { return stream.NewUniformRand
 // of the headline P2 protocols in locks and outboxes; the facade exports
 // its in-process clusters, and cmd/distdemo runs it over the internal/wire
 // transport that cmd/distsite and cmd/distserve speak.
-
-// HHCluster is an in-process deployment of heavy-hitters P2: m thread-safe
-// sites wired to one coordinator; feed sites from concurrent goroutines.
-type HHCluster = node.LocalHHCluster
-
-// NewHHCluster builds an in-process heavy-hitters P2 deployment.
-func NewHHCluster(m int, eps float64) (*HHCluster, error) { return node.NewLocalHHCluster(m, eps) }
 
 // MatrixCluster is an in-process deployment of matrix P2.
 type MatrixCluster = node.LocalMatCluster

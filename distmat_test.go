@@ -36,7 +36,7 @@ func TestEndToEndMatrix(t *testing.T) {
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(2500))
 
 	tr := newMatrix(t, "p2", m, eps, d)
-	exact := distmat.RunMatrix(tr, rows, distmat.NewUniformRandom(m, 1))
+	exact := runMatrix(t, tr, rows, distmat.NewUniformRandom(m, 1))
 
 	errVal, err := distmat.CovarianceError(exact, tr.Gram())
 	if err != nil {
@@ -55,11 +55,11 @@ func TestEndToEndHeavyHitters(t *testing.T) {
 	items := distmat.ZipfStream(distmat.DefaultZipfConfig(50000))
 
 	exact := distmat.NewHHExact(m)
-	distmat.RunHH(exact, items, distmat.NewUniformRandom(m, 2))
+	runHH(t, exact, items, distmat.NewUniformRandom(m, 2))
 	truth := exact.TrueHeavyHitters(phi)
 
 	p := newHH(t, "p2", m, eps)
-	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 2))
+	runHH(t, p, items, distmat.NewUniformRandom(m, 2))
 	got := distmat.HeavyHitters(p, phi)
 
 	res := distmat.EvaluateHH(got, truth, p.Estimate)
@@ -84,7 +84,7 @@ func TestAllMatrixConstructors(t *testing.T) {
 		newMatrix(t, "svd", m, eps, d),
 	}
 	for _, tr := range trackers {
-		exact := distmat.RunMatrix(tr, rows, distmat.NewRoundRobin(m))
+		exact := runMatrix(t, tr, rows, distmat.NewRoundRobin(m))
 		if g := tr.Gram(); g.Dim() != d {
 			t.Fatalf("%s Gram dim %d", tr.Name(), g.Dim())
 		}
@@ -104,38 +104,54 @@ func TestAllHHConstructors(t *testing.T) {
 		newHH(t, "p4", m, eps, distmat.WithSeed(7)),
 	}
 	for _, p := range protos {
-		distmat.RunHH(p, items, distmat.NewRoundRobin(m))
+		runHH(t, p, items, distmat.NewRoundRobin(m))
 		if p.EstimateTotal() <= 0 {
 			t.Fatalf("%s total estimate %v", p.Name(), p.EstimateTotal())
 		}
 	}
 }
 
+// runMatrix feeds rows through tr over a session with exact tracking and
+// the given assigner, and returns the exact Gram AᵀA.
+func runMatrix(t testing.TB, tr distmat.MatrixTracker, rows [][]float64, asg distmat.Assigner) *distmat.Sym {
+	t.Helper()
+	s, err := distmat.WrapMatrixSession(tr, distmat.WithAssigner(asg), distmat.WithExactTracking())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ProcessRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	return s.Snapshot().Exact
+}
+
+// runHH feeds items through p over a session with the given assigner.
+func runHH(t testing.TB, p distmat.HHProtocol, items []distmat.WeightedItem, asg distmat.Assigner) {
+	t.Helper()
+	s, err := distmat.WrapHHSession(p, distmat.WithAssigner(asg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ProcessItems(items); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStandaloneSketches(t *testing.T) {
 	fd := distmat.NewFrequentDirections(5, 8)
-	mg := distmat.NewMisraGries(4)
-	ss := distmat.NewSpaceSaving(4)
 	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 100, D: 8, Beta: 50, Seed: 9})
-	for i, r := range rows {
+	for _, r := range rows {
 		fd.Append(r)
-		mg.Update(uint64(i%10), 1+float64(i%3))
-		ss.Update(uint64(i%10), 1+float64(i%3))
 	}
 	if fd.Total() <= 0 || fd.Deducted() < 0 {
 		t.Fatal("FD accounting broken")
-	}
-	if mg.Weight() != ss.Weight() {
-		t.Fatalf("MG weight %v != SS weight %v", mg.Weight(), ss.Weight())
-	}
-	if mg.Estimate(1) > ss.Estimate(1) {
-		t.Fatal("MG (under)estimate exceeds SpaceSaving (over)estimate")
 	}
 }
 
 func TestRankKError(t *testing.T) {
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(1500))
 	sv := newMatrix(t, "svd", 2, 0.1, 44)
-	distmat.RunMatrix(sv, rows, distmat.NewRoundRobin(2))
+	runMatrix(t, sv, rows, distmat.NewRoundRobin(2))
 	e, err := distmat.RankKError(sv.Gram(), 30)
 	if err != nil {
 		t.Fatal(err)

@@ -40,6 +40,33 @@ func ExampleNewMatrixSession() {
 	// cheaper than shipping the stream: true
 }
 
+// ExampleNewMatrix builds a bare tracker from options, wraps it in a
+// session that also tracks the exact Gram AᵀA, and checks the covariance
+// guarantee against it.
+func ExampleNewMatrix() {
+	const m, eps, d = 4, 0.2, 8
+	tr, err := distmat.NewMatrix("p2", distmat.WithSites(m), distmat.WithEpsilon(eps), distmat.WithDim(d))
+	if err != nil {
+		panic(err)
+	}
+	sess, err := distmat.WrapMatrixSession(tr, distmat.WithExactTracking())
+	if err != nil {
+		panic(err)
+	}
+	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 500, D: d, Beta: 10, Seed: 4})
+	if err := sess.ProcessRows(rows); err != nil {
+		panic(err)
+	}
+	snap := sess.Snapshot()
+	covErr, err := distmat.CovarianceError(snap.Exact, snap.Gram)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%s within ε: %v\n", snap.Protocol, covErr <= eps)
+	// Output:
+	// p2 within ε: true
+}
+
 // ExampleNewMatrixByName selects a protocol from the registry by name —
 // the path a -protocol CLI flag takes — and shows the error contract for
 // unknown names and invalid configurations.
@@ -77,7 +104,13 @@ func ExampleNewHH() {
 	if err != nil {
 		panic(err)
 	}
-	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 3))
+	sess, err := distmat.WrapHHSession(p, distmat.WithAssigner(distmat.NewUniformRandom(m, 3)))
+	if err != nil {
+		panic(err)
+	}
+	if err := sess.ProcessItems(items); err != nil {
+		panic(err)
+	}
 
 	hot := distmat.HeavyHitters(p, phi)
 	fmt.Printf("found heavy hitters: %v\n", len(hot) > 0)

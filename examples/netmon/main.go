@@ -59,7 +59,13 @@ func main() {
 
 	// Ground truth for the report.
 	exact := distmat.NewHHExact(sites)
-	distmat.RunHH(exact, stream, distmat.NewUniformRandom(sites, 8))
+	truth, err := distmat.WrapHHSession(exact, distmat.WithAssigner(distmat.NewUniformRandom(sites, 8)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := truth.ProcessItems(stream); err != nil {
+		log.Fatal(err)
+	}
 
 	snap := monitor.Snapshot()
 	fmt.Printf("monitored %d flows across %d vantage points\n", n, sites)

@@ -42,7 +42,7 @@ func TestGramIsCallerOwned(t *testing.T) {
 					name string
 					gram func() *distmat.Sym
 				}{
-					{"Session.Gram", sess.Gram},
+					{"Matrix().Gram", sess.Matrix().Gram},
 					{"Snapshot.Gram", func() *distmat.Sym { return sess.Snapshot().Gram }},
 				} {
 					first := ask.gram()

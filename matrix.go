@@ -32,23 +32,6 @@ func NewWindowedTracker(window int, build func() MatrixTracker) *WindowedTracker
 	return core.NewWindowedTracker(window, build)
 }
 
-// RunMatrix feeds rows through a tracker with the given assigner and
-// returns the exact Gram AᵀA for evaluation. It is a thin wrapper over a
-// Session with exact tracking; prefer sessions for new code, which also
-// report errors instead of panicking on malformed rows.
-func RunMatrix(t MatrixTracker, rows [][]float64, asg Assigner) *Sym {
-	s, err := WrapMatrixSession(t, WithAssigner(asg), WithExactTracking())
-	if err != nil {
-		//distlint:panic-ok pre-session convenience contract: misuse is a programmer error
-		panic(err)
-	}
-	if err := s.ProcessRows(rows); err != nil {
-		//distlint:panic-ok pre-session convenience contract: misuse is a programmer error
-		panic(err)
-	}
-	return s.Exact()
-}
-
 // CovarianceError returns ‖AᵀA − BᵀB‖₂ / ‖A‖²_F, the paper's matrix error
 // metric, given the exact and approximate Grams.
 func CovarianceError(exact, approx *Sym) (float64, error) {
@@ -70,11 +53,3 @@ type FrequentDirections = sketch.FD
 // ingest buffer (one factorization per 2ℓ rows; see AppendRows for batch
 // ingestion).
 func NewFrequentDirections(ell, d int) *FrequentDirections { return sketch.NewFD(ell, d) }
-
-// NewFrequentDirectionsBuffered returns an FD sketch with an explicit
-// ingest-block size: one factorize-and-shrink pass per block rows. Block 1
-// is the unblocked row-at-a-time baseline the blocked benchmarks compare
-// against; the error guarantee is identical for every block size.
-func NewFrequentDirectionsBuffered(ell, d, block int) *FrequentDirections {
-	return sketch.NewFDBuffered(ell, d, block)
-}

@@ -217,6 +217,8 @@ func (s *Session) SaveState(w io.Writer) error {
 // against its never-crashed oracle, a restored checkpoint against the
 // session it saved) must be checked structurally, not with bytes.Equal.
 // A stream that fails to decode is an error, not inequality.
+//
+//distlint:unreachable-ok test oracle: the golden-checkpoint, durability, ingest and hibernation tests compare restored state through it
 func StateEqual(a, b []byte) (bool, error) {
 	var sa, sb sessionState
 	if err := gob.NewDecoder(bytes.NewReader(a)).Decode(&sa); err != nil {

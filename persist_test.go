@@ -39,8 +39,8 @@ func TestHHSessionSaveRestoreResume(t *testing.T) {
 	}
 
 	restored := saveRestore(t, sess)
-	if restored.Kind() != "heavy-hitters" || restored.ProtocolName() != "p2" {
-		t.Fatalf("restored as %s/%s", restored.Kind(), restored.ProtocolName())
+	if snap := restored.Snapshot(); snap.Kind != "heavy-hitters" || snap.Protocol != "p2" {
+		t.Fatalf("restored as %s/%s", snap.Kind, snap.Protocol)
 	}
 	if restored.Count() != sess.Count() {
 		t.Fatalf("count %d after restore, want %d", restored.Count(), sess.Count())
@@ -111,7 +111,7 @@ func TestQuantileSessionSaveRestore(t *testing.T) {
 	}
 	for i := 0; i < 20_000; i++ {
 		it := distmat.WeightedItem{Elem: uint64(i % 4096), Weight: 1 + float64(i%3)}
-		if err := sess.ProcessItemAt(i%5, it); err != nil {
+		if err := sess.ProcessItemsAt(i%5, []distmat.WeightedItem{it}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,13 +173,13 @@ func TestProcessAtValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	it := distmat.WeightedItem{Elem: 1, Weight: 1}
-	if err := sess.ProcessItemAt(3, it); !errors.Is(err, distmat.ErrInvalidSite) {
+	if err := sess.ProcessItemsAt(3, []distmat.WeightedItem{it}); !errors.Is(err, distmat.ErrInvalidSite) {
 		t.Fatalf("site 3 of 3: %v, want ErrInvalidSite", err)
 	}
-	if err := sess.ProcessItemAt(-1, it); !errors.Is(err, distmat.ErrInvalidSite) {
+	if err := sess.ProcessItemsAt(-1, []distmat.WeightedItem{it}); !errors.Is(err, distmat.ErrInvalidSite) {
 		t.Fatalf("site -1: %v, want ErrInvalidSite", err)
 	}
-	if err := sess.ProcessItemAt(2, it); err != nil {
+	if err := sess.ProcessItemsAt(2, []distmat.WeightedItem{it}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,10 +188,10 @@ func TestProcessAtValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mat.ProcessRowAt(5, make([]float64, 4)); !errors.Is(err, distmat.ErrInvalidSite) {
+	if err := mat.ProcessRowsAt(5, [][]float64{make([]float64, 4)}); !errors.Is(err, distmat.ErrInvalidSite) {
 		t.Fatalf("row site 5 of 2: %v, want ErrInvalidSite", err)
 	}
-	if err := mat.ProcessRowAt(1, make([]float64, 3)); !errors.Is(err, distmat.ErrDimensionMismatch) {
+	if err := mat.ProcessRowsAt(1, [][]float64{make([]float64, 3)}); !errors.Is(err, distmat.ErrDimensionMismatch) {
 		t.Fatalf("short row: %v, want ErrDimensionMismatch", err)
 	}
 }

@@ -23,9 +23,3 @@ func NewQuantile(opts ...Option) (*QuantileTracker, error) {
 	}
 	return quantile.NewTracker(cfg.Sites, cfg.Epsilon, cfg.Bits), nil
 }
-
-// QDigest is the standalone mergeable weighted quantile summary.
-type QDigest = quantile.QDigest
-
-// NewQDigest builds a q-digest for values in [0, 2^bits) with rank error εW.
-func NewQDigest(bits uint, eps float64) *QDigest { return quantile.NewQDigest(bits, eps) }

@@ -40,7 +40,7 @@ func TestRegistryConstructsEveryMatrixProtocol(t *testing.T) {
 			if tr.Name() != info.Display {
 				t.Fatalf("built Name %q != registry Display %q", tr.Name(), info.Display)
 			}
-			exact := distmat.RunMatrix(tr, rows, distmat.NewRoundRobin(3))
+			exact := runMatrix(t, tr, rows, distmat.NewRoundRobin(3))
 			if exact.Trace() <= 0 {
 				t.Fatal("exact Gram empty")
 			}
@@ -67,7 +67,7 @@ func TestRegistryConstructsEveryHHProtocol(t *testing.T) {
 			if p.Name() != info.Display {
 				t.Fatalf("built Name %q != registry Display %q", p.Name(), info.Display)
 			}
-			distmat.RunHH(p, items, distmat.NewRoundRobin(3))
+			runHH(t, p, items, distmat.NewRoundRobin(3))
 			if p.EstimateTotal() <= 0 {
 				t.Fatalf("%s total estimate %v", p.Name(), p.EstimateTotal())
 			}

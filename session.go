@@ -35,7 +35,7 @@ func (k sessionKind) String() string {
 
 // Session is the ingestion surface of the library: one tracker bound to one
 // site assigner, fed in batches, queried through immutable snapshots. It is
-// the single path the examples, the CLIs, and RunMatrix/RunHH use.
+// the single path the examples and the CLIs use.
 //
 // A session has one of three kinds — matrix, heavy-hitters, or quantile —
 // fixed at construction. Batch ingestion goes through ProcessRows (matrix)
@@ -43,9 +43,9 @@ func (k sessionKind) String() string {
 // with ...At variants pinning an explicit origin site; malformed input
 // returns an error instead of panicking. Deterministic sessions checkpoint
 // with SaveState/RestoreSession (persist.go). Sessions are not safe for
-// concurrent use; for a concurrent deployment see NewHHCluster,
-// NewMatrixCluster, the TCP runtime, or the cmd/distserve service layer,
-// which serializes many feeders onto one session. Sessions built with
+// concurrent use; for a concurrent deployment see NewMatrixCluster or the
+// cmd/distserve service layer, which serializes many feeders onto one
+// session. Sessions built with
 // WithShards(P) — matrix, heavy-hitters, or quantile — parallelize
 // internally: one caller, P worker goroutines behind the tracker, merged
 // at query time. Such sessions should be Closed when abandoned so the
@@ -68,7 +68,7 @@ type Session struct {
 
 	exact *Sym // exact Gram AᵀA, non-nil iff cfg.TrackExact on a matrix session
 	count int64
-	draws int64 // assigner draws so far (ProcessRowAt/ProcessItemAt skip the assigner)
+	draws int64 // assigner draws so far (ProcessRowsAt/ProcessItemsAt skip the assigner)
 
 	siteBuf  []int          // pooled per-batch site assignments (ProcessRows scratch)
 	runBuf   [][]float64    // pooled same-site run staging (sharded batch coalescing)
@@ -247,13 +247,6 @@ func NewQuantileSession(opts ...Option) (*Session, error) {
 	return finishSession(s)
 }
 
-// Kind returns the session kind: "matrix", "heavy-hitters", or "quantile".
-func (s *Session) Kind() string { return s.kind.String() }
-
-// ProtocolName returns the canonical registry name of the session's
-// protocol (or the tracker's own name for wrapped sessions).
-func (s *Session) ProtocolName() string { return s.proto }
-
 // Config returns the session's configuration echo: the options it was
 // built with, with Sites and Assigner reconciled.
 func (s *Session) Config() Config { return s.cfg }
@@ -356,26 +349,6 @@ func (s *Session) ProcessRow(row []float64) error {
 	}
 	site := s.asg.Next()
 	s.draws++
-	s.ingestRow(site, row)
-	return nil
-}
-
-// ProcessRowAt ingests one matrix row at an explicit site in [0, Sites),
-// bypassing the session's assigner — the ingestion path for deployments
-// where the caller is the site (e.g. the service API's per-site feeds).
-func (s *Session) ProcessRowAt(site int, row []float64) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if s.kind != matrixKind {
-		return fmt.Errorf("%w: ProcessRowAt on a %s session", ErrWrongKind, s.kind)
-	}
-	if site < 0 || site >= s.cfg.Sites {
-		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
-	}
-	if len(row) != s.cfg.Dim {
-		return fmt.Errorf("%w: row of length %d, want %d", ErrDimensionMismatch, len(row), s.cfg.Dim)
-	}
 	s.ingestRow(site, row)
 	return nil
 }
@@ -524,37 +497,6 @@ func (s *Session) ProcessRowsAt(site int, rows [][]float64) error {
 	return dimErr
 }
 
-// ProcessItem ingests one weighted item: (element, weight) for
-// heavy-hitters sessions, (value, weight) for quantile sessions.
-func (s *Session) ProcessItem(it WeightedItem) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if err := s.checkItem(it); err != nil {
-		return err
-	}
-	site := s.asg.Next()
-	s.draws++
-	s.ingestItem(site, it)
-	return nil
-}
-
-// ProcessItemAt ingests one weighted item at an explicit site in
-// [0, Sites), bypassing the session's assigner.
-func (s *Session) ProcessItemAt(site int, it WeightedItem) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if err := s.checkItem(it); err != nil {
-		return err
-	}
-	if site < 0 || site >= s.cfg.Sites {
-		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)
-	}
-	s.ingestItem(site, it)
-	return nil
-}
-
 func (s *Session) checkItem(it WeightedItem) error {
 	if !gen.ValidWeight(it.Weight) {
 		return fmt.Errorf("%w: need positive finite weight, got %v", ErrInvalidItem, it.Weight)
@@ -566,7 +508,7 @@ func (s *Session) checkItem(it WeightedItem) error {
 			return fmt.Errorf("%w: value %d outside universe [0, 2^%d)", ErrInvalidItem, it.Elem, s.cfg.Bits)
 		}
 	default:
-		return fmt.Errorf("%w: ProcessItem on a %s session", ErrWrongKind, s.kind)
+		return fmt.Errorf("%w: ProcessItems on a %s session", ErrWrongKind, s.kind)
 	}
 	return nil
 }
@@ -613,10 +555,11 @@ func (s *Session) ingestItems(site int, items []WeightedItem) {
 // the session — tracker, count, assigner — exactly as it was, and the
 // error reports the first offending item's index. Items are dealt to
 // sites by the session's assigner in order; for unsharded sessions the
-// result is identical to calling ProcessItem once per item, while a
-// sharded session (WithShards) coalesces each site's items into one run
-// per site so the shard pipeline sees whole blocks (both hold the same
-// εW guarantee; see ProcessRows for the same contract on rows).
+// result is identical to one ProcessItemsAt per item at the site the
+// assigner drew, while a sharded session (WithShards) coalesces each
+// site's items into one run per site so the shard pipeline sees whole
+// blocks (both hold the same εW guarantee; see ProcessRows for the same
+// contract on rows).
 func (s *Session) ProcessItems(items []WeightedItem) error {
 	if err := s.checkOpen(); err != nil {
 		return err
@@ -664,19 +607,6 @@ func (s *Session) ProcessItemsAt(site int, items []WeightedItem) error {
 	return nil
 }
 
-// Gram returns the coordinator estimate BᵀB of a matrix session as of now,
-// in a matrix the caller owns (see core.Tracker.Gram). Nil for other kinds.
-func (s *Session) Gram() *Sym {
-	if s.kind != matrixKind {
-		return nil
-	}
-	return s.mat.Gram()
-}
-
-// Exact returns the live exact Gram AᵀA of a matrix session built with
-// WithExactTracking, nil otherwise.
-func (s *Session) Exact() *Sym { return s.exact }
-
 // Covered returns how many of the most recent rows/items the current
 // estimate spans: the window coverage for windowed matrix sessions,
 // Count() for everything else.
@@ -697,15 +627,6 @@ func (s *Session) HeavyHitters(phi float64) ([]WeightedElement, error) {
 		return nil, fmt.Errorf("%w: need 0 < φ ≤ 1, got %v", ErrInvalidQuery, phi)
 	}
 	return HeavyHitters(s.hhp, phi), nil
-}
-
-// Estimate returns the coordinator's weight estimate Ŵ_e for element e on
-// a heavy-hitters session.
-func (s *Session) Estimate(elem uint64) (float64, error) {
-	if s.kind != hhKind {
-		return 0, fmt.Errorf("%w: Estimate on a %s session", ErrWrongKind, s.kind)
-	}
-	return s.hhp.Estimate(elem), nil
 }
 
 // Quantile returns the value at weighted rank φ·W (±εW) on a quantile

@@ -49,9 +49,9 @@ func TestMatrixSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesRun asserts the session path and the convenience
-// RunMatrix/RunHH wrappers drive protocols identically (same assigner
-// stream → same tally).
+// TestSessionMatchesRun asserts a session built by name with WithSeed(s)
+// and a wrapped tracker fed through NewUniformRandom(m, s) drive the
+// protocol identically (same assigner stream → same tally).
 func TestSessionMatchesRun(t *testing.T) {
 	const m, eps, d = 4, 0.2, 16
 	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 1500, D: d, Beta: 50, Seed: 3})
@@ -67,9 +67,9 @@ func TestSessionMatchesRun(t *testing.T) {
 	}
 
 	tr := newMatrix(t, "p2", m, eps, d)
-	distmat.RunMatrix(tr, rows, distmat.NewUniformRandom(m, 9))
+	runMatrix(t, tr, rows, distmat.NewUniformRandom(m, 9))
 	if sess.Stats() != tr.Stats() {
-		t.Fatalf("session stats %v != RunMatrix stats %v", sess.Stats(), tr.Stats())
+		t.Fatalf("session stats %v != wrapped stats %v", sess.Stats(), tr.Stats())
 	}
 
 	items := distmat.ZipfStream(distmat.DefaultZipfConfig(20000))
@@ -82,9 +82,9 @@ func TestSessionMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newHH(t, "p2", m, 0.01)
-	distmat.RunHH(p, items, distmat.NewUniformRandom(m, 9))
+	runHH(t, p, items, distmat.NewUniformRandom(m, 9))
 	if hsess.Stats() != p.Stats() {
-		t.Fatalf("session stats %v != RunHH stats %v", hsess.Stats(), p.Stats())
+		t.Fatalf("session stats %v != wrapped stats %v", hsess.Stats(), p.Stats())
 	}
 	if hsess.HH().EstimateTotal() != p.EstimateTotal() {
 		t.Fatalf("total %v != %v", hsess.HH().EstimateTotal(), p.EstimateTotal())
@@ -116,7 +116,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if snap.Gram.At(0, 0) != frozenGram || snap.Exact.At(0, 0) != frozenExact {
 		t.Fatal("snapshot mutated by further ingestion")
 	}
-	if sess.Exact().At(0, 0) == frozenExact {
+	if sess.Snapshot().Exact.At(0, 0) == frozenExact {
 		t.Fatal("live exact Gram did not advance")
 	}
 
@@ -187,7 +187,7 @@ func TestSessionWrongKind(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := msess.ProcessItem(distmat.WeightedItem{Elem: 1, Weight: 1}); !errors.Is(err, distmat.ErrWrongKind) {
+	if err := msess.ProcessItems([]distmat.WeightedItem{{Elem: 1, Weight: 1}}); !errors.Is(err, distmat.ErrWrongKind) {
 		t.Fatalf("matrix ProcessItem: %v", err)
 	}
 	if err := hsess.ProcessRow([]float64{1, 2, 3, 4}); !errors.Is(err, distmat.ErrWrongKind) {
@@ -199,7 +199,7 @@ func TestSessionWrongKind(t *testing.T) {
 	if _, err := hsess.Quantile(0.5); !errors.Is(err, distmat.ErrWrongKind) {
 		t.Fatalf("hh Quantile: %v", err)
 	}
-	if hsess.Gram() != nil || msess.HH() != nil {
+	if hsess.Snapshot().Gram != nil || msess.HH() != nil {
 		t.Fatal("cross-kind accessors should be nil")
 	}
 }
@@ -239,16 +239,16 @@ func TestSessionBadInput(t *testing.T) {
 		for _, sess := range []*distmat.Session{h, q} {
 			for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 				it := distmat.WeightedItem{Elem: 1, Weight: w}
-				if err := sess.ProcessItem(it); !errors.Is(err, distmat.ErrInvalidItem) {
-					t.Fatalf("%s/%d shards: weight %v: %v, want ErrInvalidItem", sess.Kind(), shards, w, err)
+				if err := sess.ProcessItems([]distmat.WeightedItem{it}); !errors.Is(err, distmat.ErrInvalidItem) {
+					t.Fatalf("%s/%d shards: weight %v: %v, want ErrInvalidItem", sess.Snapshot().Kind, shards, w, err)
 				}
-				if err := sess.ProcessItemAt(0, it); !errors.Is(err, distmat.ErrInvalidItem) {
-					t.Fatalf("%s/%d shards: weight %v at a site: %v, want ErrInvalidItem", sess.Kind(), shards, w, err)
+				if err := sess.ProcessItemsAt(0, []distmat.WeightedItem{it}); !errors.Is(err, distmat.ErrInvalidItem) {
+					t.Fatalf("%s/%d shards: weight %v at a site: %v, want ErrInvalidItem", sess.Snapshot().Kind, shards, w, err)
 				}
 			}
 			if snap := sess.Snapshot(); snap.Count != 0 || math.IsNaN(snap.Total) {
 				t.Fatalf("%s/%d shards: rejected items reached the tracker: count %d, total %v",
-					sess.Kind(), shards, snap.Count, snap.Total)
+					sess.Snapshot().Kind, shards, snap.Count, snap.Total)
 			}
 			sess.Close()
 		}
@@ -262,7 +262,7 @@ func TestSessionBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := qsess.ProcessItem(distmat.WeightedItem{Elem: 16, Weight: 1}); !errors.Is(err, distmat.ErrInvalidItem) {
+	if err := qsess.ProcessItems([]distmat.WeightedItem{{Elem: 16, Weight: 1}}); !errors.Is(err, distmat.ErrInvalidItem) {
 		t.Fatalf("value outside universe: %v", err)
 	}
 }
@@ -297,9 +297,8 @@ func TestHHSessionHeavyHitters(t *testing.T) {
 			t.Fatal("snapshot estimates not sorted by descending weight")
 		}
 	}
-	est, err := sess.Estimate(hot[0].Elem)
-	if err != nil || est <= 0 {
-		t.Fatalf("Estimate = %v, %v", est, err)
+	if est := sess.HH().Estimate(hot[0].Elem); est <= 0 {
+		t.Fatalf("Estimate = %v", est)
 	}
 }
 
@@ -313,7 +312,7 @@ func TestQuantileSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10000; i++ {
-		if err := sess.ProcessItem(distmat.WeightedItem{Elem: uint64(i % 1024), Weight: 1}); err != nil {
+		if err := sess.ProcessItems([]distmat.WeightedItem{{Elem: uint64(i % 1024), Weight: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

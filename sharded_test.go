@@ -80,8 +80,8 @@ func TestClosedSessionIngestReturnsError(t *testing.T) {
 	if err := sess.ProcessRows(rows); !errors.Is(err, distmat.ErrSessionClosed) {
 		t.Errorf("ProcessRows after Close: err = %v, want ErrSessionClosed", err)
 	}
-	if err := sess.ProcessRowAt(0, rows[0]); !errors.Is(err, distmat.ErrSessionClosed) {
-		t.Errorf("ProcessRowAt after Close: err = %v, want ErrSessionClosed", err)
+	if err := sess.ProcessRowsAt(0, [][]float64{rows[0]}); !errors.Is(err, distmat.ErrSessionClosed) {
+		t.Errorf("ProcessRowsAt after Close: err = %v, want ErrSessionClosed", err)
 	}
 	if got := sess.Snapshot().Gram; !reflect.DeepEqual(got.RawData(), gram.RawData()) {
 		t.Error("query after Close diverges from pre-Close state")
@@ -93,8 +93,8 @@ func TestClosedSessionIngestReturnsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	hsess.Close()
-	if err := hsess.ProcessItem(distmat.WeightedItem{Elem: 1, Weight: 1}); !errors.Is(err, distmat.ErrSessionClosed) {
-		t.Errorf("ProcessItem after Close: err = %v, want ErrSessionClosed", err)
+	if err := hsess.ProcessItems([]distmat.WeightedItem{{Elem: 1, Weight: 1}}); !errors.Is(err, distmat.ErrSessionClosed) {
+		t.Errorf("ProcessItems after Close: err = %v, want ErrSessionClosed", err)
 	}
 }
 
@@ -294,8 +294,8 @@ func TestShardedSessionCoalescesRuns(t *testing.T) {
 	}
 	// The regrouped feed must still answer queries: the covariance
 	// guarantee is per-shard additive and independent of run lengths.
-	if g := sess.Gram(); g == nil {
-		t.Error("Gram() = nil after coalesced ingest")
+	if g := sess.Snapshot().Gram; g == nil {
+		t.Error("Snapshot().Gram = nil after coalesced ingest")
 	}
 }
 

@@ -70,6 +70,8 @@ func (c *HHCoordinator) EstimateTotal() float64 {
 
 // HeavyHitters returns every element with Ŵ_e/Ŵ ≥ φ − ε/2, sorted by
 // descending estimate (the paper's query rule).
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func (c *HHCoordinator) HeavyHitters(phi float64) []sketch.WeightedElement {
 	if phi <= 0 || phi > 1 {
 		return nil

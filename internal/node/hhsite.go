@@ -17,8 +17,6 @@ import (
 // synchronously (direct call into the coordinator) without deadlock, and
 // lock order between site and coordinator never cycles.
 type HHSite struct {
-	id int
-
 	mu     sync.Mutex
 	half   *hh.P2Site
 	sent   int64      // messages emitted (observability)
@@ -47,7 +45,7 @@ func NewHHSite(id, m int, eps float64, out Sender) (*HHSite, error) {
 	if out == nil {
 		return nil, fmt.Errorf("node: nil sender")
 	}
-	s := &HHSite{id: id, out: out}
+	s := &HHSite{out: out}
 	half, err := hh.NewP2Site(id, m, eps, (*hhSiteLink)(s))
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
@@ -55,9 +53,6 @@ func NewHHSite(id, m int, eps float64, out Sender) (*HHSite, error) {
 	s.half = half
 	return s, nil
 }
-
-// ID returns the site id.
-func (s *HHSite) ID() int { return s.id }
 
 // HandleItem processes one stream arrival at this site.
 func (s *HHSite) HandleItem(elem uint64, w float64) error {
@@ -95,6 +90,8 @@ func (s *HHSite) HandleBroadcast(m Message) error {
 }
 
 // Sent returns how many messages this site has emitted.
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func (s *HHSite) Sent() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,6 +99,8 @@ func (s *HHSite) Sent() int64 {
 }
 
 // Estimate returns the site's current view of Ŵ.
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func (s *HHSite) Estimate() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

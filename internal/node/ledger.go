@@ -45,6 +45,8 @@ func (l *ledger) Broadcasts() int64 {
 
 // EstimateHistory returns every broadcast estimate in order, the estimate's
 // growth trajectory (one entry per broadcast, so O((1/ε)·log(βN)) entries).
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func (l *ledger) EstimateHistory() []float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -40,6 +40,8 @@ type LocalHHCluster struct {
 }
 
 // NewLocalHHCluster builds the in-process deployment of heavy-hitters P2.
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func NewLocalHHCluster(m int, eps float64) (*LocalHHCluster, error) {
 	fo := &fanout{}
 	coord, err := NewHHCoordinator(m, eps, fo)
@@ -59,6 +61,8 @@ func NewLocalHHCluster(m int, eps float64) (*LocalHHCluster, error) {
 }
 
 // Feed delivers one item to a site.
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func (c *LocalHHCluster) Feed(site int, elem uint64, w float64) error {
 	if site < 0 || site >= len(c.Sites) {
 		return fmt.Errorf("node: site %d out of range [0,%d)", site, len(c.Sites))
@@ -123,6 +127,8 @@ func (c *LocalMatCluster) Feed(site int, row []float64) error {
 
 // FeedRows delivers a batch of rows to a site through the blocked ingest
 // path.
+//
+//distlint:unreachable-ok the lock-step tests read it until ROADMAP 18(c) deletes internal/node
 func (c *LocalMatCluster) FeedRows(site int, rows [][]float64) error {
 	if site < 0 || site >= len(c.Sites) {
 		return fmt.Errorf("node: site %d out of range [0,%d)", site, len(c.Sites))

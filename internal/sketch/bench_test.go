@@ -16,17 +16,6 @@ func BenchmarkMGUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkSpaceSavingUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	s := randStream(rng, 100_000, 5000, 100)
-	ss := NewSpaceSaving(1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := s[i%len(s)]
-		ss.Update(it.Elem, it.Weight)
-	}
-}
-
 // BenchmarkFDAppend measures the amortized per-row cost of the batched FD
 // sketch in its shrinking regime (ℓ < d).
 func BenchmarkFDAppend(b *testing.B) {

@@ -50,35 +50,6 @@ func FuzzMGInvariant(f *testing.F) {
 	})
 }
 
-// FuzzSpaceSavingInvariant checks the overcount invariant on arbitrary
-// streams: tracked elements satisfy f_e ≤ est ≤ f_e + err_e.
-func FuzzSpaceSavingInvariant(f *testing.F) {
-	f.Add([]byte{1, 0, 5, 2, 0, 9}, uint8(3))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, kb uint8) {
-		k := 1 + int(kb%16)
-		s := decodeStream(data)
-		ss := NewSpaceSaving(k)
-		exact := make(map[uint64]float64)
-		for _, it := range s {
-			ss.Update(it.Elem, it.Weight)
-			exact[it.Elem] += it.Weight
-		}
-		if ss.Size() > k {
-			t.Fatalf("size %d exceeds k=%d", ss.Size(), k)
-		}
-		for e, fe := range exact {
-			est := ss.Estimate(e)
-			if est == 0 {
-				continue
-			}
-			if est < fe-1e-9 || est > fe+ss.ErrorOf(e)+1e-9 {
-				t.Fatalf("element %d: estimate %v outside [f=%v, f+err=%v]", e, est, fe, fe+ss.ErrorOf(e))
-			}
-		}
-	})
-}
-
 // FuzzFDGuarantee checks the Frequent Directions deterministic guarantee
 // on arbitrary small row streams and probe directions.
 func FuzzFDGuarantee(f *testing.F) {

@@ -1,7 +1,7 @@
 // Package sketch implements the mergeable stream summaries the distributed
-// protocols are built from: the weighted Misra–Gries frequency sketch, the
-// weighted SpaceSaving sketch, and Liberty's Frequent Directions matrix
-// sketch (maintained in its exact Gram-eigen form).
+// protocols are built from: the weighted Misra–Gries frequency sketch and
+// Liberty's Frequent Directions matrix sketch (maintained in its exact
+// Gram-eigen form).
 //
 // All summaries are deterministic. Weights are arbitrary nonnegative
 // float64 values; the protocols in this repository use weights in [1, β]

@@ -92,18 +92,6 @@ func (m *Dense) RowCopy(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("matrix: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // AppendRow appends a copy of row to the matrix. On an empty matrix it fixes
 // the column count to len(row).
 func (m *Dense) AppendRow(row []float64) {

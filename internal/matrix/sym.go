@@ -127,6 +127,8 @@ func (s *Sym) Trace() float64 {
 
 // Quad returns the quadratic form xᵀ·s·x. For a Gram matrix AᵀA this is
 // ‖Ax‖².
+//
+//distlint:unreachable-ok test helper: the matrix, sketch and core tests check ‖Ax‖² guarantees through it
 func (s *Sym) Quad(x []float64) float64 {
 	if len(x) != s.n {
 		panic(fmt.Sprintf("matrix: quadratic form with length-%d vector on %d×%d", len(x), s.n, s.n))

@@ -143,7 +143,10 @@ func checkProjectionBound(t *testing.T, trial int, path string, a *matrix.Dense,
 		var captured float64
 		for i := 0; i < a.Rows(); i++ {
 			for c := 0; c < k; c++ {
-				dot := matrix.Dot(a.Row(i), vecs.Col(c))
+				var dot float64
+				for j, v := range a.Row(i) {
+					dot += v * vecs.At(j, c)
+				}
 				captured += dot * dot
 			}
 		}

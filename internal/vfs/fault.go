@@ -80,6 +80,8 @@ func NewFault(base FS) *Fault {
 
 // Match restricts every rule and counter to paths the predicate accepts.
 // Renames match on either path.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) Match(pred func(path string) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -88,6 +90,8 @@ func (f *Fault) Match(pred func(path string) bool) {
 
 // FailOp makes every subsequent matching op of this class fail with err —
 // a persistently dead disk. ClearOp re-arms it.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) FailOp(op Op, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -95,6 +99,8 @@ func (f *Fault) FailOp(op Op, err error) {
 }
 
 // ClearOp removes a sticky FailOp failure.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) ClearOp(op Op) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -103,6 +109,8 @@ func (f *Fault) ClearOp(op Op) {
 
 // FailNth makes the n-th matching op of this class (0-based, counted from
 // the Fault's construction or last Reset) fail with err.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) FailNth(op Op, n int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -116,6 +124,8 @@ func (f *Fault) FailNth(op Op, n int, err error) {
 
 // PartialWriteNth tears the n-th matching write: only the first keep
 // bytes reach the file, and the write returns err.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) PartialWriteNth(n, keep int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -126,6 +136,8 @@ func (f *Fault) PartialWriteNth(n, keep int, err error) {
 // write that crosses it is torn at the exact boundary and returns err,
 // and every later write fails with err too — a power cut at byte offset
 // total. Reset or ClearOp(OpWrite) heals the disk.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) LimitWriteBytes(total int64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -145,6 +157,8 @@ func (f *Fault) Reset() {
 }
 
 // Count reports how many matching operations of this class have run.
+//
+//distlint:unreachable-ok test helper: the vfs, wal and service fault-injection tests
 func (f *Fault) Count(op Op) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -138,9 +138,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # The required lint gate, run by CI on every push: formatting, go vet, the
 # project's own seven distlint analyzers (assembly specs, hot-path
 # allocations, mutex guards, snapshot purity, unreachable exported
-# functions, error contracts, worker lifecycles — see internal/analysis),
-# and the pinned external linters when installed. distlint type-checks
-# against the build cache, so build first; it also loads the bench/ module,
+# functions and methods, error contracts, worker lifecycles — see
+# internal/analysis), and the pinned external linters when installed.
+# distlint type-checks against the build cache, so build first; it also
+# loads the examples of the external test packages and the bench/ module,
 # whose references count for the unreachable analyzer.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

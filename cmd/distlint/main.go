@@ -9,9 +9,10 @@
 //	distlint [flags] [packages]
 //
 // Packages default to ./... . Run it from the module root: whatever the
-// packages, the unreachable analyzer counts references from every package
-// of the module and of the benchmark module in bench/, so both are always
-// loaded. distlint exits 1 when it reports findings, so `make lint` and CI
+// packages, the unreachable analyzer counts references to exported
+// functions and methods from every package of the module, from the
+// Examples of its external test packages and from every package of the
+// benchmark module in bench/, so all three are always loaded. distlint exits 1 when it reports findings, so `make lint` and CI
 // fail on contract violations. Dependency types come from the build cache;
 // run `go build ./...` first on a cold cache.
 //

@@ -30,12 +30,13 @@ func All() []*lintkit.Analyzer {
 // packages that spawn long-lived worker goroutines (matrix and item ingest
 // shards, the service layer's checkpoint loop, the wire transport's
 // connection managers and listeners, and the write-ahead log's re-arm
-// loop). Unreachable is scoped to the packages under
-// internal/, whose exported functions exist only for the module's own
-// programs.
+// loop). Unreachable is scoped to the packages under internal/, whose
+// exported functions and methods exist only for the module's own programs,
+// and to the facade, whose exported API must be reached by a program or an
+// Example.
 func Suite(pkgPath string) []*lintkit.Analyzer {
 	suite := []*lintkit.Analyzer{AsmSpec, HotPathAlloc, MutexGuard, SnapshotPurity}
-	if strings.HasPrefix(pkgPath, "repro/internal/") {
+	if pkgPath == "repro" || strings.HasPrefix(pkgPath, "repro/internal/") {
 		suite = append(suite, Unreachable)
 	}
 	switch pkgPath {

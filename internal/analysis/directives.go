@@ -3,7 +3,8 @@
 // steady-state hot paths, mutex-guarded shared state, deep-copied snapshots,
 // sentinel-error wrapping, worker-goroutine lifecycles, a spec body and a
 // differential test for every assembly or unsafe fast body, and no
-// exported function under internal/ that no program reaches. The analyzers
+// exported function or method in the facade or under internal/ that no
+// program reaches. The analyzers
 // run on lintkit (a stdlib-only go/analysis workalike) through the
 // cmd/distlint driver, which `make lint` and CI invoke on every package.
 //
@@ -17,7 +18,7 @@
 //	//distlint:alias-ok         (line) permitted snapshot aliasing
 //	//distlint:panic-ok         (line) permitted panic, e.g. unreachable
 //	//distlint:lifecycle-ok     (line) goroutine shutdown handled elsewhere
-//	//distlint:unreachable-ok   (function) kept with no non-test caller; why
+//	//distlint:unreachable-ok   (function or method) kept with no non-test caller; why
 //
 // Escape-hatch directives apply to their own line and, when written as a
 // standalone comment line, to the line directly below; every hatch should

@@ -33,9 +33,11 @@ type pkgMeta struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
-	Error      *struct{ Err string }
-	DepOnly    bool
+	// XTestGoFiles are the files of the external test package (x_test).
+	XTestGoFiles []string
+	Standard     bool
+	Error        *struct{ Err string }
+	DepOnly      bool
 }
 
 // Loader resolves and type-checks packages. All packages loaded through one
@@ -92,7 +94,7 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 func (l *Loader) list(patterns []string) ([]*pkgMeta, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,Error,DepOnly",
+		"-json=ImportPath,Dir,Export,GoFiles,XTestGoFiles,Standard,Error,DepOnly",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
@@ -139,7 +141,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if m.Error != nil {
 			return nil, fmt.Errorf("lintkit: %s: %s", m.ImportPath, m.Error.Err)
 		}
-		pkg, err := l.check(m)
+		files, err := l.parse(m.Dir, m.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := l.check(m.ImportPath, m.Dir, files)
 		if err != nil {
 			return nil, err
 		}
@@ -148,25 +154,98 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// check parses and type-checks one listed package from source.
-func (l *Loader) check(m *pkgMeta) (*Package, error) {
+// LoadExamples type-checks, for each package Load returned whose external
+// test package (package x_test) declares a func Example…, the files of
+// that package that declare one, as package "<path>_test". Those files
+// must type-check on their own: they see the package under test through
+// its export data, not through the other test files.
+func (l *Loader) LoadExamples(loaded []*Package) ([]*Package, error) {
+	var pkgs []*Package
+	for _, p := range loaded {
+		m := l.metas[p.ImportPath]
+		all, err := l.parse(m.Dir, m.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, f := range all {
+			if declaresExample(f) {
+				files = append(files, f)
+			}
+		}
+		if len(files) == 0 {
+			continue
+		}
+		if err := l.listImports(files); err != nil {
+			return nil, err
+		}
+		pkg, err := l.check(m.ImportPath+"_test", m.Dir, files)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
+// declaresExample reports whether f declares a func Example….
+func declaresExample(f *ast.File) bool {
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+			return true
+		}
+	}
+	return false
+}
+
+// parse parses the named files of dir, comments included.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, name := range m.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(m.Dir, name), nil, parser.ParseComments)
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lintkit: %v", err)
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// listImports lists, through `go list`, the imports of files that no
+// earlier LoadDir checked, so the importer finds their export data.
+func (l *Loader) listImports(files []*ast.File) error {
+	imports := map[string]bool{}
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if _, loaded := l.typed[path]; !loaded && path != "unsafe" {
+				imports[path] = true
+			}
+		}
+	}
+	if len(imports) == 0 {
+		return nil
+	}
+	var paths []string
+	for p := range imports {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	_, err := l.list(paths)
+	return err
+}
+
+// check type-checks parsed files as the package with the given path.
+func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	info := NewInfo()
 	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(m.ImportPath, l.Fset, files, info)
+	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lintkit: type-checking %s: %v", m.ImportPath, err)
+		return nil, fmt.Errorf("lintkit: type-checking %s: %v", path, err)
 	}
 	return &Package{
-		ImportPath: m.ImportPath,
-		Dir:        m.Dir,
+		ImportPath: path,
+		Dir:        dir,
 		Fset:       l.Fset,
 		Files:      files,
 		Types:      tpkg,
@@ -195,45 +274,17 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lintkit: no .go files in %s", dir)
 	}
-	var files []*ast.File
-	imports := map[string]bool{}
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lintkit: %v", err)
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if _, loaded := l.typed[path]; !loaded && path != "unsafe" {
-				imports[path] = true
-			}
-		}
-	}
-	if len(imports) > 0 {
-		var paths []string
-		for p := range imports {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		if _, err := l.list(paths); err != nil {
-			return nil, err
-		}
-	}
-	info := NewInfo()
-	conf := types.Config{Importer: l}
-	path := files[0].Name.Name
-	tpkg, err := conf.Check(path, l.Fset, files, info)
+	files, err := l.parse(dir, names)
 	if err != nil {
-		return nil, fmt.Errorf("lintkit: type-checking %s: %v", dir, err)
+		return nil, err
 	}
-	l.typed[path] = tpkg
-	return &Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       l.Fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	if err := l.listImports(files); err != nil {
+		return nil, err
+	}
+	pkg, err := l.check(files[0].Name.Name, dir, files)
+	if err != nil {
+		return nil, err
+	}
+	l.typed[pkg.ImportPath] = pkg.Types
+	return pkg, nil
 }

@@ -2,4 +2,9 @@ package main
 
 import "unreachable"
 
-func main() { println(unreachable.Used()) }
+func main() {
+	var t unreachable.T
+	value := t.Value
+	println(unreachable.Used(), t.Called(), value(), unreachable.T.Expr(t))
+	println(unreachable.Outer{}.Promoted(), unreachable.Box[int]{}.Get())
+}

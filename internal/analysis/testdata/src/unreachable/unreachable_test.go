@@ -3,7 +3,13 @@ package unreachable
 import "testing"
 
 func TestOnlyTest(t *testing.T) {
-	if OnlyTest()+Kept() != 7 {
+	var v T
+	if OnlyTest()+Kept()+v.OnlyTestMethod()+v.KeptMethod() != 19 {
 		t.Fatal("fixture arithmetic")
 	}
+}
+
+func ExampleExampled() {
+	var t T
+	println(Exampled() + t.Exampled())
 }

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
+	"syscall"
 )
 
 // File is the per-file surface the durability layer needs. It is a strict
@@ -124,8 +125,17 @@ func (osFS) SyncDir(name string) error {
 		return err
 	}
 	defer d.Close()
-	// Some filesystems reject directory fsync; treat that as best-effort
-	// like the pre-seam checkpoint writer did.
-	_ = d.Sync()
-	return nil
+	return dirSyncErr(d.Sync())
+}
+
+// dirSyncErr is SyncDir's result for a directory fsync that returned err:
+// nil when the filesystem rejects fsync on a directory (EINVAL, ENOTSUP
+// or EOPNOTSUPP), which the contract allows, and err itself otherwise —
+// after an EIO, a create or rename in the directory may not survive a
+// power cut.
+func dirSyncErr(err error) error {
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) || errors.Is(err, syscall.EOPNOTSUPP) {
+		return nil
+	}
+	return err
 }

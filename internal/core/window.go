@@ -19,8 +19,7 @@ import (
 // remains open, as in the paper; this wrapper is the honest baseline
 // against which such a protocol would be judged.
 type WindowedTracker struct {
-	window  int // W: the target coverage, in rows
-	half    int
+	half    int // W/2 for the target coverage of W rows: a sub-window's length
 	build   func() Tracker
 	current Tracker // covers the in-progress sub-window
 	prev    Tracker // covers the completed previous sub-window (nil at start)
@@ -37,7 +36,6 @@ func NewWindowedTracker(window int, build func() Tracker) *WindowedTracker {
 		panic(err.Error())
 	}
 	return &WindowedTracker{
-		window:  window,
 		half:    window / 2,
 		build:   build,
 		current: build(),

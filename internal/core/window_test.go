@@ -117,7 +117,7 @@ func TestWindowedName(t *testing.T) {
 	if w.Name() != "Windowed(P2)" {
 		t.Fatalf("Name = %q", w.Name())
 	}
-	if w.window != 10 || w.Dim() != 4 || w.Eps() != 0.2 {
+	if w.half != 5 || w.Dim() != 4 || w.Eps() != 0.2 {
 		t.Fatal("accessors wrong")
 	}
 }

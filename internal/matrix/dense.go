@@ -63,13 +63,6 @@ func (m *Dense) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// at, set and add are the unchecked accessors used by the O(d³) inner loops
-// of the decomposition routines in this package, where the indices are
-// loop-bounded by construction.
-func (m *Dense) at(i, j int) float64     { return m.data[i*m.cols+j] }
-func (m *Dense) set(i, j int, v float64) { m.data[i*m.cols+j] = v }
-func (m *Dense) add(i, j int, v float64) { m.data[i*m.cols+j] += v }
-
 func (m *Dense) boundsCheck(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: index (%d,%d) out of range %d×%d", i, j, m.rows, m.cols))

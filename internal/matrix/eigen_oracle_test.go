@@ -510,3 +510,9 @@ func TestEigSymGuard(t *testing.T) {
 		}
 	}
 }
+
+// at, set and add are the unchecked accessors of the row-major oracle's
+// O(n³) loops, where the indices are loop-bounded by construction.
+func (m *Dense) at(i, j int) float64     { return m.data[i*m.cols+j] }
+func (m *Dense) set(i, j int, v float64) { m.data[i*m.cols+j] = v }
+func (m *Dense) add(i, j int, v float64) { m.data[i*m.cols+j] += v }

@@ -16,8 +16,10 @@
 //
 // P2 is defined once, as a site half and a coordinator half (P2Site,
 // P2Coordinator, joined by P2Uplink); the P2 simulator composes them over a
-// direct call and is the bit-exact specification, internal/node wraps the
-// same halves in a lock for deployment.
+// direct call and is the bit-exact specification. In a deployment each half
+// runs in its own daemon: cmd/distsite steps a P2Site per block, and a
+// distserve tracker applies the sites' messages to its P2's coordinator
+// half (P2.DeliverScalar, P2.DeliverRow).
 //
 // Coordinator approximations are exposed as d×d Gram matrices BᵀB, which is
 // the exact object the error metric and all downstream uses (PCA, LSI)

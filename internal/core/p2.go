@@ -33,21 +33,35 @@ type P2 struct {
 	coord   *P2Coordinator
 }
 
-// p2Direct is the simulator's uplink: tally, deliver to the coordinator half
-// and, on a broadcast, set every site's F̂ before returning.
+// p2Direct is the simulator's uplink: each message is delivered at once, as
+// DeliverScalar and DeliverRow deliver a remote site's.
 type p2Direct P2
 
-func (p *p2Direct) Scalar(_ int, fj float64) {
+func (p *p2Direct) Scalar(_ int, fj float64) { (*P2)(p).DeliverScalar(fj) }
+
+func (p *p2Direct) Row(_ int, row []float64) { (*P2)(p).DeliverRow(row) }
+
+// DeliverScalar applies a site's scalar report to the coordinator half and
+// tallies it. When the report makes a broadcast due, the broadcast is
+// tallied, every simulated site's F̂ is set before DeliverScalar returns, and
+// broadcast = true: fhat is then due at every remote site too. A service
+// hosting the coordinator half of sites that run elsewhere feeds their
+// messages here; its simulated sites then never see a row.
+func (p *P2) DeliverScalar(fj float64) (fhat float64, broadcast bool) {
 	p.acct.SendUp(1)
-	if fhat, broadcast := p.coord.Scalar(fj); broadcast {
+	fhat, broadcast = p.coord.Scalar(fj)
+	if broadcast {
 		for i := range p.sites {
 			p.sites[i].SetEstimate(fhat)
 		}
 		p.acct.Broadcast(1)
 	}
+	return fhat, broadcast
 }
 
-func (p *p2Direct) Row(_ int, row []float64) {
+// DeliverRow applies a site's shipped direction σ·v, of length d, to the
+// coordinator half and tallies it; row is not retained.
+func (p *P2) DeliverRow(row []float64) {
 	p.acct.SendUp(1)
 	p.coord.Row(row)
 }

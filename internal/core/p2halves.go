@@ -10,7 +10,8 @@ import (
 // P2Uplink is the site→coordinator link of matrix P2: the two message kinds
 // of Algorithm 5.3. A site half calls it once per message, never per row.
 // The P2 simulator implements it as a direct call into its P2Coordinator,
-// internal/node as an outbox filled under the site's lock.
+// cmd/distsite as an outbox filled under the site's lock and sent as one
+// wire msg-block.
 type P2Uplink interface {
 	// Scalar reports the site's unsent Frobenius mass F_j.
 	Scalar(site int, fj float64)
@@ -33,7 +34,7 @@ type p2Scratch struct {
 
 // P2Site is the site half of matrix P2 (Algorithm 5.3): the one definition
 // of the site step, single-goroutine, composed by the P2 simulator (m of
-// them over a direct call) and wrapped in a lock by internal/node.
+// them over a direct call) and wrapped in a lock by cmd/distsite.
 //
 // B_j is carried as its Gram matrix G_j = B_jᵀB_j (O(d²) space): appending a
 // row is a rank-1 update, the singular pairs of B_j are the eigenpairs of
@@ -242,7 +243,8 @@ func (s *P2Site) decomposeAndSend() error {
 // P2Coordinator is the coordinator half of matrix P2 (Algorithm 5.4): it
 // adds arriving σ·v rows into BᵀB and refreshes F̂ after every m scalar
 // reports. Single-goroutine; the P2 and P2SmallSpace simulators call it
-// directly and internal/node wraps it in a lock.
+// directly, and a service tracker fed by remote sites reaches it through
+// P2.DeliverScalar and P2.DeliverRow under the tracker lock.
 type P2Coordinator struct {
 	m    int
 	gram *matrix.Sym // BᵀB from received σv rows

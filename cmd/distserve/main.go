@@ -99,7 +99,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "distserve: wire listener: %v\n", err)
 			os.Exit(1)
 		}
-		mgr.SetWireStats(wl.Stats())
+		mgr.SetWireListener(wl)
 		go func() {
 			if err := wl.Serve(); !errors.Is(err, wire.ErrClosed) {
 				logger.Printf("wire listener: %v", err)

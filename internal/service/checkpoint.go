@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"time"
@@ -252,6 +253,19 @@ func writeFileAtomic(fsys vfs.FS, path string, env envelope) error {
 	// (osFS.SyncDir internally tolerates filesystems that reject
 	// directory fsync; real failures and injected ones propagate.)
 	return fsys.SyncDir(dir)
+}
+
+// removeCheckpoint deletes a tracker's checkpoint file, if any, and syncs
+// the data directory: a remove is durable only once its directory is
+// synced (vfs.FS), and nothing else on the delete path syncs it — the
+// WAL's own SyncDir covers its wal/ subdirectory — so without this a power
+// cut after compaction dropped the delete record could bring the file, and
+// with it the tracker, back.
+func (m *Manager) removeCheckpoint(name string) error {
+	if err := m.fs.Remove(m.checkpointPath(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return m.fs.SyncDir(m.opts.DataDir)
 }
 
 // corruptExt is appended to a quarantined checkpoint's filename.

@@ -846,3 +846,71 @@ func TestCreateDeleteReplay(t *testing.T) {
 		t.Error("b: recovered state differs from oracle")
 	}
 }
+
+// TestDeleteSyncsDataDir holds both ways a checkpoint file is removed —
+// Manager.Delete and a replayed delete record — to the vfs contract: the
+// remove is durable only once the data directory is synced, so each syncs
+// it and returns that sync's error. Nothing else on the delete path syncs
+// the data directory (the WAL syncs its own wal/), so without the sync a
+// power cut after compaction dropped the delete record could bring the
+// file, and the tracker, back.
+func TestDeleteSyncsDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	gone := filepath.Join(dir, "gone"+checkpointExt)
+	fault := vfs.NewFault(vfs.OS())
+	fault.Match(func(path string) bool { return path == dir || path == gone })
+	opts := walTestOptions(t, dir)
+	opts.FS = fault
+	spec := Spec{Kind: KindHH, Sites: 2, Epsilon: 0.05, Seed: 9}
+	create := func(m *Manager, name string) {
+		t.Helper()
+		tr, err := m.Create(name, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.IngestItems(context.Background(), 0, detItems(1, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Checkpoint(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errSync := errors.New("injected: data directory sync")
+
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	create(m, "gone")
+	fault.FailOp(vfs.OpSyncDir, errSync)
+	if err := m.Delete("gone"); !errors.Is(err, errSync) {
+		t.Fatalf("Delete with the data directory's sync failing: %v, want that failure", err)
+	}
+	fault.ClearOp(vfs.OpSyncDir)
+
+	// Log a delete whose file removal fails, so the record is replayed
+	// over a checkpoint that is still there.
+	create(m, "gone")
+	fault.FailOp(vfs.OpRemove, errors.New("injected: remove"))
+	if err := m.Delete("gone"); err == nil {
+		t.Fatal("Delete with the remove failing succeeded")
+	}
+	fault.ClearOp(vfs.OpRemove)
+	if _, err := os.Stat(gone); err != nil {
+		t.Fatalf("the checkpoint the replay must remove: %v", err)
+	}
+
+	fault.FailOp(vfs.OpSyncDir, errSync)
+	if _, err := Open(opts); !errors.Is(err, errSync) || !strings.Contains(err.Error(), "replayed delete") {
+		t.Fatalf("Open replaying the delete with the data directory's sync failing: %v, want that failure", err)
+	}
+	fault.ClearOp(vfs.OpSyncDir)
+	m2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if _, err := m2.Get("gone"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("deleted tracker after recovery: %v", err)
+	}
+}

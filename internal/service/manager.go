@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -124,9 +123,10 @@ type Manager struct {
 	wal         *wal.Log
 	quarantined atomic.Int64
 
-	// wireStats, when set (SetWireStats), are the wire listener's traffic
-	// counters, surfaced in /metrics as the network cost dimension.
-	wireStats atomic.Pointer[wire.Stats]
+	// wireL, when set (SetWireListener), is the wire listener serving the
+	// bridge: its traffic counters are /metrics' network cost dimension,
+	// and P2 trackers fed by site messages broadcast through it.
+	wireL atomic.Pointer[wire.CoordListener]
 }
 
 // Open builds a Manager. When opts.DataDir is set it is created if
@@ -250,7 +250,7 @@ func (m *Manager) replayWAL(rec *wal.Record) error {
 		t.close()
 		// The crashed instance may have gone down between the delete
 		// record landing and the checkpoint file removal.
-		if err := m.fs.Remove(m.checkpointPath(rec.Tracker)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := m.removeCheckpoint(rec.Tracker); err != nil {
 			return fmt.Errorf("removing checkpoint of replayed delete: %w", err)
 		}
 		m.opts.Logf("wal replay: deleted %s", rec.Tracker)
@@ -472,9 +472,9 @@ func (m *Manager) Delete(name string) error {
 	t.close()
 	if m.opts.DataDir != "" {
 		t.ckptMu.Lock()
-		err := m.fs.Remove(m.checkpointPath(name))
+		err := m.removeCheckpoint(name)
 		t.ckptMu.Unlock()
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err != nil {
 			return fmt.Errorf("service: removing checkpoint: %w", err)
 		}
 	}

@@ -205,8 +205,8 @@ func (m *Manager) Metrics() Metrics {
 		}
 	}
 	out.Tenancy = ten
-	if ws := m.wireStats.Load(); ws != nil {
-		snap := ws.Snapshot()
+	if l := m.wireL.Load(); l != nil {
+		snap := l.Stats().Snapshot()
 		wm := &WireMetrics{
 			FramesIn:  snap.FramesIn,
 			BytesIn:   snap.BytesIn,

@@ -15,7 +15,7 @@ import (
 // paper's arrival model) instead of an explicit site.
 const AssignSite = -1
 
-// ingestReq is one batch. Exactly one of rows/items is set. seq, when
+// ingestReq is one batch. Exactly one of rows/items/msgs is set. seq, when
 // non-zero, is the wire stream's block number: apply dedups against the
 // site's watermark and advances it atomically with the session mutation.
 type ingestReq struct {
@@ -23,6 +23,7 @@ type ingestReq struct {
 	seq   uint64
 	rows  [][]float64
 	items []distmat.WeightedItem
+	msgs  *msgBlock // a wire msg-block of P2 site messages (wire.go)
 }
 
 // Tracker is one hosted session: a named tracker plus its counters. It
@@ -286,8 +287,9 @@ func (t *Tracker) applyLocked(req ingestReq) error {
 		// watermark in the same critical section as the apply, so a
 		// retransmitted block can never land twice. (A block the session
 		// rejects — wrong dimension, bad site — fails before any row is
-		// applied: the wire codec guarantees uniform row length, so there
-		// is no partial-apply state to retransmit into.)
+		// applied: the wire codec guarantees uniform row length, and a
+		// msg-block is validated whole before any message is applied, so
+		// there is no partial-apply state to retransmit into.)
 		a := t.wm[req.site]
 		if req.seq <= a {
 			t.wireDups.Add(1)
@@ -310,12 +312,20 @@ func (t *Tracker) applyLocked(req ingestReq) error {
 }
 
 // processLocked runs one batch through the session — live ingest and WAL
-// replay alike — and counts what it added: n is the rows/items the
-// session took (a mid-batch rejection keeps the entries before it), err
-// the session's verdict.
+// replay alike — and counts what it added: n is the rows/items (or P2
+// messages) the session took (a mid-batch rejection keeps the entries
+// before it), err the session's verdict. A tracker's feed is fixed by what
+// it first applies: rows are refused once it has taken P2 messages, and
+// messages once it has taken rows (applyMsgsLocked).
 //
 //distlint:caller-holds mu
 func (t *Tracker) processLocked(req ingestReq) (n int64, err error) {
+	if req.msgs != nil {
+		return t.applyMsgsLocked(req.site, req.msgs)
+	}
+	if req.rows != nil && t.msgFedLocked() {
+		return 0, fmt.Errorf("%w: tracker %q is fed P2 site messages and takes no rows", distmat.ErrWrongKind, t.name)
+	}
 	before := t.sess.Count()
 	switch {
 	case req.rows != nil && req.site == AssignSite:
@@ -431,13 +441,18 @@ func (t *Tracker) replayRecord(rec *wal.Record) error {
 // gap and errors. A site's blocks arrive in order because one connection's
 // serving goroutine applies each before it reads the next.
 func (t *Tracker) IngestBlock(ctx context.Context, site int, seq uint64, rows [][]float64) error {
-	if seq == 0 {
+	return t.ingestBlock(ctx, ingestReq{site: site, seq: seq, rows: rows})
+}
+
+// ingestBlock applies one numbered wire-stream block of either kind.
+func (t *Tracker) ingestBlock(ctx context.Context, req ingestReq) error {
+	if req.seq == 0 {
 		return fmt.Errorf("service: wire block seq must be positive")
 	}
-	if site < 0 {
-		return fmt.Errorf("%w: site %d", distmat.ErrInvalidSite, site)
+	if req.site < 0 {
+		return fmt.Errorf("%w: site %d", distmat.ErrInvalidSite, req.site)
 	}
-	return t.ingest(ctx, ingestReq{site: site, seq: seq, rows: rows})
+	return t.ingest(ctx, req)
 }
 
 // SiteWatermarks returns a site's wire stream watermarks: applied (every

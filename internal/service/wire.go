@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 
 	distmat "repro"
+	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/wire"
 )
 
@@ -14,6 +17,12 @@ import (
 // tracker turns the transport's at-least-once delivery into exactly-once
 // application, and the watermarks it acks come from the tracker's
 // checkpoint machinery, so site retention tracks real durability.
+//
+// A site streams either raw row blocks or, when it runs matrix P2's site
+// half itself (cmd/distsite -protocol p2), msg-blocks of that half's
+// messages, which the tracker applies to its P2's coordinator half; the F̂
+// broadcasts they make due go back to the tracker's sites through the
+// listener registered with SetWireListener.
 type WireBridge struct{ m *Manager }
 
 var _ wire.Handler = (*WireBridge)(nil)
@@ -21,8 +30,9 @@ var _ wire.Handler = (*WireBridge)(nil)
 // WireBridge returns the manager's wire.Handler adapter.
 func (m *Manager) WireBridge() *WireBridge { return &WireBridge{m: m} }
 
-// SetWireStats registers the wire listener's counters for /metrics.
-func (m *Manager) SetWireStats(s *wire.Stats) { m.wireStats.Store(s) }
+// SetWireListener registers the wire listener that serves the bridge: its
+// counters go into /metrics, and F̂ broadcasts go out through it.
+func (m *Manager) SetWireListener(l *wire.CoordListener) { m.wireL.Store(l) }
 
 // Hello opens (or resumes) a site stream: it validates the tracker and
 // site and returns the watermarks the site resumes from.
@@ -32,7 +42,7 @@ func (b *WireBridge) Hello(tracker string, site int) (applied, durable uint64, e
 		return 0, 0, err
 	}
 	if t.Kind() != KindMatrix {
-		return 0, 0, fmt.Errorf("service: tracker %q is %s, row streams need a matrix tracker", tracker, t.Kind())
+		return 0, 0, fmt.Errorf("service: tracker %q is %s, site streams need a matrix tracker", tracker, t.Kind())
 	}
 	if site < 0 || site >= t.spec.Sites {
 		return 0, 0, fmt.Errorf("%w: site %d of %d", distmat.ErrInvalidSite, site, t.spec.Sites)
@@ -60,9 +70,26 @@ func (b *WireBridge) RowBlock(tracker string, site int, seq uint64, rows [][]flo
 	return a, b.durableFor(t, a, d), nil
 }
 
-// MsgBlock refuses node-runtime messages: a tracker is fed rows.
-func (b *WireBridge) MsgBlock(tracker string, _ int, _ uint64, _ []wire.Msg) (applied, durable uint64, err error) {
-	return 0, 0, fmt.Errorf("service: tracker %q takes row blocks, not protocol messages", tracker)
+// MsgBlock applies one numbered block of P2 site messages under RowBlock's
+// sequence rules — a duplicate is dropped, a gap refused — and sends the F̂
+// broadcasts it made due, as one msg-block, to every site of the tracker
+// once the tracker lock is released. A block that fails validation
+// (applyMsgsLocked) is refused before any of it is applied, as a bad row
+// block is.
+func (b *WireBridge) MsgBlock(tracker string, site int, seq uint64, msgs []wire.Msg) (applied, durable uint64, err error) {
+	t, err := b.m.Get(tracker)
+	if err != nil {
+		return 0, 0, err
+	}
+	blk := &msgBlock{msgs: msgs}
+	if err := t.ingestBlock(context.Background(), ingestReq{site: site, seq: seq, msgs: blk}); err != nil {
+		return 0, 0, err
+	}
+	if l := b.m.wireL.Load(); l != nil && len(blk.bcast) > 0 {
+		l.Broadcast(tracker, blk.bcast)
+	}
+	a, d := t.SiteWatermarks(site)
+	return a, b.durableFor(t, a, d), nil
 }
 
 // durableFor resolves the durable watermark a site is told. A tracker
@@ -74,4 +101,71 @@ func (b *WireBridge) durableFor(t *Tracker, applied, durable uint64) uint64 {
 		return applied
 	}
 	return durable
+}
+
+// msgBlock is one msg-block on its way through a tracker: the site's
+// messages (the decoder's, valid only during the call) and, once applied,
+// every F̂ broadcast they made due, oldest first.
+type msgBlock struct {
+	msgs  []wire.Msg
+	bcast []wire.Msg
+}
+
+// msgFedLocked reports whether the tracker is fed P2 site messages: its
+// coordinator half has taken messages, and its session no row. Both are
+// session state, so the answer survives a checkpoint, a restart and a
+// hibernation.
+//
+//distlint:caller-holds mu
+func (t *Tracker) msgFedLocked() bool {
+	_, ok := t.sess.Matrix().(*core.P2)
+	return ok && t.sess.Count() == 0 && t.sess.Stats().UpMsgs > 0
+}
+
+// applyMsgsLocked applies a msg-block from site to the coordinator half of
+// the tracker's P2, tallying every message in the session's Stats and
+// recording each F̂ broadcast it makes due in b. Only an unsharded,
+// unwindowed matrix p2 tracker that has ingested no rows takes messages.
+// The block is validated whole first: each message must be site's own, and
+// either a positive finite scalar report or a finite row of the tracker's
+// dimension — a broadcast or an unknown kind from a site is refused — so a
+// refused block leaves nothing applied.
+//
+//distlint:caller-holds mu
+func (t *Tracker) applyMsgsLocked(site int, b *msgBlock) (int64, error) {
+	p2, ok := t.sess.Matrix().(*core.P2)
+	if !ok {
+		return 0, fmt.Errorf("%w: tracker %q is not an unsharded, unwindowed matrix p2 tracker, the only kind P2 site messages feed", distmat.ErrWrongKind, t.name)
+	}
+	if t.sess.Count() > 0 {
+		return 0, fmt.Errorf("%w: tracker %q is fed rows and takes no P2 site messages", distmat.ErrWrongKind, t.name)
+	}
+	for i, m := range b.msgs {
+		if m.Site != site {
+			return 0, fmt.Errorf("service: message %d from site %d on site %d's stream", i, m.Site, site)
+		}
+		switch m.Kind {
+		case wire.MsgScalar:
+			if !(m.Value > 0 && m.Value <= math.MaxFloat64) {
+				return 0, fmt.Errorf("service: message %d: scalar report %v, want a positive finite mass", i, m.Value)
+			}
+		case wire.MsgRow:
+			if len(m.Vec) != p2.Dim() {
+				return 0, fmt.Errorf("%w: message %d: row of length %d, want %d", distmat.ErrDimensionMismatch, i, len(m.Vec), p2.Dim())
+			}
+			if w := matrix.NormSq(m.Vec); !(w <= math.MaxFloat64) {
+				return 0, fmt.Errorf("service: message %d: row of squared norm %v, want a finite one", i, w)
+			}
+		default:
+			return 0, fmt.Errorf("service: message %d: a site sends scalar and row messages, not kind %d", i, m.Kind)
+		}
+	}
+	for _, m := range b.msgs {
+		if m.Kind == wire.MsgRow {
+			p2.DeliverRow(m.Vec)
+		} else if fhat, due := p2.DeliverScalar(m.Value); due {
+			b.bcast = append(b.bcast, wire.Msg{Kind: wire.MsgEstimate, Value: fhat})
+		}
+	}
+	return int64(len(b.msgs)), nil
 }

@@ -78,10 +78,14 @@ func TestWireBridgeDedupGap(t *testing.T) {
 	if m.Metrics().Wire != nil {
 		t.Fatal("wire section present without a registered listener")
 	}
-	var ws wire.Stats
-	ws.FramesIn.Store(8)
-	ws.BytesIn.Store(1024)
-	m.SetWireStats(&ws)
+	l, err := wire.NewCoordListener("127.0.0.1:0", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.Stats().FramesIn.Store(8)
+	l.Stats().BytesIn.Store(1024)
+	m.SetWireListener(l)
 	doc := m.Metrics()
 	if doc.Wire == nil || doc.Wire.NetRows != 4 {
 		t.Fatalf("wire section %+v, want net_rows 4", doc.Wire)

@@ -146,7 +146,7 @@ func rowBlockFrame(buf []byte, seq uint64, site int, dim int, rows [][]float64) 
 	return buf, nil
 }
 
-// MsgBlock writes a batch of node-runtime messages as one frame: numbered
+// MsgBlock writes a batch of protocol messages as one frame: numbered
 // site → coordinator, seq 0 on a broadcast.
 func (e *Encoder) MsgBlock(seq uint64, ms []Msg) error {
 	buf, err := msgBlockFrame(e.buf, seq, ms)

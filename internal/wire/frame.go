@@ -40,9 +40,9 @@ const (
 	// makes every earlier one redundant.
 	KindAck
 
-	// KindMsgBlock is a batch of node-runtime protocol messages: numbered
-	// like a row block site → coordinator, unnumbered (seq 0) on a
-	// coordinator → site broadcast.
+	// KindMsgBlock is a batch of protocol messages (Msg): numbered like a
+	// row block site → coordinator, unnumbered (seq 0) on a coordinator →
+	// site broadcast.
 	KindMsgBlock
 
 	// KindError carries a terminal error string, coordinator → site, and
@@ -109,10 +109,12 @@ type RowBlock struct {
 	Rows [][]float64
 }
 
-// Msg is one node-runtime protocol message in a KindMsgBlock frame — the
-// wire form of internal/node's Message, defined here so the codec does
-// not import the runtime. A decoded Vec is a view into the decoder's
-// pooled buffers, valid until its next Next call.
+// Msg is one protocol message in a KindMsgBlock frame: a report from a site
+// half of matrix P2 (core.P2Site, run by cmd/distsite -protocol p2) to the
+// coordinator half a distserve tracker hosts, or that coordinator's
+// broadcast back. Kind is one of the Msg* kinds; Elem is carried for a
+// heavy-hitters element report, which no daemon sends yet. A decoded Vec is
+// a view into the decoder's pooled buffers, valid until its next Next call.
 //
 // Payload: seq uint64 | count uint32 | count records, each
 // kind uint8 | site uint32 | elem uint64 | value float64 | vecLen uint32 |
@@ -124,6 +126,18 @@ type Msg struct {
 	Value float64
 	Vec   []float64
 }
+
+// Msg kinds.
+const (
+	// MsgScalar is a site's report of its unreported Frobenius mass F_j
+	// (Value), site → coordinator.
+	MsgScalar uint8 = iota
+	// MsgRow is a shipped direction σ·v (Vec), site → coordinator.
+	MsgRow
+	// MsgEstimate is a broadcast of the coordinator's new F̂ (Value),
+	// coordinator → site.
+	MsgEstimate
+)
 
 // Frame is one decoded frame: Kind selects which field is meaningful
 // (Seq and Msgs both belong to a msg-block). Slice-carrying fields

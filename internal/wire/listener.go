@@ -27,7 +27,7 @@ type Handler interface {
 	// reject gaps (seq > applied+1) with an error.
 	RowBlock(tracker string, site int, seq uint64, rows [][]float64) (applied, durable uint64, err error)
 
-	// MsgBlock applies one numbered block of node-runtime messages under
+	// MsgBlock applies one numbered block of protocol messages under
 	// RowBlock's rules, in the same seq space. The messages and their
 	// vectors are the decoder's, valid only until MsgBlock returns.
 	MsgBlock(tracker string, site int, seq uint64, msgs []Msg) (applied, durable uint64, err error)
@@ -136,8 +136,8 @@ const broadcastTimeout = 5 * time.Second
 // Broadcast writes msgs as one unnumbered (seq 0) msg-block to every
 // connection of tracker that has finished its handshake. It is best
 // effort: a connection whose write fails is closed, and its site resumes
-// with the stale broadcast state it holds — the node runtime's protocols
-// only need a site's estimate to be a lower bound, never a current one —
+// with the stale broadcast state it holds — P2's site half only needs its
+// estimate to be a lower bound, never a current one —
 // so a failed write never fails, or replays, the block that caused it.
 func (l *CoordListener) Broadcast(tracker string, msgs []Msg) {
 	l.mu.Lock()

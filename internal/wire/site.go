@@ -202,7 +202,7 @@ func (c *SiteConn) SendBlock(rows [][]float64) error {
 	return c.commit(seq, frame, err)
 }
 
-// SendMsgs queues one block of node-runtime messages, encoded before it
+// SendMsgs queues one block of protocol messages, encoded before it
 // returns, under SendBlock's window, retention, resume and sequence space;
 // one goroutine at a time sends either kind.
 func (c *SiteConn) SendMsgs(msgs []Msg) error {

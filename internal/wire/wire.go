@@ -49,9 +49,10 @@
 // sequence order; a gap (seq beyond applied+1) is a protocol error that
 // drops the connection, and the retransmit handshake heals it.
 //
-// Msg-blocks carry the internal/node runtime's protocol messages: numbered
-// site → coordinator under the same window and resume as row blocks, and
-// unnumbered (seq 0) from CoordListener.Broadcast back to the sites.
+// Msg-blocks carry matrix P2's protocol messages when the sites run their
+// own half (cmd/distsite -protocol p2): numbered site → coordinator under
+// the same window and resume as row blocks, and unnumbered (seq 0) from
+// CoordListener.Broadcast back to the sites.
 package wire
 
 import (

@@ -14,9 +14,9 @@ build:
 # Two legs, as in CI: the default build (on amd64 the assembly bodies of
 # internal/matrix's kernels — gramRow and the row kernels of the P2 site
 # step — where the CPU has AVX2) and the purego tag's portable bodies over
-# the packages whose results depend on those kernels (internal/node runs
-# internal/core's site half; internal/hh rides along so both protocols'
-# replay tests see both legs). testdata/golden-*.ckpt must pass on both:
+# the packages whose results depend on those kernels (cmd/distsite runs
+# internal/core's site half in a deployment; internal/hh rides along so
+# both protocols' replay tests see both legs). testdata/golden-*.ckpt must pass on both:
 # that is the bodies' bit-identity at system level. A third leg builds for
 # 386 and runs the frame codec and its two users there, the portable
 # Gram body (its row offsets i·d + m) with the FD sketch over it, and the
@@ -29,7 +29,7 @@ build:
 # assembly.
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./internal/node ./internal/hh .
+	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./cmd/distsite ./internal/hh .
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal
@@ -106,18 +106,18 @@ profile:
 # with its floor and package; the scaling guards skip loudly below 4 procs
 # and the two kernel guards without AVX2. CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestSiteStepKernelGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./internal/node ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestSiteStepKernelGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./cmd/distsite ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted
 # mid-stream, and the final query must match the site's oracle replay bit
-# for bit. Then distdemo runs the node runtime's matrix P2 over the same
-# transport and exits non-zero unless the covariance error is within ε and
-# the coordinator received fewer messages than rows. CI runs exactly this
-# target.
+# for bit. Its last phase runs three distsite -protocol p2 sites, which
+# stream only the messages of matrix P2's site half, through another
+# kill -9, and fails unless the covariance error is within ε over every
+# row the sites generated and the tracker received fewer messages than
+# rows. CI runs exactly this target.
 e2e:
 	scripts/e2e_smoke.sh
-	$(GO) run ./cmd/distdemo -n 20000
 
 # Full figure/table regeneration (minutes).
 experiments:

@@ -1,22 +1,36 @@
 // Command distsite is the site-side daemon of a multi-node deployment:
-// it streams numbered row blocks to a distserve coordinator over the
-// binary wire protocol (see internal/wire), with bounded in-flight
-// backpressure, exponential-backoff reconnect, and watermark resume —
-// kill and restart the coordinator mid-stream and every block still
-// lands exactly once.
+// it streams numbered blocks to a distserve coordinator over the binary
+// wire protocol (see internal/wire), with bounded in-flight backpressure,
+// exponential-backoff reconnect, and watermark resume — kill and restart
+// the coordinator mid-stream and every block still lands exactly once.
+//
+// What a block carries is chosen by -protocol:
+//
+//   - rows (the default): the raw rows, which the coordinator's tracker
+//     runs through its whole protocol, sites included.
+//   - p2: the site runs matrix P2's site half (core.P2Site) itself, one
+//     step per block of rows, and streams only the messages the half
+//     sends — O((m/ε)·log βN) of them instead of N rows — as msg-blocks
+//     to the coordinator half of an unsharded, unwindowed matrix p2
+//     tracker, whose F̂ broadcasts come back on the same connection. The
+//     site's m and ε are the tracker's, read over -http.
 //
 // Rows come from a deterministic generator (seeded per site and block),
 // so any process can reproduce the stream: with -oracle the daemon
-// fetches the tracker's normalized spec over the coordinator's HTTP API,
-// replays the same rows into a local in-process tracker after draining,
-// and prints the expected query as JSON — the CI smoke test compares it
-// against the coordinator's answer bit for bit.
+// fetches the tracker's normalized spec over the coordinator's HTTP API
+// and, after draining, prints as JSON what the coordinator's answer is
+// checked against. In rows mode that is the expected query, from a replay
+// of the same rows into a local in-process tracker — the CI smoke test
+// compares it with the coordinator's bit for bit. In p2 mode, whose
+// answer depends on when broadcasts arrive, it is the exact Gram AᵀA of
+// the site's rows: the smoke test sums the sites' and holds the
+// coordinator to P2's covariance bound.
 //
 // Usage:
 //
-//	distsite -coord HOST:PORT -tracker NAME [-site N] [-rows N] [-block B]
-//	         [-dim D] [-seed S] [-window W] [-pace DUR] [-durable]
-//	         [-http URL] [-oracle] [-quiet]
+//	distsite -coord HOST:PORT -tracker NAME [-protocol rows|p2] [-site N]
+//	         [-rows N] [-block B] [-dim D] [-seed S] [-window W]
+//	         [-pace DUR] [-durable] [-http URL] [-oracle] [-quiet]
 package main
 
 import (
@@ -30,6 +44,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/matrix"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -74,6 +89,7 @@ func main() {
 		coord   = flag.String("coord", "127.0.0.1:9147", "coordinator wire address")
 		httpURL = flag.String("http", "", "coordinator HTTP base URL (needed by -oracle and -dim 0)")
 		tracker = flag.String("tracker", "", "tracker name to stream into (required)")
+		proto   = flag.String("protocol", "rows", "what blocks carry: rows (raw rows) or p2 (the messages of matrix P2's site half, run here; needs -http)")
 		site    = flag.Int("site", 0, "site id this daemon speaks for")
 		rowsN   = flag.Int("rows", 10000, "total rows to stream")
 		block   = flag.Int("block", 64, "rows per block")
@@ -103,11 +119,14 @@ func main() {
 	if *block <= 0 || *rowsN <= 0 {
 		fatalf("-rows and -block must be positive")
 	}
+	if *proto != "rows" && *proto != "p2" {
+		fatalf("-protocol %q: want rows or p2", *proto)
+	}
 
 	var spec service.Spec
-	if *oracle || *dim == 0 {
+	if *oracle || *dim == 0 || *proto == "p2" {
 		if *httpURL == "" {
-			fatalf("-oracle and -dim 0 need -http to read the tracker spec")
+			fatalf("-oracle, -dim 0 and -protocol p2 need -http to read the tracker spec")
 		}
 		var err error
 		spec, err = fetchSpec(*httpURL, *tracker)
@@ -122,27 +141,46 @@ func main() {
 		}
 	}
 
-	sc, err := wire.Dial(wire.SiteConfig{
+	cfg := wire.SiteConfig{
 		Addr:    *coord,
 		Site:    *site,
 		Tracker: *tracker,
 		Window:  *window,
 		Logf:    logf,
-	})
+	}
+	var half *p2Site
+	if *proto == "p2" {
+		var err error
+		if half, err = newP2Site(*site, spec.Sites, spec.Epsilon, *dim); err != nil {
+			fatalf("%v", err)
+		}
+		cfg.Recv = half.recv
+	}
+	sc, err := wire.Dial(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer sc.Close()
 
 	blocks := (*rowsN + *block - 1) / *block
-	sent := 0
+	sent, msgs := 0, 0
 	start := time.Now()
 	for seq := uint64(1); seq <= uint64(blocks); seq++ {
 		n := *block
 		if rem := *rowsN - sent; rem < n {
 			n = rem
 		}
-		if err := sc.SendBlock(genBlock(*seed, *site, seq, n, *dim)); err != nil {
+		rows := genBlock(*seed, *site, seq, n, *dim)
+		if half == nil {
+			err = sc.SendBlock(rows)
+		} else {
+			var out []wire.Msg
+			if out, err = half.step(rows); err == nil {
+				err = sc.SendMsgs(out)
+				msgs += len(out)
+			}
+		}
+		if err != nil {
 			fatalf("block %d: %v", seq, err)
 		}
 		sent += n
@@ -162,11 +200,34 @@ func main() {
 		fatalf("drain: %v", err)
 	}
 	st := sc.Stats().Snapshot()
-	logf("streamed %d rows in %d blocks in %v: %d reconnects, %d retransmits, %d frames / %d bytes out",
-		sent, blocks, time.Since(start).Round(time.Millisecond),
+	logf("streamed %d rows in %d blocks (protocol %s, %d messages) in %v: %d reconnects, %d retransmits, %d frames / %d bytes out",
+		sent, blocks, *proto, msgs, time.Since(start).Round(time.Millisecond),
 		max(st.Connects-1, 0), st.Retransmits, st.FramesOut, st.BytesOut)
 
 	if !*oracle {
+		return
+	}
+	if half != nil {
+		// The reference P2's bound is checked against: the exact Gram of
+		// every row this site generated.
+		exact := matrix.NewSym(*dim)
+		for seq := uint64(1); seq <= uint64(blocks); seq++ {
+			n := min(*block, *rowsN-int(seq-1)*(*block))
+			for _, r := range genBlock(*seed, *site, seq, n, *dim) {
+				exact.AddOuter(1, r)
+			}
+		}
+		gram := make([][]float64, *dim)
+		for i := range gram {
+			gram[i] = make([]float64, *dim)
+			for j := range gram[i] {
+				gram[i][j] = exact.At(i, j)
+			}
+		}
+		out := map[string]any{"rows": sent, "messages": msgs, "gram": gram}
+		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
+			fatalf("oracle: %v", err)
+		}
 		return
 	}
 

@@ -71,7 +71,6 @@ package distmat
 
 import (
 	"repro/internal/gen"
-	"repro/internal/node"
 	"repro/internal/stream"
 )
 
@@ -90,22 +89,14 @@ func NewRoundRobin(m int) Assigner { return stream.NewRoundRobin(m) }
 // arrival model), deterministic per seed.
 func NewUniformRandom(m int, seed int64) Assigner { return stream.NewUniformRandom(m, seed) }
 
-// ---- deployable runtime (concurrent sites, real transports) ----
+// ---- deployment ----
 //
 // The trackers built by the registry are deterministic single-threaded
-// simulations — ideal for experiments and exact message accounting. For
-// deployment, the node runtime wraps the same site and coordinator halves
-// of the headline P2 protocols in locks and outboxes; the facade exports
-// its in-process clusters, and cmd/distdemo runs it over the internal/wire
-// transport that cmd/distsite and cmd/distserve speak.
-
-// MatrixCluster is an in-process deployment of matrix P2.
-type MatrixCluster = node.LocalMatCluster
-
-// NewMatrixCluster builds an in-process matrix P2 deployment.
-func NewMatrixCluster(m int, eps float64, d int) (*MatrixCluster, error) {
-	return node.NewLocalMatCluster(m, eps, d)
-}
+// simulations — ideal for experiments and exact message accounting. A
+// deployment runs matrix P2's two halves in two daemons over the
+// internal/wire transport: cmd/distsite runs a site's half and streams its
+// messages, and a cmd/distserve tracker applies them to its coordinator
+// half and broadcasts F̂ back. The facade exports no runtime of its own.
 
 // ---- workload generation ----
 

@@ -155,22 +155,3 @@ func ExampleNewQuantile() {
 	// Output:
 	// median within εW rank of 512: true
 }
-
-// ExampleNewMatrixCluster runs the deployable concurrent runtime in
-// process: feeders on separate goroutines, thread-safe coordinator.
-func ExampleNewMatrixCluster() {
-	const m, eps, d = 3, 0.3, 8
-	cluster, err := distmat.NewMatrixCluster(m, eps, d)
-	if err != nil {
-		panic(err)
-	}
-	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 300, D: d, Beta: 10, Seed: 2})
-	for i, r := range rows {
-		if err := cluster.Feed(i%m, r); err != nil {
-			panic(err)
-		}
-	}
-	fmt.Printf("coordinator has an estimate: %v\n", cluster.Coordinator.Gram().Trace() > 0)
-	// Output:
-	// coordinator has an estimate: true
-}

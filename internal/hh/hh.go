@@ -13,7 +13,8 @@
 // is tallied by a stream.Accountant so message counts are exact. P2 is
 // defined once, as a site half and a coordinator half (P2Site,
 // P2Coordinator, joined by P2Uplink): the P2 simulator composes them over a
-// direct call, internal/node wraps the same halves in a lock.
+// direct call. No daemon runs them apart yet; matrix P2's halves run in
+// cmd/distsite and cmd/distserve.
 package hh
 
 import (

@@ -1,8 +1,6 @@
 package hh
 
 import (
-	"fmt"
-
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -71,19 +69,8 @@ type P2Site struct {
 	delta  map[uint64]float64
 }
 
-// NewP2Site builds site id of m at error ε over up.
-func NewP2Site(id, m int, eps float64, up P2Uplink) (*P2Site, error) {
-	if err := CheckParams(m, eps); err != nil {
-		return nil, err
-	}
-	if id < 0 || id >= m {
-		return nil, fmt.Errorf("hh: site id %d out of range [0,%d)", id, m)
-	}
-	s := makeP2Site(id, m, eps, up)
-	return &s, nil
-}
-
-// makeP2Site is NewP2Site unvalidated and by value.
+// makeP2Site builds site id of m at error ε over up, by value; the P2
+// simulator validates the parameters.
 func makeP2Site(id, m int, eps float64, up P2Uplink) P2Site {
 	// Weights are ≥ 1, so Ŵ = 1 is a valid initial lower bound.
 	return P2Site{id: id, m: m, eps: eps, up: up, what: 1, delta: make(map[uint64]float64)}

@@ -14,6 +14,13 @@
 # tail truncated), no orphaned .ckpt-* temp survives the sweep, and
 # /metrics must carry a healthy durability section.
 #
+# Phase three is message mode: three distsite -protocol p2 daemons run
+# matrix P2's site half and stream only its messages into one tracker,
+# through one more kill -9 of the coordinator. The tracker must hold P2's
+# covariance bound ‖AᵀA − BᵀB‖₂ ≤ ε‖A‖²_F over every row the sites
+# generated, have applied each message the sites sent exactly once, and
+# have received fewer messages than there were rows.
+#
 # Usage: scripts/e2e_smoke.sh  (run from anywhere inside the repo)
 set -euo pipefail
 
@@ -233,4 +240,197 @@ if grep -q '"degraded":true' "$WORK/metrics2.json"; then
   exit 1
 fi
 echo "e2e: WAL recovery holds (count=$COUNT, acked floor=$MIN); durability metrics healthy"
+
+# ---- Phase three: message mode, the sites run matrix P2's site half ----
+
+P2T=p2smoke
+P2_SITES=3
+P2_ROWS=4000
+P2_EPS=0.2
+curl -fsS -X PUT -H 'Content-Type: application/json' \
+  -d "{\"kind\":\"matrix\",\"protocol\":\"p2\",\"sites\":$P2_SITES,\"epsilon\":$P2_EPS,\"dim\":16}" \
+  "$HTTP/trackers/$P2T" >/dev/null
+
+echo "e2e: message mode: $P2_SITES distsite -protocol p2 sites, $P2_ROWS rows each (125 blocks, paced)"
+P2_PIDS=()
+for s in $(seq 0 $((P2_SITES - 1))); do
+  "$WORK/distsite" -protocol p2 -coord "127.0.0.1:$WIRE_PORT" -http "$HTTP" \
+    -tracker "$P2T" -site "$s" -rows "$P2_ROWS" -block 32 -pace 10ms -seed 7 \
+    -oracle >"$WORK/p2oracle.$s.json" 2>>"$WORK/p2site.$s.log" &
+  P2_PIDS+=($!)
+done
+
+sleep 0.5
+echo "e2e: kill -9 coordinator mid-stream, restarting"
+kill -9 "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+start_serve
+wait_healthy
+
+for s in $(seq 0 $((P2_SITES - 1))); do
+  if ! wait "${P2_PIDS[$s]}"; then
+    echo "e2e: distsite -protocol p2 site $s failed" >&2
+    cat "$WORK/p2site.$s.log" >&2
+    exit 1
+  fi
+done
+
+echo "e2e: message-mode reconnect evidence:"
+grep -hE "reconnect|retrans" "$WORK"/p2site.*.log | tail -3 || true
+
+curl -fsS "$HTTP/trackers/$P2T/query?gram=1" >"$WORK/p2query.json"
+curl -fsS "$HTTP/metrics" >"$WORK/p2metrics.json"
+
+# What each mode put on the wire per row, from the sites' own byte
+# counters (retransmits after a kill included).
+site_bytes() { sed -n 's|.* \([0-9]*\) bytes out.*|\1|p' "$@" | awk '{s += $1} END {print s + 0}'; }
+ROWS_BYTES=$(site_bytes "$WORK/site.log")
+P2_BYTES=$(site_bytes "$WORK"/p2site.*.log)
+
+# The coordinator's Gram against the sum of the sites' exact Grams, by the
+# eigenvalues of the difference (cyclic Jacobi: the check needs nothing
+# beyond the standard library).
+cat >"$WORK/p2check.go" <<'EOF'
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"strconv"
+)
+
+func decode(path string, v any) {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer f.Close()
+	if err := json.NewDecoder(f).Decode(v); err != nil {
+		fmt.Fprintf(os.Stderr, "decoding %s: %v\n", path, err)
+		os.Exit(1)
+	}
+}
+
+// eigenvalues runs cyclic Jacobi sweeps on the symmetric a, in place.
+func eigenvalues(a [][]float64) []float64 {
+	n := len(a)
+	for sweep := 0; sweep < 60; sweep++ {
+		for p := 0; p < n; p++ {
+			for q := p + 1; q < n; q++ {
+				if math.Abs(a[p][q]) < 1e-300 {
+					continue
+				}
+				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
+				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				if theta < 0 {
+					t = -t
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					akp, akq := a[k][p], a[k][q]
+					a[k][p], a[k][q] = c*akp-s*akq, s*akp+c*akq
+				}
+				for k := 0; k < n; k++ {
+					apk, aqk := a[p][k], a[q][k]
+					a[p][k], a[q][k] = c*apk-s*aqk, s*apk+c*aqk
+				}
+			}
+		}
+	}
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = a[i][i]
+	}
+	return vals
+}
+
+// args: tracker ε raw-row-bytes raw-rows message-mode-bytes query.json
+// metrics.json oracle.json...
+func main() {
+	tracker := os.Args[1]
+	eps, _ := strconv.ParseFloat(os.Args[2], 64)
+	rowsBytes, _ := strconv.ParseFloat(os.Args[3], 64)
+	rawRows, _ := strconv.ParseFloat(os.Args[4], 64)
+	p2Bytes, _ := strconv.ParseFloat(os.Args[5], 64)
+	var query struct {
+		Gram [][]float64 `json:"gram"`
+	}
+	decode(os.Args[6], &query)
+	var metrics struct {
+		Trackers map[string]struct {
+			UpMsgs     int64 `json:"up_msgs"`
+			Broadcasts int64 `json:"broadcasts"`
+		} `json:"trackers"`
+	}
+	decode(os.Args[7], &metrics)
+	var exact [][]float64
+	var rows, msgs int64
+	for _, path := range os.Args[8:] {
+		var site struct {
+			Rows     int64       `json:"rows"`
+			Messages int64       `json:"messages"`
+			Gram     [][]float64 `json:"gram"`
+		}
+		decode(path, &site)
+		if exact == nil {
+			exact = make([][]float64, len(site.Gram))
+			for i := range exact {
+				exact[i] = make([]float64, len(site.Gram))
+			}
+		}
+		for i := range site.Gram {
+			for j := range site.Gram[i] {
+				exact[i][j] += site.Gram[i][j]
+			}
+		}
+		rows += site.Rows
+		msgs += site.Messages
+	}
+	if len(exact) == 0 || len(query.Gram) != len(exact) {
+		fmt.Fprintf(os.Stderr, "coordinator Gram has %d rows, the sites' %d\n", len(query.Gram), len(exact))
+		os.Exit(1)
+	}
+	fro := 0.0
+	diff := make([][]float64, len(exact))
+	for i := range exact {
+		fro += exact[i][i]
+		diff[i] = make([]float64, len(exact))
+		for j := range exact[i] {
+			diff[i][j] = exact[i][j] - query.Gram[i][j]
+		}
+	}
+	norm := 0.0
+	for _, v := range eigenvalues(diff) {
+		norm = math.Max(norm, math.Abs(v))
+	}
+	tm, ok := metrics.Trackers[tracker]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "/metrics has no tracker %q\n", tracker)
+		os.Exit(1)
+	}
+	fmt.Printf("e2e: message mode: %d rows, %d messages up (%.4f per row), %d broadcasts, covariance error %.4g (ε = %g)\n",
+		rows, tm.UpMsgs, float64(tm.UpMsgs)/float64(rows), tm.Broadcasts, norm/fro, eps)
+	fmt.Printf("e2e: site bytes on the wire per row: %.2f in message mode, %.2f shipping raw rows\n",
+		p2Bytes/float64(rows), rowsBytes/rawRows)
+	if norm > eps*fro+1e-9*(1+fro) {
+		fmt.Fprintf(os.Stderr, "‖AᵀA − BᵀB‖₂ = %v exceeds ε‖A‖²_F = %v\n", norm, eps*fro)
+		os.Exit(1)
+	}
+	if tm.UpMsgs != msgs {
+		fmt.Fprintf(os.Stderr, "the tracker applied %d messages, the sites sent %d: not exactly once\n", tm.UpMsgs, msgs)
+		os.Exit(1)
+	}
+	if tm.UpMsgs >= rows {
+		fmt.Fprintf(os.Stderr, "the tracker received %d messages for %d rows: no saving\n", tm.UpMsgs, rows)
+		os.Exit(1)
+	}
+}
+EOF
+go run "$WORK/p2check.go" "$P2T" "$P2_EPS" "$ROWS_BYTES" 4000 "$P2_BYTES" \
+  "$WORK/p2query.json" "$WORK/p2metrics.json" "$WORK"/p2oracle.*.json
+
 echo "e2e: PASS"

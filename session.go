@@ -43,10 +43,10 @@ func (k sessionKind) String() string {
 // with ...At variants pinning an explicit origin site; malformed input
 // returns an error instead of panicking. Deterministic sessions checkpoint
 // with SaveState/RestoreSession (persist.go). Sessions are not safe for
-// concurrent use; for a concurrent deployment see NewMatrixCluster or the
-// cmd/distserve service layer, which serializes many feeders onto one
-// session. Sessions built with
-// WithShards(P) — matrix, heavy-hitters, or quantile — parallelize
+// concurrent use; for a concurrent deployment see the cmd/distserve
+// service layer, which serializes many feeders onto one session, and
+// cmd/distsite, which runs matrix P2's site half beside it. Sessions built
+// with WithShards(P) — matrix, heavy-hitters, or quantile — parallelize
 // internally: one caller, P worker goroutines behind the tracker, merged
 // at query time. Such sessions should be Closed when abandoned so the
 // workers stop.

@@ -122,10 +122,10 @@ func TestWireHandlerSequenceRules(t *testing.T) {
 	}
 }
 
-// TestMsgBlockUntrustedInput sends blocks whose last message is malformed:
-// each is refused and leaves the tracker as it was — nothing of the block
-// applied, the watermark unmoved — and the stream then goes on.
-func TestMsgBlockUntrustedInput(t *testing.T) {
+// TestMsgBlockRejectsBadMessages sends blocks whose last message is
+// malformed: each is refused and leaves the tracker as it was — nothing of
+// the block applied, the watermark unmoved — and the stream then goes on.
+func TestMsgBlockRejectsBadMessages(t *testing.T) {
 	m, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +171,65 @@ func TestMsgBlockUntrustedInput(t *testing.T) {
 	}
 	if a, _, err := b.MsgBlock("p", 0, 2, good); err != nil || a != 2 {
 		t.Fatalf("good block after the refusals: applied %d, %v", a, err)
+	}
+}
+
+// TestWireRefusedMsgBlockAppliesNothing sends, over loopback, a block whose
+// head is a good message and whose tail the tracker refuses. The site's
+// connection drops and it retransmits the block on every reconnect, yet
+// nothing of it is ever applied: the tracker stays where the last good
+// block left it, and the site's Drain never sees the block acked.
+func TestWireRefusedMsgBlockAppliesNothing(t *testing.T) {
+	m, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	tr, err := m.Create("p", msgSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wire.NewCoordListener("127.0.0.1:0", m.WireBridge())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWireListener(l)
+	go l.Serve()
+	defer l.Close()
+	sc, err := wire.Dial(wire.SiteConfig{
+		Addr: l.Addr(), Site: 1, Tracker: "p",
+		MinBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+		Recv: func([]wire.Msg) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	head := wire.Msg{Kind: wire.MsgScalar, Site: 1, Value: 1}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sc.SendMsgs([]wire.Msg{head}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := stateAt(t, tr, 1)
+
+	if err := sc.SendMsgs([]wire.Msg{head, {Kind: wire.MsgRow, Site: 1, Vec: []float64{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	short, cancelShort := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancelShort()
+	if err := sc.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain after a refused block: %v, want it never acked", err)
+	}
+	if got := sc.Stats().Retransmits.Load(); got < 1 {
+		t.Fatalf("site retransmitted %d blocks, want the refused block resent", got)
+	}
+	if after := stateAt(t, tr, 1); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused block changed the tracker: %+v → %+v", before, after)
 	}
 }
 

@@ -358,6 +358,47 @@ func TestMsgFeedRulesSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestMsgFedRefusedRowsAreNotLogged crashes a WAL manager after a tracker
+// fed messages refused a row batch. Msg-blocks are not logged, so the
+// recovered tracker has taken no message; had the refused batch reached
+// the log, replay would ingest rows the client was told were refused and
+// the site's resent msg-blocks would be refused for good.
+func TestMsgFedRefusedRowsAreNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	msg := []wire.Msg{{Kind: wire.MsgScalar, Site: 0, Value: 1}}
+	m, err := Open(walTestOptions(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := m.Create("msgs", msgSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.WireBridge().MsgBlock("msgs", 0, 1, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.IngestRows(context.Background(), 0, [][]float64{{1, 2, 3, 4}}); !errors.Is(err, distmat.ErrWrongKind) {
+		t.Fatalf("tracker fed messages took rows: %v", err)
+	}
+	// Crash: abandon m.
+
+	m2, err := Open(walTestOptions(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	tr2, err := m2.Get("msgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr2.Count(); n != 0 {
+		t.Fatalf("recovered tracker holds %d refused rows", n)
+	}
+	if a, _, err := m2.WireBridge().MsgBlock("msgs", 0, 1, msg); err != nil || a != 1 {
+		t.Fatalf("resent block 1 after the crash: applied %d, %v", a, err)
+	}
+}
+
 // TestMsgFedTrackerHibernates evicts a tracker fed messages between two
 // halves of its stream: the fault-in restores it bit for bit (it ends equal
 // to a twin that never hibernated), and the feed rule holds on the stub.

@@ -229,6 +229,12 @@ func (t *Tracker) apply(req ingestReq) error {
 		t.mu.Unlock()
 		return err
 	}
+	if req.rows != nil && t.msgFedLocked() {
+		// Before the WAL stage: a logged batch replays on a tracker that
+		// has lost its unlogged msg-blocks, and would be taken there.
+		t.mu.Unlock()
+		return fmt.Errorf("%w: tracker %q is fed P2 site messages and takes no rows", distmat.ErrWrongKind, t.name)
+	}
 	var walLSN uint64
 	logged := false
 	if t.wal != nil && req.seq == 0 {
@@ -315,16 +321,13 @@ func (t *Tracker) applyLocked(req ingestReq) error {
 // replay alike — and counts what it added: n is the rows/items (or P2
 // messages) the session took (a mid-batch rejection keeps the entries
 // before it), err the session's verdict. A tracker's feed is fixed by what
-// it first applies: rows are refused once it has taken P2 messages, and
-// messages once it has taken rows (applyMsgsLocked).
+// it first applies: apply refuses rows once it has taken P2 messages, and
+// applyMsgsLocked refuses messages once it has taken rows.
 //
 //distlint:caller-holds mu
 func (t *Tracker) processLocked(req ingestReq) (n int64, err error) {
 	if req.msgs != nil {
 		return t.applyMsgsLocked(req.site, req.msgs)
-	}
-	if req.rows != nil && t.msgFedLocked() {
-		return 0, fmt.Errorf("%w: tracker %q is fed P2 site messages and takes no rows", distmat.ErrWrongKind, t.name)
 	}
 	before := t.sess.Count()
 	switch {

@@ -164,6 +164,12 @@ func main() {
 
 	blocks := (*rowsN + *block - 1) / *block
 	sent, msgs := 0, 0
+	// In p2 mode the reference P2's bound is checked against: the exact
+	// Gram of every row this site generated.
+	var exact *matrix.Sym
+	if half != nil && *oracle {
+		exact = matrix.NewSym(*dim)
+	}
 	start := time.Now()
 	for seq := uint64(1); seq <= uint64(blocks); seq++ {
 		n := *block
@@ -171,6 +177,11 @@ func main() {
 			n = rem
 		}
 		rows := genBlock(*seed, *site, seq, n, *dim)
+		if exact != nil {
+			for _, r := range rows {
+				exact.AddOuter(1, r)
+			}
+		}
 		if half == nil {
 			err = sc.SendBlock(rows)
 		} else {
@@ -207,16 +218,7 @@ func main() {
 	if !*oracle {
 		return
 	}
-	if half != nil {
-		// The reference P2's bound is checked against: the exact Gram of
-		// every row this site generated.
-		exact := matrix.NewSym(*dim)
-		for seq := uint64(1); seq <= uint64(blocks); seq++ {
-			n := min(*block, *rowsN-int(seq-1)*(*block))
-			for _, r := range genBlock(*seed, *site, seq, n, *dim) {
-				exact.AddOuter(1, r)
-			}
-		}
+	if exact != nil {
 		gram := make([][]float64, *dim)
 		for i := range gram {
 			gram[i] = make([]float64, *dim)

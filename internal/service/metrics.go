@@ -27,7 +27,10 @@ type TrackerMetrics struct {
 	DownUnits  int64 `json:"down_units"`
 
 	// MessagesPerUpdate is the headline efficiency ratio: total messages
-	// divided by rows/items ingested (0 when empty).
+	// divided by rows/items ingested (0 when empty). A tracker fed P2
+	// site messages ingests no rows and a msg-block carries no row
+	// count, so for it Count, Ingested, MessagesPerUpdate and NetRows
+	// read 0, and its cost shows only as UpMsgs and Broadcasts.
 	MessagesPerUpdate float64 `json:"messages_per_update"`
 
 	// IngestPerSec is rows/items applied per second of tracker lifetime.
@@ -74,7 +77,10 @@ type TenancyMetrics struct {
 // and bytes divided by rows applied through the wire path. It mirrors
 // the paper's communication-cost framing at the transport layer: the
 // protocol counters (up/down messages) measure what the algorithms say,
-// these measure what the network carries.
+// these measure what the network carries. Rows a site ran through P2's
+// site half itself are not counted in NetRows, so the ratios leave
+// message-mode traffic out of the denominator (and read 0 when only
+// message-mode sites stream).
 type WireMetrics struct {
 	FramesIn  int64 `json:"frames_in"`
 	BytesIn   int64 `json:"bytes_in"`

@@ -40,7 +40,7 @@ HTTP="http://127.0.0.1:$HTTP_PORT"
 TRACKER=smoke
 
 echo "e2e: building daemons"
-(cd "$ROOT" && go build -o "$WORK" ./cmd/distserve ./cmd/distsite)
+(cd "$ROOT" && go build -o "$WORK" ./cmd/distserve ./cmd/distsite ./scripts/p2check)
 
 start_serve() {
   "$WORK/distserve" -addr "127.0.0.1:$HTTP_PORT" -wire "127.0.0.1:$WIRE_PORT" \
@@ -287,150 +287,9 @@ site_bytes() { sed -n 's|.* \([0-9]*\) bytes out.*|\1|p' "$@" | awk '{s += $1} E
 ROWS_BYTES=$(site_bytes "$WORK/site.log")
 P2_BYTES=$(site_bytes "$WORK"/p2site.*.log)
 
-# The coordinator's Gram against the sum of the sites' exact Grams, by the
-# eigenvalues of the difference (cyclic Jacobi: the check needs nothing
-# beyond the standard library).
-cat >"$WORK/p2check.go" <<'EOF'
-package main
-
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"os"
-	"strconv"
-)
-
-func decode(path string, v any) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := json.NewDecoder(f).Decode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "decoding %s: %v\n", path, err)
-		os.Exit(1)
-	}
-}
-
-// eigenvalues runs cyclic Jacobi sweeps on the symmetric a, in place.
-func eigenvalues(a [][]float64) []float64 {
-	n := len(a)
-	for sweep := 0; sweep < 60; sweep++ {
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				if math.Abs(a[p][q]) < 1e-300 {
-					continue
-				}
-				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := a[k][p], a[k][q]
-					a[k][p], a[k][q] = c*akp-s*akq, s*akp+c*akq
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a[p][k], a[q][k]
-					a[p][k], a[q][k] = c*apk-s*aqk, s*apk+c*aqk
-				}
-			}
-		}
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = a[i][i]
-	}
-	return vals
-}
-
-// args: tracker ε raw-row-bytes raw-rows message-mode-bytes query.json
-// metrics.json oracle.json...
-func main() {
-	tracker := os.Args[1]
-	eps, _ := strconv.ParseFloat(os.Args[2], 64)
-	rowsBytes, _ := strconv.ParseFloat(os.Args[3], 64)
-	rawRows, _ := strconv.ParseFloat(os.Args[4], 64)
-	p2Bytes, _ := strconv.ParseFloat(os.Args[5], 64)
-	var query struct {
-		Gram [][]float64 `json:"gram"`
-	}
-	decode(os.Args[6], &query)
-	var metrics struct {
-		Trackers map[string]struct {
-			UpMsgs     int64 `json:"up_msgs"`
-			Broadcasts int64 `json:"broadcasts"`
-		} `json:"trackers"`
-	}
-	decode(os.Args[7], &metrics)
-	var exact [][]float64
-	var rows, msgs int64
-	for _, path := range os.Args[8:] {
-		var site struct {
-			Rows     int64       `json:"rows"`
-			Messages int64       `json:"messages"`
-			Gram     [][]float64 `json:"gram"`
-		}
-		decode(path, &site)
-		if exact == nil {
-			exact = make([][]float64, len(site.Gram))
-			for i := range exact {
-				exact[i] = make([]float64, len(site.Gram))
-			}
-		}
-		for i := range site.Gram {
-			for j := range site.Gram[i] {
-				exact[i][j] += site.Gram[i][j]
-			}
-		}
-		rows += site.Rows
-		msgs += site.Messages
-	}
-	if len(exact) == 0 || len(query.Gram) != len(exact) {
-		fmt.Fprintf(os.Stderr, "coordinator Gram has %d rows, the sites' %d\n", len(query.Gram), len(exact))
-		os.Exit(1)
-	}
-	fro := 0.0
-	diff := make([][]float64, len(exact))
-	for i := range exact {
-		fro += exact[i][i]
-		diff[i] = make([]float64, len(exact))
-		for j := range exact[i] {
-			diff[i][j] = exact[i][j] - query.Gram[i][j]
-		}
-	}
-	norm := 0.0
-	for _, v := range eigenvalues(diff) {
-		norm = math.Max(norm, math.Abs(v))
-	}
-	tm, ok := metrics.Trackers[tracker]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "/metrics has no tracker %q\n", tracker)
-		os.Exit(1)
-	}
-	fmt.Printf("e2e: message mode: %d rows, %d messages up (%.4f per row), %d broadcasts, covariance error %.4g (ε = %g)\n",
-		rows, tm.UpMsgs, float64(tm.UpMsgs)/float64(rows), tm.Broadcasts, norm/fro, eps)
-	fmt.Printf("e2e: site bytes on the wire per row: %.2f in message mode, %.2f shipping raw rows\n",
-		p2Bytes/float64(rows), rowsBytes/rawRows)
-	if norm > eps*fro+1e-9*(1+fro) {
-		fmt.Fprintf(os.Stderr, "‖AᵀA − BᵀB‖₂ = %v exceeds ε‖A‖²_F = %v\n", norm, eps*fro)
-		os.Exit(1)
-	}
-	if tm.UpMsgs != msgs {
-		fmt.Fprintf(os.Stderr, "the tracker applied %d messages, the sites sent %d: not exactly once\n", tm.UpMsgs, msgs)
-		os.Exit(1)
-	}
-	if tm.UpMsgs >= rows {
-		fmt.Fprintf(os.Stderr, "the tracker received %d messages for %d rows: no saving\n", tm.UpMsgs, rows)
-		os.Exit(1)
-	}
-}
-EOF
-go run "$WORK/p2check.go" "$P2T" "$P2_EPS" "$ROWS_BYTES" 4000 "$P2_BYTES" \
+# The coordinator's Gram against the sum of the sites' exact Grams, and
+# its message tally against what the sites sent.
+"$WORK/p2check" "$P2T" "$P2_EPS" "$ROWS_BYTES" 4000 "$P2_BYTES" \
   "$WORK/p2query.json" "$WORK/p2metrics.json" "$WORK"/p2oracle.*.json
 
 echo "e2e: PASS"

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/wire"
 )
 
@@ -16,11 +17,14 @@ import (
 // between two blocks, never inside one. Broadcasts are folded in by recv,
 // which keeps the max: any lower bound on ‖A‖²_F is a sound F̂ (§5.2), so a
 // broadcast that arrives late, out of order or never costs messages, never
-// error.
+// error. For the same reason step floors F̂ at the site's own mass: a site
+// that has heard no broadcast yet thresholds against what it has seen,
+// not against the start value 1.
 type p2Site struct {
 	mu   sync.Mutex
 	half *core.P2Site //distlint:guarded-by mu
 	out  *p2Outbox    //distlint:guarded-by mu
+	mass float64      //distlint:guarded-by mu
 }
 
 // newP2Site builds site id of m at error ε for d-dimensional rows.
@@ -38,12 +42,22 @@ func newP2Site(id, m int, eps float64, d int) (*p2Site, error) {
 // again. An eigensolver failure in the half is returned with what the
 // step had shipped before it.
 //
+// Before the block, the half's F̂ is raised to the squared mass of the
+// blocks already stepped: a lower bound on ‖A‖²_F that never counts the
+// rows about to be tested against it.
+//
 //distlint:hotpath
 func (s *p2Site) step(rows [][]float64) ([]wire.Msg, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.out.msgs) // release the vectors the last block shipped
 	s.out.msgs = s.out.msgs[:0]
+	if s.mass > s.half.Estimate() {
+		s.half.SetEstimate(s.mass)
+	}
+	for _, row := range rows {
+		s.mass += matrix.NormSq(row)
+	}
 	err := s.half.ProcessBlock(rows)
 	return s.out.msgs, err
 }

@@ -30,7 +30,7 @@ type twin struct {
 
 func newTwin(t *testing.T, m int, eps float64, d int) *twin {
 	t.Helper()
-	w := &twin{coord: core.NewP2Coordinator(m, d)}
+	w := &twin{coord: core.NewP2Coordinator(m, eps, d)}
 	for id := 0; id < m; id++ {
 		s, err := newP2Site(id, m, eps, d)
 		if err != nil {
@@ -182,8 +182,8 @@ func TestTCPMatrixDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(snap.Frobenius) != math.Float64bits(tw.coord.Estimate()) {
-		t.Fatalf("F̂ %v over the wire, %v in process", snap.Frobenius, tw.coord.Estimate())
+	if math.Float64bits(snap.Frobenius) != math.Float64bits(tw.coord.EstimateFrobenius()) {
+		t.Fatalf("F̂ %v over the wire, %v in process", snap.Frobenius, tw.coord.EstimateFrobenius())
 	}
 	if !sameBits(snap.Gram.RawData(), tw.coord.Gram().RawData()) {
 		t.Fatal("the Gram over the wire differs from the in-process one")
@@ -346,6 +346,34 @@ func TestBroadcastMonotone(t *testing.T) {
 	}
 	if got := s.half.Estimate(); got != 100 {
 		t.Fatalf("estimate %v after refused broadcasts, want 100", got)
+	}
+}
+
+// TestSiteFloorsEstimateAtOwnMass: before each block the site raises its
+// F̂ to the squared mass of the blocks it stepped before, never counting the
+// block itself, and a larger broadcast still wins.
+func TestSiteFloorsEstimateAtOwnMass(t *testing.T) {
+	s, err := newP2Site(0, 4, 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := [][]float64{{1, 2, 2}, {0, 3, 4}} // squared mass 9 + 25
+	for i, want := range []float64{1, 34, 68} {
+		if _, err := s.step(blk); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.half.Estimate(); got != want {
+			t.Fatalf("F̂ %v after block %d, want %v", got, i+1, want)
+		}
+	}
+	if err := s.recv([]wire.Msg{{Kind: wire.MsgEstimate, Value: 1000}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.step(blk); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.half.Estimate(); got != 1000 {
+		t.Fatalf("F̂ %v after a broadcast of 1000, want the broadcast kept", got)
 	}
 }
 

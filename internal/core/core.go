@@ -15,11 +15,11 @@
 // reproduce its failure experimentally (Figures 6 and 7).
 //
 // P2 is defined once, as a site half and a coordinator half (P2Site,
-// P2Coordinator, joined by P2Uplink); the P2 simulator composes them over a
-// direct call and is the bit-exact specification. In a deployment each half
-// runs in its own daemon: cmd/distsite steps a P2Site per block, and a
-// distserve tracker applies the sites' messages to its P2's coordinator
-// half (P2.DeliverScalar, P2.DeliverRow).
+// P2Coordinator, joined by P2Uplink); the P2 and P2SmallSpace simulators
+// embed the coordinator half, which owns the tally and the query surface,
+// and the P2 simulator is the bit-exact specification. In a deployment each
+// half runs in its own daemon: cmd/distsite steps a P2Site per block, and a
+// distserve tracker fed the sites' messages is a P2Coordinator alone.
 //
 // Coordinator approximations are exposed as d×d Gram matrices BᵀB, which is
 // the exact object the error metric and all downstream uses (PCA, LSI)

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/matrix"
-	"repro/internal/stream"
-)
+import "fmt"
 
 // P2 is the deterministic SVD-threshold protocol of Section 5.2
 // (Algorithms 5.3/5.4), the paper's headline result. Site j accumulates its
@@ -23,48 +18,27 @@ import (
 // every site before the next row — the bit-exact specification the golden
 // checkpoints pin.
 type P2 struct {
-	m, d int
-	eps  float64
-	acct *stream.Accountant
-	mode IngestMode // ProcessRows arithmetic (see IngestMode)
+	*P2Coordinator            // m, ε, the tally, BᵀB and the query surface
+	mode           IngestMode // ProcessRows arithmetic (see IngestMode)
 
 	scratch p2Scratch // one for all m sites: they never run concurrently
 	sites   []P2Site
-	coord   *P2Coordinator
 }
 
-// p2Direct is the simulator's uplink: each message is delivered at once, as
-// DeliverScalar and DeliverRow deliver a remote site's.
+// p2Direct is the simulator's uplink: each message reaches the coordinator
+// half at once, and a broadcast it makes due reaches every site before the
+// next row.
 type p2Direct P2
 
-func (p *p2Direct) Scalar(_ int, fj float64) { (*P2)(p).DeliverScalar(fj) }
-
-func (p *p2Direct) Row(_ int, row []float64) { (*P2)(p).DeliverRow(row) }
-
-// DeliverScalar applies a site's scalar report to the coordinator half and
-// tallies it. When the report makes a broadcast due, the broadcast is
-// tallied, every simulated site's F̂ is set before DeliverScalar returns, and
-// broadcast = true: fhat is then due at every remote site too. A service
-// hosting the coordinator half of sites that run elsewhere feeds their
-// messages here; its simulated sites then never see a row.
-func (p *P2) DeliverScalar(fj float64) (fhat float64, broadcast bool) {
-	p.acct.SendUp(1)
-	fhat, broadcast = p.coord.Scalar(fj)
-	if broadcast {
+func (p *p2Direct) Scalar(_ int, fj float64) {
+	if fhat, broadcast := p.P2Coordinator.Scalar(fj); broadcast {
 		for i := range p.sites {
 			p.sites[i].SetEstimate(fhat)
 		}
-		p.acct.Broadcast(1)
 	}
-	return fhat, broadcast
 }
 
-// DeliverRow applies a site's shipped direction σ·v, of length d, to the
-// coordinator half and tallies it; row is not retained.
-func (p *P2) DeliverRow(row []float64) {
-	p.acct.SendUp(1)
-	p.coord.Row(row)
-}
+func (p *p2Direct) Row(_ int, row []float64) { p.P2Coordinator.Row(row) }
 
 // NewP2 builds the protocol for m sites, error ε, dimension d, in the
 // byte-identical exact ingest mode.
@@ -87,29 +61,17 @@ func NewP2ShipFraction(m int, eps float64, d int, shipFrac float64) *P2 {
 	if shipFrac <= 0 || shipFrac > 1 {
 		panic(fmt.Sprintf("core: need 0 < shipFrac ≤ 1, got %v", shipFrac))
 	}
-	p := &P2{
-		m: m, d: d, eps: eps, acct: stream.NewAccountant(m),
-		sites: make([]P2Site, m), coord: NewP2Coordinator(m, d),
-	}
+	p := &P2{P2Coordinator: NewP2Coordinator(m, eps, d), sites: make([]P2Site, m)}
 	for i := range p.sites {
 		p.sites[i] = makeP2Site(i, m, eps, d, shipFrac, (*p2Direct)(p), &p.scratch)
 	}
 	return p
 }
 
-// Name implements Tracker.
-func (p *P2) Name() string { return "P2" }
-
-// Dim implements Tracker.
-func (p *P2) Dim() int { return p.d }
-
-// Eps implements Tracker.
-func (p *P2) Eps() float64 { return p.eps }
-
 // ProcessRow implements Tracker (Algorithm 5.3).
 func (p *P2) ProcessRow(site int, row []float64) {
 	validateSite(site, p.m)
-	validateRow(row, p.d)
+	validateRow(row, p.Dim())
 	mustP2(p.sites[site].ProcessRow(row))
 }
 
@@ -122,7 +84,7 @@ func (p *P2) ProcessRow(site int, row []float64) {
 //distlint:hotpath
 func (p *P2) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
-	validateRows(rows, p.d)
+	validateRows(rows, p.Dim())
 	s := &p.sites[site]
 	if p.mode == IngestFast {
 		mustP2(s.ProcessBlock(rows))
@@ -139,22 +101,6 @@ func mustP2(err error) {
 		panic(err.Error())
 	}
 }
-
-// Gram implements Tracker.
-func (p *P2) Gram() *matrix.Sym { return p.coord.Gram().Clone() }
-
-// Sites implements SiteCounter.
-func (p *P2) Sites() int { return p.m }
-
-// AccumulateGram implements GramAccumulator: the coordinator estimate folds
-// into dst without allocating.
-func (p *P2) AccumulateGram(dst *matrix.Sym, w float64) { dst.AddScaledSym(w, p.coord.Gram()) }
-
-// EstimateFrobenius implements Tracker.
-func (p *P2) EstimateFrobenius() float64 { return p.coord.Estimate() }
-
-// Stats implements Tracker.
-func (p *P2) Stats() stream.Stats { return p.acct.Stats() }
 
 // Decompositions returns the number of site eigendecompositions performed,
 // the protocol's dominant computational cost.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/matrix"
+	"repro/internal/stream"
 )
 
 // P2Uplink is the site→coordinator link of matrix P2: the two message kinds
@@ -241,43 +242,76 @@ func (s *P2Site) decomposeAndSend() error {
 }
 
 // P2Coordinator is the coordinator half of matrix P2 (Algorithm 5.4): it
-// adds arriving σ·v rows into BᵀB and refreshes F̂ after every m scalar
-// reports. Single-goroutine; the P2 and P2SmallSpace simulators call it
-// directly, and a service tracker fed by remote sites reaches it through
-// P2.DeliverScalar and P2.DeliverRow under the tracker lock.
+// adds arriving σ·v rows into BᵀB, refreshes F̂ after every m scalar
+// reports, and tallies every message and broadcast. It holds O(d²), the
+// paper's coordinator space, and answers the whole Tracker query surface.
+// Single-goroutine; the P2 and P2SmallSpace simulators embed it and call it
+// directly, and a service tracker fed by remote sites is this half alone,
+// driven under the tracker lock.
 type P2Coordinator struct {
 	m    int
+	eps  float64
+	acct *stream.Accountant
 	gram *matrix.Sym // BᵀB from received σv rows
 	fhat float64     // running F̂
 	nmsg int         // scalar reports since the last broadcast
 }
 
-// NewP2Coordinator builds the coordinator half for m sites and row
-// dimension d.
-func NewP2Coordinator(m, d int) *P2Coordinator {
-	return &P2Coordinator{m: m, gram: matrix.NewSym(d), fhat: 1}
+// NewP2Coordinator builds the coordinator half for m sites at error ε and
+// row dimension d, parameters the caller has validated (CheckParams).
+func NewP2Coordinator(m int, eps float64, d int) *P2Coordinator {
+	return &P2Coordinator{m: m, eps: eps, acct: stream.NewAccountant(m), gram: matrix.NewSym(d), fhat: 1}
 }
 
-// Scalar handles a site's scalar report. Every m reports it returns
-// broadcast = true: fhat is then due at every site (P2Site.SetEstimate).
+// Scalar handles and tallies a site's scalar report. Every m reports it
+// tallies a broadcast and returns broadcast = true: fhat is then due at
+// every site (P2Site.SetEstimate).
 func (c *P2Coordinator) Scalar(fj float64) (fhat float64, broadcast bool) {
+	c.acct.SendUp(1)
 	c.fhat += fj
 	c.nmsg++
 	if c.nmsg >= c.m {
 		c.nmsg = 0
+		c.acct.Broadcast(1)
 		return c.fhat, true
 	}
 	return c.fhat, false
 }
 
-// Row handles a shipped direction σ·v of length d; it does not retain row.
-func (c *P2Coordinator) Row(row []float64) { c.gram.AddOuter(1, row) }
+// Row handles and tallies a shipped direction σ·v of length d; it does not
+// retain row.
+func (c *P2Coordinator) Row(row []float64) {
+	c.acct.SendUp(1)
+	c.gram.AddOuter(1, row)
+}
 
-// Dim returns the row dimension d.
+// Name implements Tracker.
+func (c *P2Coordinator) Name() string { return "P2" }
+
+// ProcessRow completes Tracker and panics: the half takes messages, and the
+// service refuses rows before they reach it.
+func (c *P2Coordinator) ProcessRow(int, []float64) {
+	panic("core: a P2Coordinator takes site messages, not rows") //distlint:panic-ok rows are refused before they reach the half
+}
+
+// Dim implements Tracker.
 func (c *P2Coordinator) Dim() int { return c.gram.Dim() }
 
-// Gram returns the live BᵀB; callers clone what they keep.
-func (c *P2Coordinator) Gram() *matrix.Sym { return c.gram }
+// Eps implements Tracker.
+func (c *P2Coordinator) Eps() float64 { return c.eps }
 
-// Estimate returns the running F̂.
-func (c *P2Coordinator) Estimate() float64 { return c.fhat }
+// Sites implements SiteCounter.
+func (c *P2Coordinator) Sites() int { return c.m }
+
+// Gram implements Tracker.
+func (c *P2Coordinator) Gram() *matrix.Sym { return c.gram.Clone() }
+
+// AccumulateGram implements GramAccumulator: BᵀB folds into dst without
+// allocating.
+func (c *P2Coordinator) AccumulateGram(dst *matrix.Sym, w float64) { dst.AddScaledSym(w, c.gram) }
+
+// EstimateFrobenius implements Tracker: the running F̂.
+func (c *P2Coordinator) EstimateFrobenius() float64 { return c.fhat }
+
+// Stats implements Tracker.
+func (c *P2Coordinator) Stats() stream.Stats { return c.acct.Stats() }

@@ -54,7 +54,7 @@ func TestP2HalvesReplay(t *testing.T) {
 		if got, want := int64(len(log)), p.Stats().UpMsgs; got != want || got == 0 {
 			t.Fatalf("%v: uplink called %d times, tracker tallied %d up messages", mode, got, want)
 		}
-		replay := NewP2Coordinator(m, d)
+		replay := NewP2Coordinator(m, eps, d)
 		var broadcasts int64
 		for _, msg := range log {
 			if msg.vec != nil {
@@ -66,7 +66,7 @@ func TestP2HalvesReplay(t *testing.T) {
 		if broadcasts != p.Stats().Broadcasts {
 			t.Fatalf("%v: replay broadcast %d times, tracker %d", mode, broadcasts, p.Stats().Broadcasts)
 		}
-		if a, b := replay.Estimate(), p.EstimateFrobenius(); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := replay.EstimateFrobenius(), p.EstimateFrobenius(); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%v: replayed F̂ %v, tracker %v", mode, a, b)
 		}
 		got, want := replay.Gram().RawData(), p.Gram().RawData()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 )
 
 // P2SmallSpace is the bounded-site-space variant of P2 that Section 5.2
@@ -19,10 +18,8 @@ import (
 // O(m/ε) rows of site space (versus the main implementation's O(d²) Gram,
 // which wins for moderate d but loses when d ≫ m/ε).
 type P2SmallSpace struct {
-	m, d int
-	eps  float64
-	acct *stream.Accountant
-	mode IngestMode
+	*P2Coordinator // m, ε, the tally, BᵀB and the query surface
+	mode           IngestMode
 
 	// Reusable fast-path scratch (lazily sized; see decomposeAndSend).
 	diff    *matrix.Sym
@@ -32,7 +29,6 @@ type P2SmallSpace struct {
 
 	sites    []p2sSite
 	siteFhat float64 // F̂ as known to the sites (last broadcast)
-	coord    *P2Coordinator
 }
 
 type p2sSite struct {
@@ -48,10 +44,7 @@ func NewP2SmallSpace(m int, eps float64, d int) *P2SmallSpace {
 	validateParams(m, eps, d)
 	// FD error ε/4m ⇒ ℓ = ⌈4m/ε⌉ rows per sketch (our FD's 1/(ℓ+1) bound).
 	ell := int(math.Ceil(4 * float64(m) / eps))
-	p := &P2SmallSpace{
-		m: m, d: d, eps: eps, acct: stream.NewAccountant(m),
-		sites: make([]p2sSite, m), siteFhat: 1, coord: NewP2Coordinator(m, d),
-	}
+	p := &P2SmallSpace{P2Coordinator: NewP2Coordinator(m, eps, d), sites: make([]p2sSite, m), siteFhat: 1}
 	for i := range p.sites {
 		p.sites[i].recv = sketch.NewFD(ell, d)
 		p.sites[i].sent = sketch.NewFD(ell, d)
@@ -72,16 +65,10 @@ func NewP2SmallSpaceFast(m int, eps float64, d int) *P2SmallSpace {
 // Name implements Tracker.
 func (p *P2SmallSpace) Name() string { return "P2small" }
 
-// Dim implements Tracker.
-func (p *P2SmallSpace) Dim() int { return p.d }
-
-// Eps implements Tracker.
-func (p *P2SmallSpace) Eps() float64 { return p.eps }
-
 // ProcessRow implements Tracker.
 func (p *P2SmallSpace) ProcessRow(site int, row []float64) {
 	validateSite(site, p.m)
-	validateRow(row, p.d)
+	validateRow(row, p.Dim())
 	p.processRow(&p.sites[site], row)
 }
 
@@ -92,7 +79,7 @@ func (p *P2SmallSpace) ProcessRow(site int, row []float64) {
 // mode folds the block through processBlock.
 func (p *P2SmallSpace) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
-	validateRows(rows, p.d)
+	validateRows(rows, p.Dim())
 	s := &p.sites[site]
 	if p.mode == IngestFast {
 		p.processBlock(s, rows)
@@ -155,7 +142,7 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 	var g *matrix.Sym
 	if p.mode == IngestFast {
 		if p.diff == nil {
-			p.diff = matrix.NewSym(p.d)
+			p.diff = matrix.NewSym(p.Dim())
 		}
 		g = p.diff
 		g.Reset()
@@ -177,7 +164,7 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 	}
 	shipThresh := (3 * p.eps / (8 * float64(p.m))) * p.siteFhat
 	if p.shipRow == nil {
-		p.shipRow = make([]float64, p.d)
+		p.shipRow = make([]float64, p.Dim())
 	}
 	r := p.shipRow
 	for k, lam := range vals {
@@ -185,11 +172,10 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 			break
 		}
 		sigma := math.Sqrt(lam)
-		for i := 0; i < p.d; i++ {
+		for i := range r {
 			r[i] = sigma * vecs.At(i, k)
 		}
-		p.acct.SendUp(1)
-		p.coord.Row(r)
+		p.Row(r)
 		s.sent.Append(r) // the shipped row joins S̃_j
 		vals[k] = 0
 	}
@@ -207,29 +193,9 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 
 // sendScalar delivers a scalar report to the shared Algorithm 5.4 half.
 func (p *P2SmallSpace) sendScalar(fj float64) {
-	p.acct.SendUp(1)
-	if fhat, broadcast := p.coord.Scalar(fj); broadcast {
+	if fhat, broadcast := p.Scalar(fj); broadcast {
 		p.siteFhat = fhat
-		p.acct.Broadcast(1)
 	}
 }
-
-// Gram implements Tracker.
-func (p *P2SmallSpace) Gram() *matrix.Sym { return p.coord.Gram().Clone() }
-
-// Sites implements SiteCounter.
-func (p *P2SmallSpace) Sites() int { return p.m }
-
-// AccumulateGram implements GramAccumulator: the coordinator estimate folds
-// into dst without allocating.
-func (p *P2SmallSpace) AccumulateGram(dst *matrix.Sym, w float64) {
-	dst.AddScaledSym(w, p.coord.Gram())
-}
-
-// EstimateFrobenius implements Tracker.
-func (p *P2SmallSpace) EstimateFrobenius() float64 { return p.coord.Estimate() }
-
-// Stats implements Tracker.
-func (p *P2SmallSpace) Stats() stream.Stats { return p.acct.Stats() }
 
 var _ BatchTracker = (*P2SmallSpace)(nil)

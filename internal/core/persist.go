@@ -70,36 +70,47 @@ func (p *P2) Snapshot() P2Snapshot {
 	for i := range p.sites {
 		sites[i] = p.sites[i].Snapshot()
 	}
-	c := p.coord.Snapshot()
+	c := p.P2Coordinator.Snapshot()
 	return P2Snapshot{
-		M: p.m, D: p.d, Eps: p.eps, ShipFrac: p.sites[0].shipFrac,
+		M: c.M, D: p.Dim(), Eps: c.Eps, ShipFrac: p.sites[0].shipFrac,
 		Fast: p.mode == IngestFast, Decomps: p.scratch.decomps,
 		Sites: sites, Gram: c.Gram,
 		CoordFhat: c.Fhat, SiteFhat: p.sites[0].Estimate(), NMsg: c.NMsg,
-		Stats: p.acct.Stats(),
+		Stats: c.Stats,
 	}
 }
 
-// P2CoordinatorSnapshot is the serializable state of a P2Coordinator.
+// P2CoordinatorSnapshot is the serializable state of a P2Coordinator, and
+// the whole checkpoint of a tracker fed P2 site messages.
 type P2CoordinatorSnapshot struct {
-	Gram []float64 // row-major d×d BᵀB
-	Fhat float64
-	NMsg int
+	M     int
+	Eps   float64
+	Gram  []float64 // row-major d×d BᵀB
+	Fhat  float64
+	NMsg  int
+	Stats stream.Stats
 }
 
 // Snapshot captures the coordinator half's state.
 func (c *P2Coordinator) Snapshot() P2CoordinatorSnapshot {
-	return P2CoordinatorSnapshot{Gram: c.gram.RawData(), Fhat: c.fhat, NMsg: c.nmsg}
+	return P2CoordinatorSnapshot{
+		M: c.m, Eps: c.eps, Gram: c.gram.RawData(), Fhat: c.fhat, NMsg: c.nmsg, Stats: c.acct.Stats(),
+	}
 }
 
-// Restore overwrites the half's state with a snapshot taken at the same d.
-func (c *P2Coordinator) Restore(snap P2CoordinatorSnapshot) error {
-	gram, err := restoreGram(c.Dim(), snap.Gram)
-	if err != nil {
-		return err
+// RestoreP2Coordinator rebuilds a coordinator half of row dimension d from
+// a snapshot.
+func RestoreP2Coordinator(snap P2CoordinatorSnapshot, d int) (*P2Coordinator, error) {
+	if err := CheckParams(snap.M, snap.Eps, d); err != nil {
+		return nil, err
 	}
-	c.gram, c.fhat, c.nmsg = gram, snap.Fhat, snap.NMsg
-	return nil
+	gram, err := restoreGram(d, snap.Gram)
+	if err != nil {
+		return nil, err
+	}
+	c := &P2Coordinator{m: snap.M, eps: snap.Eps, acct: stream.NewAccountant(snap.M), gram: gram, fhat: snap.Fhat, nmsg: snap.NMsg}
+	c.acct.RestoreStats(snap.Stats)
+	return c, nil
 }
 
 // restoreGram adopts a snapshot's row-major d×d values bit for bit: the
@@ -173,7 +184,7 @@ func RestoreShardedP2(snap ShardedP2Snapshot) (*ShardedTracker, error) {
 }
 
 // RestoreP2 rebuilds a matrix P2 instance from a snapshot.
-func RestoreP2(snap P2Snapshot) (*P2, error) {
+func RestoreP2(snap P2Snapshot) (_ *P2, err error) {
 	if err := CheckParams(snap.M, snap.Eps, snap.D); err != nil {
 		return nil, err
 	}
@@ -187,8 +198,8 @@ func RestoreP2(snap P2Snapshot) (*P2, error) {
 	if snap.Fast {
 		p.mode = IngestFast
 	}
-	coord := P2CoordinatorSnapshot{Gram: snap.Gram, Fhat: snap.CoordFhat, NMsg: snap.NMsg} //distlint:alias-ok a view for Restore, which copies
-	if err := p.coord.Restore(coord); err != nil {
+	coord := P2CoordinatorSnapshot{M: snap.M, Eps: snap.Eps, Gram: snap.Gram, Fhat: snap.CoordFhat, NMsg: snap.NMsg, Stats: snap.Stats} //distlint:alias-ok a view for RestoreP2Coordinator, which copies
+	if p.P2Coordinator, err = RestoreP2Coordinator(coord, snap.D); err != nil {
 		return nil, err
 	}
 	p.scratch.decomps = snap.Decomps
@@ -198,6 +209,5 @@ func RestoreP2(snap P2Snapshot) (*P2, error) {
 		}
 		p.sites[i].SetEstimate(snap.SiteFhat)
 	}
-	p.acct.RestoreStats(snap.Stats)
 	return p, nil
 }

@@ -13,29 +13,34 @@ import (
 // P2Site halves and one P2Coordinator are joined by staleLink, which hands
 // every site message to the coordinator at once but holds each site's copy
 // of each broadcast back a fuzzer-chosen number of steps, or drops it; a
-// site keeps the largest F̂ it has received, as a runtime does. §5.2 needs
-// only that a site's F̂ be a lower bound, so staleness may cost messages but
-// never error: at every 16th row, ‖AᵀA − BᵀB‖₂ ≤ ε‖A‖²_F.
+// site keeps the largest F̂ it has received, as a runtime does. With floor
+// set, each site also raises its F̂ before every step to its own squared
+// mass so far, as cmd/distsite's wrapper does. §5.2 needs only that a
+// site's F̂ be a lower bound, so staleness may cost messages but never
+// error: at every 16th row, ‖AᵀA − BᵀB‖₂ ≤ ε‖A‖²_F.
 //
 // The fuzzer picks the stream (a base shape — lowRankRows or one of
 // adversarialStreams' — whose directions and norms in [1, β] data
 // rewrites), the site schedule (one site, round-robin or bursts), the
-// block splits, ProcessRow or ProcessBlock, and the link's delays.
+// block splits, ProcessRow or ProcessBlock, the link's delays and the
+// floor.
 func FuzzGuaranteeP2Stale(f *testing.F) {
 	tilt := []byte{200, 40, 17, 255, 3, 128, 90, 1, 66, 250, 129, 7}
 	for shape := uint8(0); shape < 4; shape++ {
-		f.Add([]byte{}, shape, uint16(1000), uint8(3), uint8(2), uint8(1), uint8(0), uint8(7), false, []byte{})
-		f.Add(tilt, shape, uint16(65535), uint8(5), uint8(1), uint8(2), uint8(9), uint8(15), false, []byte{3, 7, 31, 0})
-		f.Add(tilt, shape, uint16(40), uint8(4), uint8(0), uint8(1), uint8(0), uint8(0), true, []byte{255})
-		f.Add([]byte{}, shape, uint16(9), uint8(1), uint8(3), uint8(0), uint8(4), uint8(23), false, []byte{255, 5, 0, 30, 12})
+		for _, floor := range []bool{false, true} {
+			f.Add([]byte{}, shape, uint16(1000), uint8(3), uint8(2), uint8(1), uint8(0), uint8(7), false, []byte{}, floor)
+			f.Add(tilt, shape, uint16(65535), uint8(5), uint8(1), uint8(2), uint8(9), uint8(15), false, []byte{3, 7, 31, 0}, floor)
+			f.Add(tilt, shape, uint16(40), uint8(4), uint8(0), uint8(1), uint8(0), uint8(0), true, []byte{255}, floor)
+			f.Add([]byte{}, shape, uint16(9), uint8(1), uint8(3), uint8(0), uint8(4), uint8(23), false, []byte{255, 5, 0, 30, 12}, floor)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, shape uint8, betaB uint16, mB, epsB, sched, burst, split uint8, perRow bool, lag []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, betaB uint16, mB, epsB, sched, burst, split uint8, perRow bool, lag []byte, floor bool) {
 		const n, d, every = 192, 44, 16
 		m := 1 + int(mB%8)
 		eps := []float64{0.05, 0.1, 0.2, 0.5}[epsB%4]
 		rows := staleStream(data, shape, 1+float64(betaB), n, d)
 
-		link := &staleLink{coord: NewP2Coordinator(m, d), lag: lag}
+		link := &staleLink{coord: NewP2Coordinator(m, eps, d), lag: lag}
 		for i := 0; i < m; i++ {
 			s, err := NewP2Site(i, m, eps, d, link)
 			if err != nil {
@@ -56,6 +61,7 @@ func FuzzGuaranteeP2Stale(f *testing.F) {
 		blk := 1 + int(split%24)
 
 		exact := matrix.NewSym(d)
+		mass := make([]float64, m) // each site's squared mass before its current step
 		checked := 0
 		for start := 0; start < n; {
 			site := siteOf(start)
@@ -64,6 +70,9 @@ func FuzzGuaranteeP2Stale(f *testing.F) {
 				end++
 			}
 			link.advance()
+			if s := link.sites[site]; floor && mass[site] > s.Estimate() {
+				s.SetEstimate(mass[site])
+			}
 			var err error
 			if perRow {
 				for _, row := range rows[start:end] {
@@ -79,6 +88,7 @@ func FuzzGuaranteeP2Stale(f *testing.F) {
 			}
 			for _, row := range rows[start:end] {
 				exact.AddOuter(1, row)
+				mass[site] += matrix.NormSq(row)
 			}
 			start = end
 			if start/every > checked || start == n {

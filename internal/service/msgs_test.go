@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -18,8 +21,8 @@ import (
 )
 
 // Message mode: a site runs matrix P2's site half and streams its messages
-// as msg-blocks, which the tracker applies to its P2's coordinator half
-// (wire.go). cmd/distsite's tests hold a loopback deployment in lock step
+// as msg-blocks, which the tracker applies to P2's coordinator half, all
+// its matrix holds from the first message on (wire.go). cmd/distsite's tests hold a loopback deployment in lock step
 // with the same halves joined in process; these hold the bridge's rules.
 
 // msgOutbox is a P2Uplink that collects a site half's messages in wire form.
@@ -306,6 +309,25 @@ func TestMsgFeedRules(t *testing.T) {
 	if err := fresh.IngestRows(ctx, 0, row); err != nil {
 		t.Fatalf("a fresh tracker refused rows: %v", err)
 	}
+
+	// The feed is fixed only after a block validates, and only by one that
+	// carries a message: a fresh tracker whose first msg-block was refused,
+	// or was empty (the codec decodes a zero count), still takes rows.
+	for name, blk := range map[string][]wire.Msg{
+		"refused": {{Kind: wire.MsgScalar, Site: 0, Value: math.NaN()}},
+		"empty":   {},
+	} {
+		tr, err := m.Create(name, msgSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := b.MsgBlock(name, 0, 1, blk); (err == nil) != (len(blk) == 0) {
+			t.Fatalf("%s first msg-block: %v", name, err)
+		}
+		if err := tr.IngestRows(ctx, 0, row); err != nil {
+			t.Fatalf("a tracker whose first msg-block was %s refused rows: %v", name, err)
+		}
+	}
 }
 
 // TestMsgFeedRulesSurviveRestart checkpoints a tracker fed messages and
@@ -562,5 +584,112 @@ func TestMsgBlocksCrashResume(t *testing.T) {
 	got, want := stateAt(t, tB, site), stateAt(t, tO, site)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("survivor %+v, twin fed once %+v", got, want)
+	}
+}
+
+// matrixOf returns the tracker's matrix tracker, read under its lock.
+func matrixOf(tr *Tracker) distmat.MatrixTracker {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.sess.Matrix()
+}
+
+// TestMsgFedCheckpointSize holds a tracker fed messages to the paper's
+// coordinator space: it is the coordinator half alone, one d×d Gram
+// whatever m is, so at m = 50, d = 90 its SaveState stream stays within
+// 1.25× that of the same message history at m = 1.
+func TestMsgFedCheckpointSize(t *testing.T) {
+	const d = 90
+	rng := rand.New(rand.NewSource(7))
+	blocks := make([][]wire.Msg, 20) // 200 scalar reports and 200 rows
+	for i := range blocks {
+		for j := 0; j < 10; j++ {
+			vec := make([]float64, d)
+			for k := range vec {
+				vec[k] = rng.NormFloat64()
+			}
+			blocks[i] = append(blocks[i],
+				wire.Msg{Kind: wire.MsgScalar, Site: 0, Value: 1 + rng.Float64()},
+				wire.Msg{Kind: wire.MsgRow, Site: 0, Vec: vec})
+		}
+	}
+	size := func(sites int) int {
+		m, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		tr, err := m.Create("s", Spec{Kind: KindMatrix, Protocol: "p2", Sites: sites, Epsilon: 0.2, Dim: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq, blk := range blocks {
+			if _, _, err := m.WireBridge().MsgBlock("s", 0, uint64(seq+1), blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mat, ok := matrixOf(tr).(*core.P2Coordinator); !ok {
+			t.Fatalf("m = %d: a tracker fed messages holds a %T, want the coordinator half alone", sites, mat)
+		}
+		return len(stateBytes(t, tr))
+	}
+	one, fifty := size(1), size(50)
+	t.Logf("SaveState stream: %d bytes at m = 1, %d at m = 50", one, fifty)
+	if float64(fifty) > 1.25*float64(one) {
+		t.Fatalf("m = 50 checkpoints %d bytes, %.2f× the %d at m = 1: want ≤ 1.25×", fifty, float64(fifty)/float64(one), one)
+	}
+}
+
+// TestLegacyMsgFedCheckpoint restores testdata/msgfed-v1.ckpt, which a
+// tracker fed messages wrote while it still hosted a whole P2 simulator
+// (m = 3, d = 4, site 1's msg-blocks 1–4 applied; three idle site halves
+// in the file). It restores as the coordinator half alone, refuses a row
+// batch, takes the site's block 5, and then holds what a tracker fed
+// blocks 1–5 today holds, bit for bit.
+func TestLegacyMsgFedCheckpoint(t *testing.T) {
+	ckpt, err := os.ReadFile(filepath.Join("testdata", "msgfed-v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "legacy.ckpt"), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	tr, err := m.Get("legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mat, ok := matrixOf(tr).(*core.P2Coordinator); !ok {
+		t.Fatalf("the legacy checkpoint restored a %T, want the coordinator half alone", mat)
+	}
+	if err := tr.IngestRows(context.Background(), 0, [][]float64{{1, 2, 3, 4}}); !errors.Is(err, distmat.ErrWrongKind) {
+		t.Fatalf("restored tracker fed messages took rows: %v", err)
+	}
+	blocks := siteMsgBlocks(t, 1, msgSpec, 5, 3)
+	if a, _, err := m.WireBridge().MsgBlock("legacy", 1, 5, blocks[4]); err != nil || a != 5 {
+		t.Fatalf("block 5 after the legacy restore: applied %d, %v", a, err)
+	}
+
+	twinM, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twinM.Close()
+	twin, err := twinM.Create("legacy", msgSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, blk := range blocks {
+		if _, _, err := twinM.WireBridge().MsgBlock("legacy", 1, uint64(seq+1), blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := stateAt(t, tr, 1), stateAt(t, twin, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy restore + block 5: %+v, fed 1–5 today: %+v", got, want)
 	}
 }

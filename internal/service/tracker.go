@@ -8,6 +8,7 @@ import (
 	"time"
 
 	distmat "repro"
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -229,7 +230,7 @@ func (t *Tracker) apply(req ingestReq) error {
 		t.mu.Unlock()
 		return err
 	}
-	if req.rows != nil && t.msgFedLocked() {
+	if _, msgFed := t.sess.Matrix().(*core.P2Coordinator); msgFed && req.rows != nil {
 		// Before the WAL stage: a logged batch replays on a tracker that
 		// has lost its unlogged msg-blocks, and would be taken there.
 		t.mu.Unlock()

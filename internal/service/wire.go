@@ -6,7 +6,6 @@ import (
 	"math"
 
 	distmat "repro"
-	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/wire"
 )
@@ -20,9 +19,10 @@ import (
 //
 // A site streams either raw row blocks or, when it runs matrix P2's site
 // half itself (cmd/distsite -protocol p2), msg-blocks of that half's
-// messages, which the tracker applies to its P2's coordinator half; the F̂
-// broadcasts they make due go back to the tracker's sites through the
-// listener registered with SetWireListener.
+// messages, which the tracker applies to P2's coordinator half, its whole
+// matrix once it takes messages; the F̂ broadcasts they make due go back
+// to the tracker's sites through the listener registered with
+// SetWireListener.
 type WireBridge struct{ m *Manager }
 
 var _ wire.Handler = (*WireBridge)(nil)
@@ -111,35 +111,18 @@ type msgBlock struct {
 	bcast []wire.Msg
 }
 
-// msgFedLocked reports whether the tracker is fed P2 site messages: its
-// coordinator half has taken messages, and its session no row. Both are
-// session state, so the answer survives a checkpoint, a restart and a
-// hibernation.
-//
-//distlint:caller-holds mu
-func (t *Tracker) msgFedLocked() bool {
-	_, ok := t.sess.Matrix().(*core.P2)
-	return ok && t.sess.Count() == 0 && t.sess.Stats().UpMsgs > 0
-}
-
-// applyMsgsLocked applies a msg-block from site to the coordinator half of
-// the tracker's P2, tallying every message in the session's Stats and
-// recording each F̂ broadcast it makes due in b. Only an unsharded,
-// unwindowed matrix p2 tracker that has ingested no rows takes messages.
-// The block is validated whole first: each message must be site's own, and
-// either a positive finite scalar report or a finite row of the tracker's
-// dimension — a broadcast or an unknown kind from a site is refused — so a
-// refused block leaves nothing applied.
+// applyMsgsLocked applies a msg-block from site to the tracker's matrix P2
+// coordinator half, which tallies every message, and records each F̂
+// broadcast it makes due in b. The block is validated whole first: each
+// message must be site's own, and either a positive finite scalar report
+// or a finite row of the tracker's dimension — a broadcast or an unknown
+// kind from a site is refused — so a refused block leaves nothing applied.
+// Only then does a block carrying a message make the session that half
+// alone (Session.P2Coordinator); an empty block fixes no feed.
 //
 //distlint:caller-holds mu
 func (t *Tracker) applyMsgsLocked(site int, b *msgBlock) (int64, error) {
-	p2, ok := t.sess.Matrix().(*core.P2)
-	if !ok {
-		return 0, fmt.Errorf("%w: tracker %q is not an unsharded, unwindowed matrix p2 tracker, the only kind P2 site messages feed", distmat.ErrWrongKind, t.name)
-	}
-	if t.sess.Count() > 0 {
-		return 0, fmt.Errorf("%w: tracker %q is fed rows and takes no P2 site messages", distmat.ErrWrongKind, t.name)
-	}
+	d := t.sess.Config().Dim
 	for i, m := range b.msgs {
 		if m.Site != site {
 			return 0, fmt.Errorf("service: message %d from site %d on site %d's stream", i, m.Site, site)
@@ -150,8 +133,8 @@ func (t *Tracker) applyMsgsLocked(site int, b *msgBlock) (int64, error) {
 				return 0, fmt.Errorf("service: message %d: scalar report %v, want a positive finite mass", i, m.Value)
 			}
 		case wire.MsgRow:
-			if len(m.Vec) != p2.Dim() {
-				return 0, fmt.Errorf("%w: message %d: row of length %d, want %d", distmat.ErrDimensionMismatch, i, len(m.Vec), p2.Dim())
+			if len(m.Vec) != d {
+				return 0, fmt.Errorf("%w: message %d: row of length %d, want %d", distmat.ErrDimensionMismatch, i, len(m.Vec), d)
 			}
 			if w := matrix.NormSq(m.Vec); !(w <= math.MaxFloat64) {
 				return 0, fmt.Errorf("service: message %d: row of squared norm %v, want a finite one", i, w)
@@ -160,10 +143,17 @@ func (t *Tracker) applyMsgsLocked(site int, b *msgBlock) (int64, error) {
 			return 0, fmt.Errorf("service: message %d: a site sends scalar and row messages, not kind %d", i, m.Kind)
 		}
 	}
+	if len(b.msgs) == 0 {
+		return 0, nil
+	}
+	coord, err := t.sess.P2Coordinator()
+	if err != nil {
+		return 0, fmt.Errorf("tracker %q: %w", t.name, err)
+	}
 	for _, m := range b.msgs {
 		if m.Kind == wire.MsgRow {
-			p2.DeliverRow(m.Vec)
-		} else if fhat, due := p2.DeliverScalar(m.Value); due {
+			coord.Row(m.Vec)
+		} else if fhat, due := coord.Scalar(m.Value); due {
 			b.bcast = append(b.bcast, wire.Msg{Kind: wire.MsgEstimate, Value: fhat})
 		}
 	}

@@ -73,6 +73,7 @@ type sessionState struct {
 
 func init() {
 	gob.Register(core.P2Snapshot{})
+	gob.Register(core.P2CoordinatorSnapshot{})
 	gob.Register(core.ShardedP2Snapshot{})
 	gob.Register(hh.P2Snapshot{})
 	gob.Register(hh.ExactSnapshot{})
@@ -108,6 +109,8 @@ func (s *Session) snapshotter() (func() (any, error), error) {
 	case matrixKind:
 		switch t := s.mat.(type) {
 		case *core.P2:
+			return func() (any, error) { return t.Snapshot(), nil }, nil
+		case *core.P2Coordinator:
 			return func() (any, error) { return t.Snapshot(), nil }, nil
 		case *core.ShardedTracker:
 			if t.SnapshotableP2() {
@@ -274,6 +277,18 @@ func RestoreSession(r io.Reader) (_ *Session, err error) {
 		switch snap := st.Tracker.(type) {
 		case core.P2Snapshot:
 			tr, err := core.RestoreP2(snap)
+			if err != nil {
+				return nil, invalidConfig(err)
+			}
+			s.mat = tr
+			// A session fed P2 site messages checkpointed its whole P2
+			// until it became the coordinator half alone: convert it.
+			// Delete at the next sessionStateVersion bump.
+			if st.Count == 0 && snap.Stats.UpMsgs > 0 {
+				s.mat = tr.P2Coordinator
+			}
+		case core.P2CoordinatorSnapshot:
+			tr, err := core.RestoreP2Coordinator(snap, cfg.Dim)
 			if err != nil {
 				return nil, invalidConfig(err)
 			}

@@ -16,7 +16,8 @@
 #
 # Phase three is message mode: three distsite -protocol p2 daemons run
 # matrix P2's site half and stream only its messages into one tracker,
-# through one more kill -9 of the coordinator. The tracker must hold P2's
+# through one more kill -9 of the coordinator. The restarted tracker must
+# refuse a row batch (it is the coordinator half alone), hold P2's
 # covariance bound ‖AᵀA − BᵀB‖₂ ≤ ε‖A‖²_F over every row the sites
 # generated, have applied each message the sites sent exactly once, and
 # have received fewer messages than there were rows.
@@ -277,6 +278,15 @@ done
 
 echo "e2e: message-mode reconnect evidence:"
 grep -hE "reconnect|retrans" "$WORK"/p2site.*.log | tail -3 || true
+
+# The tracker restored after the kill is P2's coordinator half alone,
+# which takes no rows: a row batch over HTTP must be refused with a 400.
+ROWS_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  -d '{"site":0,"rows":[[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]]}' "$HTTP/trackers/$P2T/rows")
+if [ "$ROWS_STATUS" != 400 ]; then
+  echo "e2e: a row batch to the message-fed tracker got $ROWS_STATUS, want 400" >&2
+  exit 1
+fi
 
 curl -fsS "$HTTP/trackers/$P2T/query?gram=1" >"$WORK/p2query.json"
 curl -fsS "$HTTP/metrics" >"$WORK/p2metrics.json"

@@ -257,6 +257,25 @@ func (s *Session) Count() int64 { return s.count }
 // Matrix returns the underlying matrix tracker, or nil for other kinds.
 func (s *Session) Matrix() MatrixTracker { return s.mat }
 
+// P2Coordinator returns the coordinator half that matrix P2's site
+// messages feed, making it the session's whole tracker on first use: only
+// an unsharded, unwindowed p2 session fed no rows makes that swap (its idle
+// site halves hold nothing), and any other returns ErrWrongKind. The half
+// takes no rows, so its caller must refuse them.
+func (s *Session) P2Coordinator() (*core.P2Coordinator, error) {
+	switch t := s.mat.(type) {
+	case *core.P2Coordinator:
+		return t, nil
+	case *core.P2:
+		if s.count > 0 {
+			return nil, fmt.Errorf("%w: a session fed rows takes no P2 site messages", ErrWrongKind)
+		}
+		s.mat = t.P2Coordinator
+		return t.P2Coordinator, nil
+	}
+	return nil, fmt.Errorf("%w: only an unsharded, unwindowed matrix p2 session takes P2 site messages", ErrWrongKind)
+}
+
 // Shards returns the number of parallel tracker shards behind a session
 // built with WithShards; 1 for every unsharded session.
 func (s *Session) Shards() int {

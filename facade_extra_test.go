@@ -44,8 +44,8 @@ func TestFacadeWindowedTracker(t *testing.T) {
 	})
 	rows := distmat.HighRankMatrix(distmat.MatrixConfig{N: 2000, D: d, Beta: 50, Seed: 7})
 	asg := distmat.NewRoundRobin(m)
-	for _, r := range rows {
-		w.ProcessRow(asg.Next(), r)
+	for i := range rows {
+		w.ProcessRows(asg.Next(), rows[i:i+1])
 	}
 	if c := w.Covered(); c < window/2 || c > window {
 		t.Fatalf("covered %d outside [W/2, W]", c)

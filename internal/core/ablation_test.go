@@ -133,7 +133,7 @@ func TestDecompositionShipRate(t *testing.T) {
 		cfg := gen.PAMAPLike(poolBlocks * c.batch)
 		cfg.Seed = 1
 		rows := gen.LowRankMatrix(cfg)
-		var tr BatchTracker
+		var tr Tracker
 		var shards []*P2
 		build := func(int) Tracker {
 			p := NewP2Fast(m, eps, d)

@@ -39,19 +39,10 @@ func (b *NaiveFD) Dim() int { return b.d }
 // Eps returns the FD sketch's deterministic error bound 1/(ℓ+1).
 func (b *NaiveFD) Eps() float64 { return 1 / float64(b.ell+1) }
 
-// ProcessRow implements Tracker.
-func (b *NaiveFD) ProcessRow(site int, row []float64) {
-	validateSite(site, b.m)
-	validateRow(row, b.d)
-	b.acct.SendUp(1)
-	b.fro += matrix.NormSq(row)
-	b.sk.Append(row)
-}
-
-// ProcessRows implements BatchTracker: every row is still one forwarded
-// message (SendUpN tallies n single-unit messages exactly like n SendUp
-// calls), and the batch lands in the coordinator sketch through the
-// blocked FD fast path.
+// ProcessRows implements Tracker: every row is one forwarded message
+// (SendUpN tallies n single-unit messages exactly like n SendUp calls),
+// and the batch lands in the coordinator sketch through the blocked FD
+// fast path.
 func (b *NaiveFD) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, b.m)
 	validateRows(rows, b.d)
@@ -109,17 +100,8 @@ func (b *NaiveSVD) Dim() int { return b.d }
 // Eps returns 0: the exact tracker has no error.
 func (b *NaiveSVD) Eps() float64 { return 0 }
 
-// ProcessRow implements Tracker.
-func (b *NaiveSVD) ProcessRow(site int, row []float64) {
-	validateSite(site, b.m)
-	validateRow(row, b.d)
-	b.acct.SendUp(1)
-	b.fro += matrix.NormSq(row)
-	b.gram.AddOuter(1, row)
-}
-
-// ProcessRows implements BatchTracker; see NaiveFD.ProcessRows for the
-// message accounting.
+// ProcessRows implements Tracker; see NaiveFD.ProcessRows for the message
+// accounting.
 func (b *NaiveSVD) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, b.m)
 	validateRows(rows, b.d)
@@ -149,6 +131,6 @@ func (b *NaiveSVD) EstimateFrobenius() float64 { return b.fro }
 func (b *NaiveSVD) Stats() stream.Stats { return b.acct.Stats() }
 
 var (
-	_ BatchTracker = (*NaiveFD)(nil)
-	_ BatchTracker = (*NaiveSVD)(nil)
+	_ Tracker = (*NaiveFD)(nil)
+	_ Tracker = (*NaiveSVD)(nil)
 )

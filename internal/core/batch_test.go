@@ -7,12 +7,13 @@ import (
 	"repro/internal/matrix"
 )
 
-// Message-count regression harness for the blocked batch entry points:
-// every matrix protocol fed the same seeded stream through ProcessRows —
-// with batches cut at arbitrary boundaries — must report byte-identical
-// stream.Accountant up/down tallies to per-row ingestion, and (the
-// protocols being deterministic state machines, the samplers consuming
-// their rng in row order) an identical coordinator estimate.
+// Message-count regression harness for the one ingest method: every matrix
+// protocol fed the same seeded stream through ProcessRows — one row at a
+// time, and with batches cut at arbitrary boundaries — must report
+// byte-identical stream.Accountant up/down tallies to its per-row oracle
+// (rowstep_oracle_test.go), and (the protocols being deterministic state
+// machines, the samplers consuming their rng in row order) an identical
+// coordinator estimate.
 
 // batchStream builds a seeded stream with blocky site runs, so the batch
 // path sees real multi-row blocks rather than single-row runs.
@@ -36,10 +37,24 @@ func batchStream(seed int64, n, d, m, runLen int) (rows [][]float64, sites []int
 	return rows, sites
 }
 
-// feedPerRow drives the row-at-a-time reference path.
+// feedPerRow drives the per-row reference: the tracker's oracle step where
+// it has one, else one-row batches.
 func feedPerRow(t Tracker, rows [][]float64, sites []int) {
+	o, ok := t.(rowOracle)
+	if !ok {
+		feedOneRow(t, rows, sites)
+		return
+	}
 	for i, row := range rows {
-		t.ProcessRow(sites[i], row)
+		o.oracleProcessRow(sites[i], row)
+	}
+}
+
+// feedOneRow drives ProcessRows one row at a time: exact mode's per-row
+// step.
+func feedOneRow(t Tracker, rows [][]float64, sites []int) {
+	for i := range rows {
+		t.ProcessRows(sites[i], rows[i:i+1])
 	}
 }
 
@@ -54,14 +69,14 @@ func feedBatched(t Tracker, rows [][]float64, sites []int, splitSeed int64) {
 		}
 		for sub := start; sub < end; {
 			take := 1 + rng.Intn(end-sub)
-			ProcessRows(t, sites[sub], rows[sub:sub+take])
+			t.ProcessRows(sites[sub], rows[sub:sub+take])
 			sub += take
 		}
 		start = end
 	}
 }
 
-// exactModeBuilders are the trackers whose blocked ProcessRows must stay
+// exactModeBuilders are the trackers whose ProcessRows must stay
 // byte-identical to per-row ingestion (the exact-mode oracle).
 func exactModeBuilders(m, d int) []struct {
 	name  string
@@ -85,26 +100,33 @@ func exactModeBuilders(m, d int) []struct {
 	}
 }
 
-// assertByteIdentical feeds the same stream per-row and batched (at the
-// given split seed) through fresh instances and requires bit-equal state.
+// assertByteIdentical feeds the same stream to fresh instances per row
+// (feedPerRow), one row at a time and batched (at the given split seed),
+// and requires bit-equal state.
 func assertByteIdentical(t *testing.T, build func() Tracker, rows [][]float64, sites []int, splitSeed int64) {
 	t.Helper()
 	perRow := build()
 	feedPerRow(perRow, rows, sites)
+	oneRow := build()
+	feedOneRow(oneRow, rows, sites)
 	batched := build()
 	feedBatched(batched, rows, sites, splitSeed)
 
-	if a, b := perRow.Stats(), batched.Stats(); a != b {
-		t.Fatalf("message tallies diverge:\nper-row: %v\nbatched: %v", a, b)
-	}
-	if a, b := perRow.EstimateFrobenius(), batched.EstimateFrobenius(); a != b {
-		t.Fatalf("Frobenius estimates diverge: %v vs %v", a, b)
-	}
-	ga, gb := perRow.Gram(), batched.Gram()
-	diff := ga.Clone()
-	diff.SubSym(gb)
-	if diff.MaxAbs() != 0 {
-		t.Fatalf("coordinator Grams diverge by %v", diff.MaxAbs())
+	for _, got := range []struct {
+		feed string
+		tr   Tracker
+	}{{"one-row", oneRow}, {"batched", batched}} {
+		if a, b := perRow.Stats(), got.tr.Stats(); a != b {
+			t.Fatalf("%s: message tallies diverge:\nper-row: %v\n%s: %v", got.feed, a, got.feed, b)
+		}
+		if a, b := perRow.EstimateFrobenius(), got.tr.EstimateFrobenius(); a != b {
+			t.Fatalf("%s: Frobenius estimates diverge: %v vs %v", got.feed, a, b)
+		}
+		diff := perRow.Gram()
+		diff.SubSym(got.tr.Gram())
+		if diff.MaxAbs() != 0 {
+			t.Fatalf("%s: coordinator Grams diverge by %v", got.feed, diff.MaxAbs())
+		}
 	}
 }
 
@@ -121,8 +143,8 @@ func TestBatchIngestionMatchesPerRowMessageCounts(t *testing.T) {
 // TestExactModeByteIdentityAdversarial is the cross-mode harness's exact
 // half: on the same adversarial streams the fast-path property tests use
 // (spiky mass, a single hot site, near-threshold hovering — see
-// fastpath_test.go), exact-mode blocked ingest must stay byte-identical to
-// per-row ingestion for every protocol. The fast half of the harness —
+// fastpath_test.go), exact-mode ingest must stay byte-identical to the
+// per-row oracle for every protocol. The fast half of the harness —
 // bound preservation and message factors on these streams — lives in
 // TestFastModeCovarianceBound and TestFastModeMessageFactor.
 func TestExactModeByteIdentityAdversarial(t *testing.T) {

@@ -32,12 +32,12 @@ func BenchmarkMatrixIngestModes(b *testing.B) {
 	const m, d, block = 10, 44, 1024
 	builders := []struct {
 		name  string
-		build func() BatchTracker
+		build func() Tracker
 	}{
-		{"p1-exact", func() BatchTracker { return NewP1(m, 0.1, d) }},
-		{"p1-fast", func() BatchTracker { return NewP1Fast(m, 0.1, d) }},
-		{"p2-exact", func() BatchTracker { return NewP2(m, 0.1, d) }},
-		{"p2-fast", func() BatchTracker { return NewP2Fast(m, 0.1, d) }},
+		{"p1-exact", func() Tracker { return NewP1(m, 0.1, d) }},
+		{"p1-fast", func() Tracker { return NewP1Fast(m, 0.1, d) }},
+		{"p2-exact", func() Tracker { return NewP2(m, 0.1, d) }},
+		{"p2-fast", func() Tracker { return NewP2Fast(m, 0.1, d) }},
 	}
 	for _, bc := range builders {
 		b.Run(bc.name, func(b *testing.B) {

@@ -23,7 +23,7 @@ func checkContinuous(t *testing.T, tr Tracker, rows [][]float64, m int, slack fl
 	exact := matrix.NewSym(tr.Dim())
 	for i, row := range rows {
 		exact.AddOuter(1, row)
-		tr.ProcessRow(asg.Next(), row)
+		tr.ProcessRows(asg.Next(), rows[i:i+1])
 		if (i+1)%every != 0 {
 			continue
 		}
@@ -71,8 +71,8 @@ func TestContinuousMessageMonotone(t *testing.T) {
 	tr := NewP2(m, eps, 44)
 	asg := stream.NewUniformRandom(m, 98)
 	var prev int64
-	for i, row := range rows {
-		tr.ProcessRow(asg.Next(), row)
+	for i := range rows {
+		tr.ProcessRows(asg.Next(), rows[i:i+1])
 		cur := tr.Stats().Total()
 		if cur < prev {
 			t.Fatalf("message count decreased at row %d: %d → %d", i, prev, cur)

@@ -37,8 +37,10 @@ import (
 type Tracker interface {
 	// Name identifies the protocol in reports ("P1", "P2", ...).
 	Name() string
-	// ProcessRow delivers one matrix row to the given site.
-	ProcessRow(site int, row []float64)
+	// ProcessRows delivers a batch of rows arriving at one site; a row is a
+	// one-row batch. The whole batch is validated before any row is
+	// ingested: a bad row or site panics with nothing applied.
+	ProcessRows(site int, rows [][]float64)
 	// Gram returns the coordinator's current estimate of BᵀB as a matrix
 	// the caller owns: a copy or a fresh build, never the tracker's live
 	// state, so callers may keep it across further ingestion and mutate it
@@ -61,10 +63,11 @@ type Tracker interface {
 type IngestMode int
 
 const (
-	// IngestExact is the byte-identical mode: ProcessRows reproduces
-	// row-at-a-time ProcessRow bit for bit — same state, same message
-	// tallies, every per-row trigger evaluated at its exact row index. It
-	// is the oracle the cross-mode equivalence tests compare against.
+	// IngestExact is the byte-identical mode: ProcessRows over a batch
+	// equals ProcessRows over its one-row slices in order, bit for bit —
+	// same state, same message tallies, every per-row trigger evaluated at
+	// its exact row index. It is the oracle the cross-mode equivalence
+	// tests compare against.
 	IngestExact IngestMode = iota
 
 	// IngestFast is the blocked mode: a whole known-mass prefix folds into
@@ -101,42 +104,17 @@ func (m IngestMode) String() string {
 	return "exact"
 }
 
-// BatchTracker is implemented by trackers with a blocked batch-ingestion
-// fast path. ProcessRows must be observationally identical to calling
-// ProcessRow once per row in order: same final tracker state and the same
-// message tallies, with every per-row message trigger evaluated at its
-// exact row index. (The only licensed difference is validation: a batch
-// may be validated up front, panicking before any row is ingested, where
-// the per-row path would have ingested the prefix.) Every tracker in this
-// package implements it; the interface stays optional so external Tracker
-// implementations keep compiling.
-type BatchTracker interface {
-	Tracker
-	// ProcessRows delivers a batch of rows arriving at one site.
-	ProcessRows(site int, rows [][]float64)
-}
-
-// ProcessRows delivers a batch of rows to one site of t, through the
-// tracker's blocked fast path when it has one and the row-at-a-time loop
-// otherwise.
-func ProcessRows(t Tracker, site int, rows [][]float64) {
-	if bt, ok := t.(BatchTracker); ok {
-		bt.ProcessRows(site, rows)
-		return
-	}
-	for _, row := range rows {
-		t.ProcessRow(site, row)
-	}
-}
+// ProcessRows is t.ProcessRows(site, rows); bench/ calls it.
+func ProcessRows(t Tracker, site int, rows [][]float64) { t.ProcessRows(site, rows) }
 
 // Run feeds a materialized row stream through a tracker with the given site
 // assigner, and returns the exact Gram matrix AᵀA of the whole stream for
 // evaluation.
 func Run(t Tracker, rows [][]float64, asg stream.Assigner) *matrix.Sym {
 	exact := matrix.NewSym(t.Dim())
-	for _, row := range rows {
+	for i, row := range rows {
 		exact.AddOuter(1, row)
-		t.ProcessRow(asg.Next(), row)
+		t.ProcessRows(asg.Next(), rows[i:i+1])
 	}
 	return exact
 }
@@ -172,15 +150,11 @@ func validateParams(m int, eps float64, d int) {
 	}
 }
 
-func validateRow(row []float64, d int) {
-	if len(row) != d {
-		panic(fmt.Sprintf("core: row of length %d, want %d", len(row), d))
-	}
-}
-
 func validateRows(rows [][]float64, d int) {
 	for _, row := range rows {
-		validateRow(row, d)
+		if len(row) != d {
+			panic(fmt.Sprintf("core: row of length %d, want %d", len(row), d))
+		}
 	}
 }
 

@@ -249,8 +249,8 @@ func TestValidation(t *testing.T) {
 		func() { NewP2(2, 0, 4) },
 		func() { NewP3(2, 0.1, 0, 1) },
 		func() { NewP4(2, 2, 4, 1) },
-		func() { NewP2(2, 0.1, 4).ProcessRow(2, make([]float64, 4)) },
-		func() { NewP2(2, 0.1, 4).ProcessRow(0, make([]float64, 3)) },
+		func() { NewP2(2, 0.1, 4).ProcessRows(2, [][]float64{make([]float64, 4)}) },
+		func() { NewP2(2, 0.1, 4).ProcessRows(0, [][]float64{make([]float64, 3)}) },
 		func() { EllForEps(0) },
 	} {
 		func() {

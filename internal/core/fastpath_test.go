@@ -86,7 +86,7 @@ func adversarialStreams(n, d, m int) map[string]func() (rows [][]float64, sites 
 
 // feedBlocks drives rows through ProcessRows in site runs, calling check
 // after every block boundary.
-func feedBlocks(t BatchTracker, rows [][]float64, sites []int, check func(fed int)) {
+func feedBlocks(t Tracker, rows [][]float64, sites []int, check func(fed int)) {
 	for start := 0; start < len(rows); {
 		end := start + 1
 		for end < len(rows) && sites[end] == sites[start] {
@@ -126,10 +126,10 @@ func assertCovarianceBound(t *testing.T, name string, fed int, exact, est *matri
 func TestFastModeCovarianceBound(t *testing.T) {
 	const n, d, m = 3000, 16, 5
 	const eps = 0.2
-	builders := map[string]func() BatchTracker{
-		"P1fast":      func() BatchTracker { return NewP1Fast(m, eps, d) },
-		"P2fast":      func() BatchTracker { return NewP2Fast(m, eps, d) },
-		"P2smallfast": func() BatchTracker { return NewP2SmallSpaceFast(m, eps, d) },
+	builders := map[string]func() Tracker{
+		"P1fast":      func() Tracker { return NewP1Fast(m, eps, d) },
+		"P2fast":      func() Tracker { return NewP2Fast(m, eps, d) },
+		"P2smallfast": func() Tracker { return NewP2SmallSpaceFast(m, eps, d) },
 	}
 	for streamName, build := range adversarialStreams(n, d, m) {
 		rows, sites := build()
@@ -162,15 +162,15 @@ func TestFastModeMessageFactor(t *testing.T) {
 	const eps = 0.2
 	pairs := []struct {
 		name        string
-		exact, fast func() BatchTracker
+		exact, fast func() Tracker
 		factor      float64
 	}{
-		{"P1", func() BatchTracker { return NewP1(m, eps, d) },
-			func() BatchTracker { return NewP1Fast(m, eps, d) }, 1},
-		{"P2", func() BatchTracker { return NewP2(m, eps, d) },
-			func() BatchTracker { return NewP2Fast(m, eps, d) }, 2},
-		{"P2small", func() BatchTracker { return NewP2SmallSpace(m, eps, d) },
-			func() BatchTracker { return NewP2SmallSpaceFast(m, eps, d) }, 2},
+		{"P1", func() Tracker { return NewP1(m, eps, d) },
+			func() Tracker { return NewP1Fast(m, eps, d) }, 1},
+		{"P2", func() Tracker { return NewP2(m, eps, d) },
+			func() Tracker { return NewP2Fast(m, eps, d) }, 2},
+		{"P2small", func() Tracker { return NewP2SmallSpace(m, eps, d) },
+			func() Tracker { return NewP2SmallSpaceFast(m, eps, d) }, 2},
 	}
 	for streamName, build := range adversarialStreams(n, d, m) {
 		rows, sites := build()
@@ -208,17 +208,17 @@ func TestFastIngestSpeedupGuard(t *testing.T) {
 	const eps = 0.1
 	for _, pc := range []struct {
 		name        string
-		exact, fast func() BatchTracker
+		exact, fast func() Tracker
 	}{
-		{"P1", func() BatchTracker { return NewP1(m, eps, d) },
-			func() BatchTracker { return NewP1Fast(m, eps, d) }},
-		{"P2", func() BatchTracker { return NewP2(m, eps, d) },
-			func() BatchTracker { return NewP2Fast(m, eps, d) }},
+		{"P1", func() Tracker { return NewP1(m, eps, d) },
+			func() Tracker { return NewP1Fast(m, eps, d) }},
+		{"P2", func() Tracker { return NewP2(m, eps, d) },
+			func() Tracker { return NewP2Fast(m, eps, d) }},
 	} {
 		perRow := pc.exact()
 		start := time.Now()
-		for i, row := range rows {
-			perRow.ProcessRow(i%m, row)
+		for i := range rows {
+			perRow.ProcessRows(i%m, rows[i:i+1])
 		}
 		exactSec := time.Since(start).Seconds()
 
@@ -247,7 +247,8 @@ func TestFastIngestSpeedupGuard(t *testing.T) {
 
 // TestBatchDispatchNeverSlower guards the p2+batch regression: on the same
 // stream and site sequence, exact-mode batch dispatch (ProcessRows over
-// site runs) must not run slower than per-row dispatch. Batching removes
+// site runs) must not run slower than per-row dispatch (the per-row oracle
+// step, rowstep_oracle_test.go). Batching removes
 // per-call validation and adds nothing; the reps are interleaved (so a
 // load burst on a shared CI runner hits both paths alike) and the guard
 // takes the best of 5 with 1.5× slack, enough margin that only a genuine
@@ -312,10 +313,10 @@ func TestFastSiteHotPathAllocs(t *testing.T) {
 	}
 	for _, pc := range []struct {
 		name string
-		mk   func() BatchTracker
+		mk   func() Tracker
 	}{
-		{"P2fast", func() BatchTracker { return NewP2Fast(m, 0.1, d) }},
-		{"P1fast", func() BatchTracker { return NewP1Fast(m, 0.1, d) }},
+		{"P2fast", func() Tracker { return NewP2Fast(m, 0.1, d) }},
+		{"P1fast", func() Tracker { return NewP1Fast(m, 0.1, d) }},
 	} {
 		tr := pc.mk()
 		site := 0

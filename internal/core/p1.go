@@ -90,27 +90,12 @@ func (p *P1) Dim() int { return p.d }
 // Eps implements Tracker.
 func (p *P1) Eps() float64 { return p.eps }
 
-// ProcessRow implements Tracker (Algorithm 5.1).
-//
-//distlint:hotpath
-func (p *P1) ProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.d)
-	s := &p.sites[site]
-	s.sk.Append(row)
-	s.mass += matrix.NormSq(row)
-	tau := (p.eps / (2 * float64(p.m))) * p.fhat
-	if s.mass >= tau {
-		p.ship(site)
-	}
-}
-
-// ProcessRows implements BatchTracker: rows are folded into the site sketch
-// through the blocked FD fast path in segments delimited by the ship
-// threshold. The mass threshold τ depends only on F̂, which changes only at
-// a ship, so scanning the prefix sums up to the first crossing reproduces
-// the per-row trigger points exactly: identical ships, identical message
-// tallies, identical sketch state.
+// ProcessRows implements Tracker (Algorithm 5.1): rows are folded into the
+// site sketch through the blocked FD fast path in segments delimited by the
+// ship threshold. The mass threshold τ depends only on F̂, which changes
+// only at a ship, so scanning the prefix sums up to the first crossing
+// reproduces the per-row trigger points exactly: identical ships,
+// identical message tallies, identical sketch state.
 //
 //distlint:hotpath
 func (p *P1) ProcessRows(site int, rows [][]float64) {

@@ -68,18 +68,10 @@ func NewP2ShipFraction(m int, eps float64, d int, shipFrac float64) *P2 {
 	return p
 }
 
-// ProcessRow implements Tracker (Algorithm 5.3).
-func (p *P2) ProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.Dim())
-	mustP2(p.sites[site].ProcessRow(row))
-}
-
-// ProcessRows implements BatchTracker. In exact mode it is the per-row
-// state machine minus the per-call validation: every threshold check runs
-// at its exact row index and the message tallies match row-at-a-time
-// ingestion bit for bit. In fast mode the block folds through
-// P2Site.ProcessBlock.
+// ProcessRows implements Tracker (Algorithm 5.3). In exact mode each row is
+// a one-row P2Site.ProcessBlock — the per-row step bit for bit, every
+// threshold checked at its exact row index. In fast mode the whole block
+// folds through one ProcessBlock.
 //
 //distlint:hotpath
 func (p *P2) ProcessRows(site int, rows [][]float64) {
@@ -90,8 +82,8 @@ func (p *P2) ProcessRows(site int, rows [][]float64) {
 		mustP2(s.ProcessBlock(rows))
 		return
 	}
-	for _, row := range rows {
-		mustP2(s.ProcessRow(row))
+	for i := range rows {
+		mustP2(s.ProcessBlock(rows[i : i+1]))
 	}
 }
 

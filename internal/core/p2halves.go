@@ -99,39 +99,15 @@ func (s *P2Site) Estimate() float64 { return s.fhat }
 // sound (§5.2); a runtime that can see broadcasts reordered keeps the max.
 func (s *P2Site) SetEstimate(fhat float64) { s.fhat = fhat }
 
-// ProcessRow is the exact per-row step of Algorithm 5.3 for a row of length
-// d. The error is an eigensolver failure (a non-finite Gram) after the row
-// was ingested.
-//
-//distlint:hotpath
-func (s *P2Site) ProcessRow(row []float64) error {
-	w := matrix.NormSq(row)
-
-	// Scalar side-channel for F̂.
-	s.fdelta += w
-	if s.fdelta >= (s.eps/float64(s.m))*s.fhat {
-		s.up.Scalar(s.id, s.fdelta)
-		s.fdelta = 0
-	}
-
-	// Row accumulation with the exact deferred-svd bound.
-	s.gram.AddOuter(1, row)
-	s.lamBound += w
-	if s.empty {
-		s.soleRow = append(s.soleRow[:0], row...) //distlint:alloc-ok grows to one row length once, then reused
-		s.empty = false
-	} else {
-		s.soleRow = nil
-	}
-	return s.settle()
-}
-
-// ProcessBlock is the fast-mode batch step of Algorithm 5.3 (IngestFast):
-// the scalar F̂ side-channel still fires at its exact row indices (it reads
-// only the running mass, never the Gram), but the rows fold into the site
-// Gram as one rank-k block update and the deferred-svd bound λ₁ + newMass is
-// settled once over the whole block — one decomposition per crossing block
-// instead of one per crossing row.
+// ProcessBlock is the site step of Algorithm 5.3 over a block of rows of
+// length d. The scalar F̂ side-channel fires at its exact row indices (it
+// reads only the running mass, never the Gram), the rows fold into the site
+// Gram as one block update, and the deferred-svd bound λ₁ + newMass is
+// settled once over the whole block: one decomposition per crossing block
+// (IngestFast). A one-row block is the paper's per-row step bit for bit
+// (IngestExact): NormSqRows is NormSq, AddBlock below its cutoff is
+// AddOuter. The error is an eigensolver failure (a non-finite Gram) after
+// the block was ingested.
 //
 //distlint:hotpath
 func (s *P2Site) ProcessBlock(rows [][]float64) error {
@@ -288,9 +264,9 @@ func (c *P2Coordinator) Row(row []float64) {
 // Name implements Tracker.
 func (c *P2Coordinator) Name() string { return "P2" }
 
-// ProcessRow completes Tracker and panics: the half takes messages, and the
-// service refuses rows before they reach it.
-func (c *P2Coordinator) ProcessRow(int, []float64) {
+// ProcessRows completes Tracker and panics: the half takes messages, and
+// the facade and the service refuse rows before they reach it.
+func (c *P2Coordinator) ProcessRows(int, [][]float64) {
 	panic("core: a P2Coordinator takes site messages, not rows") //distlint:panic-ok rows are refused before they reach the half
 }
 

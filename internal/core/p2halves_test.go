@@ -95,7 +95,7 @@ func TestP2SiteReportsEigensolverFailure(t *testing.T) {
 	if err := s.Restore(poisoned); err != nil {
 		t.Fatal(err)
 	}
-	failed := s.ProcessRow([]float64{1, 1, 1})
+	failed := s.ProcessBlock([][]float64{{1, 1, 1}})
 	if failed == nil || !strings.Contains(failed.Error(), "core: P2 eigendecomposition failed") {
 		t.Fatalf("site half returned %v, want an eigendecomposition failure", failed)
 	}

@@ -21,7 +21,7 @@ type P2SmallSpace struct {
 	*P2Coordinator // m, ε, the tally, BᵀB and the query surface
 	mode           IngestMode
 
-	// Reusable fast-path scratch (lazily sized; see decomposeAndSend).
+	// Reusable scratch (lazily sized; see processBlock and decomposeAndSend).
 	diff    *matrix.Sym
 	eigWS   *matrix.EigWorkspace
 	shipRow []float64
@@ -65,18 +65,10 @@ func NewP2SmallSpaceFast(m int, eps float64, d int) *P2SmallSpace {
 // Name implements Tracker.
 func (p *P2SmallSpace) Name() string { return "P2small" }
 
-// ProcessRow implements Tracker.
-func (p *P2SmallSpace) ProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.Dim())
-	p.processRow(&p.sites[site], row)
-}
-
-// ProcessRows implements BatchTracker. In exact mode it is the per-row
-// state machine with the validation hoisted out of the loop: rows land in
-// the site's blocked FD sketches, every threshold check runs at its exact
-// row index, and the message tallies match row-at-a-time ingestion. Fast
-// mode folds the block through processBlock.
+// ProcessRows implements Tracker. In exact mode each row is a one-row
+// processBlock — the per-row step bit for bit (NormSqRows is NormSq,
+// AppendRows is Append), every threshold checked at its exact row index.
+// Fast mode folds the whole block through one processBlock.
 func (p *P2SmallSpace) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
 	validateRows(rows, p.Dim())
@@ -85,15 +77,15 @@ func (p *P2SmallSpace) ProcessRows(site int, rows [][]float64) {
 		p.processBlock(s, rows)
 		return
 	}
-	for _, row := range rows {
-		p.processRow(s, row)
+	for i := range rows {
+		p.processBlock(s, rows[i:i+1])
 	}
 }
 
-// processBlock is the fast-mode batch step, mirroring P2.processBlock: the
-// scalar F̂ side-channel fires at exact row indices, the whole block lands
-// in the receive sketch as one AppendRows, and the λ₁ + newMass deferral is
-// settled once at the block boundary.
+// processBlock is the site step over a block, mirroring P2Site.ProcessBlock:
+// the scalar F̂ side-channel fires at exact row indices, the whole block
+// lands in the receive sketch as one AppendRows, and the λ₁ + newMass
+// deferral is settled once at the block boundary.
 func (p *P2SmallSpace) processBlock(s *p2sSite, rows [][]float64) {
 	if len(rows) == 0 {
 		return
@@ -110,22 +102,6 @@ func (p *P2SmallSpace) processBlock(s *p2sSite, rows [][]float64) {
 	}
 	s.recv.AppendRows(rows)
 	s.lamBound += mass
-	if s.lamBound >= (p.eps/float64(p.m))*p.siteFhat {
-		p.decomposeAndSend(s)
-	}
-}
-
-func (p *P2SmallSpace) processRow(s *p2sSite, row []float64) {
-	w := matrix.NormSq(row)
-
-	s.fdelta += w
-	if s.fdelta >= (p.eps/float64(p.m))*p.siteFhat {
-		p.sendScalar(s.fdelta)
-		s.fdelta = 0
-	}
-
-	s.recv.Append(row)
-	s.lamBound += w
 	if s.lamBound >= (p.eps/float64(p.m))*p.siteFhat {
 		p.decomposeAndSend(s)
 	}
@@ -197,5 +173,3 @@ func (p *P2SmallSpace) sendScalar(fj float64) {
 		p.siteFhat = fhat
 	}
 }
-
-var _ BatchTracker = (*P2SmallSpace)(nil)

@@ -57,16 +57,9 @@ func (p *P3) Dim() int { return p.d }
 // Eps implements Tracker.
 func (p *P3) Eps() float64 { return p.eps }
 
-// ProcessRow implements Tracker.
-func (p *P3) ProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.d)
-	p.processRow(row)
-}
-
-// ProcessRows implements BatchTracker: the per-row sampling loop with the
-// validation hoisted out. The priority draws consume the rng in row order,
-// so sample contents and message tallies match row-at-a-time ingestion.
+// ProcessRows implements Tracker: the per-row sampling loop. The priority
+// draws consume the rng in row order, so sample contents and message
+// tallies do not depend on how the stream is cut into batches.
 func (p *P3) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
 	validateRows(rows, p.d)
@@ -159,14 +152,7 @@ func (p *P3WR) Dim() int { return p.d }
 // Eps implements Tracker.
 func (p *P3WR) Eps() float64 { return p.eps }
 
-// ProcessRow implements Tracker.
-func (p *P3WR) ProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.d)
-	p.processRow(row)
-}
-
-// ProcessRows implements BatchTracker; see P3.ProcessRows.
+// ProcessRows implements Tracker; see P3.ProcessRows.
 func (p *P3WR) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
 	validateRows(rows, p.d)
@@ -216,11 +202,10 @@ func (p *P3WR) EstimateFrobenius() float64 { return p.coord.EstimateTotal() }
 // Stats implements Tracker.
 func (p *P3WR) Stats() stream.Stats { return p.acct.Stats() }
 
-// Compile-time checks against accidental interface drift. Every protocol
-// also carries the blocked batch entry point.
+// Compile-time checks against accidental interface drift.
 var (
-	_ BatchTracker = (*P1)(nil)
-	_ BatchTracker = (*P2)(nil)
-	_ BatchTracker = (*P3)(nil)
-	_ BatchTracker = (*P3WR)(nil)
+	_ Tracker = (*P1)(nil)
+	_ Tracker = (*P2)(nil)
+	_ Tracker = (*P3)(nil)
+	_ Tracker = (*P3WR)(nil)
 )

@@ -85,16 +85,9 @@ func (p *P4) sendProb() float64 {
 	return 2 * math.Sqrt(float64(p.m)) / (p.eps * p.fro.Estimate())
 }
 
-// ProcessRow implements Tracker (Algorithm C.1).
-func (p *P4) ProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.d)
-	p.processRow(&p.sites[site], site, row)
-}
-
-// ProcessRows implements BatchTracker: the per-row send-probability loop
-// with validation hoisted out; rng draws stay in row order, so the message
-// tallies match row-at-a-time ingestion.
+// ProcessRows implements Tracker (Algorithm C.1): the per-row
+// send-probability loop; rng draws stay in row order, so the message
+// tallies do not depend on how the stream is cut into batches.
 func (p *P4) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
 	validateRows(rows, p.d)
@@ -145,7 +138,7 @@ func (p *P4) EstimateFrobenius() float64 { return p.fro.Tally() }
 // Stats implements Tracker.
 func (p *P4) Stats() stream.Stats { return p.acct.Stats() }
 
-var _ BatchTracker = (*P4)(nil)
+var _ Tracker = (*P4)(nil)
 
 // froTracker is the matrix-side copy of the heavy-hitters WeightTracker:
 // it maintains F̂ ≤ ‖A‖²_F ≤ (1+2θ)·F̂ with threshold-doubling broadcasts.

@@ -16,8 +16,8 @@ func TestMatSimulatorSnapshotRoundTrip(t *testing.T) {
 	const m, eps, d = 3, 0.2, 44
 	p := NewP2(m, eps, d)
 	rows := gen.LowRankMatrix(gen.PAMAPLike(1_500))
-	for i, r := range rows {
-		p.ProcessRow(i%m, r)
+	for i := range rows {
+		p.ProcessRows(i%m, rows[i:i+1])
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p.Snapshot()); err != nil {

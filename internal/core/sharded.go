@@ -70,7 +70,7 @@ func (k rowKind) stage(buf *stageBuf[[]float64], rows [][]float64) {
 	}
 }
 
-func (rowKind) apply(tr Tracker, site int, rows [][]float64) { ProcessRows(tr, site, rows) }
+func (rowKind) apply(tr Tracker, site int, rows [][]float64) { tr.ProcessRows(site, rows) }
 
 // GramAccumulator is implemented by trackers that can fold w times their
 // coordinator Gram estimate into dst without allocating — the merge fast
@@ -127,16 +127,10 @@ func (st *ShardedTracker) Eps() float64 { return st.eps }
 // its site count).
 func (st *ShardedTracker) Sites() int { return st.m }
 
-// ProcessRow implements Tracker: the row becomes a one-row block. Sharding
-// pays off with batch feeds; per-row feeds work but spend a channel hop per
-// row.
-func (st *ShardedTracker) ProcessRow(site int, row []float64) {
-	st.Deal(site, [][]float64{row})
-}
-
-// ProcessRows implements BatchTracker over the engine's Deal: validated up
+// ProcessRows implements Tracker over the engine's Deal: validated up
 // front, chunked, dealt round-robin; it returns once every chunk is
-// enqueued.
+// enqueued. Sharding pays off with batch feeds; one-row feeds work but
+// spend a channel hop per row.
 func (st *ShardedTracker) ProcessRows(site int, rows [][]float64) { st.Deal(site, rows) }
 
 // Gram implements Tracker: the ordered sum of the shard estimates, through
@@ -165,6 +159,6 @@ func (st *ShardedTracker) EstimateFrobenius() float64 {
 }
 
 var (
-	_ BatchTracker = (*ShardedTracker)(nil)
-	_ SiteCounter  = (*ShardedTracker)(nil)
+	_ Tracker     = (*ShardedTracker)(nil)
+	_ SiteCounter = (*ShardedTracker)(nil)
 )

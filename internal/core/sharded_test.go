@@ -25,7 +25,7 @@ import (
 
 // feedSharded drives rows through ProcessRows in site runs, exactly like
 // feedBlocks but without the per-block check hook.
-func feedSharded(t BatchTracker, rows [][]float64, sites []int) {
+func feedSharded(t Tracker, rows [][]float64, sites []int) {
 	feedBlocks(t, rows, sites, nil)
 }
 
@@ -45,7 +45,7 @@ func TestShardedSingleShardByteIdentity(t *testing.T) {
 	for streamName, build := range adversarialStreams(n, d, m) {
 		rows, sites := build()
 		for trackerName, mk := range builders {
-			bare := mk().(BatchTracker)
+			bare := mk()
 			sharded := NewShardedTracker(1, func(int) Tracker { return mk() })
 			feedSharded(bare, rows, sites)
 			feedSharded(sharded, rows, sites)
@@ -211,7 +211,7 @@ func TestShardedSpeedupGuard(t *testing.T) {
 	const m, d, block = 10, 44, 1024
 	const eps = 0.1
 
-	feed := func(tr BatchTracker) time.Duration {
+	feed := func(tr Tracker) time.Duration {
 		start := time.Now()
 		for i, site := 0, 0; i < len(rows); i += block {
 			end := i + block
@@ -224,7 +224,7 @@ func TestShardedSpeedupGuard(t *testing.T) {
 		tr.Stats() // sharded: merge barrier; bare: cheap copy
 		return time.Since(start)
 	}
-	best := func(mk func() BatchTracker) float64 {
+	best := func(mk func() Tracker) float64 {
 		bestSec := 0.0
 		for rep := 0; rep < 3; rep++ {
 			tr := mk()
@@ -239,8 +239,8 @@ func TestShardedSpeedupGuard(t *testing.T) {
 		return bestSec
 	}
 
-	singleSec := best(func() BatchTracker { return NewP2Fast(m, eps, d) })
-	shardedSec := best(func() BatchTracker {
+	singleSec := best(func() Tracker { return NewP2Fast(m, eps, d) })
+	shardedSec := best(func() Tracker {
 		return NewShardedTracker(need, func(int) Tracker { return NewP2Fast(m, eps, d) })
 	})
 	if shardedSec <= 0 {

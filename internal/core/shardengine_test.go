@@ -60,8 +60,10 @@ func (r *rowRecorder) Gram() *matrix.Sym {
 	return matrix.NewSym(2)
 }
 func (r *rowRecorder) EstimateFrobenius() float64 { return 0 }
-func (r *rowRecorder) ProcessRow(site int, row []float64) {
-	r.record(site, append([]float64(nil), row...)) // the staged row is pooled
+func (r *rowRecorder) ProcessRows(site int, rows [][]float64) {
+	for _, row := range rows {
+		r.record(site, append([]float64(nil), row...)) // the staged row is pooled
+	}
 }
 
 // engineCase adapts one instantiation to the generic suite. Both run with

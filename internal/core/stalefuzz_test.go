@@ -22,8 +22,8 @@ import (
 // The fuzzer picks the stream (a base shape — lowRankRows or one of
 // adversarialStreams' — whose directions and norms in [1, β] data
 // rewrites), the site schedule (one site, round-robin or bursts), the
-// block splits, ProcessRow or ProcessBlock, the link's delays and the
-// floor.
+// block splits, one-row or whole-block ProcessBlock steps, the link's
+// delays and the floor.
 func FuzzGuaranteeP2Stale(f *testing.F) {
 	tilt := []byte{200, 40, 17, 255, 3, 128, 90, 1, 66, 250, 129, 7}
 	for shape := uint8(0); shape < 4; shape++ {
@@ -75,10 +75,8 @@ func FuzzGuaranteeP2Stale(f *testing.F) {
 			}
 			var err error
 			if perRow {
-				for _, row := range rows[start:end] {
-					if err = link.sites[site].ProcessRow(row); err != nil {
-						break
-					}
+				for i := start; i < end && err == nil; i++ {
+					err = link.sites[site].ProcessBlock(rows[i : i+1])
 				}
 			} else {
 				err = link.sites[site].ProcessBlock(rows[start:end])

@@ -59,14 +59,6 @@ func (w *WindowedTracker) Sites() int {
 	return -1
 }
 
-// ProcessRow implements Tracker.
-func (w *WindowedTracker) ProcessRow(site int, row []float64) {
-	w.rotate()
-	w.current.ProcessRow(site, row)
-	w.inCur++
-	w.total++
-}
-
 // rotate retires the previous sub-window and starts a fresh tracker when
 // the current sub-window is full.
 func (w *WindowedTracker) rotate() {
@@ -81,11 +73,11 @@ func (w *WindowedTracker) rotate() {
 	w.inCur = 0
 }
 
-// ProcessRows implements BatchTracker: the batch is forwarded to the inner
+// ProcessRows implements Tracker: the batch is forwarded to the inner
 // trackers in chunks cut at the sub-window boundaries, so restarts happen
 // at exactly the rows they would under per-row ingestion. The whole batch
-// is validated before any chunk is ingested (the BatchTracker contract:
-// a bad row panics with nothing applied, never mid-batch).
+// is validated before any chunk is ingested (the Tracker contract: a bad
+// row panics with nothing applied, never mid-batch).
 func (w *WindowedTracker) ProcessRows(site int, rows [][]float64) {
 	validateRows(rows, w.Dim())
 	for len(rows) > 0 {
@@ -94,7 +86,7 @@ func (w *WindowedTracker) ProcessRows(site int, rows [][]float64) {
 		if take > len(rows) {
 			take = len(rows)
 		}
-		ProcessRows(w.current, site, rows[:take])
+		w.current.ProcessRows(site, rows[:take])
 		w.inCur += take
 		w.total += int64(take)
 		rows = rows[take:]
@@ -140,4 +132,4 @@ func (w *WindowedTracker) Stats() stream.Stats {
 	return s
 }
 
-var _ BatchTracker = (*WindowedTracker)(nil)
+var _ Tracker = (*WindowedTracker)(nil)

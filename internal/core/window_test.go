@@ -17,8 +17,8 @@ func TestWindowedCoverageBounds(t *testing.T) {
 	w := newWindowedP2(3, 0.2, 44, window)
 	rows := lowRankRows(5000)
 	asg := stream.NewRoundRobin(3)
-	for i, row := range rows {
-		w.ProcessRow(asg.Next(), row)
+	for i := range rows {
+		w.ProcessRows(asg.Next(), rows[i:i+1])
 		c := w.Covered()
 		seen := i + 1
 		want := seen
@@ -44,8 +44,8 @@ func TestWindowedApproximatesRecentRows(t *testing.T) {
 	rows := lowRankRows(3000)
 	w := newWindowedP2(m, eps, 44, window)
 	asg := stream.NewUniformRandom(m, 5)
-	for _, row := range rows {
-		w.ProcessRow(asg.Next(), row)
+	for i := range rows {
+		w.ProcessRows(asg.Next(), rows[i:i+1])
 	}
 	// Exact Gram of the covered suffix.
 	c := w.Covered()
@@ -71,10 +71,10 @@ func TestWindowedForgetsOldData(t *testing.T) {
 	e1 := []float64{10, 0, 0, 0}
 	e2 := []float64{0, 10, 0, 0}
 	for i := 0; i < 1000; i++ {
-		w.ProcessRow(asg.Next(), e1)
+		w.ProcessRows(asg.Next(), [][]float64{e1})
 	}
 	for i := 0; i < 2*window; i++ {
-		w.ProcessRow(asg.Next(), e2)
+		w.ProcessRows(asg.Next(), [][]float64{e2})
 	}
 	g := w.Gram()
 	if g.At(0, 0) > 1e-9 {
@@ -90,8 +90,8 @@ func TestWindowedStatsMonotone(t *testing.T) {
 	rows := lowRankRows(1200)
 	asg := stream.NewRoundRobin(2)
 	var prev int64
-	for i, row := range rows {
-		w.ProcessRow(asg.Next(), row)
+	for i := range rows {
+		w.ProcessRows(asg.Next(), rows[i:i+1])
 		cur := w.Stats().Total()
 		if cur < prev {
 			t.Fatalf("stats went backwards at row %d: %d → %d (rotation lost traffic)", i, prev, cur)

@@ -85,8 +85,8 @@ func (r *Runner) Stability() []Table {
 			exactG.AddOuter(1, row)
 		}
 		for i, tr := range trackers {
-			for _, row := range rows[lo:hi] {
-				tr.ProcessRow(tasg[i].Next(), row)
+			for j := lo; j < hi; j++ {
+				tr.ProcessRows(tasg[i].Next(), rows[j:j+1])
 			}
 		}
 		row := []string{fmt.Sprintf("%d/%d", cp, checkpoints)}

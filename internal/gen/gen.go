@@ -64,7 +64,7 @@ func ZipfStream(cfg ZipfConfig) []WeightedItem {
 
 // TotalWeight sums the weights of a stream.
 //
-//distlint:unreachable-ok test helper: the gen, hh and node tests
+//distlint:unreachable-ok test helper: the gen and hh tests
 func TotalWeight(items []WeightedItem) float64 {
 	var w float64
 	for _, it := range items {

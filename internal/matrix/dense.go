@@ -3,7 +3,9 @@
 // matrix for Gram matrices AᵀA, and the one factorisation the protocols
 // need — the symmetric eigendecomposition of a Gram (EigSym, EigSymWork:
 // Householder tridiagonalisation and implicit QL, with cyclic Jacobi as
-// the fallback when QL does not converge). Its eigenpairs are the right
+// the fallback when QL fails: on NaN/Inf entries, or on a finite Gram
+// large enough to overflow inside the reduction, which Jacobi still
+// decomposes — TestJacobiFallbackReachable). Its eigenpairs are the right
 // singular vectors and squared singular values of A: Algorithm 5.3's site
 // step and the P1, P2small and FD shrinks all factor A this way.
 //

@@ -7,7 +7,8 @@ import (
 
 // ErrNoConvergence is returned when an iterative decomposition fails to
 // converge within its iteration budget. This indicates pathological input
-// (NaN/Inf entries) rather than an expected runtime condition.
+// (NaN/Inf entries, or finite entries large enough to overflow on the way)
+// rather than an expected runtime condition.
 var ErrNoConvergence = errors.New("matrix: iteration did not converge")
 
 // EigSym computes the full eigendecomposition of the symmetric matrix s:

@@ -401,13 +401,47 @@ func TestEigSymBitIdentical(t *testing.T) {
 	}
 }
 
+// fuzzSym builds the fuzzed matrix of FuzzEigSymEquivalence. A word of data
+// is a float64 as it stands (any exponent, NaN payload or denormal) or,
+// three times in four, a value of moderate size, so that decompositions
+// converge often enough to compare roundings and not only errors. The words
+// fill the lower triangle; the upper one mirrors it, or, in the asymmetric
+// variant, sits one ulp above it wherever the word is odd. It returns nil
+// for data shorter than one word.
+func fuzzSym(dim uint8, asym bool, data []byte) *Sym {
+	words := len(data) / 8
+	if words == 0 {
+		return nil
+	}
+	n := int(dim % 49)
+	raw := make([]float64, n*n)
+	next := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			w := binary.LittleEndian.Uint64(data[8*(next%words):])
+			next++
+			x := float64(int32(w>>32)) / (1 << 16)
+			if w&3 == 0 {
+				x = math.Float64frombits(w)
+			}
+			raw[i*n+j], raw[j*n+i] = x, x
+			if asym && w&1 == 1 {
+				raw[j*n+i] = math.Nextafter(x, math.Inf(1))
+			}
+		}
+	}
+	return SymFromRaw(n, raw)
+}
+
+// overflowSeed is a finite fuzz input (dimension 7) whose entries reach
+// 8.6e270: squares overflow inside tred2, so QL fails on it while
+// JacobiEigSym decomposes it (TestJacobiFallbackReachable).
+var overflowSeed = []byte("01000000000000000000000x")
+
 // FuzzEigSymEquivalence is the same comparison over fuzzed dimensions and
-// bit patterns. A word of data is a float64 as it stands (any exponent, NaN
-// payload or denormal) or, three times in four, a value of moderate size, so
-// that decompositions converge often enough to compare roundings and not
-// only errors. The words fill the lower triangle; the upper one mirrors it,
-// or, in the asymmetric variant, sits one ulp above it wherever the word is
-// odd.
+// bit patterns (see fuzzSym). It also pins when EigSymWork may fail at all:
+// never on a finite matrix whose entries stay below 1e150, where no sum of
+// squares can overflow.
 func FuzzEigSymEquivalence(f *testing.F) {
 	seed := make([]byte, 8*97)
 	rng := rand.New(rand.NewSource(22))
@@ -419,32 +453,40 @@ func FuzzEigSymEquivalence(f *testing.F) {
 	f.Add(uint8(7), true, seed[:64])
 	f.Add(uint8(3), false, []byte{0, 0, 0, 0, 0, 0, 0, 0})                                     // exact zero
 	f.Add(uint8(2), false, []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) // NaN, +Inf
-	f.Add(uint8(7), false, []byte("01000000000000000000000x"))                                 // finite, overflows to NaN inside tred2: the oracle's index panic
+	f.Add(uint8(7), false, overflowSeed)                                                       // finite, overflows to NaN inside tred2: the oracle's index panic
 	ws := NewEigWorkspace()
 	f.Fuzz(func(t *testing.T, dim uint8, asym bool, data []byte) {
-		words := len(data) / 8
-		if words == 0 {
+		s := fuzzSym(dim, asym, data)
+		if s == nil {
 			return
 		}
-		n := int(dim % 49)
-		raw := make([]float64, n*n)
-		next := 0
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				w := binary.LittleEndian.Uint64(data[8*(next%words):])
-				next++
-				x := float64(int32(w>>32)) / (1 << 16)
-				if w&3 == 0 {
-					x = math.Float64frombits(w)
-				}
-				raw[i*n+j], raw[j*n+i] = x, x
-				if asym && w&1 == 1 {
-					raw[j*n+i] = math.Nextafter(x, math.Inf(1))
-				}
-			}
+		diffEigSym(t, "fuzz", s, ws)
+		moderate := !slices.ContainsFunc(s.data, func(x float64) bool { return !(math.Abs(x) < 1e150) })
+		if _, _, err := EigSymWork(s, ws); err != nil && moderate {
+			t.Fatalf("n=%d: EigSymWork failed on a finite matrix with entries below 1e150: %v", s.n, err)
 		}
-		diffEigSym(t, "fuzz", SymFromRaw(n, raw), ws)
 	})
+}
+
+// TestJacobiFallbackReachable pins why the production callers of EigSymWork
+// (P2Site, P2SmallSpace, sketch.FD) still fall back to JacobiEigSym: a
+// finite Gram large enough to overflow inside tred2 fails QL, and Jacobi
+// decomposes it.
+func TestJacobiFallbackReachable(t *testing.T) {
+	s := fuzzSym(7, false, overflowSeed)
+	if slices.ContainsFunc(s.data, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
+		t.Fatal("overflowSeed is no longer finite")
+	}
+	if _, _, err := EigSymWork(s, nil); !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("EigSymWork on the overflowing finite matrix: err = %v, want ErrNoConvergence", err)
+	}
+	vals, _, err := JacobiEigSym(s)
+	if err != nil {
+		t.Fatalf("JacobiEigSym on the overflowing finite matrix: %v", err)
+	}
+	if slices.ContainsFunc(vals, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
+		t.Fatalf("JacobiEigSym eigenvalues not finite: %v", vals)
+	}
 }
 
 // eigLaps returns, for the rank-five-over-noise Gram of dimension n, one

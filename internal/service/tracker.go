@@ -204,8 +204,8 @@ func (t *Tracker) close() {
 
 // apply ingests one batch. Row batches flow through the session's blocked
 // batch path (Session.ProcessRows(At) hands whole same-site blocks to the
-// tracker's BatchTracker fast path), so a posted batch costs one blocked
-// ingest, not a per-row loop. On a mid-batch error the preceding entries
+// tracker's ProcessRows), so a posted batch costs one blocked ingest, not a
+// per-row loop. On a mid-batch error the preceding entries
 // remain ingested (the session contract); the error reports the index.
 //
 // With a WAL attached, direct/HTTP batches (seq == 0) are staged to the

@@ -371,9 +371,10 @@ func (f *FD) factorAndShrink(g *matrix.Sym) {
 }
 
 // eig decomposes g into the sketch's reusable workspace, falling back to
-// the unconditionally convergent Jacobi reference if the fast path fails
-// (possible only on NaN/Inf input). The returned slices alias the
-// workspace.
+// the Jacobi reference if the fast path fails: on NaN/Inf input, or on a
+// finite Gram large enough to overflow inside tred2, which Jacobi still
+// decomposes (matrix.TestJacobiFallbackReachable). The returned slices
+// alias the workspace.
 func (f *FD) eig(g *matrix.Sym) ([]float64, *matrix.Dense) {
 	if f.eigWS == nil {
 		f.eigWS = matrix.NewEigWorkspace()

@@ -70,6 +70,7 @@ type Session struct {
 	count int64
 	draws int64 // assigner draws so far (ProcessRowsAt/ProcessItemsAt skip the assigner)
 
+	oneRow   [1][]float64   // ProcessRow's one-row batch header
 	siteBuf  []int          // pooled per-batch site assignments (ProcessRows scratch)
 	runBuf   [][]float64    // pooled same-site run staging (sharded batch coalescing)
 	itemBuf  []WeightedItem // pooled same-site item-run staging (sharded batch coalescing)
@@ -355,38 +356,45 @@ func (s *Session) StatsRelaxed() Stats {
 	return s.Stats()
 }
 
-// ProcessRow ingests one matrix row, assigning it to a site.
+// ProcessRow ingests one matrix row, assigning it to a site: a one-row
+// ProcessRows.
 func (s *Session) ProcessRow(row []float64) error {
-	if err := s.checkOpen(); err != nil {
+	if err := s.checkRows("ProcessRow"); err != nil {
 		return err
-	}
-	if s.kind != matrixKind {
-		return fmt.Errorf("%w: ProcessRow on a %s session", ErrWrongKind, s.kind)
 	}
 	if len(row) != s.cfg.Dim {
 		return fmt.Errorf("%w: row of length %d, want %d", ErrDimensionMismatch, len(row), s.cfg.Dim)
 	}
 	site := s.asg.Next()
 	s.draws++
-	s.ingestRow(site, row)
+	s.oneRow[0] = row
+	s.ingestRows(site, s.oneRow[:])
+	s.oneRow[0] = nil // do not pin the caller's row
 	return nil
 }
 
-func (s *Session) ingestRow(site int, row []float64) {
-	s.mat.ProcessRow(site, row)
-	if s.exact != nil {
-		s.exact.AddOuter(1, row)
+// checkRows rejects row ingestion on a closed session, on another kind, and
+// on a p2 session fed site messages (P2Coordinator), whose tracker is the
+// coordinator half alone and takes no rows.
+func (s *Session) checkRows(op string) error {
+	if err := s.checkOpen(); err != nil {
+		return err
 	}
-	s.count++
+	if s.kind != matrixKind {
+		return fmt.Errorf("%w: %s on a %s session", ErrWrongKind, op, s.kind)
+	}
+	if _, ok := s.mat.(*core.P2Coordinator); ok {
+		return fmt.Errorf("%w: %s on a session fed P2 site messages", ErrWrongKind, op)
+	}
+	return nil
 }
 
-// ingestRows routes a validated same-site batch through the tracker's
-// blocked fast path (core.BatchTracker) when it has one.
+// ingestRows hands a validated same-site batch to the tracker as one block.
 func (s *Session) ingestRows(site int, rows [][]float64) {
 	if len(rows) == 0 {
 		return
 	}
-	core.ProcessRows(s.mat, site, rows)
+	s.mat.ProcessRows(site, rows)
 	if s.exact != nil {
 		for _, row := range rows {
 			s.exact.AddOuter(1, row)
@@ -419,11 +427,8 @@ func (s *Session) validRowPrefix(rows [][]float64) (int, error) {
 // valid rows preceding the offending one remain ingested; the error
 // reports its index.
 func (s *Session) ProcessRows(rows [][]float64) error {
-	if err := s.checkOpen(); err != nil {
+	if err := s.checkRows("ProcessRows"); err != nil {
 		return err
-	}
-	if s.kind != matrixKind {
-		return fmt.Errorf("%w: ProcessRows on a %s session", ErrWrongKind, s.kind)
 	}
 	n, dimErr := s.validRowPrefix(rows)
 	// Draw sites for the valid prefix in row order (the per-row path draws
@@ -502,11 +507,8 @@ func coalesce[T any](s *Session, buf *[]T, elems []T, sites []int, ingest func(s
 // the service layer drives. On error the valid rows preceding the
 // offending one remain ingested; the error reports its index.
 func (s *Session) ProcessRowsAt(site int, rows [][]float64) error {
-	if err := s.checkOpen(); err != nil {
+	if err := s.checkRows("ProcessRowsAt"); err != nil {
 		return err
-	}
-	if s.kind != matrixKind {
-		return fmt.Errorf("%w: ProcessRowsAt on a %s session", ErrWrongKind, s.kind)
 	}
 	if site < 0 || site >= s.cfg.Sites {
 		return fmt.Errorf("%w: site %d outside [0, %d)", ErrInvalidSite, site, s.cfg.Sites)

@@ -204,6 +204,69 @@ func TestSessionWrongKind(t *testing.T) {
 	}
 }
 
+// TestMessageFedSessionRefusesRows: once P2Coordinator has made a p2
+// session's tracker the coordinator half, the half takes site messages
+// only, so every row entry point returns ErrWrongKind — before the tracker
+// is reached — and ingests nothing.
+func TestMessageFedSessionRefusesRows(t *testing.T) {
+	sess, err := distmat.NewMatrixSession("p2",
+		distmat.WithSites(2), distmat.WithEpsilon(0.2), distmat.WithDim(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.P2Coordinator(); err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{1, 2, 3, 4}
+	for name, feed := range map[string]func() error{
+		"ProcessRow":    func() error { return sess.ProcessRow(row) },
+		"ProcessRows":   func() error { return sess.ProcessRows([][]float64{row}) },
+		"ProcessRowsAt": func() error { return sess.ProcessRowsAt(1, [][]float64{row}) },
+	} {
+		if err := feed(); !errors.Is(err, distmat.ErrWrongKind) {
+			t.Errorf("%s on a message-fed session: err = %v, want ErrWrongKind", name, err)
+		}
+	}
+	if n := sess.Count(); n != 0 {
+		t.Fatalf("message-fed session counted %d rows", n)
+	}
+}
+
+// TestSessionProcessRowAllocs pins the facade's per-row path: once the
+// site scratch is warm, Session.ProcessRow — a one-row batch through the
+// session's header scratch — allocates nothing, in exact and fast p2.
+func TestSessionProcessRowAllocs(t *testing.T) {
+	rows := distmat.LowRankMatrix(distmat.PAMAPLike(3000))
+	for _, fast := range []bool{false, true} {
+		opts := []distmat.Option{distmat.WithSites(4), distmat.WithEpsilon(0.1), distmat.WithDim(44)}
+		if fast {
+			opts = append(opts, distmat.WithFastIngest())
+		}
+		sess, err := distmat.NewMatrixSession("p2", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows[:2000] {
+			if err := sess.ProcessRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i, before := 2000, sess.Stats().UpMsgs
+		allocs := testing.AllocsPerRun(900, func() {
+			if err := sess.ProcessRow(rows[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("fast=%v: Session.ProcessRow allocates %v per row in steady state, want 0", fast, allocs)
+		}
+		if sess.Stats().UpMsgs == before {
+			t.Errorf("fast=%v: no message in the measured rows: the ship path went unmeasured", fast)
+		}
+	}
+}
+
 // TestSessionBadInput asserts malformed rows/items error instead of
 // panicking, naming the offending index.
 func TestSessionBadInput(t *testing.T) {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test loc symbols race bench-check perf-guard profile experiments fmt vet lint lint-findings e2e
+.PHONY: build test loc loc-tests symbols race bench-check perf-guard profile experiments fmt vet lint lint-findings e2e
 
 # The cpuprofile tag builds distserve's profiling hook (cmd/distserve/
 # cpuprofile.go), which no other build compiles: building it here keeps it
@@ -40,6 +40,11 @@ test:
 # number ROADMAP's quality-of-design aim tracks.
 loc:
 	@git ls-files '*.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | grep -v '_test.go$$' | xargs cat | wc -l
+
+# Test Go under the same exclusions: the count CHANGES entries quote and
+# ROADMAP item 1(c)'s net-negative gate reads.
+loc-tests:
+	@git ls-files '*_test.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | xargs cat | wc -l
 
 # The module's symbols (repro. for the facade, repro/... for the rest) that
 # the two shipped daemons link, each binary's set sorted and de-duplicated

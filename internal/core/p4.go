@@ -27,15 +27,15 @@ import (
 // uncontrolled, which is exactly what Figures 6/7 measure. (The pinned
 // basis also makes the update O(d): read the Gram diagonal.)
 //
-// A froTracker (θ = 1/2) maintains the 2-approximate F̂, mirroring the
-// heavy-hitters P4's weight tracker.
+// A stream.WeightTracker (θ = 1/2) over the squared row norms maintains the
+// 2-approximate F̂, as the heavy-hitters P4's maintains Ŵ.
 type P4 struct {
 	m, d int
 	eps  float64
 	acct *stream.Accountant
 	rng  *rand.Rand
 
-	fro   *froTracker
+	fro   *stream.WeightTracker
 	sites []p4site
 }
 
@@ -58,7 +58,7 @@ func NewP4(m int, eps float64, d int, seed int64) *P4 {
 		eps:   eps,
 		acct:  acct,
 		rng:   rand.New(rand.NewSource(seed)),
-		fro:   newFroTracker(m, 0.5, acct),
+		fro:   stream.NewWeightTracker(m, 0.5, acct),
 		sites: make([]p4site, m),
 	}
 	for i := range p.sites {
@@ -133,43 +133,9 @@ func (p *P4) Gram() *matrix.Sym {
 }
 
 // EstimateFrobenius implements Tracker.
-func (p *P4) EstimateFrobenius() float64 { return p.fro.Tally() }
+func (p *P4) EstimateFrobenius() float64 { return p.fro.CoordinatorTally() }
 
 // Stats implements Tracker.
 func (p *P4) Stats() stream.Stats { return p.acct.Stats() }
 
 var _ Tracker = (*P4)(nil)
-
-// froTracker is the matrix-side copy of the heavy-hitters WeightTracker:
-// it maintains F̂ ≤ ‖A‖²_F ≤ (1+2θ)·F̂ with threshold-doubling broadcasts.
-// (Duplicated rather than imported to keep internal/core free of a
-// dependency on internal/hh; the logic is 30 lines.)
-type froTracker struct {
-	m       int
-	theta   float64
-	acct    *stream.Accountant
-	fhat    float64
-	tally   float64
-	pending []float64
-}
-
-func newFroTracker(m int, theta float64, acct *stream.Accountant) *froTracker {
-	return &froTracker{m: m, theta: theta, acct: acct, fhat: 1, pending: make([]float64, m)}
-}
-
-func (t *froTracker) Observe(site int, w float64) {
-	t.pending[site] += w
-	if t.pending[site] < (t.theta/float64(t.m))*t.fhat {
-		return
-	}
-	t.acct.SendUp(1)
-	t.tally += t.pending[site]
-	t.pending[site] = 0
-	if t.tally >= (1+t.theta)*t.fhat {
-		t.fhat = t.tally
-		t.acct.Broadcast(1)
-	}
-}
-
-func (t *froTracker) Estimate() float64 { return t.fhat }
-func (t *froTracker) Tally() float64    { return t.tally }

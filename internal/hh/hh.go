@@ -116,8 +116,8 @@ func validateParams(m int, eps float64) {
 }
 
 func validateWeight(w float64) {
-	if w <= 0 {
-		panic(fmt.Sprintf("hh: need positive weight, got %v", w))
+	if !gen.ValidWeight(w) {
+		panic(fmt.Sprintf("hh: need a positive finite weight, got %v", w))
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 //	Ŵ_e = Σ_j (w̄_{e,j} + 1/p)
 //
 // over sites that have reported e; the +1/p corrects the expected weight
-// that arrived since the last report. A WeightTracker maintains the 2-approx
-// Ŵ that p depends on.
+// that arrived since the last report. A stream.WeightTracker maintains the
+// 2-approx Ŵ that p depends on.
 //
 // Guarantee: |f_e(A) − Ŵ_e| ≤ εW with probability ≥ 0.75 (Theorem 3).
 // Communication: O((√m/ε)·log(βN)) messages.
@@ -29,7 +29,7 @@ type P4 struct {
 	acct *stream.Accountant
 	rng  *rand.Rand
 
-	weight *WeightTracker
+	weight *stream.WeightTracker
 	sites  []p4site
 	// Coordinator state: last report per element per site.
 	reports map[uint64][]float64 // elem → length-m vector of w̄_{e,j}; NaN = no report
@@ -49,7 +49,7 @@ func NewP4(m int, eps float64, seed int64) *P4 {
 		eps:     eps,
 		acct:    acct,
 		rng:     rand.New(rand.NewSource(seed)),
-		weight:  NewWeightTracker(m, 0.5, acct),
+		weight:  stream.NewWeightTracker(m, 0.5, acct),
 		sites:   make([]p4site, m),
 		reports: make(map[uint64][]float64),
 	}

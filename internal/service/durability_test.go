@@ -36,19 +36,6 @@ func walTestOptions(t *testing.T, dir string) Options {
 	}
 }
 
-// stateBytes serializes a tracker's session under its lock — the oracle
-// the recovery tests compare against.
-func stateBytes(tb testing.TB, t *Tracker) []byte {
-	tb.Helper()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var buf bytes.Buffer
-	if err := t.sess.SaveState(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // sameState compares two SaveState streams structurally: the stream is
 // not byte-canonical (map-backed snapshots serialize in map iteration
 // order), so recovery equivalence uses distmat.StateEqual.
@@ -143,7 +130,7 @@ func TestWALRecoveryBitIdentical(t *testing.T) {
 	oracle := map[string][]byte{}
 	counts := map[string]int64{}
 	for _, tr := range []*Tracker{gram, hot, lat} {
-		oracle[tr.Name()] = stateBytes(t, tr)
+		oracle[tr.Name()] = StateBytes(t, tr)
 		counts[tr.Name()] = tr.Count()
 	}
 	// Crash: abandon m without Close.
@@ -160,7 +147,7 @@ func TestWALRecoveryBitIdentical(t *testing.T) {
 		if got := tr.Count(); got != counts[name] {
 			t.Errorf("%s: recovered count %d, want %d", name, got, counts[name])
 		}
-		if !sameState(t, stateBytes(t, tr), want) {
+		if !sameState(t, StateBytes(t, tr), want) {
 			t.Errorf("%s: recovered state differs from oracle", name)
 		}
 	}
@@ -179,7 +166,7 @@ func TestWALRecoveryBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopened %s: %v", name, err)
 		}
-		if !sameState(t, stateBytes(t, tr), want) {
+		if !sameState(t, StateBytes(t, tr), want) {
 			t.Errorf("%s: state after clean close differs from oracle", name)
 		}
 	}
@@ -202,12 +189,12 @@ func TestWALTornTailEveryByte(t *testing.T) {
 	}
 	const batches, rowsPer = 4, 2
 	ctx := context.Background()
-	oracle := [][]byte{stateBytes(t, tr)} // oracle[j] = state after j acked batches
+	oracle := [][]byte{StateBytes(t, tr)} // oracle[j] = state after j acked batches
 	for i := range batches {
 		if err := tr.IngestRows(ctx, i%2, detRows(uint64(i), rowsPer, 3)); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		oracle = append(oracle, stateBytes(t, tr))
+		oracle = append(oracle, StateBytes(t, tr))
 	}
 	// Crash: abandon m. Every acked batch is already fsync-durable, so the
 	// single segment on disk is complete.
@@ -261,7 +248,7 @@ func TestWALTornTailEveryByte(t *testing.T) {
 		if int(tr2.Count())%rowsPer != 0 || j > batches {
 			t.Fatalf("cut %d: recovered %d rows — not a whole-batch prefix", cut, tr2.Count())
 		}
-		if !sameState(t, stateBytes(t, tr2), oracle[j]) {
+		if !sameState(t, StateBytes(t, tr2), oracle[j]) {
 			t.Fatalf("cut %d: recovered state differs from oracle after %d batches", cut, j)
 		}
 		if j == batches {
@@ -317,7 +304,7 @@ func TestWALConcurrentIngestRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oracleHot, oracleGram := stateBytes(t, hot), stateBytes(t, gram)
+	oracleHot, oracleGram := StateBytes(t, hot), StateBytes(t, gram)
 	hotCount, gramCount := hot.Count(), gram.Count()
 	// Crash: abandon m.
 
@@ -337,10 +324,10 @@ func TestWALConcurrentIngestRecovery(t *testing.T) {
 	if hot2.Count() != hotCount || gram2.Count() != gramCount {
 		t.Fatalf("recovered counts %d/%d, want %d/%d", hot2.Count(), gram2.Count(), hotCount, gramCount)
 	}
-	if !sameState(t, stateBytes(t, hot2), oracleHot) {
+	if !sameState(t, StateBytes(t, hot2), oracleHot) {
 		t.Error("hot: recovered state differs from oracle")
 	}
-	if !sameState(t, stateBytes(t, gram2), oracleGram) {
+	if !sameState(t, StateBytes(t, gram2), oracleGram) {
 		t.Error("gram: recovered state differs from oracle")
 	}
 }
@@ -387,7 +374,7 @@ func TestWALCompactionAfterCheckpoint(t *testing.T) {
 			t.Fatalf("post-compaction batch %d: %v", i, err)
 		}
 	}
-	oracle := stateBytes(t, tr)
+	oracle := StateBytes(t, tr)
 	count := tr.Count()
 	// Crash: abandon m.
 
@@ -403,7 +390,7 @@ func TestWALCompactionAfterCheckpoint(t *testing.T) {
 	if tr2.Count() != count {
 		t.Fatalf("recovered count %d, want %d", tr2.Count(), count)
 	}
-	if !sameState(t, stateBytes(t, tr2), oracle) {
+	if !sameState(t, StateBytes(t, tr2), oracle) {
 		t.Error("recovered state differs from oracle after compaction")
 	}
 }
@@ -448,7 +435,7 @@ func TestIdleTrackerDoesNotPinWAL(t *testing.T) {
 	if after.Segments != 1 {
 		t.Fatalf("idle tracker pinned the log: before %d segments, after %+v", before.Segments, after)
 	}
-	oracleIdle, oracleHot := stateBytes(t, idle), stateBytes(t, hot)
+	oracleIdle, oracleHot := StateBytes(t, idle), StateBytes(t, hot)
 	// Crash: abandon m.
 
 	m2, err := Open(opts)
@@ -461,7 +448,7 @@ func TestIdleTrackerDoesNotPinWAL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameState(t, stateBytes(t, tr), oracle) {
+		if !sameState(t, StateBytes(t, tr), oracle) {
 			t.Errorf("%s: recovered state differs from oracle after compaction", name)
 		}
 	}
@@ -591,7 +578,7 @@ func TestDegradedModeAndRearm(t *testing.T) {
 	if tr2.Count() != otr.Count() {
 		t.Fatalf("recovered count %d, want %d (acked batches only)", tr2.Count(), otr.Count())
 	}
-	if !sameState(t, stateBytes(t, tr2), stateBytes(t, otr)) {
+	if !sameState(t, StateBytes(t, tr2), StateBytes(t, otr)) {
 		t.Error("recovered state differs from acked-only oracle")
 	}
 }
@@ -824,7 +811,7 @@ func TestCreateDeleteReplay(t *testing.T) {
 	if err := b.IngestRows(ctx, 1, detRows(3, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	oracleB := stateBytes(t, b)
+	oracleB := StateBytes(t, b)
 	// Crash: abandon m.
 
 	m2, err := Open(walTestOptions(t, dir))
@@ -842,7 +829,7 @@ func TestCreateDeleteReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameState(t, stateBytes(t, b2), oracleB) {
+	if !sameState(t, StateBytes(t, b2), oracleB) {
 		t.Error("b: recovered state differs from oracle")
 	}
 }

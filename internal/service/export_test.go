@@ -1,7 +1,8 @@
 package service
 
 import (
-	"io"
+	"bytes"
+	"testing"
 	"time"
 )
 
@@ -27,14 +28,21 @@ func HoldTracker(t *Tracker) (release func()) {
 	return t.mu.Unlock
 }
 
-// SaveState serializes t's session to w under the tracker lock, faulting a
+// StateBytes serializes t's session under the tracker lock, faulting a
 // hibernated tracker back in first — so the stream a stub produces is
-// exactly what its checkpoint restores to.
-func SaveState(t *Tracker, w io.Writer) error {
+// exactly what its checkpoint restores to. It is the oracle the recovery,
+// fault-in and tenancy tests compare states with.
+func StateBytes(tb testing.TB, t *Tracker) []byte {
+	tb.Helper()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.ensureSessionLocked(); err != nil {
-		return err
+	var buf bytes.Buffer
+	err := t.ensureSessionLocked()
+	if err == nil {
+		err = t.sess.SaveState(&buf)
 	}
-	return t.sess.SaveState(w)
+	if err != nil {
+		tb.Fatalf("SaveState %s: %v", t.name, err)
+	}
+	return buf.Bytes()
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -22,17 +21,6 @@ import (
 
 var coldSpec = Spec{Kind: KindHH, Sites: 2, Epsilon: 0.05, Seed: 9}
 
-// savedState serializes a tracker through the public path, faulting a stub
-// back in first.
-func savedState(tb testing.TB, t *Tracker) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := SaveState(t, &buf); err != nil {
-		tb.Fatalf("SaveState %s: %v", t.name, err)
-	}
-	return buf.Bytes()
-}
-
 // twinState is the state of a never-hibernated coldSpec tracker fed
 // detItems batches 0..batches-1, on a manager with no data dir at all.
 func twinState(tb testing.TB, batches int) []byte {
@@ -47,7 +35,7 @@ func twinState(tb testing.TB, batches int) []byte {
 		tb.Fatal(err)
 	}
 	feedCold(tb, tw, 0, batches)
-	return savedState(tb, tw)
+	return StateBytes(tb, tw)
 }
 
 func feedCold(tb testing.TB, t *Tracker, from, to int) {
@@ -114,7 +102,7 @@ func TestFaultInReadsNoWAL(t *testing.T) {
 	if opens, reads := fault.Count(vfs.OpOpenFile), fault.Count(vfs.OpRead); opens != 0 || reads != 0 {
 		t.Errorf("fault-in touched the log: %d segment opens, %d reads, want 0", opens, reads)
 	}
-	if !sameState(t, savedState(t, cold), twinState(t, 3)) {
+	if !sameState(t, StateBytes(t, cold), twinState(t, 3)) {
 		t.Error("faulted-in state differs from a never-hibernated twin")
 	}
 }
@@ -180,7 +168,7 @@ func TestFaultInRejectsMismatchedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameState(t, savedState(t, cold2), twinState(t, 4)) {
+	if !sameState(t, StateBytes(t, cold2), twinState(t, 4)) {
 		t.Error("restart did not recover the refused tracker through the WAL")
 	}
 }
@@ -215,7 +203,7 @@ func TestReadOnlyVisitEvictsWithoutCheckpoint(t *testing.T) {
 	if got := m.evictions.Load(); got != 2 {
 		t.Errorf("evictions = %d, want 2", got)
 	}
-	if !sameState(t, savedState(t, cold), twinState(t, 3)) {
+	if !sameState(t, StateBytes(t, cold), twinState(t, 3)) {
 		t.Error("state after a write-free eviction differs from a never-hibernated twin")
 	}
 }

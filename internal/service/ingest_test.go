@@ -171,7 +171,7 @@ func TestIngestCancelledRequestsApplyWhole(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := stateBytes(t, victim)
+		got := StateBytes(t, victim)
 		var unacked []int
 		for k, ok := range acked[g] {
 			if !ok {
@@ -200,7 +200,7 @@ func TestIngestCancelledRequestsApplyWhole(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			matched = sameState(t, got, stateBytes(t, oracle))
+			matched = sameState(t, got, StateBytes(t, oracle))
 			om.Close()
 		}
 		if !matched {

@@ -631,7 +631,7 @@ func TestMsgFedCheckpointSize(t *testing.T) {
 		if mat, ok := matrixOf(tr).(*core.P2Coordinator); !ok {
 			t.Fatalf("m = %d: a tracker fed messages holds a %T, want the coordinator half alone", sites, mat)
 		}
-		return len(stateBytes(t, tr))
+		return len(StateBytes(t, tr))
 	}
 	one, fifty := size(1), size(50)
 	t.Logf("SaveState stream: %d bytes at m = 1, %d at m = 50", one, fifty)

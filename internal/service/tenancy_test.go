@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -52,17 +51,6 @@ func soakFeed(tr *service.Tracker, i, b int) error {
 		}
 	}
 	return tr.IngestItems(ctx, site, items)
-}
-
-// stateOf serializes a tracker's session (faulting a hibernated one back
-// in first).
-func stateOf(t *testing.T, tr *service.Tracker) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := service.SaveState(tr, &buf); err != nil {
-		t.Fatalf("SaveState %s: %v", tr.Name(), err)
-	}
-	return buf.Bytes()
 }
 
 // TestHibernationSoakBitIdentical is the hibernation acceptance test: a
@@ -160,7 +148,7 @@ func TestHibernationSoakBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := distmat.StateEqual(stateOf(t, tr), stateOf(t, tw))
+		eq, err := distmat.StateEqual(service.StateBytes(t, tr), service.StateBytes(t, tw))
 		if err != nil {
 			t.Fatalf("%s: StateEqual: %v", name, err)
 		}

@@ -266,7 +266,8 @@ func (t *Tracker) apply(req ingestReq) error {
 }
 
 // walRecord builds the WAL record for one batch, or nil for an empty
-// batch (nothing to replay).
+// batch (nothing to replay). The record borrows the batch: Log.Append
+// encodes it before returning.
 func walRecord(name string, req ingestReq) *wal.Record {
 	if req.rows != nil {
 		if len(req.rows) == 0 {
@@ -278,11 +279,7 @@ func walRecord(name string, req ingestReq) *wal.Record {
 	if len(req.items) == 0 {
 		return nil
 	}
-	items := make([]wal.Item, len(req.items))
-	for i, it := range req.items {
-		items[i] = wal.Item{Elem: it.Elem, Weight: it.Weight}
-	}
-	return &wal.Record{Kind: wal.KindItems, Tracker: name, Site: req.site, Items: items}
+	return &wal.Record{Kind: wal.KindItems, Tracker: name, Site: req.site, Items: req.items}
 }
 
 // applyLocked is the session mutation half of apply.
@@ -428,10 +425,7 @@ func (t *Tracker) replayRecord(rec *wal.Record) error {
 	case wal.KindRows:
 		req.rows = rec.Rows
 	case wal.KindItems:
-		req.items = make([]distmat.WeightedItem, len(rec.Items))
-		for i, it := range rec.Items {
-			req.items[i] = distmat.WeightedItem{Elem: it.Elem, Weight: it.Weight}
-		}
+		req.items = rec.Items
 	default:
 		return fmt.Errorf("service: wal replay: unexpected %v record", rec.Kind)
 	}

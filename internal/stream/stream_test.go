@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -178,5 +179,43 @@ func TestAccountantConcurrentStats(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+func TestWeightTracker(t *testing.T) {
+	const m = 8
+	acct := NewAccountant(m)
+	tr := NewWeightTracker(m, 0.5, acct)
+	asg := NewUniformRandom(m, 3)
+	var w float64
+	for i := 0; i < 20000; i++ {
+		wi := 1 + float64(i%17)
+		w += wi
+		tr.Observe(asg.Next(), wi)
+		// Invariant: Ŵ ≤ W ≤ (1+2θ)Ŵ = 2Ŵ for the broadcast estimate.
+		if tr.Estimate() > w+1e-9 {
+			t.Fatalf("Ŵ=%v exceeds W=%v at step %d", tr.Estimate(), w, i)
+		}
+		if w > 2*tr.Estimate()*(1+1e-9)+2*float64(m) {
+			t.Fatalf("W=%v exceeds 2Ŵ=%v at step %d", w, 2*tr.Estimate(), i)
+		}
+	}
+	if acct.Stats().Total() == 0 {
+		t.Fatal("tracker never communicated")
+	}
+	// Message count O((m/θ)·log W).
+	bound := 16 * float64(m) / 0.5 * math.Log2(w)
+	if got := float64(acct.Stats().Total()); got > bound {
+		t.Fatalf("tracker sent %v messages, bound %v", got, bound)
+	}
+	for _, theta := range []float64{0, 1.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("θ = %v: expected panic", theta)
+				}
+			}()
+			NewWeightTracker(2, theta, NewAccountant(2))
+		}()
 	}
 }

@@ -1,10 +1,6 @@
-package hh
+package stream
 
-import (
-	"fmt"
-
-	"repro/internal/stream"
-)
+import "fmt"
 
 // WeightTracker continuously maintains a coordinator-side estimate Ŵ of the
 // global total weight with Ŵ ≤ W ≤ (1+2θ)Ŵ, using the standard
@@ -12,12 +8,14 @@ import (
 // V_i ≥ (θ/m)·Ŵ, and the coordinator broadcasts a new Ŵ when its tally
 // grows past (1+θ)·Ŵ. Total cost O((m/θ)·log_{1+θ}(βN)) messages.
 //
-// Protocol P4 runs one of these with θ = 1/2 to keep its sampling
-// probability p = 2√m/(εŴ) a constant-factor approximation of the ideal.
+// Both P4s run one of these with θ = 1/2 to keep their sampling
+// probability p = 2√m/(εŴ) a constant-factor approximation of the ideal:
+// heavy hitters' (§4.4) over item weights, the matrix one's (Appendix C)
+// over squared row norms, where Ŵ is the estimate F̂ of ‖A‖²_F.
 type WeightTracker struct {
 	m     int
 	theta float64
-	acct  *stream.Accountant
+	acct  *Accountant
 
 	what    float64   // Ŵ: last broadcast estimate
 	tally   float64   // coordinator's running sum of reported weight
@@ -27,9 +25,9 @@ type WeightTracker struct {
 // NewWeightTracker returns a tracker for m sites with slack θ ∈ (0, 1].
 // The accountant is shared with the owning protocol so its traffic is
 // included in the protocol's message count.
-func NewWeightTracker(m int, theta float64, acct *stream.Accountant) *WeightTracker {
+func NewWeightTracker(m int, theta float64, acct *Accountant) *WeightTracker {
 	if theta <= 0 || theta > 1 {
-		panic(fmt.Sprintf("hh: need 0 < θ ≤ 1, got %v", theta))
+		panic(fmt.Sprintf("stream: need 0 < θ ≤ 1, got %v", theta))
 	}
 	return &WeightTracker{
 		m:       m,
@@ -40,13 +38,12 @@ func NewWeightTracker(m int, theta float64, acct *stream.Accountant) *WeightTrac
 	}
 }
 
-// Observe processes weight w arriving at site. It returns true if the
-// estimate Ŵ changed (a broadcast happened), so the owner can react (e.g.
-// recompute sampling probabilities).
-func (t *WeightTracker) Observe(site int, w float64) (broadcast bool) {
+// Observe processes weight w arriving at site; Estimate reads the Ŵ it
+// may have moved.
+func (t *WeightTracker) Observe(site int, w float64) {
 	t.pending[site] += w
 	if t.pending[site] < (t.theta/float64(t.m))*t.what {
-		return false
+		return
 	}
 	// Site reports its pending weight: one scalar up-message.
 	t.acct.SendUp(1)
@@ -55,9 +52,7 @@ func (t *WeightTracker) Observe(site int, w float64) (broadcast bool) {
 	if t.tally >= (1+t.theta)*t.what {
 		t.what = t.tally
 		t.acct.Broadcast(1)
-		return true
 	}
-	return false
 }
 
 // Estimate returns Ŵ, the last broadcast estimate known to every site.

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/frame"
+	"repro/internal/gen"
 )
 
 // Records are internal/frame frames, whose CRC covers every byte past the
@@ -72,12 +73,10 @@ const AssignSite = -1
 // assignSiteWire is AssignSite's on-disk encoding.
 const assignSiteWire = math.MaxUint32
 
-// Item is one weighted stream element (the wire form of the facade's
-// WeightedItem, defined here so the log does not import it).
-type Item struct {
-	Elem   uint64
-	Weight float64
-}
+// Item is one weighted stream element: the generator's type, which the
+// facade's WeightedItem also aliases, so a batch is logged and replayed
+// without a copy.
+type Item = gen.WeightedItem
 
 // Record is one log entry. Kind selects which payload fields are
 // meaningful; LSN is assigned by Append and recovered on replay. Records

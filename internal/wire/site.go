@@ -9,6 +9,11 @@ import (
 	"time"
 )
 
+// retainBlocks bounds blocks held for retransmit above the durable
+// watermark, raised to at least the Window. SendBlock waits when full;
+// coordinator checkpoints advance durable and drain it.
+const retainBlocks = 4096
+
 // SiteConfig configures a SiteConn.
 type SiteConfig struct {
 	// Addr is the coordinator's wire listen address (host:port).
@@ -26,11 +31,6 @@ type SiteConfig struct {
 	// buffered behind them; an idle connection is acked at once, so a
 	// smaller window still makes progress but pipelines less.
 	Window int
-
-	// Retain bounds blocks held for retransmit above the durable
-	// watermark (default 4096). SendBlock waits when full; coordinator
-	// checkpoints advance durable and drain it.
-	Retain int
 
 	// DialTimeout bounds one dial+handshake attempt (default 5s).
 	DialTimeout time.Duration
@@ -52,12 +52,6 @@ type SiteConfig struct {
 func (c SiteConfig) withDefaults() SiteConfig {
 	if c.Window <= 0 {
 		c.Window = 32
-	}
-	if c.Retain <= 0 {
-		c.Retain = 4096
-	}
-	if c.Retain < c.Window {
-		c.Retain = c.Window
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
@@ -226,7 +220,7 @@ func (c *SiteConn) SendMsgs(msgs []Msg) error {
 //distlint:caller-holds mu
 func (c *SiteConn) reserveLocked() (seq uint64, buf []byte, err error) {
 	for !c.closed && c.err == nil &&
-		(!c.ready || c.lastSeq-c.applied >= uint64(c.cfg.Window) || len(c.pending) >= c.cfg.Retain) {
+		(!c.ready || c.lastSeq-c.applied >= uint64(c.cfg.Window) || len(c.pending) >= max(retainBlocks, c.cfg.Window)) {
 		c.cond.Wait()
 	}
 	defer c.mu.Unlock()

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test loc loc-tests symbols race bench-check perf-guard profile experiments fmt vet lint lint-findings e2e
+.PHONY: build test fma-count loc loc-tests symbols race bench-check perf-guard profile experiments fmt vet lint lint-findings e2e
 
 # The cpuprofile tag builds distserve's profiling hook (cmd/distserve/
 # cpuprofile.go), which no other build compiles: building it here keeps it
@@ -34,6 +34,23 @@ test:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal
 	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch ./internal/service ./internal/hh ./internal/quantile
+
+# Fused multiply-adds in each numeric package, against a committed ceiling
+# (ROADMAP item 15's first slice). Go may fuse x*y + z into one rounding on
+# arm64, ppc64le, s390x and riscv64, never on amd64 or 386, so every fused
+# op is a place where an arm64 build can round apart from the amd64 one the
+# goldens were written on. The arm64 compiler's listing is counted; a count
+# may fall (lower its ceiling here), a rise fails. A product whose rounding
+# matters is written float64(x*y), which the compiler may not fuse.
+FMA_CEILINGS = matrix:51 core:12 sketch:3 hh:2 quantile:1
+fma-count:
+	@set -e; for pc in $(FMA_CEILINGS); do \
+		p=$${pc%%:*}; c=$${pc##*:}; \
+		out=$$(GOARCH=arm64 $(GO) build -gcflags="repro/internal/$$p=-S" ./internal/$$p 2>&1) || { echo "$$out" >&2; exit 1; }; \
+		n=$$(printf '%s\n' "$$out" | grep -cE '\bF(N)?M(ADD|SUB)D\b' || true); \
+		echo "internal/$$p: $$n fused multiply-adds on arm64 (ceiling $$c)"; \
+		if [ "$$n" -gt "$$c" ]; then echo "fma-count: internal/$$p rose above its ceiling" >&2; exit 1; fi; \
+	done
 
 # Non-test Go outside bench/ and outside the analyzers' fixtures (sources
 # under internal/analysis/testdata that only the analyzer tests load): the
@@ -111,7 +128,7 @@ profile:
 # with its floor and package; the scaling guards skip loudly below 4 procs
 # and the two kernel guards without AVX2. CI runs exactly this target.
 perf-guard:
-	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestSiteStepKernelGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./cmd/distsite ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
+	$(GO) test -run 'TestFastIngestSpeedupGuard|TestBatchDispatchNeverSlower|TestFastSiteHotPathAllocs|TestFastSiteSteadyStateAllocs|TestBlockedFDSpeedupGuard|TestShardedSpeedupGuard|TestShardedItemSpeedupGuard|TestIngestJSONGuard|TestFaultInGuard|TestGramKernelGuard|TestEigSymGuard|TestEigAboveGuard|TestSiteStepKernelGuard|TestWireStreamGuard|TestQueryEncodeGuard|TestQDigestGuard' -v -count=1 ./internal/matrix ./internal/core ./cmd/distsite ./internal/sketch ./internal/hh ./internal/quantile ./internal/service ./internal/wire
 
 # Multi-node end-to-end smoke: distsite streams into distserve over the
 # wire protocol on loopback, the coordinator is kill -9'd and restarted

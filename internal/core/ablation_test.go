@@ -109,17 +109,17 @@ func labelInt(s int) string {
 // TestDecompositionShipRate counts, on the end-to-end benchmark's own
 // inputs (bench/inputs.go: gen.PAMAPLike at seed 1 cut into a pool of 256
 // blocks, block b arriving at site b%2 + 2·((b/2)%5), the pool cycled), how
-// many of fast P2's decompositions ship nothing — the share a values-only
-// first pass (tred2/tql2 on d and e alone, vectors only when λ₁ clears
-// shipThresh; ROADMAP item 6(i)) could make cheaper. ISSUE 21 read 106/602
+// many of fast P2's decompositions ship nothing. ISSUE 21 read 106/602
 // = 0.176 (http-json's 256-row batches), 179/1048 = 0.171 (wire-stream's
 // 64-row frames) and 318/2314 = 0.137 (sharded-query's 64-row batches over
-// 4 shards). A values-only pass costs 79 µs at d = 44 against ≈ 175 µs for
-// the full decomposition, and the 82–86 % that do ship would pay it on top:
-// a net loss. It breaks even at an idle share of 79/175 ≈ 0.45 and is worth
-// a second body from about 0.6 up; a reading there — a new workload, a
-// change to shipFrac or to the deferral bound — is the evidence to reopen
-// the question with. The 0.30 below only keeps the recorded readings honest.
+// 4 shards). On those shares a values-only first pass in front of the full
+// decomposition (tred2/tql2 on d and e alone, ROADMAP item 6(i)) was a net
+// loss: 79 µs at d = 44, paid on top by the 82–86 % that ship. The ship
+// step now runs one pass instead (matrix.EigAbove: the reduction and the
+// eigenvalues, then vectors only for what ships), so an idle decomposition
+// costs what that first pass did and a shipping one less than the full
+// decomposition, whatever the share. The 0.30 below only keeps the
+// recorded readings honest.
 func TestDecompositionShipRate(t *testing.T) {
 	const poolBlocks, m, d, eps = 256, 10, 44, 0.1
 	for _, c := range []struct {

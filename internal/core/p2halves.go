@@ -26,7 +26,7 @@ type P2Uplink interface {
 // sites do, so its footprint does not grow with m; NewP2Site's owns its own.
 type p2Scratch struct {
 	eigWS   *matrix.EigWorkspace
-	shipRow []float64 // σ·v staging, also the reconstruction column
+	shipRow []float64 // σ·v staging
 	wbuf    []float64 // per-block row norms
 
 	decomps     int64 // eigendecompositions run
@@ -39,7 +39,7 @@ type p2Scratch struct {
 //
 // B_j is carried as its Gram matrix G_j = B_jᵀB_j (O(d²) space): appending a
 // row is a rank-1 update, the singular pairs of B_j are the eigenpairs of
-// G_j, and deleting a direction zeroes its eigenvalue — all exact. The svd
+// G_j, and removing a shipped direction is the downdate G_j −= λ·v·vᵀ. The svd
 // is run in batch mode, as licensed by the paper: after a full decomposition
 // with top eigenvalue λ₁, no direction can reach λ₁ + (new mass) until that
 // much Frobenius mass arrives, so the site defers the next decomposition
@@ -160,61 +160,84 @@ func (s *P2Site) settle() error {
 }
 
 // decomposeAndSend runs the svd step of Algorithm 5.3: every direction with
-// σ² ≥ shipFrac·(ε/m)·F̂ is shipped as the row σ·v and zeroed. All scratch is
-// reused and fully overwritten, so the steady-state path allocates nothing
-// and stays bit-identical to an allocating one.
+// σ² ≥ shipFrac·(ε/m)·F̂ is shipped as the row σ·v and removed from G_j by
+// the downdate G_j −= λ·v·vᵀ. All scratch is reused, so the steady-state
+// path allocates nothing.
 func (s *P2Site) decomposeAndSend() error {
 	ws := s.scratch
 	ws.decomps++
 	if ws.eigWS == nil {
 		ws.eigWS = matrix.NewEigWorkspace()
 	}
-	vals, vecs, err := matrix.EigSymWork(s.gram, ws.eigWS)
-	if err != nil {
-		vals, vecs, err = matrix.JacobiEigSym(s.gram)
-		if err != nil {
-			return fmt.Errorf("core: P2 eigendecomposition failed: %w", err)
-		}
-	}
-	shipThresh := s.shipFrac * (s.eps / float64(s.m)) * s.fhat
-	sent := false
 	if len(ws.shipRow) != s.d {
 		ws.shipRow = make([]float64, s.d)
 	}
-	r := ws.shipRow
-	for k, lam := range vals {
-		if lam < shipThresh {
-			break // sorted descending
-		}
-		sigma := math.Sqrt(lam)
-		for i := 0; i < s.d; i++ {
-			r[i] = sigma * vecs.At(i, k)
-		}
-		s.up.Row(s.id, r) // one row-sized vector message
-		vals[k] = 0
-		sent = true
+	thresh := s.shipFrac * (s.eps / float64(s.m)) * s.fhat
+	top, shipped, err := shipAbove(s.gram, thresh, ws.eigWS, ws.shipRow, func(row, v []float64, lam float64) {
+		s.up.Row(s.id, row) // one row-sized vector message
+		s.gram.AddOuter(-lam, v)
+	})
+	if err != nil {
+		return fmt.Errorf("core: P2 eigendecomposition failed: %w", err)
 	}
-	top := 0.0
-	for _, lam := range vals {
-		if lam > top {
-			top = lam
-		}
-	}
-	if sent {
-		// vecs and vals live in the eigensolver workspace, so rebuilding the
-		// site Gram in place is safe.
-		matrix.ReconstructIntoWork(s.gram, vecs, vals, r)
-		if top <= 0 {
-			s.empty = true
-			s.soleRow = nil
-		}
-	} else {
+	if shipped == 0 {
 		ws.decompsIdle++
+	} else if top <= 0 {
+		s.empty = true
+		s.soleRow = nil
 	}
 	// Exact deferral bound for the next decomposition: the remaining top
 	// eigenvalue plus future mass.
 	s.lamBound = top
 	return nil
+}
+
+// shipAbove is the svd step both P2 site forms run: each eigenpair (λ, v)
+// of g with λ ≥ thresh goes to ship with its row σ·v staged in row, and the
+// largest eigenvalue left, floored at 0, is returned for the deferral bound.
+// It decomposes only what ships (matrix.EigAbove); JacobiEigSym answers
+// where that fails.
+func shipAbove(g *matrix.Sym, thresh float64, ws *matrix.EigWorkspace, row []float64, ship func(row, v []float64, lam float64)) (top float64, shipped int, err error) {
+	vals, vecs, below, err := matrix.EigAbove(g, thresh, ws)
+	if err != nil {
+		if vals, vecs, below, err = jacobiAbove(g, thresh); err != nil {
+			return 0, 0, err
+		}
+	}
+	for k, lam := range vals {
+		v := vecs.Row(k)
+		sigma := math.Sqrt(lam)
+		for i, x := range v {
+			row[i] = sigma * x
+		}
+		ship(row, v, lam)
+	}
+	return max(below, 0), len(vals), nil
+}
+
+// jacobiAbove answers as matrix.EigAbove does, from the full JacobiEigSym
+// decomposition: the fallback for a Gram QL cannot decompose, so it may
+// allocate.
+func jacobiAbove(g *matrix.Sym, thresh float64) ([]float64, *matrix.Dense, float64, error) {
+	vals, V, err := matrix.JacobiEigSym(g)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	k, n := 0, g.Dim()
+	for k < n && vals[k] >= thresh {
+		k++
+	}
+	below := math.Inf(-1)
+	if k < n {
+		below = vals[k]
+	}
+	vecs := matrix.NewDense(k, n)
+	for j := 0; j < k; j++ {
+		for i := 0; i < n; i++ {
+			vecs.Set(j, i, V.At(i, j))
+		}
+	}
+	return vals[:k], vecs, below, nil
 }
 
 // P2Coordinator is the coordinator half of matrix P2 (Algorithm 5.4): it

@@ -106,3 +106,29 @@ func TestP2SiteReportsEigensolverFailure(t *testing.T) {
 	}()
 	mustP2(failed)
 }
+
+// TestP2SiteRefusesOverflowingRow feeds a site half the finite row
+// [1e200, 1, 0], whose square overflows its Gram to +Inf. QL fails on it and
+// so, since it refuses non-finite entries, does the Jacobi fallback:
+// ProcessBlock returns the eigensolver error, and no row leaves the site.
+// Jacobi used to stop at once on the Inf and ship the row Inf·e₀.
+func TestP2SiteRefusesOverflowingRow(t *testing.T) {
+	var log []p2Msg
+	s, err := NewP2Site(0, 1, 0.5, 3, p2Tap{next: (*p2Direct)(NewP2(1, 0.5, 3)), log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetEstimate(1e6) // the first row stays below the threshold, so the Gram is not a sole row
+	if err := s.ProcessBlock([][]float64{{0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	failed := s.ProcessBlock([][]float64{{1e200, 1, 0}})
+	if failed == nil || !strings.Contains(failed.Error(), "core: P2 eigendecomposition failed") {
+		t.Fatalf("site half returned %v, want an eigendecomposition failure", failed)
+	}
+	for _, msg := range log {
+		if msg.vec != nil {
+			t.Errorf("site shipped the row %v", msg.vec)
+		}
+	}
+}

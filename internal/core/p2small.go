@@ -131,38 +131,17 @@ func (p *P2SmallSpace) decomposeAndSend(s *p2sSite) {
 	if p.eigWS == nil {
 		p.eigWS = matrix.NewEigWorkspace()
 	}
-	vals, vecs, err := matrix.EigSymWork(g, p.eigWS)
-	if err != nil {
-		vals, vecs, err = matrix.JacobiEigSym(g)
-		if err != nil {
-			panic("core: P2SmallSpace eigendecomposition failed: " + err.Error())
-		}
-	}
-	shipThresh := (3 * p.eps / (8 * float64(p.m))) * p.siteFhat
 	if p.shipRow == nil {
 		p.shipRow = make([]float64, p.Dim())
 	}
-	r := p.shipRow
-	for k, lam := range vals {
-		if lam < shipThresh {
-			break
-		}
-		sigma := math.Sqrt(lam)
-		for i := range r {
-			r[i] = sigma * vecs.At(i, k)
-		}
-		p.Row(r)
-		s.sent.Append(r) // the shipped row joins S̃_j
-		vals[k] = 0
-	}
-	top := 0.0
-	for _, lam := range vals {
-		if lam > top {
-			top = lam
-		}
-	}
-	if top < 0 {
-		top = 0 // sketch-difference roundoff can dip below zero
+	// Sketch-difference roundoff can leave the top eigenvalue below zero;
+	// shipAbove floors it.
+	top, _, err := shipAbove(g, (3*p.eps/(8*float64(p.m)))*p.siteFhat, p.eigWS, p.shipRow, func(row, _ []float64, _ float64) {
+		p.Row(row)
+		s.sent.Append(row) // the shipped row joins S̃_j
+	})
+	if err != nil {
+		panic("core: P2SmallSpace eigendecomposition failed: " + err.Error())
 	}
 	s.lamBound = top
 }

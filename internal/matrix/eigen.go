@@ -70,80 +70,8 @@ func EigSymWork(s *Sym, ws *EigWorkspace) (vals []float64, V *Dense, err error) 
 //
 //distlint:hotpath
 func tred2(w []float64, n int, d, e []float64) {
+	householder(w, n, d, e)
 	d, e = d[:n], e[:n]
-	for j := range d {
-		d[j] = w[j*n+n-1]
-	}
-
-	for i := n - 1; i > 0; i-- {
-		// Scale to avoid under/overflow.
-		scale, h := 0.0, 0.0
-		di, ei := d[:i], e[:i]
-		wi := w[i*n:][:i] // V(0..i-1, i)
-		for _, x := range di {
-			scale += math.Abs(x)
-		}
-		if scale == 0 {
-			e[i] = d[i-1]
-			for j := range di {
-				di[j] = w[j*n+i-1]
-				w[j*n+i] = 0
-				wi[j] = 0
-			}
-		} else {
-			// Generate the Householder vector.
-			for k := range di {
-				di[k] /= scale
-				h += di[k] * di[k]
-			}
-			f := d[i-1]
-			g := math.Sqrt(h)
-			if f > 0 {
-				g = -g
-			}
-			e[i] = scale * g
-			h -= f * g
-			d[i-1] = f - g
-			for j := range ei {
-				ei[j] = 0
-			}
-
-			// Apply the similarity transformation to remaining columns. The
-			// port's fused loop (g += wj[k]·di[k]; ei[k] += wj[k]·f) splits
-			// into its dot, summed in the same order, and an axpy: neither
-			// half reads what the other writes.
-			for j := range di {
-				f = di[j]
-				wi[j] = f
-				wj := w[j*n:][:i] // V(0..i-1, j)
-				g = ei[j] + wj[j]*f
-				for k := j + 1; k < i; k++ {
-					g += wj[k] * di[k]
-				}
-				axpy(f, wj[j+1:], ei[j+1:])
-				ei[j] = g
-			}
-			f = 0
-			for j := range ei {
-				ei[j] /= h
-				f += ei[j] * di[j]
-			}
-			// ei[j] − hh·di[j] is ei[j] + (−hh)·di[j]: negation is exact and
-			// a − b ≡ a + (−b).
-			hh := f / (h + h)
-			axpy(-hh, di, ei)
-			// The port's wj[k] += −(f·ei[k] + g·di[k]), by a + (−b) ≡ a − b.
-			for j := range di {
-				f = di[j]
-				g = ei[j]
-				wj := w[j*n:][:i] // V(0..i-1, j)
-				subScaled2(wj[j:], ei[j:], di[j:], f, g)
-				di[j] = wj[i-1]
-				w[j*n+i] = 0
-			}
-		}
-		d[i] = h
-	}
 
 	// Accumulate the transformations.
 	for i := 0; i < n-1; i++ {
@@ -194,6 +122,123 @@ func tred2(w []float64, n int, d, e []float64) {
 	}
 	w[n*n-1] = 1
 	e[0] = 0
+}
+
+// householder is tred2's reduction, and the ship step's (EigAbove): it
+// reduces the symmetric matrix held transposed in w (its lower triangle is
+// read) to tridiagonal form by the Householder similarities H_{n-1}, …, H_1
+// and keeps each reflector where it was built. On return the diagonal is
+// w[i·n+i], the subdiagonal e[1:], and for i ≥ 1 the first i entries of row
+// i of w hold u_i and d[i] holds h_i = ‖u_i‖²/2, so H_i = I − u_i·u_iᵀ/h_i
+// on coordinates 0…i−1 (the identity where h_i = 0), and an eigenvector z of
+// the tridiagonal is H_{n-1}⋯H_1·z of the input. Products are converted to
+// float64 so that no architecture fuses them into a differently rounded
+// multiply-add.
+//
+//distlint:hotpath
+func householder(w []float64, n int, d, e []float64) {
+	d, e = d[:n], e[:n]
+	for j := range d {
+		d[j] = w[j*n+n-1]
+	}
+
+	for i := n - 1; i > 0; i-- {
+		// Scale to avoid under/overflow.
+		scale, h := 0.0, 0.0
+		di, ei := d[:i], e[:i]
+		wi := w[i*n:][:i] // V(0..i-1, i)
+		for _, x := range di {
+			scale += math.Abs(x)
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := range di {
+				di[j] = w[j*n+i-1]
+				w[j*n+i] = 0
+				wi[j] = 0
+			}
+		} else {
+			// Generate the Householder vector.
+			for k := range di {
+				di[k] /= scale
+				h += float64(di[k] * di[k])
+			}
+			f := d[i-1]
+			g := math.Sqrt(h)
+			if f > 0 {
+				g = -g
+			}
+			e[i] = scale * g
+			h -= float64(f * g)
+			d[i-1] = f - g
+			for j := range ei {
+				ei[j] = 0
+			}
+
+			// Apply the similarity transformation to remaining columns. The
+			// port's fused loop (g += wj[k]·di[k]; ei[k] += wj[k]·f) splits
+			// into its dot, summed in the same order, and an axpy. Row j's
+			// dot reads ei[j] once every row before it has added in, and no
+			// later axpy writes ei[j], so the axpys all run first and the
+			// dots then run four rows at a time, each chain in the port's
+			// order.
+			copy(wi, di)
+			for j, f := range di {
+				axpy(f, w[j*n+j+1:j*n+i], ei[j+1:])
+			}
+			j := 0
+			for ; j+4 <= i; j += 4 {
+				w0, w1 := w[j*n:][:i], w[(j+1)*n:][:i]
+				w2, w3 := w[(j+2)*n:][:i], w[(j+3)*n:][:i]
+				d0, d1, d2, d3 := di[j], di[j+1], di[j+2], di[j+3]
+				g0 := ei[j] + float64(w0[j]*d0)
+				g0 += float64(w0[j+1] * d1)
+				g0 += float64(w0[j+2] * d2)
+				g0 += float64(w0[j+3] * d3)
+				g1 := ei[j+1] + float64(w1[j+1]*d1)
+				g1 += float64(w1[j+2] * d2)
+				g1 += float64(w1[j+3] * d3)
+				g2 := ei[j+2] + float64(w2[j+2]*d2)
+				g2 += float64(w2[j+3] * d3)
+				g3 := ei[j+3] + float64(w3[j+3]*d3)
+				for k := j + 4; k < i; k++ {
+					dk := di[k]
+					g0 += float64(w0[k] * dk)
+					g1 += float64(w1[k] * dk)
+					g2 += float64(w2[k] * dk)
+					g3 += float64(w3[k] * dk)
+				}
+				ei[j], ei[j+1], ei[j+2], ei[j+3] = g0, g1, g2, g3
+			}
+			for ; j < i; j++ {
+				wj := w[j*n:][:i] // V(0..i-1, j)
+				g := ei[j] + float64(wj[j]*di[j])
+				for k := j + 1; k < i; k++ {
+					g += float64(wj[k] * di[k])
+				}
+				ei[j] = g
+			}
+			f = 0
+			for j := range ei {
+				ei[j] /= h
+				f += float64(ei[j] * di[j])
+			}
+			// ei[j] − hh·di[j] is ei[j] + (−hh)·di[j]: negation is exact and
+			// a − b ≡ a + (−b).
+			hh := f / (h + h)
+			axpy(-hh, di, ei)
+			// The port's wj[k] += −(f·ei[k] + g·di[k]), by a + (−b) ≡ a − b.
+			for j := range di {
+				f = di[j]
+				g = ei[j]
+				wj := w[j*n:][:i] // V(0..i-1, j)
+				subScaled2(wj[j:], ei[j:], di[j:], f, g)
+				di[j] = wj[i-1]
+				w[j*n+i] = 0
+			}
+		}
+		d[i] = h
+	}
 }
 
 // tql2 finds the eigenvalues and eigenvectors of a symmetric tridiagonal

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -170,6 +171,31 @@ func TestJacobiEigSymReconstruction(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		checkEig(t, s, vals, V, 1e-9)
+	}
+}
+
+// TestJacobiRefusesNonFinite pins JacobiEigSym's error on a NaN or ±Inf
+// entry: off the diagonal its stop test used to pass on the Inf MaxAbs and
+// return diag(1,2,3)'s diagonal as converged, and on it, an Inf eigenvalue.
+func TestJacobiRefusesNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		i, j int
+		x    float64
+	}{
+		{"+Inf at (0,1)", 0, 1, math.Inf(1)},
+		{"+Inf on the diagonal", 1, 1, math.Inf(1)},
+		{"−Inf at (2,0)", 2, 0, math.Inf(-1)},
+		{"NaN at (1,2)", 1, 2, math.NaN()},
+	} {
+		s := NewSym(3)
+		for i := 0; i < 3; i++ {
+			s.Set(i, i, float64(i+1))
+		}
+		s.Set(c.i, c.j, c.x)
+		if vals, _, err := JacobiEigSym(s); !errors.Is(err, ErrNoConvergence) {
+			t.Errorf("%s: JacobiEigSym = %v, err %v; want ErrNoConvergence", c.name, vals, err)
+		}
 	}
 }
 

@@ -8,9 +8,16 @@ import (
 // the cyclic Jacobi rotation method: s = V·diag(vals)·Vᵀ with eigenvalues
 // sorted descending. It is slower than EigSym (more O(d³) sweeps) but is
 // unconditionally convergent and serves as the independent reference
-// implementation in cross-checking tests.
+// implementation in cross-checking tests. A NaN or ±Inf entry returns
+// ErrNoConvergence: its stop test would otherwise pass on an Inf MaxAbs and
+// report the diagonal as converged.
 func JacobiEigSym(s *Sym) (vals []float64, V *Dense, err error) {
 	n := s.n
+	for _, x := range s.data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, nil, ErrNoConvergence
+		}
+	}
 	a := s.Clone()
 	V = Identity(n)
 	if n <= 1 {

@@ -130,10 +130,11 @@ func FuzzRowKernelsEquivalence(f *testing.F) {
 	})
 }
 
-// siteStep is one decomposition as P2Site.decomposeAndSend runs it on a
-// site's Gram between ships: EigSymWork on a warm workspace, the five
-// largest eigenvalues shipped (zeroed), and ReconstructIntoWork rebuilding
-// the Gram from the rest into dst.
+// siteStep is one full-spectrum decomposition on a site-shaped Gram, as the
+// P2 site step ran it before it decomposed only what ships (EigAbove) and
+// as sketch.FD's shrink still does: EigSymWork on a warm workspace, the five
+// largest eigenvalues zeroed, and ReconstructIntoWork rebuilding the Gram
+// from the rest into dst.
 type siteStep struct {
 	g, dst *Sym
 	ws     *EigWorkspace
@@ -155,9 +156,12 @@ func (s *siteStep) run(tb testing.TB) {
 	ReconstructIntoWork(s.dst, vecs, vals, s.col)
 }
 
-// TestSiteStepBothBodiesBitIdentical runs the whole site step under each
-// body and requires the same bits from both: the eigenvalues, the
-// eigenvectors and the rebuilt Gram, d = 1…64.
+// TestSiteStepBothBodiesBitIdentical runs the whole full-spectrum step and
+// the P2 ship step's EigAbove (every eigenvalue ≥ 0 shipped, so inverse
+// iteration and the back-transformation run for most of the spectrum)
+// under each body and requires the same bits from both: the eigenvalues,
+// the eigenvectors, the rebuilt Gram and the largest eigenvalue left,
+// d = 1…64.
 func TestSiteStepBothBodiesBitIdentical(t *testing.T) {
 	selectBody(t, true)
 	for d := 1; d <= 64; d++ {
@@ -167,6 +171,11 @@ func TestSiteStepBothBodiesBitIdentical(t *testing.T) {
 			s := newSiteStep(d)
 			s.run(t)
 			out[i] = slices.Concat(s.ws.d[:d], s.ws.v.data, s.dst.data)
+			vals, vecs, below, err := EigAbove(s.g, 0, NewEigWorkspace())
+			if err != nil {
+				t.Fatalf("d=%d: EigAbove: %v", d, err)
+			}
+			out[i] = slices.Concat(out[i], vals, vecs.data, []float64{below})
 		}
 		diffFloats(t, "site step", d, out[0], out[1])
 	}

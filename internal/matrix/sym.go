@@ -12,8 +12,8 @@ import (
 // usable; construct with NewSym.
 //
 // Its triangles can disagree in the last ulp: AddOuter with w ≠ 1 rounds (i,j)
-// and (j,i) apart, as in every ReconstructIntoWork (after a P2 ship or an FD
-// shrink). AddBlock overwrites the lower one with the upper.
+// and (j,i) apart, as in every ReconstructIntoWork (after an FD shrink) and
+// every P2 ship's downdate. AddBlock overwrites the lower one with the upper.
 type Sym struct {
 	n    int
 	data []float64 // row-major, full storage; see the type comment on symmetry

@@ -12,18 +12,23 @@ package matrix
 // workspace's next call. A workspace is not safe for concurrent use; give
 // each goroutine (or each sketch/site) its own.
 
-// EigWorkspace holds the scratch for EigSymWork: the returned eigenvector
-// matrix v, the tridiagonal diagonals, the sort permutation, and perm, the
-// one n×n scratch — the transposed matrix tred2/tql2 reduce in place, whose
-// rows the sort then writes into v's columns (JacobiEigSym, which only
-// sorts, transposes its V into it first). The zero value is ready to use
-// and sizes itself on first call.
+// EigWorkspace holds the scratch for EigSymWork and EigAbove: the returned
+// eigenvector matrix v, the tridiagonal diagonals, the sort permutation, and
+// perm, the one n×n scratch — the transposed matrix tred2/tql2 reduce in
+// place, whose rows the sort then writes into v's columns (JacobiEigSym,
+// which only sorts, transposes its V into it first), or whose rows keep
+// EigAbove's reflectors. tri and blk are EigAbove's: the scaled tridiagonal,
+// its eigenvalues, the inverse iteration's factors, and the block of each
+// wanted eigenvalue. The zero value is ready to use and sizes itself on
+// first call.
 type EigWorkspace struct {
 	v      *Dense
 	d, e   []float64
 	idx    []int
 	sorted []float64
 	perm   *Dense
+	tri    []float64
+	blk    []int
 }
 
 // NewEigWorkspace returns an empty workspace; buffers are sized lazily by
@@ -35,6 +40,17 @@ func (ws *EigWorkspace) reserve(n int) {
 	ws.d = growFloats(ws.d, n)
 	ws.e = growFloats(ws.e, n)
 	ws.reserveSort(n)
+}
+
+// reserveAbove sizes what EigAbove touches: reserve's buffers, v at n×n so
+// that any number of returned vectors fits, tri and blk.
+func (ws *EigWorkspace) reserveAbove(n int) {
+	ws.reserve(n)
+	ws.tri = growFloats(ws.tri, 10*n)
+	if cap(ws.blk) < 2*n {
+		ws.blk = make([]int, 2*n)
+	}
+	ws.blk = ws.blk[:2*n]
 }
 
 // reserveSort sizes only the permutation buffers and the n×n scratch — all

@@ -640,12 +640,51 @@ func TestMsgFedCheckpointSize(t *testing.T) {
 	}
 }
 
+// legacyMsgBlocks are the msg-blocks 1–4 that site 1 sent the tracker that
+// wrote testdata/msgfed-v1.ckpt: siteMsgBlocks(t, 1, msgSpec, 4, 3) as the
+// site half emitted them while its ship step ran the full eigensolver. The
+// ship step's vectors have moved in their last bits since (matrix.EigAbove),
+// so today's site no longer reproduces them, and the file records these.
+var legacyMsgBlocks = [][]wire.Msg{
+	{
+		{Kind: wire.MsgScalar, Site: 1, Value: 7.250189156379586},
+		{Kind: wire.MsgScalar, Site: 1, Value: 3.402773511089292},
+		{Kind: wire.MsgScalar, Site: 1, Value: 3.5375880861216835},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{1.662203612092268, -2.1852382622641686, -0.6539991167768001, 0.4749253360650145}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{0.9524598680149795, 0.21014734672176086, 1.9257815443051938, 0.28530635991248016}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{-0.7492617128018301, -0.7042280957210684, 0.4476450706449234, -0.0015184994849456292}},
+	},
+	{
+		{Kind: wire.MsgScalar, Site: 1, Value: 3.3847369805242726},
+		{Kind: wire.MsgScalar, Site: 1, Value: 6.921645636077231},
+		{Kind: wire.MsgScalar, Site: 1, Value: 8.829329853457415},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{-3.0795290164555746, -0.20250488386180224, 2.07852476406683, 0.7023237566957768}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{0.22715906903715585, 0.7727477653850047, 1.00901895817426, -1.7673369855564507}},
+	},
+	{
+		{Kind: wire.MsgScalar, Site: 1, Value: 1.7778960237356511},
+		{Kind: wire.MsgScalar, Site: 1, Value: 1.9316649807949902},
+		{Kind: wire.MsgScalar, Site: 1, Value: 2.3340803921635835},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{-1.8000447911384756, 0.479822916441939, 0.36185028841651407, 0.4033753463932746}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{0.4099220685549784, 0.3872316457778355, 1.2807200455480616, 0.2197619403109519}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{0.12375473285759117, 0.2993186689603126, -0.19357455684548214, 0.3698518417934431}},
+	},
+	{
+		{Kind: wire.MsgScalar, Site: 1, Value: 7.0214671659028545},
+		{Kind: wire.MsgScalar, Site: 1, Value: 4.469023885639254},
+		{Kind: wire.MsgScalar, Site: 1, Value: 4.02349544622348},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{0.9052571478479974, -0.8122278248614939, 2.963331617724928, 0.3302951376202509}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{0.6492319823665246, 0.8213583434577019, -0.17309495344097658, 1.7933838225949699}},
+		{Kind: wire.MsgRow, Site: 1, Vec: []float64{-0.7942087383928195, -0.11938835054048354, 0.16992703633221923, 0.35859576506015833}},
+	},
+}
+
 // TestLegacyMsgFedCheckpoint restores testdata/msgfed-v1.ckpt, which a
 // tracker fed messages wrote while it still hosted a whole P2 simulator
-// (m = 3, d = 4, site 1's msg-blocks 1–4 applied; three idle site halves
-// in the file). It restores as the coordinator half alone, refuses a row
-// batch, takes the site's block 5, and then holds what a tracker fed
-// blocks 1–5 today holds, bit for bit.
+// (m = 3, d = 4, site 1's msg-blocks 1–4 applied, legacyMsgBlocks; three
+// idle site halves in the file). It restores as the coordinator half alone,
+// refuses a row batch, takes the site's block 5, and then holds what a
+// tracker fed the same blocks 1–5 today holds, bit for bit.
 func TestLegacyMsgFedCheckpoint(t *testing.T) {
 	ckpt, err := os.ReadFile(filepath.Join("testdata", "msgfed-v1.ckpt"))
 	if err != nil {
@@ -670,7 +709,7 @@ func TestLegacyMsgFedCheckpoint(t *testing.T) {
 	if err := tr.IngestRows(context.Background(), 0, [][]float64{{1, 2, 3, 4}}); !errors.Is(err, distmat.ErrWrongKind) {
 		t.Fatalf("restored tracker fed messages took rows: %v", err)
 	}
-	blocks := siteMsgBlocks(t, 1, msgSpec, 5, 3)
+	blocks := append(legacyMsgBlocks[:4:4], siteMsgBlocks(t, 1, msgSpec, 5, 3)[4])
 	if a, _, err := m.WireBridge().MsgBlock("legacy", 1, 5, blocks[4]); err != nil || a != 5 {
 		t.Fatalf("block 5 after the legacy restore: applied %d, %v", a, err)
 	}

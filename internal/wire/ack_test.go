@@ -185,9 +185,7 @@ func TestDrainDurableLateCheckpoint(t *testing.T) {
 	go func() { done <- c.DrainDurable(ctx) }()
 	for probes := 0; probes < 2 && ctx.Err() == nil; {
 		time.Sleep(time.Millisecond)
-		h.mu.Lock()
-		probes = h.dups
-		h.mu.Unlock()
+		probes = h.dupCount()
 	}
 	select {
 	case err := <-done:

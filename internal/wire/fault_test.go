@@ -243,7 +243,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	}
 	t.Logf("faults: %d dup, %d drop, %d split, %d stall, %d sever; %d reconnects, %d retransmits, %d dedups",
 		p.dups.Load(), p.drops.Load(), p.splits.Load(), p.stalls.Load(), p.severs.Load(),
-		c.Stats().Connects.Load()-1, c.Stats().Retransmits.Load(), h.dups)
+		c.Stats().Connects.Load()-1, c.Stats().Retransmits.Load(), h.dupCount())
 }
 
 // msgsForSeq generates the deterministic msg-block a test site sends as
@@ -330,7 +330,7 @@ func TestFaultInjectionMsgBlocksExactlyOnce(t *testing.T) {
 	}
 	t.Logf("faults: %d dup, %d drop, %d split, %d stall, %d sever; %d reconnects, %d retransmits, %d dedups",
 		p.dups.Load(), p.drops.Load(), p.splits.Load(), p.stalls.Load(), p.severs.Load(),
-		c.Stats().Connects.Load()-1, c.Stats().Retransmits.Load(), h.dups)
+		c.Stats().Connects.Load()-1, c.Stats().Retransmits.Load(), h.dupCount())
 }
 
 // bcastHandler is memHandler behind a listener that broadcasts the head of

@@ -30,6 +30,14 @@ type memHandler struct {
 	dups    int
 }
 
+// dupCount reads dups under the lock: a late retransmitted duplicate can
+// still be applied by the listener while a test reads it.
+func (h *memHandler) dupCount() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dups
+}
+
 type appliedBlock struct {
 	site int
 	seq  uint64
@@ -165,10 +173,7 @@ func TestDrainDurableProbe(t *testing.T) {
 	if a, d, _ := watermarks(c); a != 5 || d != 5 {
 		t.Fatalf("watermarks %d/%d after durable drain, want 5/5", a, d)
 	}
-	h.mu.Lock()
-	dups := h.dups
-	h.mu.Unlock()
-	if dups == 0 {
+	if h.dupCount() == 0 {
 		t.Fatal("durable drain completed without any probe duplicates")
 	}
 	verifyLog(t, h, 0, 5, 3, 4)
@@ -262,8 +267,8 @@ func TestSiteStreamBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyLog(t, h, 0, blocks, rowsPer, dim)
-	if h.dups != 0 {
-		t.Fatalf("%d duplicate blocks on a clean stream", h.dups)
+	if dups := h.dupCount(); dups != 0 {
+		t.Fatalf("%d duplicate blocks on a clean stream", dups)
 	}
 	if got := l.Stats().FramesIn.Load(); got < blocks+1 {
 		t.Fatalf("listener decoded %d frames, want ≥ %d", got, blocks+1)

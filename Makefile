@@ -36,20 +36,27 @@ test:
 	GOARCH=386 $(GO) test -short ./internal/matrix ./internal/sketch ./internal/service ./internal/hh ./internal/quantile
 
 # Fused multiply-adds in each numeric package, against a committed ceiling
-# (ROADMAP item 15's first slice). Go may fuse x*y + z into one rounding on
-# arm64, ppc64le, s390x and riscv64, never on amd64 or 386, so every fused
-# op is a place where an arm64 build can round apart from the amd64 one the
-# goldens were written on. The arm64 compiler's listing is counted; a count
-# may fall (lower its ceiling here), a rise fails. A product whose rounding
-# matters is written float64(x*y), which the compiler may not fuse.
-FMA_CEILINGS = matrix:51 core:12 sketch:3 hh:2 quantile:1
+# per architecture (ROADMAP item 15's first slices). Go may fuse x*y + z
+# into one rounding on arm64, ppc64le, s390x and riscv64, never on amd64 or
+# 386, so every fused op is a place where such a build can round apart from
+# the amd64 one the goldens were written on. Each architecture's compiler
+# listing is counted in its own mnemonics: F(N)M{ADD,SUB}D on arm64 and
+# riscv64, F(N)M{ADD,SUB} on ppc64le and s390x. A count may fall (lower its
+# ceiling here), a rise fails. A product whose rounding matters is written
+# float64(x*y), which the compiler may not fuse.
+FMA_CEILINGS = \
+	arm64:matrix:51 arm64:core:11 arm64:sketch:3 arm64:hh:2 arm64:quantile:1 \
+	riscv64:matrix:51 riscv64:core:11 riscv64:sketch:3 riscv64:hh:2 riscv64:quantile:1 \
+	ppc64le:matrix:51 ppc64le:core:11 ppc64le:sketch:3 ppc64le:hh:1 ppc64le:quantile:1 \
+	s390x:matrix:51 s390x:core:11 s390x:sketch:3 s390x:hh:1 s390x:quantile:1
 fma-count:
-	@set -e; for pc in $(FMA_CEILINGS); do \
-		p=$${pc%%:*}; c=$${pc##*:}; \
-		out=$$(GOARCH=arm64 $(GO) build -gcflags="repro/internal/$$p=-S" ./internal/$$p 2>&1) || { echo "$$out" >&2; exit 1; }; \
-		n=$$(printf '%s\n' "$$out" | grep -cE '\bF(N)?M(ADD|SUB)D\b' || true); \
-		echo "internal/$$p: $$n fused multiply-adds on arm64 (ceiling $$c)"; \
-		if [ "$$n" -gt "$$c" ]; then echo "fma-count: internal/$$p rose above its ceiling" >&2; exit 1; fi; \
+	@set -e; for apc in $(FMA_CEILINGS); do \
+		a=$${apc%%:*}; pc=$${apc#*:}; p=$${pc%%:*}; c=$${pc##*:}; \
+		case $$a in arm64|riscv64) re='\bF(N)?M(ADD|SUB)D\b';; *) re='\bF(N)?M(ADD|SUB)\b';; esac; \
+		out=$$(GOARCH=$$a $(GO) build -gcflags="repro/internal/$$p=-S" ./internal/$$p 2>&1) || { echo "$$out" >&2; exit 1; }; \
+		n=$$(printf '%s\n' "$$out" | grep -cE "$$re" || true); \
+		echo "internal/$$p: $$n fused multiply-adds on $$a (ceiling $$c)"; \
+		if [ "$$n" -gt "$$c" ]; then echo "fma-count: internal/$$p rose above its $$a ceiling" >&2; exit 1; fi; \
 	done
 
 # Non-test Go outside bench/ and outside the analyzers' fixtures (sources

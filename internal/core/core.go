@@ -15,9 +15,10 @@
 // reproduce its failure experimentally (Figures 6 and 7).
 //
 // P2 is defined once, as a site half and a coordinator half (P2Site,
-// P2Coordinator, joined by P2Uplink); the P2 and P2SmallSpace simulators
-// embed the coordinator half, which owns the tally and the query surface,
-// and the P2 simulator is the bit-exact specification. In a deployment each
+// P2Coordinator, joined by P2Uplink); the P2 simulator embeds the
+// coordinator half, which owns the tally and the query surface, and is the
+// bit-exact specification. P2SmallSpace is that simulator with each site's
+// unsent rows held as two FD sketches instead of a Gram. In a deployment each
 // half runs in its own daemon: cmd/distsite steps a P2Site per block, and a
 // distserve tracker fed the sites' messages is a P2Coordinator alone.
 //

@@ -61,9 +61,15 @@ func NewP2ShipFraction(m int, eps float64, d int, shipFrac float64) *P2 {
 	if shipFrac <= 0 || shipFrac > 1 {
 		panic(fmt.Sprintf("core: need 0 < shipFrac ≤ 1, got %v", shipFrac))
 	}
+	return newP2(m, eps, d, shipFrac, func() siteStore { return newP2Gram(d) })
+}
+
+// newP2 builds the simulator over sites holding B_j in newStore's stores,
+// from parameters the caller has validated.
+func newP2(m int, eps float64, d int, shipFrac float64, newStore func() siteStore) *P2 {
 	p := &P2{P2Coordinator: NewP2Coordinator(m, eps, d), sites: make([]P2Site, m)}
 	for i := range p.sites {
-		p.sites[i] = makeP2Site(i, m, eps, d, shipFrac, (*p2Direct)(p), &p.scratch)
+		p.sites[i] = makeP2Site(i, m, eps, d, shipFrac, (*p2Direct)(p), &p.scratch, newStore())
 	}
 	return p
 }

@@ -26,21 +26,38 @@ type P2Uplink interface {
 // sites do, so its footprint does not grow with m; NewP2Site's owns its own.
 type p2Scratch struct {
 	eigWS   *matrix.EigWorkspace
-	shipRow []float64 // σ·v staging
-	wbuf    []float64 // per-block row norms
+	shipRow []float64   // σ·v staging
+	wbuf    []float64   // per-block row norms
+	diff    *matrix.Sym // an fdPair's Ã_jᵀÃ_j − S̃_jᵀS̃_j
 
 	decomps     int64 // eigendecompositions run
 	decompsIdle int64 // those that shipped nothing (λ₁ < shipThresh)
 }
 
+// siteStore holds B_j, a site's unsent rows, for P2Site: p2Gram exactly
+// (P2), fdPair as §5.2's two sketches (P2SmallSpace).
+type siteStore interface {
+	// fold appends a block of rows to B_j.
+	fold(rows [][]float64)
+	// sole returns B_j when it is exactly one row and the store tracks
+	// that, else nil.
+	sole() []float64
+	// gram returns B_jᵀB_j to decompose, valid until the next call.
+	gram(ws *p2Scratch) *matrix.Sym
+	// remove takes the shipped direction row = σ·v (λ = σ²) out of B_j.
+	remove(row, v []float64, lam float64)
+	// drained marks B_j as zero: its sole row shipped, or a decomposition
+	// left nothing above 0.
+	drained()
+}
+
 // P2Site is the site half of matrix P2 (Algorithm 5.3): the one definition
-// of the site step, single-goroutine, composed by the P2 simulator (m of
-// them over a direct call) and wrapped in a lock by cmd/distsite.
+// of the site step, single-goroutine, composed by the P2 and P2SmallSpace
+// simulators (m of them over a direct call) and wrapped in a lock by
+// cmd/distsite.
 //
-// B_j is carried as its Gram matrix G_j = B_jᵀB_j (O(d²) space): appending a
-// row is a rank-1 update, the singular pairs of B_j are the eigenpairs of
-// G_j, and removing a shipped direction is the downdate G_j −= λ·v·vᵀ. The svd
-// is run in batch mode, as licensed by the paper: after a full decomposition
+// B_j lives in a siteStore; P2's (p2Gram) is its Gram matrix. The svd is
+// run in batch mode, as licensed by the paper: after a full decomposition
 // with top eigenvalue λ₁, no direction can reach λ₁ + (new mass) until that
 // much Frobenius mass arrives, so the site defers the next decomposition
 // until λ₁ + newMass ≥ (ε/m)·F̂ — an exact bound, never a heuristic. To
@@ -59,16 +76,52 @@ type P2Site struct {
 	up       P2Uplink
 	scratch  *p2Scratch
 
-	fhat     float64     // F̂ as last received (SetEstimate)
-	gram     *matrix.Sym // G_j = B_jᵀB_j of unsent rows
-	fdelta   float64     // F_j: unsent scalar mass for the F̂ side-channel
-	lamBound float64     // λ₁ at the last decomposition + mass added since
+	fhat     float64   // F̂ as last received (SetEstimate)
+	b        siteStore // B_j
+	fdelta   float64   // F_j: unsent scalar mass for the F̂ side-channel
+	lamBound float64   // λ₁ at the last decomposition + mass added since
+}
+
+// p2Gram is B_j as its Gram matrix G_j = B_jᵀB_j (O(d²) space): appending
+// a row is a rank-1 update, the singular pairs of B_j are the eigenpairs of
+// G_j, and removing a shipped direction is the downdate G_j −= λ·v·vᵀ.
+type p2Gram struct {
+	g *matrix.Sym // G_j of unsent rows
 	// Degenerate-regime shortcut: when the unsent matrix is exactly one
 	// row (common at very small ε, where the protocol approaches
 	// send-everything), its SVD is that row itself and no eigendecomposition
 	// is needed.
 	soleRow []float64
-	empty   bool // gram is exactly zero
+	empty   bool // g is zero
+}
+
+func newP2Gram(d int) *p2Gram { return &p2Gram{g: matrix.NewSym(d), empty: true} }
+
+//distlint:hotpath
+func (b *p2Gram) fold(rows [][]float64) {
+	b.g.AddBlock(rows)
+	if b.empty && len(rows) == 1 {
+		b.soleRow = append(b.soleRow[:0], rows[0]...) //distlint:alloc-ok grows to one row length once, then reused
+	} else {
+		b.soleRow = nil
+	}
+	b.empty = false
+}
+
+func (b *p2Gram) sole() []float64 { return b.soleRow }
+
+func (b *p2Gram) gram(*p2Scratch) *matrix.Sym { return b.g }
+
+func (b *p2Gram) remove(_, v []float64, lam float64) { b.g.AddOuter(-lam, v) }
+
+// drained zeroes G_j after its sole row shipped (the row was all of it);
+// after a decomposition it keeps the roundoff left below 0.
+func (b *p2Gram) drained() {
+	if b.soleRow != nil {
+		b.g.Reset()
+	}
+	b.soleRow = nil
+	b.empty = true
 }
 
 // NewP2Site builds site id of m at error ε for d-dimensional rows, shipping
@@ -80,15 +133,16 @@ func NewP2Site(id, m int, eps float64, d int, up P2Uplink) (*P2Site, error) {
 	if id < 0 || id >= m {
 		return nil, fmt.Errorf("core: site id %d out of range [0,%d)", id, m)
 	}
-	s := makeP2Site(id, m, eps, d, 0.5, up, new(p2Scratch))
+	s := makeP2Site(id, m, eps, d, 0.5, up, new(p2Scratch), newP2Gram(d))
 	return &s, nil
 }
 
-// makeP2Site is NewP2Site unvalidated, by value, over the simulator's scratch.
-func makeP2Site(id, m int, eps float64, d int, shipFrac float64, up P2Uplink, scratch *p2Scratch) P2Site {
+// makeP2Site is NewP2Site unvalidated, by value, over the simulator's
+// scratch and store.
+func makeP2Site(id, m int, eps float64, d int, shipFrac float64, up P2Uplink, scratch *p2Scratch, b siteStore) P2Site {
 	return P2Site{
 		id: id, m: m, d: d, eps: eps, shipFrac: shipFrac, up: up, scratch: scratch,
-		fhat: 1, gram: matrix.NewSym(d), empty: true,
+		fhat: 1, b: b,
 	}
 }
 
@@ -101,12 +155,12 @@ func (s *P2Site) SetEstimate(fhat float64) { s.fhat = fhat }
 
 // ProcessBlock is the site step of Algorithm 5.3 over a block of rows of
 // length d. The scalar F̂ side-channel fires at its exact row indices (it
-// reads only the running mass, never the Gram), the rows fold into the site
-// Gram as one block update, and the deferred-svd bound λ₁ + newMass is
-// settled once over the whole block: one decomposition per crossing block
-// (IngestFast). A one-row block is the paper's per-row step bit for bit
-// (IngestExact): NormSqRows is NormSq, AddBlock below its cutoff is
-// AddOuter. The error is an eigensolver failure (a non-finite Gram) after
+// reads only the running mass, never B_j), the rows fold into the store as
+// one block, and the deferred-svd bound λ₁ + newMass is settled once over
+// the whole block: one decomposition per crossing block (IngestFast). A
+// one-row block is the paper's per-row step bit for bit (IngestExact):
+// NormSqRows is NormSq, AddBlock below its cutoff is AddOuter, AppendRows
+// is Append. The error is an eigensolver failure (a non-finite Gram) after
 // the block was ingested.
 //
 //distlint:hotpath
@@ -129,14 +183,8 @@ func (s *P2Site) ProcessBlock(rows [][]float64) error {
 	}
 
 	// One block update; the exact deferral bound accrues the block's mass.
-	s.gram.AddBlock(rows)
+	s.b.fold(rows)
 	s.lamBound += mass
-	if s.empty && len(rows) == 1 {
-		s.soleRow = append(s.soleRow[:0], rows[0]...) //distlint:alloc-ok grows to one row length once, then reused
-	} else {
-		s.soleRow = nil
-	}
-	s.empty = false
 	return s.settle()
 }
 
@@ -145,24 +193,22 @@ func (s *P2Site) ProcessBlock(rows [][]float64) error {
 //distlint:hotpath
 func (s *P2Site) settle() error {
 	if s.lamBound >= (s.eps/float64(s.m))*s.fhat {
-		if s.soleRow == nil {
+		row := s.b.sole()
+		if row == nil {
 			return s.decomposeAndSend()
 		}
 		// B_j is the single row a: svd(B_j) = (‖a‖, a/‖a‖), so the shipped
 		// σ·v is the row itself.
-		s.up.Row(s.id, s.soleRow)
-		s.gram.Reset()
+		s.up.Row(s.id, row)
+		s.b.drained()
 		s.lamBound = 0
-		s.soleRow = nil
-		s.empty = true
 	}
 	return nil
 }
 
 // decomposeAndSend runs the svd step of Algorithm 5.3: every direction with
-// σ² ≥ shipFrac·(ε/m)·F̂ is shipped as the row σ·v and removed from G_j by
-// the downdate G_j −= λ·v·vᵀ. All scratch is reused, so the steady-state
-// path allocates nothing.
+// σ² ≥ shipFrac·(ε/m)·F̂ is shipped as the row σ·v and removed from B_j.
+// All scratch is reused, so the steady-state path allocates nothing.
 func (s *P2Site) decomposeAndSend() error {
 	ws := s.scratch
 	ws.decomps++
@@ -173,46 +219,35 @@ func (s *P2Site) decomposeAndSend() error {
 		ws.shipRow = make([]float64, s.d)
 	}
 	thresh := s.shipFrac * (s.eps / float64(s.m)) * s.fhat
-	top, shipped, err := shipAbove(s.gram, thresh, ws.eigWS, ws.shipRow, func(row, v []float64, lam float64) {
-		s.up.Row(s.id, row) // one row-sized vector message
-		s.gram.AddOuter(-lam, v)
-	})
-	if err != nil {
-		return fmt.Errorf("core: P2 eigendecomposition failed: %w", err)
-	}
-	if shipped == 0 {
-		ws.decompsIdle++
-	} else if top <= 0 {
-		s.empty = true
-		s.soleRow = nil
-	}
-	// Exact deferral bound for the next decomposition: the remaining top
-	// eigenvalue plus future mass.
-	s.lamBound = top
-	return nil
-}
-
-// shipAbove is the svd step both P2 site forms run: each eigenpair (λ, v)
-// of g with λ ≥ thresh goes to ship with its row σ·v staged in row, and the
-// largest eigenvalue left, floored at 0, is returned for the deferral bound.
-// It decomposes only what ships (matrix.EigAbove); JacobiEigSym answers
-// where that fails.
-func shipAbove(g *matrix.Sym, thresh float64, ws *matrix.EigWorkspace, row []float64, ship func(row, v []float64, lam float64)) (top float64, shipped int, err error) {
-	vals, vecs, below, err := matrix.EigAbove(g, thresh, ws)
+	// Decompose only what ships (matrix.EigAbove); JacobiEigSym answers
+	// where that fails.
+	g := s.b.gram(ws)
+	vals, vecs, below, err := matrix.EigAbove(g, thresh, ws.eigWS)
 	if err != nil {
 		if vals, vecs, below, err = jacobiAbove(g, thresh); err != nil {
-			return 0, 0, err
+			return fmt.Errorf("core: P2 eigendecomposition failed: %w", err)
 		}
 	}
 	for k, lam := range vals {
 		v := vecs.Row(k)
 		sigma := math.Sqrt(lam)
 		for i, x := range v {
-			row[i] = sigma * x
+			ws.shipRow[i] = sigma * x
 		}
-		ship(row, v, lam)
+		s.up.Row(s.id, ws.shipRow) // one row-sized vector message
+		s.b.remove(ws.shipRow, v, lam)
 	}
-	return max(below, 0), len(vals), nil
+	// Exact deferral bound for the next decomposition: the largest
+	// eigenvalue left plus future mass, floored at 0 (an fdPair's sketch
+	// difference can leave it below).
+	top := max(below, 0)
+	if len(vals) == 0 {
+		ws.decompsIdle++
+	} else if top <= 0 {
+		s.b.drained()
+	}
+	s.lamBound = top
+	return nil
 }
 
 // jacobiAbove answers as matrix.EigAbove does, from the full JacobiEigSym
@@ -244,9 +279,9 @@ func jacobiAbove(g *matrix.Sym, thresh float64) ([]float64, *matrix.Dense, float
 // adds arriving σ·v rows into BᵀB, refreshes F̂ after every m scalar
 // reports, and tallies every message and broadcast. It holds O(d²), the
 // paper's coordinator space, and answers the whole Tracker query surface.
-// Single-goroutine; the P2 and P2SmallSpace simulators embed it and call it
-// directly, and a service tracker fed by remote sites is this half alone,
-// driven under the tracker lock.
+// Single-goroutine; the P2 simulator (and so P2SmallSpace) embeds it and
+// calls it directly, and a service tracker fed by remote sites is this half
+// alone, driven under the tracker lock.
 type P2Coordinator struct {
 	m    int
 	eps  float64

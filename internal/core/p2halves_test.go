@@ -36,43 +36,50 @@ func (t p2Tap) Row(site int, row []float64) {
 // (ROADMAP 2(b)): the coordinator half, fed nothing but the recorded message
 // order of a tracker run, must end Float64bits-identical to the tracker's
 // coordinator — Gram and F̂. It also pins that the uplink is the only
-// channel between the halves and that it is called once per tallied message.
+// channel between the halves and that it is called once per tallied
+// message, over both site stores: P2's Gram and P2SmallSpace's FD pair.
 func TestP2HalvesReplay(t *testing.T) {
 	const m, eps, d, block = 4, 0.1, 44, 96
 	rows := gen.LowRankMatrix(gen.PAMAPLike(2500))
-	for _, mode := range []IngestMode{IngestExact, IngestFast} {
-		p := NewP2(m, eps, d)
-		p.mode = mode
-		var log []p2Msg
-		for i := range p.sites {
-			p.sites[i].up = p2Tap{next: p.sites[i].up, log: &log}
-		}
-		for lo, site := 0, 0; lo < len(rows); lo, site = lo+block, (site+1)%m {
-			p.ProcessRows(site, rows[lo:min(lo+block, len(rows))])
-		}
-
-		if got, want := int64(len(log)), p.Stats().UpMsgs; got != want || got == 0 {
-			t.Fatalf("%v: uplink called %d times, tracker tallied %d up messages", mode, got, want)
-		}
-		replay := NewP2Coordinator(m, eps, d)
-		var broadcasts int64
-		for _, msg := range log {
-			if msg.vec != nil {
-				replay.Row(msg.vec)
-			} else if _, b := replay.Scalar(msg.value); b {
-				broadcasts++
+	trackers := map[string]func() *P2{
+		"P2":      func() *P2 { return NewP2(m, eps, d) },
+		"P2small": func() *P2 { return NewP2SmallSpace(m, eps, d).P2 },
+	}
+	for name, build := range trackers {
+		for _, mode := range []IngestMode{IngestExact, IngestFast} {
+			p := build()
+			p.mode = mode
+			var log []p2Msg
+			for i := range p.sites {
+				p.sites[i].up = p2Tap{next: p.sites[i].up, log: &log}
 			}
-		}
-		if broadcasts != p.Stats().Broadcasts {
-			t.Fatalf("%v: replay broadcast %d times, tracker %d", mode, broadcasts, p.Stats().Broadcasts)
-		}
-		if a, b := replay.EstimateFrobenius(), p.EstimateFrobenius(); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("%v: replayed F̂ %v, tracker %v", mode, a, b)
-		}
-		got, want := replay.Gram().RawData(), p.Gram().RawData()
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%v: replayed Gram differs at %d: %v vs %v", mode, i, got[i], want[i])
+			for lo, site := 0, 0; lo < len(rows); lo, site = lo+block, (site+1)%m {
+				p.ProcessRows(site, rows[lo:min(lo+block, len(rows))])
+			}
+
+			if got, want := int64(len(log)), p.Stats().UpMsgs; got != want || got == 0 {
+				t.Fatalf("%s %v: uplink called %d times, tracker tallied %d up messages", name, mode, got, want)
+			}
+			replay := NewP2Coordinator(m, eps, d)
+			var broadcasts int64
+			for _, msg := range log {
+				if msg.vec != nil {
+					replay.Row(msg.vec)
+				} else if _, b := replay.Scalar(msg.value); b {
+					broadcasts++
+				}
+			}
+			if broadcasts != p.Stats().Broadcasts {
+				t.Fatalf("%s %v: replay broadcast %d times, tracker %d", name, mode, broadcasts, p.Stats().Broadcasts)
+			}
+			if a, b := replay.EstimateFrobenius(), p.EstimateFrobenius(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s %v: replayed F̂ %v, tracker %v", name, mode, a, b)
+			}
+			got, want := replay.Gram().RawData(), p.Gram().RawData()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %v: replayed Gram differs at %d: %v vs %v", name, mode, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -40,7 +40,9 @@ type P4 struct {
 }
 
 type p4site struct {
-	gram *matrix.Sym // exact G_j
+	// diag is the diagonal of the exact G_j = A_jᵀA_j, all of it the
+	// pinned basis reads.
+	diag []float64
 	// Â_j = Z·Vᵀ with V pinned to the standard basis (see type comment):
 	// z holds the per-coordinate magnitudes. The coordinator's copy is
 	// identical by construction, so one copy serves both roles.
@@ -62,7 +64,7 @@ func NewP4(m int, eps float64, d int, seed int64) *P4 {
 		sites: make([]p4site, m),
 	}
 	for i := range p.sites {
-		p.sites[i].gram = matrix.NewSym(d)
+		p.sites[i].diag = make([]float64, d)
 		p.sites[i].z = make([]float64, d)
 	}
 	return p
@@ -100,7 +102,9 @@ func (p *P4) ProcessRows(site int, rows [][]float64) {
 func (p *P4) processRow(s *p4site, site int, row []float64) {
 	w := matrix.NormSq(row)
 	p.fro.Observe(site, w)
-	s.gram.AddOuter(1, row)
+	for i, x := range row {
+		s.diag[i] += float64(x * x) // unfused: AddOuter(1, row)'s diagonal bit for bit
+	}
 
 	prob := p.sendProb()
 	pbar := 1 - math.Exp(-prob*w)
@@ -112,7 +116,7 @@ func (p *P4) processRow(s *p4site, site int, row []float64) {
 	p.acct.SendUp(1)
 	inv := 1 / prob
 	for i := 0; i < p.d; i++ {
-		s.z[i] = math.Sqrt(s.gram.At(i, i) + inv)
+		s.z[i] = math.Sqrt(s.diag[i] + inv)
 	}
 	s.sent = true
 }

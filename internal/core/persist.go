@@ -41,11 +41,13 @@ type P2Snapshot struct {
 }
 
 // Snapshot captures one site half's state. F̂ is not part of it: the owner
-// records its sites' view once (P2Snapshot.SiteFhat) or per site.
+// records its sites' view once (P2Snapshot.SiteFhat) or per site. Only a
+// half over a p2Gram store has one: P2SmallSpace's sites are never saved.
 func (s *P2Site) Snapshot() P2SiteSnapshot {
+	b := s.b.(*p2Gram)
 	return P2SiteSnapshot{
-		Gram: s.gram.RawData(), Fdelta: s.fdelta, LamBound: s.lamBound,
-		SoleRow: append([]float64(nil), s.soleRow...), Empty: s.empty,
+		Gram: b.g.RawData(), Fdelta: s.fdelta, LamBound: s.lamBound,
+		SoleRow: append([]float64(nil), b.soleRow...), Empty: b.empty,
 	}
 }
 
@@ -58,8 +60,8 @@ func (s *P2Site) Restore(snap P2SiteSnapshot) error {
 	if snap.SoleRow != nil && len(snap.SoleRow) != s.d {
 		return fmt.Errorf("core: sole row has %d values for d=%d", len(snap.SoleRow), s.d)
 	}
-	s.gram, s.fdelta, s.lamBound, s.empty = gram, snap.Fdelta, snap.LamBound, snap.Empty
-	s.soleRow = append([]float64(nil), snap.SoleRow...)
+	*s.b.(*p2Gram) = p2Gram{g: gram, soleRow: append([]float64(nil), snap.SoleRow...), empty: snap.Empty}
+	s.fdelta, s.lamBound = snap.Fdelta, snap.LamBound
 	return nil
 }
 

@@ -59,39 +59,23 @@ func (s *P2Site) oracleProcessRow(row []float64) error {
 		s.fdelta = 0
 	}
 
-	// Row accumulation with the exact deferred-svd bound.
-	s.gram.AddOuter(1, row)
-	s.lamBound += w
-	if s.empty {
-		s.soleRow = append(s.soleRow[:0], row...)
-		s.empty = false
-	} else {
-		s.soleRow = nil
+	// Row accumulation with the exact deferred-svd bound, in each store's
+	// old per-row arithmetic. P2SmallSpace's per-row step is this one over
+	// its fdPair stores.
+	switch b := s.b.(type) {
+	case *p2Gram:
+		b.g.AddOuter(1, row)
+		if b.empty {
+			b.soleRow = append(b.soleRow[:0], row...)
+			b.empty = false
+		} else {
+			b.soleRow = nil
+		}
+	case *fdPair:
+		b.recv.Append(row)
 	}
+	s.lamBound += w
 	return s.settle()
-}
-
-// oracleProcessRow is P2SmallSpace's per-row step.
-func (p *P2SmallSpace) oracleProcessRow(site int, row []float64) {
-	validateSite(site, p.m)
-	validateRow(row, p.Dim())
-	p.oracleProcessRowAt(&p.sites[site], row)
-}
-
-func (p *P2SmallSpace) oracleProcessRowAt(s *p2sSite, row []float64) {
-	w := matrix.NormSq(row)
-
-	s.fdelta += w
-	if s.fdelta >= (p.eps/float64(p.m))*p.siteFhat {
-		p.sendScalar(s.fdelta)
-		s.fdelta = 0
-	}
-
-	s.recv.Append(row)
-	s.lamBound += w
-	if s.lamBound >= (p.eps/float64(p.m))*p.siteFhat {
-		p.decomposeAndSend(s)
-	}
 }
 
 // oracleProcessRow is NaiveFD's per-row forward.

@@ -17,36 +17,49 @@ import (
 // set, each site also raises its F̂ before every step to its own squared
 // mass so far, as cmd/distsite's wrapper does. §5.2 needs only that a
 // site's F̂ be a lower bound, so staleness may cost messages but never
-// error: at every 16th row, ‖AᵀA − BᵀB‖₂ ≤ ε‖A‖²_F.
+// error: at every 16th row, ‖AᵀA − BᵀB‖₂ ≤ ε‖A‖²_F. With pair set the
+// sites are P2SmallSpace's, holding B_j as two FD sketches of ℓ = ⌈4m/ε⌉
+// rows and shipping at 3/8 of the limit; at ε = 0.5 and m ≤ 5, ℓ < d.
 //
 // The fuzzer picks the stream (a base shape — lowRankRows or one of
 // adversarialStreams' — whose directions and norms in [1, β] data
 // rewrites), the site schedule (one site, round-robin or bursts), the
 // block splits, one-row or whole-block ProcessBlock steps, the link's
-// delays and the floor.
+// delays, the floor and the site store.
 func FuzzGuaranteeP2Stale(f *testing.F) {
 	tilt := []byte{200, 40, 17, 255, 3, 128, 90, 1, 66, 250, 129, 7}
 	for shape := uint8(0); shape < 4; shape++ {
 		for _, floor := range []bool{false, true} {
-			f.Add([]byte{}, shape, uint16(1000), uint8(3), uint8(2), uint8(1), uint8(0), uint8(7), false, []byte{}, floor)
-			f.Add(tilt, shape, uint16(65535), uint8(5), uint8(1), uint8(2), uint8(9), uint8(15), false, []byte{3, 7, 31, 0}, floor)
-			f.Add(tilt, shape, uint16(40), uint8(4), uint8(0), uint8(1), uint8(0), uint8(0), true, []byte{255}, floor)
-			f.Add([]byte{}, shape, uint16(9), uint8(1), uint8(3), uint8(0), uint8(4), uint8(23), false, []byte{255, 5, 0, 30, 12}, floor)
+			for _, pair := range []bool{false, true} {
+				f.Add([]byte{}, shape, uint16(1000), uint8(3), uint8(2), uint8(1), uint8(0), uint8(7), false, []byte{}, floor, pair)
+				f.Add(tilt, shape, uint16(65535), uint8(5), uint8(1), uint8(2), uint8(9), uint8(15), false, []byte{3, 7, 31, 0}, floor, pair)
+				f.Add(tilt, shape, uint16(40), uint8(4), uint8(0), uint8(1), uint8(0), uint8(0), true, []byte{255}, floor, pair)
+				f.Add([]byte{}, shape, uint16(9), uint8(1), uint8(3), uint8(0), uint8(4), uint8(23), false, []byte{255, 5, 0, 30, 12}, floor, pair)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, shape uint8, betaB uint16, mB, epsB, sched, burst, split uint8, perRow bool, lag []byte, floor bool) {
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, betaB uint16, mB, epsB, sched, burst, split uint8, perRow bool, lag []byte, floor, pair bool) {
 		const n, d, every = 192, 44, 16
 		m := 1 + int(mB%8)
 		eps := []float64{0.05, 0.1, 0.2, 0.5}[epsB%4]
 		rows := staleStream(data, shape, 1+float64(betaB), n, d)
 
 		link := &staleLink{coord: NewP2Coordinator(m, eps, d), lag: lag}
-		for i := 0; i < m; i++ {
-			s, err := NewP2Site(i, m, eps, d, link)
-			if err != nil {
-				t.Fatal(err)
+		if pair {
+			// The simulator's sites, re-linked: its own coordinator idles.
+			small := NewP2SmallSpace(m, eps, d)
+			for i := range small.sites {
+				small.sites[i].up = link
+				link.sites = append(link.sites, &small.sites[i])
 			}
-			link.sites = append(link.sites, s)
+		} else {
+			for i := 0; i < m; i++ {
+				s, err := NewP2Site(i, m, eps, d, link)
+				if err != nil {
+					t.Fatal(err)
+				}
+				link.sites = append(link.sites, s)
+			}
 		}
 		siteOf := func(i int) int {
 			switch sched % 3 {

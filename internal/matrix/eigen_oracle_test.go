@@ -468,10 +468,10 @@ func FuzzEigSymEquivalence(f *testing.F) {
 	})
 }
 
-// TestJacobiFallbackReachable pins why the production callers of EigSymWork
-// (P2Site, P2SmallSpace, sketch.FD) still fall back to JacobiEigSym: a
-// finite Gram large enough to overflow inside tred2 fails QL, and Jacobi
-// decomposes it.
+// TestJacobiFallbackReachable pins why the production eigensolver callers
+// (P2Site's EigAbove, which P2SmallSpace's sites run too, and sketch.FD's
+// EigSymWork) still fall back to JacobiEigSym: a finite Gram large enough
+// to overflow inside tred2 fails QL, and Jacobi decomposes it.
 func TestJacobiFallbackReachable(t *testing.T) {
 	s := fuzzSym(7, false, overflowSeed)
 	if slices.ContainsFunc(s.data, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {

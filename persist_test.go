@@ -134,8 +134,8 @@ func TestQuantileSessionSaveRestore(t *testing.T) {
 	}
 }
 
-// TestSaveStateNotPersistable checks the randomized and windowed sessions
-// report ErrNotPersistable instead of saving garbage.
+// TestSaveStateNotPersistable checks the randomized, P2SmallSpace and
+// windowed sessions report ErrNotPersistable instead of saving garbage.
 func TestSaveStateNotPersistable(t *testing.T) {
 	p3, err := distmat.NewMatrixSession("p3",
 		distmat.WithSites(2), distmat.WithEpsilon(0.3), distmat.WithDim(8))
@@ -144,6 +144,17 @@ func TestSaveStateNotPersistable(t *testing.T) {
 	}
 	if err := p3.SaveState(&bytes.Buffer{}); !errors.Is(err, distmat.ErrNotPersistable) {
 		t.Fatalf("p3 SaveState: %v, want ErrNotPersistable", err)
+	}
+
+	// P2SmallSpace embeds *core.P2, but its FD-pair sites have no
+	// snapshot form: it must never pass for a persistable P2.
+	small, err := distmat.NewMatrixSession("p2small",
+		distmat.WithSites(2), distmat.WithEpsilon(0.3), distmat.WithDim(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := small.SaveState(&bytes.Buffer{}); !errors.Is(err, distmat.ErrNotPersistable) {
+		t.Fatalf("p2small SaveState: %v, want ErrNotPersistable", err)
 	}
 
 	win, err := distmat.NewMatrixSession("p2",

@@ -63,10 +63,14 @@ func NewP1Fast(m int, eps float64, d int) *P1 {
 	return p
 }
 
+// P1SketchRows is ℓ = ⌈2/ε⌉ + 1, the size of P1's FD sketches, before its
+// conversion to an int: a small enough ε puts it past what an int holds.
+func P1SketchRows(eps float64) float64 { return math.Ceil(2/eps) + 1 }
+
 // newP1 builds the mode-independent state and returns the sketch size ℓ.
 func newP1(m int, eps float64, d int) (*P1, int) {
 	validateParams(m, eps, d)
-	ell := int(math.Ceil(2/eps)) + 1
+	ell := int(P1SketchRows(eps))
 	p := &P1{
 		m:     m,
 		d:     d,

@@ -15,8 +15,12 @@ import (
 // A direction ships when ‖B̃_j v‖² ≥ (3ε/8m)·F̂, half the paper's (3ε/4m)·F̂
 // as P2 ships early, which by the paper's argument sends at most twice as
 // often as the exact protocol and never violates the (ε/m)·F̂ requirement,
-// preserving Theorem 4's guarantee at O(m/ε) rows of site space (versus
-// P2's O(d²) Gram, which wins for moderate d but loses when d ≫ m/ε).
+// preserving Theorem 4's guarantee. The paper bounds a site's space at
+// O(m/ε) rows; this implementation does not reach that bound yet: each
+// site's two FD sketches keep d×d state each (the eigenvector matrix and
+// factorization workspace, or the Gram when ℓ ≥ d), and the difference
+// Gram is built in a d×d scratch the sites share, so a site holds O(d²)
+// floats, as P2's Gram does.
 //
 // It is the P2 simulator over fdPair sites at ship fraction 3/8: the site
 // step, both ingest modes and the query surface are P2's.
@@ -26,12 +30,16 @@ type P2SmallSpace struct{ *P2 }
 // dimension d.
 func NewP2SmallSpace(m int, eps float64, d int) *P2SmallSpace {
 	validateParams(m, eps, d)
-	// FD error ε/4m ⇒ ℓ = ⌈4m/ε⌉ rows per sketch (our FD's 1/(ℓ+1) bound).
-	ell := int(math.Ceil(4 * float64(m) / eps))
+	ell := int(P2SmallSketchRows(m, eps))
 	return &P2SmallSpace{newP2(m, eps, d, 3.0/8, func() siteStore {
 		return &fdPair{recv: sketch.NewFD(ell, d), sent: sketch.NewFD(ell, d)}
 	})}
 }
+
+// P2SmallSketchRows is ℓ = ⌈4m/ε⌉, the size of each of P2SmallSpace's site
+// sketches (FD error ε/4m by our FD's 1/(ℓ+1) bound), before its conversion
+// to an int: a small enough ε/m puts it past what an int holds.
+func P2SmallSketchRows(m int, eps float64) float64 { return math.Ceil(4 * float64(m) / eps) }
 
 // NewP2SmallSpaceFast builds the bounded-space variant in the blocked fast
 // ingest mode (see IngestFast): blocks land in the site sketches whole, and

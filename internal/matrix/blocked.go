@@ -119,17 +119,17 @@ func gramRowGo(rows [][]float64, flat []float64, n, d, j int, out []float64) {
 			a0, a1, a2, a3 := r0[j], r1[j], r2[j], r3[j]
 			c0, c1, c2, c3 := r0[j+m0:][:len(o)], r1[j+m0:][:len(o)], r2[j+m0:][:len(o)], r3[j+m0:][:len(o)]
 			for k := range o {
-				s0[k] += a0 * c0[k]
-				s1[k] += a1 * c1[k]
-				s2[k] += a2 * c2[k]
-				s3[k] += a3 * c3[k]
+				s0[k] += float64(a0 * c0[k])
+				s1[k] += float64(a1 * c1[k])
+				s2[k] += float64(a2 * c2[k])
+				s3[k] += float64(a3 * c3[k])
 			}
 		}
 		for ; i < n; i++ {
 			r := blockRow(rows, flat, d, i)
 			a, c := r[j], r[j+m0:][:len(o)]
 			for k := range o {
-				s0[k] += a * c[k]
+				s0[k] += float64(a * c[k])
 			}
 		}
 		for k := range o {

@@ -144,7 +144,7 @@ func Dot(a, b []float64) float64 {
 func NormSq(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return s
 }

@@ -179,45 +179,12 @@ func householder(w []float64, n int, d, e []float64) {
 			// port's fused loop (g += wj[k]·di[k]; ei[k] += wj[k]·f) splits
 			// into its dot, summed in the same order, and an axpy. Row j's
 			// dot reads ei[j] once every row before it has added in, and no
-			// later axpy writes ei[j], so the axpys all run first and the
-			// dots then run four rows at a time, each chain in the port's
-			// order.
+			// later axpy writes ei[j], so the axpys all run first (one
+			// sweep) and the dots then run (another), each chain in the
+			// port's order.
 			copy(wi, di)
-			for j, f := range di {
-				axpy(f, w[j*n+j+1:j*n+i], ei[j+1:])
-			}
-			j := 0
-			for ; j+4 <= i; j += 4 {
-				w0, w1 := w[j*n:][:i], w[(j+1)*n:][:i]
-				w2, w3 := w[(j+2)*n:][:i], w[(j+3)*n:][:i]
-				d0, d1, d2, d3 := di[j], di[j+1], di[j+2], di[j+3]
-				g0 := ei[j] + float64(w0[j]*d0)
-				g0 += float64(w0[j+1] * d1)
-				g0 += float64(w0[j+2] * d2)
-				g0 += float64(w0[j+3] * d3)
-				g1 := ei[j+1] + float64(w1[j+1]*d1)
-				g1 += float64(w1[j+2] * d2)
-				g1 += float64(w1[j+3] * d3)
-				g2 := ei[j+2] + float64(w2[j+2]*d2)
-				g2 += float64(w2[j+3] * d3)
-				g3 := ei[j+3] + float64(w3[j+3]*d3)
-				for k := j + 4; k < i; k++ {
-					dk := di[k]
-					g0 += float64(w0[k] * dk)
-					g1 += float64(w1[k] * dk)
-					g2 += float64(w2[k] * dk)
-					g3 += float64(w3[k] * dk)
-				}
-				ei[j], ei[j+1], ei[j+2], ei[j+3] = g0, g1, g2, g3
-			}
-			for ; j < i; j++ {
-				wj := w[j*n:][:i] // V(0..i-1, j)
-				g := ei[j] + float64(wj[j]*di[j])
-				for k := j + 1; k < i; k++ {
-					g += float64(wj[k] * di[k])
-				}
-				ei[j] = g
-			}
+			sweepAxpy(w, n, di, ei)
+			sweepDots(w, n, di, ei)
 			f = 0
 			for j := range ei {
 				ei[j] /= h
@@ -228,14 +195,7 @@ func householder(w []float64, n int, d, e []float64) {
 			hh := f / (h + h)
 			axpy(-hh, di, ei)
 			// The port's wj[k] += −(f·ei[k] + g·di[k]), by a + (−b) ≡ a − b.
-			for j := range di {
-				f = di[j]
-				g = ei[j]
-				wj := w[j*n:][:i] // V(0..i-1, j)
-				subScaled2(wj[j:], ei[j:], di[j:], f, g)
-				di[j] = wj[i-1]
-				w[j*n+i] = 0
-			}
+			sweepRank2(w, n, i, di, ei)
 		}
 		d[i] = h
 	}

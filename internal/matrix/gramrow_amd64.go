@@ -5,8 +5,8 @@ package matrix
 import "unsafe"
 
 // useAVX2 selects the assembly body of every kernel — gramUpper and the row
-// kernels normSqRows, axpy, rot and subScaled2 (rowkernels_amd64.go) —
-// together. It is set once, here, from the CPU's features (AVX2 present and
+// kernels normSqRows, axpy, rot, sweepAxpy, sweepDots and sweepRank2
+// (rowkernels_amd64.go) — together. It is set once, here, from the CPU's features (AVX2 present and
 // the OS saving YMM state), and nothing but the tests, which run both
 // bodies, writes it afterwards.
 var useAVX2 = cpuHasAVX2()

@@ -26,14 +26,13 @@ func diffFloats(t *testing.T, what string, n int, want, got []float64) {
 // diffRowKernels runs each row kernel under the selected body and under its
 // Go specification on vectors of length n cut from vals, which must hold
 // max(3n+2, rows·n) values, and fails on the first result whose bits differ:
-// axpy, rot and subScaled2 on x, y, w = vals[0:n], vals[n:2n], vals[2n:3n]
-// (every output starts non-zero) with the scalars vals[3n] and vals[3n+1];
-// NormSqRows on rows rows of length n laid end to end from vals[0], and
-// again with the third row one element short, which sends its group of four
-// down the portable path.
+// axpy and rot on x, y = vals[0:n], vals[n:2n] (every output starts
+// non-zero) with the scalars vals[3n] and vals[3n+1]; NormSqRows on rows
+// rows of length n laid end to end from vals[0], and again with the third
+// row one element short, which sends its group down the portable path.
 func diffRowKernels(t *testing.T, vals []float64, n, rows int) {
 	t.Helper()
-	x, y, w := vals[:n], vals[n:2*n], vals[2*n:3*n]
+	x, y := vals[:n], vals[n:2*n]
 	a, b := vals[3*n], vals[3*n+1]
 
 	want, got := slices.Clone(y), slices.Clone(y)
@@ -46,11 +45,6 @@ func diffRowKernels(t *testing.T, vals []float64, n, rows int) {
 	rot(gotX, gotY, a, b)
 	diffFloats(t, "rot x", n, wantX, gotX)
 	diffFloats(t, "rot y", n, wantY, gotY)
-
-	want, got = slices.Clone(w), slices.Clone(w)
-	subScaled2Go(want, x, y, a, b)
-	subScaled2(got, x, y, a, b)
-	diffFloats(t, "subScaled2", n, want, got)
 
 	block := make([][]float64, rows)
 	for r := range block {
@@ -71,11 +65,51 @@ func diffRowKernels(t *testing.T, vals []float64, n, rows int) {
 	}
 }
 
+// diffSweeps runs the three sweeps of Householder step i on a dim×dim
+// matrix (i < dim) under the selected body and under their Go
+// specifications, sweepRank2 over its first rows rows, and fails on the
+// first result whose bits differ. The matrix, then d and e (length i), take
+// vals' values in turn, cycling.
+func diffSweeps(t *testing.T, vals []float64, dim, i, rows int) {
+	t.Helper()
+	next := 0
+	fill := func(m int) []float64 {
+		v := make([]float64, m)
+		for k := range v {
+			v[k] = vals[next%len(vals)]
+			next++
+		}
+		return v
+	}
+	w, d, e := fill(dim*dim), fill(i), fill(i)
+	what := fmt.Sprintf("dim=%d i=%d rows=%d: ", dim, i, rows)
+	for _, k := range []struct {
+		name      string
+		spec, run func(w, d, e []float64)
+	}{
+		{"sweepAxpy", func(w, d, e []float64) { sweepAxpyGo(w, dim, d, e) }, func(w, d, e []float64) { sweepAxpy(w, dim, d, e) }},
+		{"sweepDots", func(w, d, e []float64) { sweepDotsGo(w, dim, d, e) }, func(w, d, e []float64) { sweepDots(w, dim, d, e) }},
+		{"sweepRank2", func(w, d, e []float64) { sweepRank2Go(w, dim, rows, d, e) }, func(w, d, e []float64) { sweepRank2(w, dim, rows, d, e) }},
+	} {
+		want := [3][]float64{slices.Clone(w), slices.Clone(d), slices.Clone(e)}
+		got := [3][]float64{slices.Clone(w), slices.Clone(d), slices.Clone(e)}
+		k.spec(want[0], want[1], want[2])
+		k.run(got[0], got[1], got[2])
+		for m, part := range []string{" w", " d", " e"} {
+			diffFloats(t, what+k.name+part, i, want[m], got[m])
+		}
+	}
+}
+
 // TestRowKernelsBitIdentical compares every row kernel's assembly body with
 // its Go specification bit for bit: lengths 0…40 and three spans past 60,
 // 250 and 296 (so every n mod 4 and n mod 8), 1…13 rows for the norms (every
-// count of whole groups of four and every remainder), and values from signed
-// zeros and denormals to overflow, ±Inf and NaN — the scalars included.
+// count of whole groups of four and every remainder) and, up to length 68,
+// 14…37 (one and two groups of sixteen, each remainder after them), the
+// reduction's sweeps at every step i of every dimension 2…64 (so every
+// i mod 4 tail of rows and of columns), sweepRank2 over all i rows and over
+// one, and values from signed zeros and denormals to overflow, ±Inf and
+// NaN — the scalars included.
 func TestRowKernelsBitIdentical(t *testing.T) {
 	selectBody(t, true)
 	var lengths []int
@@ -87,8 +121,17 @@ func TestRowKernelsBitIdentical(t *testing.T) {
 	for name, pool := range gramValuePools() {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range lengths {
-				for rows := 1; rows <= 13; rows++ {
+				for rows := 1; rows <= 37; rows++ {
+					if rows > 13 && n > 68 {
+						continue
+					}
 					diffRowKernels(t, pool, n, rows)
+				}
+			}
+			for dim := 2; dim <= 64; dim++ {
+				for i := 1; i < dim; i++ {
+					diffSweeps(t, pool, dim, i, i)
+					diffSweeps(t, pool[dim:], dim, i, 1)
 				}
 			}
 		})
@@ -99,7 +142,9 @@ func TestRowKernelsBitIdentical(t *testing.T) {
 // counts and bit patterns: a word of data is a float64 as it stands (any
 // exponent, NaN payload or denormal) or, three times in four, a value of
 // moderate size, so that results stay finite often enough to compare
-// roundings and not only NaNs.
+// roundings and not only NaNs. The row count reaches 40 (two groups of
+// sixteen and a remainder); the sweeps take their dimension 2…64 and step
+// from the length and their rank-2 row count from the row count.
 func FuzzRowKernelsEquivalence(f *testing.F) {
 	seed := make([]byte, 8*97)
 	rng := rand.New(rand.NewSource(31))
@@ -116,7 +161,7 @@ func FuzzRowKernelsEquivalence(f *testing.F) {
 		if words == 0 {
 			return
 		}
-		r, n := 1+int(rows%13), int(length%301)
+		r, n := 1+int(rows%40), int(length%301)
 		vals := make([]float64, max(3*n+2, r*n))
 		for i := range vals {
 			w := binary.LittleEndian.Uint64(data[8*(i%words):])
@@ -127,6 +172,9 @@ func FuzzRowKernelsEquivalence(f *testing.F) {
 			}
 		}
 		diffRowKernels(t, vals, n, r)
+		dim := 2 + int(length%63)
+		i := 1 + int(length/63)%(dim-1)
+		diffSweeps(t, vals, dim, i, 1+int(rows)%i)
 	})
 }
 
@@ -161,7 +209,10 @@ func (s *siteStep) run(tb testing.TB) {
 // iteration and the back-transformation run for most of the spectrum)
 // under each body and requires the same bits from both: the eigenvalues,
 // the eigenvectors, the rebuilt Gram and the largest eigenvalue left,
-// d = 1…64.
+// d = 1…64. The reduction itself, householder's reflectors, diagonal and
+// subdiagonal (every step i and every i mod 4 tail of its sweeps), must
+// also give oracleHouseholder's bits, the per-row-call reduction, under
+// each body.
 func TestSiteStepBothBodiesBitIdentical(t *testing.T) {
 	selectBody(t, true)
 	for d := 1; d <= 64; d++ {
@@ -176,6 +227,16 @@ func TestSiteStepBothBodiesBitIdentical(t *testing.T) {
 				t.Fatalf("d=%d: EigAbove: %v", d, err)
 			}
 			out[i] = slices.Concat(out[i], vals, vecs.data, []float64{below})
+
+			var red [2][]float64
+			for k, reduce := range []func(w []float64, n int, d, e []float64){householder, oracleHouseholder} {
+				w, dd, e := make([]float64, d*d), make([]float64, d), make([]float64, d)
+				transposeInto(w, s.g.data, d, d)
+				reduce(w, d, dd, e)
+				red[k] = slices.Concat(w, dd, e)
+			}
+			diffFloats(t, fmt.Sprintf("householder vs oracleHouseholder, avx2=%v", avx2), d, red[1], red[0])
+			out[i] = slices.Concat(out[i], red[0])
 		}
 		diffFloats(t, "site step", d, out[0], out[1])
 	}
@@ -257,55 +318,89 @@ func BenchmarkSiteStep(b *testing.B) {
 	}
 }
 
-// TestSiteStepKernelGuard keeps the row kernels worth having (medians of 21
-// laps, the two bodies taking turns so that a noisy spell falls on both):
-// one site-step decomposition at d = 44 is at least 1.35× the portable body,
-// the norms of a 64 × 44 frame at least 2.5×, and neither allocates. A
-// reading under the floor is taken again, twice at most, as TestEigSymGuard
-// does.
+// guardCase is one timed comparison of a kernel guard: before and after
+// each run one call, with the body (useAVX2) each needs set.
+type guardCase struct {
+	name          string
+	before, after func()
+	calls         int
+	floor         float64
+}
+
+// holdGuard requires every case's after to be at least floor× its before
+// (medians of 21 laps of calls calls, the two sides taking turns so that a
+// noisy spell falls on both; a reading under the floor is taken again,
+// twice at most, as TestEigSymGuard does) and both sides to allocate
+// nothing.
+func holdGuard(t *testing.T, cases ...guardCase) {
+	t.Helper()
+	for _, c := range cases {
+		for side, f := range map[string]func(){"before": c.before, "after": c.after} {
+			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
+				t.Errorf("%s (%s): %v allocs per call, want 0", c.name, side, allocs)
+			}
+		}
+		lap := func(f func()) time.Duration {
+			start := time.Now()
+			for k := 0; k < c.calls; k++ {
+				f()
+			}
+			return time.Since(start) / time.Duration(c.calls)
+		}
+		ratio := 0.0
+		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
+			var tb, ta [21]time.Duration
+			for i := range tb {
+				tb[i], ta[i] = lap(c.before), lap(c.after)
+			}
+			slices.Sort(tb[:])
+			slices.Sort(ta[:])
+			before, after := tb[len(tb)/2], ta[len(ta)/2]
+			ratio = float64(before) / float64(after)
+			t.Logf("%s: before %v, after %v: %.2fx", c.name, before, after, ratio)
+		}
+		if ratio < c.floor {
+			t.Errorf("%s: only %.2fx, want ≥ %gx", c.name, ratio, c.floor)
+		}
+	}
+}
+
+// onBody returns f run under the named body.
+func onBody(avx2 bool, f func()) func() {
+	return func() { useAVX2 = avx2; f() }
+}
+
+// TestSiteStepKernelGuard keeps the row kernels worth having: one
+// site-step decomposition at d = 44 under the assembly bodies is at least
+// 1.35× the portable ones, and neither allocates.
 func TestSiteStepKernelGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
 	selectBody(t, true) // skips without AVX2; its cleanup undoes the switching below
 	step := newSiteStep(44)
-	for _, c := range []struct {
-		name  string
-		lap   func()
-		calls int
-		floor float64
-	}{
-		{"site step d=44", func() { step.run(t) }, 10, 1.35},
-		{"NormSqRows 64×44", normSqRowsLap(64, 44), 400, 2.5},
-	} {
-		for _, avx2 := range []bool{false, true} {
-			useAVX2 = avx2
-			if allocs := testing.AllocsPerRun(10, c.lap); allocs != 0 {
-				t.Errorf("%s (avx2=%v): %v allocs per call, want 0", c.name, avx2, allocs)
-			}
-		}
-		lap := func(avx2 bool) time.Duration {
-			useAVX2 = avx2
-			start := time.Now()
-			for k := 0; k < c.calls; k++ {
-				c.lap()
-			}
-			return time.Since(start) / time.Duration(c.calls)
-		}
-		ratio := 0.0
-		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
-			var tp, ta [21]time.Duration
-			for i := range tp {
-				tp[i], ta[i] = lap(false), lap(true)
-			}
-			slices.Sort(tp[:])
-			slices.Sort(ta[:])
-			portable, asm := tp[len(tp)/2], ta[len(ta)/2]
-			ratio = float64(portable) / float64(asm)
-			t.Logf("%s: portable %v, avx2 %v: %.2fx", c.name, portable, asm, ratio)
-		}
-		if ratio < c.floor {
-			t.Errorf("%s: avx2 body only %.2fx the portable one, want ≥ %gx", c.name, ratio, c.floor)
-		}
+	run := func() { step.run(t) }
+	holdGuard(t, guardCase{"site step d=44", onBody(false, run), onBody(true, run), 10, 1.35})
+}
+
+// TestReductionKernelGuard keeps the fused reduction sweeps and the
+// sixteen-row norms worth having: householder at d = 44 is at least 2×
+// oracleHouseholder, its per-row-call form, both on the assembly bodies;
+// the norms of a 64 × 44 frame are at least 2.5× the portable body; none
+// allocates.
+func TestReductionKernelGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock guard skipped in -short mode")
 	}
+	selectBody(t, true)
+	const n = 44
+	in, w, d, e := make([]float64, n*n), make([]float64, n*n), make([]float64, n), make([]float64, n)
+	transposeInto(in, rankFiveNoise(rand.New(rand.NewSource(23)), n).data, n, n)
+	reduce := func(f func(w []float64, n int, d, e []float64)) func() {
+		return func() { copy(w, in); f(w, n, d, e) }
+	}
+	norms := normSqRowsLap(64, n)
+	holdGuard(t,
+		guardCase{"reduction d=44", onBody(true, reduce(oracleHouseholder)), onBody(true, reduce(householder)), 40, 2},
+		guardCase{"NormSqRows 64×44", onBody(false, norms), onBody(true, norms), 400, 2.5})
 }

@@ -15,4 +15,10 @@ func axpy(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }
 func rot(x, y []float64, c, s float64) { rotGo(x, y, c, s) }
 
 //distlint:hotpath
-func subScaled2(w, x, y []float64, f, g float64) { subScaled2Go(w, x, y, f, g) }
+func sweepAxpy(w []float64, n int, d, e []float64) { sweepAxpyGo(w, n, d, e) }
+
+//distlint:hotpath
+func sweepDots(w []float64, n int, d, e []float64) { sweepDotsGo(w, n, d, e) }
+
+//distlint:hotpath
+func sweepRank2(w []float64, n, rows int, d, e []float64) { sweepRank2Go(w, n, rows, d, e) }

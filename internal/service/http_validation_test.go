@@ -109,6 +109,26 @@ func TestQueryPhiValidation(t *testing.T) {
 	}
 }
 
+// TestTinyEpsilonSpecIs400 pins a matrix spec whose ε sizes an FD sketch
+// past an int: PUT /trackers answers 400 naming the sketch size, creates
+// nothing, and the server keeps answering (the handler once panicked
+// inside sketch.NewFD and the client read EOF).
+func TestTinyEpsilonSpecIs400(t *testing.T) {
+	srv, client := newValidationServer(t)
+	for _, proto := range []string{"p1", "p2small"} {
+		code, doc := httpDo(t, client, http.MethodPut, srv.URL+"/trackers/tiny-"+proto,
+			service.Spec{Kind: service.KindMatrix, Protocol: proto, Sites: 2, Epsilon: 1e-300, Dim: 3})
+		mustStatus(t, code, http.StatusBadRequest, doc)
+		if msg, _ := doc["error"].(string); !strings.Contains(msg, "sketch rows") {
+			t.Errorf("%s: error %q does not name the sketch size", proto, msg)
+		}
+		code, doc = httpDo(t, client, http.MethodGet, srv.URL+"/trackers/tiny-"+proto, nil)
+		mustStatus(t, code, http.StatusNotFound, doc)
+		code, doc = httpDo(t, client, http.MethodGet, srv.URL+"/healthz", nil)
+		mustStatus(t, code, http.StatusOK, doc)
+	}
+}
+
 // newRowsServer hosts one d = 3 matrix tracker "gram", with a WAL when
 // durable is set.
 func newRowsServer(t *testing.T, durable bool) (*service.Manager, *httptest.Server) {

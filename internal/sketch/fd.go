@@ -19,10 +19,12 @@ import (
 //
 // The sketch is stored in its exact factored form: the eigenpairs (vals,
 // vecs) of BᵀB, so B = diag(√vals)·vecsᵀ. Incoming rows are buffered and
-// folded in with one O(d³) eigendecomposition per block of 2ℓ rows, the
-// blocked variant the FD paper (and Section 5.2 of the tracking paper)
-// describes: appending is an O(d) copy, the factorization amortizes to
-// O(dℓ) work per row, and the decomposition scratch is reused across
+// folded in with one O(d³) eigendecomposition of the d×d Gram per block of
+// 2ℓ rows, the blocked variant the FD paper (and Section 5.2 of the
+// tracking paper) describes: appending is an O(d) copy and the
+// factorization amortizes to O(d³/ℓ) work per row (the papers' O(dℓ)
+// needs a decomposition of the (ℓ+block)×d row matrix instead, which this
+// sketch does not run), and the decomposition scratch is reused across
 // blocks, so the steady-state append path allocates nothing. AppendRows
 // ingests whole batches and is exactly equivalent to appending its rows
 // one at a time (same buffer, same compression schedule, bit-identical

@@ -1,6 +1,7 @@
 package distmat
 
 import (
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -22,9 +23,12 @@ type ProtocolInfo struct {
 
 // matrixEntry pairs a protocol's metadata with its builder. Builders run
 // after Config validation, so they may assume valid parameters.
+// sketchRows, where set, is the size of the FD sketches the tracker keeps,
+// as a float64 before the builder converts it to an int.
 type matrixEntry struct {
-	info  ProtocolInfo
-	build func(Config) MatrixTracker
+	info       ProtocolInfo
+	build      func(Config) MatrixTracker
+	sketchRows func(Config) float64
 }
 
 // hhEntry is the heavy-hitters analogue of matrixEntry.
@@ -50,6 +54,7 @@ var matrixEntries = []matrixEntry{
 			}
 			return core.NewP1(c.Sites, c.Epsilon, c.Dim)
 		},
+		sketchRows: func(c Config) float64 { return core.P1SketchRows(c.Epsilon) },
 	},
 	{
 		info: ProtocolInfo{
@@ -81,6 +86,7 @@ var matrixEntries = []matrixEntry{
 			}
 			return core.NewP2SmallSpace(c.Sites, c.Epsilon, c.Dim)
 		},
+		sketchRows: func(c Config) float64 { return core.P2SmallSketchRows(c.Sites, c.Epsilon) },
 	},
 	{
 		info: ProtocolInfo{
@@ -125,6 +131,12 @@ var matrixEntries = []matrixEntry{
 			Communication: "N rows (ships everything)",
 		},
 		build: func(c Config) MatrixTracker { return core.NewNaiveFD(c.Sites, c.fdRank(), c.Dim) },
+		sketchRows: func(c Config) float64 {
+			if c.Rank > 0 {
+				return float64(c.Rank)
+			}
+			return 1 / c.Epsilon
+		},
 	},
 	{
 		info: ProtocolInfo{
@@ -309,6 +321,13 @@ func NewMatrixByName(name string, cfg Config) (MatrixTracker, error) {
 	}
 	if err := cfg.validateMatrix(); err != nil {
 		return nil, err
+	}
+	// Past MaxInt the conversion to an int wraps and the sketch constructor
+	// panics.
+	if e.sketchRows != nil {
+		if rows := e.sketchRows(cfg); !(rows < math.MaxInt) {
+			return nil, invalidConfigf("%s at m = %d, ε = %g needs %g sketch rows, more than an int holds", e.info.Name, cfg.Sites, cfg.Epsilon, rows)
+		}
 	}
 	if cfg.Shards > 1 {
 		return core.NewShardedTracker(cfg.Shards, func(shard int) core.Tracker {

@@ -188,6 +188,44 @@ func TestInvalidConfigsReturnError(t *testing.T) {
 	}
 }
 
+// TestSketchRowsPastIntRefused pins the refusal of an ε so small that a
+// tracker's FD sketch size does not fit an int: p1 (ℓ = ⌈2/ε⌉+1), p2small
+// (ℓ = ⌈4m/ε⌉, past an int already at ε = 1e-18 with m = 3) and the fd
+// baseline (ℓ = ⌈1/ε⌉) return ErrInvalidConfig, through the registry and
+// a session, where the conversion once wrapped to −2⁶³ and sketch.NewFD
+// panicked. Protocols without an ε-sized sketch still build, and so does
+// fd with its size set by Rank.
+func TestSketchRowsPastIntRefused(t *testing.T) {
+	for _, c := range []struct {
+		proto string
+		eps   float64
+	}{{"p1", 1e-300}, {"p2small", 1e-300}, {"p2small", 1e-18}, {"fd", 1e-300}} {
+		cfg := validMatrixConfig()
+		cfg.Epsilon = c.eps
+		if _, err := distmat.NewMatrixByName(c.proto, cfg); !errors.Is(err, distmat.ErrInvalidConfig) {
+			t.Errorf("%s at ε = %g: got %v, want ErrInvalidConfig", c.proto, c.eps, err)
+		}
+		_, err := distmat.NewMatrixSession(c.proto, distmat.WithSites(cfg.Sites), distmat.WithEpsilon(c.eps), distmat.WithDim(cfg.Dim))
+		if !errors.Is(err, distmat.ErrInvalidConfig) {
+			t.Errorf("%s session at ε = %g: got %v, want ErrInvalidConfig", c.proto, c.eps, err)
+		}
+	}
+	for _, proto := range []string{"p2", "p3", "svd"} {
+		cfg := validMatrixConfig()
+		cfg.Epsilon = 1e-300
+		tr, err := distmat.NewMatrixByName(proto, cfg)
+		if err != nil {
+			t.Fatalf("%s at ε = 1e-300: %v", proto, err)
+		}
+		tr.ProcessRows(0, [][]float64{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}})
+	}
+	cfg := validMatrixConfig()
+	cfg.Epsilon, cfg.Rank = 1e-300, 4
+	if _, err := distmat.NewMatrixByName("fd", cfg); err != nil {
+		t.Fatalf("fd with Rank 4 at ε = 1e-300: %v", err)
+	}
+}
+
 // TestOptionsMatchConfigFields asserts the functional options and the
 // struct-literal path build identical configurations.
 func TestOptionsMatchConfigFields(t *testing.T) {

@@ -1,6 +1,7 @@
 package distmat_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -158,5 +159,8 @@ func TestRankKError(t *testing.T) {
 	}
 	if e > 1e-3 || math.IsNaN(e) {
 		t.Fatalf("rank-30 error %v on low-rank data", e)
+	}
+	if _, err := distmat.RankKError(sv.Gram(), -1); !errors.Is(err, distmat.ErrInvalidConfig) {
+		t.Fatalf("rank −1: err = %v, want ErrInvalidConfig", err)
 	}
 }

@@ -16,11 +16,11 @@ import (
 // as P2 ships early, which by the paper's argument sends at most twice as
 // often as the exact protocol and never violates the (ε/m)·F̂ requirement,
 // preserving Theorem 4's guarantee. The paper bounds a site's space at
-// O(m/ε) rows; this implementation does not reach that bound yet: each
-// site's two FD sketches keep d×d state each (the eigenvector matrix and
-// factorization workspace, or the Gram when ℓ ≥ d), and the difference
-// Gram is built in a d×d scratch the sites share, so a site holds O(d²)
-// floats, as P2's Gram does.
+// O(m/ε) rows. A site here holds its two FD sketches: ℓ×d rows each (plus
+// a buffer of 2ℓ rows) when ℓ = ⌈4m/ε⌉ < d, and a d×d Gram each in the
+// sketches' exact mode, which the paper's shapes reach (ℓ = 400 at m = 10,
+// ε = 0.1). The difference Gram each decomposition reads is built in a d×d
+// scratch that all the sites share.
 //
 // It is the P2 simulator over fdPair sites at ship fraction 3/8: the site
 // step, both ingest modes and the query surface are P2's.

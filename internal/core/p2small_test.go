@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/metrics"
@@ -49,6 +51,43 @@ func TestP2SmallSpaceOnHighRank(t *testing.T) {
 	p := NewP2SmallSpace(m, eps, 90)
 	if got := covErr(t, p, rows, m); got > eps {
 		t.Fatalf("P2small err %v exceeds ε=%v on high-rank data", got, eps)
+	}
+}
+
+// TestP2SmallSpaceHeapBelowP2 holds §5.2's reason for the variant: a site
+// keeps two FD sketches of ℓ rows, not a d×d Gram. At m = 2, ε = 0.5
+// (ℓ = 16) and d = 512, over 600 rows in 50-row blocks in fast mode,
+// P2SmallSpace's heap grows less than P2's; with d×d state in each sketch
+// it grew 2.8× as much.
+func TestP2SmallSpaceHeapBelowP2(t *testing.T) {
+	const m, eps, d = 2, 0.5, 512
+	rng := rand.New(rand.NewSource(12))
+	rows := make([][]float64, 600)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64()
+		}
+	}
+	growth := func(build func() Tracker) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := build()
+		for i := 0; i < len(rows); i += 50 {
+			tr.ProcessRows(i/50%m, rows[i:i+50])
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tr)
+		runtime.KeepAlive(rows)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	small := growth(func() Tracker { return NewP2SmallSpaceFast(m, eps, d) })
+	plain := growth(func() Tracker { return NewP2Fast(m, eps, d) })
+	t.Logf("heap growth: P2SmallSpace %.1f MB, P2 %.1f MB", float64(small)/1e6, float64(plain)/1e6)
+	if small >= plain {
+		t.Fatalf("P2SmallSpace grew %.1f MB, P2 %.1f MB: want less", float64(small)/1e6, float64(plain)/1e6)
 	}
 }
 

@@ -1,6 +1,9 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Blocked linear algebra for the batch ingest paths. The tracking protocols
 // historically paid one rank-1 AddOuter (O(d²), bounds-checked, one row at a
@@ -138,30 +141,38 @@ func gramRowGo(rows [][]float64, flat []float64, n, d, j int, out []float64) {
 	}
 }
 
-// ReconstructIntoWork is ReconstructInto with caller-provided column
-// scratch (length ≥ v.rows), so the per-block factorization loops rebuild
-// their Gram without allocating.
+// GramInto overwrites dst with XᵀX, the Gram of x's rows, through
+// AddDenseBlock, and returns it. dst takes x's column count as its
+// dimension, reusing its storage when that is large enough; a nil or short
+// dst is replaced.
 //
 //distlint:hotpath
-func ReconstructIntoWork(dst *Sym, v *Dense, vals, col []float64) {
-	if len(vals) > v.cols {
-		panic(fmt.Sprintf("matrix: %d eigenvalues for %d eigenvectors", len(vals), v.cols))
+func GramInto(dst *Sym, x *Dense) *Sym {
+	n := x.cols
+	if dst == nil || cap(dst.data) < n*n {
+		dst = NewSym(n) //distlint:alloc-ok first call, or a wider x than any before
+	} else {
+		dst.n, dst.data = n, dst.data[:n*n]
+		dst.Reset()
 	}
-	if dst.n != v.rows {
-		panic(fmt.Sprintf("matrix: reconstruct %d-dim eigenvectors into %d×%d", v.rows, dst.n, dst.n))
+	dst.AddDenseBlock(x)
+	return dst
+}
+
+// AppendCombination appends the row Σᵢ c[i]·x.Row(i) to m, one coefficient
+// per row of x, summed in row order through the axpy kernel.
+func (m *Dense) AppendCombination(x *Dense, c []float64) {
+	if len(c) != x.rows || x.cols != m.cols {
+		panic(fmt.Sprintf("matrix: combination of %d coefficients over %d×%d into %d columns", len(c), x.rows, x.cols, m.cols))
 	}
-	if len(col) < v.rows {
-		panic(fmt.Sprintf("matrix: reconstruct scratch of length %d, want ≥ %d", len(col), v.rows))
-	}
-	col = col[:v.rows]
-	dst.Reset()
-	for k, lam := range vals {
-		if lam == 0 {
-			continue
+	n := len(m.data)
+	m.data = slices.Grow(m.data, m.cols)[:n+m.cols]
+	out := m.data[n:]
+	clear(out)
+	for i, ci := range c {
+		if ci != 0 {
+			axpy(ci, x.data[i*x.cols:(i+1)*x.cols], out)
 		}
-		for i := range col {
-			col[i] = v.data[i*v.cols+k]
-		}
-		dst.AddOuter(lam, col)
 	}
+	m.rows++
 }

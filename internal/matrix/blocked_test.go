@@ -80,6 +80,59 @@ func TestAddDenseBlockMatchesAddBlock(t *testing.T) {
 	}
 }
 
+// TestGramIntoReusesStorage pins GramInto to AddDenseBlock on a fresh Sym,
+// for a wide block and then, in the same storage, the Gram of its
+// transpose; and AppendCombination to the row-order sum of axpyGo's
+// products.
+func TestGramIntoReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, d = 9, 21
+	x := FromRows(randBlock(rng, n, d))
+	want := NewSym(d)
+	want.AddDenseBlock(x)
+	g := GramInto(nil, x)
+	if diff := maxSymDiff(want, g); diff != 0 {
+		t.Fatalf("GramInto(XᵀX) differs from AddDenseBlock by %g", diff)
+	}
+
+	xt := TransposeInto(nil, x)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			if xt.At(j, i) != x.At(i, j) {
+				t.Fatalf("TransposeInto: (%d,%d) = %v, want %v", j, i, xt.At(j, i), x.At(i, j))
+			}
+		}
+	}
+	first := &g.data[0]
+	g = GramInto(g, xt)
+	want = NewSym(n)
+	want.AddDenseBlock(xt)
+	if g.Dim() != n || &g.data[0] != first {
+		t.Fatalf("GramInto(XXᵀ): dimension %d (want %d), storage reused %v", g.Dim(), n, &g.data[0] == first)
+	}
+	if diff := maxSymDiff(want, g); diff != 0 {
+		t.Fatalf("GramInto(XXᵀ) differs from AddDenseBlock by %g", diff)
+	}
+
+	c := make([]float64, n)
+	for i := range c {
+		c[i] = rng.NormFloat64()
+	}
+	c[3] = 0
+	out := NewDense(0, d)
+	out.AppendCombination(x, c)
+	out.AppendCombination(x, c)
+	for k := 0; k < d; k++ {
+		var sum float64
+		for i, ci := range c {
+			sum += float64(ci * x.At(i, k))
+		}
+		if out.At(0, k) != sum || out.At(1, k) != sum {
+			t.Fatalf("AppendCombination column %d: %v, %v, want %v", k, out.At(0, k), out.At(1, k), sum)
+		}
+	}
+}
+
 func maxSymDiff(a, b *Sym) float64 {
 	d := a.Clone()
 	d.SubSym(b)
@@ -101,25 +154,5 @@ func TestNormSqRows(t *testing.T) {
 	again := NormSqRows(rows[:5], dst)
 	if &again[0] != &dst[0] {
 		t.Fatal("NormSqRows reallocated a sufficient scratch")
-	}
-}
-
-// TestReconstructIntoWork pins the scratch variant to ReconstructInto.
-func TestReconstructIntoWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const d = 7
-	g := NewSym(d)
-	for _, row := range randBlock(rng, 12, d) {
-		g.AddOuter(1, row)
-	}
-	vals, vecs, err := EigSym(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Reconstruct(vecs, vals)
-	got := NewSym(d)
-	ReconstructIntoWork(got, vecs, vals, make([]float64, d))
-	if diff := maxSymDiff(want, got); diff != 0 {
-		t.Fatalf("ReconstructIntoWork differs by %g", diff)
 	}
 }

@@ -7,7 +7,9 @@
 // large enough to overflow inside the reduction, which Jacobi still
 // decomposes — TestJacobiFallbackReachable). Its eigenpairs are the right
 // singular vectors and squared singular values of A: Algorithm 5.3's site
-// step and the P1, P2small and FD shrinks all factor A this way.
+// step factors A this way, and the FD shrink (P1, P2small, the FD
+// baseline) factors the smaller of AᵀA and AAᵀ, whose eigenvectors uᵢ give
+// the rows uᵢᵀA.
 //
 // The O(d²) and O(d³) loops of that path — the blocked Gram update, row
 // norms, the rank-1 update, tql2's plane rotation and tred2's similarity
@@ -100,12 +102,12 @@ func (m *Dense) AppendRow(row []float64) {
 	m.rows++
 }
 
-// CopyFrom overwrites m with the contents of b. Dimensions must match.
-func (m *Dense) CopyFrom(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("matrix: copy %d×%d into %d×%d", b.rows, b.cols, m.rows, m.cols))
-	}
-	copy(m.data, b.data)
+// TransposeInto overwrites dst with xᵀ and returns it, reusing dst's
+// storage when it is large enough; a nil or short dst is replaced.
+func TransposeInto(dst, x *Dense) *Dense {
+	dst = reuseDense(dst, x.cols, x.rows, false)
+	transposeInto(dst.data, x.data, x.rows, x.cols)
+	return dst
 }
 
 // Reset truncates the matrix to 0 rows, keeping the column count and

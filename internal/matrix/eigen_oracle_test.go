@@ -438,10 +438,20 @@ func fuzzSym(dim uint8, asym bool, data []byte) *Sym {
 // JacobiEigSym decomposes it (TestJacobiFallbackReachable).
 var overflowSeed = []byte("01000000000000000000000x")
 
+// shiftOverflowSeed is a finite fuzz input (dimension 150 mod 49 = 3,
+// entries 12 336.19, 9.0e-308 and 1.4e-76) that QL fails with no large
+// entry at all: at l = 0, d[0] = 0 and e[0] = 9e-308 is not below
+// eps·tst1, so tql2's shift (d[1] − g)/(2e[0]) overflows to Inf and the
+// iteration turns to NaN. The row-major oracle fails it too.
+var shiftOverflowSeed = []byte("100000000000000\x0000000000")
+
 // FuzzEigSymEquivalence is the same comparison over fuzzed dimensions and
-// bit patterns (see fuzzSym). It also pins when EigSymWork may fail at all:
-// never on a finite matrix whose entries stay below 1e150, where no sum of
-// squares can overflow.
+// bit patterns (see fuzzSym), failures included: EigSymWork fails a matrix
+// only where the oracle fails it too. It also pins what the production
+// callers' fallback rests on: where EigSymWork fails a finite matrix —
+// squares overflowing inside tred2 (overflowSeed), or tql2's shift
+// overflowing on a tiny subdiagonal (shiftOverflowSeed) — JacobiEigSym
+// decomposes it with finite eigenvalues.
 func FuzzEigSymEquivalence(f *testing.F) {
 	seed := make([]byte, 8*97)
 	rng := rand.New(rand.NewSource(22))
@@ -454,6 +464,7 @@ func FuzzEigSymEquivalence(f *testing.F) {
 	f.Add(uint8(3), false, []byte{0, 0, 0, 0, 0, 0, 0, 0})                                     // exact zero
 	f.Add(uint8(2), false, []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) // NaN, +Inf
 	f.Add(uint8(7), false, overflowSeed)                                                       // finite, overflows to NaN inside tred2: the oracle's index panic
+	f.Add(uint8(150), true, shiftOverflowSeed)                                                 // finite, tql2's shift overflows
 	ws := NewEigWorkspace()
 	f.Fuzz(func(t *testing.T, dim uint8, asym bool, data []byte) {
 		s := fuzzSym(dim, asym, data)
@@ -461,31 +472,43 @@ func FuzzEigSymEquivalence(f *testing.F) {
 			return
 		}
 		diffEigSym(t, "fuzz", s, ws)
-		moderate := !slices.ContainsFunc(s.data, func(x float64) bool { return !(math.Abs(x) < 1e150) })
-		if _, _, err := EigSymWork(s, ws); err != nil && moderate {
-			t.Fatalf("n=%d: EigSymWork failed on a finite matrix with entries below 1e150: %v", s.n, err)
+		if _, _, err := EigSymWork(s, ws); err == nil || slices.ContainsFunc(s.data, notFinite) {
+			return
+		}
+		vals, _, err := JacobiEigSym(s)
+		if err != nil || slices.ContainsFunc(vals, notFinite) {
+			t.Fatalf("n=%d: EigSymWork failed a finite matrix and JacobiEigSym gave %v, err %v", s.n, vals, err)
 		}
 	})
 }
 
+// notFinite reports a NaN or ±Inf.
+func notFinite(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
+
 // TestJacobiFallbackReachable pins why the production eigensolver callers
 // (P2Site's EigAbove, which P2SmallSpace's sites run too, and sketch.FD's
-// EigSymWork) still fall back to JacobiEigSym: a finite Gram large enough
-// to overflow inside tred2 fails QL, and Jacobi decomposes it.
+// EigSymWork) still fall back to JacobiEigSym: QL fails a finite Gram
+// large enough to overflow inside tred2 (overflowSeed), and a small one
+// whose tiny subdiagonal overflows tql2's shift (shiftOverflowSeed), and
+// Jacobi decomposes both.
 func TestJacobiFallbackReachable(t *testing.T) {
-	s := fuzzSym(7, false, overflowSeed)
-	if slices.ContainsFunc(s.data, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
-		t.Fatal("overflowSeed is no longer finite")
-	}
-	if _, _, err := EigSymWork(s, nil); !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("EigSymWork on the overflowing finite matrix: err = %v, want ErrNoConvergence", err)
-	}
-	vals, _, err := JacobiEigSym(s)
-	if err != nil {
-		t.Fatalf("JacobiEigSym on the overflowing finite matrix: %v", err)
-	}
-	if slices.ContainsFunc(vals, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
-		t.Fatalf("JacobiEigSym eigenvalues not finite: %v", vals)
+	for _, c := range []struct {
+		name string
+		dim  uint8
+		asym bool
+		seed []byte
+	}{{"overflowSeed", 7, false, overflowSeed}, {"shiftOverflowSeed", 150, true, shiftOverflowSeed}} {
+		s := fuzzSym(c.dim, c.asym, c.seed)
+		if slices.ContainsFunc(s.data, notFinite) {
+			t.Fatalf("%s is no longer finite", c.name)
+		}
+		if _, _, err := EigSymWork(s, nil); !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("EigSymWork on %s: err = %v, want ErrNoConvergence", c.name, err)
+		}
+		vals, _, err := JacobiEigSym(s)
+		if err != nil || slices.ContainsFunc(vals, notFinite) {
+			t.Fatalf("JacobiEigSym on %s: %v, err %v", c.name, vals, err)
+		}
 	}
 }
 

@@ -130,8 +130,8 @@ func FuzzGramRowEquivalence(f *testing.F) {
 // TestBlockedKernelsBothBodies reruns the kernel-backed tests under each
 // body by name, whichever one init chose: the blocked Gram update (against
 // the packed oracle too, from an asymmetric start as well), the block row
-// norms, the rank-1 update and the Gram rebuild, and the eigensolver
-// against its oracle.
+// norms, the rank-1 update, GramInto and AppendCombination, and the
+// eigensolver against its oracle.
 func TestBlockedKernelsBothBodies(t *testing.T) {
 	for _, body := range kernelBodies {
 		t.Run(body.name, func(t *testing.T) {
@@ -142,7 +142,7 @@ func TestBlockedKernelsBothBodies(t *testing.T) {
 			t.Run("AsymmetricStart", TestAddBlockAsymmetricStart)
 			t.Run("NormSqRows", TestNormSqRows)
 			t.Run("AddOuter", TestSymAddOuter)
-			t.Run("ReconstructIntoWork", TestReconstructIntoWork)
+			t.Run("GramInto", TestGramIntoReusesStorage)
 			t.Run("EigSym", TestEigSymBitIdentical)
 		})
 	}

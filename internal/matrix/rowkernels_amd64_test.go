@@ -179,10 +179,9 @@ func FuzzRowKernelsEquivalence(f *testing.F) {
 }
 
 // siteStep is one full-spectrum decomposition on a site-shaped Gram, as the
-// P2 site step ran it before it decomposed only what ships (EigAbove) and
-// as sketch.FD's shrink still does: EigSymWork on a warm workspace, the five
-// largest eigenvalues zeroed, and ReconstructIntoWork rebuilding the Gram
-// from the rest into dst.
+// P2 site step ran it before it decomposed only what ships (EigAbove):
+// EigSymWork on a warm workspace, the five largest eigenvalues zeroed, and
+// ReconstructIntoWork rebuilding the Gram from the rest into dst.
 type siteStep struct {
 	g, dst *Sym
 	ws     *EigWorkspace

@@ -12,8 +12,8 @@ import (
 // usable; construct with NewSym.
 //
 // Its triangles can disagree in the last ulp: AddOuter with w ≠ 1 rounds (i,j)
-// and (j,i) apart, as in every ReconstructIntoWork (after an FD shrink) and
-// every P2 ship's downdate. AddBlock overwrites the lower one with the upper.
+// and (j,i) apart, as in every P2 ship's downdate. AddBlock overwrites the
+// lower one with the upper.
 type Sym struct {
 	n    int
 	data []float64 // row-major, full storage; see the type comment on symmetry
@@ -183,20 +183,4 @@ func Gram(a *Dense) *Sym {
 		g.AddOuter(1, a.Row(i))
 	}
 	return g
-}
-
-// Reconstruct returns the symmetric matrix V·diag(vals)·Vᵀ where the columns
-// of V are eigenvectors. Only the first len(vals) columns of V are used.
-func Reconstruct(v *Dense, vals []float64) *Sym {
-	s := NewSym(v.rows)
-	ReconstructInto(s, v, vals)
-	return s
-}
-
-// ReconstructInto overwrites dst with V·diag(vals)·Vᵀ, reusing dst's
-// storage; it is Reconstruct for the blocked factorization loops that
-// rebuild a Gram of fixed dimension every block. dst must be v.rows ×
-// v.rows.
-func ReconstructInto(dst *Sym, v *Dense, vals []float64) {
-	ReconstructIntoWork(dst, v, vals, make([]float64, v.rows))
 }

@@ -8,6 +8,32 @@ import (
 	"testing/quick"
 )
 
+// Reconstruct returns V·diag(vals)·Vᵀ for the first len(vals) columns of V:
+// the eigendecomposition tests rebuild their input with it.
+func Reconstruct(v *Dense, vals []float64) *Sym {
+	s := NewSym(v.rows)
+	ReconstructIntoWork(s, v, vals, make([]float64, v.rows))
+	return s
+}
+
+// ReconstructIntoWork overwrites dst with V·diag(vals)·Vᵀ, one AddOuter per
+// nonzero value through col (length ≥ v.rows): the rebuild that followed
+// every full decomposition before the P2 ship step ran EigAbove and FD
+// kept its rows, which the kernel guards time as their baseline.
+func ReconstructIntoWork(dst *Sym, v *Dense, vals, col []float64) {
+	col = col[:v.rows]
+	dst.Reset()
+	for k, lam := range vals {
+		if lam == 0 {
+			continue
+		}
+		for i := range col {
+			col[i] = v.data[i*v.cols+k]
+		}
+		dst.AddOuter(lam, col)
+	}
+}
+
 func TestSymSetAt(t *testing.T) {
 	s := NewSym(3)
 	s.Set(0, 2, 5)

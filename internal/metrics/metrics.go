@@ -79,8 +79,12 @@ func CovarianceError(gramA, gramB *matrix.Sym) (float64, error) {
 }
 
 // RankKError returns ‖AᵀA − (A_k)ᵀ(A_k)‖₂ / ‖A‖²_F, the best-possible
-// rank-k error (the SVD row of Table 1): it equals σ²_{k+1} / ‖A‖²_F.
+// rank-k error (the SVD row of Table 1): it equals σ²_{k+1} / ‖A‖²_F. A
+// negative k is an error.
 func RankKError(gramA *matrix.Sym, k int) (float64, error) {
+	if k < 0 {
+		return 0, fmt.Errorf("metrics: negative rank k = %d", k)
+	}
 	fro := gramA.Trace()
 	if fro <= 0 {
 		return 0, fmt.Errorf("metrics: empty matrix")

@@ -110,6 +110,10 @@ func TestRankKError(t *testing.T) {
 	if err != nil || e != 0 {
 		t.Fatalf("e=%v err=%v", e, err)
 	}
+	// k < 0 is refused, not an index past the spectrum.
+	if _, err := RankKError(g, -1); err == nil {
+		t.Fatal("k = −1: want an error")
+	}
 }
 
 func TestRankKErrorEmpty(t *testing.T) {

@@ -172,7 +172,7 @@ func ulpAsymmetric(g *matrix.Sym) *matrix.Sym {
 // 1e±12 (entries under 1e-6 and from 1e21 up take the 'e' format). The
 // mirror copy is then held to "selected by
 // nothing but the input": on a Gram that is asymmetric in the last ulp it
-// must not fire, neither on a p1 tracker's own (AddOuter with w ≠ 1) nor on
+// must not fire, neither on a p3 tracker's own (AddOuter with w ≠ 1) nor on
 // a restored SymFromRaw one. The item trackers' answers are held to their
 // oracles the same way (itemResponseBytes).
 func TestQueryResponseBytes(t *testing.T) {
@@ -207,16 +207,16 @@ func TestQueryResponseBytes(t *testing.T) {
 		}
 	}
 
-	t.Run("p1-asymmetric", func(t *testing.T) {
+	t.Run("p3-asymmetric", func(t *testing.T) {
 		spec := benchSpec(0)
-		spec.Protocol, spec.Fast = "p1", false
+		spec.Protocol, spec.Fast = "p3", false
 		mgr, tr := newQueryTracker(t, spec, pamapRows(600, 0))
 		snap, err := tr.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if symmetricBits(snap.Gram) {
-			t.Fatal("a p1 Gram is symmetric to the bit: this case no longer tests the mirror check")
+			t.Fatal("a p3 Gram is symmetric to the bit: this case no longer tests the mirror check")
 		}
 		srv := httptest.NewServer(mgr.Handler())
 		defer srv.Close()

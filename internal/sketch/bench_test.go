@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -32,6 +33,25 @@ func BenchmarkFDAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fd.Append(rows[i%len(rows)])
+	}
+}
+
+// BenchmarkFDAppendRows measures the per-row cost of AppendRows in the
+// shrinking regime on N(0,1) rows, fed in 64-row batches: P1's shape at
+// ε = 0.1 (ℓ = 21, d = 44, where a compression decomposes the d×d MᵀM),
+// TestBlockedFDSpeedupGuard's ℓ = 12, d = 48 and ℓ = 16 at d = 64…512
+// (ℓ + block < d: the m×m MMᵀ).
+func BenchmarkFDAppendRows(b *testing.B) {
+	for _, c := range []struct{ ell, d int }{{21, 44}, {12, 48}, {16, 64}, {16, 128}, {16, 256}, {16, 512}} {
+		b.Run(fmt.Sprintf("l=%d/d=%d", c.ell, c.d), func(b *testing.B) {
+			rows := denseRows(randRows(rand.New(rand.NewSource(8)), 4096, c.d))
+			fd := NewFD(c.ell, c.d)
+			b.ResetTimer()
+			for n := 0; n < b.N; n += 64 {
+				i := n % len(rows)
+				fd.AppendRows(rows[i : i+min(64, b.N-n)])
+			}
+		})
 	}
 }
 

@@ -17,19 +17,20 @@ import (
 // largest squared singular value whenever the rank exceeds ℓ, which gives
 // the 1/(ℓ+1) bound; Liberty's original analysis gives 2/ℓ).
 //
-// The sketch is stored in its exact factored form: the eigenpairs (vals,
-// vecs) of BᵀB, so B = diag(√vals)·vecsᵀ. Incoming rows are buffered and
-// folded in with one O(d³) eigendecomposition of the d×d Gram per block of
-// 2ℓ rows, the blocked variant the FD paper (and Section 5.2 of the
-// tracking paper) describes: appending is an O(d) copy and the
-// factorization amortizes to O(d³/ℓ) work per row (the papers' O(dℓ)
-// needs a decomposition of the (ℓ+block)×d row matrix instead, which this
-// sketch does not run), and the decomposition scratch is reused across
-// blocks, so the steady-state append path allocates nothing. AppendRows
-// ingests whole batches and is exactly equivalent to appending its rows
-// one at a time (same buffer, same compression schedule, bit-identical
-// state); NewFDBuffered exposes the block size, with block 1 reproducing
-// the unblocked one-factorization-per-row baseline the benchmarks compare
+// The sketch is stored as B's rows, followed by the raw rows buffered since
+// the last compression. A full buffer (2ℓ rows by default) is folded in by
+// one compression of the stacked m×d matrix M = [B; buffer], the blocked
+// variant the FD paper (and Section 5.2 of the tracking paper) describes:
+// it decomposes the smaller Gram of M — the m×m MMᵀ when m < d, whose
+// eigenpairs (λᵢ, uᵢ) give the new rows √((λᵢ−δ)/λᵢ)·uᵢᵀM, else the d×d MᵀM,
+// whose eigenpairs (λᵢ, vᵢ) give √(λᵢ−δ)·vᵢᵀ. Appending is an O(d) copy,
+// and with ℓ + block < d the compression amortizes to O(dℓ + ℓ²) work a
+// row (O(d³/ℓ) otherwise); its scratch is reused across blocks, so the
+// steady-state append path allocates nothing. AppendRows ingests whole
+// batches and is exactly equivalent to appending its rows one at a time
+// (same buffer, same compression schedule, bit-identical state);
+// NewFDBuffered exposes the block size, with block 1 reproducing the
+// unblocked one-compression-per-row baseline the benchmarks compare
 // against.
 //
 // When ℓ ≥ d the sketch can never overflow (rank(B) ≤ d ≤ ℓ), so it runs in
@@ -39,18 +40,16 @@ import (
 // FD sketches are mergeable: Merge(other) never increases the summed error
 // bound (Agarwal et al., PODS 2012).
 type FD struct {
-	ell int // sketch size: max rows of the materialized B
+	ell int // sketch size: max rows of B
 	d   int // row dimension
 
 	// Exact mode (ℓ ≥ d): the Gram matrix alone carries the sketch.
 	exact bool
 	gram  *matrix.Sym
 
-	// Sketch mode (ℓ < d): eigenpairs of BᵀB plus a row buffer. vecs is a
-	// d×d matrix of which only the first len(vals) columns are meaningful.
-	vals []float64
-	vecs *matrix.Dense
-	buf  *matrix.Dense // raw buffered rows not yet folded in
+	// Sketch mode (ℓ < d): M = [B; buffer], B being the first nb rows.
+	rows *matrix.Dense
+	nb   int
 
 	bufCap   int
 	appended int     // rows appended since Reset (bounds rank)
@@ -58,10 +57,14 @@ type FD struct {
 	deducted float64 // cumulative shrink deduction: the error witness
 	shrinks  int64   // number of shrink deductions applied
 
-	// Reusable per-sketch factorization scratch (lazily allocated).
-	scratch *matrix.Sym
-	eigWS   *matrix.EigWorkspace
-	col     []float64 // eigenvector column staging for reconstructions
+	// Reusable compression scratch (lazily allocated): Mᵀ, the Gram
+	// decomposed, its workspace, one eigenvector scaled, and the new rows
+	// before they replace M.
+	t     *matrix.Dense
+	g     *matrix.Sym
+	eigWS *matrix.EigWorkspace
+	coef  []float64
+	next  *matrix.Dense
 }
 
 // NewFD returns a Frequent Directions sketch with ℓ rows for d-dimensional
@@ -76,10 +79,10 @@ func NewFD(ell, d int) *FD {
 }
 
 // NewFDBuffered returns an FD sketch whose ingest buffer holds block rows:
-// one factorize-and-shrink pass runs per block, so larger blocks amortize
-// the O(d³) decomposition over more rows at the cost of a block×d row
-// buffer. block ≥ 1; block 1 is the unblocked row-at-a-time baseline (one
-// factorization per row once the sketch saturates). The block size changes
+// one compression runs per block, so larger blocks amortize the
+// decomposition over more rows at the cost of a block×d row buffer.
+// block ≥ 1; block 1 is the unblocked row-at-a-time baseline (one
+// compression per row once the sketch saturates). The block size changes
 // the shrink schedule — and therefore the exact sketch values — but never
 // the Deducted() ≤ ‖A‖²_F/(ℓ+1) guarantee.
 func NewFDBuffered(ell, d, block int) *FD {
@@ -95,8 +98,8 @@ func NewFDBuffered(ell, d, block int) *FD {
 		f.gram = matrix.NewSym(d)
 		return f
 	}
-	f.vecs = matrix.NewDense(d, d)
-	f.buf = matrix.NewDense(0, d)
+	f.rows = matrix.NewDense(0, d)
+	f.next = matrix.NewDense(0, d)
 	return f
 }
 
@@ -116,8 +119,8 @@ func (f *FD) Append(row []float64) {
 		f.gram.AddOuter(1, row)
 		return
 	}
-	f.buf.AppendRow(row)
-	if f.buf.Rows() >= f.bufCap {
+	f.rows.AppendRow(row)
+	if f.rows.Rows()-f.nb >= f.bufCap {
 		f.compress()
 	}
 }
@@ -145,57 +148,101 @@ func (f *FD) AppendRows(rows [][]float64) {
 		return
 	}
 	for i := 0; i < len(rows); {
-		take := f.bufCap - f.buf.Rows()
-		if take > len(rows)-i {
-			take = len(rows) - i
-		}
+		take := min(f.bufCap-(f.rows.Rows()-f.nb), len(rows)-i)
 		for _, row := range rows[i : i+take] {
 			f.total += matrix.NormSq(row)
-			f.buf.AppendRow(row)
+			f.rows.AppendRow(row)
 		}
 		f.appended += take
 		i += take
-		if f.buf.Rows() >= f.bufCap {
+		if f.rows.Rows()-f.nb >= f.bufCap {
 			f.compress()
 		}
 	}
 }
 
-// compress folds the buffer into the factored sketch and shrinks back to at
-// most ℓ retained directions if the combined rank exceeds ℓ. The Gram
-// accumulator and eigendecomposition scratch are per-sketch and reused, so
-// steady-state compression allocates nothing.
+// compress folds the buffer into B: M = [B; buffer] becomes at most ℓ rows
+// whose Gram is MᵀM less the shrink, through the eigenpairs of the smaller
+// of MMᵀ and MᵀM. M of at most ℓ rows is kept as it stands (its rank is at
+// most ℓ, so there is nothing to shrink).
 //
 //distlint:hotpath
 func (f *FD) compress() {
-	if f.exact || f.buf.Rows() == 0 {
+	if f.exact || f.rows.Rows() == f.nb {
 		return
 	}
-	if f.scratch == nil {
-		f.scratch = matrix.NewSym(f.d)
+	m := f.rows.Rows()
+	if m <= f.ell {
+		f.nb = m
+		return
 	}
-	matrix.ReconstructIntoWork(f.scratch, f.vecs, f.vals, f.colScratch())
-	f.scratch.AddDenseBlock(f.buf)
-	f.buf.Reset()
-	f.factorAndShrink(f.scratch)
+	small := m < f.d
+	if small {
+		f.t = matrix.TransposeInto(f.t, f.rows)
+		f.g = matrix.GramInto(f.g, f.t)
+	} else {
+		f.g = matrix.GramInto(f.g, f.rows)
+	}
+	vals, V := f.eig(f.g)
+	delta, keep := f.shrink(vals)
+	if cap(f.coef) < len(vals) {
+		f.coef = make([]float64, len(vals)) //distlint:alloc-ok grows to the widest Gram once, reused ever after
+	}
+	coef := f.coef[:len(vals)]
+	f.next.Reset()
+	for k, lam := range vals[:keep] {
+		s := math.Sqrt(lam - delta)
+		if small {
+			s = math.Sqrt((lam - delta) / lam) // ‖uₖᵀM‖ = √λₖ
+		}
+		for j := range coef {
+			coef[j] = float64(s * V.At(j, k))
+		}
+		if small {
+			f.next.AppendCombination(f.rows, coef)
+		} else {
+			f.next.AppendRow(coef)
+		}
+	}
+	f.rows.Reset()
+	for i := 0; i < keep; i++ {
+		f.rows.AppendRow(f.next.Row(i))
+	}
+	f.nb = keep
 }
 
-// colScratch returns the reusable length-d staging buffer for eigenvector
-// columns.
-//
-//distlint:hotpath
-func (f *FD) colScratch() []float64 {
-	if f.col == nil {
-		f.col = make([]float64, f.d) //distlint:alloc-ok one-time lazy init, reused ever after
+// shrink applies the FD shrink to vals, the descending eigenvalues of M's
+// Gram (roundoff negatives clamped to 0): if more than ℓ are positive, δ
+// is the (ℓ+1)-th largest and joins the error witness — the top ℓ
+// directions each lose exactly δ and everything beyond them vanishes, so
+// the result fits in ℓ rows and each shrink removes ≥ (ℓ+1)·δ of trace.
+// It returns δ (0 with no shrink) and the number of directions left above
+// it.
+func (f *FD) shrink(vals []float64) (delta float64, keep int) {
+	rank := 0
+	for i, v := range vals {
+		if v < 0 {
+			vals[i] = 0
+		} else if v > 0 {
+			rank++
+		}
 	}
-	return f.col
+	if rank > f.ell {
+		delta = vals[f.ell]
+		f.deducted += delta
+		f.shrinks++
+	}
+	for keep < len(vals) && vals[keep] > delta {
+		keep++
+	}
+	return delta, keep
 }
 
-// AccumulateGram folds w times the sketch's Gram matrix BᵀB — factored
-// directions plus any buffered rows, without flushing — into dst, using only
-// per-sketch scratch: the allocation- and factorization-free merge the fast
-// protocol paths use in place of Gram() + AddSym. w = −1 subtracts, which
-// the P2 small-space variant uses for its implicit sketch difference.
+// AccumulateGram folds w times the sketch's Gram matrix BᵀB — buffered rows
+// included, without flushing — into dst, allocating nothing and factoring
+// nothing: the merge the fast protocol paths use in place of Gram() +
+// AddSym. w = −1 subtracts, which the P2 small-space variant uses for its
+// implicit sketch difference.
 //
 //distlint:hotpath
 func (f *FD) AccumulateGram(dst *matrix.Sym, w float64) {
@@ -203,53 +250,45 @@ func (f *FD) AccumulateGram(dst *matrix.Sym, w float64) {
 		dst.AddScaledSym(w, f.gram)
 		return
 	}
-	col := f.colScratch()
-	for k, lam := range f.vals {
-		if lam == 0 {
-			continue
-		}
-		for i := 0; i < f.d; i++ {
-			col[i] = f.vecs.At(i, k)
-		}
-		dst.AddOuter(w*lam, col)
-	}
-	for i := 0; i < f.buf.Rows(); i++ {
-		dst.AddOuter(w, f.buf.Row(i))
+	for i := 0; i < f.rows.Rows(); i++ {
+		dst.AddOuter(w, f.rows.Row(i))
 	}
 }
 
-// gramFull returns a freshly allocated Gram matrix of the sketch plus any
-// buffered rows.
-func (f *FD) gramFull() *matrix.Sym {
-	if f.exact {
-		return f.gram.Clone()
-	}
-	g := matrix.Reconstruct(f.vecs, f.vals)
-	for i := 0; i < f.buf.Rows(); i++ {
-		g.AddOuter(1, f.buf.Row(i))
-	}
-	return g
-}
-
-// Flush folds any buffered rows into the factored form immediately.
+// Flush folds any buffered rows into B immediately.
 func (f *FD) Flush() { f.compress() }
 
 // Gram returns BᵀB for the current sketch (including buffered rows).
-func (f *FD) Gram() *matrix.Sym { return f.gramFull() }
+func (f *FD) Gram() *matrix.Sym {
+	if f.exact {
+		return f.gram.Clone()
+	}
+	g := matrix.NewSym(f.d)
+	f.AccumulateGram(g, 1)
+	return g
+}
 
-// Rows materializes the sketch matrix B: at most ℓ (and at most d) rows,
-// the k-th being √vals_k · v_kᵀ. This costs one eigendecomposition in exact
-// mode; use RowBound when only the count is needed.
+// Rows materializes the sketch matrix B: at most ℓ (and at most d) rows.
+// In sketch mode it flushes the buffer and copies B; in exact mode it
+// costs one eigendecomposition, row k being √λ_k·v_kᵀ. Use RowBound when
+// only the count is needed.
 func (f *FD) Rows() *matrix.Dense {
-	vals, vecs := f.factors()
 	b := matrix.NewDense(0, f.d)
+	if !f.exact {
+		f.compress()
+		for i := 0; i < f.nb; i++ {
+			b.AppendRow(f.rows.Row(i))
+		}
+		return b
+	}
+	vals, vecs := f.eig(f.gram)
 	row := make([]float64, f.d)
 	for k, lam := range vals {
 		if lam <= 0 {
 			break
 		}
 		s := math.Sqrt(lam)
-		for i := 0; i < f.d; i++ {
+		for i := range row {
 			row[i] = s * vecs.At(i, k)
 		}
 		b.AppendRow(row)
@@ -261,32 +300,7 @@ func (f *FD) Rows() *matrix.Dense {
 // return — min(ℓ, d, rows appended since Reset) — without factorizing.
 // Protocol P1 uses it to account message sizes cheaply.
 func (f *FD) RowBound() int {
-	b := f.ell
-	if f.d < b {
-		b = f.d
-	}
-	if f.appended < b {
-		b = f.appended
-	}
-	return b
-}
-
-// factors returns the current eigenpairs, factorizing on demand in exact
-// mode and flushing the buffer in sketch mode. In exact mode the returned
-// slices alias the sketch's reusable workspace and are valid only until
-// the next factorization.
-func (f *FD) factors() ([]float64, *matrix.Dense) {
-	if !f.exact {
-		f.compress()
-		return f.vals, f.vecs
-	}
-	vals, vecs := f.eig(f.gram)
-	for i, v := range vals {
-		if v < 0 {
-			vals[i] = 0
-		}
-	}
-	return vals, vecs
+	return min(f.ell, f.d, f.appended)
 }
 
 // Total returns ‖A‖²_F over everything processed.
@@ -296,18 +310,19 @@ func (f *FD) Total() float64 { return f.total }
 // ‖Ax‖² − ‖Bx‖². Zero in exact mode.
 func (f *FD) Deducted() float64 { return f.deducted }
 
-// Size returns the number of retained directions after a flush (sketch
-// mode) or the rank bound (exact mode).
+// Size returns the number of rows of B after a flush (sketch mode) or the
+// rank bound (exact mode).
 func (f *FD) Size() int {
 	if f.exact {
 		return f.RowBound()
 	}
 	f.compress()
-	return len(f.vals)
+	return f.nb
 }
 
-// Merge folds other into f. Equivalent to appending other's materialized
-// rows; the error bounds add. other is not modified.
+// Merge folds other into f: other's rows, buffer included, are stacked
+// under f's and compressed, or in exact mode its Gram is added. The error
+// bounds add. other is not modified.
 func (f *FD) Merge(other *FD) {
 	if f.d != other.d {
 		panic(fmt.Sprintf("sketch: merge FD of dim %d with dim %d", other.d, f.d))
@@ -318,58 +333,17 @@ func (f *FD) Merge(other *FD) {
 	f.shrinks += other.shrinks
 	if f.exact {
 		// rank(combined) ≤ d ≤ ℓ: pure Gram addition, still zero error.
-		f.gram.AddSym(other.gramFull())
+		other.AccumulateGram(f.gram, 1)
 		return
 	}
-	g := f.gramFull()
-	g.AddSym(other.gramFull())
-	f.buf.Reset()
-	f.factorAndShrink(g)
-}
-
-// factorAndShrink replaces the sketch with the factorization of g, applying
-// the FD shrink (subtract the (ℓ+1)-th largest eigenvalue) if the rank of g
-// exceeds ℓ, and accumulating the deduction into the error witness. g may
-// be f.scratch; the eigendecomposition output is copied into the sketch's
-// own storage.
-func (f *FD) factorAndShrink(g *matrix.Sym) {
-	vals, V := f.eig(g)
-	// Clamp tiny negative eigenvalues produced by roundoff.
-	for i, v := range vals {
-		if v < 0 {
-			vals[i] = 0
-		}
+	rows := other.rows
+	if other.exact {
+		rows = other.Rows()
 	}
-	rank := 0
-	for _, v := range vals {
-		if v > 0 {
-			rank++
-		}
+	for i, n := 0, rows.Rows(); i < n; i++ {
+		f.rows.AppendRow(rows.Row(i))
 	}
-	if rank > f.ell && f.ell < len(vals) {
-		// Subtract the (ℓ+1)-th largest eigenvalue: the top ℓ directions
-		// each lose exactly δ and everything beyond them vanishes, so the
-		// result fits in ℓ rows and each shrink removes ≥ (ℓ+1)·δ of trace.
-		delta := vals[f.ell]
-		f.deducted += delta
-		f.shrinks++
-		for i := range vals {
-			vals[i] -= delta
-			if vals[i] < 0 {
-				vals[i] = 0
-			}
-		}
-	}
-	keep := 0
-	for _, v := range vals {
-		if v > 0 {
-			keep++
-		} else {
-			break // sorted descending, rest are ≤ 0
-		}
-	}
-	f.vals = append(f.vals[:0], vals[:keep]...)
-	f.vecs.CopyFrom(V)
+	f.compress()
 }
 
 // eig decomposes g into the sketch's reusable workspace, falling back to
@@ -396,8 +370,8 @@ func (f *FD) Reset() {
 	if f.exact {
 		f.gram.Reset()
 	} else {
-		f.vals = f.vals[:0]
-		f.buf.Reset()
+		f.rows.Reset()
+		f.nb = 0
 	}
 	f.appended = 0
 	f.total = 0

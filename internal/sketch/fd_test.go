@@ -30,6 +30,7 @@ func TestFDExactWhenEllAtLeastD(t *testing.T) {
 	a := randRows(rng, 50, 6)
 	f := NewFD(6, 6)
 	feedFD(f, a)
+	f.Flush() // nothing to fold in exact mode
 	g := f.Gram()
 	want := matrix.Gram(a)
 	for i := 0; i < 6; i++ {
@@ -112,6 +113,14 @@ func TestFDRowsMaterialization(t *testing.T) {
 	b := fd.Rows()
 	if b.Rows() > 4 {
 		t.Fatalf("materialized %d rows, ℓ=4", b.Rows())
+	}
+	// Unblocked, every row runs the compression: B never exceeds ℓ rows.
+	one := NewFDBuffered(4, 7, 1)
+	for i := 0; i < a.Rows(); i++ {
+		one.Append(a.Row(i))
+		if got := one.Size(); got > 4 {
+			t.Fatalf("row %d: unblocked sketch holds %d rows, ℓ=4", i, got)
+		}
 	}
 	// BᵀB from rows must match the factored Gram.
 	g1 := matrix.Gram(b)

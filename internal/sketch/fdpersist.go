@@ -13,11 +13,9 @@ type FDSnapshot struct {
 	// Exact mode: the raw d×d Gram storage.
 	Gram []float64
 
-	// Sketch mode: the factored eigenpairs (Vecs is row-major d×len(Vals),
-	// the retained eigenvector columns) and the raw buffered rows.
-	Vals []float64
-	Vecs []float64
-	Buf  [][]float64
+	// Sketch mode: B's rows and the raw buffered rows.
+	B   [][]float64
+	Buf [][]float64
 
 	Appended int
 	Total    float64
@@ -43,17 +41,12 @@ func (f *FD) Snapshot() FDSnapshot {
 		s.Gram = f.gram.RawData()
 		return s
 	}
-	keep := len(f.vals)
-	s.Vals = append([]float64(nil), f.vals...)
-	s.Vecs = make([]float64, f.d*keep)
-	for i := 0; i < f.d; i++ {
-		for k := 0; k < keep; k++ {
-			s.Vecs[i*keep+k] = f.vecs.At(i, k)
+	for i := 0; i < f.rows.Rows(); i++ {
+		if i < f.nb {
+			s.B = append(s.B, f.rows.RowCopy(i))
+		} else {
+			s.Buf = append(s.Buf, f.rows.RowCopy(i))
 		}
-	}
-	s.Buf = make([][]float64, f.buf.Rows())
-	for i := range s.Buf {
-		s.Buf[i] = f.buf.RowCopy(i)
 	}
 	return s
 }

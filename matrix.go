@@ -39,8 +39,15 @@ func CovarianceError(exact, approx *Sym) (float64, error) {
 }
 
 // RankKError returns the optimal rank-k error σ²_{k+1}/‖A‖²_F of the exact
-// Gram — the quality bar of an offline SVD.
-func RankKError(exact *Sym, k int) (float64, error) { return metrics.RankKError(exact, k) }
+// Gram — the quality bar of an offline SVD. A negative k is an
+// ErrInvalidConfig.
+func RankKError(exact *Sym, k int) (float64, error) {
+	e, err := metrics.RankKError(exact, k)
+	if err != nil && k < 0 {
+		return 0, invalidConfig(err)
+	}
+	return e, err
+}
 
 // ---- standalone matrix sketching primitives ----
 

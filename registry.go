@@ -76,7 +76,7 @@ var matrixEntries = []matrixEntry{
 			Name:          "p2small",
 			Display:       "P2small",
 			Aliases:       []string{"p2smallspace", "p2-small"},
-			Summary:       "P2 with O(m/ε) sketch rows per site instead of an O(d²) Gram",
+			Summary:       "P2 whose sites keep two ⌈4m/ε⌉-row FD sketches (a d×d Gram each once ℓ ≥ d) and share one d×d scratch",
 			Guarantee:     "0 ≤ ‖Ax‖²−‖Bx‖² ≤ ε‖A‖²_F",
 			Communication: "≤ 2× p2",
 		},

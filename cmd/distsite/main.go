@@ -95,7 +95,7 @@ func main() {
 		block   = flag.Int("block", 64, "rows per block")
 		dim     = flag.Int("dim", 0, "row dimension (0: read from the tracker spec via -http)")
 		seed    = flag.Int64("seed", 1, "row generator seed")
-		window  = flag.Int("window", 0, "in-flight block window (default 32)")
+		window  = flag.Int("window", 0, "cap on the in-flight block window, which is sized by round trip below it (default 32)")
 		pace    = flag.Duration("pace", 0, "optional delay between blocks")
 		durable = flag.Bool("durable", false, "drain to the durable watermark before exiting (safe against a later coordinator crash)")
 		oracle  = flag.Bool("oracle", false, "after draining, replay locally and print the expected query as JSON")
@@ -211,9 +211,9 @@ func main() {
 		fatalf("drain: %v", err)
 	}
 	st := sc.Stats().Snapshot()
-	logf("streamed %d rows in %d blocks (protocol %s, %d messages) in %v: %d reconnects, %d retransmits, %d frames / %d bytes out",
+	logf("streamed %d rows in %d blocks (protocol %s, %d messages) in %v: %d reconnects, %d retransmits, %d frames / %d bytes out, window %d",
 		sent, blocks, *proto, msgs, time.Since(start).Round(time.Millisecond),
-		max(st.Connects-1, 0), st.Retransmits, st.FramesOut, st.BytesOut)
+		max(st.Connects-1, 0), st.Retransmits, st.FramesOut, st.BytesOut, st.Window)
 
 	if !*oracle {
 		return

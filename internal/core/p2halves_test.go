@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/matrix"
 )
 
 // p2Msg is one recorded uplink message: a scalar report (vec == nil) or a
@@ -16,7 +17,8 @@ type p2Msg struct {
 	vec   []float64
 }
 
-// p2Tap records every uplink message and forwards it.
+// p2Tap records every uplink message and forwards it to next, if set:
+// without a coordinator behind it, F̂ stays where the test sets it.
 type p2Tap struct {
 	next P2Uplink
 	log  *[]p2Msg
@@ -24,12 +26,16 @@ type p2Tap struct {
 
 func (t p2Tap) Scalar(site int, fj float64) {
 	*t.log = append(*t.log, p2Msg{site: site, value: fj})
-	t.next.Scalar(site, fj)
+	if t.next != nil {
+		t.next.Scalar(site, fj)
+	}
 }
 
 func (t p2Tap) Row(site int, row []float64) {
 	*t.log = append(*t.log, p2Msg{site: site, vec: append([]float64(nil), row...)})
-	t.next.Row(site, row)
+	if t.next != nil {
+		t.next.Row(site, row)
+	}
 }
 
 // TestP2HalvesReplay is the gate a networked deployment will be held to
@@ -136,6 +142,50 @@ func TestP2SiteRefusesOverflowingRow(t *testing.T) {
 	for _, msg := range log {
 		if msg.vec != nil {
 			t.Errorf("site shipped the row %v", msg.vec)
+		}
+	}
+}
+
+// TestP2SiteJacobiFallback streams a block whose Gram EigAbove cannot
+// decompose (matrix's aboveOverflowRows: the entry 1e308 turns its
+// reduction into a NaN) through a site half at F̂ = 0, where every
+// direction ships: the site answers from jacobiAbove, and ships σ·v for
+// each of JacobiEigSym's pairs, bit for bit.
+func TestP2SiteJacobiFallback(t *testing.T) {
+	rows := [][]float64{{1e154, 1}, {1, 1}}
+	g := matrix.NewSym(2)
+	g.AddBlock(rows)
+	if _, _, _, err := matrix.EigAbove(g, 0, matrix.NewEigWorkspace()); err == nil {
+		t.Fatal("EigAbove decomposes the block's Gram: the fallback is not reached")
+	}
+	vals, V, err := matrix.JacobiEigSym(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var log []p2Msg
+	s, err := NewP2Site(0, 1, 0.5, 2, p2Tap{log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ProcessBlock(rows); err != nil {
+		t.Fatal(err)
+	}
+	var shipped [][]float64
+	for _, msg := range log {
+		if msg.vec != nil {
+			shipped = append(shipped, msg.vec)
+		}
+	}
+	if len(shipped) != len(vals) {
+		t.Fatalf("site shipped %d rows, Jacobi has %d eigenpairs %v", len(shipped), len(vals), vals)
+	}
+	for k, row := range shipped {
+		sigma := math.Sqrt(vals[k])
+		for i, x := range row {
+			if want := sigma * V.At(i, k); math.Float64bits(x) != math.Float64bits(want) {
+				t.Fatalf("shipped row %d = %v, want σ·v = %v·column %d of Jacobi's V", k, row, sigma, k)
+			}
 		}
 	}
 }

@@ -485,29 +485,75 @@ func FuzzEigSymEquivalence(f *testing.F) {
 // notFinite reports a NaN or ±Inf.
 func notFinite(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
 
+// aboveOverflowRows is a block of two finite rows whose Gram (AddBlock,
+// as a P2 site folds it) has the entry 1e308: EigAbove's reduction turns it
+// into a NaN, where JacobiEigSym decomposes it, to eigenvalues 1e308 and 1.
+// core's TestP2SiteJacobiFallback streams the same rows through a site.
+var aboveOverflowRows = [][]float64{{1e154, 1}, {1, 1}}
+
 // TestJacobiFallbackReachable pins why the production eigensolver callers
-// (P2Site's EigAbove, which P2SmallSpace's sites run too, and sketch.FD's
-// EigSymWork) still fall back to JacobiEigSym: QL fails a finite Gram
-// large enough to overflow inside tred2 (overflowSeed), and a small one
-// whose tiny subdiagonal overflows tql2's shift (shiftOverflowSeed), and
-// Jacobi decomposes both.
+// still fall back to JacobiEigSym, and that Jacobi decomposes what they
+// fail. EigSymWork (sketch.FD, and EigValsSym behind the norms) fails a
+// finite Gram large enough to overflow inside tred2 (overflowSeed), and a
+// small one whose tiny subdiagonal overflows tql2's shift
+// (shiftOverflowSeed). EigAbove (P2Site, which P2SmallSpace's sites run
+// too) scales the tridiagonal before its QL, and decomposes both; it fails
+// where the reduction itself turns non-finite, as on aboveOverflowRows'
+// entry of 1e308. In a probe of random symmetric matrices every such
+// failure had a largest entry above 1e150, and a few remained with an
+// exact power-of-two prescale of the input, so its fallback stays too.
 func TestJacobiFallbackReachable(t *testing.T) {
+	above := NewSym(2)
+	above.AddBlock(aboveOverflowRows)
 	for _, c := range []struct {
-		name string
-		dim  uint8
-		asym bool
-		seed []byte
-	}{{"overflowSeed", 7, false, overflowSeed}, {"shiftOverflowSeed", 150, true, shiftOverflowSeed}} {
-		s := fuzzSym(c.dim, c.asym, c.seed)
-		if slices.ContainsFunc(s.data, notFinite) {
+		name   string
+		s      *Sym
+		failer string
+		fails  func(*Sym) error
+	}{
+		{"overflowSeed", fuzzSym(7, false, overflowSeed), "EigSymWork", eigSymErr},
+		{"shiftOverflowSeed", fuzzSym(150, true, shiftOverflowSeed), "EigSymWork", eigSymErr},
+		{"aboveOverflowRows", above, "EigAbove", func(s *Sym) error {
+			_, _, _, err := EigAbove(s, 0, NewEigWorkspace())
+			return err
+		}},
+	} {
+		if slices.ContainsFunc(c.s.data, notFinite) {
 			t.Fatalf("%s is no longer finite", c.name)
 		}
-		if _, _, err := EigSymWork(s, nil); !errors.Is(err, ErrNoConvergence) {
-			t.Fatalf("EigSymWork on %s: err = %v, want ErrNoConvergence", c.name, err)
+		if err := c.fails(c.s); !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("%s on %s: err = %v, want ErrNoConvergence", c.failer, c.name, err)
 		}
-		vals, _, err := JacobiEigSym(s)
+		vals, _, err := JacobiEigSym(c.s)
 		if err != nil || slices.ContainsFunc(vals, notFinite) {
 			t.Fatalf("JacobiEigSym on %s: %v, err %v", c.name, vals, err)
+		}
+	}
+}
+
+func eigSymErr(s *Sym) error {
+	_, _, err := EigSymWork(s, nil)
+	return err
+}
+
+// TestNormsFallBackToJacobi: the spectral norms answer on the finite
+// matrices QL fails, with Jacobi's largest |λ|, bit for bit (s − 0 is s).
+func TestNormsFallBackToJacobi(t *testing.T) {
+	for name, s := range map[string]*Sym{
+		"overflowSeed":      fuzzSym(7, false, overflowSeed),
+		"shiftOverflowSeed": fuzzSym(150, true, shiftOverflowSeed),
+	} {
+		vals, _, err := JacobiEigSym(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := max(math.Abs(vals[0]), math.Abs(vals[len(vals)-1]))
+		got, err := CovarianceDiffNorm(s, NewSym(s.Dim()))
+		if err != nil || math.IsInf(got, 0) || math.IsNaN(got) {
+			t.Fatalf("CovarianceDiffNorm(%s, 0) = %v, err %v", name, got, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("CovarianceDiffNorm(%s, 0) = %v, Jacobi's largest |λ| is %v", name, got, want)
 		}
 	}
 }

@@ -2,11 +2,23 @@ package matrix
 
 import "math"
 
+// EigValsSym returns the eigenvalues of the symmetric s, descending: EigSym's,
+// or JacobiEigSym's where QL fails a finite matrix (TestJacobiFallbackReachable),
+// as the production decompositions fall back. The error is Jacobi's: a
+// NaN or ±Inf entry.
+func EigValsSym(s *Sym) ([]float64, error) {
+	vals, _, err := EigSym(s)
+	if err != nil {
+		vals, _, err = JacobiEigSym(s)
+	}
+	return vals, err
+}
+
 // SpectralNormSym returns ‖s‖₂, the largest absolute eigenvalue of the
 // symmetric matrix s. This is the quantity the paper's matrix error metric
 // ‖AᵀA − BᵀB‖₂ / ‖A‖²_F needs, with s the (symmetric) covariance difference.
 func SpectralNormSym(s *Sym) (float64, error) {
-	vals, _, err := EigSym(s)
+	vals, err := EigValsSym(s)
 	if err != nil {
 		return 0, err
 	}

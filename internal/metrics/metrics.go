@@ -89,7 +89,7 @@ func RankKError(gramA *matrix.Sym, k int) (float64, error) {
 	if fro <= 0 {
 		return 0, fmt.Errorf("metrics: empty matrix")
 	}
-	vals, _, err := matrix.EigSym(gramA)
+	vals, err := matrix.EigValsSym(gramA)
 	if err != nil {
 		return 0, err
 	}

@@ -161,9 +161,11 @@ func (l *CoordListener) Broadcast(tracker string, msgs []Msg) {
 }
 
 // ackEvery bounds how many applied blocks one deferred ack may cover: a
-// quarter of the default site window. With small frames a whole window
-// arrives in one read, and acking only when the buffer runs dry would
-// stall the site for a round trip per window.
+// quarter of the default cap on a site's window, and half its floor, so
+// that a site always has a second ack interval in flight behind the one
+// being acked. With small frames a whole window arrives in one read, and
+// acking only when the buffer runs dry would stall the site for a round
+// trip per window.
 const ackEvery = 8
 
 // maxHelloPayload is the largest payload a well-formed Hello can have, and

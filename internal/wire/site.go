@@ -23,8 +23,12 @@ type SiteConfig struct {
 	// Tracker names the coordinator tracker this site feeds.
 	Tracker string
 
-	// Window bounds blocks in flight: SendBlock waits once
-	// lastSeq − applied reaches it (default 32). This is the
+	// Window caps blocks in flight (default 32): SendBlock waits once
+	// lastSeq − applied reaches the current window, which is sized by
+	// delay between two ack intervals of the listener (16 blocks) and
+	// this cap — no more than the round trip needs, so that blocks do not
+	// wait in the coordinator's queue, and the whole cap on a long round
+	// trip. A Window of 16 or less is used as it is. This is the
 	// backpressure coupling — a slow or partitioned coordinator stalls
 	// the feeder instead of buffering unboundedly. Acks are cumulative
 	// and may trail the blocks applied by up to 8 while more input is
@@ -70,14 +74,15 @@ func (c SiteConfig) withDefaults() SiteConfig {
 
 // pblock is one retained block: its sealed frame, built once by SendBlock.
 // The writer and every retransmit send these bytes; nothing writes to a
-// frame while it is in pending.
+// frame while it is in pending. sent is when the writer last took it.
 type pblock struct {
 	seq   uint64
 	frame []byte
+	sent  time.Time
 }
 
 // SiteConn is the site end of a coordinator stream: a persistent
-// connection with a bounded in-flight window, exponential-backoff
+// connection with a delay-sized in-flight window, exponential-backoff
 // reconnect, and at-least-once resume from the coordinator's acked
 // watermarks. One goroutine at a time may call SendBlock or SendMsgs;
 // the other methods are safe from any.
@@ -106,6 +111,8 @@ type SiteConn struct {
 	// next ones in, at most Window of them.
 	//distlint:guarded-by mu
 	free [][]byte
+	//distlint:guarded-by mu
+	win window // in-flight window, sized from the acks' round trips
 	//distlint:guarded-by mu
 	applied uint64 // coordinator's applied watermark (monotone max)
 	//distlint:guarded-by mu
@@ -139,10 +146,12 @@ func Dial(cfg SiteConfig) (*SiteConn, error) {
 	}
 	c := &SiteConn{
 		cfg:        cfg,
+		win:        newWindow(cfg.Window),
 		closedCh:   make(chan struct{}),
 		manageDone: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.stats.Window.Store(int64(cfg.Window)) // the window starts at its cap
 	go c.manage()
 	return c, nil
 }
@@ -219,8 +228,14 @@ func (c *SiteConn) SendMsgs(msgs []Msg) error {
 //
 //distlint:caller-holds mu
 func (c *SiteConn) reserveLocked() (seq uint64, buf []byte, err error) {
-	for !c.closed && c.err == nil &&
-		(!c.ready || c.lastSeq-c.applied >= uint64(c.cfg.Window) || len(c.pending) >= max(retainBlocks, c.cfg.Window)) {
+	for !c.closed && c.err == nil {
+		full := c.lastSeq-c.applied >= uint64(c.win.cwnd)
+		if full {
+			c.win.limited = true
+		}
+		if c.ready && !full && len(c.pending) < max(retainBlocks, c.cfg.Window) {
+			break
+		}
 		c.cond.Wait()
 	}
 	defer c.mu.Unlock()
@@ -478,8 +493,10 @@ func (c *SiteConn) writeLoop(conn net.Conn, done chan struct{}) {
 			return
 		}
 		frames = frames[:0]
-		for _, b := range c.pending[c.sendIdx:] {
-			frames = append(frames, b.frame)
+		now := time.Now()
+		for i := c.sendIdx; i < len(c.pending); i++ {
+			c.pending[i].sent = now
+			frames = append(frames, c.pending[i].frame)
 		}
 		c.writeLo, c.writeHi = c.pending[c.sendIdx].seq, c.pending[len(c.pending)-1].seq
 		c.sendIdx = len(c.pending)
@@ -511,7 +528,9 @@ func (c *SiteConn) readAcks(dec *Decoder) {
 		}
 		switch f.Kind {
 		case KindAck:
+			now := time.Now()
 			c.mu.Lock()
+			c.paceLocked(f.Ack.Applied, now)
 			c.advanceLocked(f.Ack.Applied, f.Ack.Durable)
 			c.mu.Unlock()
 		case KindMsgBlock:
@@ -533,6 +552,26 @@ func (c *SiteConn) readAcks(dec *Decoder) {
 			c.cfg.Logf("wire: site %d: unexpected %v frame", c.cfg.Site, f.Kind)
 			return
 		}
+	}
+}
+
+// paceLocked hands the window the round trip of block applied, the newest
+// an ack received at now covers, if the ack moves the applied watermark.
+// The block is still retained: only advanceLocked prunes, and only up to
+// the durable watermark, which trails applied. The handshake's watermarks
+// are not a sample: the blocks they cover were sent in an earlier epoch.
+//
+//distlint:caller-holds mu
+func (c *SiteConn) paceLocked(applied uint64, now time.Time) {
+	if applied <= c.applied || len(c.pending) == 0 {
+		return
+	}
+	i := applied - c.pending[0].seq // pending holds consecutive seqs
+	if i >= uint64(len(c.pending)) {
+		return
+	}
+	if b := c.pending[i]; !b.sent.IsZero() && c.win.sample(applied, c.sentSeq, now.Sub(b.sent)) {
+		c.stats.Window.Store(int64(c.win.cwnd))
 	}
 }
 

@@ -34,7 +34,9 @@
 //
 //   - applied: every block with seq ≤ applied has been ingested into
 //     tracker state. The site's in-flight window (SendBlock backpressure)
-//     is bounded against this watermark.
+//     is bounded against this watermark, and sized by the round trips of
+//     the acks that move it: no more blocks than keep the coordinator
+//     busy, up to SiteConfig.Window.
 //   - durable: every block with seq ≤ durable is captured by a
 //     coordinator checkpoint. The site retains blocks above this
 //     watermark and retransmits them after a coordinator restart, giving
@@ -102,6 +104,7 @@ type Stats struct {
 	Connects    atomic.Int64 // successful dial+handshake rounds
 	DialErrors  atomic.Int64 // failed dial/handshake attempts
 	Retransmits atomic.Int64 // blocks re-sent after a reconnect
+	Window      atomic.Int64 // a SiteConn's current in-flight window, in blocks (a gauge)
 }
 
 // Snapshot returns a plain-value copy of the counters.
@@ -114,6 +117,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Connects:    s.Connects.Load(),
 		DialErrors:  s.DialErrors.Load(),
 		Retransmits: s.Retransmits.Load(),
+		Window:      s.Window.Load(),
 	}
 }
 
@@ -126,6 +130,7 @@ type StatsSnapshot struct {
 	Connects    int64 `json:"connects"`
 	DialErrors  int64 `json:"dial_errors"`
 	Retransmits int64 `json:"retransmits"`
+	Window      int64 `json:"window"`
 }
 
 func malformedf(format string, args ...any) error {

@@ -40,20 +40,24 @@ type Config struct {
 	// alongside the protocol's approximation, for evaluation. Costs O(d²)
 	// per row.
 	TrackExact bool
-	// Shards, when > 1, runs the tracker as P parallel shards merged at
-	// query time: ingestion blocks are dealt round-robin to P worker
-	// goroutines, each owning a private tracker instance, and queries
+	// Shards, when > 1, runs the tracker as P = min(Shards, Sites)
+	// parallel shards merged at query time. A shard owns sites: site j
+	// belongs to shard j mod P, which runs a private tracker instance over
+	// its ⌈(Sites−k)/P⌉ sites on its own worker goroutine, and queries
 	// merge the shard summaries. Matrix trackers merge shard Grams
 	// (core.ShardedTracker); heavy-hitters and quantile trackers merge
 	// their mergeable coordinator summaries (hh.Sharded,
 	// quantile.Sharded). The guarantee holds at every query because the
-	// per-shard error bounds add: Σ ε·W_k = εW. Results are deterministic
-	// for a fixed Seed and shard count but DO depend on Shards (each P
-	// partitions the stream differently); randomized shard protocols use
-	// Seed+shardIndex. Message tallies sum across shards, so communication
-	// grows by up to P×. 0 or 1 is the single-tracker path; only windowed
-	// sessions still reject Shards > 1 with ErrNotShardable (sub-window
-	// boundaries are counted per shard).
+	// per-shard error bounds add: Σ ε·W_k = εW. Each shard's thresholds are
+	// about a single tracker's, so the shards together send about the
+	// messages one tracker sends (for matrix P2, O((m/ε)·log βN)), and a
+	// sharded P2 holds (m + P)·d² Gram floats against one tracker's
+	// (m + 1)·d². Results are deterministic for a fixed Seed and shard
+	// count but DO depend on Shards (each P groups the sites differently);
+	// randomized shard protocols use Seed+shardIndex. The session's Config
+	// echoes the shard count it runs. 0 or 1 is the single-tracker path;
+	// only windowed sessions still reject Shards > 1 with ErrNotShardable
+	// (sub-window boundaries are counted per shard).
 	Shards int
 	// FastIngest switches the matrix protocols that support it (p1, p2,
 	// p2small) to the blocked fast ingest mode: batch ingestion folds whole
@@ -68,10 +72,11 @@ type Config struct {
 	Assigner Assigner
 }
 
-// MaxShards bounds Config.Shards. Every shard is a full tracker instance
-// plus a worker goroutine, and useful parallelism tops out at the machine's
+// MaxShards bounds Config.Shards. Every shard is a tracker instance over
+// the sites it owns plus a worker goroutine, a tracker never runs more
+// shards than sites, and useful parallelism tops out at the machine's
 // cores, so the cap mostly guards the service boundary: a Spec arriving
-// over HTTP cannot make one PUT allocate an unbounded number of trackers.
+// over HTTP cannot make one PUT start an unbounded number of workers.
 const MaxShards = 64
 
 // DefaultConfig returns the configuration every option starts from: one

@@ -112,7 +112,8 @@ func labelInt(s int) string {
 // many of fast P2's decompositions ship nothing. ISSUE 21 read 106/602
 // = 0.176 (http-json's 256-row batches), 179/1048 = 0.171 (wire-stream's
 // 64-row frames) and 318/2314 = 0.137 (sharded-query's 64-row batches over
-// 4 shards). On those shares a values-only first pass in front of the full
+// 4 shards; 139/790 = 0.176 since each shard owns its sites). On those
+// shares a values-only first pass in front of the full
 // decomposition (tred2/tql2 on d and e alone, ROADMAP item 6(i)) was a net
 // loss: 79 µs at d = 44, paid on top by the 82–86 % that ship. The ship
 // step now runs one pass instead (matrix.EigAbove: the reduction and the
@@ -135,17 +136,17 @@ func TestDecompositionShipRate(t *testing.T) {
 		rows := gen.LowRankMatrix(cfg)
 		var tr Tracker
 		var shards []*P2
-		build := func(int) Tracker {
-			p := NewP2Fast(m, eps, d)
+		build := func(_, sites int) Tracker {
+			p := NewP2Fast(sites, eps, d)
 			shards = append(shards, p)
 			return p
 		}
 		if c.shards > 0 {
-			st := NewShardedTracker(c.shards, build)
+			st := NewShardedTracker(c.shards, m, build)
 			t.Cleanup(st.Close)
 			tr = st
 		} else {
-			tr = build(0).(*P2)
+			tr = build(0, m).(*P2)
 		}
 		for k := 0; k < c.blocks; k++ {
 			b := k % poolBlocks

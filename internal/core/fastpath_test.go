@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -196,15 +197,16 @@ func TestFastModeMessageFactor(t *testing.T) {
 
 // TestFastIngestSpeedupGuard holds fast-mode blocked ingest (1024-row
 // per-site blocks) at ≥ 5× the rows/sec of exact per-row ingestion for both
-// headline matrix protocols. The test logs the measured ratio, which sits
-// well above the floor, so the floor is safe against CI noise;
-// BenchmarkMatrixIngestModes reports the exact ratios.
+// headline matrix protocols. Each side is timed five times, the reps
+// interleaved so a load burst on a shared runner hits both alike, and the
+// guard compares the best of each; BenchmarkMatrixIngestModes reports the
+// exact ratios.
 func TestFastIngestSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
 	rows := gen.LowRankMatrix(gen.PAMAPLike(6_000))
-	const m, d, block = 10, 44, 1024
+	const m, d, block, reps = 10, 44, 1024, 5
 	const eps = 0.1
 	for _, pc := range []struct {
 		name        string
@@ -215,34 +217,40 @@ func TestFastIngestSpeedupGuard(t *testing.T) {
 		{"P2", func() Tracker { return NewP2(m, eps, d) },
 			func() Tracker { return NewP2Fast(m, eps, d) }},
 	} {
-		perRow := pc.exact()
-		start := time.Now()
-		for i := range rows {
-			perRow.ProcessRows(i%m, rows[i:i+1])
-		}
-		exactSec := time.Since(start).Seconds()
-
-		fast := pc.fast()
-		start = time.Now()
-		for i, site := 0, 0; i < len(rows); i += block {
-			end := i + block
-			if end > len(rows) {
-				end = len(rows)
+		perRow := func() {
+			tr := pc.exact()
+			for i := range rows {
+				tr.ProcessRows(i%m, rows[i:i+1])
 			}
-			fast.ProcessRows(site, rows[i:end])
-			site = (site + 1) % m
 		}
-		fastSec := time.Since(start).Seconds()
-
+		blocked := func() {
+			tr := pc.fast()
+			for i, site := 0, 0; i < len(rows); i += block {
+				tr.ProcessRows(site, rows[i:min(i+block, len(rows))])
+				site = (site + 1) % m
+			}
+		}
+		exactSec, fastSec := math.Inf(1), math.Inf(1)
+		for rep := 0; rep < reps; rep++ {
+			exactSec = min(exactSec, timeSec(perRow))
+			fastSec = min(fastSec, timeSec(blocked))
+		}
 		if fastSec <= 0 {
 			continue // timer resolution floor: unmeasurably fast is a pass
 		}
 		ratio := exactSec / fastSec
-		t.Logf("%s: exact per-row %.1fms, fast blocked %.1fms: %.1fx", pc.name, exactSec*1e3, fastSec*1e3, ratio)
+		t.Logf("%s: exact per-row %.1fms, fast blocked %.1fms (best of %d): %.1fx", pc.name, exactSec*1e3, fastSec*1e3, reps, ratio)
 		if ratio < 5 {
 			t.Errorf("%s: fast blocked ingest only %.2fx faster than exact per-row, want ≥ 5x", pc.name, ratio)
 		}
 	}
+}
+
+// timeSec returns how long f takes, in seconds.
+func timeSec(f func()) float64 {
+	start := time.Now()
+	f()
+	return time.Since(start).Seconds()
 }
 
 // TestBatchDispatchNeverSlower guards the p2+batch regression: on the same
@@ -275,19 +283,10 @@ func TestBatchDispatchNeverSlower(t *testing.T) {
 			start = end
 		}
 	}
-	timeIt := func(f func()) float64 {
-		start := time.Now()
-		f()
-		return time.Since(start).Seconds()
-	}
-	perRowSec, batchSec := 0.0, 0.0
+	perRowSec, batchSec := math.Inf(1), math.Inf(1)
 	for rep := 0; rep < 5; rep++ {
-		if sec := timeIt(perRow); rep == 0 || sec < perRowSec {
-			perRowSec = sec
-		}
-		if sec := timeIt(batch); rep == 0 || sec < batchSec {
-			batchSec = sec
-		}
+		perRowSec = min(perRowSec, timeSec(perRow))
+		batchSec = min(batchSec, timeSec(batch))
 	}
 	t.Logf("per-row %.1fms, batch %.1fms", perRowSec*1e3, batchSec*1e3)
 	if batchSec > perRowSec*1.5 {

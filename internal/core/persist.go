@@ -126,12 +126,15 @@ func restoreGram(d int, data []float64) (*matrix.Sym, error) {
 
 // ShardedP2Snapshot is the serializable state of a ShardedTracker whose
 // shards are matrix P2 instances — the persistable sharded configuration.
-// One P2Snapshot per shard, in shard order; the deal cursor is the only
-// other state the wrapper carries, so a restored tracker deals the next
-// block to the same shard the saved one would have.
+// One P2Snapshot per shard, in shard order, each over the sites its shard
+// owns; M, the tracker's site count, fixes which shard owns which site.
+// M = 0 means shard 0's own site count: every shard of a checkpoint written
+// before shards owned sites ran all m sites, and the same site rule
+// addresses those shards, so such a checkpoint restores and keeps
+// ingesting.
 type ShardedP2Snapshot struct {
 	Shards []P2Snapshot
-	Next   int     // round-robin deal cursor
+	M      int     // sites; 0: Shards[0].M (see SnapshotShards)
 	Rows   []int64 // rows dealt per shard (observability tally)
 }
 
@@ -151,31 +154,33 @@ func (st *ShardedTracker) SnapshotableP2() bool {
 // reports a shard worker's terminal failure as an error rather than a
 // panic, so a background checkpointer survives a poisoned tracker.
 func (st *ShardedTracker) SnapshotShardedP2() (ShardedP2Snapshot, error) {
-	shards, next, rows, err := SnapshotShards(st.ShardEngine, func(tr Tracker) (P2Snapshot, error) {
+	shards, m, rows, err := SnapshotShards(st.ShardEngine, func(tr Tracker) (P2Snapshot, error) {
 		p2, ok := tr.(*P2)
 		if !ok {
 			return P2Snapshot{}, fmt.Errorf("%T is not a persistable *P2", tr)
 		}
 		return p2.Snapshot(), nil
-	})
+	}, p2Sites)
 	if err != nil {
 		return ShardedP2Snapshot{}, fmt.Errorf("core: sharded snapshot: %w", err)
 	}
-	return ShardedP2Snapshot{Shards: shards, Next: next, Rows: rows}, nil
+	return ShardedP2Snapshot{Shards: shards, M: m, Rows: rows}, nil
 }
+
+func p2Sites(s P2Snapshot) int { return s.M }
 
 // RestoreShardedP2 rebuilds a sharded matrix P2 tracker from a snapshot and
 // starts its workers. The restored tracker answers every query identically
-// to the saved one and resumes dealing at the saved cursor. Shards must
-// agree on (m, ε, d) — always true of registry-built sharded trackers; the
-// checks reject corrupt checkpoints with an error instead of a downstream
-// panic (disagreeing dimensions panic the constructor, disagreeing site
-// counts poison the first cross-shard deal) or a silently mixed guarantee.
+// to the saved one and routes each site to the same shard. Shard k must
+// have at least ⌈(m−k)/P⌉ sites and all shards must agree on (ε, d) —
+// always true of registry-built sharded trackers; the checks reject
+// corrupt checkpoints with an error instead of a downstream panic
+// (disagreeing dimensions panic the constructor, too few sites poison the
+// first deal to the shard) or a silently mixed guarantee.
 func RestoreShardedP2(snap ShardedP2Snapshot) (*ShardedTracker, error) {
-	st, err := RestoreShards(snap.Shards, snap.Next, snap.Rows, func(s P2Snapshot) (Tracker, error) {
-		if first := snap.Shards[0]; s.D != first.D || s.M != first.M || s.Eps != first.Eps {
-			return nil, fmt.Errorf("has (m=%d, ε=%v, d=%d), shard 0 has (m=%d, ε=%v, d=%d)",
-				s.M, s.Eps, s.D, first.M, first.Eps, first.D)
+	st, err := RestoreShards(snap.Shards, snap.M, snap.Rows, p2Sites, func(s P2Snapshot) (Tracker, error) {
+		if first := snap.Shards[0]; s.D != first.D || s.Eps != first.Eps {
+			return nil, fmt.Errorf("has (ε=%v, d=%d), shard 0 has (ε=%v, d=%d)", s.Eps, s.D, first.Eps, first.D)
 		}
 		return RestoreP2(s)
 	}, newShardedFromTrackers)

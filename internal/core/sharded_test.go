@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -36,17 +38,17 @@ func feedSharded(t Tracker, rows [][]float64, sites []int) {
 func TestShardedSingleShardByteIdentity(t *testing.T) {
 	const n, d, m = 2000, 12, 4
 	const eps = 0.2
-	builders := map[string]func() Tracker{
-		"P2exact": func() Tracker { return NewP2(m, eps, d) },
-		"P2fast":  func() Tracker { return NewP2Fast(m, eps, d) },
-		"P1fast":  func() Tracker { return NewP1Fast(m, eps, d) },
-		"FD":      func() Tracker { return NewNaiveFD(m, 10, d) },
+	builders := map[string]func(m int) Tracker{
+		"P2exact": func(m int) Tracker { return NewP2(m, eps, d) },
+		"P2fast":  func(m int) Tracker { return NewP2Fast(m, eps, d) },
+		"P1fast":  func(m int) Tracker { return NewP1Fast(m, eps, d) },
+		"FD":      func(m int) Tracker { return NewNaiveFD(m, 10, d) },
 	}
 	for streamName, build := range adversarialStreams(n, d, m) {
 		rows, sites := build()
 		for trackerName, mk := range builders {
-			bare := mk()
-			sharded := NewShardedTracker(1, func(int) Tracker { return mk() })
+			bare := mk(m)
+			sharded := NewShardedTracker(1, m, func(_, sites int) Tracker { return mk(sites) })
 			feedSharded(bare, rows, sites)
 			feedSharded(sharded, rows, sites)
 			if a, b := bare.Gram().RawData(), sharded.Gram().RawData(); !reflect.DeepEqual(a, b) {
@@ -75,9 +77,9 @@ func TestShardedSingleShardByteIdentity(t *testing.T) {
 func TestShardedCovarianceBound(t *testing.T) {
 	const n, d, m = 3000, 16, 5
 	const eps = 0.2
-	builders := map[string]func() Tracker{
-		"P2fast": func() Tracker { return NewP2Fast(m, eps, d) },
-		"P1fast": func() Tracker { return NewP1Fast(m, eps, d) },
+	builders := map[string]func(m int) Tracker{
+		"P2fast": func(m int) Tracker { return NewP2Fast(m, eps, d) },
+		"P1fast": func(m int) Tracker { return NewP1Fast(m, eps, d) },
 	}
 	for streamName, build := range adversarialStreams(n, d, m) {
 		rows, sites := build()
@@ -87,7 +89,7 @@ func TestShardedCovarianceBound(t *testing.T) {
 		}
 		for trackerName, mk := range builders {
 			for _, p := range []int{2, 3, 4} {
-				sharded := NewShardedTracker(p, func(int) Tracker { return mk() })
+				sharded := NewShardedTracker(p, m, func(_, sites int) Tracker { return mk(sites) })
 				// Mid-stream merge: queries are sound at any point, not
 				// just at the end.
 				half := len(rows) / 2
@@ -109,7 +111,7 @@ func TestShardedCovarianceBound(t *testing.T) {
 // facade documents: for a fixed seed, feed, and shard count, sharded
 // message tallies and query results are bit-reproducible across runs even
 // though P workers race on the wall clock. (Results depend on the shard
-// count P — each P partitions the stream differently — never on the
+// count P — each P groups the sites differently — never on the
 // goroutine schedule.)
 func TestShardedDeterministicReplay(t *testing.T) {
 	const n, d, m = 2500, 44, 4 // d = 44: the PAMAP-like generator's dimension
@@ -120,7 +122,7 @@ func TestShardedDeterministicReplay(t *testing.T) {
 		sites[i] = (i / 37) % m
 	}
 	run := func(p int) ([]float64, float64, any) {
-		sharded := NewShardedTracker(p, func(int) Tracker { return NewP2Fast(m, eps, d) })
+		sharded := NewShardedTracker(p, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
 		defer sharded.Close()
 		feedSharded(sharded, rows, sites)
 		return sharded.Gram().RawData(), sharded.EstimateFrobenius(), sharded.Stats()
@@ -142,7 +144,7 @@ func TestShardedDeterministicReplay(t *testing.T) {
 
 // TestShardedPersistRoundTrip holds property 5 at the core level: the
 // snapshot of a half-fed sharded P2 restores bit-exactly (including the
-// deal cursor and per-shard tallies), and continued identical ingestion
+// site count and per-shard tallies), and continued identical ingestion
 // keeps the restored tracker on the original's trajectory.
 func TestShardedPersistRoundTrip(t *testing.T) {
 	const n, d, m, p = 1500, 44, 3, 3 // d = 44: the PAMAP-like generator's dimension
@@ -152,7 +154,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	for i := range sites {
 		sites[i] = (i / 11) % m
 	}
-	orig := NewShardedTracker(p, func(int) Tracker { return NewP2Fast(m, eps, d) })
+	orig := NewShardedTracker(p, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
 	defer orig.Close()
 	half := n / 2
 	feedSharded(orig, rows[:half], sites[:half])
@@ -183,7 +185,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Errorf("post-restore tallies diverge:\noriginal: %v\nrestored: %v", a, b)
 	}
 
-	sampled := NewShardedTracker(2, func(int) Tracker { return NewP3(m, eps, d, 1) })
+	sampled := NewShardedTracker(2, m, func(_, sites int) Tracker { return NewP3(sites, eps, d, 1) })
 	if sampled.SnapshotableP2() {
 		t.Error("SnapshotableP2() = true for P3 shards")
 	}
@@ -241,7 +243,7 @@ func TestShardedSpeedupGuard(t *testing.T) {
 
 	singleSec := best(func() Tracker { return NewP2Fast(m, eps, d) })
 	shardedSec := best(func() Tracker {
-		return NewShardedTracker(need, func(int) Tracker { return NewP2Fast(m, eps, d) })
+		return NewShardedTracker(need, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
 	})
 	if shardedSec <= 0 {
 		return // timer resolution floor: unmeasurably fast is a pass
@@ -250,5 +252,72 @@ func TestShardedSpeedupGuard(t *testing.T) {
 	t.Logf("single fast %.1fms, %d-shard fast %.1fms: %.2fx", singleSec*1e3, need, shardedSec*1e3, ratio)
 	if ratio < 2 {
 		t.Errorf("sharded ingest only %.2fx faster than single-shard fast at %d workers, want ≥ 2x", ratio, need)
+	}
+}
+
+// TestShardedMessagesMatchOneTracker: on sharded-query's stream shape (m =
+// 10, ε = 0.1, 64-row blocks, one site per block in rotation), four fast
+// P2 shards that own sites send within 10 % of the messages one fast P2
+// sends (0.99× here).
+func TestShardedMessagesMatchOneTracker(t *testing.T) {
+	const m, p, d, eps, block, blocks = 10, 4, 44, 0.1, 64, 1500
+	rows := gen.LowRankMatrix(gen.PAMAPLike(block * blocks))
+	one := NewP2Fast(m, eps, d)
+	sharded := NewShardedTracker(p, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
+	defer sharded.Close()
+	for b := 0; b < blocks; b++ {
+		blk := rows[b*block : (b+1)*block]
+		one.ProcessRows(b%m, blk)
+		sharded.ProcessRows(b%m, blk)
+	}
+	base := float64(one.Stats().Total())
+	owned := float64(sharded.Stats().Total())
+	t.Logf("messages per row: one tracker %.5f, %d site-owning shards %.5f (%.2f×)",
+		base/(block*blocks), p, owned/(block*blocks), owned/base)
+	if math.Abs(owned/base-1) > 0.1 {
+		t.Errorf("%d shards sent %.0f messages, one tracker %.0f: want within 10 %%", p, owned, base)
+	}
+}
+
+// TestShardedHeapBelowRoundRobin: four site-owning P2 shards at m = 10,
+// d = 256 hold m + P = 14 d×d Grams where the round-robin deal's shards,
+// each over all m sites, held P·(m + 1) = 44. Fed a block at every site
+// three times, one block in flight at a time (so the staging pool, the
+// same on both sides, holds one copy), the sharded tracker must grow the
+// heap by under half of what the same engine over all-site shards grows it
+// by.
+func TestShardedHeapBelowRoundRobin(t *testing.T) {
+	const m, p, d, eps, block, rounds = 10, 4, 256, 0.1, 64, 3
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]float64, m*block)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64()
+		}
+	}
+	growth := func(sites func(int) int) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st := NewShardedTracker(p, m, func(_, owned int) Tracker { return NewP2Fast(sites(owned), eps, d) })
+		defer st.Close()
+		for b := 0; b < rounds*m; b++ {
+			site := b % m
+			st.ProcessRows(site, rows[site*block:(site+1)*block])
+			st.Flush()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(st)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	owned := growth(func(owned int) int { return owned })
+	all := growth(func(int) int { return m })
+	gram := float64(d * d * 8)
+	t.Logf("heap growth: site-owning shards %.1f MB (%.1f Grams), all-site shards %.1f MB (%.1f Grams)",
+		float64(owned)/1e6, float64(owned)/gram, float64(all)/1e6, float64(all)/gram)
+	if 2*owned >= all {
+		t.Errorf("site-owning shards grew the heap by %.1f MB, all-site shards %.1f MB: want under half", float64(owned)/1e6, float64(all)/1e6)
 	}
 }

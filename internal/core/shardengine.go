@@ -10,29 +10,39 @@ import (
 
 // ShardEngine is the one deal/barrier/failure machine behind every sharded
 // tracker. It owns everything about sharding that does not depend on what
-// is being tracked: the round-robin deal cursor, chunking, the pooled block
+// is being tracked: the site-to-shard rule, chunking, the pooled block
 // copy, one bounded queue and worker per shard, the flush barrier, the
-// first-panic capture, Close, the per-shard tallies, and the deal-state
+// first-panic capture, Close, the per-shard tallies and their
 // save/restore. What differs between matrix rows and weighted items — the
-// chunk size, input validation, how a block is copied into a pooled buffer
-// and how it is applied to a shard — is a shardKind, called once per block.
-// What "merge" means (Gram addition, MG merge, q-digest accumulation) lives
-// with the wrapper that embeds the engine (ShardedTracker, hh.Sharded,
-// quantile.Sharded), where the summed bound Σ ε‖A_k‖²_F = ε‖A‖²_F (or
-// Σ εW_k = εW) is argued.
+// chunk size, element validation, how a block is copied into a pooled
+// buffer and how it is applied to a shard — is a shardKind, called once per
+// block. What "merge" means (Gram addition, MG merge, q-digest
+// accumulation) lives with the wrapper that embeds the engine
+// (ShardedTracker, hh.Sharded, quantile.Sharded), where the summed bound
+// Σ ε‖A_k‖²_F = ε‖A‖²_F (or Σ εW_k = εW) is argued.
+//
+// A shard owns sites: site j of the tracker's m is site ⌊j/P⌋ of shard
+// j mod P, so shard k runs its protocol over shardSites(m, P, k) =
+// ⌈(m−k)/P⌉ sites. Its thresholds, (ε/m_k)·F̂_k with F̂_k ≈ F̂/P, are then
+// about a single tracker's (ε/m)·F̂, and the P shards together send what
+// one tracker over all m sites sends — O((m/ε)·log βN) messages for matrix
+// P2 — not P times that; and as each site's state lives on one shard, a
+// sharded P2 holds (m + P)·d² Gram floats, not P·(m + 1)·d². A new engine
+// runs min(P, m) shards, so every shard owns a site.
 //
 // Ingestion: Deal validates the whole block synchronously in the caller (an
-// invalid element panics before anything is enqueued, so a rejected block
-// never partially applies), splits it into chunks, copies each chunk into a
-// pooled buffer (the caller may reuse its slices immediately) and enqueues
-// it on the next shard's bounded queue, which provides backpressure when
-// the workers fall behind. Queries flush first: a barrier waits for every
+// invalid site or element panics before anything is enqueued, so a
+// rejected block never partially applies), splits it into chunks that bound
+// the staging copy, copies each chunk into a pooled buffer (the caller may
+// reuse its slices immediately) and enqueues it on the bounded queue of the
+// shard that owns the block's site, which provides backpressure when the
+// workers fall behind. Queries flush first: a barrier waits for every
 // queued block to be applied.
 //
-// Determinism: the shard a block lands on depends only on the sequence of
-// Deal calls and P — never on the goroutine schedule — so results are
-// reproducible for a fixed seed and shard count. They DO depend on P (each
-// P partitions the stream differently).
+// Determinism: the shard a block lands on depends only on its site and P —
+// never on the goroutine schedule — so results are reproducible for a
+// fixed seed and shard count. They DO depend on P (each P groups the sites
+// differently); P = 1 is the unsharded tracker.
 //
 // An engine is driven by one goroutine at a time (the parallelism is
 // internal); wrap it in internal/service for a concurrent ingestion
@@ -41,9 +51,9 @@ import (
 type ShardEngine[S ShardStats, E any] struct {
 	kind    shardKind[S, E]
 	shards  []S
+	m       int // sites: site j is site j/P of shard j%P
 	queues  []chan shardBlock[E]
 	workers sync.WaitGroup
-	next    int // round-robin deal cursor
 	// dirty is set by deal and cleared by the barrier: with nothing dealt
 	// since the last flush every queue is empty, so a Snapshot that reads
 	// Stats, Gram and EstimateFrobenius waits on one barrier, not three.
@@ -69,15 +79,16 @@ type ShardStats interface {
 // the element type. Every method runs once per block, never per element,
 // and none may touch the engine's own state.
 type shardKind[S, E any] interface {
-	// chunk bounds the elements per dealt block: larger blocks are split so
-	// a single big Deal still spreads across all shards.
+	// chunk bounds the elements per staged copy: a larger block goes to
+	// its shard as several chunks, in order.
 	chunk() int
-	// validate panics unless site and every element of blk are acceptable.
-	validate(site int, blk []E)
+	// validate panics unless every element of blk is acceptable.
+	validate(blk []E)
 	// stage copies blk into buf, leaving buf.elems the staged block and
 	// growing buf's backing arrays only past their high-water mark.
 	stage(buf *stageBuf[E], blk []E)
-	// apply runs one staged block through a shard, on that shard's worker.
+	// apply runs one staged block from the shard's local site through the
+	// shard, on that shard's worker.
 	apply(shard S, site int, blk []E)
 }
 
@@ -90,8 +101,9 @@ type stageBuf[E any] struct {
 }
 
 // shardBlock is one unit of work for a shard worker: either a staged block
-// or a barrier (buf nil), whose channel the worker closes once every
-// earlier block on its queue has been applied.
+// from one of the shard's local sites, or a barrier (buf nil), whose
+// channel the worker closes once every earlier block on its queue has been
+// applied.
 type shardBlock[E any] struct {
 	site    int
 	buf     *stageBuf[E]
@@ -111,15 +123,24 @@ func CheckShards(p int) error {
 	return nil
 }
 
-// buildShards calls build once per shard index, panicking on an invalid
-// shard count or a nil shard.
-func buildShards[S any](p int, build func(shard int) S) []S {
+// shardSites returns how many of m sites shard k of p owns: ⌈(m−k)/p⌉,
+// the sites j < m with j ≡ k (mod p).
+func shardSites(m, p, k int) int { return (m - k + p - 1) / p }
+
+// buildShards calls build once per shard index with that shard's site
+// count, over min(p, m) shards, panicking on an invalid shard or site count
+// or a nil shard.
+func buildShards[S any](p, m int, build func(shard, sites int) S) []S {
 	if err := CheckShards(p); err != nil {
 		panic(err.Error())
 	}
+	if err := stream.CheckSites(m); err != nil {
+		panic("core: sharded tracker: " + err.Error())
+	}
+	p = min(p, m)
 	shards := make([]S, p)
 	for i := range shards {
-		shards[i] = build(i)
+		shards[i] = build(i, shardSites(m, p, i))
 		if any(shards[i]) == nil {
 			panic(fmt.Sprintf("core: sharded tracker: build(%d) returned nil", i))
 		}
@@ -127,13 +148,14 @@ func buildShards[S any](p int, build func(shard int) S) []S {
 	return shards
 }
 
-// newShardEngine wires the queues and workers around existing shards (the
-// restore paths reuse it with deserialized shards). The workers start
-// immediately and stop at Close.
-func newShardEngine[S ShardStats, E any](shards []S, kind shardKind[S, E]) *ShardEngine[S, E] {
+// newShardEngine wires the queues and workers around existing shards over
+// m sites (the restore paths reuse it with deserialized shards). The
+// workers start immediately and stop at Close.
+func newShardEngine[S ShardStats, E any](shards []S, m int, kind shardKind[S, E]) *ShardEngine[S, E] {
 	e := &ShardEngine[S, E]{
 		kind:   kind,
 		shards: shards,
+		m:      m,
 		queues: make([]chan shardBlock[E], len(shards)),
 		dealt:  make([]atomic.Int64, len(shards)),
 		// One buffer per queue slot plus the one being staged: the pool
@@ -194,14 +216,17 @@ func (e *ShardEngine[S, E]) failed() any {
 // ShardCount returns P, the number of parallel shards.
 func (e *ShardEngine[S, E]) ShardCount() int { return len(e.shards) }
 
+// Sites returns m, the tracker's site count, which the shards divide.
+func (e *ShardEngine[S, E]) Sites() int { return e.m }
+
 // Shard returns shard i. The caller must not touch it while ingestion is in
 // flight; use it after a flushing call (Flush, Stats) or after Close.
 func (e *ShardEngine[S, E]) Shard(i int) S { return e.shards[i] }
 
 // ShardRows returns how many elements (rows or items) have been dealt to
-// each shard — the per-shard ingest tally the service layer reports. Safe
-// to call concurrently with queries from the driving goroutine's lock, not
-// with ingestion itself.
+// each shard — for shard k, those from sites ≡ k (mod P) — the per-shard
+// ingest tally the service layer reports. Safe to call concurrently with
+// queries from the driving goroutine's lock, not with ingestion itself.
 func (e *ShardEngine[S, E]) ShardRows() []int64 {
 	out := make([]int64, len(e.dealt))
 	for i := range out {
@@ -210,18 +235,12 @@ func (e *ShardEngine[S, E]) ShardRows() []int64 {
 	return out
 }
 
-// RestoreDeal rewinds the deal cursor and per-shard tallies to a
-// checkpointed position, so a restored engine deals the next block to the
-// same shard the saved one would have. dealt may be nil (tallies reset).
-func (e *ShardEngine[S, E]) RestoreDeal(next int, dealt []int64) error {
-	p := len(e.shards)
-	if next < 0 || next >= p {
-		return fmt.Errorf("core: sharded snapshot deal cursor %d outside [0,%d)", next, p)
+// RestoreTallies sets the per-shard tallies to checkpointed values. dealt
+// may be nil (tallies reset).
+func (e *ShardEngine[S, E]) RestoreTallies(dealt []int64) error {
+	if dealt != nil && len(dealt) != len(e.shards) {
+		return fmt.Errorf("core: sharded snapshot has %d tallies for %d shards", len(dealt), len(e.shards))
 	}
-	if dealt != nil && len(dealt) != p {
-		return fmt.Errorf("core: sharded snapshot has %d tallies for %d shards", len(dealt), p)
-	}
-	e.next = next
 	for i := range e.dealt {
 		var n int64
 		if dealt != nil {
@@ -232,29 +251,30 @@ func (e *ShardEngine[S, E]) RestoreDeal(next int, dealt []int64) error {
 	return nil
 }
 
-// Deal validates blk, splits it into chunks of at most kind.chunk()
-// elements, and deals the chunks round-robin to the shard workers. It
-// returns once every chunk is enqueued; a query flushes.
+// Deal validates site and blk and enqueues blk on the shard that owns
+// site, as that shard's local site, in chunks of at most kind.chunk()
+// elements. It returns once every chunk is enqueued; a query flushes.
 func (e *ShardEngine[S, E]) Deal(site int, blk []E) {
-	e.kind.validate(site, blk)
+	validateSite(site, e.m)
+	e.kind.validate(blk)
+	p := len(e.shards)
+	shard, local := site%p, site/p
 	for chunk := e.kind.chunk(); len(blk) > chunk; blk = blk[chunk:] {
-		e.deal(site, blk[:chunk])
+		e.deal(shard, local, blk[:chunk])
 	}
-	e.deal(site, blk)
+	e.deal(shard, local, blk)
 }
 
-// deal stages one chunk and enqueues it on the next shard's queue.
+// deal stages one chunk and enqueues it on shard's queue.
 //
 //distlint:hotpath
-func (e *ShardEngine[S, E]) deal(site int, blk []E) {
+func (e *ShardEngine[S, E]) deal(shard, site int, blk []E) {
 	if len(blk) == 0 {
 		return
 	}
 	if e.closed {
 		panic("core: sharded tracker is closed")
 	}
-	shard := e.next
-	e.next = (e.next + 1) % len(e.shards)
 	e.dealt[shard].Add(int64(len(blk)))
 	e.dirty = true
 	e.queues[shard] <- shardBlock[E]{site: site, buf: e.stage(blk)}
@@ -322,9 +342,8 @@ func (e *ShardEngine[S, E]) Close() {
 }
 
 // Stats sums the shard tallies in shard order after a flush barrier, so the
-// tally covers every dealt block. Each shard runs its own protocol
-// instance, so sharded communication grows by up to a factor of P over a
-// single tracker on the same stream.
+// tally covers every dealt block. Each shard runs its protocol over its own
+// sites only, so the sum is about what one tracker over all m sites sends.
 func (e *ShardEngine[S, E]) Stats() stream.Stats {
 	e.Flush()
 	return e.StatsApplied()
@@ -347,8 +366,12 @@ func (e *ShardEngine[S, E]) StatsApplied() stream.Stats {
 // SnapshotShards is the save half of the sharded-snapshot envelope every
 // persistable wrapper shares: a non-panicking flush (a poisoned tracker
 // yields an error here, not a crashed checkpointer), one snapshot per shard
-// in shard order, the deal cursor and the per-shard tallies.
-func SnapshotShards[S ShardStats, E, T any](e *ShardEngine[S, E], snap func(shard S) (T, error)) (shards []T, next int, dealt []int64, err error) {
+// in shard order, the site count m as the envelope records it, and the
+// per-shard tallies; sites reads a shard snapshot's own site count. The
+// recorded m is 0 when shard 0 has all m sites — P = 1, or a tracker
+// restored from a checkpoint written when every shard ran all m sites — so
+// such a tracker saves the envelope it was restored from.
+func SnapshotShards[S ShardStats, E, T any](e *ShardEngine[S, E], snap func(shard S) (T, error), sites func(T) int) (shards []T, m int, dealt []int64, err error) {
 	if r := e.FlushErr(); r != nil {
 		return nil, 0, nil, fmt.Errorf("sharded tracker failed during ingest: %v", r)
 	}
@@ -358,28 +381,44 @@ func SnapshotShards[S ShardStats, E, T any](e *ShardEngine[S, E], snap func(shar
 			return nil, 0, nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	return shards, e.next, e.ShardRows(), nil
+	if m = e.m; sites(shards[0]) == m {
+		m = 0
+	}
+	return shards, m, e.ShardRows(), nil
 }
 
-// RestoreShards is the restore half of the envelope: every shard is rebuilt
-// by restore (which also checks it against shard 0), wire starts a tracker
-// around them, and the deal state is rewound. A rejected envelope stops the
-// freshly started workers before returning the error.
+// RestoreShards is the restore half of the envelope: m = 0 stands for
+// shard 0's own site count (see SnapshotShards); every shard k must have at
+// least the shardSites(m, P, k) sites the deal routes to it; restore
+// rebuilds each shard (and checks it against shard 0); wire starts a
+// tracker around them over m sites; and the tallies are restored. A
+// rejected envelope stops the freshly started workers before returning the
+// error.
 func RestoreShards[T, S any, W interface {
-	RestoreDeal(next int, dealt []int64) error
+	RestoreTallies(dealt []int64) error
 	Close()
-}](snaps []T, next int, dealt []int64, restore func(snap T) (S, error), wire func([]S) W) (w W, err error) {
-	if err := CheckShards(len(snaps)); err != nil {
+}](snaps []T, m int, dealt []int64, sites func(T) int, restore func(snap T) (S, error), wire func(m int, shards []S) W) (w W, err error) {
+	p := len(snaps)
+	if err := CheckShards(p); err != nil {
 		return w, err
 	}
-	shards := make([]S, len(snaps))
+	if m == 0 {
+		m = sites(snaps[0])
+	}
+	if err := stream.CheckSites(m); err != nil {
+		return w, err
+	}
+	shards := make([]S, p)
 	for i, snap := range snaps {
+		if got, need := sites(snap), shardSites(m, p, i); got < need {
+			return w, fmt.Errorf("shard %d has %d sites, needs %d of %d", i, got, need, m)
+		}
 		if shards[i], err = restore(snap); err != nil {
 			return w, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	tr := wire(shards)
-	if err := tr.RestoreDeal(next, dealt); err != nil {
+	tr := wire(m, shards)
+	if err := tr.RestoreTallies(dealt); err != nil {
 		tr.Close()
 		return w, err
 	}

@@ -16,9 +16,10 @@ import (
 // weighted items). The protocol-level properties (merged error bounds,
 // one-shard identity against real trackers, persistence round-trips) live
 // with the wrappers; here the contract under test is the machine itself —
-// the deal is deterministic, blocks are atomic, failures surface at the
-// flush barrier instead of deadlocking, Close releases the workers, and
-// the deal state restores with range checks.
+// each site's blocks go to the shard that owns the site, in order, blocks
+// are atomic, failures surface at the flush barrier instead of
+// deadlocking, Close releases the workers, and the tallies restore with
+// range checks.
 
 // recorder is the shard-side log both instantiations share: every applied
 // element and its site, in order. A poisoned element panics instead,
@@ -49,13 +50,16 @@ func (r *itemRecorder) Process(site int, elem uint64, w float64) {
 	r.record(site, gen.WeightedItem{Elem: elem, Weight: w})
 }
 
-// rowRecorder is a recording Tracker over 2-dimensional rows for 2 sites.
-type rowRecorder struct{ recorder[[]float64] }
+// rowRecorder is a recording Tracker over 2-dimensional rows.
+type rowRecorder struct {
+	recorder[[]float64]
+	m int
+}
 
 func (r *rowRecorder) Name() string { return "rec" }
 func (r *rowRecorder) Dim() int     { return 2 }
 func (r *rowRecorder) Eps() float64 { return 0.5 }
-func (r *rowRecorder) Sites() int   { return 2 }
+func (r *rowRecorder) Sites() int   { return r.m }
 func (r *rowRecorder) Gram() *matrix.Sym {
 	return matrix.NewSym(2)
 }
@@ -66,11 +70,13 @@ func (r *rowRecorder) ProcessRows(site int, rows [][]float64) {
 	}
 }
 
-// engineCase adapts one instantiation to the generic suite. Both run with
-// two sites (site indices 0 and 1 are valid).
+// engineSites is the site count every engine of the suite runs with.
+const engineSites = 5
+
+// engineCase adapts one instantiation to the generic suite.
 type engineCase[S ShardStats, E any] struct {
-	// build starts an engine over p recording shards that panic on
-	// elements poison reports (nil: healthy shards).
+	// build starts an engine for engineSites sites over p recording shards
+	// that panic on elements poison reports (nil: healthy shards).
 	build func(p int, poison func(E) bool) *ShardEngine[S, E]
 	// buildNil runs the constructor with a builder that returns no shard.
 	buildNil func()
@@ -85,11 +91,11 @@ type engineCase[S ShardStats, E any] struct {
 
 var itemCase = engineCase[*itemRecorder, gen.WeightedItem]{
 	build: func(p int, poison func(gen.WeightedItem) bool) *ShardEngine[*itemRecorder, gen.WeightedItem] {
-		return NewShardedItemTracker(p, 2, func(int) *itemRecorder {
+		return NewShardedItemTracker(p, engineSites, func(int, int) *itemRecorder {
 			return &itemRecorder{recorder[gen.WeightedItem]{poison: poison}}
 		})
 	},
-	buildNil: func() { NewShardedItemTracker(1, 2, func(int) ItemShard { return nil }) },
+	buildNil: func() { NewShardedItemTracker(1, engineSites, func(int, int) ItemShard { return nil }) },
 	stream: func(n int) []gen.WeightedItem {
 		items := make([]gen.WeightedItem, n)
 		for i := range items {
@@ -109,11 +115,11 @@ var itemCase = engineCase[*itemRecorder, gen.WeightedItem]{
 
 var rowCase = engineCase[Tracker, []float64]{
 	build: func(p int, poison func([]float64) bool) *ShardEngine[Tracker, []float64] {
-		return NewShardedTracker(p, func(int) Tracker {
-			return &rowRecorder{recorder[[]float64]{poison: poison}}
+		return NewShardedTracker(p, engineSites, func(_, sites int) Tracker {
+			return &rowRecorder{recorder[[]float64]{poison: poison}, sites}
 		}).ShardEngine
 	},
-	buildNil: func() { NewShardedTracker(1, func(int) Tracker { return nil }) },
+	buildNil: func() { NewShardedTracker(1, engineSites, func(int, int) Tracker { return nil }) },
 	stream: func(n int) [][]float64 {
 		rows := make([][]float64, n)
 		for i := range rows {
@@ -158,39 +164,56 @@ func testEngineContract[S ShardStats, E any](t *testing.T, c engineCase[S, E], l
 		return got, n
 	}
 
-	// The shard an element lands on is a pure function of the call sequence
-	// and P — chunks deal round-robin — and per-shard tallies match what
-	// each shard applied.
+	// Site j's blocks land, whole and in order, on shard j mod P as its
+	// local site j/P, however long they are (chunks only bound the copy),
+	// and per-shard tallies match what each shard applied.
 	t.Run("deal is deterministic", func(t *testing.T) {
 		const p = 3
 		e := c.build(p, nil)
 		defer e.Close()
 		chunk := e.kind.chunk()
-		in := c.stream(5*chunk + 17)
-		e.Deal(1, in)
+		in := c.stream(2*chunk + 17)
+		want := make([][]E, p)
+		wantSites := make([][]int, p)
+		for round := 0; round < 2; round++ {
+			for site := 0; site < engineSites; site++ {
+				blk := in[site*(len(in)/engineSites) : (site+1)*(len(in)/engineSites)]
+				if site == round {
+					blk = in // one block past the chunk size
+				}
+				e.Deal(site, blk)
+				want[site%p] = append(want[site%p], blk...)
+				for range blk {
+					wantSites[site%p] = append(wantSites[site%p], site/p)
+				}
+			}
+		}
 		e.Flush()
 
-		want := make([][]E, p)
-		for start, shard := 0, 0; start < len(in); start, shard = start+chunk, (shard+1)%p {
-			want[shard] = append(want[shard], in[start:min(start+chunk, len(in))]...)
-		}
 		got, _ := seen(e)
 		tallies := e.ShardRows()
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("shard %d saw %d elements, want %d in deal order", i, len(got[i]), len(want[i]))
+				t.Errorf("shard %d saw %d elements, want %d in feed order", i, len(got[i]), len(want[i]))
 			}
 			if tallies[i] != int64(len(want[i])) {
 				t.Errorf("ShardRows()[%d] = %d, want %d", i, tallies[i], len(want[i]))
 			}
-			for _, s := range log(e.Shard(i)).sites {
-				if s != 1 {
-					t.Fatalf("shard %d saw site %d, want 1", i, s)
-				}
+			if got := log(e.Shard(i)).sites; !reflect.DeepEqual(got, wantSites[i]) {
+				t.Errorf("shard %d saw local sites %v, want %v", i, got, wantSites[i])
 			}
 		}
 		if got := e.ShardCount(); got != p {
 			t.Errorf("ShardCount() = %d, want %d", got, p)
+		}
+		if got := e.Sites(); got != engineSites {
+			t.Errorf("Sites() = %d, want %d", got, engineSites)
+		}
+		// More shards than sites would leave shards without a site.
+		wide := c.build(engineSites+3, nil)
+		defer wide.Close()
+		if got := wide.ShardCount(); got != engineSites {
+			t.Errorf("%d shards over %d sites: ShardCount() = %d, want %d", engineSites+3, engineSites, got, engineSites)
 		}
 	})
 
@@ -205,7 +228,7 @@ func testEngineContract[S ShardStats, E any](t *testing.T, c engineCase[S, E], l
 			mustPanic(t, name+" mid-batch", func() { e.Deal(0, []E{ok[0], bad, ok[2]}) })
 			mustPanic(t, name+" alone", func() { e.Deal(0, []E{bad}) })
 		}
-		mustPanic(t, "site past the end", func() { e.Deal(2, ok) })
+		mustPanic(t, "site past the end", func() { e.Deal(engineSites, ok) })
 		mustPanic(t, "negative site", func() { e.Deal(-1, ok[:1]) })
 		e.Flush()
 		if _, n := seen(e); n != 0 {
@@ -271,40 +294,35 @@ func testEngineContract[S ShardStats, E any](t *testing.T, c engineCase[S, E], l
 		}
 	})
 
-	// A restored cursor redirects the next deal, tallies restore or zero,
-	// and out-of-range snapshots are rejected with errors (not panics).
+	// Tallies restore or zero, keep counting from the restored values, and
+	// a tally slice of the wrong length is rejected with an error (not a
+	// panic) that leaves them as they were.
 	t.Run("deal state restores", func(t *testing.T) {
 		const p = 3
 		e := c.build(p, nil)
 		defer e.Close()
-		if err := e.RestoreDeal(2, []int64{4, 5, 6}); err != nil {
+		if err := e.RestoreTallies([]int64{4, 5, 6}); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.ShardRows(); e.next != 2 || !reflect.DeepEqual(got, []int64{4, 5, 6}) {
-			t.Fatalf("after restore: cursor %d, tallies %v; want 2, [4 5 6]", e.next, got)
+		if got := e.ShardRows(); !reflect.DeepEqual(got, []int64{4, 5, 6}) {
+			t.Fatalf("after restore: tallies %v, want [4 5 6]", got)
 		}
-		e.Deal(0, c.stream(1))
+		e.Deal(4, c.stream(1))
 		e.Flush()
-		if got, _ := seen(e); len(got[2]) != 1 {
-			t.Fatal("restored cursor did not redirect the next block to shard 2")
+		if got := e.ShardRows(); !reflect.DeepEqual(got, []int64{4, 6, 6}) {
+			t.Fatalf("a block from site 4 moved the tallies to %v, want [4 6 6]", got)
 		}
-		if err := e.RestoreDeal(0, nil); err != nil {
+		if err := e.RestoreTallies(nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := e.ShardRows(); !reflect.DeepEqual(got, []int64{0, 0, 0}) {
 			t.Fatalf("ShardRows() = %v after nil-tally restore, want zeros", got)
 		}
-		for name, err := range map[string]error{
-			"cursor = p":        e.RestoreDeal(p, nil),
-			"negative cursor":   e.RestoreDeal(-1, nil),
-			"short tally slice": e.RestoreDeal(0, []int64{1}),
-		} {
-			if err == nil {
-				t.Errorf("%s accepted, want error", name)
-			}
+		if err := e.RestoreTallies([]int64{1}); err == nil {
+			t.Error("short tally slice accepted, want error")
 		}
-		if e.next != 0 {
-			t.Errorf("rejected restores moved the cursor to %d", e.next)
+		if got := e.ShardRows(); !reflect.DeepEqual(got, []int64{0, 0, 0}) {
+			t.Errorf("a rejected restore moved the tallies to %v", got)
 		}
 	})
 
@@ -316,10 +334,23 @@ func testEngineContract[S ShardStats, E any](t *testing.T, c engineCase[S, E], l
 	})
 }
 
-// TestShardedItemSiteCount: the item instantiation's site count is a
-// constructor argument (the row one asks its shards), validated up front.
+// TestShardedItemSiteCount: the site count is a constructor argument of
+// both instantiations, validated up front, and each shard is built with
+// its share ⌈(m−k)/P⌉ of the sites.
 func TestShardedItemSiteCount(t *testing.T) {
 	mustPanic(t, "zero sites", func() {
-		NewShardedItemTracker(1, 0, func(int) *itemRecorder { return &itemRecorder{} })
+		NewShardedItemTracker(1, 0, func(int, int) *itemRecorder { return &itemRecorder{} })
 	})
+	mustPanic(t, "zero sites (rows)", func() {
+		NewShardedTracker(1, 0, func(int, int) Tracker { return &rowRecorder{} })
+	})
+	var got []int
+	e := NewShardedItemTracker(4, 10, func(_, sites int) *itemRecorder {
+		got = append(got, sites)
+		return &itemRecorder{}
+	})
+	e.Close()
+	if want := []int{3, 3, 2, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("10 sites over 4 shards built shards of %v sites, want %v", got, want)
+	}
 }

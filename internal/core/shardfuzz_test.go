@@ -59,19 +59,28 @@ func FuzzShardedMergeEquivalence(f *testing.F) {
 
 		// Fast-mode P2 shards: the configuration the service's
 		// highest-throughput path runs, and the persistable one.
-		sharded := NewShardedTracker(p, func(int) Tracker { return NewP2Fast(m, eps, d) })
+		sharded := NewShardedTracker(p, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
 		defer sharded.Close()
+		if got := sharded.ShardCount(); got != min(p, m) {
+			t.Fatalf("%d shards over %d sites: ShardCount() = %d", p, m, got)
+		}
 		exact := matrix.NewSym(d)
+		fed := make([]int64, sharded.ShardCount())
 		start := 0
 		for bi, n := range splits {
 			block := rows[start : start+n]
 			sharded.ProcessRows(sites[bi], block)
+			fed[sites[bi]%len(fed)] += int64(n)
 			for _, row := range block {
 				exact.AddOuter(1, row)
 			}
 			start += n
 		}
 		assertCovarianceBound(t, "sharded-merge", start, exact, sharded.Gram(), eps)
+		// Shard k holds exactly the rows of the sites ≡ k (mod P).
+		if got := sharded.ShardRows(); !reflect.DeepEqual(got, fed) {
+			t.Fatalf("ShardRows() = %v, rows fed per site class = %v", got, fed)
+		}
 
 		// Persisted form: a gob round-trip restores bit-exactly.
 		snap, err := sharded.SnapshotShardedP2()

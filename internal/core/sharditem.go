@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/gen"
-	"repro/internal/stream"
 )
 
 // ItemShard is the per-shard surface of a sharded item tracker: one
@@ -25,20 +24,16 @@ type BoundedUniverse interface {
 	Bits() uint
 }
 
-// itemKind is the engine instantiation for weighted items from one of m
-// sites, with elements in [0, 2^bits) (bits = 64: any uint64).
-type itemKind[S ItemShard] struct {
-	m    int
-	bits uint
-}
+// itemKind is the engine instantiation for weighted items with elements in
+// [0, 2^bits) (bits = 64: any uint64).
+type itemKind[S ItemShard] struct{ bits uint }
 
 // chunk: items are 16 bytes and the per-item tracker work is a few map
 // operations, so chunks are larger than the matrix kind's 256 rows to
 // amortize the channel hop.
 func (itemKind[S]) chunk() int { return 1024 }
 
-func (k itemKind[S]) validate(site int, items []gen.WeightedItem) {
-	validateSite(site, k.m)
+func (k itemKind[S]) validate(items []gen.WeightedItem) {
 	for _, it := range items {
 		if !gen.ValidWeight(it.Weight) {
 			panic(fmt.Sprintf("core: sharded item tracker: need positive finite weight, got %v", it.Weight))
@@ -60,18 +55,21 @@ func (itemKind[S]) apply(shard S, site int, items []gen.WeightedItem) {
 	}
 }
 
-// NewShardedItemTracker starts an engine dealing weighted items across p
-// shard instances for m sites, produced by build (called once per shard
-// with the shard index; derive per-shard seeds from it for randomized
-// protocols).
-func NewShardedItemTracker[S ItemShard](p, m int, build func(shard int) S) *ShardEngine[S, gen.WeightedItem] {
-	if err := stream.CheckSites(m); err != nil {
-		panic("core: sharded item tracker: " + err.Error())
-	}
-	shards := buildShards(p, build)
-	kind := itemKind[S]{m: m, bits: 64}
+// NewShardedItemTracker starts an engine dealing weighted items from m
+// sites across min(p, m) shard instances produced by build, called once per
+// shard with the shard index (derive per-shard seeds from it for
+// randomized protocols) and the shard's site count ⌈(m−shard)/P⌉.
+func NewShardedItemTracker[S ItemShard](p, m int, build func(shard, sites int) S) *ShardEngine[S, gen.WeightedItem] {
+	return ItemEngine(m, buildShards(p, m, build))
+}
+
+// ItemEngine starts an engine dealing weighted items from m sites across
+// existing shards — the restore paths' constructor, which keeps the shard
+// count a checkpoint carries.
+func ItemEngine[S ItemShard](m int, shards []S) *ShardEngine[S, gen.WeightedItem] {
+	kind := itemKind[S]{bits: 64}
 	if b, ok := any(shards[0]).(BoundedUniverse); ok {
 		kind.bits = b.Bits()
 	}
-	return newShardEngine(shards, kind)
+	return newShardEngine(shards, m, kind)
 }

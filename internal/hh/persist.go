@@ -127,12 +127,12 @@ func RestoreExact(snap ExactSnapshot) (*Exact, error) {
 }
 
 // ShardedP2Snapshot is the serializable state of a sharded P2 tracker:
-// every shard's full snapshot plus the deal cursor and per-shard item
-// tallies, so a restored tracker deals the next block to the same shard
-// the saved one would have.
+// every shard's full snapshot, the tracker's site count and the per-shard
+// item tallies. M = 0 means Shards[0].M, as in every checkpoint written
+// before shards owned sites (core.SnapshotShards).
 type ShardedP2Snapshot struct {
 	Shards []P2Snapshot
-	Next   int
+	M      int
 	Items  []int64
 }
 
@@ -140,22 +140,26 @@ type ShardedP2Snapshot struct {
 // re-raising shard panics — a poisoned tracker yields an error here, not a
 // crashed checkpointer) and errors unless every shard is a P2 instance.
 func SnapshotSharded(s *Sharded) (ShardedP2Snapshot, error) {
-	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (P2Snapshot, error) {
+	shards, m, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (P2Snapshot, error) {
 		p2, ok := p.(*P2)
 		if !ok {
 			return P2Snapshot{}, fmt.Errorf("%s is not a persistable P2", p.Name())
 		}
 		return p2.Snapshot(), nil
-	})
+	}, p2Sites)
 	if err != nil {
 		return ShardedP2Snapshot{}, fmt.Errorf("hh: %w", err)
 	}
-	return ShardedP2Snapshot{Shards: shards, Next: next, Items: items}, nil
+	return ShardedP2Snapshot{Shards: shards, M: m, Items: items}, nil
 }
 
-// shardedOver wires restored shard protocols back into a deal engine.
+func p2Sites(s P2Snapshot) int       { return s.M }
+func exactSites(s ExactSnapshot) int { return s.M }
+
+// shardedOver wires restored shard protocols back into an engine over m
+// sites.
 func shardedOver(m int, protos []Protocol) *Sharded {
-	return NewSharded(len(protos), m, func(i int) Protocol { return protos[i] })
+	return &Sharded{core.ItemEngine(m, protos)}
 }
 
 // RestoreSharded rebuilds a sharded P2 tracker from a snapshot, rejecting
@@ -163,13 +167,12 @@ func shardedOver(m int, protos []Protocol) *Sharded {
 // merge boundary returns errors rather than letting a corrupted snapshot
 // panic the first query.
 func RestoreSharded(snap ShardedP2Snapshot) (*Sharded, error) {
-	s, err := core.RestoreShards(snap.Shards, snap.Next, snap.Items, func(ss P2Snapshot) (Protocol, error) {
-		if first := snap.Shards[0]; ss.M != first.M || ss.Eps != first.Eps {
-			return nil, fmt.Errorf("has (m=%d, eps=%v), shard 0 has (m=%d, eps=%v): %w",
-				ss.M, ss.Eps, first.M, first.Eps, ErrMergeMismatch)
+	s, err := core.RestoreShards(snap.Shards, snap.M, snap.Items, p2Sites, func(ss P2Snapshot) (Protocol, error) {
+		if first := snap.Shards[0]; ss.Eps != first.Eps {
+			return nil, fmt.Errorf("has eps=%v, shard 0 has eps=%v: %w", ss.Eps, first.Eps, ErrMergeMismatch)
 		}
 		return RestoreP2(ss)
-	}, func(protos []Protocol) *Sharded { return shardedOver(snap.Shards[0].M, protos) })
+	}, shardedOver)
 	if err != nil {
 		return nil, fmt.Errorf("hh: sharded snapshot: %w", err)
 	}
@@ -177,37 +180,35 @@ func RestoreSharded(snap ShardedP2Snapshot) (*Sharded, error) {
 }
 
 // ShardedExactSnapshot is the serializable state of a sharded exact
-// tracker (shard snapshots + deal cursor, as for ShardedP2Snapshot).
+// tracker (shard snapshots, site count and tallies, as for
+// ShardedP2Snapshot).
 type ShardedExactSnapshot struct {
 	Shards []ExactSnapshot
-	Next   int
+	M      int
 	Items  []int64
 }
 
 // SnapshotShardedExact captures a sharded exact tracker, flushing first
 // without re-raising shard panics.
 func SnapshotShardedExact(s *Sharded) (ShardedExactSnapshot, error) {
-	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (ExactSnapshot, error) {
+	shards, m, items, err := core.SnapshotShards(s.ShardEngine, func(p Protocol) (ExactSnapshot, error) {
 		ex, ok := p.(*Exact)
 		if !ok {
 			return ExactSnapshot{}, fmt.Errorf("%s is not an exact tracker", p.Name())
 		}
 		return ex.Snapshot(), nil
-	})
+	}, exactSites)
 	if err != nil {
 		return ShardedExactSnapshot{}, fmt.Errorf("hh: %w", err)
 	}
-	return ShardedExactSnapshot{Shards: shards, Next: next, Items: items}, nil
+	return ShardedExactSnapshot{Shards: shards, M: m, Items: items}, nil
 }
 
 // RestoreShardedExact rebuilds a sharded exact tracker from a snapshot.
 func RestoreShardedExact(snap ShardedExactSnapshot) (*Sharded, error) {
-	s, err := core.RestoreShards(snap.Shards, snap.Next, snap.Items, func(ss ExactSnapshot) (Protocol, error) {
-		if first := snap.Shards[0]; ss.M != first.M {
-			return nil, fmt.Errorf("has m=%d, shard 0 has m=%d: %w", ss.M, first.M, ErrMergeMismatch)
-		}
+	s, err := core.RestoreShards(snap.Shards, snap.M, snap.Items, exactSites, func(ss ExactSnapshot) (Protocol, error) {
 		return RestoreExact(ss)
-	}, func(protos []Protocol) *Sharded { return shardedOver(snap.Shards[0].M, protos) })
+	}, shardedOver)
 	if err != nil {
 		return nil, fmt.Errorf("hh: sharded snapshot: %w", err)
 	}

@@ -136,14 +136,16 @@ func Accumulate(p Protocol, acc *MergedSummary) error {
 	return nil
 }
 
-// Sharded runs P independent copies of a protocol: the embedded
-// core.ShardEngine deals the stream across them (Deal, the flush barrier,
-// failure capture, Close, tallies), and queries answer from the merged
-// coordinator view. It implements Protocol, so everything built on the
-// interface (HeavyHitters, the session facade, the service layer) works
-// unchanged; the error contract is the merged bound argued on
-// MergedSummary. Communication tallies sum over shards, so Stats can grow
-// by up to a factor of P versus one tracker on the same stream.
+// Sharded runs P independent copies of a protocol, each owning a fixed set
+// of the m sites: the embedded core.ShardEngine routes site j's items to
+// shard j mod P (Deal, the flush barrier, failure capture, Close,
+// tallies), and queries answer from the merged coordinator view. It
+// implements Protocol, so everything built on the interface (HeavyHitters,
+// the session facade, the service layer) works unchanged; the error
+// contract is the merged bound argued on MergedSummary. Shard k runs its
+// protocol over ⌈(m−k)/P⌉ sites, so its thresholds are about a single
+// tracker's and the summed Stats are about what one tracker sends on the
+// same stream.
 //
 // Like the unsharded protocols, a Sharded tracker is driven by one
 // goroutine at a time. Queries flush (merge barrier) first; Close stops
@@ -152,11 +154,12 @@ type Sharded struct {
 	*core.ShardEngine[Protocol, gen.WeightedItem]
 }
 
-// NewSharded builds a sharded tracker over p shard protocols for m sites,
-// produced by build (called once per shard index; randomized protocols
-// should derive per-shard seeds from it). All shards must come from the
-// same constructor with the same parameters.
-func NewSharded(p, m int, build func(shard int) Protocol) *Sharded {
+// NewSharded builds a sharded tracker for m sites over min(p, m) shard
+// protocols produced by build, called once per shard index with the
+// shard's site count (randomized protocols should derive per-shard seeds
+// from the index). All shards must come from the same constructor with the
+// same parameters.
+func NewSharded(p, m int, build func(shard, sites int) Protocol) *Sharded {
 	return &Sharded{core.NewShardedItemTracker(p, m, build)}
 }
 

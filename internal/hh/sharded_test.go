@@ -56,14 +56,14 @@ func feedBare(p Protocol, items []gen.WeightedItem, m, run int) {
 func TestShardedOneShardByteIdentity(t *testing.T) {
 	const m, eps, run = 4, 0.05, 64
 	items, exact, _ := testStream(20000, 50, 31)
-	builders := map[string]func() Protocol{
-		"P2":    func() Protocol { return NewP2(m, eps) },
-		"P1":    func() Protocol { return NewP1(m, eps) },
-		"Exact": func() Protocol { return NewExact(m) },
+	builders := map[string]func(m int) Protocol{
+		"P2":    func(m int) Protocol { return NewP2(m, eps) },
+		"P1":    func(m int) Protocol { return NewP1(m, eps) },
+		"Exact": func(m int) Protocol { return NewExact(m) },
 	}
 	for name, mk := range builders {
-		bare := mk()
-		sharded := NewSharded(1, m, func(int) Protocol { return mk() })
+		bare := mk(m)
+		sharded := NewSharded(1, m, func(_, sites int) Protocol { return mk(sites) })
 		feedBare(bare, items, m, run)
 		feedShardedItems(sharded, items, m, run)
 
@@ -106,7 +106,7 @@ func TestShardedMergedErrorBound(t *testing.T) {
 	const m, eps, run = 5, 0.05, 37
 	items, _, _ := testStream(30000, 50, 32)
 	for _, p := range []int{2, 3, 4} {
-		sharded := NewSharded(p, m, func(int) Protocol { return NewP2(m, eps) })
+		sharded := NewSharded(p, m, func(_, sites int) Protocol { return NewP2(sites, eps) })
 		half := len(items) / 2
 		feedShardedItems(sharded, items[:half], m, run)
 		assertMergedBound(t, "mid-stream", p, sharded, items[:half], eps)
@@ -139,7 +139,7 @@ func TestShardedDeterministicItemReplay(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for _, seed := range []int64{1, 99} {
 			exec := func() (any, float64, any) {
-				s := NewSharded(p, m, func(shard int) Protocol { return NewP3(m, eps, seed+int64(shard)) })
+				s := NewSharded(p, m, func(shard, sites int) Protocol { return NewP3(sites, eps, seed+int64(shard)) })
 				defer s.Close()
 				feedShardedItems(s, items, m, run)
 				return s.Stats(), s.EstimateTotal(), s.Candidates(math.Inf(-1))
@@ -174,7 +174,7 @@ func TestShardedTieOrderingMatchesUnsharded(t *testing.T) {
 	bare := NewExact(m)
 	feedBare(bare, items, m, 41)
 	for _, p := range []int{1, 2, 3, 4} {
-		sharded := NewSharded(p, m, func(int) Protocol { return NewExact(m) })
+		sharded := NewSharded(p, m, func(_, sites int) Protocol { return NewExact(sites) })
 		feedShardedItems(sharded, items, m, 41)
 		want := HeavyHitters(bare, 0.01)
 		got := HeavyHitters(sharded, 0.01)
@@ -192,14 +192,14 @@ func TestShardedTieOrderingMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedPersistItemRoundTrip holds property 5: a half-fed sharded P2
-// snapshot gob round-trips bit-exactly (deal cursor and tallies included)
+// snapshot gob round-trips bit-exactly (site count and tallies included)
 // and continued identical ingestion stays on the original's trajectory;
 // the Exact variant round-trips the same way; corrupted snapshots fail
 // with typed errors instead of panics.
 func TestShardedPersistItemRoundTrip(t *testing.T) {
 	const m, eps, p, run = 3, 0.1, 3, 29
 	items, _, _ := testStream(10000, 20, 34)
-	orig := NewSharded(p, m, func(int) Protocol { return NewP2(m, eps) })
+	orig := NewSharded(p, m, func(_, sites int) Protocol { return NewP2(sites, eps) })
 	defer orig.Close()
 	half := len(items) / 2
 	feedShardedItems(orig, items[:half], m, run)
@@ -243,7 +243,7 @@ func TestShardedPersistItemRoundTrip(t *testing.T) {
 	}
 
 	// Exact shards round-trip through their own snapshot type.
-	ex := NewSharded(2, m, func(int) Protocol { return NewExact(m) })
+	ex := NewSharded(2, m, func(_, sites int) Protocol { return NewExact(sites) })
 	defer ex.Close()
 	feedShardedItems(ex, items[:2000], m, run)
 	esnap, err := SnapshotShardedExact(ex)
@@ -260,7 +260,7 @@ func TestShardedPersistItemRoundTrip(t *testing.T) {
 	}
 
 	// Non-persistable shards (P3) error cleanly.
-	sampled := NewSharded(2, m, func(int) Protocol { return NewP3(m, eps, 1) })
+	sampled := NewSharded(2, m, func(_, sites int) Protocol { return NewP3(sites, eps, 1) })
 	defer sampled.Close()
 	if _, err := SnapshotSharded(sampled); err == nil {
 		t.Error("snapshot of P3 shards succeeded, want error")
@@ -274,16 +274,18 @@ func TestShardedPersistItemRoundTrip(t *testing.T) {
 	if _, err := RestoreSharded(bad); !errors.Is(err, ErrMergeMismatch) {
 		t.Errorf("mismatched shard ε: err = %v, want ErrMergeMismatch", err)
 	}
+	// A shard with fewer sites than the deal routes to it, or a tally
+	// slice of the wrong length, is a plain restore error.
 	ebad := esnap
 	ebad.Shards = append([]ExactSnapshot(nil), esnap.Shards...)
-	ebad.Shards[1].M = m + 1
-	if _, err := RestoreShardedExact(ebad); !errors.Is(err, ErrMergeMismatch) {
-		t.Errorf("mismatched shard m: err = %v, want ErrMergeMismatch", err)
+	ebad.M = m + 2
+	if _, err := RestoreShardedExact(ebad); err == nil || errors.Is(err, ErrMergeMismatch) {
+		t.Errorf("too few sites on a shard: err = %v, want a plain restore error", err)
 	}
-	cursor := decoded
-	cursor.Next = p
-	if _, err := RestoreSharded(cursor); err == nil || errors.Is(err, ErrMergeMismatch) {
-		t.Errorf("out-of-range deal cursor: err = %v, want a plain restore error", err)
+	tallies := decoded
+	tallies.Items = tallies.Items[:1]
+	if _, err := RestoreSharded(tallies); err == nil || errors.Is(err, ErrMergeMismatch) {
+		t.Errorf("short tally slice: err = %v, want a plain restore error", err)
 	}
 }
 
@@ -329,8 +331,8 @@ func TestShardedItemSpeedupGuard(t *testing.T) {
 		return time.Since(start)
 	}
 	timeSharded := func() time.Duration {
-		s := NewSharded(need, m, func(shard int) Protocol {
-			return NewP4Median(m, eps, copies, 1+int64(shard))
+		s := NewSharded(need, m, func(shard, sites int) Protocol {
+			return NewP4Median(sites, eps, copies, 1+int64(shard))
 		})
 		defer s.Close()
 		start := time.Now()
@@ -356,5 +358,24 @@ func TestShardedItemSpeedupGuard(t *testing.T) {
 	t.Logf("single %.1fms, %d-shard %.1fms: %.2fx", singleSec*1e3, need, shardedSec*1e3, ratio)
 	if ratio < 2 {
 		t.Errorf("sharded item ingest only %.2fx faster than unsharded at %d workers, want ≥ 2x", ratio, need)
+	}
+}
+
+// TestShardedMessagesMatchOneTracker: at m = 10, ε = 0.01, 256-item blocks
+// with one site per block in rotation, four P2 shards that own sites send
+// within 10 % of the messages one P2 sends (1.00× here).
+func TestShardedMessagesMatchOneTracker(t *testing.T) {
+	const m, p, eps, run = 10, 4, 0.01, 256
+	items, _, _ := testStream(200_000, 20, 36)
+	one := NewP2(m, eps)
+	feedBare(one, items, m, run)
+	sharded := NewSharded(p, m, func(_, sites int) Protocol { return NewP2(sites, eps) })
+	defer sharded.Close()
+	feedShardedItems(sharded, items, m, run)
+	base, owned := float64(one.Stats().Total()), float64(sharded.Stats().Total())
+	t.Logf("messages per item: one tracker %.4f, %d site-owning shards %.4f (%.2f×)",
+		base/float64(len(items)), p, owned/float64(len(items)), owned/base)
+	if math.Abs(owned/base-1) > 0.1 {
+		t.Errorf("%d shards sent %.0f messages, one tracker %.0f: want within 10 %%", p, owned, base)
 	}
 }

@@ -58,17 +58,26 @@ func FuzzShardedItemMergeEquivalence(f *testing.F) {
 		const eps = 0.2
 		items, splits, sites := decodeItemStream(data, m)
 
-		sharded := NewSharded(p, m, func(int) Protocol { return NewP2(m, eps) })
+		sharded := NewSharded(p, m, func(_, sites int) Protocol { return NewP2(sites, eps) })
 		defer sharded.Close()
+		if got := sharded.ShardCount(); got != min(p, m) {
+			t.Fatalf("%d shards over %d sites: ShardCount() = %d", p, m, got)
+		}
 		bare := NewP2(m, eps)
+		fed := make([]int64, sharded.ShardCount())
 		start := 0
 		for bi, n := range splits {
 			batch := items[start : start+n]
 			sharded.Deal(sites[bi], batch)
+			fed[sites[bi]%len(fed)] += int64(n)
 			for _, it := range batch {
 				bare.Process(sites[bi], it.Elem, it.Weight)
 			}
 			start += n
+		}
+		// Shard k holds exactly the items of the sites ≡ k (mod P).
+		if got := sharded.ShardRows(); !reflect.DeepEqual(got, fed) {
+			t.Fatalf("ShardRows() = %v, items fed per site class = %v", got, fed)
 		}
 
 		exact := gen.ExactFrequencies(items[:start])
@@ -86,7 +95,7 @@ func FuzzShardedItemMergeEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
-		if p == 1 {
+		if sharded.ShardCount() == 1 {
 			// One shard is the unsharded oracle exactly.
 			for e := range exact {
 				if a, b := bare.Estimate(e), sharded.Estimate(e); a != b {

@@ -147,26 +147,28 @@ func RestoreTracker(snap TrackerSnapshot) (*Tracker, error) {
 }
 
 // ShardedTrackerSnapshot is the serializable state of a sharded quantile
-// tracker: every shard's full snapshot plus the deal cursor and per-shard
-// item tallies, so a restored tracker deals the next block to the same
-// shard the saved one would have.
+// tracker: every shard's full snapshot, the tracker's site count and the
+// per-shard item tallies. M = 0 means Shards[0].M, as in every checkpoint
+// written before shards owned sites (core.SnapshotShards).
 type ShardedTrackerSnapshot struct {
 	Shards []TrackerSnapshot
-	Next   int
+	M      int
 	Items  []int64
 }
+
+func trackerSites(s TrackerSnapshot) int { return s.M }
 
 // SnapshotSharded captures a sharded tracker. It flushes first without
 // re-raising shard panics — a poisoned tracker yields an error here, not
 // a crashed checkpointer.
 func SnapshotSharded(s *Sharded) (ShardedTrackerSnapshot, error) {
-	shards, next, items, err := core.SnapshotShards(s.ShardEngine, func(t *Tracker) (TrackerSnapshot, error) {
+	shards, m, items, err := core.SnapshotShards(s.ShardEngine, func(t *Tracker) (TrackerSnapshot, error) {
 		return t.Snapshot(), nil
-	})
+	}, trackerSites)
 	if err != nil {
 		return ShardedTrackerSnapshot{}, fmt.Errorf("quantile: %w", err)
 	}
-	return ShardedTrackerSnapshot{Shards: shards, Next: next, Items: items}, nil
+	return ShardedTrackerSnapshot{Shards: shards, M: m, Items: items}, nil
 }
 
 // RestoreSharded rebuilds a sharded tracker from a snapshot, rejecting
@@ -174,14 +176,14 @@ func SnapshotSharded(s *Sharded) (ShardedTrackerSnapshot, error) {
 // merge boundary returns errors rather than letting a corrupted snapshot
 // panic the first query.
 func RestoreSharded(snap ShardedTrackerSnapshot) (*Sharded, error) {
-	s, err := core.RestoreShards(snap.Shards, snap.Next, snap.Items, func(ts TrackerSnapshot) (*Tracker, error) {
-		if first := snap.Shards[0]; ts.M != first.M || ts.Eps != first.Eps || ts.Bits != first.Bits {
-			return nil, fmt.Errorf("has (m=%d, eps=%v, bits=%d), shard 0 has (m=%d, eps=%v, bits=%d): %w",
-				ts.M, ts.Eps, ts.Bits, first.M, first.Eps, first.Bits, ErrMergeMismatch)
+	s, err := core.RestoreShards(snap.Shards, snap.M, snap.Items, trackerSites, func(ts TrackerSnapshot) (*Tracker, error) {
+		if first := snap.Shards[0]; ts.Eps != first.Eps || ts.Bits != first.Bits {
+			return nil, fmt.Errorf("has (eps=%v, bits=%d), shard 0 has (eps=%v, bits=%d): %w",
+				ts.Eps, ts.Bits, first.Eps, first.Bits, ErrMergeMismatch)
 		}
 		return RestoreTracker(ts)
-	}, func(trackers []*Tracker) *Sharded {
-		return NewSharded(len(trackers), trackers[0].m, func(i int) *Tracker { return trackers[i] })
+	}, func(m int, trackers []*Tracker) *Sharded {
+		return &Sharded{core.ItemEngine(m, trackers)}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("quantile: sharded snapshot: %w", err)

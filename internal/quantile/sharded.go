@@ -27,15 +27,16 @@ type Summary interface {
 	Stats() stream.Stats
 }
 
-// Sharded runs P independent copies of the quantile tracker: the embedded
-// core.ShardEngine deals the stream across them (Deal — which validates
-// sites, weights and, through Tracker's core.BoundedUniverse, universe
-// membership for the whole batch before anything is enqueued — the flush
-// barrier, failure capture, Close, tallies), and rank queries answer from the merged coordinator digest.
-// Each shard tracks its substream with rank error ≤ ε·W_k; q-digest
-// accumulation adds both weight and error, and Σ ε·W_k = εW — so the merged
-// view keeps the tracker's εW rank contract. Communication tallies sum over
-// shards, so Stats can grow by up to a factor of P versus one tracker.
+// Sharded runs P independent copies of the quantile tracker, each owning a
+// fixed set of the m sites: the embedded core.ShardEngine routes site j's
+// values to shard j mod P (Deal — which validates sites, weights and,
+// through Tracker's core.BoundedUniverse, universe membership for the whole
+// batch before anything is enqueued — the flush barrier, failure capture,
+// Close, tallies), and rank queries answer from the merged coordinator
+// digest. Each shard tracks its substream with rank error ≤ ε·W_k;
+// q-digest accumulation adds both weight and error, and Σ ε·W_k = εW — so
+// the merged view keeps the tracker's εW rank contract. Shard k runs over
+// ⌈(m−k)/P⌉ sites, so the summed Stats are about what one tracker sends.
 //
 // Like Tracker, a Sharded instance is driven by one goroutine at a time.
 // Queries flush (merge barrier) first; Close stops the shard workers.
@@ -43,10 +44,11 @@ type Sharded struct {
 	*core.ShardEngine[*Tracker, gen.WeightedItem]
 }
 
-// NewSharded builds a sharded quantile tracker over p shard trackers for m
-// sites, produced by build (called once per shard index). All shards must
-// come from the same constructor with the same parameters.
-func NewSharded(p, m int, build func(shard int) *Tracker) *Sharded {
+// NewSharded builds a sharded quantile tracker for m sites over min(p, m)
+// shard trackers produced by build, called once per shard index with the
+// shard's site count. All shards must come from the same constructor with
+// the same parameters.
+func NewSharded(p, m int, build func(shard, sites int) *Tracker) *Sharded {
 	return &Sharded{core.NewShardedItemTracker(p, m, build)}
 }
 

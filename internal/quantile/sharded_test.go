@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,7 +57,7 @@ func TestQuantilesMatchOnePhi(t *testing.T) {
 	for _, shards := range []int{0, 1, 3} {
 		var s Summary = NewTracker(m, eps, bits)
 		if shards > 0 {
-			sh := NewSharded(shards, m, func(int) *Tracker { return NewTracker(m, eps, bits) })
+			sh := NewSharded(shards, m, func(_, sites int) *Tracker { return NewTracker(sites, eps, bits) })
 			defer sh.Close()
 			s = sh
 		}
@@ -84,7 +85,7 @@ func TestShardedQuantileOneShardIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	items := randItems(rng, 12000, bits, 10)
 	bare := NewTracker(m, eps, bits)
-	sharded := NewSharded(1, m, func(int) *Tracker { return NewTracker(m, eps, bits) })
+	sharded := NewSharded(1, m, func(_, sites int) *Tracker { return NewTracker(sites, eps, bits) })
 	defer sharded.Close()
 	feedBareValues(bare, items, m, run)
 	feedShardedValues(sharded, items, m, run)
@@ -123,7 +124,7 @@ func TestShardedQuantileRankBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	items := randItems(rng, 20000, bits, 15)
 	for _, p := range []int{2, 3, 4} {
-		sharded := NewSharded(p, m, func(int) *Tracker { return NewTracker(m, eps, bits) })
+		sharded := NewSharded(p, m, func(_, sites int) *Tracker { return NewTracker(sites, eps, bits) })
 		half := len(items) / 2
 		feedShardedValues(sharded, items[:half], m, run)
 		assertRankBound(t, "mid-stream", p, sharded, items[:half], eps)
@@ -154,7 +155,7 @@ func TestShardedQuantilePersistRoundTrip(t *testing.T) {
 	const m, eps, bits, p, run = 3, 0.1, 10, 3, 29
 	rng := rand.New(rand.NewSource(23))
 	items := randItems(rng, 9000, bits, 8)
-	orig := NewSharded(p, m, func(int) *Tracker { return NewTracker(m, eps, bits) })
+	orig := NewSharded(p, m, func(_, sites int) *Tracker { return NewTracker(sites, eps, bits) })
 	defer orig.Close()
 	half := len(items) / 2
 	feedShardedValues(orig, items[:half], m, run)
@@ -204,10 +205,17 @@ func TestShardedQuantilePersistRoundTrip(t *testing.T) {
 	if _, err := RestoreSharded(bad); !errors.Is(err, ErrMergeMismatch) {
 		t.Errorf("mismatched shard bits: err = %v, want ErrMergeMismatch", err)
 	}
-	cursor := decoded
-	cursor.Next = p
-	if _, err := RestoreSharded(cursor); err == nil || errors.Is(err, ErrMergeMismatch) {
-		t.Errorf("out-of-range deal cursor: err = %v, want a plain restore error", err)
+	// A shard with fewer sites than the deal routes to it, or a tally
+	// slice of the wrong length, is a plain restore error.
+	few := decoded
+	few.M = 2 * m
+	if _, err := RestoreSharded(few); err == nil || errors.Is(err, ErrMergeMismatch) {
+		t.Errorf("too few sites on a shard: err = %v, want a plain restore error", err)
+	}
+	tallies := decoded
+	tallies.Items = tallies.Items[:1]
+	if _, err := RestoreSharded(tallies); err == nil || errors.Is(err, ErrMergeMismatch) {
+		t.Errorf("short tally slice: err = %v, want a plain restore error", err)
 	}
 }
 
@@ -229,7 +237,7 @@ func TestAccumulateIntoMismatch(t *testing.T) {
 		t.Fatalf("AccumulateInto weight = %v, want %v", ok.weight, tr.merged.weight)
 	}
 
-	s := NewSharded(2, 2, func(int) *Tracker { return NewTracker(2, 0.1, 8) })
+	s := NewSharded(2, 2, func(_, sites int) *Tracker { return NewTracker(sites, 0.1, 8) })
 	defer s.Close()
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -247,5 +255,28 @@ func TestAccumulateIntoMismatch(t *testing.T) {
 	s.Flush()
 	if got := s.EstimateTotal(); got != 0 {
 		t.Fatalf("rejected batches leaked weight %v into the shards", got)
+	}
+}
+
+// TestShardedMessagesMatchOneTracker: at m = 10, ε = 0.01, Zipf values
+// in [0, 2^16) in 256-value blocks with one site per block in rotation,
+// four q-digest shards that own sites send within 10 % of the messages one
+// tracker sends (0.93× here).
+func TestShardedMessagesMatchOneTracker(t *testing.T) {
+	const m, p, eps, bits, run = 10, 4, 0.01, 16, 256
+	var items []wv
+	for _, it := range gen.ZipfStream(gen.DefaultZipfConfig(100_000)) {
+		items = append(items, wv{v: it.Elem % (1 << bits), w: it.Weight})
+	}
+	one := NewTracker(m, eps, bits)
+	feedBareValues(one, items, m, run)
+	sharded := NewSharded(p, m, func(_, sites int) *Tracker { return NewTracker(sites, eps, bits) })
+	defer sharded.Close()
+	feedShardedValues(sharded, items, m, run)
+	base, owned := float64(one.Stats().Total()), float64(sharded.Stats().Total())
+	t.Logf("messages per value: one tracker %.4f, %d site-owning shards %.4f (%.2f×)",
+		base/float64(len(items)), p, owned/float64(len(items)), owned/base)
+	if math.Abs(owned/base-1) > 0.1 {
+		t.Errorf("%d shards sent %.0f messages, one tracker %.0f: want within 10 %%", p, owned, base)
 	}
 }

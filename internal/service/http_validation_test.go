@@ -259,3 +259,43 @@ func TestIngestAckBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestShardsCappedAtSites: a shard owns sites, so a Spec asking for more
+// shards than sites runs one shard a site — "shards": 8 over 4 sites reports
+// 4 in /metrics and the spec echo — and each site's rows land on its own
+// shard.
+func TestShardsCappedAtSites(t *testing.T) {
+	mgr, err := service.Open(service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	srv := httptest.NewServer(mgr.Handler())
+	t.Cleanup(srv.Close)
+	client := srv.Client()
+	spec := service.Spec{Kind: service.KindMatrix, Protocol: "p2", Sites: 4, Epsilon: 0.2, Dim: 3, Shards: 8}
+	code, doc := httpDo(t, client, http.MethodPut, srv.URL+"/trackers/gram", spec)
+	mustStatus(t, code, http.StatusCreated, doc)
+	for site := 0; site < 4; site++ {
+		rows := make([][]float64, site+1)
+		for i := range rows {
+			rows[i] = []float64{1, float64(site), 2}
+		}
+		code, doc := httpDo(t, client, http.MethodPost, srv.URL+"/trackers/gram/rows", map[string]any{"site": site, "rows": rows})
+		mustStatus(t, code, http.StatusOK, doc)
+	}
+	code, doc = httpDo(t, client, http.MethodGet, srv.URL+"/metrics", nil)
+	mustStatus(t, code, http.StatusOK, doc)
+	tm := doc["trackers"].(map[string]any)["gram"].(map[string]any)
+	if got := tm["shards"]; got != float64(4) {
+		t.Errorf("metrics shards = %v, want 4", got)
+	}
+	if got, want := fmt.Sprint(tm["shard_rows"]), "[1 2 3 4]"; got != want {
+		t.Errorf("metrics shard_rows = %s, want %s (site j's rows on shard j)", got, want)
+	}
+	code, doc = httpDo(t, client, http.MethodGet, srv.URL+"/trackers/gram", nil)
+	mustStatus(t, code, http.StatusOK, doc)
+	if got := doc["spec"].(map[string]any)["shards"]; got != float64(4) {
+		t.Errorf("spec echo shards = %v, want 4", got)
+	}
+}

@@ -17,10 +17,12 @@
 //     refuses one that waits 5 s for a slot (ErrBusy) instead of
 //     buffering unboundedly. A tracker of any kind — matrix,
 //     heavy-hitters or quantile — can additionally run P parallel compute
-//     shards (Spec "shards"): core.ShardEngine deals posted blocks
-//     round-robin across P private tracker instances and queries merge
-//     the shard summaries, scaling the per-block hot path across cores.
-//     Those P workers are the only ingest goroutines in the process.
+//     shards (Spec "shards"), each owning the sites j ≡ k (mod P):
+//     core.ShardEngine hands a posted block to the private tracker
+//     instance of its site's shard and queries merge the shard summaries,
+//     scaling the per-block hot path across cores while the shards
+//     together send what one tracker sends. Those P workers are the only
+//     ingest goroutines in the process.
 //   - Checkpointed recovery: persistable sessions are periodically saved
 //     (and always on Close) to one file per tracker in the data directory,
 //     via the facade's SaveState/RestoreSession over the gob snapshots in
@@ -127,12 +129,16 @@ type Spec struct {
 	// ingest mode (Config.FastIngest): POST …/rows batches fold as whole
 	// blocks with per-block decompositions.
 	Fast bool `json:"fast,omitempty"`
-	// Shards runs the tracker — matrix, heavy-hitters, or quantile — as P
-	// parallel shards merged at query time (Config.Shards): posted blocks
-	// are dealt round-robin across P compute workers, each with a private
-	// tracker instance. For matrix trackers, combined with Fast this is
-	// the service's highest-throughput configuration. Only windowed matrix
-	// trackers reject Shards > 1.
+	// Shards runs the tracker — matrix, heavy-hitters, or quantile — as
+	// P = min(Shards, Sites) parallel shards merged at query time
+	// (Config.Shards): shard k owns the sites j ≡ k (mod P) and runs a
+	// private tracker instance over them on its own compute worker, so the
+	// shards together send about what one tracker sends, and a sharded p2
+	// holds (Sites + P)·Dim² Gram floats. The echo reports the P the
+	// tracker runs. For matrix trackers, combined with Fast this is the
+	// service's highest-throughput configuration; it needs posts from at
+	// least P sites to use P cores. Only windowed matrix trackers reject
+	// Shards > 1.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -27,8 +27,8 @@ import (
 //
 // Persistable sessions are the deterministic ones: matrix "p2",
 // heavy-hitters "p2" and "exact", and quantile sessions — each sharded or
-// not (a sharded session snapshots every shard plus the deal cursor and
-// per-shard item tallies) — with the default (uniform random) or
+// not (a sharded session snapshots every shard plus the site count and
+// per-shard tallies) — with the default (uniform random) or
 // round-robin assigner. Randomized protocols (p3, p4, ...), windowed
 // trackers, wrapped custom trackers, and custom Assigner implementations
 // carry state that cannot be re-seeded mid-stream; SaveState reports them

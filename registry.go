@@ -310,10 +310,15 @@ func LookupHHProtocol(name string) (ProtocolInfo, bool) {
 // NewMatrixByName builds the named matrix tracker from cfg. Name lookup is
 // case-insensitive and accepts the registered aliases; unknown names return
 // ErrUnknownProtocol and invalid configurations ErrInvalidConfig. With
-// Shards > 1 the protocol is built once per shard (randomized protocols at
-// Seed+shardIndex) inside a core.ShardedTracker that deals ingestion blocks
-// across worker goroutines and merges shard Grams at query time; call
-// Session.Close (or the tracker's own Close) when done to stop the workers.
+// Shards > 1 the protocol is built once per shard — min(Shards, Sites) of
+// them, shard k over the ⌈(Sites−k)/P⌉ sites j ≡ k (mod P), randomized
+// protocols at Seed+shardIndex — inside a core.ShardedTracker that runs
+// each shard on its own worker goroutine and merges shard Grams at query
+// time. Each shard's thresholds are about a single tracker's, so the
+// shards together send about what one tracker sends (P2: O((m/ε)·log βN)
+// messages), and a sharded p2 holds (m + P)·d² Gram floats against one
+// tracker's (m + 1)·d². Call Session.Close (or the tracker's own Close)
+// when done to stop the workers.
 func NewMatrixByName(name string, cfg Config) (MatrixTracker, error) {
 	e, ok := lookupMatrix[canonicalName(name)]
 	if !ok {
@@ -330,11 +335,8 @@ func NewMatrixByName(name string, cfg Config) (MatrixTracker, error) {
 		}
 	}
 	if cfg.Shards > 1 {
-		return core.NewShardedTracker(cfg.Shards, func(shard int) core.Tracker {
-			sc := cfg
-			sc.Shards = 0
-			sc.Seed = cfg.Seed + int64(shard)
-			return e.build(sc)
+		return core.NewShardedTracker(cfg.Shards, cfg.Sites, func(shard, sites int) core.Tracker {
+			return e.build(shardConfig(cfg, shard, sites))
 		}), nil
 	}
 	return e.build(cfg), nil
@@ -343,11 +345,13 @@ func NewMatrixByName(name string, cfg Config) (MatrixTracker, error) {
 // NewHHByName builds the named heavy-hitters protocol from cfg. Name lookup
 // is case-insensitive and accepts the registered aliases; unknown names
 // return ErrUnknownProtocol and invalid configurations ErrInvalidConfig.
-// With Shards > 1 the protocol is built once per shard (randomized
-// protocols at Seed+shardIndex) inside an hh.Sharded tracker that deals
-// item batches across worker goroutines and merges the shard coordinator
-// summaries at query time; call Session.Close (or the tracker's own Close)
-// when done to stop the workers.
+// With Shards > 1 the protocol is built once per shard, as for
+// NewMatrixByName — shard k of min(Shards, Sites) over the sites
+// j ≡ k (mod P), so the shards together send about what one protocol
+// instance sends — inside an hh.Sharded tracker that runs each shard on
+// its own worker goroutine and merges the shard coordinator summaries at
+// query time; call Session.Close (or the tracker's own Close) when done to
+// stop the workers.
 func NewHHByName(name string, cfg Config) (HHProtocol, error) {
 	e, ok := lookupHH[canonicalName(name)]
 	if !ok {
@@ -357,14 +361,19 @@ func NewHHByName(name string, cfg Config) (HHProtocol, error) {
 		return nil, err
 	}
 	if cfg.Shards > 1 {
-		return hh.NewSharded(cfg.Shards, cfg.Sites, func(shard int) hh.Protocol {
-			sc := cfg
-			sc.Shards = 0
-			sc.Seed = cfg.Seed + int64(shard)
-			return e.build(sc)
+		return hh.NewSharded(cfg.Shards, cfg.Sites, func(shard, sites int) hh.Protocol {
+			return e.build(shardConfig(cfg, shard, sites))
 		}), nil
 	}
 	return e.build(cfg), nil
+}
+
+// shardConfig is cfg for one shard of a sharded tracker: unsharded, over
+// the shard's sites, seeded at Seed+shard.
+func shardConfig(cfg Config, shard, sites int) Config {
+	cfg.Shards, cfg.Sites = 0, sites
+	cfg.Seed += int64(shard)
+	return cfg
 }
 
 // NewMatrix builds the named matrix tracker from functional options applied

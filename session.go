@@ -238,8 +238,8 @@ func NewQuantileSession(opts ...Option) (*Session, error) {
 	}
 	var qt quantile.Summary
 	if cfg.Shards > 1 {
-		qt = quantile.NewSharded(cfg.Shards, cfg.Sites, func(int) *quantile.Tracker {
-			return quantile.NewTracker(cfg.Sites, cfg.Epsilon, cfg.Bits)
+		qt = quantile.NewSharded(cfg.Shards, cfg.Sites, func(_, sites int) *quantile.Tracker {
+			return quantile.NewTracker(sites, cfg.Epsilon, cfg.Bits)
 		})
 	} else {
 		qt = quantile.NewTracker(cfg.Sites, cfg.Epsilon, cfg.Bits)
@@ -420,10 +420,11 @@ func (s *Session) validRowPrefix(rows [][]float64) (int, error) {
 // path: rows are dealt to sites by the session's assigner in order, and
 // consecutive same-site runs are handed to the tracker as one block. For
 // unsharded sessions the result — tracker state, message tallies, assigner
-// draws — is identical to calling ProcessRow once per row; on a sharded
-// session (WithShards) the block boundaries decide which shard each row
-// lands on, so batched and per-row feeds are each deterministic but differ
-// from one another (both hold the same covariance guarantee). On error the
+// draws — is identical to calling ProcessRow once per row; a sharded
+// session (WithShards) regroups the batch into one block per site (see
+// coalesce), each on the shard that owns its site, so batched and per-row
+// feeds are each deterministic but differ from one another (both hold the
+// same covariance guarantee). On error the
 // valid rows preceding the offending one remain ingested; the error
 // reports its index.
 func (s *Session) ProcessRows(rows [][]float64) error {
@@ -466,9 +467,9 @@ func (s *Session) ProcessRows(rows [][]float64) error {
 // ~length-1 runs a per-row assigner (round-robin, uniform) produces
 // would degrade the shard pipeline to single-row blocks and forfeit the
 // blocked fast path. Unsharded sessions keep consecutive-run splitting,
-// which stays bit-identical to per-row ingestion; a sharded session's
-// state already depends on block boundaries (see ProcessRows), and any
-// grouping satisfies the same guarantee.
+// which stays bit-identical to per-row ingestion; a sharded session
+// trades that identity for whole blocks, and any grouping satisfies the
+// same guarantee.
 //
 //distlint:hotpath
 func coalesce[T any](s *Session, buf *[]T, elems []T, sites []int, ingest func(site int, run []T)) {

@@ -212,28 +212,47 @@ func TestShardedItemSessionDeterministicReplay(t *testing.T) {
 
 // TestShardedItemSessionCoalescesRuns mirrors the rows-path coalescing pin:
 // a round-robin-dealt batch on a sharded item session regroups into one run
-// per site before dealing, so with 2 sites, 4 shards, and 64 items exactly
-// two 32-item runs deal to the first two shards.
+// per site, each on the shard that owns the site — with 6 sites, 4 shards
+// and 60 items, 10 items a site, sites 0 and 4 on shard 0 and sites 1 and 5
+// on shard 1 — and leaves the tracker as the same runs fed one by one do.
 func TestShardedItemSessionCoalescesRuns(t *testing.T) {
-	const sites, shards, n = 2, 4, 64
+	const sites, shards, n = 6, 4, 60
 	items := make([]distmat.WeightedItem, n)
 	for i := range items {
-		items[i] = distmat.WeightedItem{Elem: uint64(i), Weight: 1}
+		items[i] = distmat.WeightedItem{Elem: uint64(i % 7), Weight: 1}
 	}
-	sess, err := distmat.NewHHSession("p2",
-		distmat.WithSites(sites), distmat.WithEpsilon(0.1), distmat.WithShards(shards),
-		distmat.WithAssigner(distmat.NewRoundRobin(sites)))
-	if err != nil {
-		t.Fatal(err)
+	build := func() *distmat.Session {
+		sess, err := distmat.NewHHSession("p2",
+			distmat.WithSites(sites), distmat.WithEpsilon(0.1), distmat.WithShards(shards),
+			distmat.WithAssigner(distmat.NewRoundRobin(sites)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
 	}
+	sess, runs := build(), build()
 	defer sess.Close()
+	defer runs.Close()
 	if err := sess.ProcessItems(items); err != nil {
 		t.Fatal(err)
 	}
 	got := sess.ShardRows()
-	want := []int64{32, 32, 0, 0}
+	want := []int64{20, 20, 10, 10}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ShardRows after a coalesced 64-item batch = %v, want %v (one whole run per site)", got, want)
+		t.Errorf("ShardRows after a coalesced 60-item batch = %v, want %v (each site's run on its shard)", got, want)
+	}
+	for site := 0; site < sites; site++ {
+		var run []distmat.WeightedItem
+		for i := site; i < n; i += sites {
+			run = append(run, items[i])
+		}
+		if err := runs.ProcessItemsAt(site, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := sess.Snapshot(), runs.Snapshot()
+	if !reflect.DeepEqual(a.Estimates, b.Estimates) || a.Stats != b.Stats {
+		t.Error("a coalesced batch diverges from the same per-site runs fed one by one")
 	}
 }
 

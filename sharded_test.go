@@ -135,7 +135,7 @@ func TestShardedSessionDeterministicReplay(t *testing.T) {
 // TestShardedSessionPersistRoundTrip: a sharded p2 session checkpoints and
 // restores bit-exactly mid-stream and stays on the original's trajectory.
 func TestShardedSessionPersistRoundTrip(t *testing.T) {
-	const m, eps, d, p = 3, 0.2, 44, 4
+	const m, eps, d, p = 6, 0.2, 44, 4
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(2000))
 	sess, err := distmat.NewMatrixSession("p2",
 		distmat.WithSites(m), distmat.WithEpsilon(eps), distmat.WithDim(d),
@@ -269,33 +269,47 @@ func TestWindowedFastIngestPlumbing(t *testing.T) {
 // TestShardedSessionCoalescesRuns: an assigner-dealt batch on a sharded
 // session regroups into one run per site before dealing, so shard workers
 // see whole blocks instead of the ~length-1 runs a round-robin assigner
-// yields. With 2 sites, 4 shards, and 64 rows, coalescing produces exactly
-// two 32-row runs, dealt round-robin to the first two shards — shards 2
-// and 3 receive nothing. Without coalescing, 64 single-row runs would
-// spread 16 rows onto every shard.
+// yields. Each run goes to the shard that owns its site: with 6 sites, 4
+// shards and 60 rows, sites 0 and 4 feed shard 0, sites 1 and 5 shard 1,
+// and sites 2 and 3 shards 2 and 3 — 10 rows a site. The coalesced batch
+// must leave the tracker exactly as the six 10-row runs fed one by one
+// through ProcessRowsAt do; 60 single-row blocks would not.
 func TestShardedSessionCoalescesRuns(t *testing.T) {
-	const sites, shards, n = 2, 4, 64
+	const sites, shards, n = 6, 4, 60
 	rows := distmat.LowRankMatrix(distmat.PAMAPLike(n))
-	sess, err := distmat.NewMatrixSession("p2",
-		distmat.WithSites(sites), distmat.WithEpsilon(0.2), distmat.WithDim(44),
-		distmat.WithSeed(1), distmat.WithFastIngest(), distmat.WithShards(shards),
-		distmat.WithAssigner(distmat.NewRoundRobin(sites)))
-	if err != nil {
-		t.Fatal(err)
+	build := func() *distmat.Session {
+		sess, err := distmat.NewMatrixSession("p2",
+			distmat.WithSites(sites), distmat.WithEpsilon(0.2), distmat.WithDim(44),
+			distmat.WithSeed(1), distmat.WithFastIngest(), distmat.WithShards(shards),
+			distmat.WithAssigner(distmat.NewRoundRobin(sites)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
 	}
+	sess, runs := build(), build()
 	defer sess.Close()
+	defer runs.Close()
 	if err := sess.ProcessRows(rows); err != nil {
 		t.Fatal(err)
 	}
 	got := sess.ShardRows()
-	want := []int64{32, 32, 0, 0}
+	want := []int64{20, 20, 10, 10}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ShardRows after a coalesced 64-row batch = %v, want %v (one whole run per site)", got, want)
+		t.Errorf("ShardRows after a coalesced 60-row batch = %v, want %v (each site's run on its shard)", got, want)
 	}
-	// The regrouped feed must still answer queries: the covariance
-	// guarantee is per-shard additive and independent of run lengths.
-	if g := sess.Snapshot().Gram; g == nil {
-		t.Error("Snapshot().Gram = nil after coalesced ingest")
+	for site := 0; site < sites; site++ {
+		var run [][]float64
+		for i := site; i < n; i += sites {
+			run = append(run, rows[i])
+		}
+		if err := runs.ProcessRowsAt(site, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := sess.Snapshot(), runs.Snapshot()
+	if !reflect.DeepEqual(a.Gram.RawData(), b.Gram.RawData()) || a.Stats != b.Stats {
+		t.Error("a coalesced batch diverges from the same per-site runs fed one by one")
 	}
 }
 

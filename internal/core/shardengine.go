@@ -54,10 +54,11 @@ type ShardEngine[S ShardStats, E any] struct {
 	m       int // sites: site j is site j/P of shard j%P
 	queues  []chan shardBlock[E]
 	workers sync.WaitGroup
-	// dirty is set by deal and cleared by the barrier: with nothing dealt
-	// since the last flush every queue is empty, so a Snapshot that reads
-	// Stats, Gram and EstimateFrobenius waits on one barrier, not three.
-	dirty  bool
+	// dirty[k] is set by a deal to shard k and cleared by its barrier: a
+	// flush waits only on the shards dealt to since the last one, so a
+	// block from one site costs one barrier, and a Snapshot that reads
+	// Stats, Gram and EstimateFrobenius waits on none after the first.
+	dirty  []bool
 	dealt  []atomic.Int64
 	free   chan *stageBuf[E]
 	closed bool
@@ -157,6 +158,7 @@ func newShardEngine[S ShardStats, E any](shards []S, m int, kind shardKind[S, E]
 		shards: shards,
 		m:      m,
 		queues: make([]chan shardBlock[E], len(shards)),
+		dirty:  make([]bool, len(shards)),
 		dealt:  make([]atomic.Int64, len(shards)),
 		// One buffer per queue slot plus the one being staged: the pool
 		// never holds more than can be in flight.
@@ -165,24 +167,24 @@ func newShardEngine[S ShardStats, E any](shards []S, m int, kind shardKind[S, E]
 	for i := range e.queues {
 		e.queues[i] = make(chan shardBlock[E], shardQueueDepth)
 		e.workers.Add(1)
-		go e.worker(i)
+		go e.worker(e.shards[i], e.queues[i])
 	}
 	return e
 }
 
-// worker drains one shard's queue, applying blocks in order. A panic from
+// worker drains one shard's queue q, applying blocks in order. A panic from
 // the shard is captured once; later blocks drain unapplied and barriers
 // still release, so the caller observes the panic at its next flush instead
 // of a deadlock.
-func (e *ShardEngine[S, E]) worker(i int) {
+func (e *ShardEngine[S, E]) worker(shard S, q <-chan shardBlock[E]) {
 	defer e.workers.Done()
-	for blk := range e.queues[i] {
+	for blk := range q {
 		if blk.barrier != nil {
 			close(blk.barrier)
 			continue
 		}
 		if e.failed() == nil {
-			e.apply(e.shards[i], blk)
+			e.apply(shard, blk)
 		}
 		select {
 		case e.free <- blk.buf:
@@ -276,7 +278,7 @@ func (e *ShardEngine[S, E]) deal(shard, site int, blk []E) {
 		panic("core: sharded tracker is closed")
 	}
 	e.dealt[shard].Add(int64(len(blk)))
-	e.dirty = true
+	e.dirty[shard] = true
 	e.queues[shard] <- shardBlock[E]{site: site, buf: e.stage(blk)}
 }
 
@@ -307,19 +309,23 @@ func (e *ShardEngine[S, E]) Flush() {
 }
 
 // FlushErr is the non-panicking barrier: it waits for every dealt block to
-// be applied and returns the first worker panic (nil while healthy). With
-// nothing dealt since the last flush there is nothing to wait for.
+// be applied and returns the first worker panic (nil while healthy). Only
+// the shards dealt to since the last flush get a barrier: every other
+// queue is already empty.
 func (e *ShardEngine[S, E]) FlushErr() any {
-	if e.dirty && !e.closed {
-		barriers := make([]chan struct{}, len(e.queues))
-		for i := range e.queues {
-			barriers[i] = make(chan struct{})
-			e.queues[i] <- shardBlock[E]{barrier: barriers[i]}
+	if !e.closed {
+		var barriers []chan struct{}
+		for i, dirty := range e.dirty {
+			if dirty {
+				b := make(chan struct{})
+				e.queues[i] <- shardBlock[E]{barrier: b}
+				barriers = append(barriers, b)
+				e.dirty[i] = false
+			}
 		}
 		for _, b := range barriers {
 			<-b
 		}
-		e.dirty = false
 	}
 	return e.failed()
 }

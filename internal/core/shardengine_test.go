@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -352,5 +353,87 @@ func TestShardedItemSiteCount(t *testing.T) {
 	e.Close()
 	if want := []int{3, 3, 2, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("10 sites over 4 shards built shards of %v sites, want %v", got, want)
+	}
+}
+
+// countBarriers puts a forwarder in front of every shard queue of e that
+// counts the barriers posted to each shard; the forwarders close the real
+// queues when Close closes theirs. The workers keep the queues they were
+// started on, so e.queues can be swapped under them.
+func countBarriers[S ShardStats, E any](e *ShardEngine[S, E]) (posted func() []int64) {
+	counts := make([]atomic.Int64, len(e.queues))
+	for i, q := range e.queues {
+		spy := make(chan shardBlock[E], shardQueueDepth)
+		e.queues[i] = spy
+		go func() {
+			for blk := range spy {
+				if blk.barrier != nil {
+					counts[i].Add(1)
+				}
+				q <- blk
+			}
+			close(q)
+		}()
+	}
+	return func() []int64 {
+		out := make([]int64, len(counts))
+		for i := range counts {
+			out[i] = counts[i].Load()
+		}
+		return out
+	}
+}
+
+// TestFlushBarriersOnlyDealtShards: a flush posts a barrier to each shard
+// dealt to since the last flush and to no other, none with nothing dealt,
+// and the state read after it is Float64bits-identical — Gram, F̂ and
+// tallies — to an engine fed the same blocks that flushes every shard
+// every time.
+func TestFlushBarriersOnlyDealtShards(t *testing.T) {
+	const n, d, m, p = 1200, 44, 10, 4 // d = 44: the PAMAP-like generator's dimension
+	rows := gen.LowRankMatrix(gen.PAMAPLike(n))
+	build := func(_, sites int) Tracker { return NewP2Fast(sites, 0.1, d) }
+	e, all := NewShardedTracker(p, m, build), NewShardedTracker(p, m, build)
+	defer e.Close()
+	defer all.Close()
+	posted := countBarriers(e.ShardEngine)
+
+	want := make([]int64, p)
+	for i, blk := 0, 0; i < n; i, blk = i+40, blk+1 {
+		site := (blk * 7) % m // one shard per deal, revisiting shards unevenly
+		e.ProcessRows(site, rows[i:i+40])
+		all.ProcessRows(site, rows[i:i+40])
+		if blk%3 == 2 {
+			continue // flush after every third deal: several shards pending
+		}
+		for k := range all.dirty {
+			all.dirty[k] = true
+		}
+		for k := range want {
+			if e.dirty[k] {
+				want[k]++
+			}
+		}
+		ge, gall := e.Gram(), all.Gram()
+		if !reflect.DeepEqual(posted(), want) {
+			t.Fatalf("after block %d: barriers per shard %v, want %v", blk, posted(), want)
+		}
+		for k, v := range gall.RawData() {
+			if math.Float64bits(ge.RawData()[k]) != math.Float64bits(v) {
+				t.Fatalf("after block %d: Gram entry %d is %v, flush-everything engine %v", blk, k, ge.RawData()[k], v)
+			}
+		}
+		if fe, fa := e.EstimateFrobenius(), all.EstimateFrobenius(); math.Float64bits(fe) != math.Float64bits(fa) {
+			t.Fatalf("after block %d: F̂ %v, flush-everything engine %v", blk, fe, fa)
+		}
+		if se, sa := e.Stats(), all.Stats(); se != sa {
+			t.Fatalf("after block %d: tallies %v, flush-everything engine %v", blk, se, sa)
+		}
+		if !reflect.DeepEqual(posted(), want) {
+			t.Fatalf("after block %d: reads with nothing dealt posted barriers: %v, want %v", blk, posted(), want)
+		}
+	}
+	if got := posted(); got[0]+got[1]+got[2]+got[3] == 0 {
+		t.Fatal("no barrier posted at all")
 	}
 }

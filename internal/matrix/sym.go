@@ -82,14 +82,16 @@ func (s *Sym) AddSym(b *Sym) {
 	}
 }
 
-// AddScaledSym adds w·b to s in place.
+// AddScaledSym adds w·b to s in place, one axpy over the whole storage:
+// every entry gets s + float64(w·b), both triangles alike, so an asymmetric
+// b stays asymmetric in s.
+//
+//distlint:spec specAddScaledSym TestAddScaledSymMatchesSpec
 func (s *Sym) AddScaledSym(w float64, b *Sym) {
 	if s.n != b.n {
 		panic(fmt.Sprintf("matrix: add scaled %d×%d to %d×%d", b.n, b.n, s.n, s.n))
 	}
-	for i := range s.data {
-		s.data[i] += w * b.data[i]
-	}
+	axpy(w, b.data, s.data)
 }
 
 // SubSym subtracts b from s in place.
@@ -100,6 +102,22 @@ func (s *Sym) SubSym(b *Sym) {
 	for i := range s.data {
 		s.data[i] -= b.data[i]
 	}
+}
+
+// BitsEqual reports whether s and b have the same dimension and the same
+// Float64bits in every entry of both triangles: +0 and −0 differ, and so
+// do two NaNs unless their bits agree.
+func (s *Sym) BitsEqual(b *Sym) bool {
+	if s.n != b.n {
+		return false
+	}
+	bd := b.data[:len(s.data)]
+	for i, v := range s.data {
+		if math.Float64bits(v) != math.Float64bits(bd[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy.
@@ -139,7 +157,7 @@ func (s *Sym) Quad(x []float64) float64 {
 			continue
 		}
 		row := s.data[i*s.n : (i+1)*s.n]
-		q += xi * Dot(row, x)
+		q += float64(xi * Dot(row, x))
 	}
 	return q
 }

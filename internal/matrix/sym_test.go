@@ -123,6 +123,54 @@ func TestSymAddSubScaleClone(t *testing.T) {
 	}
 }
 
+// specAddScaledSym is AddScaledSym's body before it ran on axpy: one
+// multiply, then one add, per stored entry. The product is written
+// float64(w·b) so that no architecture fuses it, which is what the loop
+// computed on amd64, where the goldens were written.
+func specAddScaledSym(s *Sym, w float64, b *Sym) {
+	for i := range s.data {
+		s.data[i] += float64(w * b.data[i])
+	}
+}
+
+// TestAddScaledSymMatchesSpec holds AddScaledSym, on whichever axpy body
+// the build runs, Float64bits-equal to specAddScaledSym for w = 1, −1 and
+// random weights, over dimensions that take every tail of the assembly
+// loop, on storage salted with ±0, subnormals and entries near the largest
+// float64 (whose products overflow), triangles left unequal.
+func TestAddScaledSymMatchesSpec(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -2.5e-308,
+		math.MaxFloat64, -math.MaxFloat64, 1.7e308, -1e300, 1, -1}
+	fill := func(s *Sym) {
+		for i := range s.data {
+			if rng.Intn(3) == 0 {
+				s.data[i] = special[rng.Intn(len(special))]
+			} else {
+				s.data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+	}
+	for _, d := range []int{1, 2, 3, 5, 7, 9, 44} {
+		for _, w := range []float64{1, -1, rng.NormFloat64(), rng.NormFloat64() * 1e-300, 3.5} {
+			for trial := 0; trial < 8; trial++ {
+				s, b := NewSym(d), NewSym(d)
+				fill(s)
+				fill(b)
+				want := s.Clone()
+				specAddScaledSym(want, w, b)
+				s.AddScaledSym(w, b)
+				for k, v := range want.data {
+					if math.Float64bits(s.data[k]) != math.Float64bits(v) {
+						t.Fatalf("d=%d w=%v: entry %d is %x (%g), spec %x (%g)", d, w, k,
+							math.Float64bits(s.data[k]), s.data[k], math.Float64bits(v), v)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSymReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := randSym(rng, 3)

@@ -257,7 +257,7 @@ func (b *replyBuf) answer(t *Tracker, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		return b.encodeMatrix(snap.Count, snap.Frobenius, snap.Gram, r.URL.Query().Get("gram") == "1")
+		return b.encodeMatrix(snap.Count, snap.Frobenius, snap.Gram, r.URL.Query().Get("gram") == "1", &t.memo)
 	case KindHH:
 		phis, err := phisOf(r, nil)
 		if err != nil {

@@ -470,6 +470,7 @@ func (m *Manager) Delete(name string) error {
 		m.resident.Add(-1)
 	}
 	t.close()
+	t.memo.setStub(true)
 	if m.opts.DataDir != "" {
 		t.ckptMu.Lock()
 		err := m.removeCheckpoint(name)

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,20 +170,22 @@ func ulpAsymmetric(g *matrix.Sym) *matrix.Sym {
 // what the map-building oracle makes of the same snapshot, unsharded and
 // on four shards, with and without ?gram=1, for an empty tracker, for
 // 2.5 k PAMAP-like rows and for the same rows with their columns spread over
-// 1e±12 (entries under 1e-6 and from 1e21 up take the 'e' format). The
-// mirror copy is then held to "selected by
-// nothing but the input": on a Gram that is asymmetric in the last ulp it
-// must not fire, neither on a p3 tracker's own (AddOuter with w ≠ 1) nor on
-// a restored SymFromRaw one. The item trackers' answers are held to their
-// oracles the same way (itemResponseBytes).
+// 1e±12 (entries under 1e-6 and from 1e21 up take the 'e' format). Every
+// ?gram=1 answer is asked twice (getTwice): the repeat must be a hit on
+// the memo and still the oracle's bytes. The mirror copy is then held to
+// "selected by nothing but the input": on a Gram that is asymmetric in the
+// last ulp it must not fire, neither on a p3 tracker's own (AddOuter with
+// w ≠ 1) nor on a restored SymFromRaw one, first answer or repeat. The item
+// trackers' answers are held to their oracles the same way
+// (itemResponseBytes).
 func TestQueryResponseBytes(t *testing.T) {
-	get := func(t *testing.T, tr *Tracker, url string, withGram bool) []byte {
+	getPlain := func(t *testing.T, tr *Tracker, url string) {
 		t.Helper()
 		snap, err := tr.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return getOracle(t, url, oracleMatrixBody(t, snap.Count, snap.Frobenius, snap.Gram, withGram))
+		getOracle(t, url, oracleMatrixBody(t, snap.Count, snap.Frobenius, snap.Gram, false))
 	}
 	for _, shards := range []int{0, 4} {
 		for _, c := range []struct {
@@ -198,8 +201,8 @@ func TestQueryResponseBytes(t *testing.T) {
 				mgr, tr := newQueryTracker(t, benchSpec(shards), c.rows)
 				srv := httptest.NewServer(mgr.Handler())
 				defer srv.Close()
-				get(t, tr, srv.URL+"/trackers/m/query", false)
-				body := get(t, tr, srv.URL+"/trackers/m/query?gram=1", true)
+				getPlain(t, tr, srv.URL+"/trackers/m/query")
+				body := getTwice(t, tr, srv.URL+"/trackers/m/query?gram=1")
 				if e := bytes.Contains(body, []byte("e-")) && bytes.Contains(body, []byte("e+")); e != c.wantE {
 					t.Errorf("'e'-format entries at both ends: %v, want %v", e, c.wantE)
 				}
@@ -220,7 +223,7 @@ func TestQueryResponseBytes(t *testing.T) {
 		}
 		srv := httptest.NewServer(mgr.Handler())
 		defer srv.Close()
-		get(t, tr, srv.URL+"/trackers/m/query?gram=1", true)
+		getTwice(t, tr, srv.URL+"/trackers/m/query?gram=1")
 	})
 
 	t.Run("items", itemResponseBytes)
@@ -236,13 +239,265 @@ func TestQueryResponseBytes(t *testing.T) {
 		}
 		g := ulpAsymmetric(snap.Gram)
 		var b replyBuf
-		if err := b.encodeMatrix(snap.Count, snap.Frobenius, g, true); err != nil {
-			t.Fatal(err)
-		}
-		if want := oracleMatrixBody(t, snap.Count, snap.Frobenius, g, true); !bytes.Equal(b.out, want) {
-			t.Fatalf("ulp-asymmetric Gram: body differs from the oracle at byte %d: the mirror copy fired on unequal bits", firstDiff(b.out, want))
+		var memo gramMemo
+		want := oracleMatrixBody(t, snap.Count, snap.Frobenius, g, true)
+		for _, pass := range []string{"first", "repeated"} {
+			if err := b.encodeMatrix(snap.Count, snap.Frobenius, g.Clone(), true, &memo); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b.out, want) {
+				t.Fatalf("ulp-asymmetric Gram, %s answer: body differs from the oracle at byte %d: the mirror copy fired on unequal bits", pass, firstDiff(b.out, want))
+			}
 		}
 	})
+}
+
+// keptGram returns the Gram t's memo keeps, nil when it keeps none.
+func keptGram(t *Tracker) *matrix.Sym {
+	t.memo.mu.Lock()
+	defer t.memo.mu.Unlock()
+	return t.memo.gram
+}
+
+// forgetGram makes t's memo forget the Gram it keeps, and so miss on the
+// next ?gram=1 answer, keeping its byte buffer as a steady-state miss does.
+func forgetGram(t *Tracker) {
+	t.memo.mu.Lock()
+	t.memo.gram = nil
+	t.memo.mu.Unlock()
+}
+
+// getTwice GETs the ?gram=1 answer at url twice from an idle tracker and
+// wants the oracle's bytes both times. The first answer must be kept and
+// the second must be a hit — the memo still keeping the first snapshot's
+// Gram, not the second's bit-equal copy — and byte-identical to the first.
+func getTwice(t *testing.T, tr *Tracker, url string) []byte {
+	t.Helper()
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleMatrixBody(t, snap.Count, snap.Frobenius, snap.Gram, true)
+	first := getOracle(t, url, want)
+	kept := keptGram(tr)
+	if kept == nil || !kept.BitsEqual(snap.Gram) {
+		t.Fatal("the first ?gram=1 answer was not kept")
+	}
+	again := getOracle(t, url, want)
+	if keptGram(tr) != kept {
+		t.Fatal("the repeated ?gram=1 answer on an unchanged Gram was encoded again: a miss")
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatalf("the repeated answer differs from the first at byte %d", firstDiff(again, first))
+	}
+	return first
+}
+
+// TestGramMemoMisses holds the memo to "the same bits, or no hit": with
+// one Gram kept, a Gram one ulp away in one entry (both triangles), one
+// with a −0 where the kept one has +0, and one whose triangles differ in
+// the last ulp where the kept one's agree must each be encoded afresh —
+// the oracle's bytes, and kept in the old one's place. A Gram whose answer
+// is over maxPooledReply is not kept at all.
+func TestGramMemoMisses(t *testing.T) {
+	_, tr := newQueryTracker(t, benchSpec(0), pamapRows(2500, 0))
+	snap, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := snap.Gram
+	if !symmetricBits(base) {
+		t.Fatal("a p2 Gram is not symmetric to the bit: the triangle case tests nothing")
+	}
+	ulp := base.Clone()
+	ulp.Set(3, 7, math.Nextafter(ulp.At(3, 7), math.Inf(1)))
+	zero := matrix.NewSym(base.Dim())
+	negZero := zero.Clone()
+	negZero.Set(0, 5, math.Copysign(0, -1))
+	for _, c := range []struct {
+		name       string
+		kept, next *matrix.Sym
+	}{
+		{"one ulp", base, ulp},
+		{"+0 against −0", zero, negZero},
+		{"−0 against +0", negZero, zero},
+		{"triangles one ulp apart", base, ulpAsymmetric(base)},
+	} {
+		var b replyBuf
+		var memo gramMemo
+		if err := b.encodeMatrix(snap.Count, snap.Frobenius, c.kept, true, &memo); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.encodeMatrix(snap.Count, snap.Frobenius, c.next, true, &memo); err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleMatrixBody(t, snap.Count, snap.Frobenius, c.next, true); !bytes.Equal(b.out, want) {
+			t.Errorf("%s: body differs from the oracle at byte %d: the kept answer was re-sent", c.name, firstDiff(b.out, want))
+		}
+		if memo.gram != c.next {
+			t.Errorf("%s: the memo did not keep the new Gram: the second answer was not a miss", c.name)
+		}
+	}
+
+	big := matrix.NewSym(256)
+	for i := 0; i < big.Dim(); i++ {
+		for j := i; j < big.Dim(); j++ {
+			big.Set(i, j, math.Sqrt(float64(i*j+2)))
+		}
+	}
+	var b replyBuf
+	memo := gramMemo{gram: base, body: []byte("[[1]]")}
+	if err := b.encodeMatrix(1, 1, big, true, &memo); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.out) <= maxPooledReply {
+		t.Fatalf("a %d-byte answer does not test the cap", len(b.out))
+	}
+	if memo.gram != nil || memo.body != nil {
+		t.Errorf("a %d-byte answer left the memo keeping %d bytes, want none", len(b.out), len(memo.body))
+	}
+}
+
+// TestGramMemoFollowsSession: hibernating a tracker drops its memo, and a
+// query that snapshotted before cannot refill it while the tracker is a
+// stub; the fault-in a query causes lets the memo keep again; deleting
+// the tracker drops it for good.
+func TestGramMemoFollowsSession(t *testing.T) {
+	mgr, err := Open(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	tr, err := mgr.Create("m", Spec{Kind: KindMatrix, Protocol: "p2", Sites: 2, Epsilon: 0.1, Dim: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = []float64{float64(i%7) + 1, 2, float64(i % 3), 1, 0.5, float64(i)}
+	}
+	if err := tr.IngestRows(context.Background(), 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	lap := queryLap(mgr, "/trackers/m/query?gram=1")
+	lap()
+	if keptGram(tr) == nil {
+		t.Fatal("a ?gram=1 answer was not kept")
+	}
+	early, err := tr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mgr.hibernate(tr) {
+		t.Fatal("an idle tracker did not hibernate")
+	}
+	if keptGram(tr) != nil {
+		t.Fatal("hibernation kept the memo")
+	}
+	var b replyBuf
+	if err := b.encodeMatrix(early.Count, early.Frobenius, early.Gram, true, &tr.memo); err != nil {
+		t.Fatal(err)
+	}
+	if keptGram(tr) != nil {
+		t.Fatal("a query that snapshotted before hibernation refilled the stub's memo")
+	}
+	lap() // faults the session in
+	if !tr.resident() || keptGram(tr) == nil {
+		t.Fatalf("after the fault-in: resident %v, memo kept %v; want both", tr.resident(), keptGram(tr) != nil)
+	}
+	if err := mgr.Delete("m"); err != nil {
+		t.Fatal(err)
+	}
+	if keptGram(tr) != nil {
+		t.Fatal("Delete kept the memo")
+	}
+}
+
+// TestGramMemoConcurrent runs ?gram=1 queries on two goroutines beside an
+// ingesting one and one that hibernates the tracker over and over, so
+// queries race batches, misses race hits and fault-ins race evictions (run
+// it under -race). Every answer must be internally consistent — its
+// "trace", formatted from the snapshot each time, is the sum of the
+// diagonal of its "gram", whether encoded or re-sent — and once the
+// writers stop a repeated answer is a hit and the oracle's bytes.
+func TestGramMemoConcurrent(t *testing.T) {
+	mgr, err := Open(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	const d = 8
+	tr, err := mgr.Create("m", Spec{Kind: KindMatrix, Protocol: "p2", Sites: 3, Epsilon: 0.2, Dim: d, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	writers.Add(2)
+	go func() { // ingest
+		defer writers.Done()
+		rows := make([][]float64, 16)
+		for b := 0; b < 150; b++ {
+			for i := range rows {
+				rows[i] = make([]float64, d)
+				for j := range rows[i] {
+					rows[i][j] = float64((b+1)*(i+2)%11+j) / 4
+				}
+			}
+			if err := tr.IngestRows(context.Background(), b%3, rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // hibernate and let the queries fault it back in
+		defer writers.Done()
+		for i := 0; i < 40; i++ {
+			mgr.hibernate(tr)
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	h := mgr.Handler()
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/trackers/m/query?gram=1", nil))
+				var doc struct {
+					Trace float64
+					Gram  [][]float64
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("%d %q: %v", rec.Code, rec.Body, err)
+					return
+				}
+				var trace float64
+				for i, row := range doc.Gram {
+					trace += row[i]
+				}
+				if math.Float64bits(trace) != math.Float64bits(doc.Trace) {
+					t.Errorf("an answer's trace is %v, its gram's diagonal sums to %v: the gram is another snapshot's", doc.Trace, trace)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if ev, fa := mgr.evictions.Load(), mgr.faults.Load(); ev == 0 || fa == 0 {
+		t.Errorf("%d evictions and %d fault-ins: the queries raced no hibernation", ev, fa)
+	}
+	srv := httptest.NewServer(mgr.Handler())
+	defer srv.Close()
+	getTwice(t, tr, srv.URL+"/trackers/m/query?gram=1")
 }
 
 // getOracle GETs url and wants want back byte for byte, as a 200 of JSON
@@ -362,10 +617,10 @@ func TestQueryNonFinite500(t *testing.T) {
 	// An entry alone: frobenius and trace finite.
 	g := matrix.SymFromRaw(2, []float64{1, math.NaN(), math.NaN(), 1})
 	var b replyBuf
-	if err := b.encodeMatrix(2, 2, g, true); err == nil || !strings.Contains(err.Error(), "gram[0][1] is NaN") {
+	if err := b.encodeMatrix(2, 2, g, true, nil); err == nil || !strings.Contains(err.Error(), "gram[0][1] is NaN") {
 		t.Errorf("NaN entry: error %v, want one naming gram[0][1]", err)
 	}
-	if err := b.encodeMatrix(2, 2, g, false); err != nil {
+	if err := b.encodeMatrix(2, 2, g, false, nil); err != nil {
 		t.Errorf("the plain answer does not carry the entry: %v", err)
 	}
 
@@ -420,27 +675,43 @@ func queryLap(mgr *Manager, path string) func() {
 	return func() { h.ServeHTTP(w, req) }
 }
 
-func benchQuery(b *testing.B, shards int, path string) {
-	mgr, _ := newQueryTracker(b, benchSpec(shards), pamapRows(2500, 0))
+// benchQuery times GET path on an idle tracker, where every repeated
+// ?gram=1 answer is a memo hit; miss makes the memo forget its Gram before
+// each call, so every answer is encoded.
+func benchQuery(b *testing.B, shards int, path string, miss bool) {
+	mgr, tr := newQueryTracker(b, benchSpec(shards), pamapRows(2500, 0))
 	lap := queryLap(mgr, path)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if miss {
+			forgetGram(tr)
+		}
 		lap()
 	}
 }
 
 // The README's handler table: go test -run '^$' -bench 'BenchmarkQuery' -benchmem ./internal/service
-func BenchmarkQueryPlainSharded(b *testing.B)  { benchQuery(b, 4, "/trackers/m/query") }
-func BenchmarkQueryGramSharded(b *testing.B)   { benchQuery(b, 4, "/trackers/m/query?gram=1") }
-func BenchmarkQueryGramUnsharded(b *testing.B) { benchQuery(b, 0, "/trackers/m/query?gram=1") }
+func BenchmarkQueryPlainSharded(b *testing.B)  { benchQuery(b, 4, "/trackers/m/query", false) }
+func BenchmarkQueryGramSharded(b *testing.B)   { benchQuery(b, 4, "/trackers/m/query?gram=1", false) }
+func BenchmarkQueryGramUnsharded(b *testing.B) { benchQuery(b, 0, "/trackers/m/query?gram=1", false) }
+func BenchmarkQueryGramShardedMiss(b *testing.B) {
+	benchQuery(b, 4, "/trackers/m/query?gram=1", true)
+}
+func BenchmarkQueryGramUnshardedMiss(b *testing.B) {
+	benchQuery(b, 0, "/trackers/m/query?gram=1", true)
+}
 
 // TestQueryEncodeGuard keeps the append encoder worth having (medians of 21
 // laps, old and new taking turns so that a noisy spell falls on both, a
 // reading under the floor taken again twice at most, as TestEigSymGuard
 // does): over a d = 44 P2 Gram appendJSONFloat is at least 1.4× strconv
 // under encoding/json's rule, the ?gram=1 handler at least 1.6× the handler
-// it replaced, and encoding into a warm buffer allocates nothing.
+// it replaced, and encoding into a warm buffer allocates nothing. Those
+// rows time the encoder itself: the handler's memo forgets its Gram before
+// every lap, so each answer is a miss. The last row keeps the memo worth
+// having: a repeated ?gram=1 on an unchanged Gram, a hit, is at least 3×
+// a miss, and a hit allocates nothing either.
 func TestQueryEncodeGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -453,13 +724,23 @@ func TestQueryEncodeGuard(t *testing.T) {
 	g, d := snap.Gram, snap.Gram.Dim()
 	b := &replyBuf{out: make([]byte, 0, 64<<10)}
 	encode := func() {
-		if err := b.encodeMatrix(snap.Count, snap.Frobenius, g, true); err != nil {
+		if err := b.encodeMatrix(snap.Count, snap.Frobenius, g, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	encode()
 	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
 		t.Errorf("encodeMatrix: %v allocs per call on a warm buffer, want 0", allocs)
+	}
+	var memo gramMemo
+	hit := func() {
+		if err := b.encodeMatrix(snap.Count, snap.Frobenius, g, true, &memo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit()
+	if allocs := testing.AllocsPerRun(20, hit); allocs != 0 {
+		t.Errorf("encodeMatrix: %v allocs per memo hit on a warm buffer, want 0", allocs)
 	}
 
 	buf := make([]byte, 0, 64<<10)
@@ -490,6 +771,11 @@ func TestQueryEncodeGuard(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(oracleMatrixBody(t, snap.Count, snap.Frobenius, snap.Gram, true))
 	}
+	handler := queryLap(mgr, "/trackers/m/query?gram=1")
+	miss := func() {
+		forgetGram(tr)
+		handler()
+	}
 	for _, c := range []struct {
 		name     string
 		old, new func()
@@ -497,7 +783,8 @@ func TestQueryEncodeGuard(t *testing.T) {
 		floor    float64
 	}{
 		{"appendJSONFloat over a 44×44 Gram against strconv", specFloats, newFloats, 4, 1.4},
-		{"?gram=1 handler against the map-building one", oldHandler, queryLap(mgr, "/trackers/m/query?gram=1"), 4, 1.6},
+		{"?gram=1 handler against the map-building one", oldHandler, miss, 4, 1.6},
+		{"repeated ?gram=1 (a memo hit) against a miss", miss, handler, 4, 3},
 	} {
 		lap := func(f func()) time.Duration {
 			start := time.Now()

@@ -111,6 +111,7 @@ func (m *Manager) hibernate(t *Tracker) bool {
 	t.hibShards = t.sess.Shards()
 	t.sess.Close()
 	t.sess = nil
+	t.memo.setStub(true)
 	m.resident.Add(-1)
 	m.evictions.Add(1)
 	m.opts.Logf("hibernated %s (resident %d/%d)", t.name, m.resident.Load(), m.opts.MaxResident)
@@ -141,6 +142,7 @@ func (m *Manager) faultIn(t *Tracker) error {
 		return fmt.Errorf("service: faulting in %s: %w", t.name, err)
 	}
 	t.sess = sess
+	t.memo.setStub(false)
 	m.resident.Add(1)
 	m.faults.Add(1)
 	t.touch()

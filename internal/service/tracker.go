@@ -121,6 +121,12 @@ type Tracker struct {
 	wireDups   atomic.Int64 // duplicate wire blocks dropped by seq dedup
 	lastCkpt   atomic.Int64 // unix nanos of the last successful checkpoint
 	ckptErr    atomic.Value // string: last checkpoint failure, "" when clean
+
+	// memo is the last ?gram=1 answer, under its own mutex: see gramMemo.
+	// A query takes that mutex without mu; hibernation and fault-in take
+	// it under mu, to drop the memo as the session goes and to let it keep
+	// again once the session is back.
+	memo gramMemo
 }
 
 // newTracker wires a tracker around an existing session.

@@ -41,14 +41,13 @@ type Config struct {
 	// per row.
 	TrackExact bool
 	// Shards, when > 1, runs the tracker as P = min(Shards, Sites)
-	// parallel shards merged at query time. A shard owns sites: site j
-	// belongs to shard j mod P, which runs a private tracker instance over
-	// its ⌈(Sites−k)/P⌉ sites on its own worker goroutine, and queries
-	// merge the shard summaries. Matrix trackers merge shard Grams
-	// (core.ShardedTracker); heavy-hitters and quantile trackers merge
-	// their mergeable coordinator summaries (hh.Sharded,
-	// quantile.Sharded). The guarantee holds at every query because the
-	// per-shard error bounds add: Σ ε·W_k = εW. Each shard's thresholds are
+	// shards summed at query time. A shard owns sites: site j belongs to
+	// shard j mod P, a private tracker instance over its ⌈(Sites−k)/P⌉
+	// sites; min(P, GOMAXPROCS) worker goroutines apply the shards' blocks,
+	// and a query answers with the in-shard-order sum of the shard answers:
+	// shard Grams (core.ShardedTracker), estimates (hh.Sharded) or
+	// coordinator digests (quantile.Sharded). The guarantee holds at every
+	// query because the per-shard error bounds add: Σ ε·W_k = εW. Each shard's thresholds are
 	// about a single tracker's, so the shards together send about the
 	// messages one tracker sends (for matrix P2, O((m/ε)·log βN)), and a
 	// sharded P2 holds (m + P)·d² Gram floats against one tracker's
@@ -73,10 +72,10 @@ type Config struct {
 }
 
 // MaxShards bounds Config.Shards. Every shard is a tracker instance over
-// the sites it owns plus a worker goroutine, a tracker never runs more
-// shards than sites, and useful parallelism tops out at the machine's
-// cores, so the cap mostly guards the service boundary: a Spec arriving
-// over HTTP cannot make one PUT start an unbounded number of workers.
+// the sites it owns, a tracker never runs more shards than sites nor more
+// workers than GOMAXPROCS, so the cap mostly guards the service boundary:
+// a Spec arriving over HTTP cannot make one PUT build an unbounded number
+// of shard trackers.
 const MaxShards = 64
 
 // DefaultConfig returns the configuration every option starts from: one

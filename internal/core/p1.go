@@ -155,7 +155,7 @@ func (p *P1) ship(site int) {
 	s.sk.Reset()
 	s.mass = 0
 
-	if p.tally/p.fhat > 1+p.eps/2 {
+	if p.tally/p.fhat > 1+float64(p.eps/2) {
 		p.fhat = p.tally
 		p.acct.Broadcast(1)
 	}

@@ -130,7 +130,7 @@ func (p *P4) Gram() *matrix.Sym {
 			continue
 		}
 		for i := 0; i < p.d; i++ {
-			g.Set(i, i, g.At(i, i)+s.z[i]*s.z[i])
+			g.Set(i, i, g.At(i, i)+float64(s.z[i]*s.z[i]))
 		}
 	}
 	return g

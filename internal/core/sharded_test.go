@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -138,6 +140,59 @@ func TestShardedDeterministicReplay(t *testing.T) {
 		}
 		if !reflect.DeepEqual(s1, s2) {
 			t.Errorf("P=%d: message tallies not reproducible:\nrun 1: %v\nrun 2: %v", p, s1, s2)
+		}
+	}
+}
+
+// TestShardStateIndependentOfWorkers: shard k's blocks pass through one
+// worker queue in deal order whatever the worker count W = min(P,
+// GOMAXPROCS), so the shard snapshots (gob bytes, which carry every float
+// by its bits), the summed Gram and the tallies are identical at W = 1, 2
+// and P.
+func TestShardStateIndependentOfWorkers(t *testing.T) {
+	const n, d, m, p = 2000, 44, 10, 4 // d = 44: the PAMAP-like generator's dimension
+	const eps = 0.1
+	rows := gen.LowRankMatrix(gen.PAMAPLike(n))
+	sites := make([]int, n)
+	for i := range sites {
+		sites[i] = (i / 29) % m
+	}
+	type state struct {
+		snap  []byte
+		gram  []float64
+		stats any
+	}
+	run := func(w int) state {
+		withProcs(t, w)
+		st := NewShardedTracker(p, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
+		defer st.Close()
+		if got := len(st.queues); got != min(p, w) {
+			t.Fatalf("GOMAXPROCS %d: %d workers for %d shards, want %d", w, got, p, min(p, w))
+		}
+		feedSharded(st, rows, sites)
+		snap, err := st.SnapshotShardedP2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return state{buf.Bytes(), st.Gram().RawData(), st.Stats()}
+	}
+	want := run(p)
+	for _, w := range []int{1, 2} {
+		got := run(w)
+		if !bytes.Equal(got.snap, want.snap) {
+			t.Errorf("W=%d: shard snapshots differ from W=%d's", w, p)
+		}
+		for k, v := range want.gram {
+			if math.Float64bits(got.gram[k]) != math.Float64bits(v) {
+				t.Fatalf("W=%d: Gram entry %d is %v, %v at W=%d", w, k, got.gram[k], v, p)
+			}
+		}
+		if got.stats != want.stats {
+			t.Errorf("W=%d: tallies %v, %v at W=%d", w, got.stats, want.stats, p)
 		}
 	}
 }

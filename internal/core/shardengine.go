@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,15 +12,16 @@ import (
 // ShardEngine is the one deal/barrier/failure machine behind every sharded
 // tracker. It owns everything about sharding that does not depend on what
 // is being tracked: the site-to-shard rule, chunking, the pooled block
-// copy, one bounded queue and worker per shard, the flush barrier, the
+// copy, the workers and their bounded queues, the flush barrier, the
 // first-panic capture, Close, the per-shard tallies and their
 // save/restore. What differs between matrix rows and weighted items — the
 // chunk size, element validation, how a block is copied into a pooled
 // buffer and how it is applied to a shard — is a shardKind, called once per
-// block. What "merge" means (Gram addition, MG merge, q-digest
-// accumulation) lives with the wrapper that embeds the engine
-// (ShardedTracker, hh.Sharded, quantile.Sharded), where the summed bound
-// Σ ε‖A_k‖²_F = ε‖A‖²_F (or Σ εW_k = εW) is argued.
+// block. A sharded answer is the in-shard-order sum of the shard answers
+// (Gram addition, estimate addition, q-digest absorption); that sum lives
+// with the wrapper that embeds the engine (ShardedTracker, hh.Sharded,
+// quantile.Sharded), where the summed bound Σ ε‖A_k‖²_F = ε‖A‖²_F (or
+// Σ εW_k = εW) is argued.
 //
 // A shard owns sites: site j of the tracker's m is site ⌊j/P⌋ of shard
 // j mod P, so shard k runs its protocol over shardSites(m, P, k) =
@@ -30,17 +32,22 @@ import (
 // sharded P2 holds (m + P)·d² Gram floats, not P·(m + 1)·d². A new engine
 // runs min(P, m) shards, so every shard owns a site.
 //
+// Shards are state; workers are cores: an engine runs W = min(P,
+// GOMAXPROCS) workers (read when it is built or restored), and shard k's
+// blocks, tagged with k, go in deal order through the one FIFO queue of
+// worker k mod W, so no shard's state depends on W.
+//
 // Ingestion: Deal validates the whole block synchronously in the caller (an
 // invalid site or element panics before anything is enqueued, so a
 // rejected block never partially applies), splits it into chunks that bound
 // the staging copy, copies each chunk into a pooled buffer (the caller may
 // reuse its slices immediately) and enqueues it on the bounded queue of the
-// shard that owns the block's site, which provides backpressure when the
-// workers fall behind. Queries flush first: a barrier waits for every
+// worker that serves the block's shard, which provides backpressure when
+// the workers fall behind. Queries flush first: a barrier waits for every
 // queued block to be applied.
 //
 // Determinism: the shard a block lands on depends only on its site and P —
-// never on the goroutine schedule — so results are reproducible for a
+// never on the goroutine schedule or W — so results are reproducible for a
 // fixed seed and shard count. They DO depend on P (each P groups the sites
 // differently); P = 1 is the unsharded tracker.
 //
@@ -51,11 +58,11 @@ import (
 type ShardEngine[S ShardStats, E any] struct {
 	kind    shardKind[S, E]
 	shards  []S
-	m       int // sites: site j is site j/P of shard j%P
-	queues  []chan shardBlock[E]
+	m       int                  // sites: site j is site j/P of shard j%P
+	queues  []chan shardBlock[E] // one per worker: shard k's on queues[k%W]
 	workers sync.WaitGroup
-	// dirty[k] is set by a deal to shard k and cleared by its barrier: a
-	// flush waits only on the shards dealt to since the last one, so a
+	// dirty[w] is set by a deal to worker w and cleared by its barrier: a
+	// flush waits only on the workers dealt to since the last one, so a
 	// block from one site costs one barrier, and a Snapshot that reads
 	// Stats, Gram and EstimateFrobenius waits on none after the first.
 	dirty  []bool
@@ -101,11 +108,11 @@ type stageBuf[E any] struct {
 	flat  []float64
 }
 
-// shardBlock is one unit of work for a shard worker: either a staged block
-// from one of the shard's local sites, or a barrier (buf nil), whose
-// channel the worker closes once every earlier block on its queue has been
-// applied.
+// shardBlock is one unit of work for a worker: either a staged block from
+// one of a shard's local sites, or a barrier (buf nil), whose channel the
+// worker closes once every earlier block on its queue has been applied.
 type shardBlock[E any] struct {
+	shard   int
 	site    int
 	buf     *stageBuf[E]
 	barrier chan struct{}
@@ -149,34 +156,35 @@ func buildShards[S any](p, m int, build func(shard, sites int) S) []S {
 	return shards
 }
 
-// newShardEngine wires the queues and workers around existing shards over
-// m sites (the restore paths reuse it with deserialized shards). The
-// workers start immediately and stop at Close.
+// newShardEngine wires min(P, GOMAXPROCS) workers and their queues around
+// existing shards over m sites (the restore paths reuse it with
+// deserialized shards). The workers start immediately and stop at Close.
 func newShardEngine[S ShardStats, E any](shards []S, m int, kind shardKind[S, E]) *ShardEngine[S, E] {
+	w := min(len(shards), runtime.GOMAXPROCS(0))
 	e := &ShardEngine[S, E]{
 		kind:   kind,
 		shards: shards,
 		m:      m,
-		queues: make([]chan shardBlock[E], len(shards)),
-		dirty:  make([]bool, len(shards)),
+		queues: make([]chan shardBlock[E], w),
+		dirty:  make([]bool, w),
 		dealt:  make([]atomic.Int64, len(shards)),
 		// One buffer per queue slot plus the one being staged: the pool
 		// never holds more than can be in flight.
-		free: make(chan *stageBuf[E], len(shards)*shardQueueDepth+1),
+		free: make(chan *stageBuf[E], w*shardQueueDepth+1),
 	}
 	for i := range e.queues {
 		e.queues[i] = make(chan shardBlock[E], shardQueueDepth)
 		e.workers.Add(1)
-		go e.worker(e.shards[i], e.queues[i])
+		go e.worker(e.queues[i])
 	}
 	return e
 }
 
-// worker drains one shard's queue q, applying blocks in order. A panic from
-// the shard is captured once; later blocks drain unapplied and barriers
-// still release, so the caller observes the panic at its next flush instead
-// of a deadlock.
-func (e *ShardEngine[S, E]) worker(shard S, q <-chan shardBlock[E]) {
+// worker drains one queue q, applying each block to its shard in order. A
+// panic from a shard is captured once; later blocks drain unapplied and
+// barriers still release, so the caller observes the panic at its next
+// flush instead of a deadlock.
+func (e *ShardEngine[S, E]) worker(q <-chan shardBlock[E]) {
 	defer e.workers.Done()
 	for blk := range q {
 		if blk.barrier != nil {
@@ -184,7 +192,7 @@ func (e *ShardEngine[S, E]) worker(shard S, q <-chan shardBlock[E]) {
 			continue
 		}
 		if e.failed() == nil {
-			e.apply(shard, blk)
+			e.apply(blk)
 		}
 		select {
 		case e.free <- blk.buf:
@@ -195,7 +203,7 @@ func (e *ShardEngine[S, E]) worker(shard S, q <-chan shardBlock[E]) {
 
 // apply runs one block through its shard, capturing a panic as the engine's
 // terminal failure.
-func (e *ShardEngine[S, E]) apply(shard S, blk shardBlock[E]) {
+func (e *ShardEngine[S, E]) apply(blk shardBlock[E]) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.failMu.Lock()
@@ -205,7 +213,7 @@ func (e *ShardEngine[S, E]) apply(shard S, blk shardBlock[E]) {
 			e.failMu.Unlock()
 		}
 	}()
-	e.kind.apply(shard, blk.site, blk.buf.elems)
+	e.kind.apply(e.shards[blk.shard], blk.site, blk.buf.elems)
 }
 
 // failed returns the first worker panic, nil while healthy.
@@ -267,7 +275,7 @@ func (e *ShardEngine[S, E]) Deal(site int, blk []E) {
 	e.deal(shard, local, blk)
 }
 
-// deal stages one chunk and enqueues it on shard's queue.
+// deal stages one chunk and enqueues it on the queue of shard's worker.
 //
 //distlint:hotpath
 func (e *ShardEngine[S, E]) deal(shard, site int, blk []E) {
@@ -277,9 +285,10 @@ func (e *ShardEngine[S, E]) deal(shard, site int, blk []E) {
 	if e.closed {
 		panic("core: sharded tracker is closed")
 	}
+	w := shard % len(e.queues)
 	e.dealt[shard].Add(int64(len(blk)))
-	e.dirty[shard] = true
-	e.queues[shard] <- shardBlock[E]{site: site, buf: e.stage(blk)}
+	e.dirty[w] = true
+	e.queues[w] <- shardBlock[E]{shard: shard, site: site, buf: e.stage(blk)}
 }
 
 // stage copies blk into a pooled buffer, so the caller regains ownership of
@@ -310,7 +319,7 @@ func (e *ShardEngine[S, E]) Flush() {
 
 // FlushErr is the non-panicking barrier: it waits for every dealt block to
 // be applied and returns the first worker panic (nil while healthy). Only
-// the shards dealt to since the last flush get a barrier: every other
+// the workers dealt to since the last flush get a barrier: every other
 // queue is already empty.
 func (e *ShardEngine[S, E]) FlushErr() any {
 	if !e.closed {
@@ -330,7 +339,7 @@ func (e *ShardEngine[S, E]) FlushErr() any {
 	return e.failed()
 }
 
-// Close flushes outstanding work and stops the shard workers. The engine
+// Close flushes outstanding work and stops the workers. The engine
 // still answers queries from the final state; further ingestion panics.
 // Close is idempotent.
 func (e *ShardEngine[S, E]) Close() {

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -356,8 +358,8 @@ func TestShardedItemSiteCount(t *testing.T) {
 	}
 }
 
-// countBarriers puts a forwarder in front of every shard queue of e that
-// counts the barriers posted to each shard; the forwarders close the real
+// countBarriers puts a forwarder in front of every worker queue of e that
+// counts the barriers posted to each worker; the forwarders close the real
 // queues when Close closes theirs. The workers keep the queues they were
 // started on, so e.queues can be swapped under them.
 func countBarriers[S ShardStats, E any](e *ShardEngine[S, E]) (posted func() []int64) {
@@ -384,56 +386,70 @@ func countBarriers[S ShardStats, E any](e *ShardEngine[S, E]) (posted func() []i
 	}
 }
 
-// TestFlushBarriersOnlyDealtShards: a flush posts a barrier to each shard
+// withProcs sets GOMAXPROCS to procs until t ends, so an engine built
+// meanwhile runs min(P, procs) workers.
+func withProcs(t testing.TB, procs int) {
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestFlushBarriersOnlyDealtShards: a flush posts a barrier to each worker
 // dealt to since the last flush and to no other, none with nothing dealt,
 // and the state read after it is Float64bits-identical — Gram, F̂ and
-// tallies — to an engine fed the same blocks that flushes every shard
-// every time.
+// tallies — to an engine fed the same blocks that flushes every worker
+// every time. It runs with one worker per shard and with two shards per
+// worker.
 func TestFlushBarriersOnlyDealtShards(t *testing.T) {
 	const n, d, m, p = 1200, 44, 10, 4 // d = 44: the PAMAP-like generator's dimension
 	rows := gen.LowRankMatrix(gen.PAMAPLike(n))
 	build := func(_, sites int) Tracker { return NewP2Fast(sites, 0.1, d) }
-	e, all := NewShardedTracker(p, m, build), NewShardedTracker(p, m, build)
-	defer e.Close()
-	defer all.Close()
-	posted := countBarriers(e.ShardEngine)
+	for _, w := range []int{p, 2} {
+		withProcs(t, w)
+		e, all := NewShardedTracker(p, m, build), NewShardedTracker(p, m, build)
+		defer e.Close()
+		defer all.Close()
+		if got := len(e.queues); got != w {
+			t.Fatalf("GOMAXPROCS %d: %d workers for %d shards, want %d", w, got, p, w)
+		}
+		posted := countBarriers(e.ShardEngine)
 
-	want := make([]int64, p)
-	for i, blk := 0, 0; i < n; i, blk = i+40, blk+1 {
-		site := (blk * 7) % m // one shard per deal, revisiting shards unevenly
-		e.ProcessRows(site, rows[i:i+40])
-		all.ProcessRows(site, rows[i:i+40])
-		if blk%3 == 2 {
-			continue // flush after every third deal: several shards pending
-		}
-		for k := range all.dirty {
-			all.dirty[k] = true
-		}
-		for k := range want {
-			if e.dirty[k] {
-				want[k]++
+		want := make([]int64, w)
+		for i, blk := 0, 0; i < n; i, blk = i+40, blk+1 {
+			site := (blk * 7) % m // one shard per deal, revisiting shards unevenly
+			e.ProcessRows(site, rows[i:i+40])
+			all.ProcessRows(site, rows[i:i+40])
+			if blk%3 == 2 {
+				continue // flush after every third deal: several workers pending
+			}
+			for k := range all.dirty {
+				all.dirty[k] = true
+			}
+			for k := range want {
+				if e.dirty[k] {
+					want[k]++
+				}
+			}
+			ge, gall := e.Gram(), all.Gram()
+			if !reflect.DeepEqual(posted(), want) {
+				t.Fatalf("W=%d, after block %d: barriers per worker %v, want %v", w, blk, posted(), want)
+			}
+			for k, v := range gall.RawData() {
+				if math.Float64bits(ge.RawData()[k]) != math.Float64bits(v) {
+					t.Fatalf("W=%d, after block %d: Gram entry %d is %v, flush-everything engine %v", w, blk, k, ge.RawData()[k], v)
+				}
+			}
+			if fe, fa := e.EstimateFrobenius(), all.EstimateFrobenius(); math.Float64bits(fe) != math.Float64bits(fa) {
+				t.Fatalf("W=%d, after block %d: F̂ %v, flush-everything engine %v", w, blk, fe, fa)
+			}
+			if se, sa := e.Stats(), all.Stats(); se != sa {
+				t.Fatalf("W=%d, after block %d: tallies %v, flush-everything engine %v", w, blk, se, sa)
+			}
+			if !reflect.DeepEqual(posted(), want) {
+				t.Fatalf("W=%d, after block %d: reads with nothing dealt posted barriers: %v, want %v", w, blk, posted(), want)
 			}
 		}
-		ge, gall := e.Gram(), all.Gram()
-		if !reflect.DeepEqual(posted(), want) {
-			t.Fatalf("after block %d: barriers per shard %v, want %v", blk, posted(), want)
+		if got := posted(); slices.Max(got) == 0 {
+			t.Fatalf("W=%d: no barrier posted at all", w)
 		}
-		for k, v := range gall.RawData() {
-			if math.Float64bits(ge.RawData()[k]) != math.Float64bits(v) {
-				t.Fatalf("after block %d: Gram entry %d is %v, flush-everything engine %v", blk, k, ge.RawData()[k], v)
-			}
-		}
-		if fe, fa := e.EstimateFrobenius(), all.EstimateFrobenius(); math.Float64bits(fe) != math.Float64bits(fa) {
-			t.Fatalf("after block %d: F̂ %v, flush-everything engine %v", blk, fe, fa)
-		}
-		if se, sa := e.Stats(), all.Stats(); se != sa {
-			t.Fatalf("after block %d: tallies %v, flush-everything engine %v", blk, se, sa)
-		}
-		if !reflect.DeepEqual(posted(), want) {
-			t.Fatalf("after block %d: reads with nothing dealt posted barriers: %v, want %v", blk, posted(), want)
-		}
-	}
-	if got := posted(); got[0]+got[1]+got[2]+got[3] == 0 {
-		t.Fatal("no barrier posted at all")
 	}
 }

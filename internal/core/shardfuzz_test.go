@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/matrix"
@@ -44,18 +45,21 @@ func decodeShardedStream(data []byte, d, m int) (rows [][]float64, splits, sites
 //     stream Gram AᵀA (per-shard bounds add across the merge);
 //   - a gob round-trip of the sharded snapshot restores bit-exactly (same
 //     snapshot, same merged Gram bits), and continued identical ingestion
-//     keeps the restored tracker on the original's trajectory.
+//     keeps the restored tracker on the original's trajectory;
+//   - none of it depends on the worker count: the tracker runs on
+//     min(P, 1…4) workers and is restored onto another count.
 func FuzzShardedMergeEquivalence(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3), uint8(1))
-	f.Add([]byte{1, 9, 200, 100, 0, 2, 1, 9, 9, 9, 9}, uint8(4), uint8(2), uint8(2))
-	f.Add(bytes.Repeat([]byte{5, 2, 250, 17, 130, 4}, 40), uint8(3), uint8(4), uint8(0))
-	f.Add([]byte{}, uint8(1), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, pB, dB, mB uint8) {
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3), uint8(1), uint8(0))
+	f.Add([]byte{1, 9, 200, 100, 0, 2, 1, 9, 9, 9, 9}, uint8(4), uint8(2), uint8(2), uint8(13))
+	f.Add(bytes.Repeat([]byte{5, 2, 250, 17, 130, 4}, 40), uint8(3), uint8(4), uint8(0), uint8(6))
+	f.Add([]byte{}, uint8(1), uint8(1), uint8(3), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, pB, dB, mB, wB uint8) {
 		p := 1 + int(pB%5) // 1..5 shards
 		d := 1 + int(dB%6) // dims 1..6
 		m := 1 + int(mB%4) // sites 1..4
 		const eps = 0.25
 		rows, splits, sites := decodeShardedStream(data, d, m)
+		withProcs(t, 1+int(wB%4)) // the tracker's workers: min(P, 1..4)
 
 		// Fast-mode P2 shards: the configuration the service's
 		// highest-throughput path runs, and the persistable one.
@@ -95,6 +99,7 @@ func FuzzShardedMergeEquivalence(f *testing.F) {
 		if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 			t.Fatalf("decoding snapshot: %v", err)
 		}
+		runtime.GOMAXPROCS(1 + int(wB/4%4)) // restored onto another worker count
 		restored, err := RestoreShardedP2(decoded)
 		if err != nil {
 			t.Fatalf("restoring snapshot: %v", err)

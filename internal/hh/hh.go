@@ -56,7 +56,7 @@ func HeavyHitters(p Protocol, phi float64) []sketch.WeightedElement {
 	if what <= 0 {
 		return nil
 	}
-	out := p.Candidates((phi - p.Eps()/2) * what)
+	out := p.Candidates((phi - float64(p.Eps()/2)) * what)
 	sketch.SortByWeightDesc(out)
 	return out
 }

@@ -88,7 +88,7 @@ func (p *P1) ship(site int) {
 	s.summary.Reset()
 	s.weight = 0
 
-	if p.tally/p.what > 1+p.eps/2 {
+	if p.tally/p.what > 1+float64(p.eps/2) {
 		p.what = p.tally
 		p.acct.Broadcast(1)
 	}

@@ -159,13 +159,13 @@ func exactSites(s ExactSnapshot) int { return s.M }
 // shardedOver wires restored shard protocols back into an engine over m
 // sites.
 func shardedOver(m int, protos []Protocol) *Sharded {
-	return &Sharded{core.ItemEngine(m, protos)}
+	return &Sharded{ShardEngine: core.ItemEngine(m, protos)}
 }
 
 // RestoreSharded rebuilds a sharded P2 tracker from a snapshot, rejecting
-// cross-shard parameter disagreement with a wrapped ErrMergeMismatch — the
-// merge boundary returns errors rather than letting a corrupted snapshot
-// panic the first query.
+// cross-shard parameter disagreement with a wrapped ErrMergeMismatch: a
+// corrupted snapshot is an error here, so the summed answer never meets
+// shards that disagree.
 func RestoreSharded(snap ShardedP2Snapshot) (*Sharded, error) {
 	s, err := core.RestoreShards(snap.Shards, snap.M, snap.Items, p2Sites, func(ss P2Snapshot) (Protocol, error) {
 		if first := snap.Shards[0]; ss.Eps != first.Eps {

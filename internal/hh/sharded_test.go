@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/sketch"
 )
 
 // Sharded heavy-hitters property harness, mirroring the matrix tracker's
@@ -128,6 +130,113 @@ func assertMergedBound(t *testing.T, instant string, p int, s *Sharded, prefix [
 	if got := s.EstimateTotal(); math.Abs(got-w) > eps*w+float64(p) {
 		t.Fatalf("P=%d %s: total %v vs W=%v outside εW+P", p, instant, got, w)
 	}
+}
+
+// TestShardedP1IsShardSum: a sharded P1 answers with the in-shard-order
+// sum of its shards' MG estimates — no MG merge prunes the sum again — and
+// as shard k errs by at most ε·W_k, the sum stays within εW, mid-stream and
+// at the end.
+func TestShardedP1IsShardSum(t *testing.T) {
+	const m, p, eps, run = 7, 3, 0.05, 31
+	items, _, _ := testStream(30000, 200, 34)
+	sharded := NewSharded(p, m, func(_, sites int) Protocol { return NewP1(sites, eps) })
+	defer sharded.Close()
+	fed := 0
+	for _, cut := range []int{len(items) / 2, len(items)} {
+		feedShardedItems(sharded, items[fed:cut], m, run)
+		prefix := items[:cut]
+		fed = cut
+		sharded.Flush()
+		want := map[uint64]float64{}
+		for k := 0; k < p; k++ {
+			for _, c := range sharded.Shard(k).Candidates(math.Inf(-1)) {
+				want[c.Elem] += c.Weight
+			}
+		}
+		got := sharded.Candidates(math.Inf(-1))
+		if len(got) != len(want) {
+			t.Fatalf("after %d items: %d candidates, want the %d elements the shards track", len(prefix), len(got), len(want))
+		}
+		for _, c := range got {
+			if math.Float64bits(c.Weight) != math.Float64bits(want[c.Elem]) {
+				t.Fatalf("after %d items: element %d estimate %v, shard sum %v", len(prefix), c.Elem, c.Weight, want[c.Elem])
+			}
+			if e := sharded.Estimate(c.Elem); math.Float64bits(e) != math.Float64bits(c.Weight) {
+				t.Fatalf("after %d items: Estimate(%d) = %v, candidate %v", len(prefix), c.Elem, e, c.Weight)
+			}
+		}
+		assertMergedBound(t, fmt.Sprintf("after %d items", len(prefix)), p, sharded, prefix, eps)
+	}
+}
+
+// TestShardedItemStateIndependentOfWorkers: shard k's items pass through
+// one worker queue in deal order whatever the worker count W = min(P,
+// GOMAXPROCS), so P2 shard snapshots and every shard's estimates (by
+// Float64bits), and P1's summed answer, are identical at W = 1, 2 and P.
+func TestShardedItemStateIndependentOfWorkers(t *testing.T) {
+	const m, p, eps, run = 10, 4, 0.05, 43
+	items, _, _ := testStream(20000, 100, 35)
+	type state struct {
+		snap ShardedP2Snapshot
+		est  [][]sketch.WeightedElement // per P2 shard, then P1's sum
+	}
+	runAt := func(w int) (st state) {
+		withProcs(t, w)
+		s2 := NewSharded(p, m, func(_, sites int) Protocol { return NewP2(sites, eps) })
+		defer s2.Close()
+		s1 := NewSharded(p, m, func(_, sites int) Protocol { return NewP1(sites, eps) })
+		defer s1.Close()
+		feedShardedItems(s2, items, m, run)
+		feedShardedItems(s1, items, m, run)
+		var err error
+		if st.snap, err = SnapshotSharded(s2); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < p; k++ {
+			st.est = append(st.est, s2.Shard(k).Candidates(math.Inf(-1)))
+		}
+		st.est = append(st.est, s1.Candidates(math.Inf(-1)))
+		return st
+	}
+	want := runAt(p)
+	for _, w := range []int{1, 2} {
+		got := runAt(w)
+		if !reflect.DeepEqual(got.snap, want.snap) {
+			t.Errorf("W=%d: P2 shard snapshots differ from W=%d's", w, p)
+		}
+		for k, est := range want.est {
+			if len(got.est[k]) != len(est) {
+				t.Fatalf("W=%d: list %d has %d estimates, %d at W=%d", w, k, len(got.est[k]), len(est), p)
+			}
+			for i, c := range est {
+				if g := got.est[k][i]; g.Elem != c.Elem || math.Float64bits(g.Weight) != math.Float64bits(c.Weight) {
+					t.Fatalf("W=%d: list %d entry %d is %v, %v at W=%d", w, k, i, g, c, p)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedProcessAllocs: an item fed to a sharded tracker one at a time
+// allocates nothing once the staging pool is warm — Process deals a block
+// header kept on the wrapper, which Deal copies before it returns.
+func TestShardedProcessAllocs(t *testing.T) {
+	s := NewSharded(2, 4, func(_, sites int) Protocol { return NewP2(sites, 0.1) })
+	defer s.Close()
+	for i := 0; i < 1000; i++ {
+		s.Process(i%4, 7, 1)
+	}
+	s.Flush()
+	if a := testing.AllocsPerRun(1000, func() { s.Process(1, 7, 1) }); a != 0 {
+		t.Errorf("Sharded.Process: %v allocs per item, want 0", a)
+	}
+}
+
+// withProcs sets GOMAXPROCS to procs until t ends, so a sharded tracker
+// built meanwhile runs min(P, procs) workers.
+func withProcs(t testing.TB, procs int) {
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // TestShardedDeterministicItemReplay holds property 3 with randomized P3
@@ -266,7 +375,7 @@ func TestShardedPersistItemRoundTrip(t *testing.T) {
 		t.Error("snapshot of P3 shards succeeded, want error")
 	}
 
-	// Cross-shard parameter disagreement is the merge boundary: a wrapped
+	// Cross-shard parameter disagreement is refused at restore: a wrapped
 	// ErrMergeMismatch, not a panic.
 	bad := decoded
 	bad.Shards = append([]P2Snapshot(nil), decoded.Shards...)
@@ -286,22 +395,6 @@ func TestShardedPersistItemRoundTrip(t *testing.T) {
 	tallies.Items = tallies.Items[:1]
 	if _, err := RestoreSharded(tallies); err == nil || errors.Is(err, ErrMergeMismatch) {
 		t.Errorf("short tally slice: err = %v, want a plain restore error", err)
-	}
-}
-
-// TestMergedSummaryMGMismatch pins the tracker-level merge error contract
-// directly: folding MG summaries of different capacities returns a wrapped
-// ErrMergeMismatch instead of panicking.
-func TestMergedSummaryMGMismatch(t *testing.T) {
-	a, b := NewP1(2, 0.1), NewP1(2, 0.2) // different ε ⇒ different MG capacity
-	a.Process(0, 7, 3)
-	b.Process(0, 7, 3)
-	acc := NewMergedSummary()
-	if err := a.AccumulateInto(acc); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AccumulateInto(acc); !errors.Is(err, ErrMergeMismatch) {
-		t.Fatalf("mismatched MG capacities: err = %v, want ErrMergeMismatch", err)
 	}
 }
 

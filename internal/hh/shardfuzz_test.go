@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -46,17 +47,20 @@ func decodeItemStream(data []byte, m int) (items []gen.WeightedItem, splits, sit
 //     frequency (per-shard bounds add, Σ ε·W_k = εW) and the merged total
 //     within εW + P (each shard's initial lower bound of 1);
 //   - a gob round-trip of the sharded snapshot restores bit-exactly, and
-//     continued identical ingestion stays on the original's trajectory.
+//     continued identical ingestion stays on the original's trajectory;
+//   - none of it depends on the worker count: the tracker runs on
+//     min(P, 1…4) workers and is restored onto another count.
 func FuzzShardedItemMergeEquivalence(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3))
-	f.Add([]byte{1, 9, 200, 100, 0, 2, 1, 9, 9, 9, 9}, uint8(4), uint8(2))
-	f.Add(bytes.Repeat([]byte{5, 2, 250, 17, 130, 4}, 40), uint8(1), uint8(4))
-	f.Add([]byte{}, uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, pB, mB uint8) {
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3), uint8(0))
+	f.Add([]byte{1, 9, 200, 100, 0, 2, 1, 9, 9, 9, 9}, uint8(4), uint8(2), uint8(13))
+	f.Add(bytes.Repeat([]byte{5, 2, 250, 17, 130, 4}, 40), uint8(1), uint8(4), uint8(6))
+	f.Add([]byte{}, uint8(3), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, pB, mB, wB uint8) {
 		p := 1 + int(pB%5) // 1..5 shards
 		m := 1 + int(mB%4) // 1..4 sites
 		const eps = 0.2
 		items, splits, sites := decodeItemStream(data, m)
+		withProcs(t, 1+int(wB%4)) // the tracker's workers: min(P, 1..4)
 
 		sharded := NewSharded(p, m, func(_, sites int) Protocol { return NewP2(sites, eps) })
 		defer sharded.Close()
@@ -122,6 +126,7 @@ func FuzzShardedItemMergeEquivalence(f *testing.F) {
 		if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
 			t.Fatalf("decoding snapshot: %v", err)
 		}
+		runtime.GOMAXPROCS(1 + int(wB/4%4)) // restored onto another worker count
 		restored, err := RestoreSharded(decoded)
 		if err != nil {
 			t.Fatalf("restoring snapshot: %v", err)

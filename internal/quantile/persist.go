@@ -172,9 +172,9 @@ func SnapshotSharded(s *Sharded) (ShardedTrackerSnapshot, error) {
 }
 
 // RestoreSharded rebuilds a sharded tracker from a snapshot, rejecting
-// cross-shard parameter disagreement with a wrapped ErrMergeMismatch — the
-// merge boundary returns errors rather than letting a corrupted snapshot
-// panic the first query.
+// cross-shard parameter disagreement with a wrapped ErrMergeMismatch: a
+// corrupted snapshot is an error here, so the summed answer never meets
+// shards that disagree.
 func RestoreSharded(snap ShardedTrackerSnapshot) (*Sharded, error) {
 	s, err := core.RestoreShards(snap.Shards, snap.M, snap.Items, trackerSites, func(ts TrackerSnapshot) (*Tracker, error) {
 		if first := snap.Shards[0]; ts.Eps != first.Eps || ts.Bits != first.Bits {
@@ -183,7 +183,7 @@ func RestoreSharded(snap ShardedTrackerSnapshot) (*Sharded, error) {
 		}
 		return RestoreTracker(ts)
 	}, func(m int, trackers []*Tracker) *Sharded {
-		return &Sharded{core.ItemEngine(m, trackers)}
+		return &Sharded{ShardEngine: core.ItemEngine(m, trackers)}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("quantile: sharded snapshot: %w", err)

@@ -342,8 +342,8 @@ func (q *QDigest) Quantiles(phis []float64, out []uint64) []uint64 {
 // parameters add in the usual mergeable-summary sense (each digest's
 // compression debt is bounded by its own εW share). The sketch-level merge
 // panics on a universe mismatch like every other invalid-argument path in
-// this package; Tracker.AccumulateInto is the error-returning boundary the
-// service-reachable shard merges go through.
+// this package; RestoreSharded is the error-returning boundary that keeps
+// mismatched shards out of the sharded sum.
 func (q *QDigest) Merge(other *QDigest) {
 	if q.bits != other.bits {
 		panic(fmt.Sprintf("quantile: merge digests with bits %d and %d", other.bits, q.bits))

@@ -8,10 +8,11 @@ import (
 	"repro/internal/stream"
 )
 
-// ErrMergeMismatch is the sentinel for digests whose universes disagree at
-// a tracker-level merge boundary. It can only arise from a corrupted or
+// ErrMergeMismatch is the sentinel for shard snapshots whose parameters
+// (ε, universe) disagree. It can only arise from a corrupted or
 // hand-assembled snapshot — shards built by one builder always agree — so
-// the merge surfaces return it wrapped rather than panicking.
+// RestoreSharded, the one place that checks it, returns it wrapped rather
+// than panicking.
 var ErrMergeMismatch = errors.New("quantile: digest parameters mismatch")
 
 // Summary is the query surface shared by Tracker and Sharded: everything
@@ -32,16 +33,18 @@ type Summary interface {
 // values to shard j mod P (Deal — which validates sites, weights and,
 // through Tracker's core.BoundedUniverse, universe membership for the whole
 // batch before anything is enqueued — the flush barrier, failure capture,
-// Close, tallies), and rank queries answer from the merged coordinator
-// digest. Each shard tracks its substream with rank error ≤ ε·W_k;
-// q-digest accumulation adds both weight and error, and Σ ε·W_k = εW — so
-// the merged view keeps the tracker's εW rank contract. Shard k runs over
-// ⌈(m−k)/P⌉ sites, so the summed Stats are about what one tracker sends.
+// Close, tallies), and rank queries answer from the sum of the shards'
+// coordinator digests. Each shard tracks its substream with rank error
+// ≤ ε·W_k; absorbing a digest adds both weight and error, and Σ ε·W_k =
+// εW, so the summed digest keeps the tracker's εW rank contract. Shard k
+// runs over ⌈(m−k)/P⌉ sites, so the summed Stats are about what one
+// tracker sends.
 //
 // Like Tracker, a Sharded instance is driven by one goroutine at a time.
 // Queries flush (merge barrier) first; Close stops the shard workers.
 type Sharded struct {
 	*core.ShardEngine[*Tracker, gen.WeightedItem]
+	one [1]gen.WeightedItem // Process's block: Deal copies it before returning
 }
 
 // NewSharded builds a sharded quantile tracker for m sites over min(p, m)
@@ -49,10 +52,10 @@ type Sharded struct {
 // shard's site count. All shards must come from the same constructor with
 // the same parameters.
 func NewSharded(p, m int, build func(shard, sites int) *Tracker) *Sharded {
-	return &Sharded{core.NewShardedItemTracker(p, m, build)}
+	return &Sharded{ShardEngine: core.NewShardedItemTracker(p, m, build)}
 }
 
-// Eps implements Summary: the merged view keeps the shard ε (summed
+// Eps implements Summary: the summed digest keeps the shard ε (summed
 // per-shard bounds telescope to εW).
 func (s *Sharded) Eps() float64 { return s.Shard(0).eps }
 
@@ -61,20 +64,20 @@ func (s *Sharded) Bits() uint { return s.Shard(0).bits }
 
 // Process implements Summary, dealing one value to the shard workers.
 func (s *Sharded) Process(site int, value uint64, w float64) {
-	s.Deal(site, []gen.WeightedItem{{Elem: value, Weight: w}})
+	s.one[0] = gen.WeightedItem{Elem: value, Weight: w}
+	s.Deal(site, s.one[:])
 }
 
-// merged flushes and folds every shard's coordinator digest into a fresh
-// uncompressed accumulation digest. A universe mismatch is impossible for
-// builder-constructed shards and rejected during snapshot restore, so a
-// failure here is a program bug and panics with the wrapped error.
+// merged flushes and absorbs every shard's coordinator digest, in shard
+// order, into a fresh digest, uncompressed, so a one-shard sum is
+// node-identical to the shard's own digest. The shards share one universe:
+// builders make them so, and RestoreSharded refuses a snapshot whose
+// shards disagree.
 func (s *Sharded) merged() *QDigest {
 	s.Flush()
 	dst := NewQDigest(s.Bits(), s.Eps()/2)
 	for i := 0; i < s.ShardCount(); i++ {
-		if err := s.Shard(i).AccumulateInto(dst); err != nil {
-			panic(err)
-		}
+		dst.absorb(s.Shard(i).merged)
 	}
 	return dst
 }

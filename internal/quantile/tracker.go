@@ -101,7 +101,7 @@ func (t *Tracker) ship(site int) {
 	s.digest.Reset()
 	s.weight = 0
 
-	if t.tally/t.what > 1+t.eps/2 {
+	if t.tally/t.what > 1+float64(t.eps/2) {
 		t.what = t.tally
 		t.acct.Broadcast(1)
 	}
@@ -124,18 +124,3 @@ func (t *Tracker) Stats() stream.Stats { return t.acct.Stats() }
 
 // Bits returns the universe size exponent.
 func (t *Tracker) Bits() uint { return t.bits }
-
-// AccumulateInto is the tracker-level merge surface: it folds the
-// coordinator digest into dst (without compressing, so a one-shard merge
-// is node-identical to the shard's own digest). A universe mismatch
-// returns a wrapped ErrMergeMismatch instead of panicking — this is the
-// boundary service-reachable shard merges cross, and a daemon restoring a
-// bad checkpoint must survive it.
-func (t *Tracker) AccumulateInto(dst *QDigest) error {
-	if dst.bits != t.bits {
-		return fmt.Errorf("quantile: accumulating digest with bits %d into bits %d: %w",
-			t.bits, dst.bits, ErrMergeMismatch)
-	}
-	dst.absorb(t.merged)
-	return nil
-}

@@ -19,10 +19,10 @@
 //     heavy-hitters or quantile — can additionally run P parallel compute
 //     shards (Spec "shards"), each owning the sites j ≡ k (mod P):
 //     core.ShardEngine hands a posted block to the private tracker
-//     instance of its site's shard and queries merge the shard summaries,
+//     instance of its site's shard and queries sum the shard answers,
 //     scaling the per-block hot path across cores while the shards
-//     together send what one tracker sends. Those P workers are the only
-//     ingest goroutines in the process.
+//     together send what one tracker sends. Those min(P, GOMAXPROCS)
+//     workers are the only ingest goroutines in the process.
 //   - Checkpointed recovery: persistable sessions are periodically saved
 //     (and always on Close) to one file per tracker in the data directory,
 //     via the facade's SaveState/RestoreSession over the gob snapshots in
@@ -130,9 +130,9 @@ type Spec struct {
 	// blocks with per-block decompositions.
 	Fast bool `json:"fast,omitempty"`
 	// Shards runs the tracker — matrix, heavy-hitters, or quantile — as
-	// P = min(Shards, Sites) parallel shards merged at query time
-	// (Config.Shards): shard k owns the sites j ≡ k (mod P) and runs a
-	// private tracker instance over them on its own compute worker, so the
+	// P = min(Shards, Sites) shards summed at query time (Config.Shards):
+	// shard k owns the sites j ≡ k (mod P) and is a private tracker over
+	// them, min(P, GOMAXPROCS) workers apply the shards' blocks, so the
 	// shards together send about what one tracker sends, and a sharded p2
 	// holds (Sites + P)·Dim² Gram floats. The echo reports the P the
 	// tracker runs. For matrix trackers, combined with Fast this is the

@@ -236,6 +236,63 @@ func TestResidentCapBoundsGoroutines(t *testing.T) {
 	}
 }
 
+// TestResidentCapBoundsShardedGoroutines: a sharded tracker runs
+// min(P, GOMAXPROCS) workers, so R resident 8-shard trackers hold at most
+// R·min(8, GOMAXPROCS) goroutines however their sessions fault in and out.
+// GOMAXPROCS is pinned at 2, below the shard count, on any host.
+func TestResidentCapBoundsShardedGoroutines(t *testing.T) {
+	const (
+		trackers = 40
+		maxRes   = 4
+		procs    = 2
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	mgr, err := service.Open(service.Options{
+		DataDir:     filepath.Join(t.TempDir(), "data"),
+		MaxResident: maxRes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+
+	before := runtime.NumGoroutine()
+	ctx := context.Background()
+	for i := 0; i < trackers; i++ {
+		spec := service.Spec{Kind: service.KindHH, Protocol: "p2", Sites: 8, Shards: 8, Epsilon: 0.1, Seed: int64(i + 1)}
+		if _, err := mgr.Create(fmt.Sprintf("s%02d", i), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Touch every tracker twice, in two orders, so sessions fault in and
+	// evict others.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < trackers; i++ {
+			j := i
+			if round == 1 {
+				j = (i * 7) % trackers
+			}
+			tr, err := mgr.Get(fmt.Sprintf("s%02d", j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := []distmat.WeightedItem{{Elem: uint64(j), Weight: 2}, {Elem: 7, Weight: 1}}
+			if err := tr.IngestItems(ctx, j%8, items); err != nil {
+				t.Fatalf("ingest into %s: %v", tr.Name(), err)
+			}
+		}
+	}
+	if ten := mgr.Metrics().Tenancy; ten.Faults == 0 || ten.Resident > maxRes {
+		t.Fatalf("want faults under the cap: %+v", ten)
+	}
+	limit := before + maxRes*min(8, procs) + 2
+	if after := runtime.NumGoroutine(); after > limit {
+		t.Fatalf("goroutines grew from %d to %d with %d resident 8-shard trackers; want at most %d",
+			before, after, maxRes, limit)
+	}
+	t.Logf("goroutines: %d before, %d after; limit %d", before, runtime.NumGoroutine(), limit)
+}
+
 // TestHibernatedMetricsDoNotFaultIn pins the monitoring contract: a
 // /metrics scrape reports hibernated trackers from their stub caches and
 // never restores sessions.

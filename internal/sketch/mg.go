@@ -38,9 +38,6 @@ func NewMG(k int) *MG {
 	return &MG{k: k, counters: make(map[uint64]float64, k+1)}
 }
 
-// K returns the counter capacity.
-func (m *MG) K() int { return m.k }
-
 // Update processes one stream element with the given weight. Weights must be
 // nonnegative; zero-weight updates are ignored.
 func (m *MG) Update(e uint64, w float64) {

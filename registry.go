@@ -313,7 +313,7 @@ func LookupHHProtocol(name string) (ProtocolInfo, bool) {
 // Shards > 1 the protocol is built once per shard — min(Shards, Sites) of
 // them, shard k over the ⌈(Sites−k)/P⌉ sites j ≡ k (mod P), randomized
 // protocols at Seed+shardIndex — inside a core.ShardedTracker that runs
-// each shard on its own worker goroutine and merges shard Grams at query
+// min(P, GOMAXPROCS) worker goroutines and sums shard Grams at query
 // time. Each shard's thresholds are about a single tracker's, so the
 // shards together send about what one tracker sends (P2: O((m/ε)·log βN)
 // messages), and a sharded p2 holds (m + P)·d² Gram floats against one
@@ -348,9 +348,9 @@ func NewMatrixByName(name string, cfg Config) (MatrixTracker, error) {
 // With Shards > 1 the protocol is built once per shard, as for
 // NewMatrixByName — shard k of min(Shards, Sites) over the sites
 // j ≡ k (mod P), so the shards together send about what one protocol
-// instance sends — inside an hh.Sharded tracker that runs each shard on
-// its own worker goroutine and merges the shard coordinator summaries at
-// query time; call Session.Close (or the tracker's own Close) when done to
+// instance sends — inside an hh.Sharded tracker that runs min(P,
+// GOMAXPROCS) worker goroutines and answers with the sum of the shards'
+// estimates; call Session.Close (or the tracker's own Close) when done to
 // stop the workers.
 func NewHHByName(name string, cfg Config) (HHProtocol, error) {
 	e, ok := lookupHH[canonicalName(name)]

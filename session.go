@@ -47,8 +47,8 @@ func (k sessionKind) String() string {
 // service layer, which serializes many feeders onto one session, and
 // cmd/distsite, which runs matrix P2's site half beside it. Sessions built
 // with WithShards(P) — matrix, heavy-hitters, or quantile — parallelize
-// internally: one caller, P worker goroutines behind the tracker, merged
-// at query time. Such sessions should be Closed when abandoned so the
+// internally: one caller, min(P, GOMAXPROCS) worker goroutines behind the
+// tracker, summed at query time. Such sessions should be Closed when abandoned so the
 // workers stop.
 type Session struct {
 	kind  sessionKind

@@ -45,18 +45,21 @@ func init() {
 // caller asks ParseFloat. Both paths round the magnitude, which is exact
 // for a signed result too: round-to-nearest-even is symmetric about 0, so
 // (−x)·10^k is −(x·10^k) bit for bit, and a zero mantissa keeps its sign.
-// Small cases take Clinger's exact path (man < 2^53 and a power of ten
-// that is itself exact: one correctly rounded multiply or divide); the
-// rest is the Eisel–Lemire algorithm, following eiselLemire64 in the
-// toolchain's strconv/eisel_lemire.go step for step (see there, and
+// nd is how many digits man was read from: at most 15 of them are below
+// 2^53, and with a power of ten that is itself exact they take Clinger's
+// exact path (one correctly rounded multiply or divide). The gate is the
+// digit count, not man < 2^53, so the 16–19-digit tokens clients send do
+// not split on a coin-flip branch. The rest is the Eisel–Lemire
+// algorithm, following eiselLemire64 in the toolchain's
+// strconv/eisel_lemire.go step for step (see there, and
 // https://nigeltao.github.io/blog/2020/eisel-lemire.html, for the proof).
 //
 //distlint:hotpath
-func decimalToFloat(man uint64, exp10 int, sign uint64) (f float64, ok bool) {
+func decimalToFloat(man uint64, nd, exp10 int, sign uint64) (f float64, ok bool) {
 	if man == 0 {
 		return math.Float64frombits(sign), true // ±0 whatever the exponent
 	}
-	if man>>53 == 0 && -22 <= exp10 && exp10 <= 22 {
+	if nd <= 15 && -22 <= exp10 && exp10 <= 22 {
 		if f = float64(man); exp10 < 0 {
 			f /= exactPow10[-exp10]
 		} else {

@@ -65,19 +65,19 @@ func specDigitRun(d []byte, i int, man uint64) (uint64, int) {
 	return man, i
 }
 
-// checkDigitRun runs digitRun and specDigitRun over run followed by delim
-// and the body's final NUL (delim 0 is that NUL itself), from man, and
+// checkRun runs walk and specDigitRun over run, delim, tail and the body's
+// final NUL (delim 0 and no tail is that NUL itself), from man, and
 // requires the same mantissa, wrapped or not, and the same cursor.
-func checkDigitRun(t *testing.T, run string, delim byte, man uint64) {
+func checkRun(t *testing.T, name string, walk func([]byte, int, uint64) (uint64, int), run string, delim byte, tail string, man uint64) {
 	t.Helper()
 	d := append([]byte(run), delim)
-	if delim != 0 {
+	if d = append(d, tail...); delim != 0 || tail != "" {
 		d = append(d, 0)
 	}
 	d = d[:len(d):len(d)] // nothing readable past the NUL
 	wantMan, wantEnd := specDigitRun(d, 0, man)
-	if gotMan, gotEnd := digitRun(d, 0, man); gotMan != wantMan || gotEnd != wantEnd {
-		t.Fatalf("%q then %q from %d: mantissa %d, cursor %d; the byte loop gives %d, %d", run, delim, man, gotMan, gotEnd, wantMan, wantEnd)
+	if gotMan, gotEnd := walk(d, 0, man); gotMan != wantMan || gotEnd != wantEnd {
+		t.Fatalf("%s: %q then %q, %q from %d: mantissa %d, cursor %d; the byte loop gives %d, %d", name, run, delim, tail, man, gotMan, gotEnd, wantMan, wantEnd)
 	}
 }
 
@@ -85,12 +85,12 @@ func checkDigitRun(t *testing.T, run string, delim byte, man uint64) {
 // closing bracket, a point, an exponent, a sign and the final NUL.
 var digitRunDelims = []byte{',', ']', '.', 'e', '-', 0}
 
-// TestDigitRun walks runs of 0–45 digits — past the 19 a mantissa holds and
-// the 20 that wrap it, odd and even — before every delimiter class, from a
-// zero and a non-zero mantissa.
-func TestDigitRun(t *testing.T) {
+// digitRuns calls check with runs of 0–maxLen digits (random, all nines,
+// all zeros) before every delimiter class, from a zero, a small and a
+// random mantissa.
+func digitRuns(maxLen int, check func(run string, delim byte, man uint64)) {
 	rng := rand.New(rand.NewSource(45))
-	for n := 0; n <= 45; n++ {
+	for n := 0; n <= maxLen; n++ {
 		random := make([]byte, n)
 		for k := range random {
 			random[k] = byte('0' + rng.Intn(10))
@@ -98,11 +98,17 @@ func TestDigitRun(t *testing.T) {
 		for _, run := range []string{string(random), strings.Repeat("9", n), strings.Repeat("0", n)} {
 			for _, delim := range digitRunDelims {
 				for _, man := range []uint64{0, 7, rng.Uint64()} {
-					checkDigitRun(t, run, delim, man)
+					check(run, delim, man)
 				}
 			}
 		}
 	}
+}
+
+// TestDigitRun walks runs of 0–45 digits — past the 19 a mantissa holds and
+// the 20 that wrap it, odd and even.
+func TestDigitRun(t *testing.T) {
+	digitRuns(45, func(run string, delim byte, man uint64) { checkRun(t, "digitRun", digitRun, run, delim, "", man) })
 }
 
 // FuzzDigitRun holds digitRun to the byte loop on any bytes: the walk stops
@@ -113,7 +119,33 @@ func FuzzDigitRun(f *testing.F) {
 			f.Add(strings.Repeat("7", n), delim, uint64(n))
 		}
 	}
-	f.Fuzz(func(t *testing.T, run string, delim byte, man uint64) { checkDigitRun(t, run, delim, man) })
+	f.Fuzz(func(t *testing.T, run string, delim byte, man uint64) {
+		checkRun(t, "digitRun", digitRun, run, delim, "", man)
+	})
+}
+
+// TestFracRun walks runs of 0–40 digits — within one, two and three words
+// and past them — with 0–32 digits after the delimiter, so every run ends
+// on both sides of the 24 bytes fracRun reads in words.
+func TestFracRun(t *testing.T) {
+	digitRuns(40, func(run string, delim byte, man uint64) {
+		for pad := 0; pad <= 32; pad++ {
+			checkRun(t, "fracRun", fracRun, run, delim, strings.Repeat("5", pad), man)
+		}
+	})
+}
+
+// FuzzFracRun holds fracRun to the byte loop on any bytes: the run, its
+// delimiter and whatever the body holds after it.
+func FuzzFracRun(f *testing.F) {
+	for n := 0; n <= 40; n += 4 {
+		for _, delim := range digitRunDelims {
+			f.Add(strings.Repeat("7", n), delim, strings.Repeat("5", 24-n%25), uint64(n))
+		}
+	}
+	f.Fuzz(func(t *testing.T, run string, delim byte, tail string, man uint64) {
+		checkRun(t, "fracRun", fracRun, run, delim, tail, man)
+	})
 }
 
 // float reads the number under the cursor through floatAt as a row walk
@@ -180,6 +212,10 @@ var scanFloatVectors = []struct {
 	{"1234567890123456789", false},                  // 19 digits fill the mantissa
 	{"12345678901234567890", false},                 // 20 wrap it: fallback
 	{"18446744073709551616", false},                 // 2^64
+	// 16–19-digit spellings of exact values: past Clinger's 15-digit gate,
+	// so Eisel–Lemire or the fallback must still give them exactly.
+	{"0.5000000000000000", false}, {"-0.2500000000000000000", false}, {"1.000000000000000000", false},
+	{"4503599627370497.0", false}, {"9007199254740992.0", false}, {"0.1250000000000000e3", false},
 	{"0.3", false}, {"1e-07", false}, {"2.5E+3", false},
 	{"123456789e-348", false}, {"1e347", true}, {"1e-348", false}, {"1e308", false}, {"1e309", true}, // table edges
 	{"+1", true}, {"01", true}, {".5", true}, {"1.", true}, {"1.e5", true},
@@ -217,6 +253,8 @@ var scanFloatPins = map[string]float64{
 	"2.4703282292062327e-324": 0, "2.4703282292062328e-324": math.SmallestNonzeroFloat64,
 	"1.7976931348623157e308": math.MaxFloat64,
 	"9007199254740993":       9007199254740992, "9007199254740992.5": 9007199254740992, "9007199254740995": 9007199254740996,
+	"0.5000000000000000": 0.5, "-0.2500000000000000000": -0.25, "1.000000000000000000": 1,
+	"4503599627370497.0": 1<<52 + 1, "9007199254740992.0": 1 << 53, "0.1250000000000000e3": 125,
 }
 
 func TestScanFloatVectors(t *testing.T) {
@@ -233,12 +271,26 @@ func TestScanFloatVectors(t *testing.T) {
 // scanFloatSeeds calls add with n rounds of the spellings clients send:
 // shortest 'g', 'e' at every precision 0..21 and 'f' of random bit
 // patterns, N(0,1) scaled across 10^±20, 54-bit integers times 10^0..24,
-// and the benchmark's row values (shortest 'g' of gen.PAMAPLike rows): a
-// sign, 0., 0–2 zeros and 15–18 digits.
+// the benchmark's row values (shortest 'g' of gen.PAMAPLike rows): a
+// sign, 0., 0–2 zeros and 15–18 digits, and fractions either side of
+// fracRun's word edges (7–9, 15–17 and 23–25 digits), a third of them
+// with an exponent.
 func scanFloatSeeds(n int, add func(string)) {
 	rng := rand.New(rand.NewSource(19))
 	pamap := rand.New(rand.NewSource(44)) // its own source: the other spellings stay the ones they were
+	words := rand.New(rand.NewSource(24)) // likewise
 	for i := 0; i < n; i++ {
+		for _, nf := range []int{7, 8, 9, 15, 16, 17, 23, 24, 25} {
+			tok := strconv.AppendInt(nil, int64(words.Intn(2001)-1000), 10)
+			tok = append(tok, '.')
+			for ; nf > 0; nf-- {
+				tok = append(tok, byte('0'+words.Intn(10)))
+			}
+			if words.Intn(3) == 0 {
+				tok = strconv.AppendInt(append(tok, 'e'), int64(words.Intn(61)-30), 10)
+			}
+			add(string(tok))
+		}
 		tok := []byte("-0.")[pamap.Intn(2):]
 		tok = append(tok, "00"[:pamap.Intn(3)]...)
 		tok = append(tok, byte('1'+pamap.Intn(9)))
@@ -306,13 +358,14 @@ func TestPow10TableMatchesToolchain(t *testing.T) {
 
 // TestDecimalToFloatSweep needs no source tree: over every exponent of the
 // table (and one past each end) and mantissas at the edges of both paths,
-// whatever decimalToFloat answers is what strconv.ParseFloat answers.
+// each with its own digit count, whatever decimalToFloat answers is what
+// strconv.ParseFloat answers.
 func TestDecimalToFloatSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	mans := []uint64{0, 1, 1<<53 - 1, 1<<53 + 1, 1e19 - 1}
+	mans := []uint64{0, 1, 1<<53 - 1, 1<<53 + 1, 1e19 - 1, 5e15, 25e17} // the last two: 0.5 and 0.25 past the 15-digit gate
 	answered, asked := 0, 0
 	for q := pow10Min - 1; q <= pow10Max+1; q++ {
-		mans = mans[:5]
+		mans = mans[:7]
 		for i := 0; i < 64; i++ {
 			mans = append(mans, rng.Uint64()%1e19>>(i%60))
 		}
@@ -323,7 +376,7 @@ func TestDecimalToFloatSweep(t *testing.T) {
 					tok = "-" + tok
 				}
 				asked++
-				got, ok := decimalToFloat(man, q, sign)
+				got, ok := decimalToFloat(man, len(strconv.FormatUint(man, 10)), q, sign)
 				if !ok {
 					continue
 				}

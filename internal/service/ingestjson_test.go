@@ -809,7 +809,7 @@ func lapNs(lap func()) float64 {
 // digits that make this one slower than the one it replaced), and no
 // allocation for decode + recycle in steady state on either route. Against
 // the code floatAt replaced, on the benchmark's own gen.PAMAPLike numbers,
-// the scan is at least 1.1× prevFloat's and the rows array's walk at least
+// the scan is at least 1.25× prevFloat's and the rows array's walk at least
 // 1.15× the per-token loop over it (prevScanRows), and on the benchmark's
 // items body the items walk is at least 1.4× the member loop it replaced
 // (prevScanItems); those three are logged, not held, under -race. Every
@@ -879,7 +879,7 @@ func TestIngestJSONGuard(t *testing.T) {
 	// A hundred laps of each: ≈ 0.1 s a pair and reading.
 	nums := pamapNumbers(benchBatch)
 	hold(fmt.Sprintf("prevFloat, then floatAt, on the bench-shaped numbers (%d bytes)", len(nums)),
-		1.1, !raceEnabled, 100, func() { prevScanLap(t, nums) }, func() { scanLap(t, nums) })
+		1.25, !raceEnabled, 100, func() { prevScanLap(t, nums) }, func() { scanLap(t, nums) })
 	b := new(ingestBuf)
 	// walk scans the array in body (NUL-terminated here) with scan.
 	walk := func(body []byte, scan func(*ingestBuf, *scanner)) func() {

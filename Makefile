@@ -13,10 +13,12 @@ build:
 
 # Two legs, as in CI: the default build (on amd64 the assembly bodies of
 # internal/matrix's kernels — gramRow and the row kernels of the P2 site
-# step — where the CPU has AVX2) and the purego tag's portable bodies over
-# the packages whose results depend on those kernels (cmd/distsite runs
-# internal/core's site half in a deployment; internal/hh rides along so
-# both protocols' replay tests see both legs). testdata/golden-*.ckpt must pass on both:
+# step — and of internal/service's JSON row walk, where the CPU has AVX2)
+# and the purego tag's portable bodies over the packages whose results
+# depend on those kernels (cmd/distsite runs internal/core's site half in
+# a deployment; internal/hh rides along so both protocols' replay tests see
+# both legs; internal/service runs its row walk's portable body, which no
+# AVX2 host runs otherwise). testdata/golden-*.ckpt must pass on both:
 # that is the bodies' bit-identity at system level. A third leg builds for
 # 386 and runs the frame codec and its two users there, the portable
 # Gram body (its row offsets i·d + m) with the FD sketch over it, and the
@@ -29,7 +31,7 @@ build:
 # assembly.
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./cmd/distsite ./internal/hh .
+	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/sketch ./cmd/distsite ./internal/hh ./internal/service .
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/frame ./internal/wire ./internal/wal

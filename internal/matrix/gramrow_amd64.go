@@ -2,17 +2,18 @@
 
 package matrix
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/cpu"
+)
 
 // useAVX2 selects the assembly body of every kernel — gramUpper and the row
 // kernels normSqRows, axpy, rot, sweepAxpy, sweepDots and sweepRank2
-// (rowkernels_amd64.go) — together. It is set once, here, from the CPU's features (AVX2 present and
-// the OS saving YMM state), and nothing but the tests, which run both
+// (rowkernels_amd64.go) — together. It is set once, here, from the CPU's
+// features (internal/cpu), and nothing but the tests, which run both
 // bodies, writes it afterwards.
-var useAVX2 = cpuHasAVX2()
-
-//distlint:spec none a CPUID/XGETBV probe: it picks between bodies and has no portable twin
-func cpuHasAVX2() bool
+var useAVX2 = cpu.AVX2
 
 // gramUpperAVX2 is gramRowGo behind raw pointers (n ≥ 1, d ≥ 4) for the
 // upper triangle from column d mod 4 on; row i is i·step bytes past first,

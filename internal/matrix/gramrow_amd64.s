@@ -417,35 +417,3 @@ bandend:
 done:
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when CPUID reports it (leaf 7 EBX bit 5) and the OS saves
-// the YMM state across context switches: OSXSAVE and AVX in leaf 1 ECX
-// (bits 27, 28), and XCR0 bits 1 and 2 through XGETBV.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	XORL   AX, AX
-	CPUID
-	CMPL   AX, $7
-	JB     no
-	MOVL   $1, AX
-	CPUID
-	ANDL   $0x18000000, CX
-	CMPL   CX, $0x18000000
-	JNE    no
-	XORL   CX, CX
-	XGETBV
-	ANDL   $6, AX
-	CMPL   AX, $6
-	JNE    no
-	MOVL   $7, AX
-	XORL   CX, CX
-	CPUID
-	SHRL   $5, BX
-	ANDL   $1, BX
-	MOVB   BX, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/cpu"
 )
 
 // selectBody runs the rest of the test under the named body of every kernel
@@ -18,7 +20,7 @@ import (
 // CPU without AVX2 skips the test, loudly.
 func selectBody(t testing.TB, avx2 bool) {
 	t.Helper()
-	if avx2 && !cpuHasAVX2() {
+	if avx2 && !cpu.AVX2 {
 		t.Skip("SKIPPED: no AVX2 on this CPU (or YMM state not OS-enabled): the assembly kernel bodies cannot run here")
 	}
 	was := useAVX2

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -30,15 +31,21 @@ type ingestBuf struct {
 
 var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
 
+// bodyPad is the capacity read keeps past a body's NUL: scanRow's AVX2 body
+// loads 32 bytes from a token's first byte, and the last token of a body
+// starts before the NUL.
+const bodyPad = 32
+
 // read slurps the request body, capped by maxBodyBytes (413), and ends it
 // with a NUL so the scanner needs no end-of-input checks: NUL is no JSON
-// token, and one before the end is a syntax error.
+// token, and one before the end is a syntax error. bodyPad bytes of
+// capacity follow the NUL.
 //
 //distlint:hotpath
 func (b *ingestBuf) read(r *http.Request) error {
 	// A Content-Length alone buys at most 1 MiB; past that the buffer grows
 	// as the bytes arrive.
-	if n := int(min(r.ContentLength, 1<<20)) + 1; cap(b.body) < n {
+	if n := int(min(r.ContentLength, 1<<20)) + 1 + bodyPad; cap(b.body) < n {
 		b.body = make([]byte, 0, n) //distlint:alloc-ok first growth to the high-water body size
 	}
 	buf := b.body[:0]
@@ -59,7 +66,10 @@ func (b *ingestBuf) read(r *http.Request) error {
 			return badRequestf("reading body: %v", err) //distlint:alloc-ok transport error path
 		}
 	}
-	b.body = append(buf, 0) //distlint:alloc-ok the loop leaves a spare byte unless the last read filled the buffer
+	if cap(buf)-len(buf) <= bodyPad {
+		buf = slices.Grow(buf, 1+bodyPad) //distlint:alloc-ok the reads filled the Content-Length's pad, or a body grew
+	}
+	b.body = append(buf, 0) //distlint:alloc-ok the capacity is there
 	return nil
 }
 
@@ -415,20 +425,8 @@ func (b *ingestBuf) scanRows(s *scanner) {
 	for more := s.open('[', ']'); more; more = s.next(']') {
 		start := len(flat)
 		for more := s.open('[', ']'); more; more = s.next(']') {
-			// The cursor stays in i across each ',' that a byte above ' '
-			// follows (a ',' is not the closing NUL, so d[i+1] is in the
-			// body); any other separator goes back through s.next.
-			d, i, bad := s.d, s.i, ""
-			for {
-				var v float64
-				v, i, bad = floatAt(d, i)
-				flat = append(flat, v) //distlint:alloc-ok first growth to the high-water batch size
-				if bad != "" || d[i] != ',' || d[i+1] <= ' ' {
-					break
-				}
-				i++
-			}
-			if s.i = i; bad != "" {
+			var bad string
+			if flat, s.i, bad = scanRow(s.d, s.i, flat); bad != "" {
 				s.fail(bad)
 			}
 		}
@@ -450,6 +448,27 @@ func (b *ingestBuf) scanRows(s *scanner) {
 	b.rows = b.rows[:n]
 	for r := range b.rows {
 		b.rows[r] = flat[r*dim : (r+1)*dim : (r+1)*dim]
+	}
+}
+
+// scanRowGo reads the numbers of a row from d[i:], floatAt per token, into
+// flat and returns where the walk stopped and the first failure. The cursor
+// stays in i across each ',' that a byte above ' ' follows (a ',' is not
+// the closing NUL, so d[i+1] is in the body); at any other separator it
+// returns, and the caller goes on through s.next. It is scanRow's portable
+// body and the specification of its AVX2 body.
+//
+//distlint:hotpath
+func scanRowGo(d []byte, i int, flat []float64) ([]float64, int, string) {
+	var v float64
+	var bad string
+	for {
+		v, i, bad = floatAt(d, i)
+		flat = append(flat, v) //distlint:alloc-ok first growth to the high-water batch size
+		if bad != "" || d[i] != ',' || d[i+1] <= ' ' {
+			return flat, i, bad
+		}
+		i++
 	}
 }
 

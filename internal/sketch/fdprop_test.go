@@ -219,14 +219,17 @@ func checkProjectionBound(t *testing.T, trial int, path string, a *matrix.Dense,
 // once the sketch saturates) by at least 3× rows/sec. Since a compression
 // decomposes the small MMᵀ (36×36 here, 13×13 unblocked) the ratio reads
 // 3.4–4.3×, set by the eigensolver's per-call cost at small n; the go test
-// -bench suite (BenchmarkFDIngest) reports the exact ratio. Each side is
-// timed five times, the reps interleaved so a load burst on a shared
-// runner hits both alike, and the guard compares the best of each.
+// -bench suite (BenchmarkFDIngest) reports the exact ratio. A reading
+// times each side seven times, the reps interleaved so a load burst on a
+// shared runner hits both alike, and compares the best of each; a reading
+// under the floor is taken again, twice at most (as TestIngestJSONGuard
+// does): a busy spell of a shared host can cover one reading, a real loss
+// covers all three.
 func TestBlockedFDSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
-	const d, ell, n, reps = 48, 12, 1500, 5
+	const d, ell, n, reps, floor = 48, 12, 1500, 7, 3.0
 	rng := rand.New(rand.NewSource(9))
 	rows := denseRows(randRows(rng, n, d))
 
@@ -235,24 +238,26 @@ func TestBlockedFDSpeedupGuard(t *testing.T) {
 		f()
 		return time.Since(start).Seconds()
 	}
-	unblockedSec, blockedSec := math.Inf(1), math.Inf(1)
-	for rep := 0; rep < reps; rep++ {
-		unblockedSec = min(unblockedSec, lap(func() {
-			unblocked := NewFDBuffered(ell, d, 1)
-			for _, row := range rows {
-				unblocked.Append(row)
-			}
-		}))
-		blockedSec = min(blockedSec, lap(func() { NewFD(ell, d).AppendRows(rows) }))
+	ratio := 0.0
+	for read := 0; read < 3 && ratio < floor; read++ {
+		unblockedSec, blockedSec := math.Inf(1), math.Inf(1)
+		for rep := 0; rep < reps; rep++ {
+			unblockedSec = min(unblockedSec, lap(func() {
+				unblocked := NewFDBuffered(ell, d, 1)
+				for _, row := range rows {
+					unblocked.Append(row)
+				}
+			}))
+			blockedSec = min(blockedSec, lap(func() { NewFD(ell, d).AppendRows(rows) }))
+		}
+		if blockedSec <= 0 {
+			return // timer resolution floor: unmeasurably fast is a pass
+		}
+		ratio = unblockedSec / blockedSec
+		t.Logf("unblocked %.1fms, blocked %.1fms (best of %d): %.1fx", unblockedSec*1e3, blockedSec*1e3, reps, ratio)
 	}
-
-	if blockedSec <= 0 {
-		return // timer resolution floor: unmeasurably fast is a pass
-	}
-	ratio := unblockedSec / blockedSec
-	t.Logf("unblocked %.1fms, blocked %.1fms (best of %d): %.1fx", unblockedSec*1e3, blockedSec*1e3, reps, ratio)
-	if ratio < 3 {
-		t.Fatalf("blocked ingest only %.2fx faster than row-at-a-time, want ≥ 3x", ratio)
+	if ratio < floor {
+		t.Fatalf("blocked ingest only %.2fx faster than row-at-a-time in three readings, want ≥ %gx", ratio, floor)
 	}
 }
 

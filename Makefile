@@ -47,10 +47,10 @@ test:
 # ceiling here), a rise fails. A product whose rounding matters is written
 # float64(x*y), which the compiler may not fuse.
 FMA_CEILINGS = \
-	arm64:matrix:19 arm64:core:0 arm64:sketch:0 arm64:hh:0 arm64:quantile:0 \
-	riscv64:matrix:19 riscv64:core:0 riscv64:sketch:0 riscv64:hh:0 riscv64:quantile:0 \
-	ppc64le:matrix:19 ppc64le:core:0 ppc64le:sketch:0 ppc64le:hh:0 ppc64le:quantile:0 \
-	s390x:matrix:19 s390x:core:0 s390x:sketch:0 s390x:hh:0 s390x:quantile:0
+	arm64:matrix:19 arm64:core:0 arm64:sketch:0 arm64:hh:0 arm64:quantile:0 arm64:stream:0 \
+	riscv64:matrix:19 riscv64:core:0 riscv64:sketch:0 riscv64:hh:0 riscv64:quantile:0 riscv64:stream:0 \
+	ppc64le:matrix:19 ppc64le:core:0 ppc64le:sketch:0 ppc64le:hh:0 ppc64le:quantile:0 ppc64le:stream:0 \
+	s390x:matrix:19 s390x:core:0 s390x:sketch:0 s390x:hh:0 s390x:quantile:0 s390x:stream:0
 fma-count:
 	@set -e; for apc in $(FMA_CEILINGS); do \
 		a=$${apc%%:*}; pc=$${apc#*:}; p=$${pc%%:*}; c=$${pc##*:}; \
@@ -65,12 +65,12 @@ fma-count:
 # under internal/analysis/testdata that only the analyzer tests load): the
 # number ROADMAP's quality-of-design aim tracks.
 loc:
-	@git ls-files '*.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | grep -v '_test.go$$' | xargs cat | wc -l
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | grep -v '_test.go$$' | xargs cat | wc -l
 
 # Test Go under the same exclusions: the count CHANGES entries quote and
 # ROADMAP item 1(c)'s net-negative gate reads.
 loc-tests:
-	@git ls-files '*_test.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | xargs cat | wc -l
+	@git ls-files --cached --others --exclude-standard '*_test.go' | grep -v -e '^bench/' -e '^internal/analysis/testdata/' | xargs cat | wc -l
 
 # The module's symbols (repro. for the facade, repro/... for the rest) that
 # the two shipped daemons link, each binary's set sorted and de-duplicated

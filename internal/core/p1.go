@@ -21,10 +21,10 @@ import (
 type P1 struct {
 	m, d int
 	eps  float64
-	acct *stream.Accountant
 	mode IngestMode
+	rule stream.P1 // F_i per site, F_C, F̂ and the message tally
 
-	sites []p1site
+	sites []*sketch.FD
 	// Coordinator state. Exact mode merges shipped site sketches into an FD
 	// sketch (one compression per ship); fast mode accumulates their Grams
 	// directly into coordGram — same messages at the same rows, no
@@ -32,13 +32,6 @@ type P1 struct {
 	// accumulation skips the merge's extra shrink deductions).
 	merged    *sketch.FD
 	coordGram *matrix.Sym
-	tally     float64 // F_C
-	fhat      float64 // F̂: last broadcast estimate
-}
-
-type p1site struct {
-	sk   *sketch.FD
-	mass float64 // F_i since last ship
 }
 
 // NewP1 builds the protocol for m sites, error ε, dimension d. The site and
@@ -71,16 +64,9 @@ func P1SketchRows(eps float64) float64 { return math.Ceil(2/eps) + 1 }
 func newP1(m int, eps float64, d int) (*P1, int) {
 	validateParams(m, eps, d)
 	ell := int(P1SketchRows(eps))
-	p := &P1{
-		m:     m,
-		d:     d,
-		eps:   eps,
-		acct:  stream.NewAccountant(m),
-		sites: make([]p1site, m),
-		fhat:  1, // row squared norms are ≥ 1
-	}
+	p := &P1{m: m, d: d, eps: eps, rule: stream.NewP1(m, eps), sites: make([]*sketch.FD, m)}
 	for i := range p.sites {
-		p.sites[i].sk = sketch.NewFD(ell, d)
+		p.sites[i] = sketch.NewFD(ell, d)
 	}
 	return p, ell
 }
@@ -105,21 +91,14 @@ func (p *P1) Eps() float64 { return p.eps }
 func (p *P1) ProcessRows(site int, rows [][]float64) {
 	validateSite(site, p.m)
 	validateRows(rows, p.d)
-	s := &p.sites[site]
 	for start := 0; start < len(rows); {
-		tau := (p.eps / (2 * float64(p.m))) * p.fhat
-		mass := s.mass
-		end := start
-		for end < len(rows) {
-			mass += matrix.NormSq(rows[end])
+		end, full := start, false
+		for end < len(rows) && !full {
+			full = p.rule.Add(site, matrix.NormSq(rows[end]))
 			end++
-			if mass >= tau {
-				break
-			}
 		}
-		s.sk.AppendRows(rows[start:end])
-		s.mass = mass
-		if s.mass >= tau {
+		p.sites[site].AppendRows(rows[start:end])
+		if full {
 			p.ship(site)
 		}
 		start = end
@@ -130,35 +109,21 @@ func (p *P1) ProcessRows(site int, rows [][]float64) {
 //
 //distlint:hotpath
 func (p *P1) ship(site int) {
-	s := &p.sites[site]
+	sk := p.sites[site]
 	// Message volume: the sketch rows, with the scalar F_i piggybacked on
-	// the first row (a ship always carries ≥ 1 row, since reaching the mass
-	// threshold requires an arrival). RowBound avoids forcing a
-	// factorization just to count rows.
-	n := s.sk.RowBound()
-	if n < 1 {
-		n = 1
-	}
-	p.acct.SendUpN(n, 1)
-
+	// the first row. RowBound avoids forcing a factorization just to count
+	// rows.
+	p.rule.Ship(site, sk.RowBound())
 	if p.mode == IngestFast {
 		// Fold the shipped sketch's Gram straight into the coordinator
 		// estimate: no flush, no factorization, no allocation. FD
 		// mergeability makes this sound — the deductions still add — and
 		// skipping the merged sketch's own shrink only tightens the bound.
-		s.sk.AccumulateGram(p.coordGram, 1)
+		sk.AccumulateGram(p.coordGram, 1)
 	} else {
-		p.merged.Merge(s.sk)
+		p.merged.Merge(sk)
 	}
-	p.tally += s.mass
-
-	s.sk.Reset()
-	s.mass = 0
-
-	if p.tally/p.fhat > 1+float64(p.eps/2) {
-		p.fhat = p.tally
-		p.acct.Broadcast(1)
-	}
+	sk.Reset()
 }
 
 // Gram implements Tracker.
@@ -184,7 +149,7 @@ func (p *P1) AccumulateGram(dst *matrix.Sym, w float64) {
 }
 
 // EstimateFrobenius implements Tracker.
-func (p *P1) EstimateFrobenius() float64 { return p.tally }
+func (p *P1) EstimateFrobenius() float64 { return p.rule.Tally }
 
 // Stats implements Tracker.
-func (p *P1) Stats() stream.Stats { return p.acct.Stats() }
+func (p *P1) Stats() stream.Stats { return p.rule.Acct.Stats() }

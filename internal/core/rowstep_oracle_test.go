@@ -9,10 +9,10 @@ import (
 // The per-row ingest steps that the trackers carried beside ProcessRows
 // until a row became a one-row batch, kept as the exact-mode oracle: every
 // batch cut — one-row slices included — must reproduce them bit for bit
-// (assertByteIdentical). The bodies are the old code verbatim; only the
-// method names gained their oracle prefix. P3, P3WR and P4 had no per-row
-// body of their own (their batch loop called the same helper), so their
-// reference is the one-row feed.
+// (assertByteIdentical). The bodies are the old code verbatim but for the
+// oracle prefix and P1's reads of its stream.P1. P3, P3WR and P4 had no
+// per-row body of their own (their batch loop called the same helper), so
+// their reference is the one-row feed.
 
 // rowOracle is a tracker that has its old per-row step here.
 type rowOracle interface {
@@ -29,11 +29,10 @@ func validateRow(row []float64, d int) {
 func (p *P1) oracleProcessRow(site int, row []float64) {
 	validateSite(site, p.m)
 	validateRow(row, p.d)
-	s := &p.sites[site]
-	s.sk.Append(row)
-	s.mass += matrix.NormSq(row)
-	tau := (p.eps / (2 * float64(p.m))) * p.fhat
-	if s.mass >= tau {
+	p.sites[site].Append(row)
+	p.rule.Mass[site] += matrix.NormSq(row)
+	tau := (p.eps / (2 * float64(p.m))) * p.rule.What
+	if p.rule.Mass[site] >= tau {
 		p.ship(site)
 	}
 }

@@ -99,16 +99,13 @@ type TrackerSnapshot struct {
 // Snapshot captures the tracker's state.
 func (t *Tracker) Snapshot() TrackerSnapshot {
 	sites := make([]TrackerSiteSnapshot, len(t.sites))
-	for i := range t.sites {
-		sites[i] = TrackerSiteSnapshot{
-			Digest: t.sites[i].digest.Snapshot(),
-			Weight: t.sites[i].weight,
-		}
+	for i, d := range t.sites {
+		sites[i] = TrackerSiteSnapshot{Digest: d.Snapshot(), Weight: t.rule.Mass[i]}
 	}
 	return TrackerSnapshot{
 		M: t.m, Eps: t.eps, Bits: t.bits, Sites: sites,
-		Merged: t.merged.Snapshot(), Tally: t.tally, What: t.what,
-		Stats: t.acct.Stats(),
+		Merged: t.merged.Snapshot(), Tally: t.rule.Tally, What: t.rule.What,
+		Stats: t.rule.Acct.Stats(),
 	}
 }
 
@@ -129,8 +126,7 @@ func RestoreTracker(snap TrackerSnapshot) (*Tracker, error) {
 		return nil, fmt.Errorf("quantile: coordinator digest over %d bits, tracker over %d", merged.bits, snap.Bits)
 	}
 	t.merged = merged
-	t.tally = snap.Tally
-	t.what = snap.What
+	t.rule.Tally, t.rule.What = snap.Tally, snap.What
 	for i, s := range snap.Sites {
 		d, err := RestoreQDigest(s.Digest)
 		if err != nil {
@@ -139,10 +135,9 @@ func RestoreTracker(snap TrackerSnapshot) (*Tracker, error) {
 		if d.bits != snap.Bits {
 			return nil, fmt.Errorf("quantile: site %d digest over %d bits, tracker over %d", i, d.bits, snap.Bits)
 		}
-		t.sites[i].digest = d
-		t.sites[i].weight = s.Weight
+		t.sites[i], t.rule.Mass[i] = d, s.Weight
 	}
-	t.acct.RestoreStats(snap.Stats)
+	t.rule.Acct.RestoreStats(snap.Stats)
 	return t, nil
 }
 

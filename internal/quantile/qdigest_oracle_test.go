@@ -363,13 +363,13 @@ func TestTrackerMatchesOracle(t *testing.T) {
 				t.Fatalf("config %+v after %d items: coordinator: %v", c, end, err)
 			}
 			for s := range tr.sites {
-				if err := sameState(tr.sites[s].digest, or.sites[s].digest); err != nil {
+				if err := sameState(tr.sites[s], or.sites[s].digest); err != nil {
 					t.Fatalf("config %+v after %d items: site %d: %v", c, end, s, err)
 				}
 			}
-			if tr.tally != or.tally || tr.what != or.what || tr.Stats() != or.acct.Stats() {
+			if tr.rule.Tally != or.tally || tr.rule.What != or.what || tr.Stats() != or.acct.Stats() {
 				t.Fatalf("config %+v after %d items: tally/Ŵ/stats %v %v %v, oracle %v %v %v",
-					c, end, tr.tally, tr.what, tr.Stats(), or.tally, or.what, or.acct.Stats())
+					c, end, tr.rule.Tally, tr.rule.What, tr.Stats(), or.tally, or.what, or.acct.Stats())
 			}
 		}
 	}

@@ -95,7 +95,7 @@ func (s *Sharded) EstimateTotal() float64 {
 	s.Flush()
 	var tally float64
 	for i := 0; i < s.ShardCount(); i++ {
-		tally += s.Shard(i).tally
+		tally += s.Shard(i).rule.Tally
 	}
 	return tally
 }

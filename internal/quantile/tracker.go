@@ -22,18 +22,10 @@ type Tracker struct {
 	m    int
 	eps  float64
 	bits uint
-	acct *stream.Accountant
+	rule stream.P1 // per-site weight, the coordinator tally, Ŵ and the message tally
 
-	sites []trackerSite
-	// Coordinator state.
-	merged *QDigest
-	tally  float64
-	what   float64
-}
-
-type trackerSite struct {
-	digest *QDigest
-	weight float64
+	sites  []*QDigest
+	merged *QDigest // the coordinator's digest
 }
 
 // CheckParams reports whether (m, eps, bits) are valid tracker parameters.
@@ -52,17 +44,9 @@ func NewTracker(m int, eps float64, bits uint) *Tracker {
 		// the wrapped chain (errors.Is still works on the recovered value).
 		panic(err)
 	}
-	t := &Tracker{
-		m:      m,
-		eps:    eps,
-		bits:   bits,
-		acct:   stream.NewAccountant(m),
-		sites:  make([]trackerSite, m),
-		merged: NewQDigest(bits, eps/2),
-		what:   1,
-	}
+	t := &Tracker{m: m, eps: eps, bits: bits, rule: stream.NewP1(m, eps), sites: make([]*QDigest, m), merged: NewQDigest(bits, eps/2)}
 	for i := range t.sites {
-		t.sites[i].digest = NewQDigest(bits, eps/2)
+		t.sites[i] = NewQDigest(bits, eps/2)
 	}
 	return t
 }
@@ -70,7 +54,8 @@ func NewTracker(m int, eps float64, bits uint) *Tracker {
 // Eps returns the rank error parameter.
 func (t *Tracker) Eps() float64 { return t.eps }
 
-// Process delivers one weighted value to a site.
+// Process delivers one weighted value to a site. A shipped digest goes up
+// compressed, one message per node, the weight scalar piggybacked.
 func (t *Tracker) Process(site int, value uint64, w float64) {
 	if site < 0 || site >= t.m {
 		panic(fmt.Sprintf("quantile: site %d out of range [0,%d)", site, t.m))
@@ -78,32 +63,13 @@ func (t *Tracker) Process(site int, value uint64, w float64) {
 	if !gen.ValidWeight(w) {
 		panic(fmt.Sprintf("quantile: need positive finite weight, got %v", w))
 	}
-	s := &t.sites[site]
-	s.digest.Update(value, w)
-	s.weight += w
-	if s.weight >= (t.eps/(2*float64(t.m)))*t.what {
-		t.ship(site)
-	}
-}
-
-func (t *Tracker) ship(site int) {
-	s := &t.sites[site]
-	s.digest.Compress()
-	// One message per digest node, with the weight scalar piggybacked.
-	n := s.digest.Size()
-	if n < 1 {
-		n = 1
-	}
-	t.acct.SendUpN(n, 1)
-
-	t.merged.Merge(s.digest)
-	t.tally += s.weight
-	s.digest.Reset()
-	s.weight = 0
-
-	if t.tally/t.what > 1+float64(t.eps/2) {
-		t.what = t.tally
-		t.acct.Broadcast(1)
+	digest := t.sites[site]
+	digest.Update(value, w)
+	if t.rule.Add(site, w) {
+		digest.Compress()
+		t.rule.Ship(site, digest.Size())
+		t.merged.Merge(digest)
+		digest.Reset()
 	}
 }
 
@@ -117,10 +83,10 @@ func (t *Tracker) Quantiles(phis []float64, out []uint64) []uint64 {
 }
 
 // EstimateTotal returns the coordinator's weight tally.
-func (t *Tracker) EstimateTotal() float64 { return t.tally }
+func (t *Tracker) EstimateTotal() float64 { return t.rule.Tally }
 
 // Stats returns the communication tally.
-func (t *Tracker) Stats() stream.Stats { return t.acct.Stats() }
+func (t *Tracker) Stats() stream.Stats { return t.rule.Acct.Stats() }
 
 // Bits returns the universe size exponent.
 func (t *Tracker) Bits() uint { return t.bits }

@@ -28,6 +28,10 @@ type rowDecimal struct {
 // the benchmark's 44 columns is one call.
 const rowDecimals = 48
 
+// rowScratch holds the decimals one scanRowAVX2 call hands back. A scanner
+// keeps one for its whole batch, so no row pays to zero its 768 bytes.
+type rowScratch [rowDecimals]rowDecimal
+
 // scanRowAVX2 walks the row's number tokens from d[i:] as scanRowGo does,
 // each into the next entry of dec, and returns how many it took and the
 // cursor. With done set the cursor is at the delimiter that ends the walk
@@ -40,24 +44,29 @@ const rowDecimals = 48
 //
 //distlint:spec scanRowGo FuzzScanRow
 //go:noescape
-func scanRowAVX2(d []byte, i int, dec *[rowDecimals]rowDecimal) (n, next int, done bool)
+func scanRowAVX2(d []byte, i int, dec *rowScratch) (n, next int, done bool)
 
-// scanRow reads a row's numbers from d[i:] into flat, as scanRowGo
+// scanRow is scan over a scratch of its own, the entry point the scan
+// tests share with the portable build.
+func scanRow(d []byte, i int, flat []float64) ([]float64, int, string) {
+	return new(rowScratch).scan(d, i, flat)
+}
+
+// scan reads a row's numbers from d[i:] into flat, as scanRowGo
 // specifies. The kernel walks the tokens it takes and decimalToFloat
 // rounds the decimals it hands back (floatAt, where that declines, reads
 // the token again); floatAt reads each token the kernel does not take, and
 // the walk re-enters the kernel after it.
 //
 //distlint:hotpath
-func scanRow(d []byte, i int, flat []float64) ([]float64, int, string) {
+func (dec *rowScratch) scan(d []byte, i int, flat []float64) ([]float64, int, string) {
 	if !useAVX2 {
 		return scanRowGo(d, i, flat)
 	}
-	var dec [rowDecimals]rowDecimal
 	var v float64
 	var bad string
 	for {
-		n, next, done := scanRowAVX2(d, i, &dec)
+		n, next, done := scanRowAVX2(d, i, dec)
 		k := len(flat)
 		flat = slices.Grow(flat, n)[:k+n] //distlint:alloc-ok first growth to the high-water batch size
 		for j, x := range dec[:n] {

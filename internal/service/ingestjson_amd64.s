@@ -52,7 +52,7 @@ GLOBL rowTail<>(SB), RODATA|NOPTR, $64
 	VMOVD        AX, x; \
 	VPBROADCASTD x, y
 
-// func scanRowAVX2(d []byte, i int, dec *[rowDecimals]rowDecimal) (n, next int, done bool)
+// func scanRowAVX2(d []byte, i int, dec *rowScratch) (n, next int, done bool)
 TEXT ·scanRowAVX2(SB), NOSPLIT, $0-57
 	MOVQ d_base+0(FP), SI
 	MOVQ d_cap+16(FP), R8

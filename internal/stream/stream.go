@@ -1,6 +1,7 @@
 // Package stream provides the distributed-streaming substrate: exact message
 // accounting in the coordinator model of Cormode–Muthukrishnan–Yi,
-// deterministic drivers that split a stream across m sites, and the
+// deterministic drivers that split a stream across m sites, the P1 rule
+// the three P1s (matrix, heavy hitters and quantiles) share, and the
 // θ-doubling WeightTracker both P4s (heavy hitters and matrix) build on.
 //
 // The model: m sites each observe a disjoint substream; every site has a

@@ -53,6 +53,9 @@ func init() {
 // algorithm, following eiselLemire64 in the toolchain's
 // strconv/eisel_lemire.go step for step (see there, and
 // https://nigeltao.github.io/blog/2020/eisel-lemire.html, for the proof).
+// It is the specification of the rounding scanRowAVX2 (ingestjson_amd64.s)
+// does in assembly for a row's plain decimals, which FuzzScanRow holds to
+// it; floatAt runs it for every other token.
 //
 //distlint:hotpath
 func decimalToFloat(man uint64, nd, exp10 int, sign uint64) (f float64, ok bool) {

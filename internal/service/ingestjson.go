@@ -80,7 +80,6 @@ type scanner struct {
 	d   []byte
 	i   int
 	err error
-	dec rowScratch // the AVX2 row walk's decimals, reused by every row of the batch
 }
 
 // fail records what was wrong and the offset the scan stopped at.
@@ -427,7 +426,7 @@ func (b *ingestBuf) scanRows(s *scanner) {
 		start := len(flat)
 		for more := s.open('[', ']'); more; more = s.next(']') {
 			var bad string
-			if flat, s.i, bad = s.dec.scan(s.d, s.i, flat); bad != "" {
+			if flat, s.i, bad = scanRow(s.d, s.i, flat); bad != "" {
 				s.fail(bad)
 			}
 		}

@@ -9,11 +9,3 @@ package service
 func scanRow(d []byte, i int, flat []float64) ([]float64, int, string) {
 	return scanRowGo(d, i, flat)
 }
-
-// rowScratch is empty: the portable walk keeps no decimals.
-type rowScratch struct{}
-
-// scan is scanRowGo.
-func (*rowScratch) scan(d []byte, i int, flat []float64) ([]float64, int, string) {
-	return scanRowGo(d, i, flat)
-}

@@ -812,8 +812,10 @@ func lapNs(lap func()) float64 {
 // the scan is at least 1.25× prevFloat's and the rows array's walk at least
 // 1.15× the per-token loop over it (prevScanRows), and on the benchmark's
 // items body the items walk is at least 1.4× the member loop it replaced
-// (prevScanItems); where the CPU has AVX2, the row walk's AVX2 body scans
-// the bench's rows array at least 1.2× as fast as its portable body. Those four are logged, not held, under -race. Every
+// (prevScanItems); where the CPU has AVX2, the row walk's AVX2 body, which
+// rounds the tokens it takes itself, scans the bench's rows array at least
+// 1.5× as fast as its portable body. Those four are logged, not held,
+// under -race. Every
 // pair is timed in interleaved laps, and a reading under its floor is
 // taken again, twice at most.
 func TestIngestJSONGuard(t *testing.T) {
@@ -905,7 +907,7 @@ func TestIngestJSONGuard(t *testing.T) {
 			}
 		}
 		hold(fmt.Sprintf("the portable body, then the AVX2 body, of scanRows on the bench's rows array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),
-			1.2, !raceEnabled, 100, walk(body, under(rowBodies[0])), walk(body, under(rowBodies[1])))
+			1.5, !raceEnabled, 100, walk(body, under(rowBodies[0])), walk(body, under(rowBodies[1])))
 	}
 	body = append(benchItemsBody(benchBatch), 0)
 	hold(fmt.Sprintf("prevScanItems, then scanItems, on the bench's items array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),

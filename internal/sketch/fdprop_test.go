@@ -265,32 +265,35 @@ func TestBlockedFDSpeedupGuard(t *testing.T) {
 // ℓ + block < d: at ℓ = 16, AppendRows' per-row time (best of three
 // 1 024-row laps in 64-row batches) grows at most 3× per doubling of d from
 // 128 to 512. Linear cost gives 2×, a d×d decomposition per block 8×; the
-// sketch that kept BᵀB's d×d eigenvectors read 6.3× and 9.0×.
+// sketch that kept BᵀB's d×d eigenvectors read 6.3× and 9.0×. The three
+// widths' laps take turns, so a stall of a shared host lands on one lap of
+// each width rather than on every lap of one.
 func TestFDScalingGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
 	const ell, n = 16, 1024
-	perRow := func(d int) float64 {
-		rows := denseRows(randRows(rand.New(rand.NewSource(int64(d))), n, d))
-		best := math.Inf(1)
-		for lap := 0; lap < 3; lap++ {
+	widths := [...]int{128, 256, 512}
+	var rows [len(widths)][][]float64
+	best := [len(widths)]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	for w, d := range widths {
+		rows[w] = denseRows(randRows(rand.New(rand.NewSource(int64(d))), n, d))
+	}
+	for range 3 {
+		for w, d := range widths {
 			fd := NewFD(ell, d)
 			start := time.Now()
 			for i := 0; i < n; i += 64 {
-				fd.AppendRows(rows[i : i+64])
+				fd.AppendRows(rows[w][i : i+64])
 			}
-			best = min(best, time.Since(start).Seconds()/n)
+			best[w] = min(best[w], time.Since(start).Seconds()/n)
 		}
-		return best
 	}
-	prev := perRow(128)
-	for _, d := range []int{256, 512} {
-		cur := perRow(d)
+	for w := 1; w < len(widths); w++ {
+		d, cur, prev := widths[w], best[w], best[w-1]
 		t.Logf("d = %d: %.1f µs a row, %.2f× d = %d", d, cur*1e6, cur/prev, d/2)
 		if cur > 3*prev {
 			t.Fatalf("d = %d costs %.2f× d = %d a row, want ≤ 3×", d, cur/prev, d/2)
 		}
-		prev = cur
 	}
 }

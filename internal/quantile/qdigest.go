@@ -48,6 +48,10 @@ type QDigest struct {
 	// calls; they are not part of the digest's state (never serialized or
 	// compared).
 	born, spare []node
+	// freshPeak is the most leaves fresh has held since the map was made,
+	// read when fold or Reset empties it; like born and spare it is storage,
+	// not state.
+	freshPeak int
 }
 
 type node struct {
@@ -145,6 +149,7 @@ func (q *QDigest) fold() {
 	f := q.sortedFresh(q.born[:0])
 	q.nodes, q.spare = mergeNodes(q.spare[:0], q.nodes, f), q.nodes
 	q.born = f[:0]
+	q.freshPeak = max(q.freshPeak, len(q.fresh))
 	clear(q.fresh)
 }
 
@@ -368,11 +373,18 @@ func (q *QDigest) absorb(other *QDigest) {
 	q.weight += other.weight
 }
 
-// Reset clears the digest. fresh is replaced, not cleared: a map never
+// Reset clears the digest. fresh is kept, cleared, while it has never held
+// more than the 64 leaves a reset digest admits before its next Compress:
+// a site digest that ships often then neither allocates nor regrows it.
+// A larger one is replaced by a map sized for those 64: a map never
 // shrinks, and every later fold would walk a burst's capacity.
 func (q *QDigest) Reset() {
 	q.nodes = q.nodes[:0]
-	q.fresh = make(map[uint64]float64)
+	if q.freshPeak = max(q.freshPeak, len(q.fresh)); q.freshPeak <= 64 {
+		clear(q.fresh)
+	} else {
+		q.fresh, q.freshPeak = make(map[uint64]float64, 64), 0
+	}
 	q.weight = 0
 	q.compressAt = 64
 }

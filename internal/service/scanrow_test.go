@@ -98,6 +98,20 @@ var scanRowVectors = []string{
 	"1,2}", "1,null]", "1,\"2\"]", "1,2", "1,2,3\x00",
 	"7,8,9]", "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52]",
 	strings.Repeat("0.5,", 64) + "1e2," + strings.Repeat("-2.25,", 70) + "3]",
+	// The index stage: a token across a step's end (byte 64 of the row),
+	// rows of 63, 64 and 65 tokens (one call's room), tokens the kernel
+	// declines in the middle of a long row (an exponent, a space, 25
+	// digits, a tie, a '-' or a second point inside a token, the '/' the
+	// index lets through), after which the walk re-enters the kernel.
+	strings.Repeat("1.2345,", 9) + "123456789.5,-0.000123456789012345,7]",
+	strings.Repeat("0.5,", 62) + "1]", strings.Repeat("-0.25,", 63) + "1]", strings.Repeat("0.125,", 64) + "1]",
+	strings.Repeat("0.5,", 40) + "1e5," + strings.Repeat("-0.25,", 40) + "3]",
+	strings.Repeat("0.5,", 40) + "1, 2," + strings.Repeat("-0.25,", 40) + "3]",
+	strings.Repeat("0.5,", 40) + "1234567890123456789012345," + strings.Repeat("-0.25,", 40) + "3]",
+	strings.Repeat("0.5,", 40) + "9007199254740993," + strings.Repeat("-0.25,", 40) + "3]",
+	strings.Repeat("0.5,", 40) + "1.2.3," + strings.Repeat("-0.25,", 40) + "3]",
+	strings.Repeat("0.5,", 40) + "12-3," + strings.Repeat("-0.25,", 40) + "3]",
+	"0.1.2]", "0-12]", "-0-5]", "0..5]", "-.5]", "0.5.]", "0/5]", "1/2]", "-0/5]", "0.5/]", "/5]",
 }
 
 // TestScanRowVectors holds both bodies of scanRow to the specification on
@@ -117,6 +131,13 @@ func TestScanRowVectors(t *testing.T) {
 	}
 	for lead := rowLead; lead < rowLead+40; lead++ {
 		checkScanRow(t, "1.5,-0.25,"+strings.Repeat("3", lead%7+1)+",4]", lead, false)
+	}
+	// The row's ']' from the last byte of the capacity to 70 bytes before
+	// it: in the index's last 32-byte window, below it and in a full step.
+	for k := range 70 {
+		for _, pad := range []bool{false, true} {
+			checkScanRow(t, "0.5,-1.25,3]"+strings.Repeat(" ", k), rowLead, pad)
+		}
 	}
 	// The bench's rows, whole and within 32 bytes of the capacity.
 	body := pamapRowsBody(2)

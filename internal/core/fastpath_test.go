@@ -1,13 +1,12 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/perfguard"
 )
 
 // Fast-ingest-mode harness: the blocked fast paths (NewP1Fast, NewP2Fast,
@@ -197,16 +196,14 @@ func TestFastModeMessageFactor(t *testing.T) {
 
 // TestFastIngestSpeedupGuard holds fast-mode blocked ingest (1024-row
 // per-site blocks) at ≥ 5× the rows/sec of exact per-row ingestion for both
-// headline matrix protocols. Each side is timed five times, the reps
-// interleaved so a load burst on a shared runner hits both alike, and the
-// guard compares the best of each; BenchmarkMatrixIngestModes reports the
-// exact ratios.
+// headline matrix protocols, each lap building its tracker;
+// BenchmarkMatrixIngestModes reports the exact ratios.
 func TestFastIngestSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
 	rows := gen.LowRankMatrix(gen.PAMAPLike(6_000))
-	const m, d, block, reps = 10, 44, 1024, 5
+	const m, d, block = 10, 44, 1024
 	const eps = 0.1
 	for _, pc := range []struct {
 		name        string
@@ -230,37 +227,18 @@ func TestFastIngestSpeedupGuard(t *testing.T) {
 				site = (site + 1) % m
 			}
 		}
-		exactSec, fastSec := math.Inf(1), math.Inf(1)
-		for rep := 0; rep < reps; rep++ {
-			exactSec = min(exactSec, timeSec(perRow))
-			fastSec = min(fastSec, timeSec(blocked))
-		}
-		if fastSec <= 0 {
-			continue // timer resolution floor: unmeasurably fast is a pass
-		}
-		ratio := exactSec / fastSec
-		t.Logf("%s: exact per-row %.1fms, fast blocked %.1fms (best of %d): %.1fx", pc.name, exactSec*1e3, fastSec*1e3, reps, ratio)
-		if ratio < 5 {
-			t.Errorf("%s: fast blocked ingest only %.2fx faster than exact per-row, want ≥ 5x", pc.name, ratio)
-		}
+		perfguard.Hold(t, perfguard.Row{Name: pc.name + " ingest",
+			Ref: perfguard.Body{Name: "exact per-row", Run: perRow}, Fast: perfguard.Body{Name: "fast blocked", Run: blocked},
+			Floor: 5, Laps: 5})
 	}
-}
-
-// timeSec returns how long f takes, in seconds.
-func timeSec(f func()) float64 {
-	start := time.Now()
-	f()
-	return time.Since(start).Seconds()
 }
 
 // TestBatchDispatchNeverSlower guards the p2+batch regression: on the same
 // stream and site sequence, exact-mode batch dispatch (ProcessRows over
 // site runs) must not run slower than per-row dispatch (the per-row oracle
-// step, rowstep_oracle_test.go). Batching removes
-// per-call validation and adds nothing; the reps are interleaved (so a
-// load burst on a shared CI runner hits both paths alike) and the guard
-// takes the best of 5 with 1.5× slack, enough margin that only a genuine
-// dispatch-overhead regression trips it.
+// step, rowstep_oracle_test.go). Batching removes per-call validation and
+// adds nothing; the guard allows 1.5× slack, enough margin that only a
+// genuine dispatch-overhead regression trips it.
 func TestBatchDispatchNeverSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -283,16 +261,9 @@ func TestBatchDispatchNeverSlower(t *testing.T) {
 			start = end
 		}
 	}
-	perRowSec, batchSec := math.Inf(1), math.Inf(1)
-	for rep := 0; rep < 5; rep++ {
-		perRowSec = min(perRowSec, timeSec(perRow))
-		batchSec = min(batchSec, timeSec(batch))
-	}
-	t.Logf("per-row %.1fms, batch %.1fms", perRowSec*1e3, batchSec*1e3)
-	if batchSec > perRowSec*1.5 {
-		t.Errorf("exact-mode batch dispatch %.1fms slower than per-row %.1fms",
-			batchSec*1e3, perRowSec*1e3)
-	}
+	perfguard.Hold(t, perfguard.Row{Name: "exact-mode dispatch, batch ≤ 1.5× per-row",
+		Ref: perfguard.Body{Name: "per-row", Run: perRow}, Fast: perfguard.Body{Name: "batch", Run: batch},
+		Floor: 1 / 1.5, Laps: 5})
 }
 
 // TestFastSiteHotPathAllocs pins the steady-state allocation guarantee of

@@ -3,15 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/perfguard"
 )
 
 // Sharded-tracker property harness. The contract under test:
@@ -251,11 +252,11 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 }
 
 // TestShardedSpeedupGuard holds 4 shards over the fast-mode blocked path at
-// ≥ 2× the rows/sec of the single fast tracker. Real parallelism is required, so the
-// guard runs only with ≥4 procs available (the CI perf-guard job's runners;
-// a laptop container pinned to one core skips). Best-of-3 on each side
-// absorbs scheduler noise; the expected margin at 4 workers is well above
-// the floor.
+// ≥ 2× the rows/sec of the single fast tracker. Real parallelism is
+// required, so the guard runs only with ≥4 procs available (the CI
+// perf-guard job's runners; a laptop container pinned to one core skips).
+// A lap feeds a tracker built before it and ends at a Stats barrier; the
+// sharded tracker is closed after it.
 func TestShardedSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -268,46 +269,22 @@ func TestShardedSpeedupGuard(t *testing.T) {
 	const m, d, block = 10, 44, 1024
 	const eps = 0.1
 
-	feed := func(tr Tracker) time.Duration {
-		start := time.Now()
+	var tr Tracker // the lap's, built by its side's Prep
+	feed := func() {
 		for i, site := 0, 0; i < len(rows); i += block {
-			end := i + block
-			if end > len(rows) {
-				end = len(rows)
-			}
-			tr.ProcessRows(site, rows[i:end])
+			tr.ProcessRows(site, rows[i:min(i+block, len(rows))])
 			site = (site + 1) % m
 		}
 		tr.Stats() // sharded: merge barrier; bare: cheap copy
-		return time.Since(start)
 	}
-	best := func(mk func() Tracker) float64 {
-		bestSec := 0.0
-		for rep := 0; rep < 3; rep++ {
-			tr := mk()
-			sec := feed(tr).Seconds()
-			if st, ok := tr.(*ShardedTracker); ok {
-				st.Close()
-			}
-			if bestSec == 0 || sec < bestSec {
-				bestSec = sec
-			}
-		}
-		return bestSec
-	}
-
-	singleSec := best(func() Tracker { return NewP2Fast(m, eps, d) })
-	shardedSec := best(func() Tracker {
-		return NewShardedTracker(need, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
-	})
-	if shardedSec <= 0 {
-		return // timer resolution floor: unmeasurably fast is a pass
-	}
-	ratio := singleSec / shardedSec
-	t.Logf("single fast %.1fms, %d-shard fast %.1fms: %.2fx", singleSec*1e3, need, shardedSec*1e3, ratio)
-	if ratio < 2 {
-		t.Errorf("sharded ingest only %.2fx faster than single-shard fast at %d workers, want ≥ 2x", ratio, need)
-	}
+	perfguard.Hold(t, perfguard.Row{Name: fmt.Sprintf("fast ingest, %d shards", need),
+		Ref: perfguard.Body{Name: "single fast", Run: feed, Prep: func() { tr = NewP2Fast(m, eps, d) }},
+		Fast: perfguard.Body{Name: fmt.Sprintf("%d-shard fast", need), Run: feed,
+			Prep: func() {
+				tr = NewShardedTracker(need, m, func(_, sites int) Tracker { return NewP2Fast(sites, eps, d) })
+			},
+			Done: func() { tr.(*ShardedTracker).Close() }},
+		Floor: 2, Laps: 3})
 }
 
 // TestShardedMessagesMatchOneTracker: on sharded-query's stream shape (m =

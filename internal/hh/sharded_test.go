@@ -9,9 +9,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
+	"repro/internal/perfguard"
 	"repro/internal/sketch"
 )
 
@@ -403,8 +403,9 @@ func TestShardedPersistItemRoundTrip(t *testing.T) {
 // per-item work is amplified with P4Median (4 independent P4 copies per
 // item), the workload sharding exists to parallelize. Real parallelism is
 // required, so the guard runs only with ≥4 procs (the CI perf-guard job's
-// runners); best-of-3 on each side absorbs scheduler noise, and the timed
-// section ends at a Stats() barrier so in-flight chunks are counted.
+// runners). A lap feeds a tracker built before it and ends at a Stats()
+// barrier, so in-flight chunks are counted; the sharded tracker is closed
+// after it.
 func TestShardedItemSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -416,42 +417,26 @@ func TestShardedItemSpeedupGuard(t *testing.T) {
 	const m, eps, copies, run = 8, 0.05, 4, 1024
 	items, _, _ := testStream(300000, 20, 35)
 
-	timeSingle := func() time.Duration {
-		p := NewP4Median(m, eps, copies, 1)
-		start := time.Now()
-		feedBare(p, items, m, run)
-		p.Stats()
-		return time.Since(start)
-	}
-	timeSharded := func() time.Duration {
-		s := NewSharded(need, m, func(shard, sites int) Protocol {
-			return NewP4Median(sites, eps, copies, 1+int64(shard))
-		})
-		defer s.Close()
-		start := time.Now()
-		feedShardedItems(s, items, m, run)
-		s.Stats() // merge barrier: every dealt chunk applied
-		return time.Since(start)
-	}
-	best := func(f func() time.Duration) float64 {
-		bestSec := 0.0
-		for rep := 0; rep < 3; rep++ {
-			if sec := f().Seconds(); bestSec == 0 || sec < bestSec {
-				bestSec = sec
-			}
-		}
-		return bestSec
-	}
-	singleSec := best(timeSingle)
-	shardedSec := best(timeSharded)
-	if shardedSec <= 0 {
-		return // timer resolution floor: unmeasurably fast is a pass
-	}
-	ratio := singleSec / shardedSec
-	t.Logf("single %.1fms, %d-shard %.1fms: %.2fx", singleSec*1e3, need, shardedSec*1e3, ratio)
-	if ratio < 2 {
-		t.Errorf("sharded item ingest only %.2fx faster than unsharded at %d workers, want ≥ 2x", ratio, need)
-	}
+	var single *P4Median
+	var sharded *Sharded
+	perfguard.Hold(t, perfguard.Row{Name: fmt.Sprintf("item ingest, %d shards", need),
+		Ref: perfguard.Body{Name: "single", Prep: func() { single = NewP4Median(m, eps, copies, 1) },
+			Run: func() {
+				feedBare(single, items, m, run)
+				single.Stats()
+			}},
+		Fast: perfguard.Body{Name: fmt.Sprintf("%d-shard", need),
+			Prep: func() {
+				sharded = NewSharded(need, m, func(shard, sites int) Protocol {
+					return NewP4Median(sites, eps, copies, 1+int64(shard))
+				})
+			},
+			Run: func() {
+				feedShardedItems(sharded, items, m, run)
+				sharded.Stats() // merge barrier: every dealt chunk applied
+			},
+			Done: func() { sharded.Close() }},
+		Floor: 2, Laps: 3})
 }
 
 // TestShardedMessagesMatchOneTracker: at m = 10, ε = 0.01, 256-item blocks

@@ -2,11 +2,13 @@ package matrix
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
+
+	"repro/internal/perfguard"
 )
 
 // aboveSym builds the fuzz target's matrix from data, n = dim % 65. With
@@ -250,47 +252,31 @@ func shipLaps(tb testing.TB, n, k int) (before, now, idle func()) {
 	return before, now, idle
 }
 
-// TestEigAboveGuard keeps the ship step worth having (medians of 21 laps,
-// the two taking turns so that a noisy spell falls on both): at d = 44 on a
+// TestEigAboveGuard keeps the ship step worth having: at d = 44 on a
 // site-shaped Gram with three directions over the threshold, EigAbove and
 // its three downdates are at least 2× EigSymWork and the rebuild, and
 // neither allocates on a warm workspace. The idle step (nothing ships) is
-// logged, and so is the ratio under -race (raceEnabled). A reading under
-// the floor is taken again, twice at most, as TestEigSymGuard does.
+// logged, and so is the ratio under the race detector (perfguard.Race). A
+// reading under the floor is taken again, twice at most, as
+// TestEigSymGuard does.
 func TestEigAboveGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
-	const n, k, calls, floor = 44, 3, 10, 2.0
+	const n, k = 44, 3
 	before, now, idle := shipLaps(t, n, k)
-	for name, f := range map[string]func(){"EigSymWork+rebuild": before, "EigAbove+downdate": now, "EigAbove idle": idle} {
-		if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
-			t.Errorf("%s: %v allocs per call on a warm workspace, want 0", name, allocs)
+	old := perfguard.Body{Name: "EigSymWork+rebuild", Run: before}
+	ship := perfguard.Body{Name: "EigAbove+downdate", Run: now}
+	quiet := perfguard.Body{Name: "EigAbove idle", Run: idle}
+	for _, b := range []perfguard.Body{old, ship, quiet} {
+		if allocs := testing.AllocsPerRun(10, b.Run); allocs != 0 {
+			t.Errorf("%s: %v allocs per call on a warm workspace, want 0", b.Name, allocs)
 		}
 	}
-	lap := func(f func()) time.Duration {
-		start := time.Now()
-		for c := 0; c < calls; c++ {
-			f()
-		}
-		return time.Since(start) / calls
-	}
-	ratio := 0.0
-	for attempt := 0; attempt < 3 && ratio < floor; attempt++ {
-		var tb, tn, ti [21]time.Duration
-		for i := range tb {
-			tb[i], tn[i], ti[i] = lap(before), lap(now), lap(idle)
-		}
-		slices.Sort(tb[:])
-		slices.Sort(tn[:])
-		slices.Sort(ti[:])
-		old, cur, id := tb[len(tb)/2], tn[len(tn)/2], ti[len(ti)/2]
-		ratio = float64(old) / float64(cur)
-		t.Logf("ship step d=%d, %d shipped: EigSymWork+rebuild %v, EigAbove+downdate %v: %.2fx; idle EigAbove %v", n, k, old, cur, ratio, id)
-	}
-	if ratio < floor && !raceEnabled {
-		t.Errorf("EigAbove ship step only %.2fx EigSymWork+rebuild at d=%d, want ≥ %gx", ratio, n, floor)
-	}
+	perfguard.Hold(t,
+		perfguard.Row{Name: fmt.Sprintf("ship step d=%d, %d shipped", n, k), Ref: old, Fast: ship,
+			Floor: 2, Calls: 10, Readings: 3, LogOnly: perfguard.Race},
+		perfguard.Row{Name: "ship step, nothing shipped (no floor)", Ref: old, Fast: quiet, Calls: 10})
 }
 
 // BenchmarkEigAbove times the ship step's pieces at the benchmark's d = 44

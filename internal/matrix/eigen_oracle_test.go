@@ -10,7 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/perfguard"
 )
 
 // The specification of EigSymWork: the row-major JAMA port of tred2/tql2 and
@@ -579,11 +580,10 @@ func eigLaps(tb testing.TB, n int) (oracle, work func()) {
 	return oracle, work
 }
 
-// TestEigSymGuard keeps the transposed layout worth having (medians of 21
-// laps, the two bodies taking turns so that a noisy spell falls on both):
-// EigSymWork on a warm workspace is at least 1.3× the row-major oracle at
-// n = 44 and 1.4× at n = 90, and allocates nothing. A reading under the floor
-// is taken again, twice at most: `make perf-guard` runs this package first,
+// TestEigSymGuard keeps the transposed layout worth having: EigSymWork on
+// a warm workspace is at least 1.3× the row-major oracle at n = 44 and
+// 1.4× at n = 90, and allocates nothing. A reading under the floor is
+// taken again, twice at most: `make perf-guard` runs this package first,
 // while the toolchain is still compiling the others on the same cores.
 func TestEigSymGuard(t *testing.T) {
 	if testing.Short() {
@@ -597,28 +597,9 @@ func TestEigSymGuard(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, work); allocs != 0 {
 			t.Errorf("EigSymWork n=%d: %v allocs per call on a warm workspace, want 0", c.n, allocs)
 		}
-		lap := func(f func()) time.Duration {
-			start := time.Now()
-			for k := 0; k < c.calls; k++ {
-				f()
-			}
-			return time.Since(start) / time.Duration(c.calls)
-		}
-		ratio := 0.0
-		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
-			var to, tw [21]time.Duration
-			for i := range to {
-				to[i], tw[i] = lap(oracle), lap(work)
-			}
-			slices.Sort(to[:])
-			slices.Sort(tw[:])
-			old, now := to[len(to)/2], tw[len(tw)/2]
-			ratio = float64(old) / float64(now)
-			t.Logf("EigSym n=%d: oracle %v, EigSymWork %v: %.2fx", c.n, old, now, ratio)
-		}
-		if ratio < c.floor {
-			t.Errorf("EigSymWork only %.2fx the row-major oracle at n=%d, want ≥ %gx", ratio, c.n, c.floor)
-		}
+		perfguard.Hold(t, perfguard.Row{Name: fmt.Sprintf("EigSym n=%d", c.n),
+			Ref: perfguard.Body{Name: "oracle", Run: oracle}, Fast: perfguard.Body{Name: "EigSymWork", Run: work},
+			Floor: c.floor, Calls: c.calls, Readings: 3})
 	}
 }
 

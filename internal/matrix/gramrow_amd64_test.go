@@ -9,9 +9,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/cpu"
+	"repro/internal/perfguard"
 )
 
 // selectBody runs the rest of the test under the named body of every kernel
@@ -209,59 +209,22 @@ func BenchmarkAddBlock(b *testing.B) {
 	}
 }
 
-// TestGramKernelGuard keeps the assembly body worth having (medians of 21
-// laps, the two sides of each comparison taking turns so that a noisy spell
-// falls on both): at least 2.5× the portable body on a 64 × 44 block and 2×
-// on 256 × 44, at least 1.2× the packed oracle on 64 × 44, and no cliff for
-// a block that is not a multiple of four rows — 63 × 44 may cost at most
-// 1.3× what 64 × 44 does (a kernel that drops to scalar code for such a
-// block costs 4×).
+// TestGramKernelGuard keeps the assembly body worth having: at least 2.5×
+// the portable body on a 64 × 44 block and 2× on 256 × 44, at least 1.2×
+// the packed oracle on 64 × 44, and no cliff for a block that is not a
+// multiple of four rows — 63 × 44 may cost at most 1.3× what 64 × 44 does
+// (a kernel that drops to scalar code for such a block costs 4×).
 func TestGramKernelGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
 	selectBody(t, true) // skips without AVX2; its cleanup undoes the switching below
-	const calls = 40
-	lap := func(avx2 bool, fold func()) func() {
-		return func() {
-			useAVX2 = avx2
-			for k := 0; k < calls; k++ {
-				fold()
-			}
-		}
+	row := func(name string, floor float64, ref, fast perfguard.Body) perfguard.Row {
+		return perfguard.Row{Name: name, Ref: ref, Fast: fast, Floor: floor, Calls: 40}
 	}
-	medians := func(a, b func()) (time.Duration, time.Duration) {
-		var ta, tb [21]time.Duration
-		for i := range ta {
-			start := time.Now()
-			a()
-			ta[i] = time.Since(start) / calls
-			start = time.Now()
-			b()
-			tb[i] = time.Since(start) / calls
-		}
-		slices.Sort(ta[:])
-		slices.Sort(tb[:])
-		return ta[len(ta)/2], tb[len(tb)/2]
-	}
-	for _, c := range []struct {
-		n     int
-		floor float64
-	}{{64, 2.5}, {256, 2}} {
-		portable, asm := medians(lap(false, addBlockLap(c.n, 44, false)), lap(true, addBlockLap(c.n, 44, false)))
-		t.Logf("AddBlock %d×44: portable %v, avx2 %v: %.2fx", c.n, portable, asm, float64(portable)/float64(asm))
-		if float64(portable) < c.floor*float64(asm) {
-			t.Errorf("avx2 body only %.2fx the portable one at %d×44, want ≥ %gx", float64(portable)/float64(asm), c.n, c.floor)
-		}
-	}
-	oracle, asm := medians(lap(true, oracleLap(64, 44)), lap(true, addBlockLap(64, 44, false)))
-	t.Logf("AddBlock 64×44: packed oracle %v, avx2 %v: %.2fx", oracle, asm, float64(oracle)/float64(asm))
-	if float64(oracle) < 1.2*float64(asm) {
-		t.Errorf("avx2 body only %.2fx the packed oracle at 64×44, want ≥ 1.2x", float64(oracle)/float64(asm))
-	}
-	full, short := medians(lap(true, addBlockLap(64, 44, false)), lap(true, addBlockLap(63, 44, false)))
-	t.Logf("AddBlock avx2: 64×44 %v, 63×44 %v: %.2fx", full, short, float64(short)/float64(full))
-	if float64(short) > 1.3*float64(full) {
-		t.Errorf("63×44 costs %.2fx the 64×44 block under the avx2 body, want ≤ 1.3x", float64(short)/float64(full))
-	}
+	perfguard.Hold(t,
+		row("AddBlock 64×44", 2.5, kernel("portable", false, addBlockLap(64, 44, false)), kernel("avx2", true, addBlockLap(64, 44, false))),
+		row("AddBlock 256×44", 2, kernel("portable", false, addBlockLap(256, 44, false)), kernel("avx2", true, addBlockLap(256, 44, false))),
+		row("AddBlock 64×44", 1.2, kernel("packed oracle", true, oracleLap(64, 44)), kernel("avx2", true, addBlockLap(64, 44, false))),
+		row("AddBlock avx2, 63 rows ≤ 1.3× 64", 1/1.3, kernel("64×44", true, addBlockLap(64, 44, false)), kernel("63×44", true, addBlockLap(63, 44, false))))
 }

@@ -9,7 +9,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
+
+	"repro/internal/perfguard"
 )
 
 // diffFloats fails on the first entry of got whose bits differ from want's.
@@ -317,56 +318,24 @@ func BenchmarkSiteStep(b *testing.B) {
 	}
 }
 
-// guardCase is one timed comparison of a kernel guard: before and after
-// each run one call, with the body (useAVX2) each needs set.
-type guardCase struct {
-	name          string
-	before, after func()
-	calls         int
-	floor         float64
+// kernel is f under the AVX2 body (avx2) or the portable one, as a side
+// of a guard row: useAVX2 is set before each lap, untimed.
+func kernel(name string, avx2 bool, f func()) perfguard.Body {
+	return perfguard.Body{Name: name, Run: f, Prep: func() { useAVX2 = avx2 }}
 }
 
-// holdGuard requires every case's after to be at least floor× its before
-// (medians of 21 laps of calls calls, the two sides taking turns so that a
-// noisy spell falls on both; a reading under the floor is taken again,
-// twice at most, as TestEigSymGuard does) and both sides to allocate
-// nothing.
-func holdGuard(t *testing.T, cases ...guardCase) {
+// zeroAllocs wants neither side of any row to allocate, each under the
+// body its Prep selects.
+func zeroAllocs(t *testing.T, rows ...perfguard.Row) {
 	t.Helper()
-	for _, c := range cases {
-		for side, f := range map[string]func(){"before": c.before, "after": c.after} {
-			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
-				t.Errorf("%s (%s): %v allocs per call, want 0", c.name, side, allocs)
+	for _, r := range rows {
+		for _, b := range []perfguard.Body{r.Ref, r.Fast} {
+			b.Prep()
+			if allocs := testing.AllocsPerRun(10, b.Run); allocs != 0 {
+				t.Errorf("%s (%s): %v allocs per call, want 0", r.Name, b.Name, allocs)
 			}
-		}
-		lap := func(f func()) time.Duration {
-			start := time.Now()
-			for k := 0; k < c.calls; k++ {
-				f()
-			}
-			return time.Since(start) / time.Duration(c.calls)
-		}
-		ratio := 0.0
-		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
-			var tb, ta [21]time.Duration
-			for i := range tb {
-				tb[i], ta[i] = lap(c.before), lap(c.after)
-			}
-			slices.Sort(tb[:])
-			slices.Sort(ta[:])
-			before, after := tb[len(tb)/2], ta[len(ta)/2]
-			ratio = float64(before) / float64(after)
-			t.Logf("%s: before %v, after %v: %.2fx", c.name, before, after, ratio)
-		}
-		if ratio < c.floor {
-			t.Errorf("%s: only %.2fx, want ≥ %gx", c.name, ratio, c.floor)
 		}
 	}
-}
-
-// onBody returns f run under the named body.
-func onBody(avx2 bool, f func()) func() {
-	return func() { useAVX2 = avx2; f() }
 }
 
 // TestSiteStepKernelGuard keeps the row kernels worth having: one
@@ -379,7 +348,10 @@ func TestSiteStepKernelGuard(t *testing.T) {
 	selectBody(t, true) // skips without AVX2; its cleanup undoes the switching below
 	step := newSiteStep(44)
 	run := func() { step.run(t) }
-	holdGuard(t, guardCase{"site step d=44", onBody(false, run), onBody(true, run), 10, 1.35})
+	row := perfguard.Row{Name: "site step d=44", Ref: kernel("portable", false, run), Fast: kernel("avx2", true, run),
+		Floor: 1.35, Calls: 10, Readings: 3}
+	zeroAllocs(t, row)
+	perfguard.Hold(t, row)
 }
 
 // TestReductionKernelGuard keeps the fused reduction sweeps and the
@@ -399,7 +371,12 @@ func TestReductionKernelGuard(t *testing.T) {
 		return func() { copy(w, in); f(w, n, d, e) }
 	}
 	norms := normSqRowsLap(64, n)
-	holdGuard(t,
-		guardCase{"reduction d=44", onBody(true, reduce(oracleHouseholder)), onBody(true, reduce(householder)), 40, 2},
-		guardCase{"NormSqRows 64×44", onBody(false, norms), onBody(true, norms), 400, 2.5})
+	rows := []perfguard.Row{
+		{Name: "reduction d=44", Ref: kernel("oracleHouseholder", true, reduce(oracleHouseholder)),
+			Fast: kernel("householder", true, reduce(householder)), Floor: 2, Calls: 40, Readings: 3},
+		{Name: "NormSqRows 64×44", Ref: kernel("portable", false, norms), Fast: kernel("avx2", true, norms),
+			Floor: 2.5, Calls: 400, Readings: 3},
+	}
+	zeroAllocs(t, rows...)
+	perfguard.Hold(t, rows...)
 }

@@ -8,9 +8,9 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
+	"repro/internal/perfguard"
 	"repro/internal/stream"
 )
 
@@ -531,8 +531,7 @@ func replayOracleOps(t *testing.T, data []byte) {
 	}
 }
 
-// TestQDigestGuard keeps the node array worth having (medians of laps, the
-// two bodies taking turns so that a noisy spell falls on both): a fresh
+// TestQDigestGuard keeps the node array worth having: a fresh
 // NewTracker(10, 0.01, 16) over the first 40 × 256 durable-tenancy-shaped
 // items runs at least 2.5× the oracle tracker — its ships fall on those
 // first items, each a Merge + Compress of the coordinator digest — and a
@@ -541,7 +540,7 @@ func replayOracleOps(t *testing.T, data []byte) {
 // steady-state Merge allocates nothing. A reading under a floor is taken
 // again, twice at most.
 func TestQDigestGuard(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || perfguard.Race {
 		t.Skip("wall-clock guard skipped in -short mode and under the race detector")
 	}
 	items := tenancyItems(40*256, 1)
@@ -550,50 +549,25 @@ func TestQDigestGuard(t *testing.T) {
 	for i := range values {
 		values[i] = rng.Uint64() % (1 << 20)
 	}
-	for _, c := range []struct {
-		name         string
-		laps         int
-		floor        float64
-		oracle, work func()
-	}{
-		{"fresh tracker, 40 × 256 items", 21, 2.5,
-			func() { feedRuns(newOracleTracker(10, 0.01, 16), items, 10, 256) },
-			func() { feedRuns(NewTracker(10, 0.01, 16), items, 10, 256) }},
-		{"standalone digest, 400k updates", 5, 0.85,
-			func() {
+	perfguard.Hold(t,
+		perfguard.Row{Name: "fresh tracker, 40 × 256 items",
+			Ref:   perfguard.Body{Name: "oracle", Run: func() { feedRuns(newOracleTracker(10, 0.01, 16), items, 10, 256) }},
+			Fast:  perfguard.Body{Name: "QDigest", Run: func() { feedRuns(NewTracker(10, 0.01, 16), items, 10, 256) }},
+			Floor: 2.5, Readings: 3},
+		perfguard.Row{Name: "standalone digest, 400k updates",
+			Ref: perfguard.Body{Name: "oracle", Run: func() {
 				q := newOracleQDigest(20, 0.01)
 				for _, v := range values {
 					q.Update(v, 1)
 				}
-			},
-			func() {
+			}},
+			Fast: perfguard.Body{Name: "QDigest", Run: func() {
 				q := NewQDigest(20, 0.01)
 				for _, v := range values {
 					q.Update(v, 1)
 				}
 			}},
-	} {
-		lap := func(f func()) time.Duration {
-			start := time.Now()
-			f()
-			return time.Since(start)
-		}
-		ratio := 0.0
-		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
-			to, tw := make([]time.Duration, c.laps), make([]time.Duration, c.laps)
-			for i := range to {
-				to[i], tw[i] = lap(c.oracle), lap(c.work)
-			}
-			slices.Sort(to)
-			slices.Sort(tw)
-			old, now := to[len(to)/2], tw[len(tw)/2]
-			ratio = float64(old) / float64(now)
-			t.Logf("%s: oracle %v, QDigest %v: %.2fx", c.name, old, now, ratio)
-		}
-		if ratio < c.floor {
-			t.Errorf("%s: QDigest only %.2fx the oracle, want ≥ %gx", c.name, ratio, c.floor)
-		}
-	}
+			Floor: 0.85, Laps: 5, Readings: 3})
 
 	merged, site := compressBenchDigests()
 	if allocs := testing.AllocsPerRun(100, func() { merged.Merge(site) }); allocs != 0 {

@@ -7,11 +7,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
-	"time"
 
 	distmat "repro"
+	"repro/internal/perfguard"
 	"repro/internal/vfs"
 )
 
@@ -303,28 +302,16 @@ func BenchmarkFaultIn(b *testing.B) {
 
 // TestFaultInGuard holds fault-in independent of the log: behind 64 MiB
 // of foreign records it may cost at most twice what it costs behind an
-// empty log (medians of 21 laps, the two beds' laps alternating so a host
-// stall lands on both). Streaming the suffix through memory is > 20×.
+// empty log, each bed's tracker hibernated again, untimed, after each lap.
+// Streaming the suffix through memory is > 20×.
 func TestFaultInGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
-	var faultIn, evict [2]func()
-	faultIn[0], evict[0] = faultInBed(t, false)
-	faultIn[1], evict[1] = faultInBed(t, true)
-	var laps [2][21]time.Duration
-	for i := range 2 * len(laps[0]) {
-		side := i % 2
-		start := time.Now()
-		faultIn[side]()
-		laps[side][i/2] = time.Since(start)
-		evict[side]()
+	bed := func(name string, foreign bool) perfguard.Body {
+		faultIn, evict := faultInBed(t, foreign)
+		return perfguard.Body{Name: name, Run: faultIn, Done: evict}
 	}
-	slices.Sort(laps[0][:])
-	slices.Sort(laps[1][:])
-	empty, foreign := laps[0][10], laps[1][10]
-	t.Logf("fault-in p50: empty log %v, 64 MiB foreign log %v: %.2fx", empty, foreign, float64(foreign)/float64(empty))
-	if foreign > 2*empty {
-		t.Errorf("fault-in behind a 64 MiB foreign log costs %v, want ≤ 2× the empty-log %v", foreign, empty)
-	}
+	perfguard.Hold(t, perfguard.Row{Name: "fault-in, a foreign log ≤ 2× an empty one",
+		Ref: bed("empty log", false), Fast: bed("64 MiB foreign log", true), Floor: 0.5})
 }

@@ -13,12 +13,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 	"unicode"
 	"unsafe"
 
 	distmat "repro"
 	"repro/internal/gen"
+	"repro/internal/perfguard"
 )
 
 // The oracle: the encoding/json request structs and the handler loops the
@@ -795,13 +795,6 @@ func prevScanLap(t *testing.T, nums []byte) {
 	}
 }
 
-// lapNs times one call of lap in ns.
-func lapNs(lap func()) float64 {
-	start := time.Now()
-	lap()
-	return float64(time.Since(start).Nanoseconds())
-}
-
 // TestIngestJSONGuard keeps the ingest decode fixed: at least four times the
 // encoding/json oracle's throughput on the benchmark's rows body, still at
 // least twice on a body whose every token takes the strconv fallback (what
@@ -814,10 +807,10 @@ func lapNs(lap func()) float64 {
 // items body the items walk is at least 1.4× the member loop it replaced
 // (prevScanItems); where the CPU has AVX2, the row walk's AVX2 body, which
 // indexes a row before it reads and rounds the tokens it takes itself,
-// scans the bench's rows array at least 2× as fast as its portable body. Those four are logged, not held,
-// under -race. Every
-// pair is timed in interleaved laps, and a reading under its floor is
-// taken again, twice at most.
+// scans the bench's rows array at least 2× as fast as its portable body.
+// Those four are logged, not held, under the race detector (perfguard.Race).
+// A reading under a floor is taken again, twice at most: a busy spell of a
+// shared host can cover one reading, a real loss covers all three.
 func TestIngestJSONGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
@@ -840,63 +833,48 @@ func TestIngestJSONGuard(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per steady-state decode, want 0", c.name, allocs)
 		}
 	}
-	// hold times the previous code's lap against the current one's, taking
-	// turns so a quiet stretch of the host serves both minima alike, and
-	// wants the current one floor× as fast. A reading under the floor is
-	// taken again, twice at most (as TestEigSymGuard does): a busy spell of
-	// a shared host can cover one reading, a real loss covers all three.
-	hold := func(what string, floor float64, enforce bool, laps int, prevLap, curLap func()) {
-		t.Helper()
-		ratio := 0.0
-		for read := 0; read < 3 && ratio < floor; read++ {
-			prevNs, curNs := math.Inf(1), math.Inf(1)
-			for range laps {
-				prevNs = math.Min(prevNs, lapNs(prevLap))
-				curNs = math.Min(curNs, lapNs(curLap))
+	// Five laps of 20 decodes a side: ≈ 0.6 s a body and reading.
+	decodes := func(body []byte, decode func([]byte, bool) (batch, error)) func() {
+		return func() {
+			if _, err := decode(body, false); err != nil {
+				t.Fatal(err)
 			}
-			ratio = prevNs / curNs
-			t.Logf("%s: %.0f µs, then %.0f µs a lap: %.2fx", what, prevNs/1e3, curNs/1e3, ratio)
-		}
-		if ratio < floor && enforce {
-			t.Errorf("%s: only %.2fx, want ≥ %gx", what, ratio, floor)
 		}
 	}
-	// Five laps of 20 decodes each side: ≈ 0.6 s a body and reading.
+	var guard []perfguard.Row
 	for _, c := range []struct {
 		name  string
 		body  []byte
 		floor float64
 	}{{"rows", rows, 4}, {"25-digit rows", longRowsBody(benchBatch), 2}} {
-		lap := func(decode func([]byte, bool) (batch, error)) func() {
-			return func() {
-				for i := 0; i < 20; i++ {
-					if _, err := decode(c.body, false); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		hold(fmt.Sprintf("the encoding/json oracle, then the decoder, on the %s body (%d bytes)", c.name, len(c.body)),
-			c.floor, true, 5, lap(oracleDecode), lap(decode))
+		guard = append(guard, perfguard.Row{Name: fmt.Sprintf("decode, the %s body (%d bytes)", c.name, len(c.body)),
+			Ref:   perfguard.Body{Name: "the encoding/json oracle", Run: decodes(c.body, oracleDecode)},
+			Fast:  perfguard.Body{Name: "the decoder", Run: decodes(c.body, decode)},
+			Floor: c.floor, Calls: 20, Laps: 5, Readings: 3})
 	}
 	// A hundred laps of each: ≈ 0.1 s a pair and reading.
+	scan := func(name string, floor float64, ref, fast perfguard.Body) {
+		guard = append(guard, perfguard.Row{Name: name, Ref: ref, Fast: fast,
+			Floor: floor, Laps: 100, Readings: 3, LogOnly: perfguard.Race})
+	}
 	nums := pamapNumbers(benchBatch)
-	hold(fmt.Sprintf("prevFloat, then floatAt, on the bench-shaped numbers (%d bytes)", len(nums)),
-		1.25, !raceEnabled, 100, func() { prevScanLap(t, nums) }, func() { scanLap(t, nums) })
+	scan(fmt.Sprintf("scan the bench-shaped numbers (%d bytes)", len(nums)), 1.25,
+		perfguard.Body{Name: "prevFloat", Run: func() { prevScanLap(t, nums) }},
+		perfguard.Body{Name: "floatAt", Run: func() { scanLap(t, nums) }})
 	b := new(ingestBuf)
 	// walk scans the array in body (NUL-terminated here) with scan.
-	walk := func(body []byte, scan func(*ingestBuf, *scanner)) func() {
+	walk := func(name string, body []byte, scan func(*ingestBuf, *scanner)) perfguard.Body {
 		at := bytes.IndexByte(body, '[')
-		return func() {
+		return perfguard.Body{Name: name, Run: func() {
 			s := scanner{d: body, i: at}
 			if scan(b, &s); s.err != nil {
 				t.Fatal(s.err)
 			}
-		}
+		}}
 	}
 	body := append(pamapRowsBody(benchBatch), 0)
-	hold(fmt.Sprintf("prevScanRows, then scanRows, on the bench's rows array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),
-		1.15, !raceEnabled, 100, walk(body, (*ingestBuf).prevScanRows), walk(body, (*ingestBuf).scanRows))
+	rowsArray := fmt.Sprintf("the bench's rows array (%d bytes)", len(body)-bytes.IndexByte(body, '['))
+	scan("walk "+rowsArray, 1.15, walk("prevScanRows", body, (*ingestBuf).prevScanRows), walk("scanRows", body, (*ingestBuf).scanRows))
 	if len(rowBodies) < 2 {
 		t.Log("SKIPPED: no AVX2 on this CPU (or the purego tag): the row walk's two bodies cannot be compared here")
 	} else {
@@ -906,10 +884,10 @@ func TestIngestJSONGuard(t *testing.T) {
 				b.scanRows(s)
 			}
 		}
-		hold(fmt.Sprintf("the portable body, then the AVX2 body, of scanRows on the bench's rows array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),
-			2, !raceEnabled, 100, walk(body, under(rowBodies[0])), walk(body, under(rowBodies[1])))
+		scan("scanRows on "+rowsArray, 2, walk("the portable body", body, under(rowBodies[0])), walk("the AVX2 body", body, under(rowBodies[1])))
 	}
 	body = append(benchItemsBody(benchBatch), 0)
-	hold(fmt.Sprintf("prevScanItems, then scanItems, on the bench's items array (%d bytes)", len(body)-bytes.IndexByte(body, '[')),
-		1.4, !raceEnabled, 100, walk(body, (*ingestBuf).prevScanItems), walk(body, (*ingestBuf).scanItems))
+	scan(fmt.Sprintf("walk the bench's items array (%d bytes)", len(body)-bytes.IndexByte(body, '[')), 1.4,
+		walk("prevScanItems", body, (*ingestBuf).prevScanItems), walk("scanItems", body, (*ingestBuf).scanItems))
+	perfguard.Hold(t, guard...)
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +18,7 @@ import (
 	distmat "repro"
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/perfguard"
 )
 
 // oracleMatrixBody is the matrix branch of handleQuery as it stood before
@@ -702,11 +702,10 @@ func BenchmarkQueryGramUnshardedMiss(b *testing.B) {
 	benchQuery(b, 0, "/trackers/m/query?gram=1", true)
 }
 
-// TestQueryEncodeGuard keeps the append encoder worth having (medians of 21
-// laps, old and new taking turns so that a noisy spell falls on both, a
-// reading under the floor taken again twice at most, as TestEigSymGuard
-// does): over a d = 44 P2 Gram appendJSONFloat is at least 1.4× strconv
-// under encoding/json's rule, the ?gram=1 handler at least 1.6× the handler
+// TestQueryEncodeGuard keeps the append encoder worth having (a reading
+// under the floor taken again twice at most, as TestEigSymGuard does):
+// over a d = 44 P2 Gram appendJSONFloat is at least 1.4× strconv under
+// encoding/json's rule, the ?gram=1 handler at least 1.6× the handler
 // it replaced, and encoding into a warm buffer allocates nothing. Those
 // rows time the encoder itself: the handler's memo forgets its Gram before
 // every lap, so each answer is a miss. The last row keeps the memo worth
@@ -776,36 +775,13 @@ func TestQueryEncodeGuard(t *testing.T) {
 		forgetGram(tr)
 		handler()
 	}
-	for _, c := range []struct {
-		name     string
-		old, new func()
-		calls    int
-		floor    float64
-	}{
-		{"appendJSONFloat over a 44×44 Gram against strconv", specFloats, newFloats, 4, 1.4},
-		{"?gram=1 handler against the map-building one", oldHandler, miss, 4, 1.6},
-		{"repeated ?gram=1 (a memo hit) against a miss", miss, handler, 4, 3},
-	} {
-		lap := func(f func()) time.Duration {
-			start := time.Now()
-			for k := 0; k < c.calls; k++ {
-				f()
-			}
-			return time.Since(start) / time.Duration(c.calls)
-		}
-		ratio := 0.0
-		for attempt := 0; attempt < 3 && ratio < c.floor; attempt++ {
-			var to, tn [21]time.Duration
-			for i := range to {
-				to[i], tn[i] = lap(c.old), lap(c.new)
-			}
-			slices.Sort(to[:])
-			slices.Sort(tn[:])
-			ratio = float64(to[len(to)/2]) / float64(tn[len(tn)/2])
-			t.Logf("%s: %v → %v: %.2fx", c.name, to[len(to)/2], tn[len(tn)/2], ratio)
-		}
-		if ratio < c.floor {
-			t.Errorf("%s: only %.2fx, want ≥ %gx", c.name, ratio, c.floor)
-		}
+	row := func(name string, floor float64, ref, fast perfguard.Body) perfguard.Row {
+		return perfguard.Row{Name: name, Ref: ref, Fast: fast, Floor: floor, Calls: 4, Readings: 3}
 	}
+	missBody := perfguard.Body{Name: "a miss", Run: miss}
+	perfguard.Hold(t,
+		row("appendJSONFloat over a 44×44 Gram", 1.4,
+			perfguard.Body{Name: "strconv", Run: specFloats}, perfguard.Body{Name: "appendJSONFloat", Run: newFloats}),
+		row("?gram=1 handler", 1.6, perfguard.Body{Name: "the map-building one", Run: oldHandler}, missBody),
+		row("repeated ?gram=1", 3, missBody, perfguard.Body{Name: "a memo hit", Run: handler}))
 }

@@ -1,12 +1,13 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/perfguard"
 )
 
 // Property-test harness for the blocked Frequent Directions fast path: over
@@ -216,84 +217,54 @@ func checkProjectionBound(t *testing.T, trial int, path string, a *matrix.Dense,
 // TestBlockedFDSpeedupGuard is the in-tree benchmark guard for the
 // acceptance bar: blocked ingest (default 2ℓ buffer, AppendRows) must beat
 // the unblocked row-at-a-time baseline (block 1: one compression per row
-// once the sketch saturates) by at least 3× rows/sec. Since a compression
-// decomposes the small MMᵀ (36×36 here, 13×13 unblocked) the ratio reads
-// 3.4–4.3×, set by the eigensolver's per-call cost at small n; the go test
-// -bench suite (BenchmarkFDIngest) reports the exact ratio. A reading
-// times each side seven times, the reps interleaved so a load burst on a
-// shared runner hits both alike, and compares the best of each; a reading
-// under the floor is taken again, twice at most (as TestIngestJSONGuard
-// does): a busy spell of a shared host can cover one reading, a real loss
-// covers all three.
+// once the sketch saturates) by at least 3× rows/sec, each lap building
+// its sketch. Since a compression decomposes the small MMᵀ (36×36 here,
+// 13×13 unblocked) the ratio reads 3.4–4.3×, set by the eigensolver's
+// per-call cost at small n; the go test -bench suite (BenchmarkFDIngest)
+// reports the exact ratio. A reading under the floor is taken again,
+// twice at most: a busy spell of a shared host can cover one reading, a
+// real loss covers all three.
 func TestBlockedFDSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
-	const d, ell, n, reps, floor = 48, 12, 1500, 7, 3.0
+	const d, ell, n = 48, 12, 1500
 	rng := rand.New(rand.NewSource(9))
 	rows := denseRows(randRows(rng, n, d))
-
-	lap := func(f func()) float64 {
-		start := time.Now()
-		f()
-		return time.Since(start).Seconds()
-	}
-	ratio := 0.0
-	for read := 0; read < 3 && ratio < floor; read++ {
-		unblockedSec, blockedSec := math.Inf(1), math.Inf(1)
-		for rep := 0; rep < reps; rep++ {
-			unblockedSec = min(unblockedSec, lap(func() {
-				unblocked := NewFDBuffered(ell, d, 1)
-				for _, row := range rows {
-					unblocked.Append(row)
-				}
-			}))
-			blockedSec = min(blockedSec, lap(func() { NewFD(ell, d).AppendRows(rows) }))
-		}
-		if blockedSec <= 0 {
-			return // timer resolution floor: unmeasurably fast is a pass
-		}
-		ratio = unblockedSec / blockedSec
-		t.Logf("unblocked %.1fms, blocked %.1fms (best of %d): %.1fx", unblockedSec*1e3, blockedSec*1e3, reps, ratio)
-	}
-	if ratio < floor {
-		t.Fatalf("blocked ingest only %.2fx faster than row-at-a-time in three readings, want ≥ %gx", ratio, floor)
-	}
+	perfguard.Hold(t, perfguard.Row{Name: "FD ingest",
+		Ref: perfguard.Body{Name: "unblocked", Run: func() {
+			unblocked := NewFDBuffered(ell, d, 1)
+			for _, row := range rows {
+				unblocked.Append(row)
+			}
+		}},
+		Fast:  perfguard.Body{Name: "blocked", Run: func() { NewFD(ell, d).AppendRows(rows) }},
+		Floor: 3, Laps: 7, Readings: 3})
 }
 
 // TestFDScalingGuard holds FD to its O(dℓ + ℓ²) cost a row while
-// ℓ + block < d: at ℓ = 16, AppendRows' per-row time (best of three
-// 1 024-row laps in 64-row batches) grows at most 3× per doubling of d from
-// 128 to 512. Linear cost gives 2×, a d×d decomposition per block 8×; the
-// sketch that kept BᵀB's d×d eigenvectors read 6.3× and 9.0×. The three
-// widths' laps take turns, so a stall of a shared host lands on one lap of
-// each width rather than on every lap of one.
+// ℓ + block < d: at ℓ = 16, AppendRows' time over 1 024 rows in 64-row
+// batches, on a sketch built before the lap, grows at most 3× per doubling
+// of d from 128 to 512. Linear cost gives 2×, a d×d decomposition per
+// block 8×; the sketch that kept BᵀB's d×d eigenvectors read 6.3× and
+// 9.0×.
 func TestFDScalingGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock guard skipped in -short mode")
 	}
 	const ell, n = 16, 1024
-	widths := [...]int{128, 256, 512}
-	var rows [len(widths)][][]float64
-	best := [len(widths)]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-	for w, d := range widths {
-		rows[w] = denseRows(randRows(rand.New(rand.NewSource(int64(d))), n, d))
-	}
-	for range 3 {
-		for w, d := range widths {
-			fd := NewFD(ell, d)
-			start := time.Now()
+	width := func(d int) perfguard.Body {
+		rows := denseRows(randRows(rand.New(rand.NewSource(int64(d))), n, d))
+		var fd *FD
+		return perfguard.Body{Name: fmt.Sprintf("d = %d", d), Prep: func() { fd = NewFD(ell, d) }, Run: func() {
 			for i := 0; i < n; i += 64 {
-				fd.AppendRows(rows[w][i : i+64])
+				fd.AppendRows(rows[i : i+64])
 			}
-			best[w] = min(best[w], time.Since(start).Seconds()/n)
-		}
+		}}
 	}
-	for w := 1; w < len(widths); w++ {
-		d, cur, prev := widths[w], best[w], best[w-1]
-		t.Logf("d = %d: %.1f µs a row, %.2f× d = %d", d, cur*1e6, cur/prev, d/2)
-		if cur > 3*prev {
-			t.Fatalf("d = %d costs %.2f× d = %d a row, want ≤ 3×", d, cur/prev, d/2)
-		}
+	d128, d256, d512 := width(128), width(256), width(512)
+	row := func(ref, fast perfguard.Body) perfguard.Row {
+		return perfguard.Row{Name: "FD AppendRows, ≤ 3× a doubling of d", Ref: ref, Fast: fast, Floor: 1.0 / 3, Laps: 9}
 	}
+	perfguard.Hold(t, row(d128, d256), row(d256, d512))
 }

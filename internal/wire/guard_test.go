@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/perfguard"
 )
 
 // loopReader serves a stream of whole frames over and over: an endless
@@ -56,8 +58,8 @@ func (h *nopHandler) RowBlock(_ string, _ int, seq uint64, _ [][]float64) (uint6
 // TestWireStreamGuard is the transport's floor in `make perf-guard`, at the
 // benchmark's block shape (64 × 44). Decoding a frame in steady state
 // allocates nothing and is at least 1.7× as fast as the decoder it replaced
-// (little-endian hosts; medians of 21 laps, the two taking turns; measured
-// 2.2–3.0×: what is left is the CRC and two copies of 22.5 KB). A
+// (little-endian hosts; measured 2.2–3.0×: what is left is the CRC and two
+// copies of 22.5 KB). A
 // SendBlock, its write and its ack allocate no frame once the free list is
 // warm. And 512 blocks streamed into a listener that is as busy per block
 // as a tracker folding it in (50 µs) cost fewer than a quarter as many
@@ -80,39 +82,28 @@ func TestWireStreamGuard(t *testing.T) {
 	}
 	dec := NewDecoder(&loopReader{stream: stream.Bytes()}, nil)
 	oracle := &oracleDecoder{r: &loopReader{stream: stream.Bytes()}}
-	const calls = 48
-	lap := func(next func() (*Frame, error)) func() {
-		return func() {
-			for k := 0; k < calls; k++ {
-				if _, err := next(); err != nil {
-					t.Fatal(err)
-				}
+	next := func(name string, next func() (*Frame, error)) perfguard.Body {
+		return perfguard.Body{Name: name, Run: func() {
+			if _, err := next(); err != nil {
+				t.Fatal(err)
 			}
-		}
+		}}
 	}
-	lap(dec.Next)() // warm both pools
-	lap(oracle.Next)()
+	const calls = 48
+	oracleNext, decNext := next("io.ReadFull oracle", oracle.Next), next("read-ahead", dec.Next)
+	for range calls { // warm both pools
+		decNext.Run()
+		oracleNext.Run()
+	}
 	if allocs := testing.AllocsPerRun(100, func() { dec.Next() }); allocs != 0 {
 		t.Errorf("Decoder.Next allocates %.1f per frame in steady state", allocs)
 	}
-	var fast, slow [21]time.Duration
-	for i := range fast {
-		start := time.Now()
-		lap(dec.Next)()
-		fast[i] = time.Since(start) / calls
-		start = time.Now()
-		lap(oracle.Next)()
-		slow[i] = time.Since(start) / calls
-	}
-	slices.Sort(fast[:])
-	slices.Sort(slow[:])
-	ratio := float64(slow[len(slow)/2]) / float64(fast[len(fast)/2])
-	t.Logf("Next on a %d×%d frame: read-ahead %v, io.ReadFull oracle %v: %.2fx", n, dim, fast[len(fast)/2], slow[len(slow)/2], ratio)
-	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+	bigEndian := binary.NativeEndian.Uint16([]byte{1, 0}) != 1
+	if bigEndian {
 		t.Log("big-endian host: floats are decoded by the portable loop; no speed floor")
-	} else if ratio < 1.7 {
-		t.Errorf("read-ahead decoder only %.2fx the oracle, want ≥ 1.7x", ratio)
 	}
+	perfguard.Hold(t, perfguard.Row{Name: fmt.Sprintf("Next on a %d×%d frame", n, dim), Ref: oracleNext, Fast: decNext,
+		Floor: 1.7, Calls: calls, LogOnly: bigEndian})
 
 	h := &nopHandler{}
 	l := startListener(t, "127.0.0.1:0", h)
@@ -158,7 +149,7 @@ func TestWireStreamGuard(t *testing.T) {
 	writes := c.writes - writes0
 	c.mu.Unlock()
 	t.Logf("%d blocks streamed: %d ack frames, %d writes", blocks, acks, writes)
-	if raceEnabled {
+	if perfguard.Race {
 		// The detector slows the site's producer more than the listener,
 		// which then runs dry — and rightly acks — between most writes.
 		t.Log("race detector on: the counts are logged, not held to their floors")
